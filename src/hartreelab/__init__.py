@@ -47,7 +47,6 @@ from .solver import (
     free_propagator,
     hartree_potential,
     picard_evolve,
-    strang_step,
 )
 from .wkb import (
     AnsatzReport,

@@ -17,7 +17,7 @@ Schema (all keys required unless marked optional):
       "epsilons": [float, ...],          strictly decreasing, positive
       "final_time": float,
       "sample_times": [float, ...],      in (0, final_time], increasing
-      "dt_factor": float,                optional, default 0.1
+      "dt_factor": float,                optional, default 0.1, in (0, 0.25]
       "quadrature_nodes": int,           optional, default 64, even >= 8
       "output": str
     }
@@ -156,7 +156,7 @@ def parse_config(doc: dict, threads: int = 1, seed: int = 0) -> SweepConfig:
     if not isinstance(sample_times, list) or not sample_times:
         raise ConfigError("'sample_times' must be a nonempty list")
     final_time = _number(doc, "final_time")
-    dt_factor = float(doc.get("dt_factor", 0.1))
+    dt_factor = _number(doc, "dt_factor") if "dt_factor" in doc else 0.1
     nodes = doc.get("quadrature_nodes", 64)
     if not isinstance(nodes, int) or nodes < 8 or nodes % 2:
         raise ConfigError(

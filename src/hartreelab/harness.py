@@ -38,7 +38,7 @@ from .norms import (
     l2w_norm,
     norm_report,
 )
-from .solver import DivergenceError, SolverParams, evolve, picard_evolve
+from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, evolve, picard_evolve
 from .wkb import (
     ModeFamily,
     ansatz_residual,
@@ -124,6 +124,8 @@ class SweepConfig:
             raise ValueError("sample times must lie in (0, final_time]")
         if any(b <= a for a, b in zip(samples, samples[1:])):
             raise ValueError("sample times must be strictly increasing")
+        if not 0 < self.dt_factor <= MAX_DT_FACTOR:
+            raise ValueError(f"dt_factor must lie in (0, {MAX_DT_FACTOR}]")
         if self.family.grid != self.grid:
             raise ValueError("mode family grid differs from the sweep grid")
         if self.kernel.d != self.grid.d:

@@ -130,6 +130,15 @@ class TestSweep:
         code = main(["sweep", "--config", write_config(tmp_path, doc)])
         assert code == 2
 
+    @pytest.mark.parametrize("dt_factor", [0.5, "abc"])
+    def test_bad_dt_factor_exits_2(self, tmp_path, capsys, dt_factor):
+        doc = base_config(tmp_path, dt_factor=dt_factor)
+        code = main(["sweep", "--config", write_config(tmp_path, doc)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dt_factor" in err
+        assert "Traceback" not in err
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         target = tmp_path / "blocked"
         target.write_text("file, not a directory")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from hartreelab import (
     l2_norm,
     l2w_norm,
     picard_evolve,
-    strang_step,
     wiener_norm,
     zero_mode_value,
 )
+from hartreelab.kernel import multiplier_grid
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -82,27 +84,32 @@ class TestHartreePotential:
         assert np.all(out.values.imag == 0)
 
 
+def one_step(u, spec, params):
+    """A single Strang step of length params.dt through evolve."""
+    return evolve(u, spec, params, [params.dt]).state_at(params.dt)
+
+
 class TestStrangStep:
     def test_zero_coupling_equals_free_flow(self, grid1d, gaussian_field):
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.0)
-        params = SolverParams(eps=0.5, dt=0.01, final_time=1.0)
-        stepped = strang_step(gaussian_field, spec, params)
+        params = SolverParams(eps=0.5, dt=0.01, final_time=0.01)
+        stepped = one_step(gaussian_field, spec, params)
         free = free_propagator(gaussian_field, 0.5, 0.01)
         assert np.max(np.abs(stepped.values - free.values)) < 1e-13
 
     def test_mass_preserved_per_step(self, kernel1d, gaussian_field):
-        params = SolverParams(eps=0.5, dt=0.01, final_time=1.0)
-        out = strang_step(gaussian_field, kernel1d, params)
+        params = SolverParams(eps=0.5, dt=0.01, final_time=0.01)
+        out = one_step(gaussian_field, kernel1d, params)
         assert abs(l2_norm(out) - l2_norm(gaussian_field)) < 1e-12 * l2_norm(
             gaussian_field
         )
 
     def test_exact_reverse_with_frozen_potential(self, kernel1d, gaussian_field):
         eps, dt = 0.5, 0.01
-        params = SolverParams(eps=eps, dt=dt, final_time=1.0)
+        params = SolverParams(eps=eps, dt=dt, final_time=dt)
         half = free_propagator(gaussian_field, eps, dt / 2)
         frozen = hartree_potential(kernel1d, half)
-        forward = strang_step(gaussian_field, kernel1d, params)
+        forward = one_step(gaussian_field, kernel1d, params)
         # undo with the same frozen potential: the three factors invert
         back = free_propagator(forward, eps, -dt / 2)
         back = Field(back.grid, back.values * np.exp(1j * dt * frozen.values))
@@ -126,6 +133,61 @@ class TestStrangStep:
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
             assert abs(order - 2.0) <= 0.2
+
+
+def divergence_case():
+    # a gigantic attractive coupling spreads the spectrum within one
+    # step; the grid must be fine enough that the Wiener norm has
+    # room to overshoot the 4x ball
+    grid = Grid(d=1, length=32.0, points=2048)
+    spec = KernelSpec(d=1, gamma=0.5, coupling=-5e4)
+    x = grid.axis_coords()
+    u0 = Field(grid, 5.0 * np.exp(-x**2 / 2))
+    return u0, spec, SolverParams(eps=1.0, dt=0.1, final_time=4.0)
+
+
+def six_fft_strang(u0, spec, eps, dt_request, samples):
+    """Reference Strang loop: kinetic half-steps and the potential each
+    take their own forward/inverse FFT pair, six transforms per step.
+
+    Returns the states and the l2 norms at the samples, t = 0 first, and
+    raises DivergenceError at the same step and time as evolve.
+    """
+    g = u0.grid
+    khat = multiplier_grid(spec, g)
+    freq_sq = g.freq_norm_sq()
+
+    def norms(raw):
+        l2 = math.sqrt(g.dx**g.d * np.sum(np.abs(raw) ** 2) / g.total_points)
+        wiener = g.dxi**g.d * (2 * np.pi) ** (-g.d / 2) * g.dx**g.d * np.sum(np.abs(raw))
+        return l2, wiener
+
+    def potential(v):
+        rho_hat = np.fft.fftn(np.abs(v) ** 2)
+        conv = (2 * np.pi) ** (g.d / 2) * np.fft.ifftn(khat * rho_hat)
+        return spec.coupling * conv.real
+
+    state = np.array(u0.values, dtype=np.complex128)
+    l2_0, w_0 = norms(np.fft.fftn(state))
+    states, masses = [state], [l2_0]
+    t_prev = 0.0
+    for t_next in samples:
+        n_steps = max(1, math.ceil((t_next - t_prev) / dt_request - 1e-12))
+        dt = (t_next - t_prev) / n_steps
+        kin_half = np.exp(-0.25j * eps * dt * freq_sq)
+        for step in range(n_steps):
+            state = np.fft.ifftn(np.fft.fftn(state) * kin_half)
+            state = state * np.exp(-1j * dt * potential(state))
+            raw = np.fft.fftn(state) * kin_half
+            l2, wiener = norms(raw)
+            if l2 + wiener > 4.0 * (l2_0 + w_0):
+                t_fail = t_prev + (step + 1) * dt
+                raise DivergenceError(t_fail, (l2 + wiener) / (l2_0 + w_0))
+            state = np.fft.ifftn(raw)
+        states.append(state)
+        masses.append(l2)
+        t_prev = t_next
+    return states, masses
 
 
 class TestEvolve:
@@ -170,17 +232,33 @@ class TestEvolve:
         assert traj.times == (0.0, 0.17, 0.5)
 
     def test_divergence_guard_reports_time(self):
-        # a gigantic attractive coupling spreads the spectrum within one
-        # step; the grid must be fine enough that the Wiener norm has
-        # room to overshoot the 4x ball
-        grid = Grid(d=1, length=32.0, points=2048)
-        spec = KernelSpec(d=1, gamma=0.5, coupling=-5e4)
-        x = grid.axis_coords()
-        u0 = Field(grid, 5.0 * np.exp(-x**2 / 2))
-        params = SolverParams(eps=1.0, dt=0.1, final_time=4.0)
+        u0, spec, params = divergence_case()
         with pytest.raises(DivergenceError) as err:
             evolve(u0, spec, params, [4.0])
         assert err.value.time > 0
+
+    def test_matches_six_fft_reference_2d(self):
+        # two sample intervals with different step lengths, 101 steps
+        grid = Grid(d=2, length=16.0, points=64)
+        spec = KernelSpec(d=2, gamma=1.0, coupling=1.0)
+        x, y = grid.coords()
+        eps, samples = 0.1, [0.555, 1.0]
+        u0 = Field(grid, np.exp(-(x**2 + y**2) / 2 + 1j * (0.5 * x - 0.3 * y) / eps))
+        params = SolverParams(eps=eps, dt=0.1 * eps, final_time=1.0)
+        traj = evolve(u0, spec, params, samples)
+        states, masses = six_fft_strang(u0, spec, eps, params.dt, samples)
+        for t, state in zip(traj.times, states):
+            assert np.max(np.abs(traj.state_at(t).values - state)) < 1e-12
+        for got, want in zip(traj.mass_log, masses):
+            assert abs(got - want) < 1e-12 * want
+
+    def test_divergence_time_matches_six_fft_reference(self):
+        u0, spec, params = divergence_case()
+        with pytest.raises(DivergenceError) as fused:
+            evolve(u0, spec, params, [4.0])
+        with pytest.raises(DivergenceError) as reference:
+            six_fft_strang(u0, spec, params.eps, params.dt, [4.0])
+        assert fused.value.time == reference.value.time
 
     def test_rejects_sample_outside_horizon(self, kernel1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
