@@ -5,7 +5,9 @@
     hartreelab validate --config run.json    property/consistency suite
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration
-error, 3 runtime error (divergence guard, unwritable output).  sweep
+error, 3 runtime error (divergence guard, Picard non-contraction, an
+imaginary part beyond rounding, unwritable output), mapped in `main`
+alone.  sweep
 exits 0 even when the rate check fails; the JSON summary records the
 failure so CI can assert on it.
 """
@@ -75,44 +77,28 @@ def cmd_simulate(cfg) -> int:
         final_time=cfg.final_time,
         dt_factor=cfg.dt_factor,
     )
-    try:
-        traj = evolve(u0, cfg.kernel, params, cfg.sample_times)
-    except DivergenceError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    traj = evolve(u0, cfg.kernel, params, cfg.sample_times)
 
     out = Path(cfg.output)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["t,l2,wiener,l2w,mass_drift"]
-        mass0 = traj.mass_log[0]
-        for t, state, mass in zip(traj.times, traj.states, traj.mass_log):
-            rep = norm_report(state)
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (t, rep.l2, rep.wiener, rep.l2w, abs(mass - mass0) / mass0)
-                )
+    out.mkdir(parents=True, exist_ok=True)
+    lines = ["t,l2,wiener,l2w,mass_drift"]
+    mass0 = traj.mass_log[0]
+    for t, state, mass in zip(traj.times, traj.states, traj.mass_log):
+        rep = norm_report(state)
+        lines.append(
+            ",".join(
+                _fmt(v)
+                for v in (t, rep.l2, rep.wiener, rep.l2w, abs(mass - mass0) / mass0)
             )
-        (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"runtime error: cannot write to {out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        )
+    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
     print(f"trajectory written to {out / 'trajectory.csv'}")
     return EXIT_OK
 
 
 def cmd_sweep(cfg) -> int:
-    try:
-        result = run_sweep(cfg)
-    except (DivergenceError, PicardConvergenceError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    try:
-        paths = persist(result, cfg.output)
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = run_sweep(cfg)
+    persist(result, cfg.output)
     fitted = "n/a" if result.beta_fitted is None else f"{result.beta_fitted:.4f}"
     print(
         f"sweep complete: beta_expected={result.beta_expected:.4f} "
@@ -144,11 +130,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    if args.command == "sweep":
-        return cmd_sweep(cfg)
-    return cmd_validate(cfg, getattr(args, "inject_kernel_fault", False))
+    try:
+        if args.command == "simulate":
+            return cmd_simulate(cfg)
+        if args.command == "sweep":
+            return cmd_sweep(cfg)
+        return cmd_validate(cfg, getattr(args, "inject_kernel_fault", False))
+    except (DivergenceError, PicardConvergenceError, FloatingPointError, OSError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -87,30 +87,32 @@ class Grid:
         """Sample positions -L/2 + m*dx along one axis."""
         return -self.length / 2 + self.dx * np.arange(self.points)
 
-    def coords(self) -> tuple:
-        """Broadcastable coordinate arrays, one per axis."""
-        c = self.axis_coords()
+    def _on_axes(self, v: np.ndarray) -> tuple:
+        """One broadcastable copy of the 1-D array v per axis."""
         return tuple(
-            c.reshape([-1 if a == ax else 1 for a in range(self.d)])
+            v.reshape([-1 if a == ax else 1 for a in range(self.d)])
             for ax in range(self.d)
         )
 
+    def coords(self) -> tuple:
+        """Broadcastable coordinate arrays, one per axis."""
+        return self._on_axes(self.axis_coords())
+
+    def _axis_indices(self) -> np.ndarray:
+        """Lattice indices k in FFT order, k in [-N/2, N/2)."""
+        return np.rint(np.fft.fftfreq(self.points) * self.points).astype(int)
+
     def axis_freqs(self, zero_nyquist: bool = False) -> np.ndarray:
         """Dual lattice 2*pi*k/L in FFT order, k in [-N/2, N/2)."""
-        k = np.rint(np.fft.fftfreq(self.points) * self.points).astype(int)
+        k = self._axis_indices()
         xi = TWO_PI * k / self.length
         if zero_nyquist:
-            xi = xi.copy()
             xi[k == -self.points // 2] = 0.0
         return xi
 
     def freq_meshes(self, zero_nyquist: bool = False) -> tuple:
         """Broadcastable frequency arrays, one per axis."""
-        xi = self.axis_freqs(zero_nyquist=zero_nyquist)
-        return tuple(
-            xi.reshape([-1 if a == ax else 1 for a in range(self.d)])
-            for ax in range(self.d)
-        )
+        return self._on_axes(self.axis_freqs(zero_nyquist=zero_nyquist))
 
     def freq_norm_sq(self) -> np.ndarray:
         """|xi|**2 on the full lattice (Nyquist kept; even multiplier)."""
@@ -119,12 +121,27 @@ class Grid:
 
     def alternating_signs(self) -> np.ndarray:
         """(-1)**(k1+...+kd): the phase factor carrying the box offset -L/2."""
-        k = np.rint(np.fft.fftfreq(self.points) * self.points).astype(int)
-        s = np.where(k % 2 == 0, 1.0, -1.0)
-        out = s.reshape([-1] + [1] * (self.d - 1))
-        for ax in range(1, self.d):
-            out = out * s.reshape([-1 if a == ax else 1 for a in range(self.d)])
-        return out
+        s = np.where(self._axis_indices() % 2 == 0, 1.0, -1.0)
+        return reduce(np.multiply, self._on_axes(s))
+
+    def band_mask(self, cutoff_index: int) -> np.ndarray:
+        """True where |k| <= cutoff_index on every axis, FFT order."""
+        inside = np.abs(self._axis_indices()) <= cutoff_index
+        return reduce(np.logical_and, self._on_axes(inside))
+
+
+def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:
+    """exp(i (scale * kappa . x + offset)) as a product of 1-D exponentials.
+
+    `axes` are broadcastable per-axis arrays (`Grid.coords()` or
+    `Grid.freq_meshes()`).  An axis with kappa = 0 contributes no factor,
+    so the result may broadcast against the grid instead of filling it.
+    """
+    wave = np.full((1,) * len(axes), np.exp(1j * offset))
+    for ax, k in zip(axes, kappa):
+        if k:
+            wave = wave * np.exp(1j * (scale * k) * ax)
+    return wave
 
 
 def _validated_samples(grid: Grid, values, what: str) -> np.ndarray:
@@ -254,11 +271,8 @@ def translate(f: Field, shift) -> Field:
         raise ValueError(f"shift must have {g.d} components, got shape {s.shape}")
     if not s.any():
         return f
-    meshes = g.freq_meshes(zero_nyquist=True)
-    phase = np.zeros(g.shape)
-    for ax in range(g.d):
-        phase = phase + s[ax] * meshes[ax]
-    return Field(g, np.fft.ifftn(np.fft.fftn(f.values) * np.exp(-1j * phase)))
+    wave = plane_wave(g.freq_meshes(zero_nyquist=True), s, -1.0)
+    return Field(g, np.fft.ifftn(np.fft.fftn(f.values) * wave))
 
 
 @dataclass(frozen=True)

@@ -370,13 +370,8 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst) ->
 
 def _random_band_limited(grid: Grid, rng, cutoff: int) -> Field:
     """Random field whose spectrum lives strictly inside |k| <= cutoff."""
-    k = np.rint(np.fft.fftfreq(grid.points) * grid.points).astype(int)
-    inside = np.abs(k) <= cutoff
-    mask = inside.reshape([-1] + [1] * (grid.d - 1))
-    for ax in range(1, grid.d):
-        mask = mask & inside.reshape([-1 if a == ax else 1 for a in range(grid.d)])
     coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    coef *= mask
+    coef *= grid.band_mask(cutoff)
     vals = np.fft.ifftn(coef)
     peak = np.max(np.abs(vals))
     return Field(grid, vals / peak if peak > 0 else vals)

@@ -25,6 +25,7 @@ independent quadrature oracle (direct summation, never an FFT).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,14 +130,23 @@ def split_norms(spec: KernelSpec) -> tuple:
 
 
 def multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """Khat sampled on the dual lattice with the regularized zero mode."""
+    """Khat sampled on the dual lattice with the regularized zero mode.
+
+    Memoized per (spec, grid): every caller shares one read-only array.
+    """
     if grid.d != spec.d:
         raise ValueError(f"kernel is {spec.d}D but grid is {grid.d}D")
+    return _multiplier_grid(spec, grid)
+
+
+@functools.lru_cache(maxsize=4)
+def _multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
     mag = np.sqrt(grid.freq_norm_sq())
     out = np.empty(grid.shape)
     nz = mag > 0
     out[nz] = spec.c_const * mag[nz] ** (spec.gamma - spec.d)
     out[~nz] = zero_mode_value(spec, grid)
+    out.setflags(write=False)
     return out
 
 

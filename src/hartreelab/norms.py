@@ -17,11 +17,13 @@ bound assembled from the kernel split.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .grid import Field, SpectralField
+from .grid import TWO_PI, Field, SpectralField
 from .kernel import KernelSpec, convolve, split_norms
 
 
@@ -107,15 +109,31 @@ def multi_indices(d: int, max_order: int) -> list:
     return out
 
 
-def y_norm(f: Field, spec: YNormSpec) -> float:
-    """Sum of combined norms of all derivatives up to order n."""
-    from .grid import spectral_derivative
+def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:
+    """(l2, wiener) of the physical field whose raw FFT (or its modulus)
+    is given; the L2 norm comes from Parseval."""
+    d = grid.d
+    mag = np.abs(raw)
+    l2 = math.sqrt(grid.dx**d * np.sum(mag**2) / grid.total_points)
+    wiener = grid.dxi**d * TWO_PI ** (-d / 2) * grid.dx**d * float(np.sum(mag))
+    return l2, wiener
 
-    if f.grid.d != spec.d:
-        raise ValueError(f"field is {f.grid.d}D but norm spec is {spec.d}D")
+
+def y_norm(f: Field, spec: YNormSpec) -> float:
+    """Sum of combined norms of all derivatives up to order n.
+
+    One transform serves every multi-index: d^eta f has the raw spectrum
+    raw (i xi)^eta, whose modulus |raw| |xi|^eta gives both norms.
+    """
+    g = f.grid
+    if g.d != spec.d:
+        raise ValueError(f"field is {g.d}D but norm spec is {spec.d}D")
+    mag = np.abs(np.fft.fftn(f.values))
+    xi = [np.abs(m) for m in g.freq_meshes(zero_nyquist=True)]
     total = 0.0
     for eta in multi_indices(spec.d, spec.n):
-        total += l2w_norm(spectral_derivative(f, eta))
+        weighted = reduce(np.multiply, (x**e for x, e in zip(xi, eta) if e), mag)
+        total += sum(_norms_from_raw_fft(weighted, g))
     return total
 
 
@@ -138,11 +156,7 @@ def spectral_tail_fraction(f: Field, cutoff_index: int) -> float:
     total = coef.sum()
     if total == 0:
         return 0.0
-    k = np.rint(np.fft.fftfreq(g.points) * g.points).astype(int)
-    inside = np.abs(k) <= cutoff_index
-    mask = inside.reshape([-1] + [1] * (g.d - 1))
-    for ax in range(1, g.d):
-        mask = mask & inside.reshape([-1 if a == ax else 1 for a in range(g.d)])
+    mask = g.band_mask(cutoff_index)
     return float(coef[~mask].sum() / total)
 
 

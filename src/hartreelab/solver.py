@@ -33,6 +33,7 @@ import scipy.fft
 
 from .grid import Field, TWO_PI
 from .kernel import KernelSpec, multiplier_grid
+from .norms import _norms_from_raw_fft, l2w_norm
 
 MAX_DT_FACTOR = 0.25
 
@@ -149,17 +150,6 @@ def _raw_potential(khat_half: np.ndarray, values: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(rho_hat, s=values.shape, overwrite_x=True)
 
 
-def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:
-    """(l2, wiener) of the physical field whose raw FFT is given."""
-    d = grid.d
-    n_total = grid.total_points
-    l2 = math.sqrt(grid.dx**d * np.sum(np.abs(raw) ** 2) / n_total)
-    wiener = (
-        grid.dxi**d * TWO_PI ** (-d / 2) * grid.dx**d * float(np.sum(np.abs(raw)))
-    )
-    return l2, wiener
-
-
 def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajectory:
     """Integrate up to final_time, recording the state at each sample.
 
@@ -234,8 +224,6 @@ def picard_evolve(
     increments are measured in the combined norm, sup over nodes; three
     consecutive increases are reported as leaving the contraction ball.
     """
-    from .norms import l2w_norm
-
     g = u0.grid
     if horizon is None:
         horizon = 0.1 * eps

@@ -23,7 +23,11 @@ so that
                           * sum_l rho_l_hat(xi) E(t, (kappa_l - kappa_j) . xi).
 
 `action_phase` evaluates that closed form; `action_phase_quadrature` is
-the independent composite-Simpson oracle over the time variable.
+the independent composite-Simpson oracle over the time variable.  Each
+exponential in it is a plane wave built separably by `grid.plane_wave`,
+as are the mode carriers and cross phases, and a snapshot of M modes
+costs 4 M FFTs: M density spectra shared by its M phases, M inverses,
+and one transform pair per translated amplitude.
 
 Expansion bookkeeping: after the eikonal and transport cancellations,
 plugging the ansatz into the equation leaves exactly
@@ -39,6 +43,7 @@ which `z2_term`, `resonant_remainder` and `ansatz_residual` expose.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +54,10 @@ from .grid import (
     Grid,
     TWO_PI,
     laplacian,
+    plane_wave,
     profile_bandwidth,
     profile_support_radius,
     sample_profile,
-    spectral_derivative,
     translate,
 )
 from .kernel import KernelSpec, convolve, multiplier_grid
@@ -61,6 +66,8 @@ from .norms import YNormSpec, l2w_norm
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
 RESOLUTION_FACTOR = 1.5
 DECAY_THRESHOLD = 1e-12
+
+_SNAPSHOT_SPECTRA = ContextVar("snapshot_spectra", default=(None, None))
 
 
 class ContainmentError(ValueError):
@@ -243,14 +250,27 @@ def oscillation_average(t: float, omega: np.ndarray) -> np.ndarray:
     series in t*w takes over below 1e-6.
     """
     omega = np.asarray(omega, dtype=float)
-    out = np.empty(omega.shape, dtype=np.complex128)
-    theta = t * omega
-    small = np.abs(theta) < 1e-6
-    ws = omega[~small]
-    out[~small] = (1.0 - np.exp(-1j * t * ws)) / (1j * ws)
-    th = theta[small]
-    out[small] = t * (1.0 - 0.5j * th - th**2 / 6.0)
-    return out
+    wave = np.exp(-1j * t * omega, out=np.empty(omega.shape, dtype=np.complex128))
+    return _averaging_factor(t, omega, wave)
+
+
+def _averaging_factor(t: float, omega: np.ndarray, wave: np.ndarray) -> np.ndarray:
+    """E(t, w) given wave = exp(-i t w) of the same shape; overwrites wave."""
+    small = np.abs(omega) * abs(t) < 1e-6
+    wave -= 1.0
+    np.divide(wave, omega, out=wave, where=~small)
+    wave *= 1j
+    th = t * omega[small]
+    wave[small] = t * (1.0 - 0.5j * th - th**2 / 6.0)
+    return wave
+
+
+def _density_spectra(family: ModeFamily) -> list:
+    """fftn(|alpha_l|^2) per mode; inside `snapshot` its own set is reused."""
+    owner, spectra = _SNAPSHOT_SPECTRA.get()
+    if owner is family:
+        return spectra
+    return [np.fft.fftn(np.abs(m.alpha.values) ** 2) for m in family.modes]
 
 
 def action_phase(family: ModeFamily, j: int, t: float, spec: KernelSpec) -> Field:
@@ -264,23 +284,18 @@ def action_phase(family: ModeFamily, j: int, t: float, spec: KernelSpec) -> Fiel
     if t == 0.0 or spec.coupling == 0.0:
         return Field(g, np.zeros(g.shape))
 
-    khat = multiplier_grid(spec, g)
     meshes = g.freq_meshes(zero_nyquist=True)
     kappa_j = family.modes[j].kappa
-
     acc = np.zeros(g.shape, dtype=np.complex128)
-    for mode in family.modes:
-        rho_raw = np.fft.fftn(np.abs(mode.alpha.values) ** 2)
-        omega = np.zeros(g.shape)
-        for ax in range(g.d):
-            omega = omega + (mode.kappa[ax] - kappa_j[ax]) * meshes[ax]
-        acc += rho_raw * oscillation_average(t, omega)
+    for mode, rho_hat in zip(family.modes, _density_spectra(family)):
+        dk = mode.kappa - kappa_j
+        omega = sum((c * m for c, m in zip(dk, meshes) if c), np.zeros((1,) * g.d))
+        acc += rho_hat * _averaging_factor(t, omega, plane_wave(meshes, dk, -t))
 
-    carrier = np.zeros(g.shape)
-    for ax in range(g.d):
-        carrier = carrier + kappa_j[ax] * meshes[ax]
-    spectrum = khat * np.exp(-1j * t * carrier) * acc
-    vals = -spec.coupling * TWO_PI ** (g.d / 2) * np.fft.ifftn(spectrum)
+    acc *= plane_wave(meshes, kappa_j, -t)
+    acc *= multiplier_grid(spec, g)
+    vals = np.fft.ifftn(acc)
+    vals *= -spec.coupling * TWO_PI ** (g.d / 2)
 
     scale = np.max(np.abs(vals))
     if scale > 0 and np.max(np.abs(vals.imag)) > 1e-10 * scale:
@@ -341,35 +356,45 @@ def action_phase_quadrature(
 
 
 def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
-    """Transported amplitudes at time t; modulus is pure translation."""
+    """Transported amplitudes at time t; modulus is pure translation.
+
+    The M `action_phase` calls share one set of density spectra (M FFTs),
+    dropped before the amplitudes are built.
+    """
     check_containment(family, t)
+    token = _SNAPSHOT_SPECTRA.set(
+        (family, _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None)
+    )
+    try:
+        actions = [action_phase(family, j, t, spec) for j in range(len(family.modes))]
+    finally:
+        _SNAPSHOT_SPECTRA.reset(token)
     amps = []
-    actions = []
-    for j, mode in enumerate(family.modes):
-        theta = action_phase(family, j, t, spec)
+    for mode, theta in zip(family.modes, actions):
         moved = translate(mode.alpha, t * mode.kappa)
         amps.append(Field(family.grid, moved.values * np.exp(1j * theta.values)))
-        actions.append(theta)
     return WkbSnapshot(t=t, amplitudes=tuple(amps), actions=tuple(actions))
 
 
 def _mode_carrier(grid: Grid, kappa: np.ndarray, t: float, eps: float) -> np.ndarray:
-    """exp(i phi / eps) with phi = kappa . x - t |kappa|^2 / 2."""
-    phase = np.zeros(grid.shape)
-    for ax, kc in zip(grid.coords(), kappa):
-        phase = phase + kc * ax
-    phase = (phase - 0.5 * t * float(kappa @ kappa)) / eps
-    return np.exp(1j * phase)
+    """exp(i phi / eps) with phi = kappa . x - t |kappa|^2 / 2, broadcastable."""
+    offset = -0.5 * t * float(kappa @ kappa) / eps
+    return plane_wave(grid.coords(), kappa, 1.0 / eps, offset)
+
+
+def _superpose(family: ModeFamily, values, t: float, eps: float) -> np.ndarray:
+    """sum_j values_j exp(i phi_j(t) / eps), one value array per mode."""
+    out = np.zeros(family.grid.shape, dtype=np.complex128)
+    for mode, v in zip(family.modes, values):
+        out += v * _mode_carrier(family.grid, mode.kappa, t, eps)
+    return out
 
 
 def initial_data(family: ModeFamily, eps: float) -> Field:
     """Superposition of eps-oscillatory plane waves: the shared initial state."""
     check_resolution(family, eps)
-    g = family.grid
-    vals = np.zeros(g.shape, dtype=np.complex128)
-    for mode in family.modes:
-        vals = vals + mode.alpha.values * _mode_carrier(g, mode.kappa, 0.0, eps)
-    return Field(g, vals)
+    alphas = (mode.alpha.values for mode in family.modes)
+    return Field(family.grid, _superpose(family, alphas, 0.0, eps))
 
 
 def assemble(
@@ -379,11 +404,8 @@ def assemble(
     check_resolution(family, eps)
     if snap is None:
         snap = snapshot(family, t, spec)
-    g = family.grid
-    vals = np.zeros(g.shape, dtype=np.complex128)
-    for mode, amp in zip(family.modes, snap.amplitudes):
-        vals = vals + amp.values * _mode_carrier(g, mode.kappa, t, eps)
-    return Field(g, vals)
+    amps = (amp.values for amp in snap.amplitudes)
+    return Field(family.grid, _superpose(family, amps, t, eps))
 
 
 def z2_term(
@@ -393,13 +415,8 @@ def z2_term(
     check_resolution(family, eps)
     if snap is None:
         snap = snapshot(family, t, spec)
-    g = family.grid
-    vals = np.zeros(g.shape, dtype=np.complex128)
-    for mode, amp in zip(family.modes, snap.amplitudes):
-        vals = vals + 0.5 * laplacian(amp).values * _mode_carrier(
-            g, mode.kappa, t, eps
-        )
-    return Field(g, vals)
+    halves = (0.5 * laplacian(amp).values for amp in snap.amplitudes)
+    return Field(family.grid, _superpose(family, halves, t, eps))
 
 
 def resonant_remainder(
@@ -408,8 +425,9 @@ def resonant_remainder(
     """Cross-mode term r = -(K * B) u_app, zero for a single mode.
 
     The cross phase exp(i (phi_k - phi_l) / eps) is the plane wave
-    exp(i (kappa_k - kappa_l) . x / eps) times a constant phase; the
-    double sum is symmetric under relabeling.
+    exp(i (kappa_k - kappa_l) . x / eps) times a constant phase.  The
+    (l, k) term is the conjugate of the (k, l) term, so B is real and
+    each unordered pair contributes twice its real part.
     """
     check_resolution(family, eps, for_remainder=True)
     if snap is None:
@@ -419,26 +437,36 @@ def resonant_remainder(
     if n_modes == 1:
         return Field(g, np.zeros(g.shape))
 
-    cross = np.zeros(g.shape, dtype=np.complex128)
+    cross = np.zeros(g.shape)
     for k in range(n_modes):
-        for l in range(n_modes):
-            if k == l:
-                continue
+        for l in range(k + 1, n_modes):
             kap_k = family.modes[k].kappa
             kap_l = family.modes[l].kappa
-            phase = np.zeros(g.shape)
-            for ax, (ck, cl) in enumerate(zip(kap_k, kap_l)):
-                phase = phase + (ck - cl) * g.coords()[ax]
-            phase = phase - 0.5 * t * (float(kap_k @ kap_k) - float(kap_l @ kap_l))
-            cross = cross + (
-                snap.amplitudes[k].values
-                * np.conj(snap.amplitudes[l].values)
-                * np.exp(1j * phase / eps)
-            )
+            offset = -0.5 * t * (float(kap_k @ kap_k) - float(kap_l @ kap_l)) / eps
+            term = np.conj(snap.amplitudes[l].values)
+            term *= snap.amplitudes[k].values
+            term *= plane_wave(g.coords(), kap_k - kap_l, 1.0 / eps, offset)
+            cross += term.real
+    cross *= 2.0
 
     conv = convolve(spec, Field(g, cross))
     u_app = assemble(family, t, eps, spec, snap=snap)
     return Field(g, -conv.values * u_app.values)
+
+
+def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) -> list:
+    """dt a_j by the transport law: -kappa_j . grad a_j - i lambda (K * rho) a_j,
+    rho = sum_l |a_l|^2, with the drift applied as one i kappa_j . xi multiplier."""
+    g = family.grid
+    rho = sum(np.abs(amp.values) ** 2 for amp in snap.amplitudes)
+    potential = spec.coupling * convolve(spec, Field(g, rho)).values.real
+    meshes = g.freq_meshes(zero_nyquist=True)
+    rates = []
+    for mode, amp in zip(family.modes, snap.amplitudes):
+        drift = sum(1j * k * m for k, m in zip(mode.kappa, meshes))
+        advect = np.fft.ifftn(np.fft.fftn(amp.values) * drift)
+        rates.append(-advect - 1j * potential * amp.values)
+    return rates
 
 
 def transport_residual(
@@ -457,25 +485,14 @@ def transport_residual(
     snap_minus = snapshot(family, max(t - h, 0.0), spec)
     snap_plus = snapshot(family, t + h, spec)
     snap_mid = snapshot(family, t, spec)
-    g = family.grid
-
-    rho_tot = np.zeros(g.shape)
-    for amp in snap_mid.amplitudes:
-        rho_tot = rho_tot + np.abs(amp.values) ** 2
-    potential = spec.coupling * convolve(spec, Field(g, rho_tot)).values.real
+    rates = _transport_rates(family, snap_mid, spec)
 
     span = (t + h) - max(t - h, 0.0)
     out = []
-    for j, mode in enumerate(family.modes):
+    for j, mid in enumerate(snap_mid.amplitudes):
         dadt = (snap_plus.amplitudes[j].values - snap_minus.amplitudes[j].values) / span
-        advect = np.zeros(g.shape, dtype=np.complex128)
-        for ax in range(g.d):
-            eta = tuple(1 if a == ax else 0 for a in range(g.d))
-            advect = advect + mode.kappa[ax] * spectral_derivative(
-                snap_mid.amplitudes[j], eta
-            ).values
-        resid = dadt + advect + 1j * potential * snap_mid.amplitudes[j].values
-        scale = np.max(np.abs(snap_mid.amplitudes[j].values))
+        resid = dadt - rates[j]
+        scale = np.max(np.abs(mid.values))
         out.append(float(np.max(np.abs(resid)) / scale) if scale > 0 else 0.0)
     return out
 
@@ -498,22 +515,13 @@ def ansatz_residual(
     g = family.grid
     u_app = assemble(family, t, eps, spec, snap=snap)
 
-    rho_tot = np.zeros(g.shape)
-    for amp in snap.amplitudes:
-        rho_tot = rho_tot + np.abs(amp.values) ** 2
-    potential = spec.coupling * convolve(spec, Field(g, rho_tot)).values.real
-
-    dudt = np.zeros(g.shape, dtype=np.complex128)
-    for mode, amp in zip(family.modes, snap.amplitudes):
-        advect = np.zeros(g.shape, dtype=np.complex128)
-        for ax in range(g.d):
-            eta = tuple(1 if a == ax else 0 for a in range(g.d))
-            advect = advect + mode.kappa[ax] * spectral_derivative(amp, eta).values
-        dadt = -advect - 1j * potential * amp.values
-        kk = float(mode.kappa @ mode.kappa)
-        dudt = dudt + (dadt - 0.5j * kk / eps * amp.values) * _mode_carrier(
-            g, mode.kappa, t, eps
-        )
+    rates = _transport_rates(family, snap, spec)
+    # d/dt (a_j exp(i phi_j / eps)) = (dt a_j - i |kappa_j|^2 / (2 eps) a_j) exp(...)
+    wave_rates = (
+        dadt - 0.5j * float(mode.kappa @ mode.kappa) / eps * amp.values
+        for mode, amp, dadt in zip(family.modes, snap.amplitudes, rates)
+    )
+    dudt = _superpose(family, wave_rates, t, eps)
 
     nonlinear = (
         spec.coupling

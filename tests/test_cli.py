@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from hartreelab import ConfigError, load_config
+from hartreelab import (
+    ConfigError,
+    DivergenceError,
+    PicardConvergenceError,
+    load_config,
+)
+from hartreelab import cli
 from hartreelab.cli import main
 
 
@@ -204,3 +210,30 @@ class TestValidate:
         )
         cfg = load_config(write_config(tmp_path, doc))
         assert cfg.family.nspec.n == 3
+
+
+class TestRuntimeErrors:
+    @pytest.mark.parametrize(
+        "command, target", [("sweep", "run_sweep"), ("validate", "validate_suite")]
+    )
+    @pytest.mark.parametrize(
+        "error",
+        [
+            DivergenceError(0.1, 4.5),
+            PicardConvergenceError("increment grew for three consecutive iterations"),
+            FloatingPointError("action phase acquired an imaginary part"),
+        ],
+        ids=["divergence", "picard", "imaginary_part"],
+    )
+    def test_exits_3_without_traceback(
+        self, tmp_path, capsys, monkeypatch, command, target, error
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, fail)
+        code = main([command, "--config", write_config(tmp_path, base_config(tmp_path))])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ")
+        assert "Traceback" not in err

@@ -226,6 +226,35 @@ class TestRunSweep:
         for a, b in zip(seq.records, par.records):
             assert a == b
 
+    def test_threaded_matches_sequential_2d(self, tmp_path):
+        # the eps workers share the memoized kernel multiplier; start cold
+        # so both threads race to fill it
+        from hartreelab.kernel import _multiplier_grid
+
+        grid = Grid(d=2, length=16.0, points=128)
+        prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
+        family = ModeFamily.from_profiles(
+            grid, [([-2.0, 0.0], prof), ([2.0, 0.0], prof)], gamma=0.5
+        )
+        runs = {}
+        for threads in (1, 2):
+            _multiplier_grid.cache_clear()
+            runs[threads] = run_sweep(
+                SweepConfig(
+                    grid=grid,
+                    kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
+                    family=family,
+                    epsilons=(0.6, 0.5),
+                    final_time=0.2,
+                    sample_times=(0.1, 0.2),
+                    output=str(tmp_path / "out"),
+                    threads=threads,
+                )
+            )
+        assert len(runs[1].records) == 4
+        assert runs[2].records == runs[1].records
+        assert runs[2].beta_fitted == runs[1].beta_fitted
+
 
 class TestValidateSuite:
     def test_default_passes(self, small_config):

@@ -16,6 +16,7 @@ from hartreelab import (
     split_norms,
     zero_mode_value,
 )
+from hartreelab.kernel import multiplier_grid
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -192,6 +193,18 @@ class TestConvolveDirect:
         direct = convolve_direct(spec, rho).values.real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 5e-3
+
+
+class TestMultiplierGrid:
+    def test_memoized_and_read_only(self, kernel1d, grid1d):
+        khat = multiplier_grid(kernel1d, grid1d)
+        assert multiplier_grid(kernel1d, grid1d) is khat
+        with pytest.raises(ValueError, match="read-only"):
+            khat[0] = 1.0
+
+    def test_rejects_dimension_mismatch(self, grid1d):
+        with pytest.raises(ValueError, match="2D"):
+            multiplier_grid(KernelSpec(d=2, gamma=0.5), grid1d)
 
 
 class TestZeroMode:

@@ -156,6 +156,22 @@ class TestYNorm:
         got = y_norm(f, spec)
         assert abs(got - expected) / expected < 1e-6
 
+    @pytest.mark.parametrize(
+        "d, points, gamma", [(1, 256, 0.5), (2, 64, 0.5), (3, 16, 0.5), (3, 16, 1.5)]
+    )
+    def test_matches_derivative_by_derivative(self, d, points, gamma):
+        # reference: one transform pair per derivative, each norm taken
+        # on the physical derivative field
+        from hartreelab import spectral_derivative
+
+        grid = Grid(d=d, length=16.0, points=points)
+        f = band_limited(grid, np.random.default_rng(5 + d), points // 4)
+        spec = YNormSpec(d=d, gamma=gamma)
+        expected = sum(
+            l2w_norm(spectral_derivative(f, eta)) for eta in multi_indices(d, spec.n)
+        )
+        assert abs(y_norm(f, spec) - expected) < 1e-12 * expected
+
     def test_multi_index_counts(self):
         assert len(multi_indices(1, 2)) == 3
         assert len(multi_indices(2, 2)) == 6

@@ -26,6 +26,9 @@ from hartreelab import (
     transport_residual,
     z2_term,
 )
+from hartreelab.grid import plane_wave
+from hartreelab.kernel import multiplier_grid
+from hartreelab.wkb import _mode_carrier
 
 
 @pytest.fixture
@@ -293,3 +296,166 @@ class TestAnsatzResidual:
         t, eps = 0.5, 0.1
         report = ansatz_residual(two_mode_family, t, eps, free)
         assert report.identity_error < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# plain-numpy copies of the full-grid formulas the separable code replaced
+
+
+def full_grid_oscillation_average(t, omega):
+    out = np.empty(omega.shape, dtype=np.complex128)
+    theta = t * omega
+    small = np.abs(theta) < 1e-6
+    ws = omega[~small]
+    out[~small] = (1.0 - np.exp(-1j * t * ws)) / (1j * ws)
+    th = theta[small]
+    out[small] = t * (1.0 - 0.5j * th - th**2 / 6.0)
+    return out
+
+
+def full_grid_action_phase(family, j, t, spec):
+    """One density FFT per (j, l) pair and full-grid complex exponentials."""
+    g = family.grid
+    khat = multiplier_grid(spec, g)
+    meshes = g.freq_meshes(zero_nyquist=True)
+    kappa_j = family.modes[j].kappa
+    acc = np.zeros(g.shape, dtype=np.complex128)
+    for mode in family.modes:
+        rho_raw = np.fft.fftn(np.abs(mode.alpha.values) ** 2)
+        omega = np.zeros(g.shape)
+        for ax in range(g.d):
+            omega = omega + (mode.kappa[ax] - kappa_j[ax]) * meshes[ax]
+        acc += rho_raw * full_grid_oscillation_average(t, omega)
+    carrier = np.zeros(g.shape)
+    for ax in range(g.d):
+        carrier = carrier + kappa_j[ax] * meshes[ax]
+    spectrum = khat * np.exp(-1j * t * carrier) * acc
+    return (-spec.coupling * (2 * np.pi) ** (g.d / 2) * np.fft.ifftn(spectrum)).real
+
+
+def full_grid_cross_phase(grid, kap_k, kap_l, t, eps):
+    phase = np.zeros(grid.shape)
+    for ax, (ck, cl) in enumerate(zip(kap_k, kap_l)):
+        phase = phase + (ck - cl) * grid.coords()[ax]
+    phase = phase - 0.5 * t * (float(kap_k @ kap_k) - float(kap_l @ kap_l))
+    return np.exp(1j * phase / eps)
+
+
+def full_grid_mode_carrier(grid, kappa, t, eps):
+    phase = np.zeros(grid.shape)
+    for ax, kc in zip(grid.coords(), kappa):
+        phase = phase + kc * ax
+    phase = (phase - 0.5 * t * float(kappa @ kappa)) / eps
+    return np.exp(1j * phase)
+
+
+def full_grid_remainder(family, t, eps, spec, snap):
+    """Ordered double sum over k != l, one full-grid exponential per term."""
+    g = family.grid
+    cross = np.zeros(g.shape, dtype=np.complex128)
+    for k, (mode_k, a_k) in enumerate(zip(family.modes, snap.amplitudes)):
+        for l, (mode_l, a_l) in enumerate(zip(family.modes, snap.amplitudes)):
+            if k != l:
+                wave = full_grid_cross_phase(g, mode_k.kappa, mode_l.kappa, t, eps)
+                cross = cross + a_k.values * np.conj(a_l.values) * wave
+    u_app = sum(
+        a.values * full_grid_mode_carrier(g, m.kappa, t, eps)
+        for m, a in zip(family.modes, snap.amplitudes)
+    )
+    return -convolve(spec, Field(g, cross)).values * u_app
+
+
+def four_mode_family(points):
+    grid = Grid(d=2, length=16.0, points=points)
+    prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
+    kappas = ([-2.0, 0.0], [2.0, 0.0], [0.0, -2.0], [0.0, 2.0])
+    return ModeFamily.from_profiles(grid, [(k, prof) for k in kappas], gamma=0.5)
+
+
+def three_mode_family_1d():
+    grid = Grid(d=1, length=32.0, points=1024)
+    prof = GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)
+    return ModeFamily.from_profiles(
+        grid, [([-2.0], prof), ([0.5], prof), ([2.0], prof)], gamma=0.5
+    )
+
+
+FAMILIES = {
+    "four_mode_64sq": lambda: four_mode_family(64),
+    "three_mode_1d": three_mode_family_1d,
+}
+
+
+def family_kernel(family):
+    return KernelSpec(d=family.grid.d, gamma=0.5, coupling=1.0)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+class TestSeparableRewrite:
+    def test_action_phase_matches_full_grid(self, name):
+        family = FAMILIES[name]()
+        spec = family_kernel(family)
+        t = 0.5
+        snap = snapshot(family, t, spec)
+        for j in range(len(family.modes)):
+            ref = full_grid_action_phase(family, j, t, spec)
+            alone = action_phase(family, j, t, spec).values
+            assert np.max(np.abs(alone - ref)) < 1e-12
+            assert np.max(np.abs(snap.actions[j].values - ref)) < 1e-12
+
+    def test_mode_carrier_matches_full_grid(self, name):
+        family = FAMILIES[name]()
+        g = family.grid
+        for mode in family.modes:
+            for t, eps in ((0.0, 0.3), (0.5, 0.15)):
+                got = np.broadcast_to(_mode_carrier(g, mode.kappa, t, eps), g.shape)
+                ref = full_grid_mode_carrier(g, mode.kappa, t, eps)
+                assert np.max(np.abs(got - ref)) < 1e-12
+
+    def test_cross_phase_matches_full_grid(self, name):
+        family = FAMILIES[name]()
+        g = family.grid
+        t, eps = 0.5, 0.15
+        for mode_k in family.modes:
+            for mode_l in family.modes:
+                kap_k, kap_l = mode_k.kappa, mode_l.kappa
+                offset = -0.5 * t * (float(kap_k @ kap_k) - float(kap_l @ kap_l)) / eps
+                got = plane_wave(g.coords(), kap_k - kap_l, 1.0 / eps, offset)
+                ref = full_grid_cross_phase(g, kap_k, kap_l, t, eps)
+                assert np.max(np.abs(np.broadcast_to(got, g.shape) - ref)) < 1e-12
+
+    def test_snapshot_fft_budget(self, name, monkeypatch):
+        # one density FFT per mode, one inverse per phase and a translation
+        # pair per amplitude: 4 M, where the per-pair densities took M^2 + 3 M
+        import scipy.fft
+
+        names = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
+        calls = []
+        for module in (np.fft, scipy.fft):
+            for fname in names:
+                def counted(*args, _fn=getattr(module, fname), **kwargs):
+                    calls.append(_fn)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, fname, counted)
+        family = FAMILIES[name]()
+        snapshot(family, 0.5, family_kernel(family))
+        assert 0 < len(calls) <= 4 * len(family.modes)
+
+
+@pytest.mark.parametrize(
+    "make, t, eps",
+    [
+        (three_mode_family_1d, 0.4, 0.1),
+        # 128^2: a 64^2 lattice cannot meet the remainder resolution rule
+        (lambda: four_mode_family(128), 0.5, 0.5),
+    ],
+    ids=["three_mode_1d", "four_mode_128sq"],
+)
+def test_remainder_matches_full_grid_double_sum(make, t, eps):
+    family = make()
+    spec = family_kernel(family)
+    snap = snapshot(family, t, spec)
+    got = resonant_remainder(family, t, eps, spec, snap=snap).values
+    ref = full_grid_remainder(family, t, eps, spec, snap)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
