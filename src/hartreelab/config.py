@@ -62,11 +62,24 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(doc: dict, key: str) -> float:
     v = _need(doc, key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"'{key}' must be a number, got {type(v).__name__}")
     return float(v)
+
+
+def _number_list(doc: dict, key: str) -> tuple:
+    v = _need(doc, key)
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"'{key}' must be a nonempty list")
+    if not all(_is_number(x) for x in v):
+        raise ConfigError(f"'{key}' entries must be numbers")
+    return tuple(float(x) for x in v)
 
 
 def _integer(doc: dict, key: str) -> int:
@@ -78,9 +91,7 @@ def _integer(doc: dict, key: str) -> int:
 
 def _vector(obj, key: str, d: int) -> list:
     v = obj.get(key)
-    if not isinstance(v, list) or len(v) != d or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in v
-    ):
+    if not isinstance(v, list) or len(v) != d or not all(_is_number(c) for c in v):
         raise ConfigError(
             f"'{key}' must be a list of {d} numbers matching the dimension"
         )
@@ -96,13 +107,17 @@ def _parse_profile(entry: dict, d: int):
         for k in ("amplitude", "center", "width"):
             if k not in profile:
                 raise ConfigError(f"gaussian profile missing '{k}'")
-        width = float(profile["width"])
+        amplitude = _number(profile, "amplitude")
+        width = _number(profile, "width")
         if width <= 0:
             raise ConfigError(
                 f"gaussian width must be positive (width constraint), got {width}"
             )
+        if amplitude == 0:
+            # a zero mode leaves no resonant remainder to fit a rate to
+            raise ConfigError("gaussian amplitude must be nonzero")
         return GaussianProfile(
-            amplitude=float(profile["amplitude"]),
+            amplitude=amplitude,
             center=tuple(_vector(profile, "center", d)),
             width=width,
         )
@@ -149,12 +164,8 @@ def parse_config(doc: dict, threads: int = 1, seed: int = 0) -> SweepConfig:
         kappa = _vector(entry, "kappa", d)
         entries.append((kappa, _parse_profile(entry, d)))
 
-    epsilons = _need(doc, "epsilons")
-    if not isinstance(epsilons, list) or not epsilons:
-        raise ConfigError("'epsilons' must be a nonempty list")
-    sample_times = _need(doc, "sample_times")
-    if not isinstance(sample_times, list) or not sample_times:
-        raise ConfigError("'sample_times' must be a nonempty list")
+    epsilons = _number_list(doc, "epsilons")
+    sample_times = _number_list(doc, "sample_times")
     final_time = _number(doc, "final_time")
     dt_factor = _number(doc, "dt_factor") if "dt_factor" in doc else 0.1
     nodes = doc.get("quadrature_nodes", 64)
@@ -172,9 +183,9 @@ def parse_config(doc: dict, threads: int = 1, seed: int = 0) -> SweepConfig:
             grid=grid,
             kernel=kernel,
             family=family,
-            epsilons=tuple(float(e) for e in epsilons),
+            epsilons=epsilons,
             final_time=final_time,
-            sample_times=tuple(float(t) for t in sample_times),
+            sample_times=sample_times,
             dt_factor=dt_factor,
             quadrature_nodes=nodes,
             output=output,

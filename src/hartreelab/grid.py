@@ -14,14 +14,18 @@ The Nyquist row (k = -N/2) is kept in the lattice but its frequency is
 zeroed inside derivative and modulation multipliers; this removes the
 asymmetric Nyquist artifact in odd derivatives while leaving the
 identity multi-index exact.
+
+Every transform in the package goes through one backend, `scipy.fft`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+import scipy.fft
 
 MAX_TOTAL_POINTS = 2**26  # memory guard on N**d
 
@@ -125,9 +129,19 @@ class Grid:
         return reduce(np.multiply, self._on_axes(s))
 
     def band_mask(self, cutoff_index: int) -> np.ndarray:
-        """True where |k| <= cutoff_index on every axis, FFT order."""
-        inside = np.abs(self._axis_indices()) <= cutoff_index
-        return reduce(np.logical_and, self._on_axes(inside))
+        """True where |k| <= cutoff_index on every axis, FFT order.
+
+        Memoized per (grid, cutoff): every caller shares one read-only array.
+        """
+        return _band_mask(self, cutoff_index)
+
+
+@functools.lru_cache(maxsize=8)
+def _band_mask(grid: Grid, cutoff_index: int) -> np.ndarray:
+    inside = np.abs(grid._axis_indices()) <= cutoff_index
+    mask = reduce(np.logical_and, grid._on_axes(inside))
+    mask.setflags(write=False)
+    return mask
 
 
 def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:
@@ -209,7 +223,7 @@ def forward_transform(f: Field) -> SpectralField:
     """Discrete realization of fhat(xi_k) under the unitary convention."""
     g = f.grid
     scale = (TWO_PI) ** (-g.d / 2) * g.dx**g.d
-    coef = scale * g.alternating_signs() * np.fft.fftn(f.values)
+    coef = scale * g.alternating_signs() * scipy.fft.fftn(f.values)
     return SpectralField(g, coef)
 
 
@@ -217,7 +231,7 @@ def inverse_transform(F: SpectralField) -> Field:
     """Inverse of forward_transform; the pair round-trips to rounding."""
     g = F.grid
     scale = (TWO_PI) ** (g.d / 2) / g.dx**g.d
-    vals = scale * np.fft.ifftn(F.coefficients * g.alternating_signs())
+    vals = scale * scipy.fft.ifftn(F.coefficients * g.alternating_signs())
     return Field(g, vals)
 
 
@@ -252,7 +266,7 @@ def spectral_derivative(f: Field, eta) -> Field:
     for ax, e in enumerate(eta):
         if e:
             mult = mult * (1j * meshes[ax]) ** e
-    return Field(g, np.fft.ifftn(np.fft.fftn(f.values) * mult))
+    return Field(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * mult))
 
 
 def laplacian(f: Field) -> Field:
@@ -260,7 +274,7 @@ def laplacian(f: Field) -> Field:
     g = f.grid
     meshes = g.freq_meshes(zero_nyquist=True)
     mult = -reduce(np.add, (m**2 for m in meshes))
-    return Field(g, np.fft.ifftn(np.fft.fftn(f.values) * mult))
+    return Field(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * mult))
 
 
 def translate(f: Field, shift) -> Field:
@@ -272,7 +286,7 @@ def translate(f: Field, shift) -> Field:
     if not s.any():
         return f
     wave = plane_wave(g.freq_meshes(zero_nyquist=True), s, -1.0)
-    return Field(g, np.fft.ifftn(np.fft.fftn(f.values) * wave))
+    return Field(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * wave))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ no timestamps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from .grid import Field, Grid, translate
 from .kernel import (
@@ -370,23 +372,33 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst) ->
 
 def _random_band_limited(grid: Grid, rng, cutoff: int) -> Field:
     """Random field whose spectrum lives strictly inside |k| <= cutoff."""
-    coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    coef = np.empty(grid.shape, dtype=np.complex128)
+    coef.real = rng.standard_normal(grid.shape)
+    coef.imag = rng.standard_normal(grid.shape)
     coef *= grid.band_mask(cutoff)
-    vals = np.fft.ifftn(coef)
+    vals = scipy.fft.ifftn(coef, overwrite_x=True)
     peak = np.max(np.abs(vals))
-    return Field(grid, vals / peak if peak > 0 else vals)
+    if peak > 0:
+        vals /= peak
+    return Field(grid, vals)
+
+
+@functools.lru_cache(maxsize=4)
+def _density_envelope(grid: Grid) -> np.ndarray:
+    """Gaussian envelope of width L/12 for the random densities, read-only."""
+    r2 = np.zeros(grid.shape)
+    for ax in grid.coords():
+        r2 = r2 + ax**2
+    envelope = np.exp(-r2 / (2 * (grid.length / 12) ** 2))
+    envelope.setflags(write=False)
+    return envelope
 
 
 def _random_smooth_density(grid: Grid, rng) -> Field:
     """Nonnegative, smooth, decaying density: |band-limited field|^2 under
     a Gaussian envelope."""
     base = _random_band_limited(grid, rng, max(2, grid.points // 16))
-    r2 = np.zeros(grid.shape)
-    for ax in grid.coords():
-        r2 = r2 + ax**2
-    envelope = np.exp(-r2 / (2 * (grid.length / 12) ** 2))
-    vals = np.abs(base.values) ** 2 * envelope
-    return Field(grid, vals)
+    return Field(grid, np.abs(base.values) ** 2 * _density_envelope(grid))
 
 
 def validate_suite(

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy import integrate
 
 from .grid import Field, Grid, TWO_PI
@@ -158,7 +159,7 @@ def convolve(spec: KernelSpec, rho: Field) -> Field:
     """
     g = rho.grid
     khat = multiplier_grid(spec, g)
-    vals = TWO_PI ** (g.d / 2) * np.fft.ifftn(khat * np.fft.fftn(rho.values))
+    vals = TWO_PI ** (g.d / 2) * scipy.fft.ifftn(khat * scipy.fft.fftn(rho.values))
     return Field(g, vals)
 
 

@@ -21,6 +21,16 @@ A Picard iteration of the Duhamel integral form
 
 serves as an independent cross-check on short horizons; it is never the
 production path because its contraction horizon shrinks with the data.
+Its node states live in Fourier space as well: the free flow is a power
+of the one-node multiplier, the trapezoidal Duhamel recursion
+
+    I_i = (I_{i-1} + h/2 q_{i-1}) U(h) + h/2 q_i
+
+runs on the spectra q of the source (K * |u|^2) u, and the increment
+norms come from the spectra by Parseval.  A node costs four FFTs per
+iteration (complex inverse to the state, the real pair for the
+potential, complex forward of the source) and only one list of node
+spectra stays alive.
 """
 
 from __future__ import annotations
@@ -32,8 +42,8 @@ import numpy as np
 import scipy.fft
 
 from .grid import Field, TWO_PI
-from .kernel import KernelSpec, multiplier_grid
-from .norms import _norms_from_raw_fft, l2w_norm
+from .kernel import KernelSpec, convolve, multiplier_grid
+from .norms import _norms_from_raw_fft
 
 MAX_DT_FACTOR = 0.25
 
@@ -119,7 +129,7 @@ def free_propagator(f: Field, eps: float, t: float) -> Field:
         return f
     g = f.grid
     phase = np.exp(-0.5j * eps * t * g.freq_norm_sq())
-    return Field(g, np.fft.ifftn(np.fft.fftn(f.values) * phase))
+    return Field(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * phase))
 
 
 def hartree_potential(spec: KernelSpec, u: Field) -> Field:
@@ -127,9 +137,7 @@ def hartree_potential(spec: KernelSpec, u: Field) -> Field:
     g = u.grid
     if spec.coupling == 0.0:
         return Field(g, np.zeros(g.shape))
-    rho = np.abs(u.values) ** 2
-    khat = multiplier_grid(spec, g)
-    conv = TWO_PI ** (g.d / 2) * np.fft.ifftn(khat * np.fft.fftn(rho))
+    conv = convolve(spec, Field(g, np.abs(u.values) ** 2)).values
     scale = np.max(np.abs(conv))
     if scale > 0 and np.max(np.abs(conv.imag)) > 1e-12 * scale:
         raise FloatingPointError(
@@ -234,37 +242,42 @@ def picard_evolve(
     h = horizon / nodes
 
     khat_half = _potential_multiplier(spec, g)
-    freq_sq = g.freq_norm_sq()
-    u_half = np.exp(-0.5j * eps * h * freq_sq)
+    u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
+    nonlinear = spec.coupling != 0.0
 
-    free = [np.array(u0.values, dtype=np.complex128)]
-    for i in range(nodes):
-        free.append(np.fft.ifftn(np.fft.fftn(free[-1]) * u_half))
+    def source(raw):
+        """Raw spectrum of (K * |u|^2) u, u the state with raw spectrum raw."""
+        state = scipy.fft.ifftn(raw)
+        state *= _raw_potential(khat_half, state)
+        return scipy.fft.fftn(state, overwrite_x=True)
 
-    current = [f.copy() for f in free]
+    # raw spectra of the node states, seeded by the free flow; node 0 is
+    # the data and never changes, so neither does its source term
+    raw0 = scipy.fft.fftn(u0.values)
+    current = [raw0]
+    for _ in range(nodes):
+        current.append(current[-1] * u_half)
+    q0 = source(raw0) if nonlinear else None
     prev_inc = None
     growth_streak = 0
 
     for iteration in range(1, max_iter + 1):
-        q = [
-            _raw_potential(khat_half, ui) * ui if spec.coupling != 0.0 else None
-            for ui in current
-        ]
-        new = [free[0].copy()]
+        free = raw0
         integral = np.zeros(g.shape, dtype=np.complex128)
+        q_prev = q0
+        inc = 0.0
         for i in range(1, nodes + 1):
-            if spec.coupling != 0.0:
-                integral = np.fft.ifftn(
-                    np.fft.fftn(integral + (h / 2) * q[i - 1]) * u_half
-                ) + (h / 2) * q[i]
-            new.append(free[i] - 1j * integral)
-
-        inc = max(
-            l2w_norm(Field(g, a - b)) for a, b in zip(new, current)
-        )
-        current = new
+            free = free * u_half
+            if nonlinear:
+                # the source of the previous iterate, read before node i moves
+                q_i = source(current[i])
+                integral = (integral + (h / 2) * q_prev) * u_half + (h / 2) * q_i
+                q_prev = q_i
+            new = free - 1j * integral
+            inc = max(inc, sum(_norms_from_raw_fft(new - current[i], g)))
+            current[i] = new
         if inc < tol:
-            return Field(g, current[-1])
+            return Field(g, scipy.fft.ifftn(current[-1]))
         if prev_inc is not None and inc > prev_inc:
             growth_streak += 1
             if growth_streak >= 3:

@@ -47,6 +47,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .grid import (
     Field,
@@ -270,7 +271,7 @@ def _density_spectra(family: ModeFamily) -> list:
     owner, spectra = _SNAPSHOT_SPECTRA.get()
     if owner is family:
         return spectra
-    return [np.fft.fftn(np.abs(m.alpha.values) ** 2) for m in family.modes]
+    return [scipy.fft.fftn(np.abs(m.alpha.values) ** 2) for m in family.modes]
 
 
 def action_phase(family: ModeFamily, j: int, t: float, spec: KernelSpec) -> Field:
@@ -294,7 +295,7 @@ def action_phase(family: ModeFamily, j: int, t: float, spec: KernelSpec) -> Fiel
 
     acc *= plane_wave(meshes, kappa_j, -t)
     acc *= multiplier_grid(spec, g)
-    vals = np.fft.ifftn(acc)
+    vals = scipy.fft.ifftn(acc, overwrite_x=True)
     vals *= -spec.coupling * TWO_PI ** (g.d / 2)
 
     scale = np.max(np.abs(vals))
@@ -464,7 +465,7 @@ def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) ->
     rates = []
     for mode, amp in zip(family.modes, snap.amplitudes):
         drift = sum(1j * k * m for k, m in zip(mode.kappa, meshes))
-        advect = np.fft.ifftn(np.fft.fftn(amp.values) * drift)
+        advect = scipy.fft.ifftn(scipy.fft.fftn(amp.values) * drift)
         rates.append(-advect - 1j * potential * amp.values)
     return rates
 

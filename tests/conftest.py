@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from hartreelab import Field, GaussianProfile, Grid, KernelSpec, ModeFamily
 
@@ -49,3 +50,21 @@ def two_mode_family():
         ],
         gamma=0.5,
     )
+
+
+FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """List that records every numpy.fft / scipy.fft transform call made
+    while the test runs."""
+    calls = []
+    for module in (np.fft, scipy.fft):
+        for fname in FFT_NAMES:
+            def counted(*args, _fn=getattr(module, fname), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, fname, counted)
+    return calls

@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartreelab import (
     ConfigError,
@@ -237,3 +244,54 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ")
         assert "Traceback" not in err
+
+
+MISSING = object()
+BAD_VALUES = ({}, True, 0, -1, "abc", [], MISSING)
+FUZZ_KEYS = (
+    ("dimension",), ("gamma",), ("lambda",), ("box_length",), ("points",),
+    ("modes",), ("epsilons",), ("final_time",), ("sample_times",),
+    ("dt_factor",), ("quadrature_nodes",), ("output",),
+    ("modes", 0), ("modes", 0, "kappa"), ("modes", 0, "profile"),
+    ("modes", 0, "profile", "type"), ("modes", 0, "profile", "amplitude"),
+    ("modes", 0, "profile", "center"), ("modes", 0, "profile", "width"),
+    ("epsilons", 0), ("sample_times", 0),
+)
+
+
+def fuzz_base_config(out_dir):
+    """A 256-point, two-eps config that sweeps in well under a second,
+    with every optional key present so that each can be broken."""
+    doc = base_config(out_dir, points=256, epsilons=[0.4, 0.2], dt_factor=0.1,
+                      quadrature_nodes=64)
+    for mode in doc["modes"]:
+        mode["kappa"] = [mode["kappa"][0] / 2]
+    return doc
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(path=st.sampled_from(FUZZ_KEYS), bad=st.sampled_from(BAD_VALUES))
+    def test_broken_key_maps_to_exit_code(self, path, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            doc = fuzz_base_config(tmp)
+            *parents, key = path
+            holder = doc
+            for p in parents:
+                holder = holder[p]
+            if bad is MISSING:
+                del holder[key]
+            else:
+                holder[key] = bad
+            err = io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(tmp)  # a bare string "output" lands in the temporary dir
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = main(["sweep", "--config", write_config(tmp, doc)])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

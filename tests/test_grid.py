@@ -43,6 +43,18 @@ class TestGridConstruction:
         assert k.max() == grid1d.points // 2 - 1
 
 
+    def test_band_mask_shared_and_read_only(self):
+        grid = Grid(d=2, length=8.0, points=16)
+        mask = grid.band_mask(3)
+        assert grid.band_mask(3) is mask
+        assert Grid(d=2, length=8.0, points=16).band_mask(3) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+        k = np.abs(np.rint(np.fft.fftfreq(16) * 16))
+        assert np.array_equal(mask, (k[:, None] <= 3) & (k[None, :] <= 3))
+
+
 class TestFieldValidation:
     def test_shape_mismatch(self, grid1d):
         with pytest.raises(ValueError, match="shape"):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from hartreelab import (
     Field,
@@ -18,6 +19,8 @@ from hartreelab import (
     run_sweep,
     validate_suite,
 )
+from hartreelab.harness import _random_band_limited, _random_smooth_density
+from hartreelab.wkb import snapshot
 
 
 @pytest.fixture
@@ -270,6 +273,70 @@ class TestValidateSuite:
             fault_kernel_constant=True,
         )
         assert not checks["kernel_constant"].passed
+
+
+class TestRandomFields:
+    def test_band_limited_draw_unchanged(self, monkeypatch):
+        # one preallocated complex buffer, real part drawn first: the same
+        # coefficients, bit for bit, as the a + 1j*b draw
+        grid = Grid(d=2, length=8.0, points=32)
+        seen = []
+        real_ifftn = scipy.fft.ifftn
+
+        def keep(x, *args, **kwargs):
+            seen.append(np.array(x))
+            return real_ifftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "ifftn", keep)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = _random_band_limited(grid, rng, 7).values
+        coef = ref_rng.standard_normal(grid.shape) + 1j * ref_rng.standard_normal(grid.shape)
+        coef *= grid.band_mask(7)
+        assert np.array_equal(seen[0].view(np.float64), coef.view(np.float64))
+        vals = np.fft.ifftn(coef)
+        assert np.max(np.abs(got - vals / np.max(np.abs(vals)))) < 1e-15
+        # both consumed the same stretch of the stream
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_smooth_density_unchanged(self):
+        grid = Grid(d=1, length=32.0, points=256)
+        got = _random_smooth_density(grid, np.random.default_rng(8)).values
+        base = _random_band_limited(grid, np.random.default_rng(8), grid.points // 16)
+        (x,) = grid.coords()
+        envelope = np.exp(-(x**2) / (2 * (grid.length / 12) ** 2))
+        assert np.array_equal(got, np.abs(base.values) ** 2 * envelope)
+
+
+class TestBackend:
+    def test_no_numpy_transforms(self, small_config, monkeypatch):
+        # every transform goes through scipy.fft; a numpy one would raise here
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft transform called")
+
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        checks = validate_suite(small_config, algebra_pairs=3, hartree_pairs=3)
+        assert all(c.passed for c in checks.values())
+        grid = Grid(d=2, length=16.0, points=64)
+        prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
+        family = ModeFamily.from_profiles(
+            grid, [([-2.0, 0.0], prof), ([0.0, 2.0], prof)], gamma=0.5
+        )
+        snap = snapshot(family, 0.5, KernelSpec(d=2, gamma=0.5, coupling=1.0))
+        assert len(snap.amplitudes) == 2
+        grid = Grid(d=1, length=32.0, points=256)
+        prof = small_config.family.modes[0].profile
+        tiny = SweepConfig(
+            grid=grid,
+            kernel=small_config.kernel,
+            family=ModeFamily.from_profiles(
+                grid, [([-1.0], prof), ([1.0], prof)], gamma=0.5
+            ),
+            epsilons=(0.4, 0.2),
+            final_time=0.2,
+            sample_times=(0.1, 0.2),
+        )
+        assert len(run_sweep(tiny).records) == 4
 
 
 class TestPersist:

@@ -220,6 +220,33 @@ class TestAlgebraBound:
         with pytest.raises(ValueError, match="anti-aliasing"):
             check_algebra_bound(f, f)
 
+    def test_rejects_aliasing_second_factor(self, grid1d):
+        rng = np.random.default_rng(5)
+        f = band_limited(grid1d, rng, grid1d.points // 4 - 1)
+        g = plane_wave(grid1d, lattice_wavenumber(grid1d, grid1d.points // 3))
+        with pytest.raises(ValueError, match="second factor"):
+            check_algebra_bound(f, g)
+
+    def test_matches_separate_norms(self):
+        # the shared factor spectra give the numbers of three wiener_norm calls
+        rng = np.random.default_rng(7)
+        for grid in (Grid(d=1, length=32.0, points=256), Grid(d=2, length=8.0, points=32)):
+            f = band_limited(grid, rng, grid.points // 4 - 1)
+            g = band_limited(grid, rng, grid.points // 4 - 1)
+            rep = check_algebra_bound(f, g)
+            assert rep.lhs == pytest.approx(wiener_norm(f * g), rel=1e-14)
+            assert rep.rhs == pytest.approx(wiener_norm(f) * wiener_norm(g), rel=1e-14)
+
+    def test_fft_budget(self, grid1d, fft_calls):
+        # one transform per factor serves its tail check and its Wiener
+        # norm, one more for the product: 3, where separate calls took 5
+        rng = np.random.default_rng(11)
+        f = band_limited(grid1d, rng, grid1d.points // 4 - 1)
+        g = band_limited(grid1d, rng, grid1d.points // 4 - 1)
+        fft_calls.clear()
+        check_algebra_bound(f, g)
+        assert 0 < len(fft_calls) <= 3
+
     def test_random_campaign(self, grid1d):
         rng = np.random.default_rng(29)
         cutoff = grid1d.points // 4 - 1

@@ -190,6 +190,61 @@ def six_fft_strang(u0, spec, eps, dt_request, samples):
     return states, masses
 
 
+def physical_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
+    """Reference Duhamel fixed point with the node states in physical
+    space: every free step and every step of the integral recursion takes
+    its own forward/inverse FFT pair, and each increment norm one more FFT.
+
+    Returns the state at the horizon; raises PicardConvergenceError on the
+    same growth and iteration rules as picard_evolve.
+    """
+    from hartreelab import PicardConvergenceError
+
+    g = u0.grid
+    h = horizon / nodes
+    khat = multiplier_grid(spec, g)
+    u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
+
+    def step(v):
+        return np.fft.ifftn(np.fft.fftn(v) * u_half)
+
+    def source(v):
+        conv = (2 * np.pi) ** (g.d / 2) * np.fft.ifftn(khat * np.fft.fftn(np.abs(v) ** 2))
+        return spec.coupling * conv.real * v
+
+    def l2w(v):
+        l2 = math.sqrt(g.dx**g.d * np.sum(np.abs(v) ** 2))
+        wiener = g.dxi**g.d * (2 * np.pi) ** (-g.d / 2) * g.dx**g.d * np.sum(
+            np.abs(np.fft.fftn(v))
+        )
+        return l2 + wiener
+
+    free = [np.array(u0.values, dtype=np.complex128)]
+    for _ in range(nodes):
+        free.append(step(free[-1]))
+    current = list(free)
+    prev_inc, streak = None, 0
+    for _ in range(max_iter):
+        q = [source(v) for v in current]
+        new = [free[0]]
+        integral = np.zeros(g.shape, dtype=np.complex128)
+        for i in range(1, nodes + 1):
+            integral = step(integral + (h / 2) * q[i - 1]) + (h / 2) * q[i]
+            new.append(free[i] - 1j * integral)
+        inc = max(l2w(a - b) for a, b in zip(new, current))
+        current = new
+        if inc < tol:
+            return current[-1]
+        if prev_inc is not None and inc > prev_inc:
+            streak += 1
+            if streak >= 3:
+                raise PicardConvergenceError("increment grew; not contracting")
+        else:
+            streak = 0
+        prev_inc = inc
+    raise PicardConvergenceError("no convergence")
+
+
 class TestEvolve:
     def test_free_gaussian_closed_form(self):
         grid = Grid(d=1, length=32.0, points=512)
@@ -290,6 +345,8 @@ class TestPicard:
         with pytest.raises(PicardConvergenceError, match="contracting"):
             picard_evolve(u0, spec, eps=0.5, horizon=1.0, tol=1e-10,
                           max_iter=25, nodes=16)
+        with pytest.raises(PicardConvergenceError, match="contracting"):
+            physical_picard(u0, spec, 0.5, 1.0, tol=1e-10, max_iter=25, nodes=16)
 
     def test_default_horizon_is_tenth_of_eps(self, grid1d, gaussian_field):
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.0)
@@ -307,3 +364,15 @@ class TestPicard:
         fixed = picard_evolve(u0, kernel1d, eps=eps, horizon=horizon,
                               tol=1e-12, nodes=32)
         assert l2w_norm(stepped - fixed) < 1e-6
+
+    def test_matches_physical_space_reference(self, kernel1d):
+        # the setup of test_cross_integrator_agreement
+        grid = Grid(d=1, length=32.0, points=1024)
+        x = grid.axis_coords()
+        eps, horizon = 0.1, 0.01
+        u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps))
+        fixed = picard_evolve(u0, kernel1d, eps=eps, horizon=horizon,
+                              tol=1e-12, nodes=32)
+        ref = physical_picard(u0, kernel1d, eps, horizon, tol=1e-12,
+                              max_iter=60, nodes=32)
+        assert np.max(np.abs(fixed.values - ref)) < 1e-12

@@ -424,23 +424,12 @@ class TestSeparableRewrite:
                 ref = full_grid_cross_phase(g, kap_k, kap_l, t, eps)
                 assert np.max(np.abs(np.broadcast_to(got, g.shape) - ref)) < 1e-12
 
-    def test_snapshot_fft_budget(self, name, monkeypatch):
+    def test_snapshot_fft_budget(self, name, fft_calls):
         # one density FFT per mode, one inverse per phase and a translation
         # pair per amplitude: 4 M, where the per-pair densities took M^2 + 3 M
-        import scipy.fft
-
-        names = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
-        calls = []
-        for module in (np.fft, scipy.fft):
-            for fname in names:
-                def counted(*args, _fn=getattr(module, fname), **kwargs):
-                    calls.append(_fn)
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(module, fname, counted)
         family = FAMILIES[name]()
         snapshot(family, 0.5, family_kernel(family))
-        assert 0 < len(calls) <= 4 * len(family.modes)
+        assert 0 < len(fft_calls) <= 4 * len(family.modes)
 
 
 @pytest.mark.parametrize(
