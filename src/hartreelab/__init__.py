@@ -43,6 +43,7 @@ from .solver import (
     PicardConvergenceError,
     SolverParams,
     Trajectory,
+    advance,
     evolve,
     free_propagator,
     hartree_potential,

@@ -7,6 +7,12 @@ exponent beta = min(1, d - gamma).  The guarantee is an upper bound
 with an unquantified constant, so the acceptance stance is
 "fitted slope >= beta - 0.15", never "slope == beta".
 
+The eps run in lockstep: between sample times each eps holds only its
+raw spectrum and t = 0 scalars; at each time every eps is advanced to
+t, then one WKB snapshot (its amplitudes carry no eps) serves all their
+measurements and is dropped before the next advance.  `--threads N`
+maps each time's per-eps advances and measurements over N threads.
+
 Artifacts: a CSV of per-(eps, t) records, a JSON summary embedding the
 full configuration, and a standalone SVG log-log plot with one data
 polyline per sample time and a single reference line at slope beta.
@@ -20,7 +26,8 @@ import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +46,10 @@ from .norms import (
     e_norm,
     l2w_norm,
     norm_report,
+    _norms_from_raw_fft,
 )
-from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, evolve, picard_evolve
+from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, advance, evolve
+from .solver import _potential_multiplier, picard_evolve
 from .wkb import (
     ModeFamily,
     ansatz_residual,
@@ -128,6 +137,8 @@ class SweepConfig:
             raise ValueError("sample times must be strictly increasing")
         if not 0 < self.dt_factor <= MAX_DT_FACTOR:
             raise ValueError(f"dt_factor must lie in (0, {MAX_DT_FACTOR}]")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.family.grid != self.grid:
             raise ValueError("mode family grid differs from the sweep grid")
         if self.kernel.d != self.grid.d:
@@ -199,75 +210,82 @@ class SweepResult:
     config: SweepConfig
 
 
-def _run_single_eps(cfg: SweepConfig, eps: float):
-    """Evolve one eps and measure errors at every sample time."""
-    u0 = initial_data(cfg.family, eps)
-    init_err = l2w_norm(u0 - assemble(cfg.family, 0.0, eps, cfg.kernel))
-    params = SolverParams(
-        eps=eps,
-        dt=min(cfg.dt_factor * eps, cfg.final_time),
-        final_time=cfg.final_time,
-        dt_factor=cfg.dt_factor,
-    )
-    traj = evolve(u0, cfg.kernel, params, cfg.sample_times)
-    mass0 = traj.mass_log[0]
+@dataclass(eq=False)
+class _EpsRun:
+    """One eps between sample times: raw spectrum, t = 0 scalars, records."""
 
-    records = []
-    for idx, t in enumerate(cfg.sample_times):
-        snap = snapshot(cfg.family, t, cfg.kernel)
-        u_app = assemble(cfg.family, t, eps, cfg.kernel, snap=snap)
-        rep = error_report(traj.state_at(t), u_app)
-        r_norm = l2w_norm(resonant_remainder(cfg.family, t, eps, cfg.kernel, snap=snap))
-        z2_norm = l2w_norm(z2_term(cfg.family, t, eps, cfg.kernel, snap=snap))
-        drift = abs(traj.mass_log[1 + idx] - mass0) / mass0
-        records.append(
-            SweepRecord(
-                eps=eps,
-                t=t,
-                err_l2=rep.l2,
-                err_w=rep.wiener,
-                err_l2w=rep.l2w,
-                r_norm=r_norm,
-                z2_norm=z2_norm,
-                mass_drift=drift,
-            )
-        )
-    return records, init_err
+    eps: float
+    params: SolverParams
+    raw: np.ndarray
+    norm0: float
+    mass0: float
+    init_err: float
+    mass: float = None
+    records: list = field(default_factory=list)
+
+
+def _start(cfg: SweepConfig, snap0, eps: float) -> _EpsRun:
+    """Initial data of one eps, its t = 0 error and its raw spectrum."""
+    u0 = initial_data(cfg.family, eps)
+    init_err = l2w_norm(u0 - assemble(cfg.family, 0.0, eps, cfg.kernel, snap=snap0))
+    dt = min(cfg.dt_factor * eps, cfg.final_time)
+    params = SolverParams(eps, dt, cfg.final_time, cfg.dt_factor)
+    raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
+    l2_0, w_0 = _norms_from_raw_fft(raw, cfg.grid)
+    return _EpsRun(eps, params, raw, l2_0 + w_0, l2_0, init_err)
+
+
+def _advance(cfg: SweepConfig, khat_half, t_prev: float, t: float, run: _EpsRun):
+    """Step one eps to t; its DivergenceError is returned, not raised."""
+    try:
+        run.raw, run.mass = advance(run.raw, cfg.grid, khat_half, run.params,
+                                    t_prev, t, run.norm0)
+    except DivergenceError as exc:
+        return exc
+
+
+def _record(cfg: SweepConfig, snap, run: _EpsRun):
+    """Errors, remainder and Z2 of one eps at the snapshot's time."""
+    t, eps = snap.t, run.eps
+    u_app = assemble(cfg.family, t, eps, cfg.kernel, snap=snap)
+    rep = error_report(Field(cfg.grid, scipy.fft.ifftn(run.raw)), u_app)
+    r_norm = l2w_norm(resonant_remainder(cfg.family, t, eps, cfg.kernel, snap=snap))
+    z2_norm = l2w_norm(z2_term(cfg.family, t, eps, cfg.kernel, snap=snap))
+    drift = abs(run.mass - run.mass0) / run.mass0
+    run.records.append(
+        SweepRecord(eps, t, rep.l2, rep.wiener, rep.l2w, r_norm, z2_norm, drift)
+    )
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Run every eps (concurrently when asked), fit the rate, check bounds."""
-    results = {}
-    failures = {}
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {e: pool.submit(_run_single_eps, cfg, e) for e in cfg.epsilons}
-            for e, fut in futures.items():
-                try:
-                    results[e] = fut.result()
-                except DivergenceError as exc:
-                    failures[e] = str(exc)
-    else:
-        for e in cfg.epsilons:
-            try:
-                results[e] = _run_single_eps(cfg, e)
-            except DivergenceError as exc:
-                failures[e] = str(exc)
+    """Advance every eps in lockstep through the sample times, fit the rate,
+    check bounds."""
+    khat_half = _potential_multiplier(cfg.kernel, cfg.grid)
+    failures, e_norms = {}, {}
+    with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
+        each = pool.map if pool else map
+        snap = snapshot(cfg.family, 0.0, cfg.kernel)
+        runs = list(each(functools.partial(_start, cfg, snap), cfg.epsilons))
+        t_prev = 0.0
+        for t in cfg.sample_times:
+            del snap  # one snapshot alive at a time, none while stepping
+            step = functools.partial(_advance, cfg, khat_half, t_prev, t)
+            outcomes = list(each(step, runs))
+            failures.update((r.eps, str(x)) for r, x in zip(runs, outcomes) if x)
+            runs = [r for r, x in zip(runs, outcomes) if not x]
+            if not runs:
+                break
+            snap = snapshot(cfg.family, t, cfg.kernel)
+            e_norms[t] = e_norm(snap.amplitudes, cfg.family.nspec)
+            list(each(functools.partial(_record, cfg, snap), runs))
+            t_prev = t
 
-    records = []
-    init_errs = {}
-    for e in cfg.epsilons:  # deterministic order: config order, then t ascending
-        if e in results:
-            recs, ie = results[e]
-            records.extend(recs)
-            init_errs[e] = ie
+    # deterministic order: config order, then t ascending
+    records = [r for run in runs for r in run.records]
+    init_errs = {run.eps: run.init_err for run in runs}
+    worst = [(run.eps, max(r.err_l2w for r in run.records)) for run in runs]
 
     beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
-    worst = [
-        (e, max(r.err_l2w for r in results[e][0]))
-        for e in cfg.epsilons
-        if e in results
-    ]
     if len(worst) >= 2:
         fit = fit_rate(worst)
         beta_fitted = fit.slope
@@ -276,7 +294,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     else:
         beta_fitted = c_fitted = fit_residual = None
 
-    checks = _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst)
+    checks = _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
+                           e_norms)
     return SweepResult(
         records=tuple(records),
         beta_expected=beta_expected,
@@ -289,9 +308,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     )
 
 
-def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst) -> dict:
+def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
+                  e_norms) -> dict:
     """Bound checks on the measured records; margins are normalized
-    headroom (tolerance - measured) / tolerance, passing iff >= 0."""
+    headroom (tolerance - measured) / tolerance, passing iff >= 0.
+    e_norms maps each sample time with records to ||a(t)||_E."""
     checks = {}
 
     init_worst = max(init_errs.values()) if init_errs else math.inf
@@ -316,13 +337,6 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst) ->
             margin=1.0 if all(drops) else -1.0,
             detail=f"{sum(drops)}/{len(drops)} consecutive drops",
         )
-
-    # Remainder and expansion bounds need the mode norms per sample time;
-    # the amplitudes carry no eps, so one snapshot per t serves all eps.
-    e_norms = {}
-    for t in cfg.sample_times:
-        snap = snapshot(cfg.family, t, cfg.kernel)
-        e_norms[t] = e_norm(snap.amplitudes, cfg.family.nspec)
 
     z2_ok, z2_margin = True, math.inf
     for r in records:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft
 
 from .grid import TWO_PI, Field, SpectralField
-from .kernel import KernelSpec, convolve, split_norms
+from .kernel import KernelSpec, multiplier_grid, split_norms
 
 
 def derivative_order(d: int, gamma: float) -> int:
@@ -189,8 +189,12 @@ def check_algebra_bound(f: Field, g: Field, slack: float = 1e-10) -> BoundReport
 
 
 def check_hartree_bound(spec: KernelSpec, h: Field, slack: float = 1e-6) -> BoundReport:
-    """||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W."""
+    """||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W, from one
+    transform: K * h has the raw spectrum (2pi)^{d/2} Khat hhat."""
     k1_l1, k2_sup = split_norms(spec)
-    lhs = wiener_norm(convolve(spec, h))
-    rhs = k1_l1 * l1_norm(h) + k2_sup * wiener_norm(h)
+    grid = h.grid
+    mag = np.abs(scipy.fft.fftn(h.values))
+    conv_mag = TWO_PI ** (grid.d / 2) * np.abs(multiplier_grid(spec, grid)) * mag
+    lhs = _wiener_from_modulus(conv_mag, grid)
+    rhs = k1_l1 * l1_norm(h) + k2_sup * _wiener_from_modulus(mag, grid)
     return BoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + slack))

@@ -14,6 +14,8 @@ The loop keeps the state in Fourier space, so adjacent kinetic
 half-steps merge into one full step; a step costs four FFTs (complex
 inverse, a real pair for K * |u|^2 on the half spectrum, complex
 forward) and each sample one more inverse to record the state.
+`advance` runs that loop over one inter-sample gap; `evolve` and the
+lockstep sweep in `harness` both call it, so they share one loop.
 
 A Picard iteration of the Duhamel integral form
 
@@ -158,14 +160,43 @@ def _raw_potential(khat_half: np.ndarray, values: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(rho_hat, s=values.shape, overwrite_x=True)
 
 
+def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: float,
+            norm0: float) -> tuple:
+    """Strang steps carrying the raw spectrum `raw` from t_prev to t_next.
+
+    The gap is cut into the fewest equal steps no longer than the
+    requested dt, so t_next is hit exactly.  `raw` is consumed; returns
+    the spectrum at t_next and its L2 norm.  The run is aborted once the
+    combined norm exceeds 4 norm0, norm0 being its value at t = 0: the
+    stability ball of the local existence argument.
+    """
+    dt_request = min(params.dt, params.dt_factor * params.eps)
+    gap = t_next - t_prev
+    n_steps = max(1, math.ceil(gap / dt_request - 1e-12))
+    dt = gap / n_steps
+    kin_half = np.exp(-0.25j * params.eps * dt * grid.freq_norm_sq())
+    kin_full = kin_half**2
+    phase = np.empty(grid.shape, dtype=np.complex128)
+    raw *= kin_half
+    for step in range(n_steps):
+        state = scipy.fft.ifftn(raw, overwrite_x=True)
+        angle = -dt * _raw_potential(khat_half, state)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        state *= phase
+        raw = scipy.fft.fftn(state, overwrite_x=True)
+        # |kin_half| = 1, so these are the norms after the half-step
+        l2, wiener = _norms_from_raw_fft(raw, grid)
+        if l2 + wiener > 4.0 * norm0:
+            raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
+        raw *= kin_full if step < n_steps - 1 else kin_half
+    return raw, l2
+
+
 def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajectory:
     """Integrate up to final_time, recording the state at each sample.
 
-    Each inter-sample gap is subdivided into equal steps no longer than
-    the requested dt (a single global divisor need not exist when gaps
-    are incommensurable), so every sample time is hit exactly.  A run is
-    aborted if the combined norm exceeds four times its initial value,
-    mirroring the stability ball of the local existence argument.
+    One `advance` per inter-sample gap, the loop a sweep runs as well.
     """
     g = u0.grid
     times = sorted({float(s) for s in samples})
@@ -174,40 +205,15 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
             raise ValueError(f"sample time {t} outside [0, T = {params.final_time}]")
 
     khat_half = _potential_multiplier(spec, g)
-    freq_sq = g.freq_norm_sq()
     raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
     l2_0, w_0 = _norms_from_raw_fft(raw, g)
-    guard = 4.0 * (l2_0 + w_0)
 
-    rec_times = [0.0]
-    rec_states = [u0]
-    rec_mass = [l2_0]
-
-    dt_request = min(params.dt, params.dt_factor * params.eps)
+    rec_times, rec_states, rec_mass = [0.0], [u0], [l2_0]
     t_prev = 0.0
     for t_next in times:
         if t_next == 0.0:
             continue
-        gap = t_next - t_prev
-        n_steps = max(1, math.ceil(gap / dt_request - 1e-12))
-        dt = gap / n_steps
-        kin_half = np.exp(-0.25j * params.eps * dt * freq_sq)
-        kin_full = kin_half**2
-        phase = np.empty(g.shape, dtype=np.complex128)
-        raw *= kin_half
-        for step in range(n_steps):
-            state = scipy.fft.ifftn(raw, overwrite_x=True)
-            angle = -dt * _raw_potential(khat_half, state)
-            np.cos(angle, out=phase.real)
-            np.sin(angle, out=phase.imag)
-            state *= phase
-            raw = scipy.fft.fftn(state, overwrite_x=True)
-            # |kin_half| = 1, so these are the norms after the half-step
-            l2, wiener = _norms_from_raw_fft(raw, g)
-            if l2 + wiener > guard:
-                t_fail = t_prev + (step + 1) * dt
-                raise DivergenceError(t_fail, (l2 + wiener) / (l2_0 + w_0))
-            raw *= kin_full if step < n_steps - 1 else kin_half
+        raw, l2 = advance(raw, g, khat_half, params, t_prev, t_next, l2_0 + w_0)
         rec_times.append(t_next)
         rec_states.append(Field(g, scipy.fft.ifftn(raw)))
         rec_mass.append(l2)

@@ -152,6 +152,16 @@ class TestSweep:
         assert "dt_factor" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path, base_config(tmp_path))
+        code = main(["sweep", "--config", path, "--threads", threads])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "threads" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         target = tmp_path / "blocked"
         target.write_text("file, not a directory")

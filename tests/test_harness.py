@@ -19,8 +19,22 @@ from hartreelab import (
     run_sweep,
     validate_suite,
 )
-from hartreelab.harness import _random_band_limited, _random_smooth_density
-from hartreelab.wkb import snapshot
+from hartreelab import harness, solver, wkb
+from hartreelab.harness import (
+    SweepRecord,
+    _random_band_limited,
+    _random_smooth_density,
+    _sweep_checks,
+)
+from hartreelab.norms import e_norm, l2w_norm
+from hartreelab.solver import DivergenceError, SolverParams, evolve
+from hartreelab.wkb import (
+    assemble,
+    initial_data,
+    resonant_remainder,
+    snapshot,
+    z2_term,
+)
 
 
 @pytest.fixture
@@ -44,6 +58,84 @@ def small_config(tmp_path):
         sample_times=(0.1, 0.2),
         output=str(tmp_path / "out"),
     )
+
+
+def per_eps_reference(cfg):
+    """The sweep as one independent run per eps: `evolve` over every
+    sample time, then a snapshot per (eps, t) for the records and one
+    per t for the checks.  Returns (records, beta_fitted, checks, failures)."""
+    records, init_errs, failures, worst = [], {}, {}, []
+    for eps in cfg.epsilons:
+        u0 = initial_data(cfg.family, eps)
+        init_err = l2w_norm(u0 - assemble(cfg.family, 0.0, eps, cfg.kernel))
+        params = SolverParams(
+            eps=eps,
+            dt=min(cfg.dt_factor * eps, cfg.final_time),
+            final_time=cfg.final_time,
+            dt_factor=cfg.dt_factor,
+        )
+        try:
+            traj = evolve(u0, cfg.kernel, params, cfg.sample_times)
+        except DivergenceError as exc:
+            failures[eps] = str(exc)
+            continue
+        mass0 = traj.mass_log[0]
+        recs = []
+        for idx, t in enumerate(cfg.sample_times):
+            snap = snapshot(cfg.family, t, cfg.kernel)
+            u_app = assemble(cfg.family, t, eps, cfg.kernel, snap=snap)
+            rep = error_report(traj.state_at(t), u_app)
+            recs.append(
+                SweepRecord(
+                    eps=eps,
+                    t=t,
+                    err_l2=rep.l2,
+                    err_w=rep.wiener,
+                    err_l2w=rep.l2w,
+                    r_norm=l2w_norm(
+                        resonant_remainder(cfg.family, t, eps, cfg.kernel, snap=snap)
+                    ),
+                    z2_norm=l2w_norm(z2_term(cfg.family, t, eps, cfg.kernel, snap=snap)),
+                    mass_drift=abs(traj.mass_log[1 + idx] - mass0) / mass0,
+                )
+            )
+        records.extend(recs)
+        init_errs[eps] = init_err
+        worst.append((eps, max(r.err_l2w for r in recs)))
+    e_norms = {
+        t: e_norm(snapshot(cfg.family, t, cfg.kernel).amplitudes, cfg.family.nspec)
+        for t in cfg.sample_times
+    }
+    beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
+    beta_fitted = fit_rate(worst).slope if len(worst) >= 2 else None
+    checks = _sweep_checks(
+        cfg, records, init_errs, beta_expected, beta_fitted, worst, e_norms
+    )
+    return records, beta_fitted, checks, failures
+
+
+def three_mode_config(**changes):
+    grid = Grid(d=2, length=16.0, points=128)
+    prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
+    family = ModeFamily.from_profiles(
+        grid, [([-2.0, 0.0], prof), ([2.0, 0.0], prof), ([0.0, 2.0], prof)], gamma=0.5
+    )
+    args = dict(
+        grid=grid,
+        kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
+        family=family,
+        epsilons=(0.6, 0.5),
+        final_time=0.2,
+        sample_times=(0.1, 0.2),
+    )
+    args.update(changes)
+    return SweepConfig(**args)
+
+
+def with_epsilons(cfg, epsilons, **changes):
+    args = {name: getattr(cfg, name) for name in cfg.__dataclass_fields__}
+    args.update(epsilons=epsilons, **changes)
+    return SweepConfig(**args)
 
 
 class TestExpectedRate:
@@ -257,6 +349,86 @@ class TestRunSweep:
         assert len(runs[1].records) == 4
         assert runs[2].records == runs[1].records
         assert runs[2].beta_fitted == runs[1].beta_fitted
+
+
+class TestLockstepSweep:
+    """run_sweep advances every eps together and builds one snapshot per
+    time; it must give the per-eps sweep's numbers exactly."""
+
+    def assert_matches_reference(self, result, cfg):
+        records, beta_fitted, checks, failures = per_eps_reference(cfg)
+        assert result.records == tuple(records)
+        assert result.beta_fitted == beta_fitted
+        assert result.failures == failures
+        assert set(result.checks) == set(checks)
+        for name, check in checks.items():
+            assert result.checks[name].margin == check.margin, name
+            assert result.checks[name].passed == check.passed, name
+
+    def test_bitwise_match_2d_three_modes(self):
+        cfg = three_mode_config()
+        result = run_sweep(cfg)
+        assert len(result.records) == 4
+        assert "remainder_rate" in result.checks
+        self.assert_matches_reference(result, cfg)
+
+    def test_bitwise_match_1d(self, small_config):
+        cfg = with_epsilons(small_config, (0.2, 0.15, 0.1))
+        self.assert_matches_reference(run_sweep(cfg), cfg)
+
+    def test_one_snapshot_per_time(self, small_config, monkeypatch):
+        seen = []
+        real = wkb.snapshot
+
+        def counted(family, t, spec):
+            seen.append(t)
+            return real(family, t, spec)
+
+        monkeypatch.setattr(harness, "snapshot", counted)
+        monkeypatch.setattr(wkb, "snapshot", counted)
+        cfg = with_epsilons(small_config, (0.2, 0.15, 0.1))
+        run_sweep(cfg)
+        assert len(seen) == len(cfg.sample_times) + 1
+        assert seen == [0.0, *cfg.sample_times]
+
+    @pytest.fixture
+    def doomed_middle_eps(self, monkeypatch):
+        """Make eps = 0.15 trip the divergence guard in its second gap, in
+        `evolve` and in the sweep alike: past the first sample time its
+        guard reference shrinks eightfold, so the real check fires."""
+        real = solver.advance
+
+        def touchy(raw, grid, khat_half, params, t_prev, t_next, norm0):
+            if params.eps == 0.15 and t_prev > 0:
+                norm0 = norm0 / 8
+            return real(raw, grid, khat_half, params, t_prev, t_next, norm0)
+
+        monkeypatch.setattr(solver, "advance", touchy)
+        monkeypatch.setattr(harness, "advance", touchy)
+        return 0.15
+
+    # threads = 3 gives each of the three eps its own worker
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_mid_sweep_divergence(self, small_config, doomed_middle_eps, threads):
+        cfg = with_epsilons(small_config, (0.2, 0.15, 0.1), threads=threads)
+        result = run_sweep(cfg)
+        assert set(result.failures) == {doomed_middle_eps}
+        assert {r.eps for r in result.records} == {0.2, 0.1}
+        assert len(result.records) == 4
+        assert result.beta_fitted is not None
+
+        params = SolverParams(
+            eps=doomed_middle_eps,
+            dt=cfg.dt_factor * doomed_middle_eps,
+            final_time=cfg.final_time,
+            dt_factor=cfg.dt_factor,
+        )
+        u0 = initial_data(cfg.family, doomed_middle_eps)
+        with pytest.raises(DivergenceError) as alone:
+            evolve(u0, cfg.kernel, params, cfg.sample_times)
+        assert alone.value.time > cfg.sample_times[0]
+        assert result.failures[doomed_middle_eps] == str(alone.value)
+        self.assert_matches_reference(result, cfg)
 
 
 class TestValidateSuite:

@@ -275,3 +275,30 @@ class TestHartreeBound:
             base = band_limited(grid1d, rng, grid1d.points // 16)
             h = Field(grid1d, np.abs(base.values) ** 2 * envelope)
             assert check_hartree_bound(kernel1d, h).holds
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_convolution_formula(self, d):
+        # one shared |hhat| gives the numbers of the convolve-then-transform
+        # route: wiener_norm(K * h) and wiener_norm(h)
+        from hartreelab import KernelSpec, convolve, l1_norm, split_norms
+
+        grid = Grid(d=d, length=16.0, points={1: 256, 2: 32}[d])
+        spec = KernelSpec(d=d, gamma=0.5, coupling=1.0)
+        rng = np.random.default_rng(13 + d)
+        for _ in range(3):
+            h = Field(grid, np.abs(band_limited(grid, rng, grid.points // 8).values) ** 2)
+            rep = check_hartree_bound(spec, h)
+            k1_l1, k2_sup = split_norms(spec)
+            lhs = wiener_norm(convolve(spec, h))
+            rhs = k1_l1 * l1_norm(h) + k2_sup * wiener_norm(h)
+            assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+
+    def test_fft_budget(self, kernel1d, grid1d, fft_calls):
+        # one transform of h serves both Wiener norms, where the
+        # convolve-then-transform route took four
+        rng = np.random.default_rng(17)
+        h = Field(grid1d, np.abs(band_limited(grid1d, rng, grid1d.points // 16).values) ** 2)
+        fft_calls.clear()
+        check_hartree_bound(kernel1d, h)
+        assert len(fft_calls) == 1

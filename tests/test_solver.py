@@ -315,6 +315,20 @@ class TestEvolve:
             six_fft_strang(u0, spec, params.eps, params.dt, [4.0])
         assert fused.value.time == reference.value.time
 
+    def test_guard_keeps_its_t0_reference_in_later_gaps(self):
+        # a gentler attraction leaves the ball in the second sample gap;
+        # the guard there still compares against 4x the t = 0 norm
+        u0, _, _ = divergence_case()
+        spec = KernelSpec(d=1, gamma=0.5, coupling=-2.0)
+        params = SolverParams(eps=1.0, dt=0.05, final_time=4.0)
+        samples = [0.1, 4.0]
+        with pytest.raises(DivergenceError) as fused:
+            evolve(u0, spec, params, samples)
+        with pytest.raises(DivergenceError) as reference:
+            six_fft_strang(u0, spec, params.eps, params.dt, samples)
+        assert fused.value.time > samples[0]
+        assert fused.value.time == reference.value.time
+
     def test_rejects_sample_outside_horizon(self, kernel1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
         with pytest.raises(ValueError, match="outside"):
