@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .harness import persist, run_sweep, validate_suite
+from .harness import _fmt, persist, run_sweep, validate_suite
 from .norms import norm_report
 from .solver import DivergenceError, PicardConvergenceError, SolverParams, evolve
 from .wkb import initial_data
@@ -57,10 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def cmd_simulate(cfg) -> int:
     if len(cfg.epsilons) != 1:
         print(
@@ -71,12 +67,7 @@ def cmd_simulate(cfg) -> int:
         return EXIT_CONFIG
     eps = cfg.epsilons[0]
     u0 = initial_data(cfg.family, eps)
-    params = SolverParams(
-        eps=eps,
-        dt=cfg.dt_factor * eps,
-        final_time=cfg.final_time,
-        dt_factor=cfg.dt_factor,
-    )
+    params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
     traj = evolve(u0, cfg.kernel, params, cfg.sample_times)
 
     out = Path(cfg.output)
@@ -85,12 +76,8 @@ def cmd_simulate(cfg) -> int:
     mass0 = traj.mass_log[0]
     for t, state, mass in zip(traj.times, traj.states, traj.mass_log):
         rep = norm_report(state)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (t, rep.l2, rep.wiener, rep.l2w, abs(mass - mass0) / mass0)
-            )
-        )
+        row = (t, rep.l2, rep.wiener, rep.l2w, abs(mass - mass0) / mass0)
+        lines.append(",".join(_fmt(v) for v in row))
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
     print(f"trajectory written to {out / 'trajectory.csv'}")
     return EXIT_OK

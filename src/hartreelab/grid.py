@@ -158,7 +158,7 @@ def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarr
     return wave
 
 
-def _validated_samples(grid: Grid, values, what: str) -> np.ndarray:
+def _validated_samples(grid: Grid, values, what: str, copy: bool = True) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.shape != grid.shape:
         raise ValueError(
@@ -166,14 +166,16 @@ def _validated_samples(grid: Grid, values, what: str) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValueError(f"{what} contains non-finite entries")
-    arr = arr.copy()
+    if copy:
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex samples on the physical grid.  Immutable after construction."""
+    """Complex samples on the physical grid.  Immutable after construction:
+    `Field(grid, values)` copies; `Field._adopt` freezes a fresh array in place."""
 
     grid: Grid
     values: np.ndarray
@@ -183,19 +185,28 @@ class Field:
             self, "values", _validated_samples(self.grid, self.values, "field")
         )
 
+    @classmethod
+    def _adopt(cls, grid: Grid, values) -> "Field":
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(
+            field, "values", _validated_samples(grid, values, "field", copy=False)
+        )
+        return field
+
     def __add__(self, other: "Field") -> "Field":
         self._check_same_grid(other)
-        return Field(self.grid, self.values + other.values)
+        return Field._adopt(self.grid, self.values + other.values)
 
     def __sub__(self, other: "Field") -> "Field":
         self._check_same_grid(other)
-        return Field(self.grid, self.values - other.values)
+        return Field._adopt(self.grid, self.values - other.values)
 
     def __mul__(self, other) -> "Field":
         if isinstance(other, Field):
             self._check_same_grid(other)
-            return Field(self.grid, self.values * other.values)
-        return Field(self.grid, self.values * other)
+            return Field._adopt(self.grid, self.values * other.values)
+        return Field._adopt(self.grid, self.values * other)
 
     __rmul__ = __mul__
 
@@ -232,7 +243,7 @@ def inverse_transform(F: SpectralField) -> Field:
     g = F.grid
     scale = (TWO_PI) ** (g.d / 2) / g.dx**g.d
     vals = scale * scipy.fft.ifftn(F.coefficients * g.alternating_signs())
-    return Field(g, vals)
+    return Field._adopt(g, vals)
 
 
 def _multiindex(grid: Grid, eta) -> tuple:
@@ -262,19 +273,21 @@ def spectral_derivative(f: Field, eta) -> Field:
     if order == 0:
         return f
     meshes = g.freq_meshes(zero_nyquist=True)
-    mult = np.ones(g.shape, dtype=np.complex128)
-    for ax, e in enumerate(eta):
-        if e:
-            mult = mult * (1j * meshes[ax]) ** e
-    return Field(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * mult))
+    ones = np.ones(g.shape, dtype=np.complex128)
+    mult = reduce(np.multiply, ((1j * m) ** e for m, e in zip(meshes, eta) if e), ones)
+    return Field._adopt(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * mult))
 
 
 def laplacian(f: Field) -> Field:
     """Sum of pure second derivatives, one transform pair."""
-    g = f.grid
-    meshes = g.freq_meshes(zero_nyquist=True)
-    mult = -reduce(np.add, (m**2 for m in meshes))
-    return Field(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * mult))
+    raw = scipy.fft.fftn(f.values)
+    return Field._adopt(f.grid, _laplacian_from_raw(raw, f.grid))
+
+
+def _laplacian_from_raw(raw: np.ndarray, grid: Grid) -> np.ndarray:
+    """Lap f from the raw FFT of f, which it overwrites; one inverse transform."""
+    raw *= -reduce(np.add, (m**2 for m in grid.freq_meshes(zero_nyquist=True)))
+    return scipy.fft.ifftn(raw, overwrite_x=True)
 
 
 def translate(f: Field, shift) -> Field:
@@ -286,7 +299,7 @@ def translate(f: Field, shift) -> Field:
     if not s.any():
         return f
     wave = plane_wave(g.freq_meshes(zero_nyquist=True), s, -1.0)
-    return Field(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * wave))
+    return Field._adopt(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * wave))
 
 
 @dataclass(frozen=True)
@@ -347,27 +360,19 @@ def sample_profile(grid: Grid, spec) -> Field:
 
 def profile_support_radius(grid: Grid, f: Field, threshold: float = 1e-12) -> float:
     """Empirical per-axis support extent max|x_ax| where |f| > threshold*max."""
-    mag = np.abs(f.values)
-    peak = mag.max()
-    if peak == 0:
-        return 0.0
-    mask = mag > threshold * peak
-    radius = 0.0
-    for ax_coord in grid.coords():
-        extent = np.abs(np.broadcast_to(ax_coord, grid.shape))[mask]
-        radius = max(radius, float(extent.max()))
-    return radius
+    return _extent(grid, np.abs(f.values), threshold, grid.coords())
 
 
 def profile_bandwidth(grid: Grid, f: Field, threshold: float = 1e-12) -> float:
     """Empirical spectral radius max|xi| where |fhat| > threshold*max."""
     coef = np.abs(forward_transform(f).coefficients)
-    peak = coef.max()
+    return _extent(grid, coef, threshold, f.grid.freq_meshes())
+
+
+def _extent(grid: Grid, mag: np.ndarray, threshold: float, axes) -> float:
+    """Largest |axis value| over the points where mag > threshold*max."""
+    peak = mag.max()
     if peak == 0:
         return 0.0
-    mask = coef > threshold * peak
-    radius = 0.0
-    for mesh in f.grid.freq_meshes():
-        extent = np.abs(np.broadcast_to(mesh, grid.shape))[mask]
-        radius = max(radius, float(extent.max()))
-    return radius
+    mask = mag > threshold * peak
+    return max(float(np.abs(np.broadcast_to(ax, grid.shape))[mask].max()) for ax in axes)

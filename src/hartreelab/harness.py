@@ -8,10 +8,11 @@ with an unquantified constant, so the acceptance stance is
 "fitted slope >= beta - 0.15", never "slope == beta".
 
 The eps run in lockstep: between sample times each eps holds only its
-raw spectrum and t = 0 scalars; at each time every eps is advanced to
-t, then one WKB snapshot (its amplitudes carry no eps) serves all their
-measurements and is dropped before the next advance.  `--threads N`
-maps each time's per-eps advances and measurements over N threads.
+raw spectrum and t = 0 scalars.  At each t every eps is advanced, one
+WKB snapshot with its eps-free terms ((1/2) Lap a_j, ||a(t)||_E) is
+built, each eps assembles one u_app for its error and remainder, and
+the snapshot is dropped before the next advance.  `--threads N` maps
+each time's per-eps advances and records over N threads.
 
 Artifacts: a CSV of per-(eps, t) records, a JSON summary embedding the
 full configuration, and a standalone SVG log-log plot with one data
@@ -36,6 +37,7 @@ import scipy.fft
 from .grid import Field, Grid, translate
 from .kernel import (
     KernelSpec,
+    _half_multiplier,
     hartree_constant,
     hartree_constant_oracle,
 )
@@ -43,23 +45,23 @@ from .norms import (
     NormReport,
     check_algebra_bound,
     check_hartree_bound,
-    e_norm,
     l2w_norm,
     norm_report,
     _norms_from_raw_fft,
 )
 from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, advance, evolve
-from .solver import _potential_multiplier, picard_evolve
+from .solver import picard_evolve
 from .wkb import (
     ModeFamily,
+    _remainder,
     ansatz_residual,
     assemble,
     check_containment,
     check_resolution,
     initial_data,
-    resonant_remainder,
     snapshot,
     transport_residual,
+    with_shared_terms,
     z2_term,
 )
 
@@ -74,8 +76,6 @@ def expected_rate(d: int, gamma: float) -> float:
 
 
 def error_report(u_exact: Field, u_app: Field) -> NormReport:
-    if u_exact.grid != u_app.grid:
-        raise ValueError("fields live on different grids")
     return norm_report(u_exact - u_app)
 
 
@@ -129,9 +129,8 @@ class SweepConfig:
             raise ValueError("epsilons must be strictly decreasing")
         samples = tuple(float(t) for t in self.sample_times)
         object.__setattr__(self, "sample_times", samples)
-        if not samples or any(
-            t <= 0 or t > self.final_time * (1 + 1e-12) for t in samples
-        ):
+        if not samples or any(t <= 0 or t > self.final_time * (1 + 1e-12)
+                                  for t in samples):
             raise ValueError("sample times must lie in (0, final_time]")
         if any(b <= a for a, b in zip(samples, samples[1:])):
             raise ValueError("sample times must be strictly increasing")
@@ -198,6 +197,11 @@ class CheckOutcome:
     detail: str = ""
 
 
+def _below(value: float, tol: float, detail: str) -> CheckOutcome:
+    """Passes iff value < tol, with the normalized headroom as margin."""
+    return CheckOutcome(passed=value < tol, margin=(tol - value) / tol, detail=detail)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     records: tuple
@@ -228,8 +232,7 @@ def _start(cfg: SweepConfig, snap0, eps: float) -> _EpsRun:
     """Initial data of one eps, its t = 0 error and its raw spectrum."""
     u0 = initial_data(cfg.family, eps)
     init_err = l2w_norm(u0 - assemble(cfg.family, 0.0, eps, cfg.kernel, snap=snap0))
-    dt = min(cfg.dt_factor * eps, cfg.final_time)
-    params = SolverParams(eps, dt, cfg.final_time, cfg.dt_factor)
+    params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
     raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
     l2_0, w_0 = _norms_from_raw_fft(raw, cfg.grid)
     return _EpsRun(eps, params, raw, l2_0 + w_0, l2_0, init_err)
@@ -245,11 +248,12 @@ def _advance(cfg: SweepConfig, khat_half, t_prev: float, t: float, run: _EpsRun)
 
 
 def _record(cfg: SweepConfig, snap, run: _EpsRun):
-    """Errors, remainder and Z2 of one eps at the snapshot's time."""
+    """Errors, remainder and Z2 of one eps at the snapshot's time; one u_app
+    serves the error and the remainder."""
     t, eps = snap.t, run.eps
     u_app = assemble(cfg.family, t, eps, cfg.kernel, snap=snap)
-    rep = error_report(Field(cfg.grid, scipy.fft.ifftn(run.raw)), u_app)
-    r_norm = l2w_norm(resonant_remainder(cfg.family, t, eps, cfg.kernel, snap=snap))
+    rep = error_report(Field._adopt(cfg.grid, scipy.fft.ifftn(run.raw)), u_app)
+    r_norm = l2w_norm(_remainder(cfg.family, t, eps, cfg.kernel, snap, u_app))
     z2_norm = l2w_norm(z2_term(cfg.family, t, eps, cfg.kernel, snap=snap))
     drift = abs(run.mass - run.mass0) / run.mass0
     run.records.append(
@@ -260,7 +264,7 @@ def _record(cfg: SweepConfig, snap, run: _EpsRun):
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Advance every eps in lockstep through the sample times, fit the rate,
     check bounds."""
-    khat_half = _potential_multiplier(cfg.kernel, cfg.grid)
+    khat_half = _half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     failures, e_norms = {}, {}
     with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
         each = pool.map if pool else map
@@ -268,15 +272,15 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         runs = list(each(functools.partial(_start, cfg, snap), cfg.epsilons))
         t_prev = 0.0
         for t in cfg.sample_times:
-            del snap  # one snapshot alive at a time, none while stepping
+            del snap  # one snapshot with its terms at a time, none while stepping
             step = functools.partial(_advance, cfg, khat_half, t_prev, t)
             outcomes = list(each(step, runs))
             failures.update((r.eps, str(x)) for r, x in zip(runs, outcomes) if x)
             runs = [r for r, x in zip(runs, outcomes) if not x]
             if not runs:
                 break
-            snap = snapshot(cfg.family, t, cfg.kernel)
-            e_norms[t] = e_norm(snap.amplitudes, cfg.family.nspec)
+            snap = with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel))
+            e_norms[t] = snap.e_norm
             list(each(functools.partial(_record, cfg, snap), runs))
             t_prev = t
 
@@ -316,10 +320,8 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
     checks = {}
 
     init_worst = max(init_errs.values()) if init_errs else math.inf
-    checks["initial_exactness"] = CheckOutcome(
-        passed=init_worst < 1e-12,
-        margin=(1e-12 - init_worst) / 1e-12,
-        detail=f"max t=0 error {init_worst:.3e}",
+    checks["initial_exactness"] = _below(
+        init_worst, 1e-12, f"max t=0 error {init_worst:.3e}"
     )
 
     if beta_fitted is not None:
@@ -351,7 +353,6 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
 
     if len(cfg.family.modes) > 1 and len(worst) >= 2:
         d, gamma = cfg.kernel.d, cfg.kernel.gamma
-        stable = True
         spreads = []
         for t in cfg.sample_times:
             consts = [
@@ -361,11 +362,9 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
                 if r.t == t
             ]
             mean = sum(consts) / len(consts)
-            spread = max(abs(c - mean) / mean for c in consts)
-            spreads.append(spread)
-            stable &= spread <= 0.2
+            spreads.append(max(abs(c - mean) / mean for c in consts))
         checks["remainder_constant_stable"] = CheckOutcome(
-            passed=stable,
+            passed=max(spreads) <= 0.2,
             margin=(0.2 - max(spreads)) / 0.2,
             detail=f"max spread {max(spreads):.3f} over sample times",
         )
@@ -394,7 +393,7 @@ def _random_band_limited(grid: Grid, rng, cutoff: int) -> Field:
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals /= peak
-    return Field(grid, vals)
+    return Field._adopt(grid, vals)
 
 
 @functools.lru_cache(maxsize=4)
@@ -412,7 +411,22 @@ def _random_smooth_density(grid: Grid, rng) -> Field:
     """Nonnegative, smooth, decaying density: |band-limited field|^2 under
     a Gaussian envelope."""
     base = _random_band_limited(grid, rng, max(2, grid.points // 16))
-    return Field(grid, np.abs(base.values) ** 2 * _density_envelope(grid))
+    return Field._adopt(grid, np.abs(base.values) ** 2 * _density_envelope(grid))
+
+
+def _campaign(reports, scale: float, what: str) -> CheckOutcome:
+    """Violations and worst relative excess over a stream of bound reports;
+    the margin is the worst excess in units of `scale`."""
+    worst_excess, violations = -math.inf, 0
+    for rep in reports:
+        excess = (rep.lhs - rep.rhs) / rep.rhs if rep.rhs > 0 else 0.0
+        worst_excess = max(worst_excess, excess)
+        violations += not rep.holds
+    return CheckOutcome(
+        passed=violations == 0,
+        margin=-worst_excess / scale if worst_excess > 0 else 1.0,
+        detail=f"{violations} violations in {what}, worst excess {worst_excess:.3e}",
+    )
 
 
 def validate_suite(
@@ -442,35 +456,17 @@ def validate_suite(
         detail=f"relative deviation {rel:.3e}",
     )
 
-    worst_excess = -math.inf
-    violations = 0
-    for _ in range(algebra_pairs):
-        f = _random_band_limited(cfg.grid, rng, cfg.grid.points // 4 - 1)
-        g = _random_band_limited(cfg.grid, rng, cfg.grid.points // 4 - 1)
-        rep = check_algebra_bound(f, g)
-        excess = (rep.lhs - rep.rhs) / rep.rhs if rep.rhs > 0 else 0.0
-        worst_excess = max(worst_excess, excess)
-        violations += not rep.holds
-    checks["algebra_bound"] = CheckOutcome(
-        passed=violations == 0,
-        margin=-worst_excess / 1e-10 if worst_excess > 0 else 1.0,
-        detail=f"{violations} violations in {algebra_pairs} pairs, "
-        f"worst excess {worst_excess:.3e}",
+    cutoff = cfg.grid.points // 4 - 1
+    checks["algebra_bound"] = _campaign(
+        (check_algebra_bound(_random_band_limited(cfg.grid, rng, cutoff),
+                             _random_band_limited(cfg.grid, rng, cutoff))
+         for _ in range(algebra_pairs)),
+        1e-10, f"{algebra_pairs} pairs",
     )
-
-    worst_excess = -math.inf
-    violations = 0
-    for _ in range(hartree_pairs):
-        h = _random_smooth_density(cfg.grid, rng)
-        rep = check_hartree_bound(cfg.kernel, h)
-        excess = (rep.lhs - rep.rhs) / rep.rhs if rep.rhs > 0 else 0.0
-        worst_excess = max(worst_excess, excess)
-        violations += not rep.holds
-    checks["hartree_bound"] = CheckOutcome(
-        passed=violations == 0,
-        margin=-worst_excess / 1e-6 if worst_excess > 0 else 1.0,
-        detail=f"{violations} violations in {hartree_pairs} densities, "
-        f"worst excess {worst_excess:.3e}",
+    checks["hartree_bound"] = _campaign(
+        (check_hartree_bound(cfg.kernel, _random_smooth_density(cfg.grid, rng))
+         for _ in range(hartree_pairs)),
+        1e-6, f"{hartree_pairs} densities",
     )
 
     eps = cfg.epsilons[0]
@@ -485,19 +481,16 @@ def validate_suite(
         u0, cfg.kernel, eps, horizon, tol=1e-12, nodes=128
     )
     gap = l2w_norm(traj.state_at(horizon) - fixed)
-    checks["integrator_agreement"] = CheckOutcome(
-        passed=gap < 1e-5,
-        margin=(1e-5 - gap) / 1e-5,
-        detail=f"split-step vs fixed-point gap {gap:.3e} at horizon {horizon:.3g}",
+    checks["integrator_agreement"] = _below(
+        gap, 1e-5, f"split-step vs fixed-point gap {gap:.3e} at horizon {horizon:.3g}"
     )
 
     t_ref = cfg.sample_times[-1]
     eps_ref = cfg.epsilons[-1]
     report = ansatz_residual(cfg.family, t_ref, eps_ref, cfg.kernel)
-    checks["ansatz_identity"] = CheckOutcome(
-        passed=report.identity_error < 1e-6,
-        margin=(1e-6 - report.identity_error) / 1e-6,
-        detail=f"identity error {report.identity_error:.3e} at t={t_ref}, eps={eps_ref}",
+    checks["ansatz_identity"] = _below(
+        report.identity_error, 1e-6,
+        f"identity error {report.identity_error:.3e} at t={t_ref}, eps={eps_ref}",
     )
 
     snap = snapshot(cfg.family, t_ref, cfg.kernel)
@@ -508,17 +501,13 @@ def validate_suite(
             worst_mod,
             float(np.max(np.abs(np.abs(amp.values) - np.abs(moved.values)))),
         )
-    checks["modulus_transport"] = CheckOutcome(
-        passed=worst_mod < 1e-10,
-        margin=(1e-10 - worst_mod) / 1e-10,
-        detail=f"max modulus deviation {worst_mod:.3e}",
+    checks["modulus_transport"] = _below(
+        worst_mod, 1e-10, f"max modulus deviation {worst_mod:.3e}"
     )
 
     worst_tr = max(transport_residual(cfg.family, t_ref, cfg.kernel))
-    checks["transport_equation"] = CheckOutcome(
-        passed=worst_tr < 1e-6,
-        margin=(1e-6 - worst_tr) / 1e-6,
-        detail=f"max finite-difference transport residual {worst_tr:.3e}",
+    checks["transport_equation"] = _below(
+        worst_tr, 1e-6, f"max finite-difference transport residual {worst_tr:.3e}"
     )
     return checks
 
@@ -548,11 +537,9 @@ def persist(result: SweepResult, output) -> dict:
             "json": out / "summary.json",
             "svg": out / "convergence.svg",
         }
-        csv_lines = [",".join(CSV_COLUMNS)]
-        for r in result.records:
-            csv_lines.append(
-                ",".join(_fmt(getattr(r, col)) for col in CSV_COLUMNS)
-            )
+        csv_lines = [",".join(CSV_COLUMNS)] + [
+            ",".join(_fmt(getattr(r, col)) for col in CSV_COLUMNS) for r in result.records
+        ]
         paths["csv"].write_text("\n".join(csv_lines) + "\n")
 
         summary = {
@@ -583,11 +570,10 @@ def read_records_csv(path) -> list:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise ValueError(f"unexpected CSV header in {path}")
-    out = []
-    for line in lines[1:]:
-        vals = [float(v) for v in line.split(",")]
-        out.append(SweepRecord(**dict(zip(CSV_COLUMNS, vals))))
-    return out
+    return [
+        SweepRecord(**dict(zip(CSV_COLUMNS, map(float, line.split(",")))))
+        for line in lines[1:]
+    ]
 
 
 def _render_svg(result: SweepResult) -> str:

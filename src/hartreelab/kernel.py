@@ -19,7 +19,8 @@ is integrable and consistent as dxi -> 0:
 
     Khat(0) := C * (d/gamma) * (dxi/2)**(gamma - d).
 
-`convolve` applies the multiplier spectrally; `convolve_direct` is the
+`convolve` applies the multiplier to a complex field; `_convolve_real`, the
+half-spectrum route, serves every real density.  `convolve_direct` is the
 independent quadrature oracle (direct summation, never an FFT).
 """
 
@@ -160,7 +161,20 @@ def convolve(spec: KernelSpec, rho: Field) -> Field:
     g = rho.grid
     khat = multiplier_grid(spec, g)
     vals = TWO_PI ** (g.d / 2) * scipy.fft.ifftn(khat * scipy.fft.fftn(rho.values))
-    return Field(g, vals)
+    return Field._adopt(g, vals)
+
+
+def _half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndarray:
+    """scale (2pi)^{d/2} Khat on the half spectrum of a real transform."""
+    khat = multiplier_grid(spec, grid)[..., : grid.points // 2 + 1]
+    return (scale * TWO_PI ** (grid.d / 2)) * khat
+
+
+def _convolve_real(khat_half: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """K * rho for a real density array: one real transform pair on the half
+    spectrum, khat_half from `_half_multiplier` carrying the scale."""
+    rho_hat = scipy.fft.rfftn(rho) * khat_half
+    return scipy.fft.irfftn(rho_hat, s=rho.shape, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------
@@ -316,4 +330,4 @@ def convolve_direct(spec: KernelSpec, rho: Field, images: int = None) -> Field:
 
     dc_target = TWO_PI ** (g.d / 2) * zero_mode_value(spec, g)
     out = out + (dc_target - w.sum()) * vals.mean()
-    return Field(g, out)
+    return Field._adopt(g, out)

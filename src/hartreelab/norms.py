@@ -101,11 +101,8 @@ def norm_report(f: Field) -> NormReport:
 
 def multi_indices(d: int, max_order: int) -> list:
     """All multi-indices eta with |eta| <= max_order, lexicographic."""
-    out = []
-    for eta in itertools.product(range(max_order + 1), repeat=d):
-        if sum(eta) <= max_order:
-            out.append(eta)
-    return out
+    etas = itertools.product(range(max_order + 1), repeat=d)
+    return [eta for eta in etas if sum(eta) <= max_order]
 
 
 def _wiener_from_modulus(mag: np.ndarray, grid) -> float:
@@ -131,12 +128,17 @@ def y_norm(f: Field, spec: YNormSpec) -> float:
     g = f.grid
     if g.d != spec.d:
         raise ValueError(f"field is {g.d}D but norm spec is {spec.d}D")
-    mag = np.abs(scipy.fft.fftn(f.values))
-    xi = [np.abs(m) for m in g.freq_meshes(zero_nyquist=True)]
+    return _graded_norm(scipy.fft.fftn(f.values), g, spec)
+
+
+def _graded_norm(raw: np.ndarray, grid, spec: YNormSpec) -> float:
+    """`y_norm` of the physical field whose raw FFT is given."""
+    mag = np.abs(raw)
+    xi = [np.abs(m) for m in grid.freq_meshes(zero_nyquist=True)]
     total = 0.0
     for eta in multi_indices(spec.d, spec.n):
         weighted = reduce(np.multiply, (x**e for x, e in zip(xi, eta) if e), mag)
-        total += sum(_norms_from_raw_fft(weighted, g))
+        total += sum(_norms_from_raw_fft(weighted, grid))
     return total
 
 

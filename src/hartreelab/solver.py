@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .grid import Field, TWO_PI
-from .kernel import KernelSpec, convolve, multiplier_grid
+from .grid import Field
+from .kernel import KernelSpec, _convolve_real, _half_multiplier
 from .norms import _norms_from_raw_fft
 
 MAX_DT_FACTOR = 0.25
@@ -99,6 +99,11 @@ class SolverParams:
                 f"dt <= dt_factor * eps = {self.dt_factor * self.eps}"
             )
 
+    @classmethod
+    def largest_step(cls, eps: float, final_time: float, dt_factor: float = 0.1):
+        """The largest dt the resolution rule allows, capped at final_time."""
+        return cls(eps, min(dt_factor * eps, final_time), final_time, dt_factor)
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -131,33 +136,13 @@ def free_propagator(f: Field, eps: float, t: float) -> Field:
         return f
     g = f.grid
     phase = np.exp(-0.5j * eps * t * g.freq_norm_sq())
-    return Field(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * phase))
+    return Field._adopt(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * phase))
 
 
 def hartree_potential(spec: KernelSpec, u: Field) -> Field:
-    """Real potential lambda * (K * |u|^2)."""
-    g = u.grid
-    if spec.coupling == 0.0:
-        return Field(g, np.zeros(g.shape))
-    conv = convolve(spec, Field(g, np.abs(u.values) ** 2)).values
-    scale = np.max(np.abs(conv))
-    if scale > 0 and np.max(np.abs(conv.imag)) > 1e-12 * scale:
-        raise FloatingPointError(
-            "Hartree potential acquired an imaginary part beyond rounding"
-        )
-    return Field(g, spec.coupling * conv.real)
-
-
-def _potential_multiplier(spec: KernelSpec, grid) -> np.ndarray:
-    """lambda (2pi)^{d/2} Khat on the half spectrum of a real transform."""
-    khat = multiplier_grid(spec, grid)[..., : grid.points // 2 + 1]
-    return (spec.coupling * TWO_PI ** (grid.d / 2)) * khat
-
-
-def _raw_potential(khat_half: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Real potential lambda * (K * |u|^2) from the half-spectrum multiplier."""
-    rho_hat = scipy.fft.rfftn(values.real**2 + values.imag**2) * khat_half
-    return scipy.fft.irfftn(rho_hat, s=values.shape, overwrite_x=True)
+    """Real potential lambda * (K * |u|^2), one real transform pair."""
+    khat_half = _half_multiplier(spec, u.grid, spec.coupling)
+    return Field._adopt(u.grid, _convolve_real(khat_half, np.abs(u.values) ** 2))
 
 
 def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: float,
@@ -165,10 +150,11 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     """Strang steps carrying the raw spectrum `raw` from t_prev to t_next.
 
     The gap is cut into the fewest equal steps no longer than the
-    requested dt, so t_next is hit exactly.  `raw` is consumed; returns
-    the spectrum at t_next and its L2 norm.  The run is aborted once the
-    combined norm exceeds 4 norm0, norm0 being its value at t = 0: the
-    stability ball of the local existence argument.
+    requested dt, so t_next is hit exactly; khat_half is
+    `kernel._half_multiplier(spec, grid, lambda)`.  `raw` is consumed;
+    returns the spectrum at t_next and its L2 norm.  The run is aborted
+    once the combined norm exceeds 4 norm0, norm0 being its value at
+    t = 0: the stability ball of the local existence argument.
     """
     dt_request = min(params.dt, params.dt_factor * params.eps)
     gap = t_next - t_prev
@@ -180,7 +166,7 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     raw *= kin_half
     for step in range(n_steps):
         state = scipy.fft.ifftn(raw, overwrite_x=True)
-        angle = -dt * _raw_potential(khat_half, state)
+        angle = -dt * _convolve_real(khat_half, state.real**2 + state.imag**2)
         np.cos(angle, out=phase.real)
         np.sin(angle, out=phase.imag)
         state *= phase
@@ -204,7 +190,7 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
         if t < 0 or t > params.final_time * (1 + 1e-12):
             raise ValueError(f"sample time {t} outside [0, T = {params.final_time}]")
 
-    khat_half = _potential_multiplier(spec, g)
+    khat_half = _half_multiplier(spec, g, spec.coupling)
     raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
     l2_0, w_0 = _norms_from_raw_fft(raw, g)
 
@@ -215,7 +201,7 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
             continue
         raw, l2 = advance(raw, g, khat_half, params, t_prev, t_next, l2_0 + w_0)
         rec_times.append(t_next)
-        rec_states.append(Field(g, scipy.fft.ifftn(raw)))
+        rec_states.append(Field._adopt(g, scipy.fft.ifftn(raw)))
         rec_mass.append(l2)
         t_prev = t_next
 
@@ -247,14 +233,14 @@ def picard_evolve(
         nodes = max(8, math.ceil(horizon / (0.1 * eps)))
     h = horizon / nodes
 
-    khat_half = _potential_multiplier(spec, g)
+    khat_half = _half_multiplier(spec, g, spec.coupling)
     u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
     nonlinear = spec.coupling != 0.0
 
     def source(raw):
         """Raw spectrum of (K * |u|^2) u, u the state with raw spectrum raw."""
         state = scipy.fft.ifftn(raw)
-        state *= _raw_potential(khat_half, state)
+        state *= _convolve_real(khat_half, state.real**2 + state.imag**2)
         return scipy.fft.fftn(state, overwrite_x=True)
 
     # raw spectra of the node states, seeded by the free flow; node 0 is
@@ -283,7 +269,7 @@ def picard_evolve(
             inc = max(inc, sum(_norms_from_raw_fft(new - current[i], g)))
             current[i] = new
         if inc < tol:
-            return Field(g, scipy.fft.ifftn(current[-1]))
+            return Field._adopt(g, scipy.fft.ifftn(current[-1]))
         if prev_inc is not None and inc > prev_inc:
             growth_streak += 1
             if growth_streak >= 3:

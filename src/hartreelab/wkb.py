@@ -27,7 +27,10 @@ the independent composite-Simpson oracle over the time variable.  Each
 exponential in it is a plane wave built separably by `grid.plane_wave`,
 as are the mode carriers and cross phases, and a snapshot of M modes
 costs 4 M FFTs: M density spectra shared by its M phases, M inverses,
-and one transform pair per translated amplitude.
+and one transform pair per translated amplitude.  `with_shared_terms`
+adds its eps-free terms for 2 M more (one forward transform per
+amplitude serves its graded norm and half-Laplacian); a record per eps
+then transforms no amplitude.
 
 Expansion bookkeeping: after the eikonal and transport cancellations,
 plugging the ansatz into the equation leaves exactly
@@ -42,9 +45,12 @@ which `z2_term`, `resonant_remainder` and `ansatz_residual` expose.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import scipy.fft
@@ -54,6 +60,7 @@ from .grid import (
     GaussianProfile,
     Grid,
     TWO_PI,
+    _laplacian_from_raw,
     laplacian,
     plane_wave,
     profile_bandwidth,
@@ -61,8 +68,8 @@ from .grid import (
     sample_profile,
     translate,
 )
-from .kernel import KernelSpec, convolve, multiplier_grid
-from .norms import YNormSpec, l2w_norm
+from .kernel import KernelSpec, _convolve_real, _half_multiplier, multiplier_grid
+from .norms import YNormSpec, _graded_norm, l2w_norm
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
 RESOLUTION_FACTOR = 1.5
@@ -135,32 +142,24 @@ class ModeFamily:
         for m in modes:
             if m.alpha.grid != self.grid:
                 raise ValueError("all amplitudes must live on the family grid")
-        delta = math.inf
-        for i in range(len(modes)):
-            for j in range(i + 1, len(modes)):
-                delta = min(
-                    delta,
-                    float(np.linalg.norm(modes[i].kappa - modes[j].kappa)),
-                )
+        delta = min(
+            (float(np.linalg.norm(a.kappa - b.kappa)) for a, b in combinations(modes, 2)),
+            default=math.inf,
+        )
         if delta <= 0:
-            raise ValueError(
-                "mode wavevectors must be pairwise distinct (delta > 0)"
-            )
+            raise ValueError("mode wavevectors must be pairwise distinct (delta > 0)")
         object.__setattr__(self, "delta", delta)
         self._check_decay()
 
     def _check_decay(self):
-        margin = CONTAINMENT_MARGIN * self.grid.length
-        half = self.grid.length / 2
+        g = self.grid
+        edge = g.length / 2 - CONTAINMENT_MARGIN * g.length
+        band = np.broadcast_to(
+            reduce(np.logical_or, (np.abs(ax) >= edge for ax in g.coords())), g.shape
+        )
         for m in self.modes:
             mag = np.abs(m.alpha.values)
-            peak = mag.max()
-            if peak == 0:
-                continue
-            band = np.zeros(self.grid.shape, dtype=bool)
-            for ax in self.grid.coords():
-                band |= np.broadcast_to(np.abs(ax) >= half - margin, self.grid.shape)
-            if band.any() and mag[band].max() > DECAY_THRESHOLD * max(peak, 1.0):
+            if mag[band].max() > DECAY_THRESHOLD * max(mag.max(), 1.0):
                 raise ValueError(
                     "an initial amplitude does not decay below 1e-12 inside "
                     "the containment margin of the box"
@@ -190,11 +189,14 @@ class ModeFamily:
 
 @dataclass(frozen=True, eq=False)
 class WkbSnapshot:
-    """Amplitudes a_j(t) and their accumulated phases at one time."""
+    """Amplitudes a_j(t) and their accumulated phases at one time, plus
+    the eps-free (1/2) Lap a_j and ||a(t)||_E once `with_shared_terms` ran."""
 
     t: float
     amplitudes: tuple
     actions: tuple
+    half_laplacians: tuple = None
+    e_norm: float = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,11 +239,8 @@ def eikonal_phase(kappa, t: float, grid: Grid) -> Field:
     kappa = np.asarray(kappa, dtype=float).reshape(-1)
     if kappa.shape != (grid.d,):
         raise ValueError(f"kappa must have {grid.d} components")
-    phase = np.zeros(grid.shape)
-    for ax, kc in zip(grid.coords(), kappa):
-        phase = phase + kc * ax
-    phase = phase - 0.5 * t * float(kappa @ kappa)
-    return Field(grid, phase)
+    phase = sum((kc * ax for ax, kc in zip(grid.coords(), kappa)), np.zeros(grid.shape))
+    return Field._adopt(grid, phase - 0.5 * t * float(kappa @ kappa))
 
 
 def oscillation_average(t: float, omega: np.ndarray) -> np.ndarray:
@@ -283,7 +282,7 @@ def action_phase(family: ModeFamily, j: int, t: float, spec: KernelSpec) -> Fiel
         raise ValueError(f"time must be nonnegative, got {t}")
     check_containment(family, t)
     if t == 0.0 or spec.coupling == 0.0:
-        return Field(g, np.zeros(g.shape))
+        return Field._adopt(g, np.zeros(g.shape))
 
     meshes = g.freq_meshes(zero_nyquist=True)
     kappa_j = family.modes[j].kappa
@@ -303,10 +302,10 @@ def action_phase(family: ModeFamily, j: int, t: float, spec: KernelSpec) -> Fiel
         raise FloatingPointError(
             "action phase acquired an imaginary part beyond rounding"
         )
-    return Field(g, vals.real)
+    return Field._adopt(g, vals.real)
 
 
-def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> Field:
+def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> np.ndarray:
     """sum_l rho_l displaced by (t - tau) kappa_j + tau kappa_l.
 
     Gaussian profiles are resampled analytically, which keeps this
@@ -325,9 +324,9 @@ def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> Fie
                 r2 = r2 + (ax - c - s) ** 2
             total = total + abs(p.amplitude) ** 2 * np.exp(-r2 / p.width**2)
         else:
-            moved = translate(Field(g, np.abs(mode.alpha.values) ** 2), shift)
+            moved = translate(Field._adopt(g, np.abs(mode.alpha.values) ** 2), shift)
             total = total + moved.values.real
-    return Field(g, total)
+    return total
 
 
 def action_phase_quadrature(
@@ -341,8 +340,9 @@ def action_phase_quadrature(
         raise ValueError(f"time must be nonnegative, got {t}")
     check_containment(family, t)
     if t == 0.0 or spec.coupling == 0.0:
-        return Field(g, np.zeros(g.shape))
+        return Field._adopt(g, np.zeros(g.shape))
 
+    khat_half = _half_multiplier(spec, g)
     taus = np.linspace(0.0, t, nodes + 1)
     weights = np.ones(nodes + 1)
     weights[1:-1:2] = 4.0
@@ -352,8 +352,8 @@ def action_phase_quadrature(
     total = np.zeros(g.shape)
     for tau, w in zip(taus, weights):
         dens = _translated_density(family, j, float(tau), t)
-        total = total + w * convolve(spec, dens).values.real
-    return Field(g, -spec.coupling * total)
+        total = total + w * _convolve_real(khat_half, dens)
+    return Field._adopt(g, -spec.coupling * total)
 
 
 def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
@@ -373,8 +373,19 @@ def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
     amps = []
     for mode, theta in zip(family.modes, actions):
         moved = translate(mode.alpha, t * mode.kappa)
-        amps.append(Field(family.grid, moved.values * np.exp(1j * theta.values)))
+        amps.append(Field._adopt(family.grid, moved.values * np.exp(1j * theta.values)))
     return WkbSnapshot(t=t, amplitudes=tuple(amps), actions=tuple(actions))
+
+
+def with_shared_terms(family: ModeFamily, snap: WkbSnapshot) -> WkbSnapshot:
+    """snap with its half-Laplacians and ||a(t)||_E: one forward transform
+    per amplitude serves its graded norm and its Laplacian (2 M FFTs)."""
+    halves, total = [], 0.0
+    for amp in snap.amplitudes:
+        raw = scipy.fft.fftn(amp.values)
+        total += _graded_norm(raw, family.grid, family.nspec)
+        halves.append(0.5 * _laplacian_from_raw(raw, family.grid))
+    return dataclasses.replace(snap, half_laplacians=tuple(halves), e_norm=total)
 
 
 def _mode_carrier(grid: Grid, kappa: np.ndarray, t: float, eps: float) -> np.ndarray:
@@ -395,7 +406,7 @@ def initial_data(family: ModeFamily, eps: float) -> Field:
     """Superposition of eps-oscillatory plane waves: the shared initial state."""
     check_resolution(family, eps)
     alphas = (mode.alpha.values for mode in family.modes)
-    return Field(family.grid, _superpose(family, alphas, 0.0, eps))
+    return Field._adopt(family.grid, _superpose(family, alphas, 0.0, eps))
 
 
 def assemble(
@@ -406,18 +417,21 @@ def assemble(
     if snap is None:
         snap = snapshot(family, t, spec)
     amps = (amp.values for amp in snap.amplitudes)
-    return Field(family.grid, _superpose(family, amps, t, eps))
+    return Field._adopt(family.grid, _superpose(family, amps, t, eps))
 
 
 def z2_term(
     family: ModeFamily, t: float, eps: float, spec: KernelSpec, snap: WkbSnapshot = None
 ) -> Field:
-    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps)."""
+    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps), reading the
+    snapshot's shared half-Laplacians when `with_shared_terms` filled them."""
     check_resolution(family, eps)
     if snap is None:
         snap = snapshot(family, t, spec)
-    halves = (0.5 * laplacian(amp).values for amp in snap.amplitudes)
-    return Field(family.grid, _superpose(family, halves, t, eps))
+    halves = snap.half_laplacians or [
+        0.5 * laplacian(amp).values for amp in snap.amplitudes
+    ]
+    return Field._adopt(family.grid, _superpose(family, halves, t, eps))
 
 
 def resonant_remainder(
@@ -430,13 +444,18 @@ def resonant_remainder(
     (l, k) term is the conjugate of the (k, l) term, so B is real and
     each unordered pair contributes twice its real part.
     """
-    check_resolution(family, eps, for_remainder=True)
     if snap is None:
         snap = snapshot(family, t, spec)
+    return _remainder(family, t, eps, spec, snap)
+
+
+def _remainder(family, t, eps, spec, snap, u_app: Field = None) -> Field:
+    """`resonant_remainder` at a snapshot, reusing a record's u_app if given."""
+    check_resolution(family, eps, for_remainder=True)
     g = family.grid
     n_modes = len(family.modes)
     if n_modes == 1:
-        return Field(g, np.zeros(g.shape))
+        return Field._adopt(g, np.zeros(g.shape))
 
     cross = np.zeros(g.shape)
     for k in range(n_modes):
@@ -450,9 +469,10 @@ def resonant_remainder(
             cross += term.real
     cross *= 2.0
 
-    conv = convolve(spec, Field(g, cross))
-    u_app = assemble(family, t, eps, spec, snap=snap)
-    return Field(g, -conv.values * u_app.values)
+    if u_app is None:
+        u_app = assemble(family, t, eps, spec, snap=snap)
+    conv = _convolve_real(_half_multiplier(spec, g), cross)
+    return Field._adopt(g, -conv * u_app.values)
 
 
 def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) -> list:
@@ -460,7 +480,7 @@ def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) ->
     rho = sum_l |a_l|^2, with the drift applied as one i kappa_j . xi multiplier."""
     g = family.grid
     rho = sum(np.abs(amp.values) ** 2 for amp in snap.amplitudes)
-    potential = spec.coupling * convolve(spec, Field(g, rho)).values.real
+    potential = _convolve_real(_half_multiplier(spec, g, spec.coupling), rho)
     meshes = g.freq_meshes(zero_nyquist=True)
     rates = []
     for mode, amp in zip(family.modes, snap.amplitudes):
@@ -524,19 +544,16 @@ def ansatz_residual(
     )
     dudt = _superpose(family, wave_rates, t, eps)
 
-    nonlinear = (
-        spec.coupling
-        * convolve(spec, Field(g, np.abs(u_app.values) ** 2)).values.real
-        * u_app.values
-    )
+    khat_half = _half_multiplier(spec, g, spec.coupling)
+    nonlinear = _convolve_real(khat_half, np.abs(u_app.values) ** 2) * u_app.values
     lhs = 1j * eps * dudt + 0.5 * eps**2 * laplacian(u_app).values - eps * nonlinear
 
     z2 = z2_term(family, t, eps, spec, snap=snap)
-    rem = resonant_remainder(family, t, eps, spec, snap=snap)
+    rem = _remainder(family, t, eps, spec, snap, u_app)
     rhs = eps**2 * z2.values + eps * spec.coupling * rem.values
 
-    residual = Field(g, lhs - rhs)
-    rhs_norm = l2w_norm(Field(g, rhs))
+    residual = Field._adopt(g, lhs - rhs)
+    rhs_norm = l2w_norm(Field._adopt(g, rhs))
     err = l2w_norm(residual) / rhs_norm if rhs_norm > 0 else (
         0.0 if l2w_norm(residual) == 0 else math.inf
     )

@@ -111,6 +111,20 @@ class TestSimulate:
         assert lines[0] == "t,l2,wiener,l2w,mass_drift"
         assert len(lines) == 4  # header + t=0 + two samples
 
+    def test_horizon_shorter_than_one_step(self, tmp_path, capsys):
+        # final_time < dt_factor * eps: the step is capped at final_time,
+        # as in a sweep of the same file
+        ref = Path(__file__).resolve().parents[1] / "configs" / "reference_1d.json"
+        doc = json.loads(ref.read_text())
+        doc.update(points=1024, epsilons=[0.2], final_time=0.01, sample_times=[0.01],
+                   output=str(tmp_path / "out"))
+        path = write_config(tmp_path, doc)
+        for command in ("simulate", "sweep"):
+            assert main([command, "--config", path]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.01"]
+
     def test_multiple_epsilons_is_config_error(self, tmp_path):
         code = main(
             ["simulate", "--config", write_config(tmp_path, base_config(tmp_path))]

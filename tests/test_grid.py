@@ -70,6 +70,33 @@ class TestFieldValidation:
         with pytest.raises(ValueError):
             gaussian_field.values[0] = 1.0
 
+    def test_caller_array_copied(self, grid1d):
+        raw = np.ones(grid1d.shape, dtype=np.complex128)
+        f = Field(grid1d, raw)
+        raw[0] = 5.0
+        assert raw.flags.writeable
+        assert np.all(f.values == 1.0)
+
+    def test_adopted_array_frozen_not_copied(self, grid1d):
+        fresh = np.ones(grid1d.shape, dtype=np.complex128)
+        f = Field._adopt(grid1d, fresh)
+        assert f.values is fresh
+        assert not fresh.flags.writeable
+
+    def test_adopt_still_scans(self, grid1d):
+        bad = np.zeros(grid1d.shape, dtype=np.complex128)
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Field._adopt(grid1d, bad)
+        with pytest.raises(ValueError, match="shape"):
+            Field._adopt(grid1d, np.zeros(7, dtype=np.complex128))
+
+    def test_overflowing_arithmetic_raises(self, grid1d):
+        # field arithmetic takes the internal path, which still scans
+        big = Field(grid1d, np.full(grid1d.shape, 1e308))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            big * 10.0
+
 
 class TestForwardTransform:
     def test_zero_maps_to_zero(self, grid1d):

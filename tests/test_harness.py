@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hartreelab import (
     run_sweep,
     validate_suite,
 )
+from hartreelab import grid as grid_module
 from hartreelab import harness, solver, wkb
 from hartreelab.harness import (
     SweepRecord,
@@ -321,7 +323,14 @@ class TestRunSweep:
         for a, b in zip(seq.records, par.records):
             assert a == b
 
-    def test_threaded_matches_sequential_2d(self, tmp_path):
+    # three modes give a nonzero remainder, so the per-time shared terms
+    # (half-Laplacians, ||a||_E) feed every record and check
+    @pytest.mark.parametrize(
+        "kappas",
+        [([-2.0, 0.0], [2.0, 0.0]), ([-2.0, 0.0], [2.0, 0.0], [0.0, 2.0])],
+        ids=["two_modes", "three_modes"],
+    )
+    def test_threaded_matches_sequential_2d(self, tmp_path, kappas):
         # the eps workers share the memoized kernel multiplier; start cold
         # so both threads race to fill it
         from hartreelab.kernel import _multiplier_grid
@@ -329,7 +338,7 @@ class TestRunSweep:
         grid = Grid(d=2, length=16.0, points=128)
         prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
         family = ModeFamily.from_profiles(
-            grid, [([-2.0, 0.0], prof), ([2.0, 0.0], prof)], gamma=0.5
+            grid, [(kappa, prof) for kappa in kappas], gamma=0.5
         )
         runs = {}
         for threads in (1, 2):
@@ -349,6 +358,7 @@ class TestRunSweep:
         assert len(runs[1].records) == 4
         assert runs[2].records == runs[1].records
         assert runs[2].beta_fitted == runs[1].beta_fitted
+        assert runs[2].checks == runs[1].checks
 
 
 class TestLockstepSweep:
@@ -390,6 +400,51 @@ class TestLockstepSweep:
         run_sweep(cfg)
         assert len(seen) == len(cfg.sample_times) + 1
         assert seen == [0.0, *cfg.sample_times]
+
+    def test_transform_budget(self, fft_calls, monkeypatch):
+        # per sample time: 4 M for the snapshot and one forward/inverse pair
+        # per amplitude for the shared terms (||a||_E and (1/2) Lap a_j),
+        # however many eps there are; per record: 6 (state inverse, error
+        # Wiener norm, the remainder's real convolution pair, the Wiener
+        # norms of r and Z2); per eps at t = 0: 2; per Strang step: 4
+        cfg = three_mode_config()
+        n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 3
+        counts = {"laplacian": 0, "assemble": 0, "advance_ffts": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def advance_counted(*args, **kwargs):
+            before = len(fft_calls)
+            out = real_advance(*args, **kwargs)
+            counts["advance_ffts"] += len(fft_calls) - before
+            return out
+
+        real_advance = harness.advance
+        monkeypatch.setattr(harness, "advance", advance_counted)
+        laplacian_counted = counting("laplacian", grid_module.laplacian)
+        monkeypatch.setattr(grid_module, "laplacian", laplacian_counted)
+        monkeypatch.setattr(wkb, "laplacian", laplacian_counted)
+        assemble_counted = counting("assemble", wkb.assemble)
+        monkeypatch.setattr(wkb, "assemble", assemble_counted)
+        monkeypatch.setattr(harness, "assemble", assemble_counted)
+
+        result = run_sweep(cfg)
+        assert len(result.records) == n_eps * n_times
+        steps = sum(
+            max(1, math.ceil((b - a) / (cfg.dt_factor * eps) - 1e-12))
+            for eps in cfg.epsilons
+            for a, b in zip((0.0, *cfg.sample_times), cfg.sample_times)
+        )
+        assert counts["advance_ffts"] == 4 * steps
+        assert len(fft_calls) - counts["advance_ffts"] == (
+            2 * n_eps + n_times * (4 * n_modes + 2 * n_modes) + 6 * n_eps * n_times
+        )
+        assert counts["laplacian"] == 0
+        assert counts["assemble"] == n_eps * n_times + n_eps
 
     @pytest.fixture
     def doomed_middle_eps(self, monkeypatch):
