@@ -5,11 +5,11 @@
     hartreelab validate --config run.json    property/consistency suite
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration
-error, 3 runtime error (divergence guard, Picard non-contraction, an
-imaginary part beyond rounding, unwritable output), mapped in `main`
-alone.  sweep
-exits 0 even when the rate check fails; the JSON summary records the
-failure so CI can assert on it.
+error (also a resolution or containment rule broken during a run), 3
+runtime error (divergence guard, Picard non-contraction, a numpy
+floating-point fault, unwritable output), mapped in `main` alone.
+sweep exits 0 even when the rate check fails; the JSON summary records
+the failure so CI can assert on it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .config import ConfigError, load_config
 from .harness import _fmt, persist, run_sweep, validate_suite
 from .norms import norm_report
 from .solver import DivergenceError, PicardConvergenceError, SolverParams, evolve
-from .wkb import initial_data
+from .wkb import ContainmentError, ResolutionError, initial_data
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -44,11 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="path to the JSON run file")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads")
-        cmd.add_argument(
-            "--seed", type=int, default=0, help="seed for property-test campaigns"
-        )
+        if name == "sweep":
+            cmd.add_argument("--threads", type=int, default=1, help="worker threads")
         if name == "validate":
+            cmd.add_argument(
+                "--seed", type=int, default=0, help="seed for property-test campaigns"
+            )
             cmd.add_argument(
                 "--inject-kernel-fault",
                 action="store_true",
@@ -112,17 +113,16 @@ def cmd_validate(cfg, fault: bool) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, threads=args.threads, seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        cfg = load_config(args.config, threads=getattr(args, "threads", 1),
+                          seed=getattr(args, "seed", 0))
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg)
         return cmd_validate(cfg, getattr(args, "inject_kernel_fault", False))
+    except (ConfigError, ResolutionError, ContainmentError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (DivergenceError, PicardConvergenceError, FloatingPointError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -53,12 +53,12 @@ from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, advance, evolv
 from .solver import picard_evolve
 from .wkb import (
     ModeFamily,
-    _remainder,
     ansatz_residual,
     assemble,
     check_containment,
     check_resolution,
     initial_data,
+    resonant_remainder,
     snapshot,
     transport_residual,
     with_shared_terms,
@@ -144,6 +144,8 @@ class SweepConfig:
             raise ValueError("kernel dimension differs from the grid dimension")
         for e in eps:
             check_resolution(self.family, e)
+            if len(self.family.modes) > 1:
+                check_resolution(self.family, e, for_remainder=True)
         check_containment(self.family, self.final_time)
 
     def to_json_dict(self) -> dict:
@@ -253,7 +255,7 @@ def _record(cfg: SweepConfig, snap, run: _EpsRun):
     t, eps = snap.t, run.eps
     u_app = assemble(cfg.family, t, eps, cfg.kernel, snap=snap)
     rep = error_report(Field._adopt(cfg.grid, scipy.fft.ifftn(run.raw)), u_app)
-    r_norm = l2w_norm(_remainder(cfg.family, t, eps, cfg.kernel, snap, u_app))
+    r_norm = l2w_norm(resonant_remainder(cfg.family, t, eps, cfg.kernel, snap, u_app))
     z2_norm = l2w_norm(z2_term(cfg.family, t, eps, cfg.kernel, snap=snap))
     drift = abs(run.mass - run.mass0) / run.mass0
     run.records.append(
@@ -442,6 +444,8 @@ def validate_suite(
     The fault flag corrupts the kernel constant before the constant
     check only, as a self-test hook for the exit-code contract.
     """
+    # ansatz_identity needs the remainder rule: fail before the campaigns
+    check_resolution(cfg.family, cfg.epsilons[-1], for_remainder=True)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     checks = {}
 

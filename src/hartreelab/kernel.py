@@ -19,9 +19,11 @@ is integrable and consistent as dxi -> 0:
 
     Khat(0) := C * (d/gamma) * (dxi/2)**(gamma - d).
 
-`convolve` applies the multiplier to a complex field; `_convolve_real`, the
-half-spectrum route, serves every real density.  `convolve_direct` is the
-independent quadrature oracle (direct summation, never an FFT).
+Every spectral K * rho takes one route: `_convolve_real` applies the
+half-spectrum multiplier of `_half_multiplier` to a real density, and
+`convolve` runs it on the real and imaginary parts of a complex field.
+`convolve_direct` is the independent quadrature oracle (direct
+summation, never an FFT).
 """
 
 from __future__ import annotations
@@ -155,13 +157,13 @@ def _multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
 def convolve(spec: KernelSpec, rho: Field) -> Field:
     """K * rho via the spectral multiplier: inverse of (2pi)^{d/2} Khat rhohat.
 
-    Real densities map to real outputs up to rounding because the
-    multiplier grid is real and even on the lattice.
+    The multiplier is real and even on the lattice, so K * rho is the
+    real convolution of Re rho plus i times that of Im rho.
     """
-    g = rho.grid
-    khat = multiplier_grid(spec, g)
-    vals = TWO_PI ** (g.d / 2) * scipy.fft.ifftn(khat * scipy.fft.fftn(rho.values))
-    return Field._adopt(g, vals)
+    khat_half = _half_multiplier(spec, rho.grid)
+    vals = rho.values
+    conv = _convolve_real(khat_half, vals.real) + 1j * _convolve_real(khat_half, vals.imag)
+    return Field._adopt(rho.grid, conv)
 
 
 def _half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndarray:
@@ -184,8 +186,6 @@ def _convolve_real(khat_half: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _cell_mass_1d(z: np.ndarray, dx: float, gamma: float) -> np.ndarray:
     """Exact integral of |u|**-gamma over every cell [z-dx/2, z+dx/2]."""
     antideriv = lambda u: np.sign(u) * np.abs(u) ** (1 - gamma) / (1 - gamma)
-    if gamma == 1.0:  # not reachable for d = 1 (gamma < d) but kept honest
-        antideriv = lambda u: np.sign(u) * np.log(np.abs(u))
     return antideriv(z + dx / 2) - antideriv(z - dx / 2)
 
 
@@ -214,9 +214,7 @@ def _gauss_cell_mass(z_cell: np.ndarray, dx: float, gamma: float) -> float:
     grids = np.meshgrid(*[z + half * nodes for z in z_cell], indexing="ij")
     wts = np.meshgrid(*[half * weights] * d, indexing="ij")
     r = np.sqrt(sum(g**2 for g in grids))
-    w = np.ones_like(r)
-    for factor in wts:
-        w = w * factor
+    w = functools.reduce(np.multiply, wts)
     return float(np.sum(w * r ** (-gamma)))
 
 

@@ -22,15 +22,15 @@ so that
     Theta_j_hat(t, xi) = -lambda (2 pi)^{d/2} Khat(xi) exp(-i t kappa_j . xi)
                           * sum_l rho_l_hat(xi) E(t, (kappa_l - kappa_j) . xi).
 
-`action_phase` evaluates that closed form; `action_phase_quadrature` is
-the independent composite-Simpson oracle over the time variable.  Each
-exponential in it is a plane wave built separably by `grid.plane_wave`,
-as are the mode carriers and cross phases, and a snapshot of M modes
-costs 4 M FFTs: M density spectra shared by its M phases, M inverses,
-and one transform pair per translated amplitude.  `with_shared_terms`
-adds its eps-free terms for 2 M more (one forward transform per
-amplitude serves its graded norm and half-Laplacian); a record per eps
-then transforms no amplitude.
+`action_phase` sums that closed form on the half spectrum of the real
+densities, so Theta_j is real by construction; `action_phase_quadrature`
+is the independent composite-Simpson oracle over the time variable.
+Exponentials are plane waves built separably by `grid.plane_wave`.  A
+snapshot of M modes costs M r2c + M c2r + 2 M c2c FFTs (shared density
+spectra, one inverse per phase, a pair per translated amplitude) and
+keeps no phase.  `with_shared_terms` adds 2 M more for its eps-free
+terms (one transform per amplitude serves its graded norm and
+half-Laplacian); a record per eps then transforms no amplitude.
 
 Expansion bookkeeping: after the eikonal and transport cancellations,
 plugging the ansatz into the equation leaves exactly
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -59,7 +58,6 @@ from .grid import (
     Field,
     GaussianProfile,
     Grid,
-    TWO_PI,
     _laplacian_from_raw,
     laplacian,
     plane_wave,
@@ -68,14 +66,12 @@ from .grid import (
     sample_profile,
     translate,
 )
-from .kernel import KernelSpec, _convolve_real, _half_multiplier, multiplier_grid
+from .kernel import KernelSpec, _convolve_real, _half_multiplier
 from .norms import YNormSpec, _graded_norm, l2w_norm
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
 RESOLUTION_FACTOR = 1.5
 DECAY_THRESHOLD = 1e-12
-
-_SNAPSHOT_SPECTRA = ContextVar("snapshot_spectra", default=(None, None))
 
 
 class ContainmentError(ValueError):
@@ -189,12 +185,11 @@ class ModeFamily:
 
 @dataclass(frozen=True, eq=False)
 class WkbSnapshot:
-    """Amplitudes a_j(t) and their accumulated phases at one time, plus
-    the eps-free (1/2) Lap a_j and ||a(t)||_E once `with_shared_terms` ran."""
+    """Amplitudes a_j(t) at one time, plus the eps-free (1/2) Lap a_j and
+    ||a(t)||_E once `with_shared_terms` ran."""
 
     t: float
     amplitudes: tuple
-    actions: tuple
     half_laplacians: tuple = None
     e_norm: float = None
 
@@ -266,15 +261,15 @@ def _averaging_factor(t: float, omega: np.ndarray, wave: np.ndarray) -> np.ndarr
 
 
 def _density_spectra(family: ModeFamily) -> list:
-    """fftn(|alpha_l|^2) per mode; inside `snapshot` its own set is reused."""
-    owner, spectra = _SNAPSHOT_SPECTRA.get()
-    if owner is family:
-        return spectra
-    return [scipy.fft.fftn(np.abs(m.alpha.values) ** 2) for m in family.modes]
+    """rfftn(|alpha_l|^2) per mode: the half spectra every phase sums over."""
+    return [scipy.fft.rfftn(np.abs(m.alpha.values) ** 2) for m in family.modes]
 
 
-def action_phase(family: ModeFamily, j: int, t: float, spec: KernelSpec) -> Field:
-    """Accumulated Hartree phase Theta_j = lambda S_j via the closed form."""
+def action_phase(
+    family: ModeFamily, j: int, t: float, spec: KernelSpec, spectra: list = None
+) -> Field:
+    """Accumulated Hartree phase Theta_j = lambda S_j via the closed form;
+    `snapshot` passes the density spectra its M phases share."""
     g = family.grid
     if not 0 <= j < len(family.modes):
         raise IndexError(f"mode index {j} out of range")
@@ -284,25 +279,19 @@ def action_phase(family: ModeFamily, j: int, t: float, spec: KernelSpec) -> Fiel
     if t == 0.0 or spec.coupling == 0.0:
         return Field._adopt(g, np.zeros(g.shape))
 
-    meshes = g.freq_meshes(zero_nyquist=True)
+    if spectra is None:
+        spectra = _density_spectra(family)
+    meshes = [m[..., : g.points // 2 + 1] for m in g.freq_meshes(zero_nyquist=True)]
     kappa_j = family.modes[j].kappa
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for mode, rho_hat in zip(family.modes, _density_spectra(family)):
+    acc = np.zeros(spectra[0].shape, dtype=np.complex128)
+    for mode, rho_hat in zip(family.modes, spectra):
         dk = mode.kappa - kappa_j
         omega = sum((c * m for c, m in zip(dk, meshes) if c), np.zeros((1,) * g.d))
         acc += rho_hat * _averaging_factor(t, omega, plane_wave(meshes, dk, -t))
 
     acc *= plane_wave(meshes, kappa_j, -t)
-    acc *= multiplier_grid(spec, g)
-    vals = scipy.fft.ifftn(acc, overwrite_x=True)
-    vals *= -spec.coupling * TWO_PI ** (g.d / 2)
-
-    scale = np.max(np.abs(vals))
-    if scale > 0 and np.max(np.abs(vals.imag)) > 1e-10 * scale:
-        raise FloatingPointError(
-            "action phase acquired an imaginary part beyond rounding"
-        )
-    return Field._adopt(g, vals.real)
+    acc *= _half_multiplier(spec, g, -spec.coupling)
+    return Field._adopt(g, scipy.fft.irfftn(acc, s=g.shape, overwrite_x=True))
 
 
 def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> np.ndarray:
@@ -319,9 +308,7 @@ def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> np.
         shift = (t - tau) * kappa_j + tau * mode.kappa
         if isinstance(mode.profile, GaussianProfile):
             p = mode.profile
-            r2 = np.zeros(g.shape)
-            for ax, c, s in zip(g.coords(), p.center, shift):
-                r2 = r2 + (ax - c - s) ** 2
+            r2 = sum((ax - c - s) ** 2 for ax, c, s in zip(g.coords(), p.center, shift))
             total = total + abs(p.amplitude) ** 2 * np.exp(-r2 / p.width**2)
         else:
             moved = translate(Field._adopt(g, np.abs(mode.alpha.values) ** 2), shift)
@@ -359,22 +346,17 @@ def action_phase_quadrature(
 def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
     """Transported amplitudes at time t; modulus is pure translation.
 
-    The M `action_phase` calls share one set of density spectra (M FFTs),
-    dropped before the amplitudes are built.
+    The M `action_phase` calls share one set of density spectra (M real
+    FFTs); each phase is dropped once its amplitude is built.
     """
     check_containment(family, t)
-    token = _SNAPSHOT_SPECTRA.set(
-        (family, _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None)
-    )
-    try:
-        actions = [action_phase(family, j, t, spec) for j in range(len(family.modes))]
-    finally:
-        _SNAPSHOT_SPECTRA.reset(token)
+    spectra = _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None
     amps = []
-    for mode, theta in zip(family.modes, actions):
+    for j, mode in enumerate(family.modes):
+        theta = action_phase(family, j, t, spec, spectra)
         moved = translate(mode.alpha, t * mode.kappa)
         amps.append(Field._adopt(family.grid, moved.values * np.exp(1j * theta.values)))
-    return WkbSnapshot(t=t, amplitudes=tuple(amps), actions=tuple(actions))
+    return WkbSnapshot(t=t, amplitudes=tuple(amps))
 
 
 def with_shared_terms(family: ModeFamily, snap: WkbSnapshot) -> WkbSnapshot:
@@ -435,38 +417,33 @@ def z2_term(
 
 
 def resonant_remainder(
-    family: ModeFamily, t: float, eps: float, spec: KernelSpec, snap: WkbSnapshot = None
+    family: ModeFamily, t: float, eps: float, spec: KernelSpec,
+    snap: WkbSnapshot = None, u_app: Field = None,
 ) -> Field:
-    """Cross-mode term r = -(K * B) u_app, zero for a single mode.
+    """Cross-mode term r = -(K * B) u_app, zero for a single mode, reusing
+    a record's snapshot and u_app when given.
 
     The cross phase exp(i (phi_k - phi_l) / eps) is the plane wave
     exp(i (kappa_k - kappa_l) . x / eps) times a constant phase.  The
     (l, k) term is the conjugate of the (k, l) term, so B is real and
     each unordered pair contributes twice its real part.
     """
+    g = family.grid
+    if len(family.modes) == 1:
+        return Field._adopt(g, np.zeros(g.shape))
+    check_resolution(family, eps, for_remainder=True)
     if snap is None:
         snap = snapshot(family, t, spec)
-    return _remainder(family, t, eps, spec, snap)
-
-
-def _remainder(family, t, eps, spec, snap, u_app: Field = None) -> Field:
-    """`resonant_remainder` at a snapshot, reusing a record's u_app if given."""
-    check_resolution(family, eps, for_remainder=True)
-    g = family.grid
-    n_modes = len(family.modes)
-    if n_modes == 1:
-        return Field._adopt(g, np.zeros(g.shape))
 
     cross = np.zeros(g.shape)
-    for k in range(n_modes):
-        for l in range(k + 1, n_modes):
-            kap_k = family.modes[k].kappa
-            kap_l = family.modes[l].kappa
-            offset = -0.5 * t * (float(kap_k @ kap_k) - float(kap_l @ kap_l)) / eps
-            term = np.conj(snap.amplitudes[l].values)
-            term *= snap.amplitudes[k].values
-            term *= plane_wave(g.coords(), kap_k - kap_l, 1.0 / eps, offset)
-            cross += term.real
+    pairs = combinations(zip(family.modes, snap.amplitudes), 2)
+    for (mode_k, amp_k), (mode_l, amp_l) in pairs:
+        kap_k, kap_l = mode_k.kappa, mode_l.kappa
+        offset = -0.5 * t * (float(kap_k @ kap_k) - float(kap_l @ kap_l)) / eps
+        term = np.conj(amp_l.values)
+        term *= amp_k.values
+        term *= plane_wave(g.coords(), kap_k - kap_l, 1.0 / eps, offset)
+        cross += term.real
     cross *= 2.0
 
     if u_app is None:
@@ -549,7 +526,7 @@ def ansatz_residual(
     lhs = 1j * eps * dudt + 0.5 * eps**2 * laplacian(u_app).values - eps * nonlinear
 
     z2 = z2_term(family, t, eps, spec, snap=snap)
-    rem = _remainder(family, t, eps, spec, snap, u_app)
+    rem = resonant_remainder(family, t, eps, spec, snap, u_app)
     rhs = eps**2 * z2.values + eps * spec.coupling * rem.values
 
     residual = Field._adopt(g, lhs - rhs)

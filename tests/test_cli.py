@@ -141,6 +141,18 @@ class TestSimulate:
         code = main(["simulate", "--config", str(tmp_path / "nope.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--threads"), ("validate", "--threads"),
+         ("simulate", "--seed"), ("sweep", "--seed")],
+    )
+    def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys, command, flag):
+        path = write_config(tmp_path, base_config(tmp_path, epsilons=[0.2]))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_reference_style_run(self, tmp_path):
@@ -173,6 +185,18 @@ class TestSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "threads" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_remainder_rule_checked_at_load(self, tmp_path, capsys):
+        # 256 points resolve the ansatz at eps = 0.25 but not the
+        # two-mode remainder (25.13 < 28)
+        doc = base_config(tmp_path, points=256, epsilons=[0.25, 0.2])
+        code = main(["sweep", "--config", write_config(tmp_path, doc)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "remainder rule" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -241,6 +265,24 @@ class TestValidate:
         )
         cfg = load_config(write_config(tmp_path, doc))
         assert cfg.family.nspec.n == 3
+
+    def test_single_mode_below_remainder_rule(self, tmp_path, capsys):
+        # a single mode has no remainder, so the sweep runs; the ansatz
+        # identity of validate needs the remainder rule (12.57 < 14.52)
+        doc = base_config(
+            tmp_path, dimension=3, points=64, box_length=16.0, epsilons=[0.5],
+            final_time=0.05, sample_times=[0.05],
+            modes=[{"kappa": [0.1, 0.0, 0.0],
+                    "profile": {"type": "gaussian", "amplitude": 1.0,
+                                "center": [0.0, 0.0, 0.0], "width": 0.85}}],
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path]) == 0
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "remainder rule" in err
+        assert "Traceback" not in err
 
 
 class TestRuntimeErrors:
