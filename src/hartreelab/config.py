@@ -1,6 +1,6 @@
 """JSON run configurations: schema validation with rule-naming errors.
 
-Schema (all keys required unless marked optional):
+Schema (all keys required unless marked optional, every number finite):
 
     {
       "dimension": int,                  1, 2 or 3
@@ -30,6 +30,7 @@ with the violated rule named in the message.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .grid import GaussianProfile, Grid, TableProfile
@@ -63,13 +64,15 @@ def _need(doc: dict, key: str):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number: NaN, Infinity and ints past the float range fail."""
+    numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return numeric and abs(v) <= sys.float_info.max
 
 
 def _number(doc: dict, key: str) -> float:
     v = _need(doc, key)
     if not _is_number(v):
-        raise ConfigError(f"'{key}' must be a number, got {type(v).__name__}")
+        raise ConfigError(f"'{key}' must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -78,7 +81,7 @@ def _number_list(doc: dict, key: str) -> tuple:
     if not isinstance(v, list) or not v:
         raise ConfigError(f"'{key}' must be a nonempty list")
     if not all(_is_number(x) for x in v):
-        raise ConfigError(f"'{key}' entries must be numbers")
+        raise ConfigError(f"'{key}' entries must be finite numbers")
     return tuple(float(x) for x in v)
 
 
@@ -93,7 +96,7 @@ def _vector(obj, key: str, d: int) -> list:
     v = obj.get(key)
     if not isinstance(v, list) or len(v) != d or not all(_is_number(c) for c in v):
         raise ConfigError(
-            f"'{key}' must be a list of {d} numbers matching the dimension"
+            f"'{key}' must be a list of {d} finite numbers matching the dimension"
         )
     return [float(c) for c in v]
 
@@ -123,8 +126,8 @@ def _parse_profile(entry: dict, d: int):
         )
     if kind == "table":
         values = profile.get("values")
-        if not isinstance(values, list):
-            raise ConfigError("table profile needs a 'values' list")
+        if not isinstance(values, list) or not all(_is_number(x) for x in values):
+            raise ConfigError("table profile needs a 'values' list of finite numbers")
         return TableProfile(values=values)
     raise ConfigError(f"unknown profile type {kind!r}")
 

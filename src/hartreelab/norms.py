@@ -60,8 +60,6 @@ class NormReport:
     l2: float
     wiener: float
     l2w: float
-    y: float = None
-    e: float = None
 
     def __post_init__(self):
         if any(v < 0 for v in (self.l2, self.wiener, self.l2w)):

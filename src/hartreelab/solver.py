@@ -173,7 +173,7 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
         raw = scipy.fft.fftn(state, overwrite_x=True)
         # |kin_half| = 1, so these are the norms after the half-step
         l2, wiener = _norms_from_raw_fft(raw, grid)
-        if l2 + wiener > 4.0 * norm0:
+        if not l2 + wiener <= 4.0 * norm0:  # a NaN norm trips the guard too
             raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
         raw *= kin_full if step < n_steps - 1 else kin_half
     return raw, l2

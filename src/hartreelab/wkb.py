@@ -40,14 +40,16 @@ plugging the ansatz into the equation leaves exactly
     r  = -(K * B) u_app,   B = sum_{k != l} a_k conj(a_l)
                                 exp(i (phi_k - phi_l) / eps),
 
-which `z2_term`, `resonant_remainder` and `ansatz_residual` expose.
+which `z2_term`, `resonant_remainder` and `ansatz_residual` expose.  The
+cross density B is what the averaged density rho = sum_j |a_j|^2 leaves
+of |u_app|^2, so B = |u_app|^2 - sum_j |a_j|^2.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 
@@ -89,8 +91,8 @@ class Mode:
     kappa: np.ndarray
     alpha: Field
     profile: object = None
-    support_radius: float = None
-    bandwidth: float = None
+    support_radius: float = field(init=False)
+    bandwidth: float = field(init=False)
 
     def __post_init__(self):
         kappa = np.asarray(self.kappa, dtype=float).reshape(-1).copy()
@@ -101,19 +103,15 @@ class Mode:
             raise ValueError(
                 f"kappa has {kappa.shape[0]} components but the grid is {grid.d}D"
             )
-        if self.support_radius is None:
-            if isinstance(self.profile, GaussianProfile):
-                center = max(abs(c) for c in self.profile.center)
-                radius = center + self.profile.support_radius()
-            else:
-                radius = profile_support_radius(grid, self.alpha, DECAY_THRESHOLD)
-            object.__setattr__(self, "support_radius", float(radius))
-        if self.bandwidth is None:
-            if isinstance(self.profile, GaussianProfile):
-                bw = self.profile.bandwidth()
-            else:
-                bw = profile_bandwidth(grid, self.alpha, DECAY_THRESHOLD)
-            object.__setattr__(self, "bandwidth", float(bw))
+        if isinstance(self.profile, GaussianProfile):
+            center = max(abs(c) for c in self.profile.center)
+            radius = center + self.profile.support_radius()
+            bw = self.profile.bandwidth()
+        else:
+            radius = profile_support_radius(grid, self.alpha, DECAY_THRESHOLD)
+            bw = profile_bandwidth(grid, self.alpha, DECAY_THRESHOLD)
+        object.__setattr__(self, "support_radius", float(radius))
+        object.__setattr__(self, "bandwidth", float(bw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +126,7 @@ class ModeFamily:
     grid: Grid
     modes: tuple
     nspec: YNormSpec
-    delta: float = None
+    delta: float = field(init=False)
 
     def __post_init__(self):
         if not self.modes:
@@ -423,10 +421,9 @@ def resonant_remainder(
     """Cross-mode term r = -(K * B) u_app, zero for a single mode, reusing
     a record's snapshot and u_app when given.
 
-    The cross phase exp(i (phi_k - phi_l) / eps) is the plane wave
-    exp(i (kappa_k - kappa_l) . x / eps) times a constant phase.  The
-    (l, k) term is the conjugate of the (k, l) term, so B is real and
-    each unordered pair contributes twice its real part.
+    The diagonal terms of |u_app|^2 are the averaged density
+    sum_j |a_j|^2, so the cross density is read off the assembled field:
+    B = |u_app|^2 - sum_j |a_j|^2.
     """
     g = family.grid
     if len(family.modes) == 1:
@@ -434,20 +431,12 @@ def resonant_remainder(
     check_resolution(family, eps, for_remainder=True)
     if snap is None:
         snap = snapshot(family, t, spec)
-
-    cross = np.zeros(g.shape)
-    pairs = combinations(zip(family.modes, snap.amplitudes), 2)
-    for (mode_k, amp_k), (mode_l, amp_l) in pairs:
-        kap_k, kap_l = mode_k.kappa, mode_l.kappa
-        offset = -0.5 * t * (float(kap_k @ kap_k) - float(kap_l @ kap_l)) / eps
-        term = np.conj(amp_l.values)
-        term *= amp_k.values
-        term *= plane_wave(g.coords(), kap_k - kap_l, 1.0 / eps, offset)
-        cross += term.real
-    cross *= 2.0
-
     if u_app is None:
         u_app = assemble(family, t, eps, spec, snap=snap)
+
+    cross = np.abs(u_app.values) ** 2
+    for amp in snap.amplitudes:
+        cross -= np.abs(amp.values) ** 2
     conv = _convolve_real(_half_multiplier(spec, g), cross)
     return Field._adopt(g, -conv * u_app.values)
 

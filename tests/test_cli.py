@@ -284,6 +284,43 @@ class TestValidate:
         assert "remainder rule" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "validate", "simulate"])
+    @pytest.mark.parametrize(
+        "path, bad",
+        [(("lambda",), float("nan")), (("final_time",), float("nan")),
+         (("box_length",), float("inf")), (("lambda",), 10**400),
+         (("modes", 0, "profile"), {"type": "table", "values": [{}]})],
+        ids=["lambda_nan", "final_time_nan", "box_length_inf", "lambda_past_float",
+             "table_entry_dict"],
+    )
+    def test_non_finite_or_non_numeric_value_exits_2(
+        self, tmp_path, capsys, command, path, bad
+    ):
+        # json reads NaN and Infinity; the schema accepts finite numbers only
+        doc = base_config(tmp_path, epsilons=[0.2])
+        *parents, key = path
+        holder = doc
+        for p in parents:
+            holder = holder[p]
+        holder[key] = bad
+        code = main([command, "--config", write_config(tmp_path, doc)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input
+    def test_nan_state_trips_the_divergence_guard(self, tmp_path, capsys):
+        # lambda = 1e306 overflows the first potential: the state turns NaN
+        doc = base_config(tmp_path, **{"lambda": 1e306})
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "eps=0.2 failed" in out and "eps=0.1 failed" in out
+        assert main(["validate", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: ")
+
 
 class TestRuntimeErrors:
     @pytest.mark.parametrize(
@@ -313,7 +350,7 @@ class TestRuntimeErrors:
 
 
 MISSING = object()
-BAD_VALUES = ({}, True, 0, -1, "abc", [], MISSING)
+BAD_VALUES = ({}, True, 0, -1, "abc", [], float("nan"), float("inf"), MISSING)
 FUZZ_KEYS = (
     ("dimension",), ("gamma",), ("lambda",), ("box_length",), ("points",),
     ("modes",), ("epsilons",), ("final_time",), ("sample_times",),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from hartreelab import (
     DivergenceError,
@@ -18,7 +19,9 @@ from hartreelab import (
     wiener_norm,
     zero_mode_value,
 )
-from hartreelab.kernel import multiplier_grid
+from hartreelab.kernel import _half_multiplier, multiplier_grid
+from hartreelab.norms import _norms_from_raw_fft
+from hartreelab.solver import advance
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -291,6 +294,18 @@ class TestEvolve:
         with pytest.raises(DivergenceError) as err:
             evolve(u0, spec, params, [4.0])
         assert err.value.time > 0
+
+    def test_divergence_guard_trips_on_nan(self, kernel1d, gaussian_field):
+        # NaN > 4 norm0 is False, so the guard must test for staying inside
+        g = gaussian_field.grid
+        raw = scipy.fft.fftn(gaussian_field.values)
+        norm0 = sum(_norms_from_raw_fft(raw, g))
+        raw[3] = np.nan
+        params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
+        khat_half = _half_multiplier(kernel1d, g, kernel1d.coupling)
+        with pytest.raises(DivergenceError) as err:
+            advance(raw, g, khat_half, params, 0.0, 0.5, norm0)
+        assert err.value.time == pytest.approx(0.05)
 
     def test_matches_six_fft_reference_2d(self):
         # two sample intervals with different step lengths, 101 steps

@@ -28,6 +28,7 @@ from hartreelab import (
     transport_residual,
     z2_term,
 )
+from hartreelab import wkb
 from hartreelab.grid import plane_wave
 from hartreelab.kernel import multiplier_grid
 from hartreelab.wkb import _mode_carrier
@@ -454,3 +455,21 @@ def test_remainder_matches_full_grid_double_sum(make, t, eps):
     got = resonant_remainder(family, t, eps, spec, snap=snap).values
     ref = full_grid_remainder(family, t, eps, spec, snap)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_remainder_reads_cross_density_off_u_app(monkeypatch):
+    # B = |u_app|^2 - sum_j |a_j|^2 needs no cross plane wave per mode pair
+    family = four_mode_family(128)
+    spec = family_kernel(family)
+    t, eps = 0.5, 0.5
+    snap = snapshot(family, t, spec)
+    u_app = assemble(family, t, eps, spec, snap=snap)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plane_wave(*args, **kwargs)
+
+    monkeypatch.setattr(wkb, "plane_wave", counted)
+    resonant_remainder(family, t, eps, spec, snap, u_app)
+    assert calls == []
