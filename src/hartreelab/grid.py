@@ -28,6 +28,7 @@ import numpy as np
 import scipy.fft
 
 MAX_TOTAL_POINTS = 2**26  # memory guard on N**d
+BLOCK_BYTES = 2**20  # byte budget of one stack of complex fields
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,6 +82,11 @@ class Grid:
     @property
     def total_points(self) -> int:
         return self.points**self.d
+
+    @property
+    def block_rows(self) -> int:
+        """Complex fields per stack within BLOCK_BYTES; one from 256**2 up."""
+        return max(1, BLOCK_BYTES // (16 * self.total_points))
 
     @property
     def max_frequency(self) -> float:

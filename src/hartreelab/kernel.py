@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy import integrate
 
 from .grid import Field, Grid, TWO_PI
 
@@ -71,6 +70,7 @@ def hartree_constant_oracle(d: int, gamma: float) -> float:
     r = 1 to keep the infinite tail separate from the endpoint.
     """
     _check_exponent(d, gamma)
+    from scipy import integrate  # its import pulls in scipy.optimize and linalg
 
     def radial(s: float) -> float:
         f = lambda r: r ** (s - 1) * math.exp(-r * r / 2)
@@ -173,10 +173,11 @@ def _half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.nda
 
 
 def _convolve_real(khat_half: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """K * rho for a real density array: one real transform pair on the half
-    spectrum, khat_half from `_half_multiplier` carrying the scale."""
-    rho_hat = scipy.fft.rfftn(rho) * khat_half
-    return scipy.fft.irfftn(rho_hat, s=rho.shape, overwrite_x=True)
+    """K * rho for a real density array or a stack of them: one real transform
+    pair over the axes of khat_half (`_half_multiplier`, scale included)."""
+    axes = tuple(range(-khat_half.ndim, 0))
+    rho_hat = scipy.fft.rfftn(rho, axes=axes) * khat_half
+    return scipy.fft.irfftn(rho_hat, s=rho.shape[axes[0]:], axes=axes, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,7 @@ def _singular_cell_mass(d: int, gamma: float, dx: float) -> float:
         return 2 * (dx / 2) ** (1 - gamma) / (1 - gamma)
     if d == 2:
         # polar reduction over the square of half-width a: eight wedges
+        from scipy import integrate
         a = dx / 2
         f = lambda th: (a / math.cos(th)) ** (2 - gamma)
         val, _ = integrate.quad(f, 0.0, math.pi / 4, epsabs=1e-12, epsrel=1e-12)

@@ -11,7 +11,8 @@ which is the quantity the two-space estimates actually manipulate.
 Two inequality checkers make the function-space estimates testable:
 the pointwise-product bound on Wiener norms (with anti-aliasing
 preconditions so the discrete product is exact) and the convolution
-bound assembled from the kernel split.
+bound assembled from the kernel split.  Both check stacks with a leading
+batch axis row by row; the `Field` checkers pass one-row stacks.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def l1_norm(f: Field) -> float:
 def wiener_norm(f: Field) -> float:
     """dxi^d sum |fhat|; the phase factors have modulus one, so the raw
     FFT moduli suffice."""
-    return _wiener_from_modulus(np.abs(scipy.fft.fftn(f.values)), f.grid)
+    return float(_wiener_from_modulus(np.abs(scipy.fft.fftn(f.values)), f.grid))
 
 
 def l2w_norm(f: Field) -> float:
@@ -103,10 +104,11 @@ def multi_indices(d: int, max_order: int) -> list:
     return [eta for eta in etas if sum(eta) <= max_order]
 
 
-def _wiener_from_modulus(mag: np.ndarray, grid) -> float:
-    """Wiener norm of the physical field whose raw FFT has modulus `mag`."""
+def _wiener_from_modulus(mag: np.ndarray, grid):
+    """Wiener norm of each field (row of a stack) whose raw FFT has modulus `mag`."""
     d = grid.d
-    return grid.dxi**d * TWO_PI ** (-d / 2) * grid.dx**d * float(np.sum(mag))
+    total = np.sum(mag, axis=tuple(range(-d, 0)))
+    return grid.dxi**d * TWO_PI ** (-d / 2) * grid.dx**d * total
 
 
 def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:
@@ -114,7 +116,7 @@ def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:
     is given; the L2 norm comes from Parseval."""
     mag = np.abs(raw)
     l2 = math.sqrt(grid.dx**grid.d * np.sum(mag**2) / grid.total_points)
-    return l2, _wiener_from_modulus(mag, grid)
+    return l2, float(_wiener_from_modulus(mag, grid))
 
 
 def y_norm(f: Field, spec: YNormSpec) -> float:
@@ -152,49 +154,56 @@ class BoundReport:
     holds: bool
 
 
-def _tail_fraction(mag: np.ndarray, grid, cutoff_index: int) -> float:
-    """Fraction of the spectral L1 mass |raw| = mag carried by |k| > cutoff
-    on some axis."""
-    total = mag.sum()
-    if total == 0:
-        return 0.0
-    return float(mag[~grid.band_mask(cutoff_index)].sum() / total)
+def _reports(lhs, rhs, slack: float) -> list:
+    return [BoundReport(lhs=float(a), rhs=float(b), holds=bool(a <= b * (1 + slack)))
+            for a, b in zip(lhs, rhs)]
 
 
 def check_algebra_bound(f: Field, g: Field, slack: float = 1e-10) -> BoundReport:
-    """||f g||_W <= ||f||_W ||g||_W on alias-free pairs.
+    """||f g||_W <= ||f||_W ||g||_W: `_algebra_bounds` of a one-pair stack."""
+    f._check_same_grid(g)
+    return _algebra_bounds(np.stack((f.values, g.values))[None], f.grid, slack)[0]
+
+
+def _algebra_bounds(pairs: np.ndarray, grid, slack: float = 1e-10) -> list:
+    """Algebra bound per row of a stack of factor pairs (rows, 2, *shape).
 
     Both factors must be band-limited to half the lattice so the sampled
     pointwise product carries no aliased content; pairs violating that
-    are rejected rather than silently measured.  Three transforms: one
-    per factor, whose modulus serves both its tail check and its Wiener
-    norm, and one for the product.
+    are rejected rather than silently measured.  Two stacked transforms:
+    the factors', whose moduli give the tail masses and Wiener norms,
+    and the products'.
     """
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    grid = f.grid
     cutoff = grid.points // 4 - 1
-    rhs = 1.0
-    for name, h in (("first", f), ("second", g)):
-        mag = np.abs(scipy.fft.fftn(h.values))
-        if _tail_fraction(mag, grid, cutoff) > 1e-12:
+    axes = tuple(range(-grid.d, 0))
+    mag = np.abs(scipy.fft.fftn(pairs, axes=axes))
+    w = _wiener_from_modulus(mag, grid)
+    tails = _wiener_from_modulus(mag * ~grid.band_mask(cutoff), grid)
+    for col, name in enumerate(("first", "second")):
+        if np.any(tails[:, col] > 1e-12 * w[:, col]):
             raise ValueError(
                 f"{name} factor has spectral mass above the anti-aliasing "
                 f"cutoff |k| <= {cutoff}; the discrete product would alias"
             )
-        rhs *= _wiener_from_modulus(mag, grid)
-    product = scipy.fft.fftn(f.values * g.values, overwrite_x=True)
+    product = scipy.fft.fftn(pairs[:, 0] * pairs[:, 1], axes=axes, overwrite_x=True)
     lhs = _wiener_from_modulus(np.abs(product), grid)
-    return BoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + slack))
+    return _reports(lhs, w[:, 0] * w[:, 1], slack)
 
 
 def check_hartree_bound(spec: KernelSpec, h: Field, slack: float = 1e-6) -> BoundReport:
-    """||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W, from one
+    """||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W:
+    `_hartree_bounds` of a one-row stack."""
+    return _hartree_bounds(spec, h.values[None], h.grid, slack)[0]
+
+
+def _hartree_bounds(spec: KernelSpec, h: np.ndarray, grid, slack: float = 1e-6) -> list:
+    """Hartree bound per row of a stack of densities, from one stacked
     transform: K * h has the raw spectrum (2pi)^{d/2} Khat hhat."""
     k1_l1, k2_sup = split_norms(spec)
-    grid = h.grid
-    mag = np.abs(scipy.fft.fftn(h.values))
+    axes = tuple(range(-grid.d, 0))
+    mag = np.abs(scipy.fft.fftn(h, axes=axes))
     conv_mag = TWO_PI ** (grid.d / 2) * np.abs(multiplier_grid(spec, grid)) * mag
     lhs = _wiener_from_modulus(conv_mag, grid)
-    rhs = k1_l1 * l1_norm(h) + k2_sup * _wiener_from_modulus(mag, grid)
-    return BoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + slack))
+    l1 = grid.dx**grid.d * np.sum(np.abs(h), axis=axes)
+    rhs = k1_l1 * l1 + k2_sup * _wiener_from_modulus(mag, grid)
+    return _reports(lhs, rhs, slack)

@@ -29,10 +29,11 @@ of the one-node multiplier, the trapezoidal Duhamel recursion
     I_i = (I_{i-1} + h/2 q_{i-1}) U(h) + h/2 q_i
 
 runs on the spectra q of the source (K * |u|^2) u, and the increment
-norms come from the spectra by Parseval.  A node costs four FFTs per
-iteration (complex inverse to the state, the real pair for the
-potential, complex forward of the source) and only one list of node
-spectra stays alive.
+norms come from the spectra by Parseval.  The node spectra live in one
+(nodes + 1, *shape) array; each block of `Grid.block_rows` nodes takes
+the sources of the previous iterate from four stacked FFTs (complex
+inverse, the real pair for the potentials, complex forward), then the
+recursion walks its nodes in order.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, time: float, ratio: float):
         self.time = time
         self.ratio = ratio
+        growth = (f"grew to {ratio:.3g}x its initial value" if math.isfinite(ratio)
+                  else "became non-finite")
         super().__init__(
-            f"combined norm grew to {ratio:.3g}x its initial value at t = {time:.6g}; "
-            "the run left the stability ball"
+            f"combined norm {growth} at t = {time:.6g}; the run left the stability ball"
         )
 
 
@@ -164,18 +166,19 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     kin_full = kin_half**2
     phase = np.empty(grid.shape, dtype=np.complex128)
     raw *= kin_half
-    for step in range(n_steps):
-        state = scipy.fft.ifftn(raw, overwrite_x=True)
-        angle = -dt * _convolve_real(khat_half, state.real**2 + state.imag**2)
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
-        state *= phase
-        raw = scipy.fft.fftn(state, overwrite_x=True)
-        # |kin_half| = 1, so these are the norms after the half-step
-        l2, wiener = _norms_from_raw_fft(raw, grid)
-        if not l2 + wiener <= 4.0 * norm0:  # a NaN norm trips the guard too
-            raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
-        raw *= kin_full if step < n_steps - 1 else kin_half
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a NaN
+        for step in range(n_steps):
+            state = scipy.fft.ifftn(raw, overwrite_x=True)
+            angle = -dt * _convolve_real(khat_half, state.real**2 + state.imag**2)
+            np.cos(angle, out=phase.real)
+            np.sin(angle, out=phase.imag)
+            state *= phase
+            raw = scipy.fft.fftn(state, overwrite_x=True)
+            # |kin_half| = 1, so these are the norms after the half-step
+            l2, wiener = _norms_from_raw_fft(raw, grid)
+            if not l2 + wiener <= 4.0 * norm0:  # a NaN norm trips the guard too
+                raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
+            raw *= kin_full if step < n_steps - 1 else kin_half
     return raw, l2
 
 
@@ -235,39 +238,38 @@ def picard_evolve(
 
     khat_half = _half_multiplier(spec, g, spec.coupling)
     u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
-    nonlinear = spec.coupling != 0.0
+    axes = tuple(range(1, g.d + 1))
 
-    def source(raw):
-        """Raw spectrum of (K * |u|^2) u, u the state with raw spectrum raw."""
-        state = scipy.fft.ifftn(raw)
+    def sources(raw):
+        """Raw spectra of (K * |u|^2) u, u the states of a stack of raw spectra."""
+        state = scipy.fft.ifftn(raw, axes=axes)
         state *= _convolve_real(khat_half, state.real**2 + state.imag**2)
-        return scipy.fft.fftn(state, overwrite_x=True)
+        return scipy.fft.fftn(state, axes=axes, overwrite_x=True)
 
     # raw spectra of the node states, seeded by the free flow; node 0 is
-    # the data and never changes, so neither does its source term
-    raw0 = scipy.fft.fftn(u0.values)
-    current = [raw0]
-    for _ in range(nodes):
-        current.append(current[-1] * u_half)
-    q0 = source(raw0) if nonlinear else None
+    # the data and never changes, so neither does I_0 + h/2 q_0
+    current = np.empty((nodes + 1, *g.shape), dtype=np.complex128)
+    current[0] = scipy.fft.fftn(u0.values)
+    for i in range(nodes):
+        np.multiply(current[i], u_half, out=current[i + 1])
+    carry0 = (h / 2) * sources(current[:1])[0]
     prev_inc = None
     growth_streak = 0
 
     for iteration in range(1, max_iter + 1):
-        free = raw0
-        integral = np.zeros(g.shape, dtype=np.complex128)
-        q_prev = q0
+        free, carry = current[0], carry0
         inc = 0.0
-        for i in range(1, nodes + 1):
-            free = free * u_half
-            if nonlinear:
-                # the source of the previous iterate, read before node i moves
-                q_i = source(current[i])
-                integral = (integral + (h / 2) * q_prev) * u_half + (h / 2) * q_i
-                q_prev = q_i
-            new = free - 1j * integral
-            inc = max(inc, sum(_norms_from_raw_fft(new - current[i], g)))
-            current[i] = new
+        for start in range(1, nodes + 1, g.block_rows):
+            block = current[start:start + g.block_rows]
+            q = sources(block)  # of the previous iterate, read before the block moves
+            for node, q_i in zip(block, q):
+                free = free * u_half
+                integral = carry * u_half + (h / 2) * q_i
+                carry = integral + (h / 2) * q_i
+                new = free - 1j * integral
+                inc = max(inc, sum(_norms_from_raw_fft(new - node, g)))
+                node[...] = new
+            del q, q_i  # freed before the next block's sources are built
         if inc < tol:
             return Field._adopt(g, scipy.fft.ifftn(current[-1]))
         if prev_inc is not None and inc > prev_inc:

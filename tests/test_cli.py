@@ -310,16 +310,20 @@ class TestValidate:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input
     def test_nan_state_trips_the_divergence_guard(self, tmp_path, capsys):
-        # lambda = 1e306 overflows the first potential: the state turns NaN
+        # lambda = 1e306 overflows the first potential: the state turns NaN,
+        # quietly, and the guard reports it in the step where it happens
         doc = base_config(tmp_path, **{"lambda": 1e306})
         path = write_config(tmp_path, doc)
         assert main(["sweep", "--config", path]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "eps=0.2 failed" in out and "eps=0.1 failed" in out
+        assert "became non-finite" in out and "nanx" not in out
+        assert "RuntimeWarning" not in err
         assert main(["validate", "--config", path]) == 3
-        assert capsys.readouterr().err.startswith("runtime error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: combined norm became non-finite")
+        assert "RuntimeWarning" not in err
 
 
 class TestRuntimeErrors:
@@ -372,29 +376,52 @@ def fuzz_base_config(out_dir):
     return doc
 
 
+def break_and_run(command, path, bad):
+    """Exit code and stderr of `command` on the fuzz config with one key broken."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        doc = fuzz_base_config(tmp)
+        if command == "simulate":
+            doc["epsilons"] = doc["epsilons"][:1]
+        *parents, key = path
+        holder = doc
+        for p in parents:
+            holder = holder[p]
+        if bad is MISSING:
+            del holder[key]
+        else:
+            holder[key] = bad
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a bare string "output" lands in the temporary dir
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, "--config", write_config(tmp, doc)])
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue()
+
+
 class TestExitCodeFuzz:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(path=st.sampled_from(FUZZ_KEYS), bad=st.sampled_from(BAD_VALUES))
     def test_broken_key_maps_to_exit_code(self, path, bad):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            doc = fuzz_base_config(tmp)
-            *parents, key = path
-            holder = doc
-            for p in parents:
-                holder = holder[p]
-            if bad is MISSING:
-                del holder[key]
-            else:
-                holder[key] = bad
-            err = io.StringIO()
-            cwd = os.getcwd()
-            os.chdir(tmp)  # a bare string "output" lands in the temporary dir
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(err):
-                    code = main(["sweep", "--config", write_config(tmp, doc)])
-            finally:
-                os.chdir(cwd)
+        code, err = break_and_run("sweep", path, bad)
         assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(path=st.sampled_from(FUZZ_KEYS), bad=st.sampled_from(BAD_VALUES))
+    def test_broken_key_maps_to_exit_code_simulate(self, path, bad):
+        code, err = break_and_run("simulate", path, bad)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+    # a config that loads runs the whole suite, 0.35 s on a 2-vCPU host
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(path=st.sampled_from(FUZZ_KEYS), bad=st.sampled_from(BAD_VALUES))
+    def test_broken_key_maps_to_exit_code_validate(self, path, bad):
+        code, err = break_and_run("validate", path, bad)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

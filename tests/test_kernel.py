@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import hartreelab
 from hartreelab import (
     Field,
     Grid,
@@ -221,3 +226,19 @@ class TestZeroMode:
         out = convolve(kernel1d, ones).values.real
         expected = (2 * np.pi) ** 0.5 * zero_mode_value(kernel1d, grid1d)
         assert np.max(np.abs(out - expected)) < 1e-10 * abs(expected)
+
+
+def test_import_and_load_leave_scipy_integrate_unloaded():
+    # scipy.integrate pulls in scipy.optimize, sparse and linalg; only the
+    # quadrature oracles need it, so they import it when they run
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(hartreelab.__file__).resolve().parents[1])
+    script = (
+        "import sys, hartreelab\n"
+        f"hartreelab.load_config({str(root / 'configs' / 'reference_2d.json')!r})\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, cwd=root)
+    assert out.stdout.strip() == "False"

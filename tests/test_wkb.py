@@ -186,6 +186,14 @@ class TestSnapshot:
         residuals = transport_residual(two_mode_family, 0.5, kernel, h=1e-4)
         assert max(residuals) < 1e-6
 
+    def test_transport_residual_is_fourth_order(self, two_mode_family, kernel):
+        # the extrapolated stencil leaves the h^2 term of the centered one
+        # (7e-7 on this family) behind: truncation falls 16x per halving
+        coarse = max(transport_residual(two_mode_family, 0.5, kernel, h=4e-2))
+        fine = max(transport_residual(two_mode_family, 0.5, kernel, h=2e-2))
+        assert 12 < coarse / fine < 20
+        assert max(transport_residual(two_mode_family, 0.5, kernel)) < 1e-9
+
     def test_norm_stability_at_zero_coupling(self, two_mode_family):
         free = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         base = sum(
