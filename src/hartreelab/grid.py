@@ -134,6 +134,15 @@ class Grid:
         s = np.where(self._axis_indices() % 2 == 0, 1.0, -1.0)
         return reduce(np.multiply, self._on_axes(s))
 
+    def band_box(self, cutoff_index: int) -> tuple:
+        """`np.ix_` index of the box |k| <= cutoff_index on every axis.
+
+        Per axis it lists the FFT-order positions of k = 0..c, then -c..-1,
+        so `values[grid.band_box(c)]` is the band's (2c+1)**d block.
+        Memoized per (grid, cutoff), read-only.
+        """
+        return _band_box(self, cutoff_index)
+
     def band_mask(self, cutoff_index: int) -> np.ndarray:
         """True where |k| <= cutoff_index on every axis, FFT order.
 
@@ -143,9 +152,18 @@ class Grid:
 
 
 @functools.lru_cache(maxsize=8)
+def _band_box(grid: Grid, cutoff_index: int) -> tuple:
+    inside = np.flatnonzero(np.abs(grid._axis_indices()) <= cutoff_index)
+    box = np.ix_(*(inside,) * grid.d)
+    for ix in box:
+        ix.setflags(write=False)
+    return box
+
+
+@functools.lru_cache(maxsize=8)
 def _band_mask(grid: Grid, cutoff_index: int) -> np.ndarray:
-    inside = np.abs(grid._axis_indices()) <= cutoff_index
-    mask = reduce(np.logical_and, grid._on_axes(inside))
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[grid.band_box(cutoff_index)] = True
     mask.setflags(write=False)
     return mask
 

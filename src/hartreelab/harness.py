@@ -15,7 +15,8 @@ the snapshot is dropped before the next advance.  `--threads N` maps
 each time's per-eps advances and records over N threads.
 
 The validation campaigns draw and check their fields in stacks of
-`Grid.block_rows`, from the random stream a field-by-field loop reads.
+`Grid.block_rows`.  Each field draws only the coefficients inside its
+band, so a stack reads the random stream a field-by-field loop reads.
 
 Artifacts: a CSV of per-(eps, t) records, a JSON summary embedding the
 full configuration, and a standalone SVG log-log plot with one data
@@ -135,6 +136,8 @@ class SweepConfig:
             raise ValueError(f"dt_factor must lie in (0, {MAX_DT_FACTOR}]")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.family.grid != self.grid:
             raise ValueError("mode family grid differs from the sweep grid")
         if self.kernel.d != self.grid.d:
@@ -384,12 +387,18 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
 
 def _random_band_limited(grid: Grid, rng, cutoff: int, *lead) -> np.ndarray:
     """Stack (*lead, *grid.shape) of random fields with spectra inside
-    |k| <= cutoff and peak modulus one; each draws its real parts, then
-    its imaginary parts, as a loop of one-field draws does."""
-    re, im = np.moveaxis(rng.standard_normal((*lead, 2, *grid.shape)), len(lead), 0)
-    coef = np.empty(re.shape, dtype=np.complex128)
-    coef.real, coef.imag = re, im
-    coef *= grid.band_mask(cutoff)
+    |k| <= cutoff and peak modulus one.
+
+    Only the band is drawn: iid N(0, 1) real and imaginary parts,
+    interleaved (re, im) per coefficient, the coefficients in C order
+    over `grid.band_box(cutoff)` (k = 0..c, then -c..-1 per axis) and one
+    field after the other, so a stack reads the stream as a loop of
+    one-field draws does.  Every other coefficient is an exact zero.
+    """
+    box = grid.band_box(cutoff)
+    band = rng.standard_normal((*lead, *(ix.size for ix in box), 2))
+    coef = np.zeros((*lead, *grid.shape), dtype=np.complex128)
+    coef[(..., *box)] = band.view(np.complex128)[..., 0]
     axes = tuple(range(-grid.d, 0))
     vals = scipy.fft.ifftn(coef, axes=axes, overwrite_x=True)
     peak = np.max(np.abs(vals), axis=axes, keepdims=True)

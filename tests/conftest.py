@@ -31,6 +31,21 @@ def lattice_wavenumber(grid, index):
     return 2 * np.pi * index / grid.length
 
 
+def in_band_coefficients(grid, rng, cutoff):
+    """Spectrum of one random field drawn inside its band |k| <= cutoff only:
+    interleaved (re, im) N(0, 1) pairs in C order over the FFT-order
+    positions of k = 0..c, then -c..-1 on each axis; exact zeros elsewhere."""
+    n = grid.points
+    assert 2 * cutoff + 1 <= n
+    inside = np.r_[0:cutoff + 1, n - cutoff:n]
+    draws = rng.standard_normal((inside.size,) * grid.d + (2,))
+    band = np.empty(draws.shape[:-1], dtype=np.complex128)
+    band.real, band.imag = draws[..., 0], draws[..., 1]
+    coef = np.zeros(grid.shape, dtype=np.complex128)
+    coef[np.ix_(*(inside,) * grid.d)] = band
+    return coef
+
+
 def plane_wave(grid, k0):
     phase = np.zeros(grid.shape)
     k0 = np.atleast_1d(np.asarray(k0, dtype=float))

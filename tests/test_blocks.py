@@ -23,16 +23,14 @@ from hartreelab.harness import _algebra_campaign, _density_envelope, _hartree_ca
 from hartreelab.kernel import _convolve_real, _half_multiplier, multiplier_grid, split_norms
 from hartreelab.norms import _norms_from_raw_fft
 
+from conftest import in_band_coefficients
+
 TWO_PI = 2.0 * np.pi
 
 
 def one_field(grid, rng, cutoff):
     """One band-limited field, drawn the way a field-by-field loop draws it."""
-    coef = np.empty(grid.shape, dtype=np.complex128)
-    coef.real = rng.standard_normal(grid.shape)
-    coef.imag = rng.standard_normal(grid.shape)
-    coef *= grid.band_mask(cutoff)
-    vals = scipy.fft.ifftn(coef)
+    vals = scipy.fft.ifftn(in_band_coefficients(grid, rng, cutoff))
     peak = np.max(np.abs(vals))
     return vals / peak if peak > 0 else vals
 

@@ -5,6 +5,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,6 +222,14 @@ class TestSweep:
 
 
 class TestValidate:
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path))
+        code = main(["validate", "--config", path, "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed" in err
+        assert "Traceback" not in err
+
     def test_default_config_passes(self, tmp_path, capsys):
         code = main(
             ["validate", "--config", write_config(tmp_path, base_config(tmp_path))]
@@ -376,21 +385,43 @@ def fuzz_base_config(out_dir):
     return doc
 
 
-def break_and_run(command, path, bad):
-    """Exit code and stderr of `command` on the fuzz config with one key broken."""
+def table_fuzz_base_config(out_dir):
+    """The fuzz config with each Gaussian profile given as its sample table."""
+    doc = fuzz_base_config(out_dir)
+    x = -doc["box_length"] / 2 + doc["box_length"] / doc["points"] * np.arange(doc["points"])
+    for mode in doc["modes"]:
+        mode["profile"] = {"type": "table", "values": np.exp(-x**2 / 2).tolist()}
+    return doc
+
+
+TABLE_FUZZ_KEYS = tuple(k for k in FUZZ_KEYS if len(k) < 4) + (
+    ("modes", 0, "profile", "type"), ("modes", 0, "profile", "values"),
+    ("modes", 0, "profile", "values", 0), ("modes", 1, "profile", "values", -1),
+)
+# two keys broken at once; neither lies inside the other
+KEY_PAIRS = tuple(
+    (a, b) for i, a in enumerate(FUZZ_KEYS) for b in FUZZ_KEYS[i + 1:]
+    if a != b[:len(a)]
+)
+
+
+def break_and_run(command, *breaks, base=fuzz_base_config):
+    """Exit code and stderr of `command` on the fuzz config with each
+    (path, bad value) of `breaks` applied in turn."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        doc = fuzz_base_config(tmp)
+        doc = base(tmp)
         if command == "simulate":
             doc["epsilons"] = doc["epsilons"][:1]
-        *parents, key = path
-        holder = doc
-        for p in parents:
-            holder = holder[p]
-        if bad is MISSING:
-            del holder[key]
-        else:
-            holder[key] = bad
+        for path, bad in breaks:
+            *parents, key = path
+            holder = doc
+            for p in parents:
+                holder = holder[p]
+            if bad is MISSING:
+                del holder[key]
+            else:
+                holder[key] = bad
         err = io.StringIO()
         cwd = os.getcwd()
         os.chdir(tmp)  # a bare string "output" lands in the temporary dir
@@ -407,14 +438,14 @@ class TestExitCodeFuzz:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(path=st.sampled_from(FUZZ_KEYS), bad=st.sampled_from(BAD_VALUES))
     def test_broken_key_maps_to_exit_code(self, path, bad):
-        code, err = break_and_run("sweep", path, bad)
+        code, err = break_and_run("sweep", (path, bad))
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(path=st.sampled_from(FUZZ_KEYS), bad=st.sampled_from(BAD_VALUES))
     def test_broken_key_maps_to_exit_code_simulate(self, path, bad):
-        code, err = break_and_run("simulate", path, bad)
+        code, err = break_and_run("simulate", (path, bad))
         assert code in (0, 2, 3)
         assert "Traceback" not in err
 
@@ -422,6 +453,21 @@ class TestExitCodeFuzz:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(path=st.sampled_from(FUZZ_KEYS), bad=st.sampled_from(BAD_VALUES))
     def test_broken_key_maps_to_exit_code_validate(self, path, bad):
-        code, err = break_and_run("validate", path, bad)
+        code, err = break_and_run("validate", (path, bad))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(path=st.sampled_from(TABLE_FUZZ_KEYS), bad=st.sampled_from(BAD_VALUES))
+    def test_broken_key_maps_to_exit_code_table_profile(self, path, bad):
+        code, err = break_and_run("sweep", (path, bad), base=table_fuzz_base_config)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pair=st.sampled_from(KEY_PAIRS), bad=st.sampled_from(BAD_VALUES),
+           bad2=st.sampled_from(BAD_VALUES))
+    def test_two_broken_keys_map_to_exit_code(self, pair, bad, bad2):
+        code, err = break_and_run("sweep", (pair[0], bad), (pair[1], bad2))
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err

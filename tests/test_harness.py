@@ -24,6 +24,8 @@ from hartreelab import grid as grid_module
 from hartreelab import harness, solver, wkb
 from hartreelab.harness import (
     SweepRecord,
+    _algebra_campaign,
+    _hartree_campaign,
     _random_band_limited,
     _random_smooth_density,
     _sweep_checks,
@@ -37,6 +39,8 @@ from hartreelab.wkb import (
     snapshot,
     z2_term,
 )
+
+from conftest import in_band_coefficients
 
 
 @pytest.fixture
@@ -502,28 +506,95 @@ class TestValidateSuite:
         assert not checks["kernel_constant"].passed
 
 
+FIELD_GRIDS = [Grid(d=1, length=32.0, points=256), Grid(d=2, length=8.0, points=32),
+               Grid(d=3, length=8.0, points=16)]
+FIELD_GRID_IDS = ["1d_256", "2d_32x32", "3d_16x16x16"]
+CAMPAIGN_CUTOFFS = {  # the band of each campaign's fields
+    "algebra": lambda grid: grid.points // 4 - 1,
+    "density": lambda grid: max(2, grid.points // 16),
+}
+
+
+def inverse_inputs(monkeypatch):
+    """List that keeps a copy of every array handed to scipy.fft.ifftn."""
+    seen = []
+    real_ifftn = scipy.fft.ifftn
+
+    def keep(x, *args, **kwargs):
+        seen.append(np.array(x))
+        return real_ifftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "ifftn", keep)
+    return seen
+
+
 class TestRandomFields:
     def test_band_limited_draw_unchanged(self, monkeypatch):
-        # one preallocated complex buffer, real part drawn first: the same
-        # coefficients, bit for bit, as the a + 1j*b draw
+        # the spectrum handed to the inverse transform is, bit for bit, an
+        # independent one-field draw of the band's coefficients only
         grid = Grid(d=2, length=8.0, points=32)
-        seen = []
-        real_ifftn = scipy.fft.ifftn
-
-        def keep(x, *args, **kwargs):
-            seen.append(np.array(x))
-            return real_ifftn(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, "ifftn", keep)
+        seen = inverse_inputs(monkeypatch)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = _random_band_limited(grid, rng, 7)
-        coef = ref_rng.standard_normal(grid.shape) + 1j * ref_rng.standard_normal(grid.shape)
-        coef *= grid.band_mask(7)
+        coef = in_band_coefficients(grid, ref_rng, 7)
         assert np.array_equal(seen[0].view(np.float64), coef.view(np.float64))
         vals = np.fft.ifftn(coef)
         assert np.max(np.abs(got - vals / np.max(np.abs(vals)))) < 1e-15
         # both consumed the same stretch of the stream
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGN_CUTOFFS))
+    @pytest.mark.parametrize("grid", FIELD_GRIDS, ids=FIELD_GRID_IDS)
+    def test_coefficients_are_an_in_band_draw(self, monkeypatch, grid, campaign):
+        cutoff = CAMPAIGN_CUTOFFS[campaign](grid)
+        seen = inverse_inputs(monkeypatch)
+        _random_band_limited(grid, np.random.default_rng(5), cutoff)
+        coef = in_band_coefficients(grid, np.random.default_rng(5), cutoff)
+        assert np.array_equal(seen[0].view(np.float64), coef.view(np.float64))
+        inside = grid.band_mask(cutoff)
+        assert np.all(seen[0][inside] != 0)
+        assert np.all(seen[0][~inside].view(np.float64) == 0)
+
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGN_CUTOFFS))
+    @pytest.mark.parametrize("grid", FIELD_GRIDS, ids=FIELD_GRID_IDS)
+    def test_field_consumes_two_normals_per_band_coefficient(self, grid, campaign):
+        cutoff = CAMPAIGN_CUTOFFS[campaign](grid)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        _random_band_limited(grid, rng, cutoff)
+        ref_rng.standard_normal(2 * (2 * cutoff + 1) ** grid.d)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("campaign, normals", [("algebra", 2 * 4095),
+                                                   ("density", 2 * 1025)])
+    def test_campaign_field_normals_at_8192(self, campaign, normals):
+        grid = Grid(d=1, length=32.0, points=8192)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        _random_band_limited(grid, rng, CAMPAIGN_CUTOFFS[campaign](grid))
+        ref_rng.standard_normal(normals)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("campaign, lead", [("algebra", (3, 2)), ("density", (5,))])
+    @pytest.mark.parametrize("grid", FIELD_GRIDS, ids=FIELD_GRID_IDS)
+    def test_stack_equals_one_row_draws(self, grid, campaign, lead):
+        cutoff = CAMPAIGN_CUTOFFS[campaign](grid)
+        got = _random_band_limited(grid, np.random.default_rng(9), cutoff, *lead)
+        rng = np.random.default_rng(9)
+        rows = [_random_band_limited(grid, rng, cutoff) for _ in range(math.prod(lead))]
+        assert np.array_equal(got.reshape(-1, *grid.shape), np.stack(rows))
+
+    def test_campaign_reports_do_not_depend_on_block_rows(self, monkeypatch):
+        grid = Grid(d=1, length=32.0, points=256)
+        spec = KernelSpec(d=1, gamma=0.5)
+
+        def reports():
+            rng = np.random.default_rng(10)
+            return ([(r.lhs, r.rhs, r.holds) for r in _algebra_campaign(grid, rng, 7)],
+                    [(r.lhs, r.rhs, r.holds) for r in _hartree_campaign(spec, grid, rng, 7)])
+
+        stacked = reports()
+        monkeypatch.setattr(grid_module, "BLOCK_BYTES", 16 * grid.total_points * 3)
+        assert grid.block_rows == 3
+        assert reports() == stacked
 
     def test_smooth_density_unchanged(self):
         grid = Grid(d=1, length=32.0, points=256)
