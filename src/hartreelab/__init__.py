@@ -15,11 +15,9 @@ from .grid import (
 )
 from .kernel import (
     KernelSpec,
-    convolve,
     convolve_direct,
     hartree_constant,
     hartree_constant_oracle,
-    multiplier,
     split_norms,
     zero_mode_value,
 )
@@ -27,16 +25,12 @@ from .norms import (
     BoundReport,
     NormReport,
     YNormSpec,
-    check_algebra_bound,
-    check_hartree_bound,
-    e_norm,
     l1_norm,
     l2_norm,
     l2w_norm,
     norm_report,
     spectral_l2_norm,
     wiener_norm,
-    y_norm,
 )
 from .solver import (
     DivergenceError,
@@ -46,7 +40,6 @@ from .solver import (
     advance,
     evolve,
     free_propagator,
-    hartree_potential,
     picard_evolve,
 )
 from .wkb import (
@@ -62,7 +55,6 @@ from .wkb import (
     assemble,
     eikonal_phase,
     initial_data,
-    oscillation_average,
     resonant_remainder,
     snapshot,
     transport_residual,
@@ -74,7 +66,6 @@ from .harness import (
     SweepConfig,
     SweepRecord,
     SweepResult,
-    error_report,
     expected_rate,
     fit_rate,
     persist,

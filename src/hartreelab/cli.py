@@ -7,7 +7,8 @@
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration
 error (also a resolution or containment rule broken during a run), 3
 runtime error (divergence guard, Picard non-contraction, a numpy
-floating-point fault, unwritable output), mapped in `main` alone.
+floating-point fault, unwritable output, out of memory), mapped in
+`main` alone.
 sweep exits 0 even when the rate check fails; the JSON summary records
 the failure so CI can assert on it.
 """
@@ -49,11 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "validate":
             cmd.add_argument(
                 "--seed", type=int, default=0, help="seed for property-test campaigns"
-            )
-            cmd.add_argument(
-                "--inject-kernel-fault",
-                action="store_true",
-                help=argparse.SUPPRESS,  # self-test hook for the exit contract
             )
     return parser
 
@@ -100,8 +96,8 @@ def cmd_sweep(cfg) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg, fault: bool) -> int:
-    checks = validate_suite(cfg, seed=cfg.seed, fault_kernel_constant=fault)
+def cmd_validate(cfg) -> int:
+    checks = validate_suite(cfg, seed=cfg.seed)
     all_ok = True
     for name, check in sorted(checks.items()):
         status = "pass" if check.passed else "FAIL"
@@ -119,12 +115,16 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg)
-        return cmd_validate(cfg, getattr(args, "inject_kernel_fault", False))
+        return cmd_validate(cfg)
     except (ConfigError, ResolutionError, ContainmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, PicardConvergenceError, FloatingPointError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"runtime error: out of memory ({str(exc) or 'allocation failed'})",
+              file=sys.stderr)
         return EXIT_RUNTIME
 
 

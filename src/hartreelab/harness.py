@@ -45,7 +45,7 @@ from .kernel import (
     hartree_constant,
     hartree_constant_oracle,
 )
-from .norms import NormReport, l2w_norm, norm_report
+from .norms import l2w_norm, norm_report
 from .norms import _algebra_bounds, _hartree_bounds, _norms_from_raw_fft
 from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, advance, evolve
 from .solver import picard_evolve
@@ -71,10 +71,6 @@ def expected_rate(d: int, gamma: float) -> float:
     if not 0 < gamma < d:
         raise ValueError(f"gamma must lie in (0, {d}), got {gamma}")
     return min(1.0, d - gamma)
-
-
-def error_report(u_exact: Field, u_app: Field) -> NormReport:
-    return norm_report(u_exact - u_app)
 
 
 @dataclass(frozen=True)
@@ -233,7 +229,7 @@ class _EpsRun:
 def _start(cfg: SweepConfig, snap0, eps: float) -> _EpsRun:
     """Initial data of one eps, its t = 0 error and its raw spectrum."""
     u0 = initial_data(cfg.family, eps)
-    init_err = l2w_norm(u0 - assemble(cfg.family, 0.0, eps, cfg.kernel, snap=snap0))
+    init_err = l2w_norm(u0 - assemble(cfg.family, snap0, eps))
     params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
     raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
     l2_0, w_0 = _norms_from_raw_fft(raw, cfg.grid)
@@ -252,14 +248,14 @@ def _advance(cfg: SweepConfig, khat_half, t_prev: float, t: float, run: _EpsRun)
 def _record(cfg: SweepConfig, snap, run: _EpsRun):
     """Errors, remainder and Z2 of one eps at the snapshot's time; one u_app
     serves the error and the remainder."""
-    t, eps = snap.t, run.eps
-    u_app = assemble(cfg.family, t, eps, cfg.kernel, snap=snap)
-    rep = error_report(Field._adopt(cfg.grid, scipy.fft.ifftn(run.raw)), u_app)
-    r_norm = l2w_norm(resonant_remainder(cfg.family, t, eps, cfg.kernel, snap, u_app))
-    z2_norm = l2w_norm(z2_term(cfg.family, t, eps, cfg.kernel, snap=snap))
+    eps = run.eps
+    u_app = assemble(cfg.family, snap, eps)
+    rep = norm_report(Field._adopt(cfg.grid, scipy.fft.ifftn(run.raw)) - u_app)
+    r_norm = l2w_norm(resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app))
+    z2_norm = l2w_norm(z2_term(cfg.family, snap, eps))
     drift = abs(run.mass - run.mass0) / run.mass0
     run.records.append(
-        SweepRecord(eps, t, rep.l2, rep.wiener, rep.l2w, r_norm, z2_norm, drift)
+        SweepRecord(eps, snap.t, rep.l2, rep.wiener, rep.l2w, r_norm, z2_norm, drift)
     )
 
 
@@ -459,13 +455,10 @@ def validate_suite(
     algebra_pairs: int = 1000,
     hartree_pairs: int = 500,
     seed: int = None,
-    fault_kernel_constant: bool = False,
 ) -> dict:
     """Property campaigns plus cross-route consistency checks.
 
     Returns name -> CheckOutcome; failures are reported, never raised.
-    The fault flag corrupts the kernel constant before the constant
-    check only, as a self-test hook for the exit-code contract.
     """
     # ansatz_identity needs the remainder rule: fail before the campaigns
     check_resolution(cfg.family, cfg.epsilons[-1], for_remainder=True)
@@ -473,8 +466,6 @@ def validate_suite(
     checks = {}
 
     c_formula = hartree_constant(cfg.kernel.d, cfg.kernel.gamma)
-    if fault_kernel_constant:
-        c_formula *= 1.1
     c_oracle = hartree_constant_oracle(cfg.kernel.d, cfg.kernel.gamma)
     rel = abs(c_formula - c_oracle) / abs(c_oracle)
     checks["kernel_constant"] = CheckOutcome(

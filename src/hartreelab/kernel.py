@@ -20,10 +20,9 @@ is integrable and consistent as dxi -> 0:
     Khat(0) := C * (d/gamma) * (dxi/2)**(gamma - d).
 
 Every spectral K * rho takes one route: `_convolve_real` applies the
-half-spectrum multiplier of `_half_multiplier` to a real density, and
-`convolve` runs it on the real and imaginary parts of a complex field.
-`convolve_direct` is the independent quadrature oracle (direct
-summation, never an FFT).
+half-spectrum multiplier of `_half_multiplier` to a real density or a
+stack of them.  `convolve_direct` is the independent quadrature oracle
+(direct summation, never an FFT).
 """
 
 from __future__ import annotations
@@ -104,18 +103,6 @@ class KernelSpec:
             )
 
 
-def multiplier(spec: KernelSpec, xi) -> float:
-    """Khat at a single nonzero frequency vector (or 1D scalar)."""
-    v = np.atleast_1d(np.asarray(xi, dtype=float))
-    if v.shape != (spec.d,):
-        raise ValueError(f"frequency vector must have {spec.d} components")
-    mag = float(np.sqrt(np.sum(v * v)))
-    if mag == 0.0:
-        raise ValueError("multiplier is undefined at xi = 0; convolve handles "
-                         "the zero mode by regularization")
-    return spec.c_const * mag ** (spec.gamma - spec.d)
-
-
 def zero_mode_value(spec: KernelSpec, grid: Grid) -> float:
     """Average of Khat over the ball |xi| <= dxi/2 (regularized zero mode)."""
     return spec.c_const * (spec.d / spec.gamma) * (grid.dxi / 2) ** (spec.gamma - spec.d)
@@ -152,18 +139,6 @@ def _multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
     out[~nz] = zero_mode_value(spec, grid)
     out.setflags(write=False)
     return out
-
-
-def convolve(spec: KernelSpec, rho: Field) -> Field:
-    """K * rho via the spectral multiplier: inverse of (2pi)^{d/2} Khat rhohat.
-
-    The multiplier is real and even on the lattice, so K * rho is the
-    real convolution of Re rho plus i times that of Im rho.
-    """
-    khat_half = _half_multiplier(spec, rho.grid)
-    vals = rho.values
-    conv = _convolve_real(khat_half, vals.real) + 1j * _convolve_real(khat_half, vals.imag)
-    return Field._adopt(rho.grid, conv)
 
 
 def _half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Discrete L2, Wiener, combined, derivative-graded and mode-summed norms.
+"""Discrete L2, Wiener, combined and derivative-graded norms.
 
 All norms are Riemann sums under the transform convention fixed in
 `grid`, so they converge to their continuum counterparts as the box and
@@ -12,7 +12,7 @@ Two inequality checkers make the function-space estimates testable:
 the pointwise-product bound on Wiener norms (with anti-aliasing
 preconditions so the discrete product is exact) and the convolution
 bound assembled from the kernel split.  Both check stacks with a leading
-batch axis row by row; the `Field` checkers pass one-row stacks.
+batch axis row by row.
 """
 
 from __future__ import annotations
@@ -119,20 +119,9 @@ def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:
     return l2, float(_wiener_from_modulus(mag, grid))
 
 
-def y_norm(f: Field, spec: YNormSpec) -> float:
-    """Sum of combined norms of all derivatives up to order n.
-
-    One transform serves every multi-index: d^eta f has the raw spectrum
-    raw (i xi)^eta, whose modulus |raw| |xi|^eta gives both norms.
-    """
-    g = f.grid
-    if g.d != spec.d:
-        raise ValueError(f"field is {g.d}D but norm spec is {spec.d}D")
-    return _graded_norm(scipy.fft.fftn(f.values), g, spec)
-
-
 def _graded_norm(raw: np.ndarray, grid, spec: YNormSpec) -> float:
-    """`y_norm` of the physical field whose raw FFT is given."""
+    """Sum of combined norms of the derivatives up to order n of the field
+    whose raw FFT is given: d^eta f has the raw spectrum raw (i xi)^eta."""
     mag = np.abs(raw)
     xi = [np.abs(m) for m in grid.freq_meshes(zero_nyquist=True)]
     total = 0.0
@@ -140,11 +129,6 @@ def _graded_norm(raw: np.ndarray, grid, spec: YNormSpec) -> float:
         weighted = reduce(np.multiply, (x**e for x, e in zip(xi, eta) if e), mag)
         total += sum(_norms_from_raw_fft(weighted, grid))
     return total
-
-
-def e_norm(amplitudes, spec: YNormSpec) -> float:
-    """l1-over-modes of the graded norm; empty families have norm zero."""
-    return float(sum(y_norm(a, spec) for a in amplitudes))
 
 
 @dataclass(frozen=True)
@@ -159,14 +143,9 @@ def _reports(lhs, rhs, slack: float) -> list:
             for a, b in zip(lhs, rhs)]
 
 
-def check_algebra_bound(f: Field, g: Field, slack: float = 1e-10) -> BoundReport:
-    """||f g||_W <= ||f||_W ||g||_W: `_algebra_bounds` of a one-pair stack."""
-    f._check_same_grid(g)
-    return _algebra_bounds(np.stack((f.values, g.values))[None], f.grid, slack)[0]
-
-
 def _algebra_bounds(pairs: np.ndarray, grid, slack: float = 1e-10) -> list:
-    """Algebra bound per row of a stack of factor pairs (rows, 2, *shape).
+    """||f g||_W <= ||f||_W ||g||_W per row of a stack of factor pairs
+    (rows, 2, *shape).
 
     Both factors must be band-limited to half the lattice so the sampled
     pointwise product carries no aliased content; pairs violating that
@@ -190,15 +169,10 @@ def _algebra_bounds(pairs: np.ndarray, grid, slack: float = 1e-10) -> list:
     return _reports(lhs, w[:, 0] * w[:, 1], slack)
 
 
-def check_hartree_bound(spec: KernelSpec, h: Field, slack: float = 1e-6) -> BoundReport:
-    """||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W:
-    `_hartree_bounds` of a one-row stack."""
-    return _hartree_bounds(spec, h.values[None], h.grid, slack)[0]
-
-
 def _hartree_bounds(spec: KernelSpec, h: np.ndarray, grid, slack: float = 1e-6) -> list:
-    """Hartree bound per row of a stack of densities, from one stacked
-    transform: K * h has the raw spectrum (2pi)^{d/2} Khat hhat."""
+    """||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W per row of a
+    stack of densities, from one stacked transform: K * h has the raw
+    spectrum (2pi)^{d/2} Khat hhat."""
     k1_l1, k2_sup = split_norms(spec)
     axes = tuple(range(-grid.d, 0))
     mag = np.abs(scipy.fft.fftn(h, axes=axes))

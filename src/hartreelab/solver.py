@@ -141,12 +141,6 @@ def free_propagator(f: Field, eps: float, t: float) -> Field:
     return Field._adopt(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * phase))
 
 
-def hartree_potential(spec: KernelSpec, u: Field) -> Field:
-    """Real potential lambda * (K * |u|^2), one real transform pair."""
-    khat_half = _half_multiplier(spec, u.grid, spec.coupling)
-    return Field._adopt(u.grid, _convolve_real(khat_half, np.abs(u.values) ** 2))
-
-
 def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: float,
             norm0: float) -> tuple:
     """Strang steps carrying the raw spectrum `raw` from t_prev to t_next.

@@ -236,19 +236,10 @@ def eikonal_phase(kappa, t: float, grid: Grid) -> Field:
     return Field._adopt(grid, phase - 0.5 * t * float(kappa @ kappa))
 
 
-def oscillation_average(t: float, omega: np.ndarray) -> np.ndarray:
-    """E(t, w) = (1 - exp(-i t w)) / (i w), with E(t, 0) = t.
-
-    Near t*w = 0 the quotient cancels catastrophically, so a cubic
-    series in t*w takes over below 1e-6.
-    """
-    omega = np.asarray(omega, dtype=float)
-    wave = np.exp(-1j * t * omega, out=np.empty(omega.shape, dtype=np.complex128))
-    return _averaging_factor(t, omega, wave)
-
-
 def _averaging_factor(t: float, omega: np.ndarray, wave: np.ndarray) -> np.ndarray:
-    """E(t, w) given wave = exp(-i t w) of the same shape; overwrites wave."""
+    """E(t, w) = (1 - exp(-i t w)) / (i w), E(t, 0) = t, given wave =
+    exp(-i t w) of the same shape; overwrites wave.  Near t*w = 0 the
+    quotient cancels catastrophically, so a cubic series takes over."""
     small = np.abs(omega) * abs(t) < 1e-6
     wave -= 1.0
     np.divide(wave, omega, out=wave, where=~small)
@@ -389,37 +380,24 @@ def initial_data(family: ModeFamily, eps: float) -> Field:
     return Field._adopt(family.grid, _superpose(family, alphas, 0.0, eps))
 
 
-def assemble(
-    family: ModeFamily, t: float, eps: float, spec: KernelSpec, snap: WkbSnapshot = None
-) -> Field:
-    """u_app(t) = sum_j a_j exp(i phi_j / eps)."""
+def assemble(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
+    """u_app(t) = sum_j a_j exp(i phi_j / eps) at the snapshot's time."""
     check_resolution(family, eps)
-    if snap is None:
-        snap = snapshot(family, t, spec)
     amps = (amp.values for amp in snap.amplitudes)
-    return Field._adopt(family.grid, _superpose(family, amps, t, eps))
+    return Field._adopt(family.grid, _superpose(family, amps, snap.t, eps))
 
 
-def z2_term(
-    family: ModeFamily, t: float, eps: float, spec: KernelSpec, snap: WkbSnapshot = None
-) -> Field:
-    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps), reading the
-    snapshot's shared half-Laplacians when `with_shared_terms` filled them."""
+def z2_term(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
+    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) from the half-Laplacians
+    of a `with_shared_terms` snapshot."""
     check_resolution(family, eps)
-    if snap is None:
-        snap = snapshot(family, t, spec)
-    halves = snap.half_laplacians or [
-        0.5 * laplacian(amp).values for amp in snap.amplitudes
-    ]
-    return Field._adopt(family.grid, _superpose(family, halves, t, eps))
+    return Field._adopt(family.grid, _superpose(family, snap.half_laplacians, snap.t, eps))
 
 
 def resonant_remainder(
-    family: ModeFamily, t: float, eps: float, spec: KernelSpec,
-    snap: WkbSnapshot = None, u_app: Field = None,
+    family: ModeFamily, snap: WkbSnapshot, eps: float, spec: KernelSpec, u_app: Field
 ) -> Field:
-    """Cross-mode term r = -(K * B) u_app, zero for a single mode, reusing
-    a record's snapshot and u_app when given.
+    """Cross-mode term r = -(K * B) u_app of a record, zero for a single mode.
 
     The diagonal terms of |u_app|^2 are the averaged density
     sum_j |a_j|^2, so the cross density is read off the assembled field:
@@ -429,11 +407,6 @@ def resonant_remainder(
     if len(family.modes) == 1:
         return Field._adopt(g, np.zeros(g.shape))
     check_resolution(family, eps, for_remainder=True)
-    if snap is None:
-        snap = snapshot(family, t, spec)
-    if u_app is None:
-        u_app = assemble(family, t, eps, spec, snap=snap)
-
     cross = np.abs(u_app.values) ** 2
     for amp in snap.amplitudes:
         cross -= np.abs(amp.values) ** 2
@@ -499,9 +472,9 @@ def ansatz_residual(
     identity genuinely tests the eikonal and transport cancellations.
     """
     check_resolution(family, eps, for_remainder=True)
-    snap = snapshot(family, t, spec)
+    snap = with_shared_terms(family, snapshot(family, t, spec))
     g = family.grid
-    u_app = assemble(family, t, eps, spec, snap=snap)
+    u_app = assemble(family, snap, eps)
 
     rates = _transport_rates(family, snap, spec)
     # d/dt (a_j exp(i phi_j / eps)) = (dt a_j - i |kappa_j|^2 / (2 eps) a_j) exp(...)
@@ -515,8 +488,8 @@ def ansatz_residual(
     nonlinear = _convolve_real(khat_half, np.abs(u_app.values) ** 2) * u_app.values
     lhs = 1j * eps * dudt + 0.5 * eps**2 * laplacian(u_app).values - eps * nonlinear
 
-    z2 = z2_term(family, t, eps, spec, snap=snap)
-    rem = resonant_remainder(family, t, eps, spec, snap, u_app)
+    z2 = z2_term(family, snap, eps)
+    rem = resonant_remainder(family, snap, eps, spec, u_app)
     rhs = eps**2 * z2.values + eps * spec.coupling * rem.values
 
     residual = Field._adopt(g, lhs - rhs)

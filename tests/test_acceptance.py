@@ -249,9 +249,9 @@ def test_criterion_8_wkb_internal_consistency(config_1d):
             ))))
     assert worst_mod < 1e-10
 
-    worst_init = 0.0
+    worst_init, snap0 = 0.0, snapshot(fam, 0.0, kern)
     for eps in config_1d.epsilons:
-        gap = l2w_norm(initial_data(fam, eps) - assemble(fam, 0.0, eps, kern))
+        gap = l2w_norm(initial_data(fam, eps) - assemble(fam, snap0, eps))
         worst_init = max(worst_init, gap)
     assert worst_init < 1e-12
 

@@ -16,7 +16,7 @@ from hartreelab import (
     PicardConvergenceError,
     load_config,
 )
-from hartreelab import cli
+from hartreelab import cli, harness
 from hartreelab.cli import main
 
 
@@ -238,14 +238,11 @@ class TestValidate:
         assert code == 0
         assert "kernel_constant: pass" in out
 
-    def test_injected_fault_exits_1(self, tmp_path, capsys):
+    def test_injected_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        real = harness.hartree_constant
+        monkeypatch.setattr(harness, "hartree_constant", lambda d, g: 1.1 * real(d, g))
         code = main(
-            [
-                "validate",
-                "--config",
-                write_config(tmp_path, base_config(tmp_path)),
-                "--inject-kernel-fault",
-            ]
+            ["validate", "--config", write_config(tmp_path, base_config(tmp_path))]
         )
         assert code == 1
         assert "kernel_constant: FAIL" in capsys.readouterr().out
@@ -359,6 +356,17 @@ class TestRuntimeErrors:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ")
+        assert "Traceback" not in err
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        code = main(["sweep", "--config", write_config(tmp_path, base_config(tmp_path))])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: out of memory")
         assert "Traceback" not in err
 
 

@@ -12,7 +12,6 @@ from hartreelab import (
     KernelSpec,
     ModeFamily,
     SweepConfig,
-    error_report,
     expected_rate,
     fit_rate,
     persist,
@@ -30,13 +29,14 @@ from hartreelab.harness import (
     _random_smooth_density,
     _sweep_checks,
 )
-from hartreelab.norms import e_norm, l2w_norm
+from hartreelab.norms import l2w_norm, norm_report
 from hartreelab.solver import DivergenceError, SolverParams, evolve
 from hartreelab.wkb import (
     assemble,
     initial_data,
     resonant_remainder,
     snapshot,
+    with_shared_terms,
     z2_term,
 )
 
@@ -73,7 +73,8 @@ def per_eps_reference(cfg):
     records, init_errs, failures, worst = [], {}, {}, []
     for eps in cfg.epsilons:
         u0 = initial_data(cfg.family, eps)
-        init_err = l2w_norm(u0 - assemble(cfg.family, 0.0, eps, cfg.kernel))
+        snap0 = snapshot(cfg.family, 0.0, cfg.kernel)
+        init_err = l2w_norm(u0 - assemble(cfg.family, snap0, eps))
         params = SolverParams(
             eps=eps,
             dt=min(cfg.dt_factor * eps, cfg.final_time),
@@ -88,9 +89,9 @@ def per_eps_reference(cfg):
         mass0 = traj.mass_log[0]
         recs = []
         for idx, t in enumerate(cfg.sample_times):
-            snap = snapshot(cfg.family, t, cfg.kernel)
-            u_app = assemble(cfg.family, t, eps, cfg.kernel, snap=snap)
-            rep = error_report(traj.state_at(t), u_app)
+            snap = with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel))
+            u_app = assemble(cfg.family, snap, eps)
+            rep = norm_report(traj.state_at(t) - u_app)
             recs.append(
                 SweepRecord(
                     eps=eps,
@@ -99,9 +100,9 @@ def per_eps_reference(cfg):
                     err_w=rep.wiener,
                     err_l2w=rep.l2w,
                     r_norm=l2w_norm(
-                        resonant_remainder(cfg.family, t, eps, cfg.kernel, snap=snap)
+                        resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app)
                     ),
-                    z2_norm=l2w_norm(z2_term(cfg.family, t, eps, cfg.kernel, snap=snap)),
+                    z2_norm=l2w_norm(z2_term(cfg.family, snap, eps)),
                     mass_drift=abs(traj.mass_log[1 + idx] - mass0) / mass0,
                 )
             )
@@ -109,7 +110,7 @@ def per_eps_reference(cfg):
         init_errs[eps] = init_err
         worst.append((eps, max(r.err_l2w for r in recs)))
     e_norms = {
-        t: e_norm(snapshot(cfg.family, t, cfg.kernel).amplitudes, cfg.family.nspec)
+        t: with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel)).e_norm
         for t in cfg.sample_times
     }
     beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
@@ -160,13 +161,14 @@ class TestExpectedRate:
 
 
 class TestErrorReport:
+    # a record's error report is norm_report(u - u_app)
     def test_identical_fields(self, gaussian_field):
-        rep = error_report(gaussian_field, gaussian_field)
+        rep = norm_report(gaussian_field - gaussian_field)
         assert rep.l2 == rep.wiener == rep.l2w == 0
 
     def test_zero_approximation(self, gaussian_field, grid1d):
         zero = Field(grid1d, np.zeros(grid1d.shape))
-        rep = error_report(gaussian_field, zero)
+        rep = norm_report(gaussian_field - zero)
         from hartreelab import l2_norm, wiener_norm
 
         assert rep.l2 == pytest.approx(l2_norm(gaussian_field))
@@ -175,7 +177,7 @@ class TestErrorReport:
     def test_grid_mismatch_rejected(self, gaussian_field):
         other = Grid(d=1, length=32.0, points=512)
         with pytest.raises(ValueError, match="grids"):
-            error_report(gaussian_field, Field(other, np.zeros(other.shape)))
+            norm_report(gaussian_field - Field(other, np.zeros(other.shape)))
 
 
 class TestFitRate:
@@ -496,13 +498,10 @@ class TestValidateSuite:
         for name, outcome in checks.items():
             assert outcome.passed, f"{name}: {outcome.detail}"
 
-    def test_kernel_fault_detected(self, small_config):
-        checks = validate_suite(
-            small_config,
-            algebra_pairs=5,
-            hartree_pairs=5,
-            fault_kernel_constant=True,
-        )
+    def test_kernel_fault_detected(self, small_config, monkeypatch):
+        real = harness.hartree_constant
+        monkeypatch.setattr(harness, "hartree_constant", lambda d, g: 1.1 * real(d, g))
+        checks = validate_suite(small_config, algebra_pairs=5, hartree_pairs=5)
         assert not checks["kernel_constant"].passed
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import integrate
 
 import hartreelab
@@ -13,15 +14,13 @@ from hartreelab import (
     Field,
     Grid,
     KernelSpec,
-    convolve,
     convolve_direct,
     hartree_constant,
     hartree_constant_oracle,
-    multiplier,
     split_norms,
     zero_mode_value,
 )
-from hartreelab.kernel import multiplier_grid
+from hartreelab.kernel import _convolve_real, _half_multiplier, multiplier_grid
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -69,25 +68,25 @@ class TestKernelSpec:
 
 
 class TestMultiplier:
+    # on a box of length 2 pi / dxi the lattice frequency at index k is k dxi
     def test_unit_frequency(self, kernel1d):
-        assert multiplier(kernel1d, 1.0) == pytest.approx(1.0)
+        grid = Grid(d=1, length=2 * np.pi, points=16)
+        assert multiplier_grid(kernel1d, grid)[1] == pytest.approx(1.0)
 
     def test_power_decay(self, kernel1d):
-        assert multiplier(kernel1d, 4.0) == pytest.approx(0.5)
+        grid = Grid(d=1, length=2 * np.pi, points=16)
+        assert multiplier_grid(kernel1d, grid)[4] == pytest.approx(0.5)
 
     def test_3d_value(self):
         spec = KernelSpec(d=3, gamma=1.0)
-        got = multiplier(spec, np.array([2.0, 0.0, 0.0]))
+        got = multiplier_grid(spec, Grid(d=3, length=2 * np.pi, points=8))[2, 0, 0]
         assert got == pytest.approx(hartree_constant(3, 1.0) / 4, rel=1e-12)
 
-    def test_rejects_zero(self, kernel1d):
-        with pytest.raises(ValueError, match="zero mode"):
-            multiplier(kernel1d, 0.0)
-
     def test_scaling_homogeneity(self, kernel1d):
+        khat = multiplier_grid(kernel1d, Grid(d=1, length=200 * np.pi, points=4096))
         for c in (2.0, 3.7, 10.0):
-            lhs = multiplier(kernel1d, c * 1.3)
-            rhs = c ** (kernel1d.gamma - kernel1d.d) * multiplier(kernel1d, 1.3)
+            lhs = khat[round(c * 130)]
+            rhs = c ** (kernel1d.gamma - kernel1d.d) * khat[130]
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -120,28 +119,31 @@ class TestSplitNorms:
 
 class TestConvolve:
     def test_zero_density(self, kernel1d, grid1d):
-        out = convolve(kernel1d, Field(grid1d, np.zeros(grid1d.shape)))
-        assert np.all(out.values == 0)
+        out = _convolve_real(_half_multiplier(kernel1d, grid1d), np.zeros(grid1d.shape))
+        assert np.all(out == 0)
 
     def test_plane_wave_eigenfunction(self, kernel1d, grid1d):
-        k0 = lattice_wavenumber(grid1d, 14)
-        f = plane_wave(grid1d, k0)
-        out = convolve(kernel1d, f)
-        expected = (
-            (2 * np.pi) ** 0.5 * multiplier(kernel1d, k0) * f.values
-        )
-        assert np.max(np.abs(out.values - expected)) < 1e-12 * np.max(np.abs(expected))
+        # the multiplier is even, so cos(k0 x) shares the eigenvalue of exp(i k0 x)
+        f = plane_wave(grid1d, lattice_wavenumber(grid1d, 14)).values.real
+        out = _convolve_real(_half_multiplier(kernel1d, grid1d), f)
+        expected = (2 * np.pi) ** 0.5 * multiplier_grid(kernel1d, grid1d)[14] * f
+        assert np.max(np.abs(out - expected)) < 1e-12 * np.max(np.abs(expected))
 
     def test_real_density_real_output(self, kernel1d, grid1d):
+        # full-lattice complex route: an even multiplier keeps K * rho real,
+        # and the half-spectrum route returns its real part
         rng = np.random.default_rng(23)
-        rho = Field(grid1d, np.abs(rng.standard_normal(grid1d.shape)))
-        out = convolve(kernel1d, rho)
-        assert np.max(np.abs(out.values.imag)) < 1e-12 * np.max(np.abs(out.values))
+        rho = np.abs(rng.standard_normal(grid1d.shape))
+        full = scipy.fft.ifftn(
+            scipy.fft.fftn(rho) * (2 * np.pi) ** 0.5 * multiplier_grid(kernel1d, grid1d)
+        )
+        assert np.max(np.abs(full.imag)) < 1e-12 * np.max(np.abs(full))
+        out = _convolve_real(_half_multiplier(kernel1d, grid1d), rho)
+        assert np.max(np.abs(out - full.real)) < 1e-12 * np.max(np.abs(full))
 
     def test_positivity_on_nonnegative_density(self, kernel1d, grid1d):
         x = grid1d.axis_coords()
-        rho = Field(grid1d, np.exp(-x**2))
-        out = convolve(kernel1d, rho).values.real
+        out = _convolve_real(_half_multiplier(kernel1d, grid1d), np.exp(-x**2))
         assert out.min() >= -1e-8 * out.max()
 
     def test_agreement_with_direct_oracle(self):
@@ -150,7 +152,7 @@ class TestConvolve:
         spec = KernelSpec(d=1, gamma=0.5)
         x = grid.axis_coords()
         rho = Field(grid, np.exp(-x**2 / 2))
-        fast = convolve(spec, rho).values.real
+        fast = _convolve_real(_half_multiplier(spec, grid), rho.values.real)
         direct = convolve_direct(spec, rho).values.real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 1e-3
@@ -178,7 +180,7 @@ class TestConvolveDirect:
             grid = Grid(d=1, length=64.0, points=n)
             x = grid.axis_coords()
             rho = Field(grid, np.exp(-x**2 / 2))
-            fast = convolve(spec, rho).values.real
+            fast = _convolve_real(_half_multiplier(spec, grid), rho.values.real)
             direct = convolve_direct(spec, rho).values.real
             errs.append(np.max(np.abs(fast - direct)) / np.max(np.abs(fast)))
         assert errs[0] / errs[1] >= 2.0
@@ -194,7 +196,7 @@ class TestConvolveDirect:
         spec = KernelSpec(d=2, gamma=0.5)
         xs, ys = grid.coords()
         rho = Field(grid, np.exp(-(xs**2 + ys**2) / 2))
-        fast = convolve(spec, rho).values.real
+        fast = _convolve_real(_half_multiplier(spec, grid), rho.values.real)
         direct = convolve_direct(spec, rho).values.real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 5e-3
@@ -222,8 +224,7 @@ class TestZeroMode:
         assert zero_mode_value(kernel1d, grid1d) == pytest.approx(expected, rel=1e-14)
 
     def test_constant_density_response(self, kernel1d, grid1d):
-        ones = Field(grid1d, np.ones(grid1d.shape))
-        out = convolve(kernel1d, ones).values.real
+        out = _convolve_real(_half_multiplier(kernel1d, grid1d), np.ones(grid1d.shape))
         expected = (2 * np.pi) ** 0.5 * zero_mode_value(kernel1d, grid1d)
         assert np.max(np.abs(out - expected)) < 1e-10 * abs(expected)
 

@@ -5,7 +5,6 @@ import pytest
 
 from hartreelab import (
     ContainmentError,
-    Field,
     GaussianProfile,
     Grid,
     KernelSpec,
@@ -15,15 +14,14 @@ from hartreelab import (
     action_phase_quadrature,
     ansatz_residual,
     assemble,
-    convolve,
     eikonal_phase,
     initial_data,
     l2_norm,
     l2w_norm,
-    e_norm,
-    oscillation_average,
+    laplacian,
     resonant_remainder,
     snapshot,
+    spectral_derivative,
     translate,
     transport_residual,
     z2_term,
@@ -31,7 +29,8 @@ from hartreelab import (
 from hartreelab import wkb
 from hartreelab.grid import plane_wave
 from hartreelab.kernel import multiplier_grid
-from hartreelab.wkb import _mode_carrier
+from hartreelab.norms import multi_indices
+from hartreelab.wkb import _averaging_factor, _mode_carrier, _superpose, with_shared_terms
 
 
 @pytest.fixture
@@ -102,21 +101,23 @@ class TestEikonalPhase:
 
 class TestOscillationAverage:
     def test_zero_frequency_gives_t(self):
-        out = oscillation_average(0.7, np.array([0.0]))
+        w = np.array([0.0])
+        out = _averaging_factor(0.7, w, np.exp(-0.7j * w))
         assert out[0] == pytest.approx(0.7)
 
     def test_matches_direct_quotient(self):
         w = np.array([0.5, -2.0, 10.0])
         t = 0.3
         direct = (1 - np.exp(-1j * t * w)) / (1j * w)
-        assert np.max(np.abs(oscillation_average(t, w) - direct)) < 1e-14
+        got = _averaging_factor(t, w, np.exp(-1j * t * w))
+        assert np.max(np.abs(got - direct)) < 1e-14
 
     def test_series_branch_matches_quotient(self):
         # just below the switch the direct quotient is still good to
         # ~2e-10 relative, so the series must agree with it there
         t = 1.0
         w = 9.9e-7
-        series = oscillation_average(t, np.array([w]))[0]
+        series = _averaging_factor(t, np.array([w]), np.exp(-1j * t * np.array([w])))[0]
         direct = (1 - np.exp(-1j * t * w)) / (1j * w)
         assert abs(series - direct) < 1e-9
 
@@ -131,8 +132,10 @@ class TestActionPhase:
         t = 0.4
         out = action_phase(single_mode_family, 0, t, kernel)
         grid = single_mode_family.grid
-        rho = Field(grid, np.abs(single_mode_family.modes[0].alpha.values) ** 2)
-        expected = -kernel.coupling * t * convolve(kernel, rho).values.real
+        rho = np.abs(single_mode_family.modes[0].alpha.values) ** 2
+        # full-lattice K * rho, independent of the half-spectrum route
+        conv = np.fft.ifftn(np.fft.fftn(rho) * multiplier_grid(kernel, grid)).real
+        expected = -kernel.coupling * t * np.sqrt(2 * np.pi) * conv
         assert np.max(np.abs(out.values - expected)) < 1e-12 * np.max(np.abs(expected))
 
     def test_closed_form_vs_simpson_oracle(self, two_mode_family, kernel):
@@ -209,13 +212,13 @@ class TestAssemble:
     def test_initial_data_reproduced(self, two_mode_family, kernel):
         eps = 0.1
         direct = initial_data(two_mode_family, eps)
-        assembled = assemble(two_mode_family, 0.0, eps, kernel)
+        assembled = assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), eps)
         assert l2w_norm(direct - assembled) < 1e-12
 
     def test_single_frozen_mode(self, single_mode_family):
         free = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         eps = 0.2
-        out = assemble(single_mode_family, 0.7, eps, free)
+        out = assemble(single_mode_family, snapshot(single_mode_family, 0.7, free), eps)
         alpha = single_mode_family.modes[0].alpha
         assert np.max(np.abs(out.values - alpha.values)) < 1e-12
 
@@ -225,7 +228,7 @@ class TestAssemble:
         eps = 0.1
         t = 0.4
         snap = snapshot(two_mode_family, t, kernel)
-        u = assemble(two_mode_family, t, eps, kernel, snap=snap)
+        u = assemble(two_mode_family, snap, eps)
         norms = [l2_norm(a) for a in snap.amplitudes]
         assert l2_norm(u) <= sum(norms) * (1 + 1e-12)
         pythagoras = np.sqrt(sum(n**2 for n in norms))
@@ -233,7 +236,7 @@ class TestAssemble:
 
     def test_resolution_violation_rejected(self, two_mode_family, kernel):
         with pytest.raises(ResolutionError):
-            assemble(two_mode_family, 0.0, 0.01, kernel)
+            assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), 0.01)
 
 
 class TestZ2Term:
@@ -244,28 +247,53 @@ class TestZ2Term:
             [([0.0], GaussianProfile(amplitude=0.0, center=(0.0,), width=1.0))],
             gamma=0.5,
         )
-        out = z2_term(fam, 0.0, 0.1, kernel)
+        out = z2_term(fam, with_shared_terms(fam, snapshot(fam, 0.0, kernel)), 0.1)
         assert np.all(out.values == 0)
 
     def test_gaussian_center_value(self, single_mode_family, kernel):
         # at t = 0 the single amplitude is the gaussian itself, so Z2 at
         # the center is alpha''(0)/2 = -A / (2 sigma^2)
-        out = z2_term(single_mode_family, 0.0, 0.1, kernel)
-        grid = single_mode_family.grid
+        fam = single_mode_family
+        out = z2_term(fam, with_shared_terms(fam, snapshot(fam, 0.0, kernel)), 0.1)
+        grid = fam.grid
         idx = np.argmin(np.abs(grid.axis_coords()))
         assert out.values[idx].real == pytest.approx(-0.5, abs=1e-8)
 
     def test_bounded_by_mode_norms(self, two_mode_family, kernel):
         t, eps = 0.5, 0.1
-        snap = snapshot(two_mode_family, t, kernel)
-        z2 = l2w_norm(z2_term(two_mode_family, t, eps, kernel, snap=snap))
-        bound = e_norm(snap.amplitudes, two_mode_family.nspec)
-        assert z2 <= bound * (1 + 1e-6)
+        snap = with_shared_terms(two_mode_family, snapshot(two_mode_family, t, kernel))
+        z2 = l2w_norm(z2_term(two_mode_family, snap, eps))
+        assert z2 <= snap.e_norm * (1 + 1e-6)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shared_half_laplacians_are_bitwise(self, d, two_mode_family):
+        fam = two_mode_family if d == 1 else four_mode_family(128)
+        spec = family_kernel(fam)
+        t, eps = 0.5, {1: 0.1, 2: 0.5}[d]
+        snap = with_shared_terms(fam, snapshot(fam, t, spec))
+        halves = [0.5 * laplacian(a).values for a in snap.amplitudes]
+        ref = _superpose(fam, halves, t, eps)
+        assert np.array_equal(z2_term(fam, snap, eps).values, ref)
+
+
+class TestSharedTerms:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_e_norm_sums_derivative_norms(self, d, two_mode_family):
+        fam = two_mode_family if d == 1 else four_mode_family(128)
+        snap = with_shared_terms(fam, snapshot(fam, 0.5, family_kernel(fam)))
+        expected = sum(
+            l2w_norm(spectral_derivative(a, eta))
+            for a in snap.amplitudes
+            for eta in multi_indices(d, fam.nspec.n)
+        )
+        assert abs(snap.e_norm - expected) < 1e-12 * expected
 
 
 class TestResonantRemainder:
     def test_single_mode_vanishes(self, single_mode_family, kernel):
-        out = resonant_remainder(single_mode_family, 0.3, 0.1, kernel)
+        snap = snapshot(single_mode_family, 0.3, kernel)
+        u_app = assemble(single_mode_family, snap, 0.1)
+        out = resonant_remainder(single_mode_family, snap, 0.1, kernel, u_app)
         assert np.all(out.values == 0)
 
     def test_label_swap_symmetry(self, kernel):
@@ -278,16 +306,20 @@ class TestResonantRemainder:
             grid, [([2.0], prof), ([-2.0], prof)], gamma=0.5
         )
         t, eps = 0.4, 0.1
-        a = resonant_remainder(fam_a, t, eps, kernel)
-        b = resonant_remainder(fam_b, t, eps, kernel)
+        snap_a, snap_b = snapshot(fam_a, t, kernel), snapshot(fam_b, t, kernel)
+        a = resonant_remainder(fam_a, snap_a, eps, kernel, assemble(fam_a, snap_a, eps))
+        b = resonant_remainder(fam_b, snap_b, eps, kernel, assemble(fam_b, snap_b, eps))
         assert np.max(np.abs(a.values - b.values)) < 1e-12 * np.max(np.abs(a.values))
 
     def test_epsilon_scaling(self, two_mode_family, kernel):
         # d - gamma = 0.5: the remainder norm should halve per 4x in eps
         t = 0.25
         norms = {}
+        snap = snapshot(two_mode_family, t, kernel)
         for eps in (0.2, 0.05):
-            norms[eps] = l2w_norm(resonant_remainder(two_mode_family, t, eps, kernel))
+            u_app = assemble(two_mode_family, snap, eps)
+            rem = resonant_remainder(two_mode_family, snap, eps, kernel, u_app)
+            norms[eps] = l2w_norm(rem)
         slope = np.log(norms[0.2] / norms[0.05]) / np.log(0.2 / 0.05)
         assert abs(slope - 0.5) < 0.15
 
@@ -373,7 +405,8 @@ def full_grid_remainder(family, t, eps, spec, snap):
         a.values * full_grid_mode_carrier(g, m.kappa, t, eps)
         for m, a in zip(family.modes, snap.amplitudes)
     )
-    return -convolve(spec, Field(g, cross)).values * u_app
+    conv = np.fft.ifftn(np.fft.fftn(cross) * multiplier_grid(spec, g))
+    return -(2 * np.pi) ** (g.d / 2) * conv * u_app
 
 
 def four_mode_family(points):
@@ -460,7 +493,7 @@ def test_remainder_matches_full_grid_double_sum(make, t, eps):
     family = make()
     spec = family_kernel(family)
     snap = snapshot(family, t, spec)
-    got = resonant_remainder(family, t, eps, spec, snap=snap).values
+    got = resonant_remainder(family, snap, eps, spec, assemble(family, snap, eps)).values
     ref = full_grid_remainder(family, t, eps, spec, snap)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
@@ -471,7 +504,7 @@ def test_remainder_reads_cross_density_off_u_app(monkeypatch):
     spec = family_kernel(family)
     t, eps = 0.5, 0.5
     snap = snapshot(family, t, spec)
-    u_app = assemble(family, t, eps, spec, snap=snap)
+    u_app = assemble(family, snap, eps)
     calls = []
 
     def counted(*args, **kwargs):
@@ -479,5 +512,5 @@ def test_remainder_reads_cross_density_off_u_app(monkeypatch):
         return plane_wave(*args, **kwargs)
 
     monkeypatch.setattr(wkb, "plane_wave", counted)
-    resonant_remainder(family, t, eps, spec, snap, u_app)
+    resonant_remainder(family, snap, eps, spec, u_app)
     assert calls == []
