@@ -6,7 +6,10 @@
 Both files come from the same benchmark module run on the same machine.
 OUT keeps the machine description, the library versions and, per
 benchmark, the median, quartiles, minimum and rounds of each side (in
-seconds) with the after/before ratio of the medians.
+seconds), the benchmark's extra info (such as FFT calls per call) and
+the after/before ratio of the medians.  A benchmark run on one side
+only (a route the other tree lacks) keeps that side and null for the
+other.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ STATS = ("median", "q1", "q3", "min", "rounds")
 
 
 def _stats(doc: dict) -> dict:
-    return {b["name"]: {k: b["stats"][k] for k in STATS} for b in doc["benchmarks"]}
+    return {b["name"]: {**{k: b["stats"][k] for k in STATS}, **b.get("extra_info", {})}
+            for b in doc["benchmarks"]}
+
+
+def _pair(before, after) -> dict:
+    ratio = after["median"] / before["median"] if before and after else None
+    return {"before": before, "after": after, "after_over_before": ratio}
 
 
 def _machine(doc: dict) -> dict:
@@ -56,9 +65,8 @@ def main(argv=None):
         "after": args.after_label,
         "unit": "s",
         "benchmarks": {
-            name: {"before": before[name], "after": after[name],
-                   "after_over_before": after[name]["median"] / before[name]["median"]}
-            for name in sorted(after) if name in before
+            name: _pair(before.get(name), after.get(name))
+            for name in sorted(before.keys() | after.keys())
         },
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")

@@ -15,7 +15,10 @@ zeroed inside derivative and modulation multipliers; this removes the
 asymmetric Nyquist artifact in odd derivatives while leaving the
 identity multi-index exact.
 
-Every transform in the package goes through one backend, `scipy.fft`.
+Every transform in the package goes through one backend, `scipy.fft`,
+and every array exp(i theta) on the hot paths through one kernel,
+`unit_phase`: a vectorised half-angle tangent in place of scalar cos
+and sin.
 """
 
 from __future__ import annotations
@@ -143,13 +146,6 @@ class Grid:
         """
         return _band_box(self, cutoff_index)
 
-    def band_mask(self, cutoff_index: int) -> np.ndarray:
-        """True where |k| <= cutoff_index on every axis, FFT order.
-
-        Memoized per (grid, cutoff): every caller shares one read-only array.
-        """
-        return _band_mask(self, cutoff_index)
-
 
 @functools.lru_cache(maxsize=8)
 def _band_box(grid: Grid, cutoff_index: int) -> tuple:
@@ -160,12 +156,32 @@ def _band_box(grid: Grid, cutoff_index: int) -> tuple:
     return box
 
 
-@functools.lru_cache(maxsize=8)
-def _band_mask(grid: Grid, cutoff_index: int) -> np.ndarray:
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[grid.band_box(cutoff_index)] = True
-    mask.setflags(write=False)
-    return mask
+def unit_phase(theta, out=None) -> np.ndarray:
+    """exp(i theta) of a real array from the half-angle tangent.
+
+    With t = tan(theta/2), cos theta = (1 - t^2)/(1 + t^2) and
+    sin theta = 2t/(1 + t^2): one tangent, which numpy 2 evaluates in
+    SIMD, and a few multiplies, where float64 cos, sin and complex exp
+    run as scalar libm calls (complex exp is 2.3-3.4x slower at 8192
+    points and 512^2, `bench/BENCH_layers.json`).
+    Against exp(i theta) the error is at most 4e-16 for |theta| <= 1e4;
+    tan(theta/2) stays finite at finite theta, so no branch is needed.
+    A NaN or infinite theta gives NaN.  `out`, a complex array of
+    theta's shape, is filled and returned.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if out is None:
+        out = np.empty(theta.shape, dtype=np.complex128)
+    t = np.multiply(theta, 0.5)
+    np.tan(t, out=t)
+    t_sq = np.multiply(t, t)
+    inv = np.add(t_sq, 1.0)
+    np.divide(1.0, inv, out=inv)
+    np.subtract(1.0, t_sq, out=t_sq)
+    np.multiply(t_sq, inv, out=out.real)
+    t += t
+    np.multiply(t, inv, out=out.imag)
+    return out
 
 
 def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:
@@ -174,11 +190,12 @@ def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarr
     `axes` are broadcastable per-axis arrays (`Grid.coords()` or
     `Grid.freq_meshes()`).  An axis with kappa = 0 contributes no factor,
     so the result may broadcast against the grid instead of filling it.
+    Each axis factor is a `unit_phase`.
     """
     wave = np.full((1,) * len(axes), np.exp(1j * offset))
     for ax, k in zip(axes, kappa):
         if k:
-            wave = wave * np.exp(1j * (scale * k) * ax)
+            wave = wave * unit_phase((scale * k) * ax)
     return wave
 
 

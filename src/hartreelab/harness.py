@@ -28,6 +28,7 @@ no timestamps.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -390,15 +391,22 @@ def _random_band_limited(grid: Grid, rng, cutoff: int, *lead) -> np.ndarray:
     over `grid.band_box(cutoff)` (k = 0..c, then -c..-1 per axis) and one
     field after the other, so a stack reads the stream as a loop of
     one-field draws does.  Every other coefficient is an exact zero.
+    The band lands in the lattice as 2^d slabs, the k >= 0 and k < 0
+    halves of every axis.
     """
-    box = grid.band_box(cutoff)
-    band = rng.standard_normal((*lead, *(ix.size for ix in box), 2))
+    n = grid.points
+    lo, hi = min(cutoff, n // 2 - 1) + 1, min(cutoff, n // 2)
+    band = rng.standard_normal((*lead, *(lo + hi,) * grid.d, 2)).view(np.complex128)
     coef = np.zeros((*lead, *grid.shape), dtype=np.complex128)
-    coef[(..., *box)] = band.view(np.complex128)[..., 0]
+    halves = ((slice(0, lo), slice(0, lo)), (slice(lo, lo + hi), slice(n - hi, n)))
+    for slabs in itertools.product(halves, repeat=grid.d):
+        coef[(..., *(dst for _, dst in slabs))] = band[(..., *(src for src, _ in slabs), 0)]
     axes = tuple(range(-grid.d, 0))
     vals = scipy.fft.ifftn(coef, axes=axes, overwrite_x=True)
     peak = np.max(np.abs(vals), axis=axes, keepdims=True)
-    return np.divide(vals, peak, out=vals, where=peak > 0)
+    peak[peak == 0] = 1.0  # an all-zero field stays zero
+    vals /= peak
+    return vals
 
 
 @functools.lru_cache(maxsize=4)

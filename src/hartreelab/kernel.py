@@ -151,7 +151,8 @@ def _convolve_real(khat_half: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """K * rho for a real density array or a stack of them: one real transform
     pair over the axes of khat_half (`_half_multiplier`, scale included)."""
     axes = tuple(range(-khat_half.ndim, 0))
-    rho_hat = scipy.fft.rfftn(rho, axes=axes) * khat_half
+    rho_hat = scipy.fft.rfftn(rho, axes=axes)
+    rho_hat *= khat_half
     return scipy.fft.irfftn(rho_hat, s=rho.shape[axes[0]:], axes=axes, overwrite_x=True)
 
 

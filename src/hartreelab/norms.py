@@ -115,7 +115,8 @@ def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:
     """(l2, wiener) of the physical field whose raw FFT (or its modulus)
     is given; the L2 norm comes from Parseval."""
     mag = np.abs(raw)
-    l2 = math.sqrt(grid.dx**grid.d * np.sum(mag**2) / grid.total_points)
+    flat = mag.reshape(-1)
+    l2 = math.sqrt(grid.dx**grid.d * np.dot(flat, flat) / grid.total_points)
     return l2, float(_wiener_from_modulus(mag, grid))
 
 
@@ -157,7 +158,8 @@ def _algebra_bounds(pairs: np.ndarray, grid, slack: float = 1e-10) -> list:
     axes = tuple(range(-grid.d, 0))
     mag = np.abs(scipy.fft.fftn(pairs, axes=axes))
     w = _wiener_from_modulus(mag, grid)
-    tails = _wiener_from_modulus(mag * ~grid.band_mask(cutoff), grid)
+    mag[(..., *grid.band_box(cutoff))] = 0.0  # what is left is the tail
+    tails = _wiener_from_modulus(mag, grid)
     for col, name in enumerate(("first", "second")):
         if np.any(tails[:, col] > 1e-12 * w[:, col]):
             raise ValueError(

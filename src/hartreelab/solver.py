@@ -13,7 +13,11 @@ is unitary, so mass is conserved to rounding per step.
 The loop keeps the state in Fourier space, so adjacent kinetic
 half-steps merge into one full step; a step costs four FFTs (complex
 inverse, a real pair for K * |u|^2 on the half spectrum, complex
-forward) and each sample one more inverse to record the state.
+forward) and one vectorised tangent (`grid.unit_phase` for the
+potential phase), and each sample one more inverse to record the state.
+The kinetic multipliers are built by `unit_phase` once per call;
+`free_propagator` and the Picard node multiplier keep `np.exp` as
+independent references.
 `advance` runs that loop over one inter-sample gap; `evolve` and the
 lockstep sweep in `harness` both call it, so they share one loop.
 
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .grid import Field
+from .grid import Field, unit_phase
 from .kernel import KernelSpec, _convolve_real, _half_multiplier
 from .norms import _norms_from_raw_fft
 
@@ -156,17 +160,21 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     gap = t_next - t_prev
     n_steps = max(1, math.ceil(gap / dt_request - 1e-12))
     dt = gap / n_steps
-    kin_half = np.exp(-0.25j * params.eps * dt * grid.freq_norm_sq())
+    kin_half = unit_phase(-0.25 * params.eps * dt * grid.freq_norm_sq())
     kin_full = kin_half**2
     phase = np.empty(grid.shape, dtype=np.complex128)
+    density, imag_sq = np.empty(grid.shape), np.empty(grid.shape)
     raw *= kin_half
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a NaN
         for step in range(n_steps):
             state = scipy.fft.ifftn(raw, overwrite_x=True)
-            angle = -dt * _convolve_real(khat_half, state.real**2 + state.imag**2)
-            np.cos(angle, out=phase.real)
-            np.sin(angle, out=phase.imag)
-            state *= phase
+            np.multiply(state.real, state.real, out=density)
+            np.multiply(state.imag, state.imag, out=imag_sq)
+            density += imag_sq
+            # -dt after the transform: an overflowing potential gives a NaN phase
+            angle = _convolve_real(khat_half, density)
+            angle *= -dt
+            state *= unit_phase(angle, out=phase)
             raw = scipy.fft.fftn(state, overwrite_x=True)
             # |kin_half| = 1, so these are the norms after the half-step
             l2, wiener = _norms_from_raw_fft(raw, grid)

@@ -25,7 +25,8 @@ so that
 `action_phase` sums that closed form on the half spectrum of the real
 densities, so Theta_j is real by construction; `action_phase_quadrature`
 is the independent composite-Simpson oracle over the time variable.
-Exponentials are plane waves built separably by `grid.plane_wave`.  A
+Exponentials are plane waves built separably by `grid.plane_wave`, and
+the amplitude phase exp(i Theta_j) is one `grid.unit_phase`.  A
 snapshot of M modes costs M r2c + M c2r + 2 M c2c FFTs (shared density
 spectra, one inverse per phase, a pair per translated amplitude) and
 keeps no phase.  `with_shared_terms` adds 2 M more for its eps-free
@@ -67,6 +68,7 @@ from .grid import (
     profile_support_radius,
     sample_profile,
     translate,
+    unit_phase,
 )
 from .kernel import KernelSpec, _convolve_real, _half_multiplier
 from .norms import YNormSpec, _graded_norm, l2w_norm
@@ -342,9 +344,9 @@ def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
     spectra = _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None
     amps = []
     for j, mode in enumerate(family.modes):
-        theta = action_phase(family, j, t, spec, spectra)
-        moved = translate(mode.alpha, t * mode.kappa)
-        amps.append(Field._adopt(family.grid, moved.values * np.exp(1j * theta.values)))
+        amp = unit_phase(action_phase(family, j, t, spec, spectra).values.real)
+        amp *= translate(mode.alpha, t * mode.kappa).values
+        amps.append(Field._adopt(family.grid, amp))
     return WkbSnapshot(t=t, amplitudes=tuple(amps))
 
 
@@ -390,6 +392,11 @@ def assemble(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
 def z2_term(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
     """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) from the half-Laplacians
     of a `with_shared_terms` snapshot."""
+    if snap.half_laplacians is None:
+        raise ValueError(
+            "z2_term needs the half-Laplacians of a snapshot passed through "
+            "with_shared_terms"
+        )
     check_resolution(family, eps)
     return Field._adopt(family.grid, _superpose(family, snap.half_laplacians, snap.t, eps))
 

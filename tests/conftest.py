@@ -46,6 +46,15 @@ def in_band_coefficients(grid, rng, cutoff):
     return coef
 
 
+def band_mask(grid, cutoff):
+    """True where |k| <= cutoff on every axis, FFT order."""
+    inside = np.abs(np.rint(np.fft.fftfreq(grid.points) * grid.points)) <= cutoff
+    mask = inside
+    for _ in range(grid.d - 1):
+        mask = np.logical_and.outer(mask, inside)
+    return mask
+
+
 def plane_wave(grid, k0):
     phase = np.zeros(grid.shape)
     k0 = np.atleast_1d(np.asarray(k0, dtype=float))

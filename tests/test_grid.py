@@ -16,6 +16,7 @@ from hartreelab import (
     spectral_derivative,
     translate,
 )
+from hartreelab.grid import plane_wave as separable_wave, unit_phase
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -42,17 +43,18 @@ class TestGridConstruction:
         assert k.min() == -grid1d.points // 2
         assert k.max() == grid1d.points // 2 - 1
 
-
-    def test_band_mask_shared_and_read_only(self):
+    def test_band_box_shared_and_read_only(self):
         grid = Grid(d=2, length=8.0, points=16)
-        mask = grid.band_mask(3)
-        assert grid.band_mask(3) is mask
-        assert Grid(d=2, length=8.0, points=16).band_mask(3) is mask
-        assert not mask.flags.writeable
-        with pytest.raises(ValueError):
-            mask[0, 0] = False
+        box = grid.band_box(3)
+        assert grid.band_box(3) is box
+        assert Grid(d=2, length=8.0, points=16).band_box(3) is box
+        assert not any(ix.flags.writeable for ix in box)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[box] = True
         k = np.abs(np.rint(np.fft.fftfreq(16) * 16))
         assert np.array_equal(mask, (k[:, None] <= 3) & (k[None, :] <= 3))
+        # k = 0..3, then -3..-1 per axis
+        assert box[0].ravel().tolist() == [0, 1, 2, 3, 13, 14, 15]
 
 
 class TestFieldValidation:
@@ -287,3 +289,44 @@ class TestRoundTrip2D:
         assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(
             np.abs(f.values)
         )
+
+
+class TestUnitPhase:
+    def test_matches_complex_exp(self):
+        rng = np.random.default_rng(3)
+        theta = np.concatenate([
+            rng.uniform(-1e4, 1e4, 200_000),
+            np.pi * np.array([0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0]),
+        ])
+        z = unit_phase(theta)
+        assert z.dtype == np.complex128 and z.shape == theta.shape
+        assert np.max(np.abs(z - np.exp(1j * theta))) <= 1e-15
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-15
+
+    def test_exact_at_zero(self):
+        assert unit_phase(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+    def test_non_finite_angles_give_nan(self):
+        # the divergence guard of the stepper reads a NaN phase as a NaN norm
+        with np.errstate(invalid="ignore"):
+            z = unit_phase(np.array([np.nan, np.inf, -np.inf]))
+        assert np.all(np.isnan(z.real)) and np.all(np.isnan(z.imag))
+
+    def test_fills_out(self):
+        theta = np.linspace(-5.0, 5.0, 4 * 6).reshape(4, 6)
+        out = np.empty(theta.shape, dtype=np.complex128)
+        assert unit_phase(theta, out=out) is out
+        assert np.array_equal(out, unit_phase(theta))
+
+    def test_plane_wave_at_reference_carriers(self):
+        # the 1D reference's mode carriers: kappa/eps . x up to 2/0.025 * 32
+        grid = Grid(d=1, length=64.0, points=8192)
+        axes = grid.coords()
+        for kappa in (-2.0, 2.0):
+            for eps in (0.2, 0.1, 0.05, 0.025):
+                offset = -0.5 * 0.5 * kappa**2 / eps
+                got = separable_wave(axes, [kappa], 1.0 / eps, offset)
+                angle = (kappa / eps) * axes[0]
+                want = np.exp(1j * offset) * np.exp(1j * angle)
+                tol = 1e-15 * np.maximum(1.0, np.abs(angle + offset))
+                assert np.all(np.abs(got - want) <= tol)

@@ -40,7 +40,7 @@ from hartreelab.wkb import (
     z2_term,
 )
 
-from conftest import in_band_coefficients
+from conftest import band_mask, in_band_coefficients
 
 
 @pytest.fixture
@@ -550,7 +550,7 @@ class TestRandomFields:
         _random_band_limited(grid, np.random.default_rng(5), cutoff)
         coef = in_band_coefficients(grid, np.random.default_rng(5), cutoff)
         assert np.array_equal(seen[0].view(np.float64), coef.view(np.float64))
-        inside = grid.band_mask(cutoff)
+        inside = band_mask(grid, cutoff)
         assert np.all(seen[0][inside] != 0)
         assert np.all(seen[0][~inside].view(np.float64) == 0)
 

@@ -250,6 +250,11 @@ class TestZ2Term:
         out = z2_term(fam, with_shared_terms(fam, snapshot(fam, 0.0, kernel)), 0.1)
         assert np.all(out.values == 0)
 
+    def test_needs_shared_terms(self, single_mode_family, kernel):
+        fam = single_mode_family
+        with pytest.raises(ValueError, match="with_shared_terms"):
+            z2_term(fam, snapshot(fam, 0.0, kernel), 0.1)
+
     def test_gaussian_center_value(self, single_mode_family, kernel):
         # at t = 0 the single amplitude is the gaussian itself, so Z2 at
         # the center is alpha''(0)/2 = -A / (2 sigma^2)
