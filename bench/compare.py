@@ -10,6 +10,12 @@ seconds), the benchmark's extra info (such as FFT calls per call) and
 the after/before ratio of the medians.  A benchmark run on one side
 only (a route the other tree lacks) keeps that side and null for the
 other.
+
+The two sides run one after the other, so drift of the host between
+them lands in every ratio.  `test_control` runs no hartreelab code: its
+ratio is written as the top-level `control_ratio`, and each entry's
+`after_over_before_corrected` is its raw `after_over_before` divided by
+it (null without a control on both sides).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy
 import scipy
 
 STATS = ("median", "q1", "q3", "min", "rounds")
+CONTROL = "test_control"
 
 
 def _stats(doc: dict) -> dict:
@@ -29,9 +36,15 @@ def _stats(doc: dict) -> dict:
             for b in doc["benchmarks"]}
 
 
-def _pair(before, after) -> dict:
-    ratio = after["median"] / before["median"] if before and after else None
-    return {"before": before, "after": after, "after_over_before": ratio}
+def _ratio(before, after):
+    return after["median"] / before["median"] if before and after else None
+
+
+def _pair(before, after, control) -> dict:
+    ratio = _ratio(before, after)
+    corrected = ratio / control if ratio and control else None
+    return {"before": before, "after": after, "after_over_before": ratio,
+            "after_over_before_corrected": corrected}
 
 
 def _machine(doc: dict) -> dict:
@@ -59,13 +72,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     docs = [json.loads(Path(p).read_text()) for p in (args.before, args.after)]
     before, after = (_stats(d) for d in docs)
+    control = _ratio(before.get(CONTROL), after.get(CONTROL))
     record = {
         "machine": _machine(docs[1]),
         "before": args.before_label,
         "after": args.after_label,
         "unit": "s",
+        "control_ratio": control,
         "benchmarks": {
-            name: _pair(before.get(name), after.get(name))
+            name: _pair(before.get(name), after.get(name), control)
             for name in sorted(before.keys() | after.keys())
         },
     }

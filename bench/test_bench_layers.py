@@ -1,4 +1,4 @@
-"""Per-layer timings of the Strang stepper and of its phase kernel.
+"""Per-layer timings of the Strang stepper, its phase kernel and a record.
 
 - `test_advance_step[SIZE]`: one `solver.advance` step at 8192 points
   (1D reference grid), 512^2 (2D reference grid) and 64^3 (L = 10,
@@ -9,6 +9,16 @@
 - `test_phase[ROUTE-SIZE]`: exp(i theta) of a carrier-sized angle array
   (kappa/eps . x up to 2560 at 8192 points, 80 at 512^2) by
   `grid.unit_phase` and by `np.exp(1j * theta)`.
+- `test_record[FAMILY]`: one warm `harness._record` (errors, remainder
+  and Z2 of one eps at one sample time, in its thread's field pair) for
+  the 8192-point two-mode reference family at eps = 0.025, t = 0.25 and
+  for the four-mode 256^2 family at eps = 0.15, t = 0.0625.  Its FFT
+  calls per record and its minor page faults per record (a
+  `resource.getrusage` delta over 20 records) are taken outside the
+  timing and stored in the entry's extra info.
+- `test_control`: a fixed transform pair, product and modulus sum on a
+  256^2 array in plain numpy and scipy; it runs no hartreelab code, so
+  its after/before ratio is the host's drift between the two runs.
 
 Run from the repository root:
 
@@ -17,8 +27,15 @@ Run from the repository root:
 
 `-k "not unit_phase"` runs the module on a tree without
 `grid.unit_phase`.  `bench/compare.py` folds two such files (before and
-after a change) into `bench/BENCH_layers.json`.
+after a change) into `bench/BENCH_layers.json`, each ratio also divided
+by the control's.
 """
+
+import functools
+import json
+import resource
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +43,12 @@ import scipy.fft
 
 from hartreelab import Grid, KernelSpec, SolverParams
 from hartreelab import grid as grid_module
+from hartreelab import harness
+from hartreelab.config import parse_config
 from hartreelab.kernel import _half_multiplier
 from hartreelab.norms import _norms_from_raw_fft
 from hartreelab.solver import advance
+from hartreelab.wkb import snapshot, with_shared_terms
 
 # size -> (grid, gamma, eps)
 CASES = {"8192": (Grid(d=1, length=64.0, points=8192), 0.5, 0.025),
@@ -89,3 +109,70 @@ def test_phase(benchmark, size, route):
     else:
         z = benchmark(grid_module.unit_phase, theta)
     assert z.shape == theta.shape
+
+
+def _reference_1d() -> dict:
+    return json.loads((Path(__file__).resolve().parents[1] / "configs"
+                       / "reference_1d.json").read_text())
+
+
+def _four_mode_256() -> dict:
+    def mode(kappa):
+        return {"kappa": kappa, "profile": {"type": "gaussian", "amplitude": 1.0,
+                                            "center": [0.0, 0.0], "width": 0.75}}
+    return {"dimension": 2, "gamma": 0.5, "lambda": 1.0, "box_length": 16.0,
+            "points": 256,
+            "modes": [mode([-2.0, 0.0]), mode([2.0, 0.0]), mode([0.0, -2.0]),
+                      mode([0.0, 2.0])],
+            "dt_factor": 0.1, "quadrature_nodes": 64, "output": "unused"}
+
+
+# family -> (run document, eps, sample time)
+RECORD_CASES = {
+    "two_mode_8192": (_reference_1d, 0.025, 0.25),
+    "four_mode_256x256": (_four_mode_256, 0.15, 0.0625),
+}
+FAULT_RECORDS = 20
+
+
+def _record_config(family: str):
+    document, eps, t = RECORD_CASES[family]
+    doc = document()
+    doc.update(epsilons=[eps], final_time=t, sample_times=[t])
+    return parse_config(doc)
+
+
+@pytest.mark.parametrize("family", sorted(RECORD_CASES))
+def test_record(benchmark, monkeypatch, family):
+    cfg = _record_config(family)
+    run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
+    t = cfg.sample_times[0]
+    khat_half = _half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
+    assert harness._advance(cfg, khat_half, 0.0, t, run) is None
+    snap = with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel))
+    record = functools.partial(harness._record, cfg, snap, threading.local(), run)
+    record()  # makes this thread's field pair
+
+    calls = []
+    for name in FFT_NAMES:
+        monkeypatch.setattr(scipy.fft, name, _counted(getattr(scipy.fft, name), calls))
+    record()
+    monkeypatch.undo()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(FAULT_RECORDS):
+        record()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    benchmark.extra_info["fft_calls_per_record"] = len(calls)
+    benchmark.extra_info["minor_faults_per_record"] = faults / FAULT_RECORDS
+    assert len(calls) == 6
+    benchmark(record)
+
+
+def test_control(benchmark):
+    z = np.random.default_rng(0).standard_normal((256, 256, 2)).view(np.complex128)[..., 0]
+
+    def control():
+        w = scipy.fft.ifftn(scipy.fft.fftn(z))
+        return float(np.sum(np.abs(w * z)))
+
+    benchmark(control)

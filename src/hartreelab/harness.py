@@ -14,6 +14,14 @@ built, each eps assembles one u_app for its error and remainder, and
 the snapshot is dropped before the next advance.  `--threads N` maps
 each time's per-eps advances and records over N threads.
 
+A record works in two complex field buffers, U and A, instead of fresh
+full-size arrays: u_app goes into U; u - u_app, then r, pass through A
+(the state as a copy of the spectrum transformed in place, since the
+spectrum must survive for the next advance); Z2 then takes U.  Each
+field's L2 sum is read before its forward transform overwrites it.  The
+buffers live from a time's snapshot to that time's last record and are
+dropped with the snapshot; every worker thread has its own pair.
+
 The validation campaigns draw and check their fields in stacks of
 `Grid.block_rows`.  Each field draws only the coefficients inside its
 band, so a stack reads the random stream a field-by-field loop reads.
@@ -31,6 +39,7 @@ import functools
 import itertools
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -39,29 +48,30 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
-from .grid import Field, Grid, translate
+from .grid import Grid, translate
 from .kernel import (
     KernelSpec,
     _half_multiplier,
     hartree_constant,
     hartree_constant_oracle,
 )
-from .norms import l2w_norm, norm_report
-from .norms import _algebra_bounds, _hartree_bounds, _norms_from_raw_fft
+from .norms import l2w_norm
+from .norms import _algebra_bounds, _hartree_bounds, _l2, _norms_from_raw_fft, _wiener
 from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, advance, evolve
 from .solver import picard_evolve
 from .wkb import (
     ModeFamily,
+    _assembled,
+    _remainder,
+    _z2,
     ansatz_residual,
     assemble,
     check_containment,
     check_resolution,
     initial_data,
-    resonant_remainder,
     snapshot,
     transport_residual,
     with_shared_terms,
-    z2_term,
 )
 
 CSV_COLUMNS = ("eps", "t", "err_l2", "err_w", "err_l2w", "r_norm", "z2_norm", "mass_drift")
@@ -246,18 +256,43 @@ def _advance(cfg: SweepConfig, khat_half, t_prev: float, t: float, run: _EpsRun)
         return exc
 
 
-def _record(cfg: SweepConfig, snap, run: _EpsRun):
-    """Errors, remainder and Z2 of one eps at the snapshot's time; one u_app
-    serves the error and the remainder."""
-    eps = run.eps
-    u_app = assemble(cfg.family, snap, eps)
-    rep = norm_report(Field._adopt(cfg.grid, scipy.fft.ifftn(run.raw)) - u_app)
-    r_norm = l2w_norm(resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app))
-    z2_norm = l2w_norm(z2_term(cfg.family, snap, eps))
+def _field_pair(buffers: threading.local, grid: Grid) -> tuple:
+    """This thread's two complex field buffers in `buffers`, made on first use."""
+    pair = getattr(buffers, "pair", None)
+    if pair is None:
+        pair = buffers.pair = tuple(np.empty(grid.shape, dtype=np.complex128)
+                                    for _ in range(2))
+    return pair
+
+
+def _norms_in_place(values: np.ndarray, grid: Grid) -> tuple:
+    """(L2, Wiener) of a field whose samples may be overwritten: the forward
+    transform for the Wiener norm lands in `values`."""
+    l2 = _l2(values, grid)
+    return l2, _wiener(scipy.fft.fftn(values, overwrite_x=True), grid)
+
+
+def _record(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
+    """Errors, remainder and Z2 of one eps at the snapshot's time, in the
+    calling thread's field pair (U, A) of `buffers`: u_app in U serves the
+    error and the remainder, each measured field passes through A, and Z2
+    takes U once u_app is spent."""
+    eps, g = run.eps, cfg.grid
+    u, a = _field_pair(buffers, g)
+    u_app = _assembled(cfg.family, snap, eps, out=u, scratch=a)
+    np.copyto(a, run.raw)  # the spectrum stays for the next advance
+    err = scipy.fft.ifftn(a, overwrite_x=True)
+    err_l2, err_w = _norms_in_place(np.subtract(err, u_app, out=err), g)
+    r_l2, r_w = _norms_in_place(
+        _remainder(cfg.family, snap, eps, cfg.kernel, u_app, out=a), g)
+    z2_l2, z2_w = _norms_in_place(_z2(cfg.family, snap, eps, out=u, scratch=a), g)
+    norms = (err_l2, err_w, r_l2, r_w, z2_l2, z2_w)
+    if not all(map(math.isfinite, norms)):
+        raise ValueError(f"a record field at eps = {eps}, t = {snap.t} contains "
+                         "non-finite entries")
     drift = abs(run.mass - run.mass0) / run.mass0
-    run.records.append(
-        SweepRecord(eps, snap.t, rep.l2, rep.wiener, rep.l2w, r_norm, z2_norm, drift)
-    )
+    run.records.append(SweepRecord(eps, snap.t, err_l2, err_w, err_l2 + err_w,
+                                   r_l2 + r_w, z2_l2 + z2_w, drift))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -280,7 +315,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 break
             snap = with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel))
             e_norms[t] = snap.e_norm
-            list(each(functools.partial(_record, cfg, snap), runs))
+            buffers = threading.local()  # a field pair per worker, this time only
+            list(each(functools.partial(_record, cfg, snap, buffers), runs))
+            del buffers
             t_prev = t
 
     # deterministic order: config order, then t ascending

@@ -67,9 +67,20 @@ class NormReport:
             raise ValueError("norms must be nonnegative")
 
 
+def _l2(values: np.ndarray, grid) -> float:
+    """L2 norm of the field with samples `values`."""
+    mod_sq = np.abs(values)
+    return float(np.sqrt(grid.dx**grid.d * np.sum(np.square(mod_sq, out=mod_sq))))
+
+
+def _wiener(raw: np.ndarray, grid) -> float:
+    """Wiener norm of the field whose raw FFT is `raw`: dxi^d sum |fhat|;
+    the phase factors have modulus one, so the raw FFT moduli suffice."""
+    return float(_wiener_from_modulus(np.abs(raw), grid))
+
+
 def l2_norm(f: Field) -> float:
-    g = f.grid
-    return float(np.sqrt(g.dx**g.d * np.sum(np.abs(f.values) ** 2)))
+    return _l2(f.values, f.grid)
 
 
 def l1_norm(f: Field) -> float:
@@ -78,9 +89,7 @@ def l1_norm(f: Field) -> float:
 
 
 def wiener_norm(f: Field) -> float:
-    """dxi^d sum |fhat|; the phase factors have modulus one, so the raw
-    FFT moduli suffice."""
-    return float(_wiener_from_modulus(np.abs(scipy.fft.fftn(f.values)), f.grid))
+    return _wiener(scipy.fft.fftn(f.values), f.grid)
 
 
 def l2w_norm(f: Field) -> float:

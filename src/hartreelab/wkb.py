@@ -367,11 +367,17 @@ def _mode_carrier(grid: Grid, kappa: np.ndarray, t: float, eps: float) -> np.nda
     return plane_wave(grid.coords(), kappa, 1.0 / eps, offset)
 
 
-def _superpose(family: ModeFamily, values, t: float, eps: float) -> np.ndarray:
-    """sum_j values_j exp(i phi_j(t) / eps), one value array per mode."""
-    out = np.zeros(family.grid.shape, dtype=np.complex128)
+def _superpose(family: ModeFamily, values, t: float, eps: float, out=None,
+               scratch=None) -> np.ndarray:
+    """sum_j values_j exp(i phi_j(t) / eps), one value array per mode, into
+    `out` if given (zeroed first); `scratch`, of the grid's shape, then
+    holds each product instead of a fresh array."""
+    if out is None:
+        out = np.zeros(family.grid.shape, dtype=np.complex128)
+    else:
+        out.fill(0)
     for mode, v in zip(family.modes, values):
-        out += v * _mode_carrier(family.grid, mode.kappa, t, eps)
+        out += np.multiply(v, _mode_carrier(family.grid, mode.kappa, t, eps), out=scratch)
     return out
 
 
@@ -382,23 +388,56 @@ def initial_data(family: ModeFamily, eps: float) -> Field:
     return Field._adopt(family.grid, _superpose(family, alphas, 0.0, eps))
 
 
-def assemble(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
-    """u_app(t) = sum_j a_j exp(i phi_j / eps) at the snapshot's time."""
+def _assembled(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
+               scratch=None) -> np.ndarray:
+    """Values of u_app at the snapshot's time (`_superpose` buffers)."""
     check_resolution(family, eps)
     amps = (amp.values for amp in snap.amplitudes)
-    return Field._adopt(family.grid, _superpose(family, amps, snap.t, eps))
+    return _superpose(family, amps, snap.t, eps, out, scratch)
 
 
-def z2_term(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
-    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) from the half-Laplacians
-    of a `with_shared_terms` snapshot."""
+def assemble(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
+    """u_app(t) = sum_j a_j exp(i phi_j / eps) at the snapshot's time."""
+    return Field._adopt(family.grid, _assembled(family, snap, eps))
+
+
+def _z2(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
+        scratch=None) -> np.ndarray:
+    """Values of Z2 at the snapshot's time (`_superpose` buffers)."""
     if snap.half_laplacians is None:
         raise ValueError(
             "z2_term needs the half-Laplacians of a snapshot passed through "
             "with_shared_terms"
         )
     check_resolution(family, eps)
-    return Field._adopt(family.grid, _superpose(family, snap.half_laplacians, snap.t, eps))
+    return _superpose(family, snap.half_laplacians, snap.t, eps, out, scratch)
+
+
+def z2_term(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
+    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) from the half-Laplacians
+    of a `with_shared_terms` snapshot."""
+    return Field._adopt(family.grid, _z2(family, snap, eps))
+
+
+def _remainder(family: ModeFamily, snap: WkbSnapshot, eps: float, spec: KernelSpec,
+               u_app: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Values of r = -(K * B) u_app into `out`, given the values of u_app."""
+    if len(family.modes) == 1:
+        out.fill(0)
+        return out
+    check_resolution(family, eps, for_remainder=True)
+    conv = _convolve_real(_half_multiplier(spec, family.grid), _cross_density(snap, u_app))
+    return np.multiply(np.negative(conv, out=conv), u_app, out=out)
+
+
+def _cross_density(snap: WkbSnapshot, u_app: np.ndarray) -> np.ndarray:
+    """B = |u_app|^2 - sum_j |a_j|^2 from the values of u_app."""
+    cross = np.abs(u_app)
+    np.square(cross, out=cross)
+    for amp in snap.amplitudes:
+        mod_sq = np.abs(amp.values)
+        cross -= np.square(mod_sq, out=mod_sq)
+    return cross
 
 
 def resonant_remainder(
@@ -411,14 +450,8 @@ def resonant_remainder(
     B = |u_app|^2 - sum_j |a_j|^2.
     """
     g = family.grid
-    if len(family.modes) == 1:
-        return Field._adopt(g, np.zeros(g.shape))
-    check_resolution(family, eps, for_remainder=True)
-    cross = np.abs(u_app.values) ** 2
-    for amp in snap.amplitudes:
-        cross -= np.abs(amp.values) ** 2
-    conv = _convolve_real(_half_multiplier(spec, g), cross)
-    return Field._adopt(g, -conv * u_app.values)
+    out = np.empty(g.shape, dtype=np.complex128)
+    return Field._adopt(g, _remainder(family, snap, eps, spec, u_app.values, out))
 
 
 def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) -> list:

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from hartreelab.harness import (
     _random_smooth_density,
     _sweep_checks,
 )
+from hartreelab.kernel import _half_multiplier
 from hartreelab.norms import l2w_norm, norm_report
 from hartreelab.solver import DivergenceError, SolverParams, evolve
 from hartreelab.wkb import (
@@ -434,9 +438,11 @@ class TestLockstepSweep:
         laplacian_counted = counting("laplacian", grid_module.laplacian)
         monkeypatch.setattr(grid_module, "laplacian", laplacian_counted)
         monkeypatch.setattr(wkb, "laplacian", laplacian_counted)
-        assemble_counted = counting("assemble", wkb.assemble)
-        monkeypatch.setattr(wkb, "assemble", assemble_counted)
-        monkeypatch.setattr(harness, "assemble", assemble_counted)
+        # u_app is assembled by `wkb._assembled`, behind `assemble` and in
+        # each record's field buffer
+        assemble_counted = counting("assemble", wkb._assembled)
+        monkeypatch.setattr(wkb, "_assembled", assemble_counted)
+        monkeypatch.setattr(harness, "_assembled", assemble_counted)
 
         result = run_sweep(cfg)
         assert len(result.records) == n_eps * n_times
@@ -490,6 +496,62 @@ class TestLockstepSweep:
         assert alone.value.time > cfg.sample_times[0]
         assert result.failures[doomed_middle_eps] == str(alone.value)
         self.assert_matches_reference(result, cfg)
+
+
+def four_mode_config():
+    """The four modes kappa = (+-2, 0), (0, +-2) on 256^2, one eps, one time."""
+    grid = Grid(d=2, length=16.0, points=256)
+    prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
+    kappas = ([-2.0, 0.0], [2.0, 0.0], [0.0, -2.0], [0.0, 2.0])
+    return SweepConfig(
+        grid=grid,
+        kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
+        family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas], gamma=0.5),
+        epsilons=(0.15,),
+        final_time=0.0625,
+        sample_times=(0.0625,),
+    )
+
+
+def first_record_inputs(cfg):
+    """(snapshot with shared terms, run) of the first eps at the first sample
+    time, as `run_sweep` hands them to `_record`."""
+    run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
+    khat_half = _half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
+    t = cfg.sample_times[0]
+    assert harness._advance(cfg, khat_half, 0.0, t, run) is None
+    return with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel)), run
+
+
+class TestRecord:
+    """A record measures its fields in a reusable pair of field buffers."""
+
+    def test_warm_record_allocates_under_two_fields(self):
+        cfg = four_mode_config()
+        snap, run = first_record_inputs(cfg)
+        buffers = threading.local()
+        harness._record(cfg, snap, buffers, run)  # makes this thread's pair
+        raw = run.raw.copy()
+        tracemalloc.start()
+        try:
+            harness._record(cfg, snap, buffers, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field_bytes = cfg.grid.total_points * np.dtype(np.complex128).itemsize
+        assert peak < 2 * field_bytes
+        assert run.records[0] == run.records[1]
+        assert np.array_equal(run.raw, raw)  # the spectrum survives the record
+
+    def test_non_finite_field_rejected(self):
+        cfg = three_mode_config()
+        snap, run = first_record_inputs(cfg)
+        halves = [np.array(h) for h in snap.half_laplacians]
+        halves[1][5, 7] = np.inf
+        bad = dataclasses.replace(snap, half_laplacians=tuple(halves))
+        with pytest.raises(ValueError, match="non-finite"):
+            harness._record(cfg, bad, threading.local(), run)
+        assert run.records == []
 
 
 class TestValidateSuite:
