@@ -12,10 +12,13 @@ only (a route the other tree lacks) keeps that side and null for the
 other.
 
 The two sides run one after the other, so drift of the host between
-them lands in every ratio.  `test_control` runs no hartreelab code: its
-ratio is written as the top-level `control_ratio`, and each entry's
-`after_over_before_corrected` is its raw `after_over_before` divided by
-it (null without a control on both sides).
+them lands in every ratio.  The plain-numpy control of
+`bench/conftest.py` runs no hartreelab code.  Timed beside every entry,
+it gives the entry's `control_s`; the after/before ratio of those is the
+entry's `control_ratio`, and its `after_over_before_corrected` is the
+raw `after_over_before` divided by it (null without `control_s` on both
+sides).  The module's own `test_control` entry gives the top-level
+`control_ratio`, the drift over the whole run.
 """
 
 from __future__ import annotations
@@ -40,11 +43,13 @@ def _ratio(before, after):
     return after["median"] / before["median"] if before and after else None
 
 
-def _pair(before, after, control) -> dict:
+def _pair(before, after) -> dict:
     ratio = _ratio(before, after)
-    corrected = ratio / control if ratio and control else None
+    control = (after["control_s"] / before["control_s"]
+               if ratio and "control_s" in before and "control_s" in after else None)
+    corrected = ratio / control if control else None
     return {"before": before, "after": after, "after_over_before": ratio,
-            "after_over_before_corrected": corrected}
+            "control_ratio": control, "after_over_before_corrected": corrected}
 
 
 def _machine(doc: dict) -> dict:
@@ -72,15 +77,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     docs = [json.loads(Path(p).read_text()) for p in (args.before, args.after)]
     before, after = (_stats(d) for d in docs)
-    control = _ratio(before.get(CONTROL), after.get(CONTROL))
     record = {
         "machine": _machine(docs[1]),
         "before": args.before_label,
         "after": args.after_label,
         "unit": "s",
-        "control_ratio": control,
+        "control_ratio": _ratio(before.get(CONTROL), after.get(CONTROL)),
         "benchmarks": {
-            name: _pair(before.get(name), after.get(name), control)
+            name: _pair(before.get(name), after.get(name))
             for name in sorted(before.keys() | after.keys())
         },
     }

@@ -13,12 +13,21 @@
   and Z2 of one eps at one sample time, in its thread's field pair) for
   the 8192-point two-mode reference family at eps = 0.025, t = 0.25 and
   for the four-mode 256^2 family at eps = 0.15, t = 0.0625.  Its FFT
-  calls per record and its minor page faults per record (a
-  `resource.getrusage` delta over 20 records) are taken outside the
-  timing and stored in the entry's extra info.
-- `test_control`: a fixed transform pair, product and modulus sum on a
-  256^2 array in plain numpy and scipy; it runs no hartreelab code, so
-  its after/before ratio is the host's drift between the two runs.
+  calls per record are counted outside the timing and stored in the
+  entry's extra info.
+- `test_sweep_unit`: one warm `harness.run_sweep` over the four-mode
+  256^2 family (eps = 0.3, 0.2, 0.15; eight sample times to t = 0.5),
+  the unit of perfbench's `sweep_2d_multimode`.  Its minor page faults
+  are stored as `minor_faults_per_unit`: a `resource.getrusage` delta
+  around one unit, after a warm-up unit, in a fresh interpreter.  The
+  count depends on what the process allocated and freed before: a warm
+  loop of bare records reuses the heap chunks the previous record freed
+  (0 faults), and a unit run in this process after the other entries
+  read about 2,100 on every tree, against 28,334 in a fresh one.
+- `test_control`: the plain-numpy control of `bench/conftest.py` (no
+  hartreelab code); its after/before ratio is the host's drift between
+  the two runs.  The same control also runs beside every entry, and its
+  median there is the entry's `control_s`.
 
 Run from the repository root:
 
@@ -28,12 +37,13 @@ Run from the repository root:
 `-k "not unit_phase"` runs the module on a tree without
 `grid.unit_phase`.  `bench/compare.py` folds two such files (before and
 after a change) into `bench/BENCH_layers.json`, each ratio also divided
-by the control's.
+by the ratio of its own `control_s`.
 """
 
 import functools
 import json
-import resource
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -132,7 +142,6 @@ RECORD_CASES = {
     "two_mode_8192": (_reference_1d, 0.025, 0.25),
     "four_mode_256x256": (_four_mode_256, 0.15, 0.0625),
 }
-FAULT_RECORDS = 20
 
 
 def _record_config(family: str):
@@ -158,21 +167,34 @@ def test_record(benchmark, monkeypatch, family):
         monkeypatch.setattr(scipy.fft, name, _counted(getattr(scipy.fft, name), calls))
     record()
     monkeypatch.undo()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(FAULT_RECORDS):
-        record()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     benchmark.extra_info["fft_calls_per_record"] = len(calls)
-    benchmark.extra_info["minor_faults_per_record"] = faults / FAULT_RECORDS
     assert len(calls) == 6
     benchmark(record)
 
 
-def test_control(benchmark):
-    z = np.random.default_rng(0).standard_normal((256, 256, 2)).view(np.complex128)[..., 0]
+UNIT_FAULTS = """\
+import json, resource, sys
+from hartreelab import harness
+from hartreelab.config import parse_config
+cfg = parse_config(json.loads(sys.argv[1]))
+harness.run_sweep(cfg)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+harness.run_sweep(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+"""
 
-    def control():
-        w = scipy.fft.ifftn(scipy.fft.fftn(z))
-        return float(np.sum(np.abs(w * z)))
 
+def test_sweep_unit(benchmark, child_env):
+    doc = _four_mode_256()
+    doc.update(epsilons=[0.3, 0.2, 0.15], final_time=0.5,
+               sample_times=[0.0625 * i for i in range(1, 9)])
+    out = subprocess.run([sys.executable, "-c", UNIT_FAULTS, json.dumps(doc)], env=child_env,
+                         capture_output=True, text=True, check=True)
+    benchmark.extra_info["minor_faults_per_unit"] = int(out.stdout)
+    cfg = parse_config(doc)
+    result = benchmark.pedantic(harness.run_sweep, args=(cfg,), rounds=3, warmup_rounds=1)
+    assert not result.failures and len(result.records) == 24
+
+
+def test_control(benchmark, control):
     benchmark(control)

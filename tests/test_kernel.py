@@ -20,7 +20,13 @@ from hartreelab import (
     split_norms,
     zero_mode_value,
 )
-from hartreelab.kernel import _convolve_real, _half_multiplier, multiplier_grid
+from hartreelab.kernel import (
+    _CELL_NODES,
+    _convolve_real,
+    _half_multiplier,
+    _singular_cell_mass,
+    multiplier_grid,
+)
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -51,6 +57,34 @@ class TestHartreeConstant:
         formula = hartree_constant(d, gamma)
         oracle = hartree_constant_oracle(d, gamma)
         assert abs(formula - oracle) / oracle < 1e-8
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_oracle_matches_formula_to_rounding(self, d):
+        # series head + Gauss-Legendre tail against the Gamma form, out to
+        # both ends of (0, d)
+        for gamma in [0.01, *np.linspace(0.1, d - 0.1, 12), d - 0.01]:
+            formula = hartree_constant(d, gamma)
+            oracle = hartree_constant_oracle(d, gamma)
+            assert abs(formula - oracle) / formula < 1e-12, gamma
+
+
+class TestSingularCellMass:
+    @pytest.mark.parametrize("dx", [0.05, 0.375, 1.0])
+    def test_2d_coulomb_closed_form(self, dx):
+        # gamma = 1: the integral of 1/|z| over a square of half-width a is
+        # 8 a ln(1 + sqrt 2)
+        exact = 8 * (dx / 2) * math.log(1 + math.sqrt(2))
+        assert abs(_singular_cell_mass(2, 1.0, dx) - exact) / exact < 1e-14
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.5])
+    def test_2d_matches_refined_rule(self, gamma):
+        dx = 0.375
+        a = dx / 2
+        nodes, weights = np.polynomial.legendre.leggauss(4 * _CELL_NODES)
+        theta = (math.pi / 8) * (nodes + 1)
+        wedge = (math.pi / 8) * np.dot(weights, (a / np.cos(theta)) ** (2 - gamma))
+        reference = 8 * wedge / (2 - gamma)
+        assert abs(_singular_cell_mass(2, gamma, dx) - reference) / reference < 1e-14
 
 
 class TestKernelSpec:
@@ -231,12 +265,36 @@ class TestZeroMode:
 
 def test_import_and_load_leave_scipy_integrate_unloaded():
     # scipy.integrate pulls in scipy.optimize, sparse and linalg; only the
-    # quadrature oracles need it, so they import it when they run
+    # tests use it
     root = Path(__file__).resolve().parents[1]
     src = str(Path(hartreelab.__file__).resolve().parents[1])
     script = (
         "import sys, hartreelab\n"
         f"hartreelab.load_config({str(root / 'configs' / 'reference_2d.json')!r})\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, cwd=root)
+    assert out.stdout.strip() == "False"
+
+
+def test_validate_and_direct_oracle_leave_scipy_integrate_unloaded():
+    # the kernel-constant oracle and the 2-D singular cell run on numpy
+    # quadrature, so neither a validate run nor the direct convolution
+    # loads scipy.integrate
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(hartreelab.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import hartreelab\n"
+        "from hartreelab import Field, Grid, KernelSpec, convolve_direct\n"
+        f"cfg = hartreelab.load_config({str(root / 'configs' / 'reference_1d.json')!r})\n"
+        "hartreelab.validate_suite(cfg, seed=0)\n"
+        "grid = Grid(d=2, length=8.0, points=16)\n"
+        "xs, ys = grid.coords()\n"
+        "convolve_direct(KernelSpec(d=2, gamma=1.0), Field(grid, np.exp(-(xs**2 + ys**2))))\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
