@@ -55,10 +55,10 @@ from hartreelab import Grid, KernelSpec, SolverParams
 from hartreelab import grid as grid_module
 from hartreelab import harness
 from hartreelab.config import parse_config
-from hartreelab.kernel import _half_multiplier
+from hartreelab.kernel import half_multiplier
 from hartreelab.norms import _norms_from_raw_fft
 from hartreelab.solver import advance
-from hartreelab.wkb import snapshot, with_shared_terms
+from hartreelab.wkb import snapshot
 
 # size -> (grid, gamma, eps)
 CASES = {"8192": (Grid(d=1, length=64.0, points=8192), 0.5, 0.025),
@@ -86,7 +86,7 @@ def test_advance_step(benchmark, monkeypatch, size):
     grid, gamma, eps = CASES[size]
     spec = KernelSpec(d=grid.d, gamma=gamma)
     params = SolverParams.largest_step(eps, 1.0)
-    khat_half = _half_multiplier(spec, grid, spec.coupling)
+    khat_half = half_multiplier(spec, grid, spec.coupling)
     raw = scipy.fft.fftn(_packets(grid, eps).astype(np.complex128))
     norm0 = sum(_norms_from_raw_fft(raw, grid))
     state = {"raw": raw}
@@ -156,9 +156,9 @@ def test_record(benchmark, monkeypatch, family):
     cfg = _record_config(family)
     run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
     t = cfg.sample_times[0]
-    khat_half = _half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
+    khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     assert harness._advance(cfg, khat_half, 0.0, t, run) is None
-    snap = with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel))
+    snap = snapshot(cfg.family, t, cfg.kernel)
     record = functools.partial(harness._record, cfg, snap, threading.local(), run)
     record()  # makes this thread's field pair
 

@@ -9,13 +9,14 @@ with an unquantified constant, so the acceptance stance is
 
 The eps run in lockstep: between sample times each eps holds only its
 raw spectrum and t = 0 scalars.  At each t every eps is advanced, one
-WKB snapshot with its eps-free terms ((1/2) Lap a_j, ||a(t)||_E) is
+WKB snapshot (with its eps-free terms (1/2) Lap a_j and ||a(t)||_E) is
 built, each eps assembles one u_app for its error and remainder, and
 the snapshot is dropped before the next advance.  `--threads N` maps
 each time's per-eps advances and records over N threads.
 
 A record works in two complex field buffers, U and A, instead of fresh
-full-size arrays: u_app goes into U; u - u_app, then r, pass through A
+full-size arrays, passed as the `out=`/`scratch=` of the public `wkb`
+record terms: u_app goes into U; u - u_app, then r, pass through A
 (the state as a copy of the spectrum transformed in place, since the
 spectrum must survive for the next advance); Z2 then takes U.  Each
 field's L2 sum is read before its forward transform overwrites it.  The
@@ -48,10 +49,10 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
-from .grid import Grid, translate
+from .grid import Field, Grid, translate
 from .kernel import (
     KernelSpec,
-    _half_multiplier,
+    half_multiplier,
     hartree_constant,
     hartree_constant_oracle,
 )
@@ -61,17 +62,15 @@ from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, advance, evolv
 from .solver import picard_evolve
 from .wkb import (
     ModeFamily,
-    _assembled,
-    _remainder,
-    _z2,
     ansatz_residual,
     assemble,
     check_containment,
     check_resolution,
     initial_data,
+    resonant_remainder,
     snapshot,
     transport_residual,
-    with_shared_terms,
+    z2_term,
 )
 
 CSV_COLUMNS = ("eps", "t", "err_l2", "err_w", "err_l2w", "r_norm", "z2_norm", "mass_drift")
@@ -240,7 +239,7 @@ class _EpsRun:
 def _start(cfg: SweepConfig, snap0, eps: float) -> _EpsRun:
     """Initial data of one eps, its t = 0 error and its raw spectrum."""
     u0 = initial_data(cfg.family, eps)
-    init_err = l2w_norm(u0 - assemble(cfg.family, snap0, eps))
+    init_err = l2w_norm(u0 - Field._adopt(cfg.grid, assemble(cfg.family, snap0, eps)))
     params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
     raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
     l2_0, w_0 = _norms_from_raw_fft(raw, cfg.grid)
@@ -272,6 +271,7 @@ def _norms_in_place(values: np.ndarray, grid: Grid) -> tuple:
     return l2, _wiener(scipy.fft.fftn(values, overwrite_x=True), grid)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite check below reports it
 def _record(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
     """Errors, remainder and Z2 of one eps at the snapshot's time, in the
     calling thread's field pair (U, A) of `buffers`: u_app in U serves the
@@ -279,17 +279,17 @@ def _record(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
     takes U once u_app is spent."""
     eps, g = run.eps, cfg.grid
     u, a = _field_pair(buffers, g)
-    u_app = _assembled(cfg.family, snap, eps, out=u, scratch=a)
+    u_app = assemble(cfg.family, snap, eps, out=u, scratch=a)
     np.copyto(a, run.raw)  # the spectrum stays for the next advance
     err = scipy.fft.ifftn(a, overwrite_x=True)
     err_l2, err_w = _norms_in_place(np.subtract(err, u_app, out=err), g)
     r_l2, r_w = _norms_in_place(
-        _remainder(cfg.family, snap, eps, cfg.kernel, u_app, out=a), g)
-    z2_l2, z2_w = _norms_in_place(_z2(cfg.family, snap, eps, out=u, scratch=a), g)
+        resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app, out=a), g)
+    z2_l2, z2_w = _norms_in_place(z2_term(cfg.family, snap, eps, out=u, scratch=a), g)
     norms = (err_l2, err_w, r_l2, r_w, z2_l2, z2_w)
     if not all(map(math.isfinite, norms)):
-        raise ValueError(f"a record field at eps = {eps}, t = {snap.t} contains "
-                         "non-finite entries")
+        raise FloatingPointError(f"a record field at eps = {eps}, t = {snap.t} "
+                                 "contains non-finite entries")
     drift = abs(run.mass - run.mass0) / run.mass0
     run.records.append(SweepRecord(eps, snap.t, err_l2, err_w, err_l2 + err_w,
                                    r_l2 + r_w, z2_l2 + z2_w, drift))
@@ -298,12 +298,13 @@ def _record(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Advance every eps in lockstep through the sample times, fit the rate,
     check bounds."""
-    khat_half = _half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
+    khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     failures, e_norms = {}, {}
     with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
         each = pool.map if pool else map
         snap = snapshot(cfg.family, 0.0, cfg.kernel)
         runs = list(each(functools.partial(_start, cfg, snap), cfg.epsilons))
+        init_errs = {run.eps: run.init_err for run in runs}  # failed eps count too
         t_prev = 0.0
         for t in cfg.sample_times:
             del snap  # one snapshot with its terms at a time, none while stepping
@@ -313,7 +314,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             runs = [r for r, x in zip(runs, outcomes) if not x]
             if not runs:
                 break
-            snap = with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel))
+            snap = snapshot(cfg.family, t, cfg.kernel)
             e_norms[t] = snap.e_norm
             buffers = threading.local()  # a field pair per worker, this time only
             list(each(functools.partial(_record, cfg, snap, buffers), runs))
@@ -322,7 +323,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     # deterministic order: config order, then t ascending
     records = [r for run in runs for r in run.records]
-    init_errs = {run.eps: run.init_err for run in runs}
     worst = [(run.eps, max(r.err_l2w for r in run.records)) for run in runs]
 
     beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
@@ -352,10 +352,11 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
                   e_norms) -> dict:
     """Bound checks on the measured records; margins are normalized
     headroom (tolerance - measured) / tolerance, passing iff >= 0.
-    e_norms maps each sample time with records to ||a(t)||_E."""
+    init_errs maps every eps, failed or not, to its t = 0 error; e_norms
+    maps each sample time with records to ||a(t)||_E."""
     checks = {}
 
-    init_worst = max(init_errs.values()) if init_errs else math.inf
+    init_worst = max(init_errs.values())
     checks["initial_exactness"] = _below(
         init_worst, 1e-12, f"max t=0 error {init_worst:.3e}"
     )

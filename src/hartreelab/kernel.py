@@ -21,8 +21,8 @@ is integrable and consistent as dxi -> 0:
 
     Khat(0) := C * (d/gamma) * (dxi/2)**(gamma - d).
 
-Every spectral K * rho takes one route: `_convolve_real` applies the
-half-spectrum multiplier of `_half_multiplier` to a real density or a
+Every spectral K * rho takes one route: `convolve` applies the
+half-spectrum multiplier of `half_multiplier` to a real density or a
 stack of them.  `convolve_direct` is the independent quadrature oracle
 (direct summation, never an FFT).
 """
@@ -153,15 +153,15 @@ def _multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
     return out
 
 
-def _half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndarray:
+def half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndarray:
     """scale (2pi)^{d/2} Khat on the half spectrum of a real transform."""
     khat = multiplier_grid(spec, grid)[..., : grid.points // 2 + 1]
     return (scale * TWO_PI ** (grid.d / 2)) * khat
 
 
-def _convolve_real(khat_half: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def convolve(khat_half: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """K * rho for a real density array or a stack of them: one real transform
-    pair over the axes of khat_half (`_half_multiplier`, scale included)."""
+    pair over the axes of khat_half (`half_multiplier`, scale included)."""
     axes = tuple(range(-khat_half.ndim, 0))
     rho_hat = scipy.fft.rfftn(rho, axes=axes)
     rho_hat *= khat_half

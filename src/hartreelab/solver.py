@@ -49,7 +49,7 @@ import numpy as np
 import scipy.fft
 
 from .grid import Field, unit_phase
-from .kernel import KernelSpec, _convolve_real, _half_multiplier
+from .kernel import KernelSpec, convolve, half_multiplier
 from .norms import _norms_from_raw_fft
 
 MAX_DT_FACTOR = 0.25
@@ -151,7 +151,7 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
 
     The gap is cut into the fewest equal steps no longer than the
     requested dt, so t_next is hit exactly; khat_half is
-    `kernel._half_multiplier(spec, grid, lambda)`.  `raw` is consumed;
+    `kernel.half_multiplier(spec, grid, lambda)`.  `raw` is consumed;
     returns the spectrum at t_next and its L2 norm.  The run is aborted
     once the combined norm exceeds 4 norm0, norm0 being its value at
     t = 0: the stability ball of the local existence argument.
@@ -172,7 +172,7 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
             np.multiply(state.imag, state.imag, out=imag_sq)
             density += imag_sq
             # -dt after the transform: an overflowing potential gives a NaN phase
-            angle = _convolve_real(khat_half, density)
+            angle = convolve(khat_half, density)
             angle *= -dt
             state *= unit_phase(angle, out=phase)
             raw = scipy.fft.fftn(state, overwrite_x=True)
@@ -195,7 +195,7 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
         if t < 0 or t > params.final_time * (1 + 1e-12):
             raise ValueError(f"sample time {t} outside [0, T = {params.final_time}]")
 
-    khat_half = _half_multiplier(spec, g, spec.coupling)
+    khat_half = half_multiplier(spec, g, spec.coupling)
     raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
     l2_0, w_0 = _norms_from_raw_fft(raw, g)
 
@@ -213,6 +213,7 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
     return Trajectory(tuple(rec_times), tuple(rec_states), tuple(rec_mass))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite increment raises
 def picard_evolve(
     u0: Field,
     spec: KernelSpec,
@@ -227,7 +228,8 @@ def picard_evolve(
     The time integral is composite-trapezoidal on a node grid obeying
     the same resolution rule as the stepper.  Successive-iterate
     increments are measured in the combined norm, sup over nodes; three
-    consecutive increases are reported as leaving the contraction ball.
+    consecutive increases, or a non-finite increment, are reported as
+    leaving the contraction ball.
     """
     g = u0.grid
     if horizon is None:
@@ -238,14 +240,14 @@ def picard_evolve(
         nodes = max(8, math.ceil(horizon / (0.1 * eps)))
     h = horizon / nodes
 
-    khat_half = _half_multiplier(spec, g, spec.coupling)
+    khat_half = half_multiplier(spec, g, spec.coupling)
     u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
     axes = tuple(range(1, g.d + 1))
 
     def sources(raw):
         """Raw spectra of (K * |u|^2) u, u the states of a stack of raw spectra."""
         state = scipy.fft.ifftn(raw, axes=axes)
-        state *= _convolve_real(khat_half, state.real**2 + state.imag**2)
+        state *= convolve(khat_half, state.real**2 + state.imag**2)
         return scipy.fft.fftn(state, axes=axes, overwrite_x=True)
 
     # raw spectra of the node states, seeded by the free flow; node 0 is
@@ -269,7 +271,11 @@ def picard_evolve(
                 integral = carry * u_half + (h / 2) * q_i
                 carry = integral + (h / 2) * q_i
                 new = free - 1j * integral
-                inc = max(inc, sum(_norms_from_raw_fft(new - node, g)))
+                step = sum(_norms_from_raw_fft(new - node, g))
+                if not math.isfinite(step):  # max() would drop a NaN
+                    raise PicardConvergenceError(
+                        f"increment became non-finite in iteration {iteration}")
+                inc = max(inc, step)
                 node[...] = new
             del q, q_i  # freed before the next block's sources are built
         if inc < tol:

@@ -27,11 +27,11 @@ densities, so Theta_j is real by construction; `action_phase_quadrature`
 is the independent composite-Simpson oracle over the time variable.
 Exponentials are plane waves built separably by `grid.plane_wave`, and
 the amplitude phase exp(i Theta_j) is one `grid.unit_phase`.  A
-snapshot of M modes costs M r2c + M c2r + 2 M c2c FFTs (shared density
-spectra, one inverse per phase, a pair per translated amplitude) and
-keeps no phase.  `with_shared_terms` adds 2 M more for its eps-free
-terms (one transform per amplitude serves its graded norm and
-half-Laplacian); a record per eps then transforms no amplitude.
+snapshot of M modes at t > 0 costs M r2c + M c2r + 4 M c2c FFTs: shared
+density spectra, one inverse per phase, a pair per translated amplitude,
+and a pair per amplitude for its eps-free terms (one forward transform
+serves its graded norm and its half-Laplacian).  It keeps no phase, and
+a record per eps then transforms no amplitude.
 
 Expansion bookkeeping: after the eikonal and transport cancellations,
 plugging the ansatz into the equation leaves exactly
@@ -41,14 +41,15 @@ plugging the ansatz into the equation leaves exactly
     r  = -(K * B) u_app,   B = sum_{k != l} a_k conj(a_l)
                                 exp(i (phi_k - phi_l) / eps),
 
-which `z2_term`, `resonant_remainder` and `ansatz_residual` expose.  The
-cross density B is what the averaged density rho = sum_j |a_j|^2 leaves
-of |u_app|^2, so B = |u_app|^2 - sum_j |a_j|^2.
+which `z2_term` and `resonant_remainder` return as sample arrays, like
+`assemble` for u_app (each fills an `out=` buffer when given, as a sweep
+record does), and `ansatz_residual` checks.  The cross density B is what
+the averaged density rho = sum_j |a_j|^2 leaves of |u_app|^2, so
+B = |u_app|^2 - sum_j |a_j|^2.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -70,7 +71,7 @@ from .grid import (
     translate,
     unit_phase,
 )
-from .kernel import KernelSpec, _convolve_real, _half_multiplier
+from .kernel import KernelSpec, convolve, half_multiplier
 from .norms import YNormSpec, _graded_norm, l2w_norm
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
@@ -185,13 +186,12 @@ class ModeFamily:
 
 @dataclass(frozen=True, eq=False)
 class WkbSnapshot:
-    """Amplitudes a_j(t) at one time, plus the eps-free (1/2) Lap a_j and
-    ||a(t)||_E once `with_shared_terms` ran."""
+    """Amplitudes a_j(t) with their eps-free (1/2) Lap a_j and ||a(t)||_E."""
 
     t: float
     amplitudes: tuple
-    half_laplacians: tuple = None
-    e_norm: float = None
+    half_laplacians: tuple
+    e_norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +281,7 @@ def action_phase(
         acc += rho_hat * _averaging_factor(t, omega, plane_wave(meshes, dk, -t))
 
     acc *= plane_wave(meshes, kappa_j, -t)
-    acc *= _half_multiplier(spec, g, -spec.coupling)
+    acc *= half_multiplier(spec, g, -spec.coupling)
     return Field._adopt(g, scipy.fft.irfftn(acc, s=g.shape, overwrite_x=True))
 
 
@@ -320,7 +320,7 @@ def action_phase_quadrature(
     if t == 0.0 or spec.coupling == 0.0:
         return Field._adopt(g, np.zeros(g.shape))
 
-    khat_half = _half_multiplier(spec, g)
+    khat_half = half_multiplier(spec, g)
     taus = np.linspace(0.0, t, nodes + 1)
     weights = np.ones(nodes + 1)
     weights[1:-1:2] = 4.0
@@ -330,15 +330,17 @@ def action_phase_quadrature(
     total = np.zeros(g.shape)
     for tau, w in zip(taus, weights):
         dens = _translated_density(family, j, float(tau), t)
-        total = total + w * _convolve_real(khat_half, dens)
+        total = total + w * convolve(khat_half, dens)
     return Field._adopt(g, -spec.coupling * total)
 
 
 def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
-    """Transported amplitudes at time t; modulus is pure translation.
+    """Amplitudes at time t (modulus: pure translation) with eps-free terms.
 
     The M `action_phase` calls share one set of density spectra (M real
-    FFTs); each phase is dropped once its amplitude is built.
+    FFTs); each phase is dropped once its amplitude is built.  One forward
+    transform per amplitude then serves its graded norm and its
+    half-Laplacian (2 M FFTs).
     """
     check_containment(family, t)
     spectra = _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None
@@ -347,18 +349,13 @@ def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
         amp = unit_phase(action_phase(family, j, t, spec, spectra).values.real)
         amp *= translate(mode.alpha, t * mode.kappa).values
         amps.append(Field._adopt(family.grid, amp))
-    return WkbSnapshot(t=t, amplitudes=tuple(amps))
-
-
-def with_shared_terms(family: ModeFamily, snap: WkbSnapshot) -> WkbSnapshot:
-    """snap with its half-Laplacians and ||a(t)||_E: one forward transform
-    per amplitude serves its graded norm and its Laplacian (2 M FFTs)."""
-    halves, total = [], 0.0
-    for amp in snap.amplitudes:
+    del spectra  # freed before the eps-free terms are built
+    halves, e_norm = [], 0.0
+    for amp in amps:
         raw = scipy.fft.fftn(amp.values)
-        total += _graded_norm(raw, family.grid, family.nspec)
+        e_norm += _graded_norm(raw, family.grid, family.nspec)
         halves.append(0.5 * _laplacian_from_raw(raw, family.grid))
-    return dataclasses.replace(snap, half_laplacians=tuple(halves), e_norm=total)
+    return WkbSnapshot(t, tuple(amps), tuple(halves), e_norm)
 
 
 def _mode_carrier(grid: Grid, kappa: np.ndarray, t: float, eps: float) -> np.ndarray:
@@ -388,70 +385,44 @@ def initial_data(family: ModeFamily, eps: float) -> Field:
     return Field._adopt(family.grid, _superpose(family, alphas, 0.0, eps))
 
 
-def _assembled(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
-               scratch=None) -> np.ndarray:
-    """Values of u_app at the snapshot's time (`_superpose` buffers)."""
+def assemble(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
+             scratch=None) -> np.ndarray:
+    """u_app = sum_j a_j exp(i phi_j / eps) at snap.t (`_superpose` buffers)."""
     check_resolution(family, eps)
     amps = (amp.values for amp in snap.amplitudes)
     return _superpose(family, amps, snap.t, eps, out, scratch)
 
 
-def assemble(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
-    """u_app(t) = sum_j a_j exp(i phi_j / eps) at the snapshot's time."""
-    return Field._adopt(family.grid, _assembled(family, snap, eps))
-
-
-def _z2(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
-        scratch=None) -> np.ndarray:
-    """Values of Z2 at the snapshot's time (`_superpose` buffers)."""
-    if snap.half_laplacians is None:
-        raise ValueError(
-            "z2_term needs the half-Laplacians of a snapshot passed through "
-            "with_shared_terms"
-        )
+def z2_term(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
+            scratch=None) -> np.ndarray:
+    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) from the snapshot's
+    half-Laplacians, into `out` if given (`_superpose` buffers)."""
     check_resolution(family, eps)
     return _superpose(family, snap.half_laplacians, snap.t, eps, out, scratch)
 
 
-def z2_term(family: ModeFamily, snap: WkbSnapshot, eps: float) -> Field:
-    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) from the half-Laplacians
-    of a `with_shared_terms` snapshot."""
-    return Field._adopt(family.grid, _z2(family, snap, eps))
+def resonant_remainder(family: ModeFamily, snap: WkbSnapshot, eps: float,
+                       spec: KernelSpec, u_app: np.ndarray, out=None) -> np.ndarray:
+    """Cross-mode term r = -(K * B) u_app of a record, zero for a single
+    mode, into `out` if given; u_app holds the values `assemble` returned.
 
-
-def _remainder(family: ModeFamily, snap: WkbSnapshot, eps: float, spec: KernelSpec,
-               u_app: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Values of r = -(K * B) u_app into `out`, given the values of u_app."""
+    The cross density is read off the assembled field, whose diagonal
+    terms are the averaged density: B = |u_app|^2 - sum_j |a_j|^2.
+    """
+    if out is None:
+        out = np.empty(family.grid.shape, dtype=np.complex128)
     if len(family.modes) == 1:
         out.fill(0)
         return out
     check_resolution(family, eps, for_remainder=True)
-    conv = _convolve_real(_half_multiplier(spec, family.grid), _cross_density(snap, u_app))
-    return np.multiply(np.negative(conv, out=conv), u_app, out=out)
-
-
-def _cross_density(snap: WkbSnapshot, u_app: np.ndarray) -> np.ndarray:
-    """B = |u_app|^2 - sum_j |a_j|^2 from the values of u_app."""
     cross = np.abs(u_app)
     np.square(cross, out=cross)
     for amp in snap.amplitudes:
         mod_sq = np.abs(amp.values)
         cross -= np.square(mod_sq, out=mod_sq)
-    return cross
-
-
-def resonant_remainder(
-    family: ModeFamily, snap: WkbSnapshot, eps: float, spec: KernelSpec, u_app: Field
-) -> Field:
-    """Cross-mode term r = -(K * B) u_app of a record, zero for a single mode.
-
-    The diagonal terms of |u_app|^2 are the averaged density
-    sum_j |a_j|^2, so the cross density is read off the assembled field:
-    B = |u_app|^2 - sum_j |a_j|^2.
-    """
-    g = family.grid
-    out = np.empty(g.shape, dtype=np.complex128)
-    return Field._adopt(g, _remainder(family, snap, eps, spec, u_app.values, out))
+    del mod_sq  # freed before the convolution's transforms
+    conv = convolve(half_multiplier(spec, family.grid), cross)
+    return np.multiply(np.negative(conv, out=conv), u_app, out=out)
 
 
 def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) -> list:
@@ -459,7 +430,7 @@ def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) ->
     rho = sum_l |a_l|^2, with the drift applied as one i kappa_j . xi multiplier."""
     g = family.grid
     rho = sum(np.abs(amp.values) ** 2 for amp in snap.amplitudes)
-    potential = _convolve_real(_half_multiplier(spec, g, spec.coupling), rho)
+    potential = convolve(half_multiplier(spec, g, spec.coupling), rho)
     meshes = g.freq_meshes(zero_nyquist=True)
     rates = []
     for mode, amp in zip(family.modes, snap.amplitudes):
@@ -512,7 +483,7 @@ def ansatz_residual(
     identity genuinely tests the eikonal and transport cancellations.
     """
     check_resolution(family, eps, for_remainder=True)
-    snap = with_shared_terms(family, snapshot(family, t, spec))
+    snap = snapshot(family, t, spec)
     g = family.grid
     u_app = assemble(family, snap, eps)
 
@@ -524,13 +495,14 @@ def ansatz_residual(
     )
     dudt = _superpose(family, wave_rates, t, eps)
 
-    khat_half = _half_multiplier(spec, g, spec.coupling)
-    nonlinear = _convolve_real(khat_half, np.abs(u_app.values) ** 2) * u_app.values
-    lhs = 1j * eps * dudt + 0.5 * eps**2 * laplacian(u_app).values - eps * nonlinear
+    khat_half = half_multiplier(spec, g, spec.coupling)
+    nonlinear = convolve(khat_half, np.abs(u_app) ** 2) * u_app
+    lap = laplacian(Field._adopt(g, u_app)).values
+    lhs = 1j * eps * dudt + 0.5 * eps**2 * lap - eps * nonlinear
 
     z2 = z2_term(family, snap, eps)
     rem = resonant_remainder(family, snap, eps, spec, u_app)
-    rhs = eps**2 * z2.values + eps * spec.coupling * rem.values
+    rhs = eps**2 * z2 + eps * spec.coupling * rem
 
     residual = Field._adopt(g, lhs - rhs)
     rhs_norm = l2w_norm(Field._adopt(g, rhs))

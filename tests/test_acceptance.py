@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hartreelab import (
+    Field,
     GaussianProfile,
     Grid,
     KernelSpec,
@@ -251,7 +252,8 @@ def test_criterion_8_wkb_internal_consistency(config_1d):
 
     worst_init, snap0 = 0.0, snapshot(fam, 0.0, kern)
     for eps in config_1d.epsilons:
-        gap = l2w_norm(initial_data(fam, eps) - assemble(fam, snap0, eps))
+        u_app = Field(fam.grid, assemble(fam, snap0, eps))
+        gap = l2w_norm(initial_data(fam, eps) - u_app)
         worst_init = max(worst_init, gap)
     assert worst_init < 1e-12
 

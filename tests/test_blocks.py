@@ -20,7 +20,7 @@ from hartreelab import (
     validate_suite,
 )
 from hartreelab.harness import _algebra_campaign, _density_envelope, _hartree_campaign
-from hartreelab.kernel import _convolve_real, _half_multiplier, multiplier_grid, split_norms
+from hartreelab.kernel import convolve, half_multiplier, multiplier_grid, split_norms
 from hartreelab.norms import _norms_from_raw_fft
 
 from conftest import band_mask, in_band_coefficients
@@ -135,12 +135,12 @@ def per_node_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
     per node and iteration.  Returns (state spectrum at the horizon, iterations)."""
     g = u0.grid
     h = horizon / nodes
-    khat_half = _half_multiplier(spec, g, spec.coupling)
+    khat_half = half_multiplier(spec, g, spec.coupling)
     u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
 
     def source(raw):
         state = scipy.fft.ifftn(raw)
-        state *= _convolve_real(khat_half, state.real**2 + state.imag**2)
+        state *= convolve(khat_half, state.real**2 + state.imag**2)
         return scipy.fft.fftn(state, overwrite_x=True)
 
     raw0 = scipy.fft.fftn(u0.values)

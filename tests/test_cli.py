@@ -331,6 +331,38 @@ class TestValidate:
         assert err.startswith("runtime error: combined norm became non-finite")
         assert "RuntimeWarning" not in err
 
+    def test_all_failed_summary_is_strict_json(self, tmp_path):
+        # every eps diverges: the t = 0 errors of the failed eps still
+        # bound initial_exactness, so no margin is -Infinity
+        doc = base_config(tmp_path, **{"lambda": 1e306})
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not RFC 8259 JSON")
+
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert len(summary["failures"]) == 2
+        assert summary["checks"]["initial_exactness"] == {"pass": True, "margin": 1.0}
+
+    @pytest.mark.parametrize(
+        "command, amplitude, message",
+        [("validate", 1e20, "increment became non-finite"),
+         ("sweep", 1e70, "a record field at eps = 0.2, t = 0.1 contains non-finite")],
+        ids=["picard_nan_iterate", "record_norm_overflow"],
+    )
+    def test_overflowing_amplitudes_exit_3(self, tmp_path, capsys, command, amplitude,
+                                           message):
+        # 1e20: Picard's iterates turn NaN; 1e70: the state stays finite
+        # but the L2 sum of the remainder overflows
+        doc = base_config(tmp_path)
+        for mode in doc["modes"]:
+            mode["profile"]["amplitude"] = amplitude
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and message in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
 
 class TestRuntimeErrors:
     @pytest.mark.parametrize(

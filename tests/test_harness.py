@@ -32,7 +32,7 @@ from hartreelab.harness import (
     _random_smooth_density,
     _sweep_checks,
 )
-from hartreelab.kernel import _half_multiplier
+from hartreelab.kernel import half_multiplier
 from hartreelab.norms import l2w_norm, norm_report
 from hartreelab.solver import DivergenceError, SolverParams, evolve
 from hartreelab.wkb import (
@@ -40,7 +40,6 @@ from hartreelab.wkb import (
     initial_data,
     resonant_remainder,
     snapshot,
-    with_shared_terms,
     z2_term,
 )
 
@@ -78,7 +77,8 @@ def per_eps_reference(cfg):
     for eps in cfg.epsilons:
         u0 = initial_data(cfg.family, eps)
         snap0 = snapshot(cfg.family, 0.0, cfg.kernel)
-        init_err = l2w_norm(u0 - assemble(cfg.family, snap0, eps))
+        u_app0 = Field(cfg.grid, assemble(cfg.family, snap0, eps))
+        init_errs[eps] = l2w_norm(u0 - u_app0)  # kept if the eps fails later
         params = SolverParams(
             eps=eps,
             dt=min(cfg.dt_factor * eps, cfg.final_time),
@@ -93,9 +93,9 @@ def per_eps_reference(cfg):
         mass0 = traj.mass_log[0]
         recs = []
         for idx, t in enumerate(cfg.sample_times):
-            snap = with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel))
+            snap = snapshot(cfg.family, t, cfg.kernel)
             u_app = assemble(cfg.family, snap, eps)
-            rep = norm_report(traj.state_at(t) - u_app)
+            rep = norm_report(traj.state_at(t) - Field(cfg.grid, u_app))
             recs.append(
                 SweepRecord(
                     eps=eps,
@@ -103,18 +103,16 @@ def per_eps_reference(cfg):
                     err_l2=rep.l2,
                     err_w=rep.wiener,
                     err_l2w=rep.l2w,
-                    r_norm=l2w_norm(
-                        resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app)
-                    ),
-                    z2_norm=l2w_norm(z2_term(cfg.family, snap, eps)),
+                    r_norm=l2w_norm(Field(cfg.grid, resonant_remainder(
+                        cfg.family, snap, eps, cfg.kernel, u_app))),
+                    z2_norm=l2w_norm(Field(cfg.grid, z2_term(cfg.family, snap, eps))),
                     mass_drift=abs(traj.mass_log[1 + idx] - mass0) / mass0,
                 )
             )
         records.extend(recs)
-        init_errs[eps] = init_err
         worst.append((eps, max(r.err_l2w for r in recs)))
     e_norms = {
-        t: with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel)).e_norm
+        t: snapshot(cfg.family, t, cfg.kernel).e_norm
         for t in cfg.sample_times
     }
     beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
@@ -412,11 +410,12 @@ class TestLockstepSweep:
         assert seen == [0.0, *cfg.sample_times]
 
     def test_transform_budget(self, fft_calls, monkeypatch):
-        # per sample time: 4 M for the snapshot and one forward/inverse pair
-        # per amplitude for the shared terms (||a||_E and (1/2) Lap a_j),
-        # however many eps there are; per record: 6 (state inverse, error
-        # Wiener norm, the remainder's real convolution pair, the Wiener
-        # norms of r and Z2); per eps at t = 0: 2; per Strang step: 4
+        # per snapshot: one forward/inverse pair per amplitude for its
+        # eps-free terms (||a||_E and (1/2) Lap a_j), plus 4 M at each
+        # sample time, however many eps there are; per record: 6 (state
+        # inverse, error Wiener norm, the remainder's real convolution pair,
+        # the Wiener norms of r and Z2); per eps at t = 0: 2; per Strang
+        # step: 4
         cfg = three_mode_config()
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 3
         counts = {"laplacian": 0, "assemble": 0, "advance_ffts": 0}
@@ -438,11 +437,10 @@ class TestLockstepSweep:
         laplacian_counted = counting("laplacian", grid_module.laplacian)
         monkeypatch.setattr(grid_module, "laplacian", laplacian_counted)
         monkeypatch.setattr(wkb, "laplacian", laplacian_counted)
-        # u_app is assembled by `wkb._assembled`, behind `assemble` and in
-        # each record's field buffer
-        assemble_counted = counting("assemble", wkb._assembled)
-        monkeypatch.setattr(wkb, "_assembled", assemble_counted)
-        monkeypatch.setattr(harness, "_assembled", assemble_counted)
+        # u_app is assembled once per eps at t = 0 and once per record
+        assemble_counted = counting("assemble", wkb.assemble)
+        monkeypatch.setattr(wkb, "assemble", assemble_counted)
+        monkeypatch.setattr(harness, "assemble", assemble_counted)
 
         result = run_sweep(cfg)
         assert len(result.records) == n_eps * n_times
@@ -453,7 +451,8 @@ class TestLockstepSweep:
         )
         assert counts["advance_ffts"] == 4 * steps
         assert len(fft_calls) - counts["advance_ffts"] == (
-            2 * n_eps + n_times * (4 * n_modes + 2 * n_modes) + 6 * n_eps * n_times
+            2 * n_eps + 2 * n_modes + n_times * (4 * n_modes + 2 * n_modes)
+            + 6 * n_eps * n_times
         )
         assert counts["laplacian"] == 0
         assert counts["assemble"] == n_eps * n_times + n_eps
@@ -514,13 +513,13 @@ def four_mode_config():
 
 
 def first_record_inputs(cfg):
-    """(snapshot with shared terms, run) of the first eps at the first sample
-    time, as `run_sweep` hands them to `_record`."""
+    """(snapshot, run) of the first eps at the first sample time, as
+    `run_sweep` hands them to `_record`."""
     run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
-    khat_half = _half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
+    khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     t = cfg.sample_times[0]
     assert harness._advance(cfg, khat_half, 0.0, t, run) is None
-    return with_shared_terms(cfg.family, snapshot(cfg.family, t, cfg.kernel)), run
+    return snapshot(cfg.family, t, cfg.kernel), run
 
 
 class TestRecord:
@@ -549,7 +548,7 @@ class TestRecord:
         halves = [np.array(h) for h in snap.half_laplacians]
         halves[1][5, 7] = np.inf
         bad = dataclasses.replace(snap, half_laplacians=tuple(halves))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
             harness._record(cfg, bad, threading.local(), run)
         assert run.records == []
 

@@ -22,9 +22,9 @@ from hartreelab import (
 )
 from hartreelab.kernel import (
     _CELL_NODES,
-    _convolve_real,
-    _half_multiplier,
     _singular_cell_mass,
+    convolve,
+    half_multiplier,
     multiplier_grid,
 )
 
@@ -153,13 +153,13 @@ class TestSplitNorms:
 
 class TestConvolve:
     def test_zero_density(self, kernel1d, grid1d):
-        out = _convolve_real(_half_multiplier(kernel1d, grid1d), np.zeros(grid1d.shape))
+        out = convolve(half_multiplier(kernel1d, grid1d), np.zeros(grid1d.shape))
         assert np.all(out == 0)
 
     def test_plane_wave_eigenfunction(self, kernel1d, grid1d):
         # the multiplier is even, so cos(k0 x) shares the eigenvalue of exp(i k0 x)
         f = plane_wave(grid1d, lattice_wavenumber(grid1d, 14)).values.real
-        out = _convolve_real(_half_multiplier(kernel1d, grid1d), f)
+        out = convolve(half_multiplier(kernel1d, grid1d), f)
         expected = (2 * np.pi) ** 0.5 * multiplier_grid(kernel1d, grid1d)[14] * f
         assert np.max(np.abs(out - expected)) < 1e-12 * np.max(np.abs(expected))
 
@@ -172,12 +172,12 @@ class TestConvolve:
             scipy.fft.fftn(rho) * (2 * np.pi) ** 0.5 * multiplier_grid(kernel1d, grid1d)
         )
         assert np.max(np.abs(full.imag)) < 1e-12 * np.max(np.abs(full))
-        out = _convolve_real(_half_multiplier(kernel1d, grid1d), rho)
+        out = convolve(half_multiplier(kernel1d, grid1d), rho)
         assert np.max(np.abs(out - full.real)) < 1e-12 * np.max(np.abs(full))
 
     def test_positivity_on_nonnegative_density(self, kernel1d, grid1d):
         x = grid1d.axis_coords()
-        out = _convolve_real(_half_multiplier(kernel1d, grid1d), np.exp(-x**2))
+        out = convolve(half_multiplier(kernel1d, grid1d), np.exp(-x**2))
         assert out.min() >= -1e-8 * out.max()
 
     def test_agreement_with_direct_oracle(self):
@@ -186,7 +186,7 @@ class TestConvolve:
         spec = KernelSpec(d=1, gamma=0.5)
         x = grid.axis_coords()
         rho = Field(grid, np.exp(-x**2 / 2))
-        fast = _convolve_real(_half_multiplier(spec, grid), rho.values.real)
+        fast = convolve(half_multiplier(spec, grid), rho.values.real)
         direct = convolve_direct(spec, rho).values.real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 1e-3
@@ -214,7 +214,7 @@ class TestConvolveDirect:
             grid = Grid(d=1, length=64.0, points=n)
             x = grid.axis_coords()
             rho = Field(grid, np.exp(-x**2 / 2))
-            fast = _convolve_real(_half_multiplier(spec, grid), rho.values.real)
+            fast = convolve(half_multiplier(spec, grid), rho.values.real)
             direct = convolve_direct(spec, rho).values.real
             errs.append(np.max(np.abs(fast - direct)) / np.max(np.abs(fast)))
         assert errs[0] / errs[1] >= 2.0
@@ -230,7 +230,7 @@ class TestConvolveDirect:
         spec = KernelSpec(d=2, gamma=0.5)
         xs, ys = grid.coords()
         rho = Field(grid, np.exp(-(xs**2 + ys**2) / 2))
-        fast = _convolve_real(_half_multiplier(spec, grid), rho.values.real)
+        fast = convolve(half_multiplier(spec, grid), rho.values.real)
         direct = convolve_direct(spec, rho).values.real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 5e-3
@@ -258,7 +258,7 @@ class TestZeroMode:
         assert zero_mode_value(kernel1d, grid1d) == pytest.approx(expected, rel=1e-14)
 
     def test_constant_density_response(self, kernel1d, grid1d):
-        out = _convolve_real(_half_multiplier(kernel1d, grid1d), np.ones(grid1d.shape))
+        out = convolve(half_multiplier(kernel1d, grid1d), np.ones(grid1d.shape))
         expected = (2 * np.pi) ** 0.5 * zero_mode_value(kernel1d, grid1d)
         assert np.max(np.abs(out - expected)) < 1e-10 * abs(expected)
 

@@ -25,7 +25,6 @@ from hartreelab.norms import (
     derivative_order,
     multi_indices,
 )
-from hartreelab.wkb import with_shared_terms
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -192,7 +191,7 @@ class TestENorm:
     def test_single_mode(self, gaussian_field, kernel1d):
         spec = YNormSpec(d=1, gamma=0.5)
         fam = ModeFamily(gaussian_field.grid, (Mode([0.0], gaussian_field),), spec)
-        snap = with_shared_terms(fam, snapshot(fam, 0.0, kernel1d))
+        snap = snapshot(fam, 0.0, kernel1d)
         raw = scipy.fft.fftn(gaussian_field.values)
         assert snap.e_norm == pytest.approx(_graded_norm(raw, fam.grid, spec))
 
@@ -201,8 +200,8 @@ class TestENorm:
         one = ModeFamily(gaussian_field.grid, (Mode([0.0], gaussian_field),), spec)
         two = ModeFamily(gaussian_field.grid, (Mode([-2.0], gaussian_field),
                                                Mode([2.0], gaussian_field)), spec)
-        single = with_shared_terms(one, snapshot(one, 0.0, kernel1d)).e_norm
-        double = with_shared_terms(two, snapshot(two, 0.0, kernel1d)).e_norm
+        single = snapshot(one, 0.0, kernel1d).e_norm
+        double = snapshot(two, 0.0, kernel1d).e_norm
         assert double == pytest.approx(2 * single, rel=1e-14)
 
 
@@ -289,7 +288,7 @@ class TestHartreeBound:
         # one shared |hhat| gives the numbers of the convolve-then-transform
         # route: wiener_norm(K * h) and wiener_norm(h)
         from hartreelab import KernelSpec, l1_norm, split_norms
-        from hartreelab.kernel import _convolve_real, _half_multiplier
+        from hartreelab.kernel import convolve, half_multiplier
 
         grid = Grid(d=d, length=16.0, points={1: 256, 2: 32}[d])
         spec = KernelSpec(d=d, gamma=0.5, coupling=1.0)
@@ -298,7 +297,7 @@ class TestHartreeBound:
             h = Field(grid, np.abs(band_limited(grid, rng, grid.points // 8).values) ** 2)
             rep = _hartree_bounds(spec, h.values.real[None], grid)[0]
             k1_l1, k2_sup = split_norms(spec)
-            conv = _convolve_real(_half_multiplier(spec, grid), h.values.real)
+            conv = convolve(half_multiplier(spec, grid), h.values.real)
             lhs = wiener_norm(Field(grid, conv))
             rhs = k1_l1 * l1_norm(h) + k2_sup * wiener_norm(h)
             assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0)

@@ -18,7 +18,7 @@ from hartreelab import (
     wiener_norm,
     zero_mode_value,
 )
-from hartreelab.kernel import _convolve_real, _half_multiplier, multiplier_grid
+from hartreelab.kernel import convolve, half_multiplier, multiplier_grid
 from hartreelab.norms import _norms_from_raw_fft
 from hartreelab.solver import advance
 
@@ -64,20 +64,20 @@ class TestFreePropagator:
 class TestHartreePotential:
     # lambda * (K * |u|^2) as the stepper forms it
     def test_zero_state(self, kernel1d, grid1d):
-        khat_half = _half_multiplier(kernel1d, grid1d, kernel1d.coupling)
-        out = _convolve_real(khat_half, np.zeros(grid1d.shape))
+        khat_half = half_multiplier(kernel1d, grid1d, kernel1d.coupling)
+        out = convolve(khat_half, np.zeros(grid1d.shape))
         assert np.all(out == 0)
 
     def test_zero_coupling(self, grid1d, gaussian_field):
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.0)
-        khat_half = _half_multiplier(spec, grid1d, spec.coupling)
-        out = _convolve_real(khat_half, np.abs(gaussian_field.values) ** 2)
+        khat_half = half_multiplier(spec, grid1d, spec.coupling)
+        out = convolve(khat_half, np.abs(gaussian_field.values) ** 2)
         assert np.all(out == 0)
 
     def test_constant_density_gives_constant(self, kernel1d, grid1d):
         u = plane_wave(grid1d, lattice_wavenumber(grid1d, 5))
-        khat_half = _half_multiplier(kernel1d, grid1d, kernel1d.coupling)
-        out = _convolve_real(khat_half, np.abs(u.values) ** 2)
+        khat_half = half_multiplier(kernel1d, grid1d, kernel1d.coupling)
+        out = convolve(khat_half, np.abs(u.values) ** 2)
         expected = (
             kernel1d.coupling
             * (2 * np.pi) ** 0.5
@@ -86,8 +86,8 @@ class TestHartreePotential:
         assert np.max(np.abs(out - expected)) < 1e-10 * abs(expected)
 
     def test_output_is_real(self, kernel1d, gaussian_field):
-        khat_half = _half_multiplier(kernel1d, gaussian_field.grid, kernel1d.coupling)
-        out = _convolve_real(khat_half, np.abs(gaussian_field.values) ** 2)
+        khat_half = half_multiplier(kernel1d, gaussian_field.grid, kernel1d.coupling)
+        out = convolve(khat_half, np.abs(gaussian_field.values) ** 2)
         assert np.all(np.imag(out) == 0)
 
 
@@ -115,8 +115,8 @@ class TestStrangStep:
         eps, dt = 0.5, 0.01
         params = SolverParams(eps=eps, dt=dt, final_time=dt)
         half = free_propagator(gaussian_field, eps, dt / 2)
-        khat_half = _half_multiplier(kernel1d, half.grid, kernel1d.coupling)
-        frozen = _convolve_real(khat_half, np.abs(half.values) ** 2)
+        khat_half = half_multiplier(kernel1d, half.grid, kernel1d.coupling)
+        frozen = convolve(khat_half, np.abs(half.values) ** 2)
         forward = one_step(gaussian_field, kernel1d, params)
         # undo with the same frozen potential: the three factors invert
         back = free_propagator(forward, eps, -dt / 2)
@@ -307,7 +307,7 @@ class TestEvolve:
         norm0 = sum(_norms_from_raw_fft(raw, g))
         raw[3] = np.nan
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
-        khat_half = _half_multiplier(kernel1d, g, kernel1d.coupling)
+        khat_half = half_multiplier(kernel1d, g, kernel1d.coupling)
         with pytest.raises(DivergenceError) as err:
             advance(raw, g, khat_half, params, 0.0, 0.5, norm0)
         assert err.value.time == pytest.approx(0.05)

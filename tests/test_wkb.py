@@ -5,6 +5,7 @@ import pytest
 
 from hartreelab import (
     ContainmentError,
+    Field,
     GaussianProfile,
     Grid,
     KernelSpec,
@@ -30,7 +31,7 @@ from hartreelab import wkb
 from hartreelab.grid import plane_wave
 from hartreelab.kernel import multiplier_grid
 from hartreelab.norms import multi_indices
-from hartreelab.wkb import _averaging_factor, _mode_carrier, _superpose, with_shared_terms
+from hartreelab.wkb import _averaging_factor, _mode_carrier, _superpose
 
 
 @pytest.fixture
@@ -213,14 +214,14 @@ class TestAssemble:
         eps = 0.1
         direct = initial_data(two_mode_family, eps)
         assembled = assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), eps)
-        assert l2w_norm(direct - assembled) < 1e-12
+        assert l2w_norm(direct - Field(two_mode_family.grid, assembled)) < 1e-12
 
     def test_single_frozen_mode(self, single_mode_family):
         free = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         eps = 0.2
         out = assemble(single_mode_family, snapshot(single_mode_family, 0.7, free), eps)
         alpha = single_mode_family.modes[0].alpha
-        assert np.max(np.abs(out.values - alpha.values)) < 1e-12
+        assert np.max(np.abs(out - alpha.values)) < 1e-12
 
     def test_near_orthogonal_energy(self, two_mode_family, kernel):
         # cross terms oscillate at delta/eps; the mode energies add in
@@ -228,7 +229,7 @@ class TestAssemble:
         eps = 0.1
         t = 0.4
         snap = snapshot(two_mode_family, t, kernel)
-        u = assemble(two_mode_family, snap, eps)
+        u = Field(two_mode_family.grid, assemble(two_mode_family, snap, eps))
         norms = [l2_norm(a) for a in snap.amplitudes]
         assert l2_norm(u) <= sum(norms) * (1 + 1e-12)
         pythagoras = np.sqrt(sum(n**2 for n in norms))
@@ -239,6 +240,11 @@ class TestAssemble:
             assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), 0.01)
 
 
+# (d, t): a sample time and t = 0, the sweep's first snapshot
+SNAPSHOT_TIMES = [(1, 0.5), (2, 0.5), (1, 0.0), (2, 0.0)]
+SNAPSHOT_IDS = ["1", "2", "1-t0", "2-t0"]
+
+
 class TestZ2Term:
     def test_zero_amplitudes(self, kernel):
         grid = Grid(d=1, length=32.0, points=512)
@@ -247,45 +253,40 @@ class TestZ2Term:
             [([0.0], GaussianProfile(amplitude=0.0, center=(0.0,), width=1.0))],
             gamma=0.5,
         )
-        out = z2_term(fam, with_shared_terms(fam, snapshot(fam, 0.0, kernel)), 0.1)
-        assert np.all(out.values == 0)
-
-    def test_needs_shared_terms(self, single_mode_family, kernel):
-        fam = single_mode_family
-        with pytest.raises(ValueError, match="with_shared_terms"):
-            z2_term(fam, snapshot(fam, 0.0, kernel), 0.1)
+        out = z2_term(fam, snapshot(fam, 0.0, kernel), 0.1)
+        assert np.all(out == 0)
 
     def test_gaussian_center_value(self, single_mode_family, kernel):
         # at t = 0 the single amplitude is the gaussian itself, so Z2 at
         # the center is alpha''(0)/2 = -A / (2 sigma^2)
         fam = single_mode_family
-        out = z2_term(fam, with_shared_terms(fam, snapshot(fam, 0.0, kernel)), 0.1)
+        out = z2_term(fam, snapshot(fam, 0.0, kernel), 0.1)
         grid = fam.grid
         idx = np.argmin(np.abs(grid.axis_coords()))
-        assert out.values[idx].real == pytest.approx(-0.5, abs=1e-8)
+        assert out[idx].real == pytest.approx(-0.5, abs=1e-8)
 
     def test_bounded_by_mode_norms(self, two_mode_family, kernel):
         t, eps = 0.5, 0.1
-        snap = with_shared_terms(two_mode_family, snapshot(two_mode_family, t, kernel))
-        z2 = l2w_norm(z2_term(two_mode_family, snap, eps))
+        snap = snapshot(two_mode_family, t, kernel)
+        z2 = l2w_norm(Field(two_mode_family.grid, z2_term(two_mode_family, snap, eps)))
         assert z2 <= snap.e_norm * (1 + 1e-6)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_shared_half_laplacians_are_bitwise(self, d, two_mode_family):
+    @pytest.mark.parametrize("d, t", SNAPSHOT_TIMES, ids=SNAPSHOT_IDS)
+    def test_shared_half_laplacians_are_bitwise(self, d, t, two_mode_family):
         fam = two_mode_family if d == 1 else four_mode_family(128)
         spec = family_kernel(fam)
-        t, eps = 0.5, {1: 0.1, 2: 0.5}[d]
-        snap = with_shared_terms(fam, snapshot(fam, t, spec))
+        eps = {1: 0.1, 2: 0.5}[d]
+        snap = snapshot(fam, t, spec)
         halves = [0.5 * laplacian(a).values for a in snap.amplitudes]
         ref = _superpose(fam, halves, t, eps)
-        assert np.array_equal(z2_term(fam, snap, eps).values, ref)
+        assert np.array_equal(z2_term(fam, snap, eps), ref)
 
 
 class TestSharedTerms:
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_e_norm_sums_derivative_norms(self, d, two_mode_family):
+    @pytest.mark.parametrize("d, t", SNAPSHOT_TIMES, ids=SNAPSHOT_IDS)
+    def test_e_norm_sums_derivative_norms(self, d, t, two_mode_family):
         fam = two_mode_family if d == 1 else four_mode_family(128)
-        snap = with_shared_terms(fam, snapshot(fam, 0.5, family_kernel(fam)))
+        snap = snapshot(fam, t, family_kernel(fam))
         expected = sum(
             l2w_norm(spectral_derivative(a, eta))
             for a in snap.amplitudes
@@ -299,7 +300,7 @@ class TestResonantRemainder:
         snap = snapshot(single_mode_family, 0.3, kernel)
         u_app = assemble(single_mode_family, snap, 0.1)
         out = resonant_remainder(single_mode_family, snap, 0.1, kernel, u_app)
-        assert np.all(out.values == 0)
+        assert np.all(out == 0)
 
     def test_label_swap_symmetry(self, kernel):
         grid = Grid(d=1, length=32.0, points=1024)
@@ -314,7 +315,7 @@ class TestResonantRemainder:
         snap_a, snap_b = snapshot(fam_a, t, kernel), snapshot(fam_b, t, kernel)
         a = resonant_remainder(fam_a, snap_a, eps, kernel, assemble(fam_a, snap_a, eps))
         b = resonant_remainder(fam_b, snap_b, eps, kernel, assemble(fam_b, snap_b, eps))
-        assert np.max(np.abs(a.values - b.values)) < 1e-12 * np.max(np.abs(a.values))
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_epsilon_scaling(self, two_mode_family, kernel):
         # d - gamma = 0.5: the remainder norm should halve per 4x in eps
@@ -324,9 +325,38 @@ class TestResonantRemainder:
         for eps in (0.2, 0.05):
             u_app = assemble(two_mode_family, snap, eps)
             rem = resonant_remainder(two_mode_family, snap, eps, kernel, u_app)
-            norms[eps] = l2w_norm(rem)
+            norms[eps] = l2w_norm(Field(two_mode_family.grid, rem))
         slope = np.log(norms[0.2] / norms[0.05]) / np.log(0.2 / 0.05)
         assert abs(slope - 0.5) < 0.15
+
+
+class TestOutBuffers:
+    """A record term given `out=` (and `scratch=`) overwrites whatever the
+    buffers held and returns `out`, bit for bit the term without them."""
+
+    @pytest.mark.parametrize("name", ["single_mode_family", "two_mode_family", "4x128"])
+    def test_buffers_filled_bitwise(self, name, request):
+        fam = four_mode_family(128) if name == "4x128" else request.getfixturevalue(name)
+        spec = family_kernel(fam)
+        t, eps = 0.5, {1: 0.1, 2: 0.5}[fam.grid.d]
+        snap = snapshot(fam, t, spec)
+
+        def nan_field():
+            return np.full(fam.grid.shape, np.nan, dtype=np.complex128)
+
+        u_app = assemble(fam, snap, eps)
+        out = nan_field()
+        got = assemble(fam, snap, eps, out=out, scratch=nan_field())
+        assert got is out and got.tobytes() == u_app.tobytes()
+
+        out = nan_field()
+        got = z2_term(fam, snap, eps, out=out, scratch=nan_field())
+        assert got is out and got.tobytes() == z2_term(fam, snap, eps).tobytes()
+
+        out = nan_field()
+        got = resonant_remainder(fam, snap, eps, spec, u_app, out=out)
+        ref = resonant_remainder(fam, snap, eps, spec, u_app)
+        assert got is out and got.tobytes() == ref.tobytes()
 
 
 class TestAnsatzResidual:
@@ -476,13 +506,14 @@ class TestSeparableRewrite:
                 assert np.max(np.abs(np.broadcast_to(got, g.shape) - ref)) < 1e-12
 
     def test_snapshot_fft_budget(self, name, fft_calls):
-        # one real density transform per mode, one real inverse per phase
-        # and a complex translation pair per amplitude
+        # one real density transform per mode, one real inverse per phase,
+        # a complex translation pair per amplitude and a complex pair per
+        # amplitude for its graded norm and half-Laplacian
         family = FAMILIES[name]()
         snapshot(family, 0.5, family_kernel(family))
         m = len(family.modes)
         counts = Counter(fn.__name__ for fn in fft_calls)
-        assert counts == {"rfftn": m, "irfftn": m, "fftn": m, "ifftn": m}
+        assert counts == {"rfftn": m, "irfftn": m, "fftn": 2 * m, "ifftn": 2 * m}
 
 
 @pytest.mark.parametrize(
@@ -498,7 +529,7 @@ def test_remainder_matches_full_grid_double_sum(make, t, eps):
     family = make()
     spec = family_kernel(family)
     snap = snapshot(family, t, spec)
-    got = resonant_remainder(family, snap, eps, spec, assemble(family, snap, eps)).values
+    got = resonant_remainder(family, snap, eps, spec, assemble(family, snap, eps))
     ref = full_grid_remainder(family, t, eps, spec, snap)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
