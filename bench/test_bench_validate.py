@@ -9,6 +9,12 @@
   the flag and the count.
 - `test_kernel_constant_oracle`: one warm `hartree_constant_oracle(1, 0.5)`,
   the `kernel_constant` check's quadrature.
+- `test_picard_evolve[NODES]`: one warm `picard_evolve` at the
+  `integrator_agreement` check's parameters (reference_1d's largest eps,
+  horizon 0.1 eps, tol 1e-12) with 32 nodes, the check's count, and with
+  128, so a record can set the check's call against a tree whose check
+  ran 128 trapezoidal nodes.  The FFT calls of one call are counted once, outside the
+  timing, and stored as `fft_calls_per_call` in the entry's extra info.
 - `test_control`: the plain-numpy control of `bench/conftest.py`.
 
 Run from the repository root:
@@ -26,7 +32,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hartreelab import hartree_constant_oracle
+import pytest
+import scipy.fft
+
+from hartreelab import hartree_constant_oracle, initial_data, load_config, picard_evolve
 
 ROOT = Path(__file__).resolve().parents[1]
 ONE_SHOT_ROUNDS = 5
@@ -63,6 +72,32 @@ def test_validate_one_shot(benchmark, child_env):
 def test_kernel_constant_oracle(benchmark):
     hartree_constant_oracle(1, 0.5)
     benchmark(hartree_constant_oracle, 1, 0.5)
+
+
+def _counted(transform, calls: list):
+    def counted(*args, **kwargs):
+        calls.append(transform.__name__)
+        return transform(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_picard_evolve(benchmark, monkeypatch, nodes):
+    cfg = load_config(ROOT / "configs" / "reference_1d.json")
+    eps = cfg.epsilons[0]
+    u0 = initial_data(cfg.family, eps)
+
+    def run():
+        return picard_evolve(u0, cfg.kernel, eps, 0.1 * eps, tol=1e-12, nodes=nodes)
+
+    run()
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, _counted(getattr(scipy.fft, name), calls))
+    run()
+    monkeypatch.undo()
+    benchmark.extra_info["fft_calls_per_call"] = len(calls)
+    benchmark(run)
 
 
 def test_control(benchmark, control):

@@ -204,7 +204,9 @@ def load_config(path, threads: int = 1, seed: int = 0) -> SweepConfig:
     if not p.is_file():
         raise ConfigError(f"configuration file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("configuration is not valid JSON: nested too deeply") from exc
     return parse_config(doc, threads=threads, seed=seed)

@@ -537,7 +537,7 @@ def validate_suite(
     )
     traj = evolve(u0, cfg.kernel, params, [horizon])
     fixed = picard_evolve(
-        u0, cfg.kernel, eps, horizon, tol=1e-12, nodes=128
+        u0, cfg.kernel, eps, horizon, tol=1e-12, nodes=32
     )
     gap = l2w_norm(traj.state_at(horizon) - fixed)
     checks["integrator_agreement"] = _below(

@@ -28,16 +28,24 @@ A Picard iteration of the Duhamel integral form
 serves as an independent cross-check on short horizons; it is never the
 production path because its contraction horizon shrinks with the data.
 Its node states live in Fourier space as well: the free flow is a power
-of the one-node multiplier, the trapezoidal Duhamel recursion
+of the one-node multiplier U = U(h), and the integral runs on the
+spectra q of the source (K * |u|^2) u by composite Simpson on panels of
+two node steps,
 
-    I_i = (I_{i-1} + h/2 q_{i-1}) U(h) + h/2 q_i
+    I_{2k+2} = U^2 I_{2k} + h/3 (U^2 q_{2k} + 4 U q_{2k+1} + q_{2k+2}),
+    I_{2k+1} = U I_{2k} + h/12 (5 U q_{2k} + 8 q_{2k+1} - conj(U) q_{2k+2}),
 
-runs on the spectra q of the source (K * |u|^2) u, and the increment
-norms come from the spectra by Parseval.  The node spectra live in one
-(nodes + 1, *shape) array; each block of `Grid.block_rows` nodes takes
-the sources of the previous iterate from four stacked FFTs (complex
-inverse, the real pair for the potentials, complex forward), then the
-recursion walks its nodes in order.
+the midpoint integrating the quadratic through the same three propagated
+sources U(t - tau) q(tau); it is not carried, so the panel ends keep the
+fourth order of Simpson, and the error falls 16x per doubling of nodes.
+The increment norms come from the spectra by Parseval.  The node spectra
+live in one (nodes + 1, *shape) array, (nodes + 1) N^d 16 B: 4.1 MiB for
+the validate suite's 32 nodes at 8192 points, 33 MiB at 256^2, 132 MiB
+at 64^3.  Each block of whole panels (`Grid.block_rows` rounded down to
+even, at least 2) takes the sources of the previous iterate from four
+stacked FFTs (complex inverse, the real pair for the potentials, complex
+forward), then the recursion walks its panels in order, carrying the
+source of the last node into the next block.
 """
 
 from __future__ import annotations
@@ -225,7 +233,7 @@ def picard_evolve(
 ) -> Field:
     """Duhamel fixed point at time `horizon` (small; defaults to 0.1*eps).
 
-    The time integral is composite-trapezoidal on a node grid obeying
+    The time integral is composite Simpson on an even node count obeying
     the same resolution rule as the stepper.  Successive-iterate
     increments are measured in the combined norm, sup over nodes; three
     consecutive increases, or a non-finite increment, are reported as
@@ -238,10 +246,15 @@ def picard_evolve(
         raise ValueError(f"horizon must be positive, got {horizon}")
     if nodes is None:
         nodes = max(8, math.ceil(horizon / (0.1 * eps)))
+        nodes += nodes % 2
+    if nodes < 2 or nodes % 2:
+        raise ValueError(f"nodes must be even and at least 2, got {nodes}")
     h = horizon / nodes
+    rows = max(2, g.block_rows - g.block_rows % 2)  # whole panels per block
 
     khat_half = half_multiplier(spec, g, spec.coupling)
     u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
+    u_full, u_back = u_half**2, np.conj(u_half)
     axes = tuple(range(1, g.d + 1))
 
     def sources(raw):
@@ -251,33 +264,39 @@ def picard_evolve(
         return scipy.fft.fftn(state, axes=axes, overwrite_x=True)
 
     # raw spectra of the node states, seeded by the free flow; node 0 is
-    # the data and never changes, so neither does I_0 + h/2 q_0
+    # the data and never changes, so neither does q_0
     current = np.empty((nodes + 1, *g.shape), dtype=np.complex128)
     current[0] = scipy.fft.fftn(u0.values)
     for i in range(nodes):
         np.multiply(current[i], u_half, out=current[i + 1])
-    carry0 = (h / 2) * sources(current[:1])[0]
+    q0 = sources(current[:1])[0]
     prev_inc = None
     growth_streak = 0
 
     for iteration in range(1, max_iter + 1):
-        free, carry = current[0], carry0
+        free, integral, q_even = current[0], np.zeros(g.shape, dtype=np.complex128), q0
         inc = 0.0
-        for start in range(1, nodes + 1, g.block_rows):
-            block = current[start:start + g.block_rows]
+        for start in range(1, nodes + 1, rows):
+            block = current[start:start + rows]
             q = sources(block)  # of the previous iterate, read before the block moves
-            for node, q_i in zip(block, q):
-                free = free * u_half
-                integral = carry * u_half + (h / 2) * q_i
-                carry = integral + (h / 2) * q_i
-                new = free - 1j * integral
-                step = sum(_norms_from_raw_fft(new - node, g))
-                if not math.isfinite(step):  # max() would drop a NaN
-                    raise PicardConvergenceError(
-                        f"increment became non-finite in iteration {iteration}")
-                inc = max(inc, step)
-                node[...] = new
-            del q, q_i  # freed before the next block's sources are built
+            for k in range(0, len(block), 2):
+                q_mid, q_end = q[k], q[k + 1]
+                uq = u_half * q_even
+                free_mid = free * u_half
+                free = free_mid * u_half
+                mid = u_half * integral + (h / 12) * (5 * uq + 8 * q_mid - u_back * q_end)
+                integral = u_full * integral + (h / 3) * (u_half * (uq + 4 * q_mid) + q_end)
+                for node, new in ((block[k], free_mid - 1j * mid),
+                                  (block[k + 1], free - 1j * integral)):
+                    step = sum(_norms_from_raw_fft(new - node, g))
+                    if not math.isfinite(step):  # max() would drop a NaN
+                        raise PicardConvergenceError(
+                            f"increment became non-finite in iteration {iteration}")
+                    inc = max(inc, step)
+                    node[...] = new
+                q_even = q_end
+            q_even = q_even.copy()  # carried on; q is freed before the next block's sources
+            del q, q_mid, q_end
         if inc < tol:
             return Field._adopt(g, scipy.fft.ifftn(current[-1]))
         if prev_inc is not None and inc > prev_inc:

@@ -1,6 +1,7 @@
-"""Stacked transforms of the validation suite: the property campaigns and
-the Picard nodes run in blocks of `Grid.block_rows` fields, and give the
-numbers of the field-by-field and node-by-node loops they replace."""
+"""Stacked transforms of the validation suite: the property campaigns run
+in blocks of `Grid.block_rows` fields and the Picard nodes in blocks of
+whole Simpson panels, and give the numbers of the field-by-field and
+node-by-node loops they replace."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from hartreelab import grid as grid_module
 from hartreelab import (
     Field,
     GaussianProfile,
@@ -131,12 +133,14 @@ class TestBlockRows:
 
 
 def per_node_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
-    """The node-by-node Fourier-space Picard loop: one source (four FFTs)
-    per node and iteration.  Returns (state spectrum at the horizon, iterations)."""
+    """The node-by-node Fourier-space Picard loop on Simpson panels: one
+    source (four FFTs) per node and iteration, in the arithmetic of
+    `picard_evolve`.  Returns (state spectrum at the horizon, iterations)."""
     g = u0.grid
     h = horizon / nodes
     khat_half = half_multiplier(spec, g, spec.coupling)
     u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
+    u_full, u_back = u_half**2, np.conj(u_half)
 
     def source(raw):
         state = scipy.fft.ifftn(raw)
@@ -152,16 +156,19 @@ def per_node_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
     for iteration in range(1, max_iter + 1):
         free = raw0
         integral = np.zeros(g.shape, dtype=np.complex128)
-        q_prev = q0
+        q_even = q0
         inc = 0.0
-        for i in range(1, nodes + 1):
-            free = free * u_half
-            q_i = source(current[i])
-            integral = (integral + (h / 2) * q_prev) * u_half + (h / 2) * q_i
-            q_prev = q_i
-            new = free - 1j * integral
-            inc = max(inc, sum(_norms_from_raw_fft(new - current[i], g)))
-            current[i] = new
+        for i in range(1, nodes + 1, 2):
+            q_mid, q_end = source(current[i]), source(current[i + 1])
+            uq = u_half * q_even
+            free_mid = free * u_half
+            free = free_mid * u_half
+            mid = u_half * integral + (h / 12) * (5 * uq + 8 * q_mid - u_back * q_end)
+            integral = u_full * integral + (h / 3) * (u_half * (uq + 4 * q_mid) + q_end)
+            q_even = q_end
+            for j, new in ((i, free_mid - 1j * mid), (i + 1, free - 1j * integral)):
+                inc = max(inc, sum(_norms_from_raw_fft(new - current[j], g)))
+                current[j] = new
         if inc < tol:
             return scipy.fft.ifftn(current[-1]), iteration
         if prev_inc is not None and inc > prev_inc:
@@ -175,7 +182,7 @@ def per_node_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
 
 
 class TestPicardBlocks:
-    @pytest.mark.parametrize("nodes", [128, 37])
+    @pytest.mark.parametrize("nodes", [128, 70])  # 70: one full block and a partial one
     def test_blocked_nodes_match_per_node_loop(self, fft_calls, kernel1d, nodes):
         grid = Grid(d=1, length=32.0, points=1024)
         assert grid.block_rows == 64
@@ -189,4 +196,22 @@ class TestPicardBlocks:
         assert np.array_equal(fixed.values, ref)
         # data forward, node-0 source, four per block and iteration, final inverse
         blocks = math.ceil(nodes / grid.block_rows)
+        assert blocked_calls == 1 + 4 + 4 * blocks * iterations + 1
+
+    @pytest.mark.parametrize("block_rows, rows", [(1, 2), (3, 2), (5, 4)])
+    def test_blocks_hold_whole_panels(self, fft_calls, monkeypatch, kernel1d,
+                                      block_rows, rows):
+        # an odd row budget rounds down to whole panels, never below one panel
+        grid = Grid(d=1, length=32.0, points=256)
+        monkeypatch.setattr(grid_module, "BLOCK_BYTES", 16 * grid.total_points * block_rows)
+        assert grid.block_rows == block_rows
+        x = grid.axis_coords()
+        eps, horizon, nodes = 0.5, 0.05, 10
+        u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * x / eps))
+        fixed = picard_evolve(u0, kernel1d, eps=eps, horizon=horizon, tol=1e-12,
+                              nodes=nodes)
+        blocked_calls = len(fft_calls)
+        ref, iterations = per_node_picard(u0, kernel1d, eps, horizon, 1e-12, 60, nodes)
+        assert np.array_equal(fixed.values, ref)
+        blocks = math.ceil(nodes / rows)
         assert blocked_calls == 1 + 4 + 4 * blocks * iterations + 1

@@ -101,6 +101,22 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="quadrature_nodes"):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'\xff\xfe{"dimension": 1}')
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "run.json"
+        path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "nested too deeply" in err
+
 
 class TestSimulate:
     def test_minimal_run(self, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from hartreelab import (
     SolverParams,
     evolve,
     free_propagator,
+    initial_data,
     l2_norm,
     l2w_norm,
+    load_config,
     picard_evolve,
     wiener_norm,
     zero_mode_value,
@@ -198,10 +202,26 @@ def six_fft_strang(u0, spec, eps, dt_request, samples):
     return states, masses
 
 
+REFERENCE_1D = Path(__file__).resolve().parents[1] / "configs" / "reference_1d.json"
+
+
+@pytest.fixture(scope="module")
+def validate_picard():
+    """picard_evolve by node count at the validate suite's parameters:
+    reference_1d's largest eps, horizon 0.1 eps, tol 1e-12."""
+    cfg = load_config(REFERENCE_1D)
+    eps = cfg.epsilons[0]
+    u0 = initial_data(cfg.family, eps)
+    return lambda nodes: picard_evolve(u0, cfg.kernel, eps, 0.1 * eps, tol=1e-12,
+                                       nodes=nodes)
+
+
 def physical_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
     """Reference Duhamel fixed point with the node states in physical
-    space: every free step and every step of the integral recursion takes
-    its own forward/inverse FFT pair, and each increment norm one more FFT.
+    space: composite Simpson on panels of two node steps, the midpoint
+    from the quadratic through the panel's three sources.  Every free
+    step and every propagation of the integral or a source takes its own
+    forward/inverse FFT pair, and each increment norm one more FFT.
 
     Returns the state at the horizon; raises PicardConvergenceError on the
     same growth and iteration rules as picard_evolve.
@@ -211,10 +231,10 @@ def physical_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
     g = u0.grid
     h = horizon / nodes
     khat = multiplier_grid(spec, g)
-    u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
 
-    def step(v):
-        return np.fft.ifftn(np.fft.fftn(v) * u_half)
+    def step(v, steps=1):
+        """The free flow over `steps` node steps (negative runs it back)."""
+        return np.fft.ifftn(np.fft.fftn(v) * np.exp(-0.5j * eps * steps * h * g.freq_norm_sq()))
 
     def source(v):
         conv = (2 * np.pi) ** (g.d / 2) * np.fft.ifftn(khat * np.fft.fftn(np.abs(v) ** 2))
@@ -236,9 +256,12 @@ def physical_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
         q = [source(v) for v in current]
         new = [free[0]]
         integral = np.zeros(g.shape, dtype=np.complex128)
-        for i in range(1, nodes + 1):
-            integral = step(integral + (h / 2) * q[i - 1]) + (h / 2) * q[i]
-            new.append(free[i] - 1j * integral)
+        for k in range(0, nodes, 2):
+            mid = step(integral) + (h / 12) * (
+                5 * step(q[k]) + 8 * q[k + 1] - step(q[k + 2], -1))
+            integral = step(integral, 2) + (h / 3) * (
+                step(q[k], 2) + 4 * step(q[k + 1]) + q[k + 2])
+            new += [free[k + 1] - 1j * mid, free[k + 2] - 1j * integral]
         inc = max(l2w(a - b) for a, b in zip(new, current))
         current = new
         if inc < tol:
@@ -410,3 +433,35 @@ class TestPicard:
         ref = physical_picard(u0, kernel1d, eps, horizon, tol=1e-12,
                               max_iter=60, nodes=32)
         assert np.max(np.abs(fixed.values - ref)) < 1e-12
+
+    def test_simpson_order_at_validate_parameters(self, validate_picard):
+        ref = validate_picard(256)
+        errs = [l2w_norm(validate_picard(n) - ref) for n in (16, 32, 64)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert abs(coarse / fine - 16.0) <= 2.0
+        assert errs[1] < 5e-9  # the validate suite's 32 nodes
+
+    def test_node_stack_memory_at_validate_parameters(self, validate_picard):
+        validate_picard(32)  # warm: caches and transform plans are not the stack
+        tracemalloc.start()
+        try:
+            validate_picard(32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 33 node spectra of 8192 points are 4.1 MiB; one 8-row block and its
+        # transforms about 4 MiB more
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("nodes", [0, 1, 7, 33, -2])
+    def test_odd_or_too_few_nodes_rejected(self, gaussian_field, kernel1d, nodes):
+        with pytest.raises(ValueError, match="even and at least 2"):
+            picard_evolve(gaussian_field, kernel1d, eps=0.5, horizon=0.05, nodes=nodes)
+
+    def test_default_node_count_is_even(self, gaussian_field):
+        # horizon / (0.1 eps) = 8.8: nine nodes by the resolution rule, ten by Simpson
+        spec = KernelSpec(d=1, gamma=0.5, coupling=0.1)
+        out = picard_evolve(gaussian_field, spec, eps=0.5, horizon=0.44, tol=1e-12)
+        ten = picard_evolve(gaussian_field, spec, eps=0.5, horizon=0.44, tol=1e-12,
+                            nodes=10)
+        assert np.array_equal(out.values, ten.values)
