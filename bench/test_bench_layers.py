@@ -134,7 +134,7 @@ def _four_mode_256() -> dict:
             "points": 256,
             "modes": [mode([-2.0, 0.0]), mode([2.0, 0.0]), mode([0.0, -2.0]),
                       mode([0.0, 2.0])],
-            "dt_factor": 0.1, "quadrature_nodes": 64, "output": "unused"}
+            "dt_factor": 0.1, "output": "unused"}
 
 
 # family -> (run document, eps, sample time)

@@ -63,7 +63,6 @@ from .wkb import (
 from .harness import (
     CheckOutcome,
     RateFit,
-    SweepConfig,
     SweepRecord,
     SweepResult,
     expected_rate,
@@ -73,6 +72,6 @@ from .harness import (
     run_sweep,
     validate_suite,
 )
-from .config import ConfigError, load_config, parse_config
+from .config import ConfigError, SweepConfig, load_config, parse_config
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""JSON run configurations: schema validation with rule-naming errors.
+"""The JSON run file: schema, defaults, cross-field validation and echo.
 
 Schema (all keys required unless marked optional, every number finite):
 
@@ -11,50 +11,120 @@ Schema (all keys required unless marked optional, every number finite):
       "modes": [
         {"kappa": [float, ...],
          "profile": {"type": "gaussian", "amplitude": float,
-                     "center": [float, ...], "width": float}},
+                     "center": [float, ...], "width": float}
+                 or {"type": "table", "values": [float, ...]}},
         ...
       ],
       "epsilons": [float, ...],          strictly decreasing, positive
       "final_time": float,
       "sample_times": [float, ...],      in (0, final_time], increasing
       "dt_factor": float,                optional, default 0.1, in (0, 0.25]
-      "quadrature_nodes": int,           optional, default 64, even >= 8
       "output": str
     }
 
+A table profile's values are a flat list, one per grid point.  Keys
+outside the schema are ignored.  `SweepConfig.to_json_dict` echoes a
+configuration in this schema, table values included, so `parse_config`
+reloads an echo to the same configuration.
+
 Every cross-field rule (resolution, containment, mode separation) is
 checked at load time so a bad configuration fails before any compute,
-with the violated rule named in the message.
+with the violated rule named in the message.  Each rule is checked once,
+by the object that owns it; `parse_config` checks only the JSON types.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import GaussianProfile, Grid, TableProfile
-from .harness import SweepConfig
 from .kernel import KernelSpec
-from .wkb import ModeFamily
+from .solver import DT_FACTOR, MAX_DT_FACTOR
+from .wkb import ModeFamily, check_containment, check_resolution
 
 
 class ConfigError(ValueError):
     """A configuration file violates the schema or a cross-field rule."""
 
 
-_REQUIRED = (
-    "dimension",
-    "gamma",
-    "lambda",
-    "box_length",
-    "points",
-    "modes",
-    "epsilons",
-    "final_time",
-    "sample_times",
-    "output",
-)
+@dataclass(frozen=True)
+class SweepConfig:
+    """One sweep: kernel, modes, grid, epsilon ladder, schedule, output."""
+
+    grid: Grid
+    kernel: KernelSpec
+    family: ModeFamily
+    epsilons: tuple
+    final_time: float
+    sample_times: tuple
+    dt_factor: float = DT_FACTOR
+    output: str = None
+    threads: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        eps = tuple(float(e) for e in self.epsilons)
+        object.__setattr__(self, "epsilons", eps)
+        if not eps or any(e <= 0 for e in eps):
+            raise ValueError("epsilons must be a nonempty list of positive values")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ValueError("epsilons must be strictly decreasing")
+        samples = tuple(float(t) for t in self.sample_times)
+        object.__setattr__(self, "sample_times", samples)
+        if not samples or any(t <= 0 or t > self.final_time * (1 + 1e-12)
+                                  for t in samples):
+            raise ValueError("sample times must be nonempty and lie in (0, final_time]")
+        if any(b <= a for a, b in zip(samples, samples[1:])):
+            raise ValueError("sample times must be strictly increasing")
+        if not 0 < self.dt_factor <= MAX_DT_FACTOR:
+            raise ValueError(f"dt_factor must lie in (0, {MAX_DT_FACTOR}]")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.family.grid != self.grid:
+            raise ValueError("mode family grid differs from the sweep grid")
+        if self.kernel.d != self.grid.d:
+            raise ValueError("kernel dimension differs from the grid dimension")
+        for e in eps:
+            check_resolution(self.family, e)
+            if len(self.family.modes) > 1:
+                check_resolution(self.family, e, for_remainder=True)
+        check_containment(self.family, self.final_time)
+
+    def to_json_dict(self) -> dict:
+        """Canonical echo of the configuration in the run-file schema."""
+        modes = []
+        for m in self.family.modes:
+            profile = m.profile
+            if isinstance(profile, GaussianProfile):
+                profile = {
+                    "type": "gaussian",
+                    "amplitude": float(profile.amplitude),
+                    "center": [float(c) for c in profile.center],
+                    "width": float(profile.width),
+                }
+            else:
+                # the sampled amplitude is the table itself
+                values = m.alpha.values.real.ravel().tolist()
+                profile = {"type": "table", "values": values}
+            modes.append({"kappa": [float(k) for k in m.kappa], "profile": profile})
+        return {
+            "dimension": self.grid.d,
+            "gamma": self.kernel.gamma,
+            "lambda": self.kernel.coupling,
+            "box_length": self.grid.length,
+            "points": self.grid.points,
+            "modes": modes,
+            "epsilons": list(self.epsilons),
+            "final_time": self.final_time,
+            "sample_times": list(self.sample_times),
+            "dt_factor": self.dt_factor,
+            "output": self.output,
+        }
 
 
 def _need(doc: dict, key: str):
@@ -76,13 +146,11 @@ def _number(doc: dict, key: str) -> float:
     return float(v)
 
 
-def _number_list(doc: dict, key: str) -> tuple:
+def _number_list(doc: dict, key: str) -> list:
     v = _need(doc, key)
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"'{key}' must be a nonempty list")
-    if not all(_is_number(x) for x in v):
-        raise ConfigError(f"'{key}' entries must be finite numbers")
-    return tuple(float(x) for x in v)
+    if not isinstance(v, list) or not all(_is_number(x) for x in v):
+        raise ConfigError(f"'{key}' must be a list of finite numbers")
+    return [float(x) for x in v]
 
 
 def _integer(doc: dict, key: str) -> int:
@@ -92,8 +160,14 @@ def _integer(doc: dict, key: str) -> int:
     return v
 
 
-def _vector(obj, key: str, d: int) -> list:
-    v = obj.get(key)
+def _object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{what} must be an object")
+    return v
+
+
+def _vector(obj: dict, key: str, d: int) -> list:
+    v = _need(obj, key)
     if not isinstance(v, list) or len(v) != d or not all(_is_number(c) for c in v):
         raise ConfigError(
             f"'{key}' must be a list of {d} finite numbers matching the dimension"
@@ -101,100 +175,59 @@ def _vector(obj, key: str, d: int) -> list:
     return [float(c) for c in v]
 
 
-def _parse_profile(entry: dict, d: int):
-    profile = entry.get("profile")
-    if not isinstance(profile, dict):
-        raise ConfigError("each mode needs a 'profile' object")
+def _parse_profile(profile: dict, d: int):
     kind = profile.get("type")
     if kind == "gaussian":
-        for k in ("amplitude", "center", "width"):
-            if k not in profile:
-                raise ConfigError(f"gaussian profile missing '{k}'")
         amplitude = _number(profile, "amplitude")
-        width = _number(profile, "width")
-        if width <= 0:
-            raise ConfigError(
-                f"gaussian width must be positive (width constraint), got {width}"
-            )
         if amplitude == 0:
             # a zero mode leaves no resonant remainder to fit a rate to
             raise ConfigError("gaussian amplitude must be nonzero")
-        return GaussianProfile(
-            amplitude=amplitude,
-            center=tuple(_vector(profile, "center", d)),
-            width=width,
-        )
+        return GaussianProfile(amplitude=amplitude, center=_vector(profile, "center", d),
+                               width=_number(profile, "width"))
     if kind == "table":
-        values = profile.get("values")
-        if not isinstance(values, list) or not all(_is_number(x) for x in values):
-            raise ConfigError("table profile needs a 'values' list of finite numbers")
-        return TableProfile(values=values)
+        return TableProfile(values=_number_list(profile, "values"))
     raise ConfigError(f"unknown profile type {kind!r}")
 
 
 def parse_config(doc: dict, threads: int = 1, seed: int = 0) -> SweepConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    for key in _REQUIRED:
-        _need(doc, key)
-
-    d = _integer(doc, "dimension")
-    if d not in (1, 2, 3):
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {d}")
-    gamma = _number(doc, "gamma")
-    if not 0 < gamma < d:
-        raise ConfigError(
-            f"gamma must satisfy 0 < gamma < dimension (gamma constraint), "
-            f"got gamma={gamma} with dimension={d}"
-        )
-    coupling = _number(doc, "lambda")
-    length = _number(doc, "box_length")
-    points = _integer(doc, "points")
-
     try:
-        grid = Grid(d=d, length=length, points=points)
+        doc = _object(doc, "configuration root")
+        d = _integer(doc, "dimension")
+        gamma = _number(doc, "gamma")
+        coupling = _number(doc, "lambda")
+        length = _number(doc, "box_length")
+        grid = Grid(d=d, length=length, points=_integer(doc, "points"))
         kernel = KernelSpec(d=d, gamma=gamma, coupling=coupling)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    modes_doc = _need(doc, "modes")
-    if not isinstance(modes_doc, list) or not modes_doc:
-        raise ConfigError("'modes' must be a nonempty list")
-    entries = []
-    for entry in modes_doc:
-        if not isinstance(entry, dict):
-            raise ConfigError("each mode must be an object")
-        kappa = _vector(entry, "kappa", d)
-        entries.append((kappa, _parse_profile(entry, d)))
-
-    epsilons = _number_list(doc, "epsilons")
-    sample_times = _number_list(doc, "sample_times")
-    final_time = _number(doc, "final_time")
-    dt_factor = _number(doc, "dt_factor") if "dt_factor" in doc else 0.1
-    nodes = doc.get("quadrature_nodes", 64)
-    if not isinstance(nodes, int) or nodes < 8 or nodes % 2:
-        raise ConfigError(
-            f"quadrature_nodes must be an even integer >= 8, got {nodes}"
-        )
-    output = _need(doc, "output")
-    if not isinstance(output, str):
-        raise ConfigError("'output' must be a string path")
-
-    try:
-        family = ModeFamily.from_profiles(grid, entries, gamma)
+        modes = _need(doc, "modes")
+        if not isinstance(modes, list):
+            raise ConfigError("'modes' must be a list")
+        entries = []
+        for entry in modes:
+            entry = _object(entry, "each mode")
+            kappa = _vector(entry, "kappa", d)
+            profile = _object(_need(entry, "profile"), "each mode's 'profile'")
+            entries.append((kappa, _parse_profile(profile, d)))
+        epsilons = _number_list(doc, "epsilons")
+        sample_times = _number_list(doc, "sample_times")
+        final_time = _number(doc, "final_time")
+        dt_factor = _number(doc, "dt_factor") if "dt_factor" in doc else DT_FACTOR
+        output = _need(doc, "output")
+        if not isinstance(output, str):
+            raise ConfigError("'output' must be a string path")
         return SweepConfig(
             grid=grid,
             kernel=kernel,
-            family=family,
+            family=ModeFamily.from_profiles(grid, entries, gamma),
             epsilons=epsilons,
             final_time=final_time,
             sample_times=sample_times,
             dt_factor=dt_factor,
-            quadrature_nodes=nodes,
             output=output,
             threads=threads,
             seed=seed,
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -209,4 +242,6 @@ def load_config(path, threads: int = 1, seed: int = 0) -> SweepConfig:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("configuration is not valid JSON: nested too deeply") from exc
+    except OSError as exc:
+        raise ConfigError(f"configuration file cannot be read: {exc}") from exc
     return parse_config(doc, threads=threads, seed=seed)

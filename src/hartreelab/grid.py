@@ -354,7 +354,9 @@ class GaussianProfile:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not self.width > 0:
-            raise ValueError(f"gaussian width must be positive, got {self.width}")
+            raise ValueError(
+                f"gaussian width must be positive (width constraint), got {self.width}"
+            )
 
     def sample(self, grid: Grid) -> np.ndarray:
         if len(self.center) != grid.d:

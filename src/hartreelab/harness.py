@@ -7,6 +7,9 @@ exponent beta = min(1, d - gamma).  The guarantee is an upper bound
 with an unquantified constant, so the acceptance stance is
 "fitted slope >= beta - 0.15", never "slope == beta".
 
+Both entry points take a `config.SweepConfig`; the run file, its
+defaults and its rules belong to `config`, not here.
+
 The eps run in lockstep: between sample times each eps holds only its
 raw spectrum and t = 0 scalars.  At each t every eps is advanced, one
 WKB snapshot (with its eps-free terms (1/2) Lap a_j and ||a(t)||_E) is
@@ -49,6 +52,7 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
+from .config import SweepConfig
 from .grid import Field, Grid, translate
 from .kernel import (
     KernelSpec,
@@ -58,13 +62,11 @@ from .kernel import (
 )
 from .norms import l2w_norm
 from .norms import _algebra_bounds, _hartree_bounds, _l2, _norms_from_raw_fft, _wiener
-from .solver import MAX_DT_FACTOR, DivergenceError, SolverParams, advance, evolve
+from .solver import DivergenceError, SolverParams, advance, evolve
 from .solver import picard_evolve
 from .wkb import (
-    ModeFamily,
     ansatz_residual,
     assemble,
-    check_containment,
     check_resolution,
     initial_data,
     resonant_remainder,
@@ -106,84 +108,6 @@ def fit_rate(points) -> RateFit:
         intercept=float(intercept),
         residual=float(np.sqrt(np.mean(misfit**2))),
     )
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """One sweep: kernel, modes, grid, epsilon ladder, schedule, output."""
-
-    grid: Grid
-    kernel: KernelSpec
-    family: ModeFamily
-    epsilons: tuple
-    final_time: float
-    sample_times: tuple
-    dt_factor: float = 0.1
-    quadrature_nodes: int = 64
-    output: str = None
-    threads: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        object.__setattr__(self, "epsilons", eps)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError("epsilons must be a nonempty list of positive values")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must be strictly decreasing")
-        samples = tuple(float(t) for t in self.sample_times)
-        object.__setattr__(self, "sample_times", samples)
-        if not samples or any(t <= 0 or t > self.final_time * (1 + 1e-12)
-                                  for t in samples):
-            raise ValueError("sample times must lie in (0, final_time]")
-        if any(b <= a for a, b in zip(samples, samples[1:])):
-            raise ValueError("sample times must be strictly increasing")
-        if not 0 < self.dt_factor <= MAX_DT_FACTOR:
-            raise ValueError(f"dt_factor must lie in (0, {MAX_DT_FACTOR}]")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.family.grid != self.grid:
-            raise ValueError("mode family grid differs from the sweep grid")
-        if self.kernel.d != self.grid.d:
-            raise ValueError("kernel dimension differs from the grid dimension")
-        for e in eps:
-            check_resolution(self.family, e)
-            if len(self.family.modes) > 1:
-                check_resolution(self.family, e, for_remainder=True)
-        check_containment(self.family, self.final_time)
-
-    def to_json_dict(self) -> dict:
-        """Canonical echo of the configuration (same schema as input files)."""
-        modes = []
-        for m in self.family.modes:
-            entry = {"kappa": [float(k) for k in m.kappa]}
-            profile = getattr(m, "profile", None)
-            if profile is not None and hasattr(profile, "width"):
-                entry["profile"] = {
-                    "type": "gaussian",
-                    "amplitude": float(profile.amplitude),
-                    "center": [float(c) for c in profile.center],
-                    "width": float(profile.width),
-                }
-            else:
-                entry["profile"] = {"type": "table"}
-            modes.append(entry)
-        return {
-            "dimension": self.grid.d,
-            "gamma": self.kernel.gamma,
-            "lambda": self.kernel.coupling,
-            "box_length": self.grid.length,
-            "points": self.grid.points,
-            "modes": modes,
-            "epsilons": list(self.epsilons),
-            "final_time": self.final_time,
-            "sample_times": list(self.sample_times),
-            "dt_factor": self.dt_factor,
-            "quadrature_nodes": self.quadrature_nodes,
-            "output": self.output,
-        }
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -50,7 +50,9 @@ def _check_exponent(d: int, gamma: float):
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
     if not 0 < gamma < d:
-        raise ValueError(f"gamma must lie in (0, d) = (0, {d}), got {gamma}")
+        raise ValueError(
+            f"gamma must lie in (0, d) = (0, {d}) (gamma constraint), got {gamma}"
+        )
 
 
 def hartree_constant(d: int, gamma: float) -> float:
@@ -94,25 +96,16 @@ def _gauss_legendre(f, lo: float, hi: float, nodes: int) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel parameters: dimension, exponent, coupling and the multiplier
-    constant.  c_const defaults to the Gamma-function value and any
-    user-supplied override must match it to 1e-10 relative."""
+    """Kernel parameters: dimension, exponent and coupling, with the
+    multiplier constant c_const = hartree_constant(d, gamma) derived."""
 
     d: int
     gamma: float
     coupling: float = 1.0
-    c_const: float = None
+    c_const: float = field(init=False)
 
     def __post_init__(self):
-        _check_exponent(self.d, self.gamma)
-        formula = hartree_constant(self.d, self.gamma)
-        if self.c_const is None:
-            object.__setattr__(self, "c_const", formula)
-        elif abs(self.c_const - formula) > 1e-10 * abs(formula):
-            raise ValueError(
-                f"c_const {self.c_const} deviates from hartree_constant("
-                f"{self.d}, {self.gamma}) = {formula} by more than 1e-10 relative"
-            )
+        object.__setattr__(self, "c_const", hartree_constant(self.d, self.gamma))
 
 
 def zero_mode_value(spec: KernelSpec, grid: Grid) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -41,19 +41,14 @@ def derivative_order(d: int, gamma: float) -> int:
 
 @dataclass(frozen=True)
 class YNormSpec:
+    """Graded-norm parameters; the derivative order n is derived."""
+
     d: int
     gamma: float
-    n: int = None
+    n: int = field(init=False)
 
     def __post_init__(self):
-        expected = derivative_order(self.d, self.gamma)
-        if self.n is None:
-            object.__setattr__(self, "n", expected)
-        elif self.n != expected:
-            raise ValueError(
-                f"derivative order n={self.n} contradicts the rule value "
-                f"{expected} for d={self.d}, gamma={self.gamma}"
-            )
+        object.__setattr__(self, "n", derivative_order(self.d, self.gamma))
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ from .grid import Field, unit_phase
 from .kernel import KernelSpec, convolve, half_multiplier
 from .norms import _norms_from_raw_fft
 
+DT_FACTOR = 0.1  # default dt / eps of the resolution rule
 MAX_DT_FACTOR = 0.25
 
 
@@ -86,14 +87,15 @@ class SolverParams:
 
     dt must respect the resolution rule dt <= dt_factor * eps: the
     potential phase and the splitting commutators carry oscillation
-    coupled to eps, and the factor (default 0.1, never above 0.25) was
+    coupled to eps, and the factor (default DT_FACTOR, never above
+    MAX_DT_FACTOR) was
     fixed by self-convergence studies.
     """
 
     eps: float
     dt: float
     final_time: float
-    dt_factor: float = 0.1
+    dt_factor: float = DT_FACTOR
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -114,7 +116,7 @@ class SolverParams:
             )
 
     @classmethod
-    def largest_step(cls, eps: float, final_time: float, dt_factor: float = 0.1):
+    def largest_step(cls, eps: float, final_time: float, dt_factor: float = DT_FACTOR):
         """The largest dt the resolution rule allows, capped at final_time."""
         return cls(eps, min(dt_factor * eps, final_time), final_time, dt_factor)
 
@@ -245,7 +247,7 @@ def picard_evolve(
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if nodes is None:
-        nodes = max(8, math.ceil(horizon / (0.1 * eps)))
+        nodes = max(8, math.ceil(horizon / (DT_FACTOR * eps)))
         nodes += nodes % 2
     if nodes < 2 or nodes % 2:
         raise ValueError(f"nodes must be even and at least 2, got {nodes}")

@@ -15,9 +15,13 @@ from hartreelab import (
     DivergenceError,
     PicardConvergenceError,
     load_config,
+    parse_config,
+    run_sweep,
 )
 from hartreelab import cli, harness
 from hartreelab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(tmp_path, **overrides):
@@ -96,11 +100,6 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="width"):
             load_config(write_config(tmp_path, doc))
 
-    def test_odd_quadrature_nodes_rejected(self, tmp_path):
-        doc = base_config(tmp_path, quadrature_nodes=9)
-        with pytest.raises(ConfigError, match="quadrature_nodes"):
-            load_config(write_config(tmp_path, doc))
-
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "run.json"
@@ -116,6 +115,55 @@ class TestConfigLoading:
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "nested too deeply" in err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # root ignores file modes, so the read itself is made to fail
+        path = write_config(tmp_path, base_config(tmp_path))
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Permission denied" in err
+
+
+class TestRunFileEcho:
+    @pytest.mark.parametrize("extra", [{"quadrature_nodes": 64},
+                                       {"quadrature_nodes": 9}, {"note": [1, 2]}])
+    def test_unknown_key_is_ignored(self, tmp_path, extra):
+        plain = parse_config(base_config(tmp_path))
+        cfg = parse_config(base_config(tmp_path, **extra))
+        assert cfg.to_json_dict() == plain.to_json_dict()
+
+    @pytest.mark.parametrize("name", ["reference_1d", "reference_2d", "multimode"])
+    def test_echo_is_a_fixed_point(self, monkeypatch, name):
+        if name == "multimode":
+            # perfbench's generated four-mode run document
+            monkeypatch.syspath_prepend(str(ROOT))
+            from perfbench.workloads import multimode_config
+            doc = multimode_config()
+        else:
+            doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        echo = parse_config(doc).to_json_dict()
+        assert json.loads(json.dumps(echo)) == echo
+        assert parse_config(echo).to_json_dict() == echo
+
+    def test_table_profile_echo_reloads(self, tmp_path):
+        doc = fuzz_base_config(tmp_path)
+        x = -doc["box_length"] / 2 + doc["box_length"] / doc["points"] * np.arange(
+            doc["points"])
+        doc["modes"][0]["profile"] = {"type": "table",
+                                      "values": np.exp(-x**2 / 2).tolist()}
+        cfg = parse_config(doc)
+        echo = cfg.to_json_dict()
+        assert echo["modes"][0]["profile"]["type"] == "table"
+        assert echo["modes"][1]["profile"]["type"] == "gaussian"
+        again = parse_config(json.loads(json.dumps(echo)))
+        assert again.to_json_dict() == echo
+        assert run_sweep(again).records == run_sweep(cfg).records
 
 
 class TestSimulate:
@@ -423,7 +471,7 @@ BAD_VALUES = ({}, True, 0, -1, "abc", [], float("nan"), float("inf"), MISSING)
 FUZZ_KEYS = (
     ("dimension",), ("gamma",), ("lambda",), ("box_length",), ("points",),
     ("modes",), ("epsilons",), ("final_time",), ("sample_times",),
-    ("dt_factor",), ("quadrature_nodes",), ("output",),
+    ("dt_factor",), ("output",),
     ("modes", 0), ("modes", 0, "kappa"), ("modes", 0, "profile"),
     ("modes", 0, "profile", "type"), ("modes", 0, "profile", "amplitude"),
     ("modes", 0, "profile", "center"), ("modes", 0, "profile", "width"),
@@ -434,8 +482,7 @@ FUZZ_KEYS = (
 def fuzz_base_config(out_dir):
     """A 256-point, two-eps config that sweeps in well under a second,
     with every optional key present so that each can be broken."""
-    doc = base_config(out_dir, points=256, epsilons=[0.4, 0.2], dt_factor=0.1,
-                      quadrature_nodes=64)
+    doc = base_config(out_dir, points=256, epsilons=[0.4, 0.2], dt_factor=0.1)
     for mode in doc["modes"]:
         mode["kappa"] = [mode["kappa"][0] / 2]
     return doc

@@ -92,10 +92,6 @@ class TestKernelSpec:
         spec = KernelSpec(d=1, gamma=0.5)
         assert spec.c_const == pytest.approx(1.0, rel=1e-14)
 
-    def test_rejects_mismatched_constant(self):
-        with pytest.raises(ValueError, match="c_const"):
-            KernelSpec(d=1, gamma=0.5, c_const=1.1)
-
     def test_rejects_gamma_at_dimension(self):
         with pytest.raises(ValueError, match="gamma"):
             KernelSpec(d=2, gamma=2.0)

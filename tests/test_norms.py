@@ -49,10 +49,6 @@ class TestDerivativeOrder:
         assert derivative_order(3, 1.0) == 2
         assert derivative_order(3, 2.5) == 2
 
-    def test_spec_rejects_contradiction(self):
-        with pytest.raises(ValueError, match="derivative order"):
-            YNormSpec(d=3, gamma=0.5, n=2)
-
 
 class TestBasicNorms:
     def test_zero_field(self, grid1d):
