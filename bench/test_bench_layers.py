@@ -49,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from hartreelab import Grid, KernelSpec, SolverParams
 from hartreelab import grid as grid_module
@@ -87,7 +86,7 @@ def test_advance_step(benchmark, monkeypatch, size):
     spec = KernelSpec(d=grid.d, gamma=gamma)
     params = SolverParams.largest_step(eps, 1.0)
     khat_half = half_multiplier(spec, grid, spec.coupling)
-    raw = scipy.fft.fftn(_packets(grid, eps).astype(np.complex128))
+    raw = np.fft.fftn(_packets(grid, eps).astype(np.complex128))
     norm0 = sum(_norms_from_raw_fft(raw, grid))
     state = {"raw": raw}
 
@@ -97,7 +96,7 @@ def test_advance_step(benchmark, monkeypatch, size):
 
     calls = []
     for name in FFT_NAMES:
-        monkeypatch.setattr(scipy.fft, name, _counted(getattr(scipy.fft, name), calls))
+        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
     step()
     monkeypatch.undo()
     benchmark.extra_info["fft_calls_per_step"] = len(calls)
@@ -164,7 +163,7 @@ def test_record(benchmark, monkeypatch, family):
 
     calls = []
     for name in FFT_NAMES:
-        monkeypatch.setattr(scipy.fft, name, _counted(getattr(scipy.fft, name), calls))
+        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
     record()
     monkeypatch.undo()
     benchmark.extra_info["fft_calls_per_record"] = len(calls)

@@ -15,10 +15,10 @@ zeroed inside derivative and modulation multipliers; this removes the
 asymmetric Nyquist artifact in odd derivatives while leaving the
 identity multi-index exact.
 
-Every transform in the package goes through one backend, `scipy.fft`,
-and every array exp(i theta) on the hot paths through one kernel,
-`unit_phase`: a vectorised half-angle tangent in place of scalar cos
-and sin.
+Every transform in the package goes through one backend, `numpy.fft`
+(a field transformed in place passes itself as `out=`), and every array
+exp(i theta) on the hot paths through one kernel, `unit_phase`: a
+vectorised half-angle tangent in place of scalar cos and sin.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.fft
 
 MAX_TOTAL_POINTS = 2**26  # memory guard on N**d
 BLOCK_BYTES = 2**20  # byte budget of one stack of complex fields
@@ -275,7 +274,7 @@ def forward_transform(f: Field) -> SpectralField:
     """Discrete realization of fhat(xi_k) under the unitary convention."""
     g = f.grid
     scale = (TWO_PI) ** (-g.d / 2) * g.dx**g.d
-    coef = scale * g.alternating_signs() * scipy.fft.fftn(f.values)
+    coef = scale * g.alternating_signs() * np.fft.fftn(f.values)
     return SpectralField(g, coef)
 
 
@@ -283,7 +282,7 @@ def inverse_transform(F: SpectralField) -> Field:
     """Inverse of forward_transform; the pair round-trips to rounding."""
     g = F.grid
     scale = (TWO_PI) ** (g.d / 2) / g.dx**g.d
-    vals = scale * scipy.fft.ifftn(F.coefficients * g.alternating_signs())
+    vals = scale * np.fft.ifftn(F.coefficients * g.alternating_signs())
     return Field._adopt(g, vals)
 
 
@@ -316,19 +315,18 @@ def spectral_derivative(f: Field, eta) -> Field:
     meshes = g.freq_meshes(zero_nyquist=True)
     ones = np.ones(g.shape, dtype=np.complex128)
     mult = reduce(np.multiply, ((1j * m) ** e for m, e in zip(meshes, eta) if e), ones)
-    return Field._adopt(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * mult))
+    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * mult))
 
 
 def laplacian(f: Field) -> Field:
     """Sum of pure second derivatives, one transform pair."""
-    raw = scipy.fft.fftn(f.values)
-    return Field._adopt(f.grid, _laplacian_from_raw(raw, f.grid))
+    return Field._adopt(f.grid, _laplacian_from_raw(np.fft.fftn(f.values), f.grid))
 
 
 def _laplacian_from_raw(raw: np.ndarray, grid: Grid) -> np.ndarray:
     """Lap f from the raw FFT of f, which it overwrites; one inverse transform."""
     raw *= -reduce(np.add, (m**2 for m in grid.freq_meshes(zero_nyquist=True)))
-    return scipy.fft.ifftn(raw, overwrite_x=True)
+    return np.fft.ifftn(raw, out=raw)
 
 
 def translate(f: Field, shift) -> Field:
@@ -340,7 +338,7 @@ def translate(f: Field, shift) -> Field:
     if not s.any():
         return f
     wave = plane_wave(g.freq_meshes(zero_nyquist=True), s, -1.0)
-    return Field._adopt(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * wave))
+    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * wave))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ each time's per-eps advances and records over N threads.
 A record works in two complex field buffers, U and A, instead of fresh
 full-size arrays, passed as the `out=`/`scratch=` of the public `wkb`
 record terms: u_app goes into U; u - u_app, then r, pass through A
-(the state as a copy of the spectrum transformed in place, since the
-spectrum must survive for the next advance); Z2 then takes U.  Each
+(the state as the spectrum's inverse transform written into A, since
+the spectrum must survive for the next advance); Z2 then takes U.  Each
 field's L2 sum is read before its forward transform overwrites it.  The
 buffers live from a time's snapshot to that time's last record and are
 dropped with the snapshot; every worker thread has its own pair.
@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .config import SweepConfig
 from .grid import Field, Grid, translate
@@ -165,7 +164,7 @@ def _start(cfg: SweepConfig, snap0, eps: float) -> _EpsRun:
     u0 = initial_data(cfg.family, eps)
     init_err = l2w_norm(u0 - Field._adopt(cfg.grid, assemble(cfg.family, snap0, eps)))
     params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
-    raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
+    raw = np.fft.fftn(u0.values)
     l2_0, w_0 = _norms_from_raw_fft(raw, cfg.grid)
     return _EpsRun(eps, params, raw, l2_0 + w_0, l2_0, init_err)
 
@@ -192,7 +191,7 @@ def _norms_in_place(values: np.ndarray, grid: Grid) -> tuple:
     """(L2, Wiener) of a field whose samples may be overwritten: the forward
     transform for the Wiener norm lands in `values`."""
     l2 = _l2(values, grid)
-    return l2, _wiener(scipy.fft.fftn(values, overwrite_x=True), grid)
+    return l2, _wiener(np.fft.fftn(values, out=values), grid)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite check below reports it
@@ -204,8 +203,7 @@ def _record(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
     eps, g = run.eps, cfg.grid
     u, a = _field_pair(buffers, g)
     u_app = assemble(cfg.family, snap, eps, out=u, scratch=a)
-    np.copyto(a, run.raw)  # the spectrum stays for the next advance
-    err = scipy.fft.ifftn(a, overwrite_x=True)
+    err = np.fft.ifftn(run.raw, out=a)  # the spectrum stays for the next advance
     err_l2, err_w = _norms_in_place(np.subtract(err, u_app, out=err), g)
     r_l2, r_w = _norms_in_place(
         resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app, out=a), g)
@@ -364,10 +362,11 @@ def _random_band_limited(grid: Grid, rng, cutoff: int, *lead) -> np.ndarray:
     for slabs in itertools.product(halves, repeat=grid.d):
         coef[(..., *(dst for _, dst in slabs))] = band[(..., *(src for src, _ in slabs), 0)]
     axes = tuple(range(-grid.d, 0))
-    vals = scipy.fft.ifftn(coef, axes=axes, overwrite_x=True)
+    vals = np.fft.ifftn(coef, axes=axes, out=coef)
     peak = np.max(np.abs(vals), axis=axes, keepdims=True)
     peak[peak == 0] = 1.0  # an all-zero field stays zero
-    vals /= peak
+    parts = vals.view(np.float64)  # numpy divides complex by real as a * (1 / c)
+    parts *= 1.0 / peak
     return vals
 
 

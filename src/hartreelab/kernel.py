@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .grid import Field, Grid, TWO_PI
 
@@ -152,13 +151,13 @@ def half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndar
     return (scale * TWO_PI ** (grid.d / 2)) * khat
 
 
-def convolve(khat_half: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """K * rho for a real density array or a stack of them: one real transform
-    pair over the axes of khat_half (`half_multiplier`, scale included)."""
+def convolve(khat_half: np.ndarray, rho: np.ndarray, out=None, spectrum=None) -> np.ndarray:
+    """K * rho of a real density (or stack) by one real transform pair over the axes
+    of khat_half (`half_multiplier`, scaled), via `spectrum` into `out` if given."""
     axes = tuple(range(-khat_half.ndim, 0))
-    rho_hat = scipy.fft.rfftn(rho, axes=axes)
+    rho_hat = np.fft.rfftn(rho, axes=axes, out=spectrum)
     rho_hat *= khat_half
-    return scipy.fft.irfftn(rho_hat, s=rho.shape[axes[0]:], axes=axes, overwrite_x=True)
+    return np.fft.irfftn(rho_hat, rho.shape[axes[0]:], axes, out=out)
 
 
 # ---------------------------------------------------------------------------

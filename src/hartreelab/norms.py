@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-import scipy.fft
 
 from .grid import TWO_PI, Field, SpectralField
 from .kernel import KernelSpec, multiplier_grid, split_norms
@@ -84,7 +83,7 @@ def l1_norm(f: Field) -> float:
 
 
 def wiener_norm(f: Field) -> float:
-    return _wiener(scipy.fft.fftn(f.values), f.grid)
+    return _wiener(np.fft.fftn(f.values), f.grid)
 
 
 def l2w_norm(f: Field) -> float:
@@ -160,7 +159,7 @@ def _algebra_bounds(pairs: np.ndarray, grid, slack: float = 1e-10) -> list:
     """
     cutoff = grid.points // 4 - 1
     axes = tuple(range(-grid.d, 0))
-    mag = np.abs(scipy.fft.fftn(pairs, axes=axes))
+    mag = np.abs(np.fft.fftn(pairs, axes=axes))
     w = _wiener_from_modulus(mag, grid)
     mag[(..., *grid.band_box(cutoff))] = 0.0  # what is left is the tail
     tails = _wiener_from_modulus(mag, grid)
@@ -170,7 +169,8 @@ def _algebra_bounds(pairs: np.ndarray, grid, slack: float = 1e-10) -> list:
                 f"{name} factor has spectral mass above the anti-aliasing "
                 f"cutoff |k| <= {cutoff}; the discrete product would alias"
             )
-    product = scipy.fft.fftn(pairs[:, 0] * pairs[:, 1], axes=axes, overwrite_x=True)
+    product = pairs[:, 0] * pairs[:, 1]
+    np.fft.fftn(product, axes=axes, out=product)
     lhs = _wiener_from_modulus(np.abs(product), grid)
     return _reports(lhs, w[:, 0] * w[:, 1], slack)
 
@@ -181,7 +181,7 @@ def _hartree_bounds(spec: KernelSpec, h: np.ndarray, grid, slack: float = 1e-6) 
     spectrum (2pi)^{d/2} Khat hhat."""
     k1_l1, k2_sup = split_norms(spec)
     axes = tuple(range(-grid.d, 0))
-    mag = np.abs(scipy.fft.fftn(h, axes=axes))
+    mag = np.abs(np.fft.fftn(h, axes=axes))
     conv_mag = TWO_PI ** (grid.d / 2) * np.abs(multiplier_grid(spec, grid)) * mag
     lhs = _wiener_from_modulus(conv_mag, grid)
     l1 = grid.dx**grid.d * np.sum(np.abs(h), axis=axes)

@@ -44,8 +44,8 @@ the validate suite's 32 nodes at 8192 points, 33 MiB at 256^2, 132 MiB
 at 64^3.  Each block of whole panels (`Grid.block_rows` rounded down to
 even, at least 2) takes the sources of the previous iterate from four
 stacked FFTs (complex inverse, the real pair for the potentials, complex
-forward), then the recursion walks its panels in order, carrying the
-source of the last node into the next block.
+forward), then the recursion walks its panels in order in six buffers
+made once per call, carrying U q of the last node into the next block.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .grid import Field, unit_phase
 from .kernel import KernelSpec, convolve, half_multiplier
@@ -152,7 +151,7 @@ def free_propagator(f: Field, eps: float, t: float) -> Field:
         return f
     g = f.grid
     phase = np.exp(-0.5j * eps * t * g.freq_norm_sq())
-    return Field._adopt(g, scipy.fft.ifftn(scipy.fft.fftn(f.values) * phase))
+    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * phase))
 
 
 def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: float,
@@ -161,8 +160,8 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
 
     The gap is cut into the fewest equal steps no longer than the
     requested dt, so t_next is hit exactly; khat_half is
-    `kernel.half_multiplier(spec, grid, lambda)`.  `raw` is consumed;
-    returns the spectrum at t_next and its L2 norm.  The run is aborted
+    `kernel.half_multiplier(spec, grid, lambda)`.  `raw` is transformed in
+    place; returns the spectrum at t_next and its L2 norm.  The run is aborted
     once the combined norm exceeds 4 norm0, norm0 being its value at
     t = 0: the stability ball of the local existence argument.
     """
@@ -172,20 +171,20 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     dt = gap / n_steps
     kin_half = unit_phase(-0.25 * params.eps * dt * grid.freq_norm_sq())
     kin_full = kin_half**2
-    phase = np.empty(grid.shape, dtype=np.complex128)
-    density, imag_sq = np.empty(grid.shape), np.empty(grid.shape)
+    phase, spectrum = (np.empty(s, dtype=complex) for s in (grid.shape, khat_half.shape))
+    density, imag_sq, potential = np.empty((3, *grid.shape))
     raw *= kin_half
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a NaN
         for step in range(n_steps):
-            state = scipy.fft.ifftn(raw, overwrite_x=True)
+            state = np.fft.ifftn(raw, out=raw)
             np.multiply(state.real, state.real, out=density)
             np.multiply(state.imag, state.imag, out=imag_sq)
             density += imag_sq
             # -dt after the transform: an overflowing potential gives a NaN phase
-            angle = convolve(khat_half, density)
+            angle = convolve(khat_half, density, out=potential, spectrum=spectrum)
             angle *= -dt
             state *= unit_phase(angle, out=phase)
-            raw = scipy.fft.fftn(state, overwrite_x=True)
+            raw = np.fft.fftn(state, out=state)
             # |kin_half| = 1, so these are the norms after the half-step
             l2, wiener = _norms_from_raw_fft(raw, grid)
             if not l2 + wiener <= 4.0 * norm0:  # a NaN norm trips the guard too
@@ -206,7 +205,7 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
             raise ValueError(f"sample time {t} outside [0, T = {params.final_time}]")
 
     khat_half = half_multiplier(spec, g, spec.coupling)
-    raw = scipy.fft.fftn(np.array(u0.values, dtype=np.complex128), overwrite_x=True)
+    raw = np.fft.fftn(u0.values)
     l2_0, w_0 = _norms_from_raw_fft(raw, g)
 
     rec_times, rec_states, rec_mass = [0.0], [u0], [l2_0]
@@ -216,7 +215,7 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
             continue
         raw, l2 = advance(raw, g, khat_half, params, t_prev, t_next, l2_0 + w_0)
         rec_times.append(t_next)
-        rec_states.append(Field._adopt(g, scipy.fft.ifftn(raw)))
+        rec_states.append(Field._adopt(g, np.fft.ifftn(raw)))
         rec_mass.append(l2)
         t_prev = t_next
 
@@ -261,46 +260,52 @@ def picard_evolve(
 
     def sources(raw):
         """Raw spectra of (K * |u|^2) u, u the states of a stack of raw spectra."""
-        state = scipy.fft.ifftn(raw, axes=axes)
+        state = np.fft.ifftn(raw, axes=axes)
         state *= convolve(khat_half, state.real**2 + state.imag**2)
-        return scipy.fft.fftn(state, axes=axes, overwrite_x=True)
+        return np.fft.fftn(state, axes=axes, out=state)
 
     # raw spectra of the node states, seeded by the free flow; node 0 is
     # the data and never changes, so neither does q_0
     current = np.empty((nodes + 1, *g.shape), dtype=np.complex128)
-    current[0] = scipy.fft.fftn(u0.values)
+    np.fft.fftn(u0.values, out=current[0])
     for i in range(nodes):
         np.multiply(current[i], u_half, out=current[i + 1])
     q0 = sources(current[:1])[0]
     prev_inc = None
     growth_streak = 0
+    free, integral, uq, mid, new, work = np.empty((6, *g.shape), dtype=np.complex128)
 
     for iteration in range(1, max_iter + 1):
-        free, integral, q_even = current[0], np.zeros(g.shape, dtype=np.complex128), q0
+        free[...], integral[...] = current[0], 0
+        np.multiply(u_half, q0, out=uq)
         inc = 0.0
         for start in range(1, nodes + 1, rows):
             block = current[start:start + rows]
             q = sources(block)  # of the previous iterate, read before the block moves
-            for k in range(0, len(block), 2):
+            for k in range(0, len(block), 2):  # the panel rule in place, in its order
                 q_mid, q_end = q[k], q[k + 1]
-                uq = u_half * q_even
-                free_mid = free * u_half
-                free = free_mid * u_half
-                mid = u_half * integral + (h / 12) * (5 * uq + 8 * q_mid - u_back * q_end)
-                integral = u_full * integral + (h / 3) * (u_half * (uq + 4 * q_mid) + q_end)
-                for node, new in ((block[k], free_mid - 1j * mid),
-                                  (block[k + 1], free - 1j * integral)):
-                    step = sum(_norms_from_raw_fft(new - node, g))
+                np.multiply(5, uq, out=work)
+                work += np.multiply(8, q_mid, out=new)
+                work -= np.multiply(u_back, q_end, out=new)
+                np.multiply(h / 12, work, out=work)
+                np.add(np.multiply(u_half, integral, out=mid), work, out=mid)
+                np.add(uq, np.multiply(4, q_mid, out=work), out=work)
+                np.add(np.multiply(u_half, work, out=work), q_end, out=work)
+                np.multiply(h / 3, work, out=work)
+                np.add(np.multiply(u_full, integral, out=integral), work, out=integral)
+                np.multiply(u_half, q_end, out=uq)  # U q_{2k} of the next panel
+                for node, duhamel in ((block[k], mid), (block[k + 1], integral)):
+                    np.multiply(free, u_half, out=free)  # the free flow to this node
+                    np.subtract(free, np.multiply(1j, duhamel, out=new), out=new)
+                    step = sum(_norms_from_raw_fft(np.subtract(new, node, out=work), g))
                     if not math.isfinite(step):  # max() would drop a NaN
                         raise PicardConvergenceError(
                             f"increment became non-finite in iteration {iteration}")
                     inc = max(inc, step)
                     node[...] = new
-                q_even = q_end
-            q_even = q_even.copy()  # carried on; q is freed before the next block's sources
-            del q, q_mid, q_end
+            del q, q_mid, q_end  # freed before the next block's sources
         if inc < tol:
-            return Field._adopt(g, scipy.fft.ifftn(current[-1]))
+            return Field._adopt(g, np.fft.ifftn(current[-1]))
         if prev_inc is not None and inc > prev_inc:
             growth_streak += 1
             if growth_streak >= 3:

@@ -56,7 +56,6 @@ from functools import reduce
 from itertools import combinations
 
 import numpy as np
-import scipy.fft
 
 from .grid import (
     Field,
@@ -253,7 +252,7 @@ def _averaging_factor(t: float, omega: np.ndarray, wave: np.ndarray) -> np.ndarr
 
 def _density_spectra(family: ModeFamily) -> list:
     """rfftn(|alpha_l|^2) per mode: the half spectra every phase sums over."""
-    return [scipy.fft.rfftn(np.abs(m.alpha.values) ** 2) for m in family.modes]
+    return [np.fft.rfftn(np.abs(m.alpha.values) ** 2) for m in family.modes]
 
 
 def action_phase(
@@ -282,7 +281,7 @@ def action_phase(
 
     acc *= plane_wave(meshes, kappa_j, -t)
     acc *= half_multiplier(spec, g, -spec.coupling)
-    return Field._adopt(g, scipy.fft.irfftn(acc, s=g.shape, overwrite_x=True))
+    return Field._adopt(g, np.fft.irfftn(acc, g.shape, tuple(range(g.d))))
 
 
 def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> np.ndarray:
@@ -352,7 +351,7 @@ def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
     del spectra  # freed before the eps-free terms are built
     halves, e_norm = [], 0.0
     for amp in amps:
-        raw = scipy.fft.fftn(amp.values)
+        raw = np.fft.fftn(amp.values)
         e_norm += _graded_norm(raw, family.grid, family.nspec)
         halves.append(0.5 * _laplacian_from_raw(raw, family.grid))
     return WkbSnapshot(t, tuple(amps), tuple(halves), e_norm)
@@ -421,7 +420,7 @@ def resonant_remainder(family: ModeFamily, snap: WkbSnapshot, eps: float,
         mod_sq = np.abs(amp.values)
         cross -= np.square(mod_sq, out=mod_sq)
     del mod_sq  # freed before the convolution's transforms
-    conv = convolve(half_multiplier(spec, family.grid), cross)
+    conv = convolve(half_multiplier(spec, family.grid), cross, out=cross)
     return np.multiply(np.negative(conv, out=conv), u_app, out=out)
 
 
@@ -435,7 +434,7 @@ def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) ->
     rates = []
     for mode, amp in zip(family.modes, snap.amplitudes):
         drift = sum(1j * k * m for k, m in zip(mode.kappa, meshes))
-        advect = scipy.fft.ifftn(scipy.fft.fftn(amp.values) * drift)
+        advect = np.fft.ifftn(np.fft.fftn(amp.values) * drift)
         rates.append(-advect - 1j * potential * amp.values)
     return rates
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 from hartreelab import Field, GaussianProfile, Grid, KernelSpec, ModeFamily
 
@@ -81,14 +80,13 @@ FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """List that records every numpy.fft / scipy.fft transform call made
-    while the test runs."""
+    """List that records every numpy.fft transform call made while the
+    test runs."""
     calls = []
-    for module in (np.fft, scipy.fft):
-        for fname in FFT_NAMES:
-            def counted(*args, _fn=getattr(module, fname), **kwargs):
-                calls.append(_fn)
-                return _fn(*args, **kwargs)
+    for fname in FFT_NAMES:
+        def counted(*args, _fn=getattr(np.fft, fname), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(module, fname, counted)
+        monkeypatch.setattr(np.fft, fname, counted)
     return calls

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from hartreelab import grid as grid_module
 from hartreelab import (
@@ -32,7 +31,7 @@ TWO_PI = 2.0 * np.pi
 
 def one_field(grid, rng, cutoff):
     """One band-limited field, drawn the way a field-by-field loop draws it."""
-    vals = scipy.fft.ifftn(in_band_coefficients(grid, rng, cutoff))
+    vals = np.fft.ifftn(in_band_coefficients(grid, rng, cutoff))
     peak = np.max(np.abs(vals))
     return vals / peak if peak > 0 else vals
 
@@ -47,17 +46,17 @@ def algebra_report(f, g, grid, slack=1e-10):
     cutoff = grid.points // 4 - 1
     rhs = 1.0
     for h in (f, g):
-        mag = np.abs(scipy.fft.fftn(h))
+        mag = np.abs(np.fft.fftn(h))
         assert mag[~band_mask(grid, cutoff)].sum() <= 1e-12 * mag.sum()
         rhs *= wiener(mag, grid)
-    lhs = wiener(np.abs(scipy.fft.fftn(f * g)), grid)
+    lhs = wiener(np.abs(np.fft.fftn(f * g)), grid)
     return lhs, rhs, lhs <= rhs * (1 + slack)
 
 
 def hartree_report(spec, h, grid, slack=1e-6):
     """(lhs, rhs, holds) of the Hartree bound for one density."""
     k1_l1, k2_sup = split_norms(spec)
-    mag = np.abs(scipy.fft.fftn(h))
+    mag = np.abs(np.fft.fftn(h))
     lhs = wiener(TWO_PI ** (grid.d / 2) * np.abs(multiplier_grid(spec, grid)) * mag, grid)
     l1 = float(grid.dx**grid.d * np.sum(np.abs(h)))
     rhs = k1_l1 * l1 + k2_sup * wiener(mag, grid)
@@ -143,11 +142,11 @@ def per_node_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
     u_full, u_back = u_half**2, np.conj(u_half)
 
     def source(raw):
-        state = scipy.fft.ifftn(raw)
+        state = np.fft.ifftn(raw)
         state *= convolve(khat_half, state.real**2 + state.imag**2)
-        return scipy.fft.fftn(state, overwrite_x=True)
+        return np.fft.fftn(state, out=state)
 
-    raw0 = scipy.fft.fftn(u0.values)
+    raw0 = np.fft.fftn(u0.values)
     current = [raw0]
     for _ in range(nodes):
         current.append(current[-1] * u_half)
@@ -170,7 +169,7 @@ def per_node_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
                 inc = max(inc, sum(_norms_from_raw_fft(new - current[j], g)))
                 current[j] = new
         if inc < tol:
-            return scipy.fft.ifftn(current[-1]), iteration
+            return np.fft.ifftn(current[-1]), iteration
         if prev_inc is not None and inc > prev_inc:
             streak += 1
             if streak >= 3:

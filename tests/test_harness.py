@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from hartreelab import (
     Field,
@@ -576,15 +575,15 @@ CAMPAIGN_CUTOFFS = {  # the band of each campaign's fields
 
 
 def inverse_inputs(monkeypatch):
-    """List that keeps a copy of every array handed to scipy.fft.ifftn."""
+    """List that keeps a copy of every array handed to numpy.fft.ifftn."""
     seen = []
-    real_ifftn = scipy.fft.ifftn
+    real_ifftn = np.fft.ifftn
 
     def keep(x, *args, **kwargs):
         seen.append(np.array(x))
         return real_ifftn(x, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "ifftn", keep)
+    monkeypatch.setattr(np.fft, "ifftn", keep)
     return seen
 
 
@@ -663,38 +662,6 @@ class TestRandomFields:
         (x,) = grid.coords()
         envelope = np.exp(-(x**2) / (2 * (grid.length / 12) ** 2))
         assert np.array_equal(got, np.abs(base) ** 2 * envelope)
-
-
-class TestBackend:
-    def test_no_numpy_transforms(self, small_config, monkeypatch):
-        # every transform goes through scipy.fft; a numpy one would raise here
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.fft transform called")
-
-        for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
-            monkeypatch.setattr(np.fft, name, refuse)
-        checks = validate_suite(small_config, algebra_pairs=3, hartree_pairs=3)
-        assert all(c.passed for c in checks.values())
-        grid = Grid(d=2, length=16.0, points=64)
-        prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
-        family = ModeFamily.from_profiles(
-            grid, [([-2.0, 0.0], prof), ([0.0, 2.0], prof)], gamma=0.5
-        )
-        snap = snapshot(family, 0.5, KernelSpec(d=2, gamma=0.5, coupling=1.0))
-        assert len(snap.amplitudes) == 2
-        grid = Grid(d=1, length=32.0, points=256)
-        prof = small_config.family.modes[0].profile
-        tiny = SweepConfig(
-            grid=grid,
-            kernel=small_config.kernel,
-            family=ModeFamily.from_profiles(
-                grid, [([-1.0], prof), ([1.0], prof)], gamma=0.5
-            ),
-            epsilons=(0.4, 0.2),
-            final_time=0.2,
-            sample_times=(0.1, 0.2),
-        )
-        assert len(run_sweep(tiny).records) == 4
 
 
 class TestPersist:

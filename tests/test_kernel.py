@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy import integrate
 
 import hartreelab
@@ -164,8 +163,8 @@ class TestConvolve:
         # and the half-spectrum route returns its real part
         rng = np.random.default_rng(23)
         rho = np.abs(rng.standard_normal(grid1d.shape))
-        full = scipy.fft.ifftn(
-            scipy.fft.fftn(rho) * (2 * np.pi) ** 0.5 * multiplier_grid(kernel1d, grid1d)
+        full = np.fft.ifftn(
+            np.fft.fftn(rho) * (2 * np.pi) ** 0.5 * multiplier_grid(kernel1d, grid1d)
         )
         assert np.max(np.abs(full.imag)) < 1e-12 * np.max(np.abs(full))
         out = convolve(half_multiplier(kernel1d, grid1d), rho)
@@ -273,6 +272,40 @@ def test_import_and_load_leave_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, cwd=root)
     assert out.stdout.strip() == "False"
+
+
+def test_import_sweep_and_validate_load_no_scipy():
+    # every transform runs on numpy.fft, so a run loads no scipy module;
+    # a plain `scipy.fft` import alone costs more than a 1-D sweep
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(hartreelab.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import hartreelab as hl\n"
+        f"hl.load_config({str(root / 'configs' / 'reference_2d.json')!r})\n"
+        "prof = hl.GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)\n"
+        "kernel = hl.KernelSpec(d=1, gamma=0.5, coupling=1.0)\n"
+        "def config(points):\n"
+        "    grid = hl.Grid(d=1, length=32.0, points=points)\n"
+        "    family = hl.ModeFamily.from_profiles(\n"
+        "        grid, [([-1.0], prof), ([1.0], prof)], gamma=0.5)\n"
+        "    return hl.SweepConfig(grid=grid, kernel=kernel, family=family,\n"
+        "                          epsilons=(0.4, 0.2), final_time=0.2,\n"
+        "                          sample_times=(0.1, 0.2))\n"
+        "assert len(hl.run_sweep(config(256)).records) == 4\n"
+        "grid = hl.Grid(d=2, length=16.0, points=64)\n"
+        "prof2 = hl.GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)\n"
+        "family = hl.ModeFamily.from_profiles(\n"
+        "    grid, [([-2.0, 0.0], prof2), ([0.0, 2.0], prof2)], gamma=0.5)\n"
+        "assert len(hl.snapshot(family, 0.5, hl.KernelSpec(d=2, gamma=0.5)).amplitudes) == 2\n"
+        "checks = hl.validate_suite(config(1024), algebra_pairs=3, hartree_pairs=3)\n"
+        "assert all(c.passed for c in checks.values())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, cwd=root)
+    assert out.stdout.strip() == "[]"
 
 
 def test_validate_and_direct_oracle_leave_scipy_integrate_unloaded():
