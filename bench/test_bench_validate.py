@@ -12,9 +12,9 @@
 - `test_picard_evolve[NODES]`: one warm `picard_evolve` at the
   `integrator_agreement` check's parameters (reference_1d's largest eps,
   horizon 0.1 eps, tol 1e-12) with 32 nodes, the check's count, and with
-  128, so a record can set the check's call against a tree whose check
-  ran 128 trapezoidal nodes.  The FFT calls of one call are counted once, outside the
-  timing, and stored as `fft_calls_per_call` in the entry's extra info.
+  128, which shows how the call's cost grows with the node count.  The
+  FFT calls of one call are counted once, outside the timing, and stored
+  as `fft_calls_per_call` in the entry's extra info.
 - `test_control`: the plain-numpy control of `bench/conftest.py`.
 
 Run from the repository root:

@@ -27,25 +27,27 @@ A Picard iteration of the Duhamel integral form
 
 serves as an independent cross-check on short horizons; it is never the
 production path because its contraction horizon shrinks with the data.
-Its node states live in Fourier space as well: the free flow is a power
-of the one-node multiplier U = U(h), and the integral runs on the
+Its node states s_j live in Fourier space as well: the free flow is a
+power of the one-node multiplier U = U(h), and the integral runs on the
 spectra q of the source (K * |u|^2) u by composite Simpson on panels of
-two node steps,
+two node steps.  U^2 moves the free flow and the Duhamel integral of
+node 2k alike, so the panel rule reads on the states,
 
-    I_{2k+2} = U^2 I_{2k} + h/3 (U^2 q_{2k} + 4 U q_{2k+1} + q_{2k+2}),
-    I_{2k+1} = U I_{2k} + h/12 (5 U q_{2k} + 8 q_{2k+1} - conj(U) q_{2k+2}),
+    s_{2k+2} = U^2 s_{2k} - i h/3 (U^2 q_{2k} + 4 U q_{2k+1} + q_{2k+2}),
+    s_{2k+1} = U s_{2k} - i h/12 (5 U q_{2k} + 8 q_{2k+1} - conj(U) q_{2k+2}),
 
 the midpoint integrating the quadratic through the same three propagated
 sources U(t - tau) q(tau); it is not carried, so the panel ends keep the
 fourth order of Simpson, and the error falls 16x per doubling of nodes.
-The increment norms come from the spectra by Parseval.  The node spectra
-live in one (nodes + 1, *shape) array, (nodes + 1) N^d 16 B: 4.1 MiB for
-the validate suite's 32 nodes at 8192 points, 33 MiB at 256^2, 132 MiB
-at 64^3.  Each block of whole panels (`Grid.block_rows` rounded down to
-even, at least 2) takes the sources of the previous iterate from four
-stacked FFTs (complex inverse, the real pair for the potentials, complex
-forward), then the recursion walks its panels in order in six buffers
-made once per call, carrying U q of the last node into the next block.
+Panel k's two nodes depend only on node 2k and on themselves, so the
+fixed point is reached by a march: each panel seeds its two nodes with
+the free flow of node 2k, holds them as one (2, *shape) stack whose
+sources come from four stacked FFTs (complex inverse, the real pair for
+the potentials, complex forward), and iterates until its increment,
+measured from the spectra by Parseval, falls below tol; its end node and
+source then start the next panel.  The call holds a fixed number of
+state arrays whatever the node count, and `max_iter` and the growth
+guard count per panel.
 """
 
 from __future__ import annotations
@@ -235,10 +237,12 @@ def picard_evolve(
     """Duhamel fixed point at time `horizon` (small; defaults to 0.1*eps).
 
     The time integral is composite Simpson on an even node count obeying
-    the same resolution rule as the stepper.  Successive-iterate
-    increments are measured in the combined norm, sup over nodes; three
-    consecutive increases, or a non-finite increment, are reported as
-    leaving the contraction ball.
+    the same resolution rule as the stepper, solved panel by panel.  Each
+    panel iterates its two nodes until the increment, in the combined
+    norm and sup over the two, is below `tol`; at most `max_iter`
+    iterations per panel.  Three consecutive increases, or a non-finite
+    increment, are reported as leaving the contraction ball, naming the
+    end time of the panel.
     """
     g = u0.grid
     if horizon is None:
@@ -251,7 +255,6 @@ def picard_evolve(
     if nodes < 2 or nodes % 2:
         raise ValueError(f"nodes must be even and at least 2, got {nodes}")
     h = horizon / nodes
-    rows = max(2, g.block_rows - g.block_rows % 2)  # whole panels per block
 
     khat_half = half_multiplier(spec, g, spec.coupling)
     u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
@@ -264,59 +267,42 @@ def picard_evolve(
         state *= convolve(khat_half, state.real**2 + state.imag**2)
         return np.fft.fftn(state, axes=axes, out=state)
 
-    # raw spectra of the node states, seeded by the free flow; node 0 is
-    # the data and never changes, so neither does q_0
-    current = np.empty((nodes + 1, *g.shape), dtype=np.complex128)
-    np.fft.fftn(u0.values, out=current[0])
-    for i in range(nodes):
-        np.multiply(current[i], u_half, out=current[i + 1])
-    q0 = sources(current[:1])[0]
-    prev_inc = None
-    growth_streak = 0
-    free, integral, uq, mid, new, work = np.empty((6, *g.shape), dtype=np.complex128)
+    start = np.fft.fftn(u0.values)  # s_{2k}, node 0 first
+    q_start = sources(start[None])[0]  # q_{2k}
+    panel, known, new = np.empty((3, 2, *g.shape), dtype=np.complex128)
 
-    for iteration in range(1, max_iter + 1):
-        free[...], integral[...] = current[0], 0
-        np.multiply(u_half, q0, out=uq)
-        inc = 0.0
-        for start in range(1, nodes + 1, rows):
-            block = current[start:start + rows]
-            q = sources(block)  # of the previous iterate, read before the block moves
-            for k in range(0, len(block), 2):  # the panel rule in place, in its order
-                q_mid, q_end = q[k], q[k + 1]
-                np.multiply(5, uq, out=work)
-                work += np.multiply(8, q_mid, out=new)
-                work -= np.multiply(u_back, q_end, out=new)
-                np.multiply(h / 12, work, out=work)
-                np.add(np.multiply(u_half, integral, out=mid), work, out=mid)
-                np.add(uq, np.multiply(4, q_mid, out=work), out=work)
-                np.add(np.multiply(u_half, work, out=work), q_end, out=work)
-                np.multiply(h / 3, work, out=work)
-                np.add(np.multiply(u_full, integral, out=integral), work, out=integral)
-                np.multiply(u_half, q_end, out=uq)  # U q_{2k} of the next panel
-                for node, duhamel in ((block[k], mid), (block[k + 1], integral)):
-                    np.multiply(free, u_half, out=free)  # the free flow to this node
-                    np.subtract(free, np.multiply(1j, duhamel, out=new), out=new)
-                    step = sum(_norms_from_raw_fft(np.subtract(new, node, out=work), g))
-                    if not math.isfinite(step):  # max() would drop a NaN
-                        raise PicardConvergenceError(
-                            f"increment became non-finite in iteration {iteration}")
-                    inc = max(inc, step)
-                    node[...] = new
-            del q, q_mid, q_end  # freed before the next block's sources
-        if inc < tol:
-            return Field._adopt(g, np.fft.ifftn(current[-1]))
-        if prev_inc is not None and inc > prev_inc:
-            growth_streak += 1
+    for k in range(nodes // 2):
+        where = f"on the panel ending at t = {(2 * k + 2) * h:.6g}"
+        np.multiply(u_half, start, out=panel[0])  # the seed: free flow of node 2k
+        np.multiply(u_full, start, out=panel[1])
+        uq = u_half * q_start
+        known[0] = panel[0] - (5j * h / 12) * uq  # the terms in s_{2k} and q_{2k}
+        known[1] = panel[1] - (1j * h / 3) * (u_half * uq)
+        prev_inc, growth_streak = math.inf, 0
+        for iteration in range(1, max_iter + 1):
+            q_mid, q_end = sources(panel)
+            new[0] = known[0] - (1j * h / 12) * (8 * q_mid - u_back * q_end)
+            new[1] = known[1] - (1j * h / 3) * (4 * u_half * q_mid + q_end)
+            steps = [sum(_norms_from_raw_fft(row, g)) for row in new - panel]
+            panel, new = new, panel
+            if not all(map(math.isfinite, steps)):  # max() would drop a NaN
+                raise PicardConvergenceError(
+                    f"increment became non-finite in iteration {iteration} {where}")
+            inc = max(steps)
+            if inc < tol:
+                break
+            growth_streak = growth_streak + 1 if inc > prev_inc else 0
             if growth_streak >= 3:
                 raise PicardConvergenceError(
-                    f"increment grew for three consecutive iterations "
-                    f"(last {inc:.3g}); the map is not contracting on this horizon"
+                    f"increment grew for three consecutive iterations (last {inc:.3g}) "
+                    f"{where}; the map is not contracting on this horizon"
                 )
+            prev_inc = inc
         else:
-            growth_streak = 0
-        prev_inc = inc
+            raise PicardConvergenceError(
+                f"no convergence after {max_iter} iterations {where} "
+                f"(last increment {inc:.3g})"
+            )
+        start[...], q_start = panel[1], q_end
 
-    raise PicardConvergenceError(
-        f"no convergence after {max_iter} iterations (last increment {prev_inc:.3g})"
-    )
+    return Field._adopt(g, np.fft.ifftn(start))

@@ -234,7 +234,7 @@ def test_criterion_8_wkb_internal_consistency(config_1d):
     worst_action = 0.0
     for j in range(len(fam.modes)):
         closed = action_phase(fam, j, 0.5, kern)
-        quad = action_phase_quadrature(fam, j, 0.5, kern, nodes=64)
+        quad = action_phase_quadrature(fam, j, 0.5, kern, nodes=128)
         worst_action = max(worst_action, float(np.max(np.abs(
             closed.values - quad.values
         ))))

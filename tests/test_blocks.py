@@ -1,28 +1,25 @@
 """Stacked transforms of the validation suite: the property campaigns run
-in blocks of `Grid.block_rows` fields and the Picard nodes in blocks of
-whole Simpson panels, and give the numbers of the field-by-field and
-node-by-node loops they replace."""
+in blocks of `Grid.block_rows` fields and give the numbers of the
+field-by-field loops they replace; the Picard march evaluates the sources
+of each Simpson panel's two nodes as one stack."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hartreelab import grid as grid_module
 from hartreelab import (
     Field,
     GaussianProfile,
     Grid,
     KernelSpec,
     ModeFamily,
-    PicardConvergenceError,
     SweepConfig,
     picard_evolve,
     validate_suite,
 )
 from hartreelab.harness import _algebra_campaign, _density_envelope, _hartree_campaign
-from hartreelab.kernel import convolve, half_multiplier, multiplier_grid, split_norms
-from hartreelab.norms import _norms_from_raw_fft
+from hartreelab.kernel import multiplier_grid, split_norms
 
 from conftest import band_mask, in_band_coefficients
 
@@ -131,86 +128,26 @@ class TestBlockRows:
         assert Grid(d=d, length=16.0, points=points).block_rows == rows
 
 
-def per_node_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
-    """The node-by-node Fourier-space Picard loop on Simpson panels: one
-    source (four FFTs) per node and iteration, in the arithmetic of
-    `picard_evolve`.  Returns (state spectrum at the horizon, iterations)."""
-    g = u0.grid
-    h = horizon / nodes
-    khat_half = half_multiplier(spec, g, spec.coupling)
-    u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
-    u_full, u_back = u_half**2, np.conj(u_half)
-
-    def source(raw):
-        state = np.fft.ifftn(raw)
-        state *= convolve(khat_half, state.real**2 + state.imag**2)
-        return np.fft.fftn(state, out=state)
-
-    raw0 = np.fft.fftn(u0.values)
-    current = [raw0]
-    for _ in range(nodes):
-        current.append(current[-1] * u_half)
-    q0 = source(raw0)
-    prev_inc, streak = None, 0
-    for iteration in range(1, max_iter + 1):
-        free = raw0
-        integral = np.zeros(g.shape, dtype=np.complex128)
-        q_even = q0
-        inc = 0.0
-        for i in range(1, nodes + 1, 2):
-            q_mid, q_end = source(current[i]), source(current[i + 1])
-            uq = u_half * q_even
-            free_mid = free * u_half
-            free = free_mid * u_half
-            mid = u_half * integral + (h / 12) * (5 * uq + 8 * q_mid - u_back * q_end)
-            integral = u_full * integral + (h / 3) * (u_half * (uq + 4 * q_mid) + q_end)
-            q_even = q_end
-            for j, new in ((i, free_mid - 1j * mid), (i + 1, free - 1j * integral)):
-                inc = max(inc, sum(_norms_from_raw_fft(new - current[j], g)))
-                current[j] = new
-        if inc < tol:
-            return np.fft.ifftn(current[-1]), iteration
-        if prev_inc is not None and inc > prev_inc:
-            streak += 1
-            if streak >= 3:
-                raise PicardConvergenceError("not contracting")
-        else:
-            streak = 0
-        prev_inc = inc
-    raise PicardConvergenceError("no convergence")
-
-
-class TestPicardBlocks:
-    @pytest.mark.parametrize("nodes", [128, 70])  # 70: one full block and a partial one
-    def test_blocked_nodes_match_per_node_loop(self, fft_calls, kernel1d, nodes):
+class TestPicardPanels:
+    def test_each_iteration_is_one_stacked_source(self, fft_calls, monkeypatch, kernel1d):
         grid = Grid(d=1, length=32.0, points=1024)
-        assert grid.block_rows == 64
         x = grid.axis_coords()
-        eps, horizon = 0.1, 0.01
+        eps, horizon, nodes = 0.1, 0.01, 32
         u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps))
-        fixed = picard_evolve(u0, kernel1d, eps=eps, horizon=horizon, tol=1e-12,
-                              nodes=nodes)
-        blocked_calls = len(fft_calls)
-        ref, iterations = per_node_picard(u0, kernel1d, eps, horizon, 1e-12, 60, nodes)
-        assert np.array_equal(fixed.values, ref)
-        # data forward, node-0 source, four per block and iteration, final inverse
-        blocks = math.ceil(nodes / grid.block_rows)
-        assert blocked_calls == 1 + 4 + 4 * blocks * iterations + 1
+        shapes = []
+        for name in ("ifftn", "rfftn", "irfftn", "fftn"):
+            def recorded(a, *args, _fn=getattr(np.fft, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _fn(a, *args, **kwargs)
 
-    @pytest.mark.parametrize("block_rows, rows", [(1, 2), (3, 2), (5, 4)])
-    def test_blocks_hold_whole_panels(self, fft_calls, monkeypatch, kernel1d,
-                                      block_rows, rows):
-        # an odd row budget rounds down to whole panels, never below one panel
-        grid = Grid(d=1, length=32.0, points=256)
-        monkeypatch.setattr(grid_module, "BLOCK_BYTES", 16 * grid.total_points * block_rows)
-        assert grid.block_rows == block_rows
-        x = grid.axis_coords()
-        eps, horizon, nodes = 0.5, 0.05, 10
-        u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * x / eps))
-        fixed = picard_evolve(u0, kernel1d, eps=eps, horizon=horizon, tol=1e-12,
-                              nodes=nodes)
-        blocked_calls = len(fft_calls)
-        ref, iterations = per_node_picard(u0, kernel1d, eps, horizon, 1e-12, 60, nodes)
-        assert np.array_equal(fixed.values, ref)
-        blocks = math.ceil(nodes / rows)
-        assert blocked_calls == 1 + 4 + 4 * blocks * iterations + 1
+            monkeypatch.setattr(np.fft, name, recorded)
+        picard_evolve(u0, kernel1d, eps=eps, horizon=horizon, tol=1e-12, nodes=nodes)
+        panel, half = (2, grid.points), (2, grid.points // 2 + 1)
+        iterations = shapes.count(panel) // 3  # ifftn, rfftn and fftn read a panel
+        assert iterations >= nodes // 2  # at least one per panel
+        # data forward, node-0 source, one quartet per panel iteration, final inverse
+        assert len(fft_calls) == 1 + 4 + 4 * iterations + 1
+        quartet = ["ifftn", "rfftn", "irfftn", "fftn"]
+        assert [fn.__name__ for fn in fft_calls] == (
+            ["fftn"] + quartet + quartet * iterations + ["ifftn"])
+        assert shapes[5:-1] == [panel, panel, half, panel] * iterations

@@ -440,17 +440,27 @@ class TestPicard:
             assert abs(coarse / fine - 16.0) <= 2.0
         assert errs[1] < 5e-9  # the validate suite's 32 nodes
 
-    def test_node_stack_memory_at_validate_parameters(self, validate_picard):
-        validate_picard(32)  # warm: caches and transform plans are not the stack
-        tracemalloc.start()
-        try:
-            validate_picard(32)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 33 node spectra of 8192 points are 4.1 MiB; one 8-row block and its
-        # transforms about 4 MiB more
-        assert peak < 10 * 2**20
+    def test_memory_flat_in_nodes_at_validate_parameters(self, validate_picard):
+        validate_picard(32)  # warm: caches and transform plans are not state
+        peaks = {}
+        for nodes in (32, 128):
+            tracemalloc.start()
+            try:
+                validate_picard(nodes)
+                peaks[nodes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a fixed number of 8192-point state arrays of 128 KiB, whatever the nodes
+        assert peaks[32] < 4 * 2**20
+        assert abs(peaks[128] - peaks[32]) <= 0.05 * peaks[32]
+
+    def test_failure_names_its_panel(self, gaussian_field, kernel1d):
+        from hartreelab import PicardConvergenceError
+
+        with pytest.raises(PicardConvergenceError,
+                           match="after 1 iterations on the panel ending at t = 0.01 "):
+            picard_evolve(gaussian_field, kernel1d, eps=0.5, horizon=0.05, tol=1e-30,
+                          max_iter=1, nodes=10)
 
     @pytest.mark.parametrize("nodes", [0, 1, 7, 33, -2])
     def test_odd_or_too_few_nodes_rejected(self, gaussian_field, kernel1d, nodes):
