@@ -1,9 +1,13 @@
-"""Fold two pytest-benchmark JSON files into one before/after record.
+"""Fold pytest-benchmark JSON files into one before/after record.
 
-    python bench/compare.py BEFORE.json AFTER.json OUT.json \
+    python bench/compare.py BEFORE.json[,...] AFTER.json[,...] OUT.json \
         --before LABEL --after LABEL
 
-Both files come from the same benchmark module run on the same machine.
+All files come from the same benchmark module run on the same machine.
+Each side may list several runs, comma-separated (best from alternating
+before/after pairs); per benchmark, a side then keeps the run with the
+median median (the lower middle one of an even count) and the count of
+runs as `runs`.
 OUT keeps the machine description, the library versions and, per
 benchmark, the median, quartiles, minimum and rounds of each side (in
 seconds), the benchmark's extra info (such as FFT calls per call) and
@@ -34,9 +38,14 @@ STATS = ("median", "q1", "q3", "min", "rounds")
 CONTROL = "test_control"
 
 
-def _stats(doc: dict) -> dict:
-    return {b["name"]: {**{k: b["stats"][k] for k in STATS}, **b.get("extra_info", {})}
-            for b in doc["benchmarks"]}
+def _stats(docs: list) -> dict:
+    runs = {}
+    for doc in docs:
+        for b in doc["benchmarks"]:
+            runs.setdefault(b["name"], []).append(
+                {**{k: b["stats"][k] for k in STATS}, **b.get("extra_info", {})})
+    return {name: {**sorted(rs, key=lambda r: r["median"])[(len(rs) - 1) // 2], "runs": len(rs)}
+            for name, rs in runs.items()}
 
 
 def _ratio(before, after):
@@ -75,10 +84,11 @@ def main(argv=None):
     parser.add_argument("--before", dest="before_label", required=True)
     parser.add_argument("--after", dest="after_label", required=True)
     args = parser.parse_args(argv)
-    docs = [json.loads(Path(p).read_text()) for p in (args.before, args.after)]
+    docs = [[json.loads(Path(p).read_text()) for p in side.split(",")]
+            for side in (args.before, args.after)]
     before, after = (_stats(d) for d in docs)
     record = {
-        "machine": _machine(docs[1]),
+        "machine": _machine(docs[1][0]),
         "before": args.before_label,
         "after": args.after_label,
         "unit": "s",

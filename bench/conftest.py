@@ -23,6 +23,11 @@ CONTROL_RUNS = 10  # control runs on each side of an entry
 
 @pytest.fixture(scope="session")
 def control():
+    # glibc serves a block above its mmap threshold (128 KiB at start) by
+    # mmap, and raises the threshold to the size of each such block freed:
+    # one 8 MiB block makes the control's 1 MiB arrays heap blocks from its
+    # first timing on, not only after the first entry's arrays were freed
+    np.empty(8 << 20, dtype=np.uint8)  # freed as soon as made
     z = np.random.default_rng(0).standard_normal((256, 256, 2)).view(np.complex128)[..., 0]
 
     def kernel():

@@ -92,7 +92,7 @@ def test_picard_evolve(benchmark, monkeypatch, nodes):
 
     run()
     calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fftn", "ifftn", "ifft", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
     run()
     monkeypatch.undo()

@@ -23,7 +23,6 @@ vectorised half-angle tangent in place of scalar cos and sin.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -135,24 +134,6 @@ class Grid:
         """(-1)**(k1+...+kd): the phase factor carrying the box offset -L/2."""
         s = np.where(self._axis_indices() % 2 == 0, 1.0, -1.0)
         return reduce(np.multiply, self._on_axes(s))
-
-    def band_box(self, cutoff_index: int) -> tuple:
-        """`np.ix_` index of the box |k| <= cutoff_index on every axis.
-
-        Per axis it lists the FFT-order positions of k = 0..c, then -c..-1,
-        so `values[grid.band_box(c)]` is the band's (2c+1)**d block.
-        Memoized per (grid, cutoff), read-only.
-        """
-        return _band_box(self, cutoff_index)
-
-
-@functools.lru_cache(maxsize=8)
-def _band_box(grid: Grid, cutoff_index: int) -> tuple:
-    inside = np.flatnonzero(np.abs(grid._axis_indices()) <= cutoff_index)
-    box = np.ix_(*(inside,) * grid.d)
-    for ix in box:
-        ix.setflags(write=False)
-    return box
 
 
 def unit_phase(theta, out=None) -> np.ndarray:

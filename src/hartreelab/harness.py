@@ -29,6 +29,8 @@ dropped with the snapshot; every worker thread has its own pair.
 The validation campaigns draw and check their fields in stacks of
 `Grid.block_rows`.  Each field draws only the coefficients inside its
 band, so a stack reads the random stream a field-by-field loop reads.
+A campaign draws every block into one buffer, the last, partial one
+into a leading slice; the algebra products form in place in it.
 
 Artifacts: a CSV of per-(eps, t) records, a JSON summary embedding the
 full configuration, and a standalone SVG log-log plot with one data
@@ -59,7 +61,7 @@ from .kernel import (
     hartree_constant,
     hartree_constant_oracle,
 )
-from .norms import l2w_norm
+from .norms import l2w_norm, _wiener_from_modulus
 from .norms import _algebra_bounds, _hartree_bounds, _l2, _norms_from_raw_fft, _wiener
 from .solver import DivergenceError, SolverParams, advance, evolve
 from .solver import picard_evolve
@@ -342,32 +344,45 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
 # validation suite
 
 
-def _random_band_limited(grid: Grid, rng, cutoff: int, *lead) -> np.ndarray:
+def _random_band_limited(grid: Grid, rng, cutoff: int, *lead, out=None) -> tuple:
     """Stack (*lead, *grid.shape) of random fields with spectra inside
-    |k| <= cutoff and peak modulus one.
+    |k| <= cutoff and peak modulus one, and the (*lead) Wiener norms of
+    the fields.
 
     Only the band is drawn: iid N(0, 1) real and imaginary parts,
     interleaved (re, im) per coefficient, the coefficients in C order
-    over `grid.band_box(cutoff)` (k = 0..c, then -c..-1 per axis) and one
+    over the box |k| <= cutoff (k = 0..c, then -c..-1 per axis) and one
     field after the other, so a stack reads the stream as a loop of
     one-field draws does.  Every other coefficient is an exact zero.
     The band lands in the lattice as 2^d slabs, the k >= 0 and k < 0
-    halves of every axis.
+    halves of every axis.  A cutoff above N/4 - 1 is rejected: below it
+    the pointwise product of two drawn fields carries no aliased content.
+    Each Wiener norm is read off the drawn band, times the field's 1/peak
+    scale.  `out`, a complex buffer of the stack's shape, is zeroed and
+    drawn into in place.
     """
     n = grid.points
-    lo, hi = min(cutoff, n // 2 - 1) + 1, min(cutoff, n // 2)
-    band = rng.standard_normal((*lead, *(lo + hi,) * grid.d, 2)).view(np.complex128)
-    coef = np.zeros((*lead, *grid.shape), dtype=np.complex128)
+    if cutoff > n // 4 - 1:
+        raise ValueError(f"band cutoff {cutoff} exceeds the anti-aliasing cutoff "
+                         f"|k| <= {n // 4 - 1}; the discrete product would alias")
+    band = rng.standard_normal((*lead, *(2 * cutoff + 1,) * grid.d, 2))
+    band = band.view(np.complex128)[..., 0]
+    w = _wiener_from_modulus(np.abs(band), grid)
+    coef = np.empty((*lead, *grid.shape), dtype=np.complex128) if out is None else out
+    coef.fill(0)
+    lo, hi = cutoff + 1, cutoff
     halves = ((slice(0, lo), slice(0, lo)), (slice(lo, lo + hi), slice(n - hi, n)))
     for slabs in itertools.product(halves, repeat=grid.d):
-        coef[(..., *(dst for _, dst in slabs))] = band[(..., *(src for src, _ in slabs), 0)]
+        coef[(..., *(dst for _, dst in slabs))] = band[(..., *(src for src, _ in slabs))]
+    del band
     axes = tuple(range(-grid.d, 0))
     vals = np.fft.ifftn(coef, axes=axes, out=coef)
     peak = np.max(np.abs(vals), axis=axes, keepdims=True)
     peak[peak == 0] = 1.0  # an all-zero field stays zero
+    scale = 1.0 / peak
     parts = vals.view(np.float64)  # numpy divides complex by real as a * (1 / c)
-    parts *= 1.0 / peak
-    return vals
+    parts *= scale
+    return vals, w * scale.reshape(lead)
 
 
 @functools.lru_cache(maxsize=4)
@@ -381,26 +396,31 @@ def _density_envelope(grid: Grid) -> np.ndarray:
     return envelope
 
 
-def _random_smooth_density(grid: Grid, rng, *lead) -> np.ndarray:
+def _random_smooth_density(grid: Grid, rng, *lead, out=None) -> np.ndarray:
     """Stack (*lead, *grid.shape) of nonnegative, smooth, decaying
-    densities: |band-limited field|^2 under a Gaussian envelope."""
-    base = _random_band_limited(grid, rng, max(2, grid.points // 16), *lead)
+    densities: |band-limited field (drawn into `out`)|^2 under a Gaussian
+    envelope."""
+    base, _ = _random_band_limited(grid, rng, max(2, grid.points // 16), *lead, out=out)
     return np.abs(base) ** 2 * _density_envelope(grid)
 
 
 def _algebra_campaign(grid: Grid, rng, pairs: int):
-    """Algebra reports of `pairs` random alias-free pairs, in blocks."""
+    """Algebra reports of `pairs` random alias-free pairs, in blocks in one buffer."""
     rows, cutoff = grid.block_rows, grid.points // 4 - 1
+    buf = np.empty((min(rows, pairs), 2, *grid.shape), dtype=np.complex128)
     for start in range(0, pairs, rows):
-        block = _random_band_limited(grid, rng, cutoff, min(rows, pairs - start), 2)
-        yield from _algebra_bounds(block, grid)
+        block, w = _random_band_limited(grid, rng, cutoff, min(rows, pairs - start), 2,
+                                        out=buf[:pairs - start])
+        yield from _algebra_bounds(block, w, grid)
 
 
 def _hartree_campaign(spec: KernelSpec, grid: Grid, rng, densities: int):
-    """Hartree reports of `densities` random densities, in blocks."""
+    """Hartree reports of `densities` random densities, in blocks in one buffer."""
     rows = grid.block_rows
+    buf = np.empty((min(rows, densities), *grid.shape), dtype=np.complex128)
     for start in range(0, densities, rows):
-        block = _random_smooth_density(grid, rng, min(rows, densities - start))
+        block = _random_smooth_density(grid, rng, min(rows, densities - start),
+                                       out=buf[:densities - start])
         yield from _hartree_bounds(spec, block, grid)
 
 

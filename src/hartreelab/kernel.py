@@ -153,11 +153,14 @@ def half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndar
 
 def convolve(khat_half: np.ndarray, rho: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     """K * rho of a real density (or stack) by one real transform pair over the axes
-    of khat_half (`half_multiplier`, scaled), via `spectrum` into `out` if given."""
+    of khat_half (`half_multiplier`, scaled), via `spectrum` into `out` if given;
+    the inverse's complex passes run in place (numpy's irfftn allocates them)."""
     axes = tuple(range(-khat_half.ndim, 0))
     rho_hat = np.fft.rfftn(rho, axes=axes, out=spectrum)
     rho_hat *= khat_half
-    return np.fft.irfftn(rho_hat, rho.shape[axes[0]:], axes, out=out)
+    for ax in axes[:-1]:
+        np.fft.ifft(rho_hat, axis=ax, out=rho_hat)
+    return np.fft.irfftn(rho_hat, rho.shape[-1:], axes[-1:], out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -43,19 +43,6 @@ class TestGridConstruction:
         assert k.min() == -grid1d.points // 2
         assert k.max() == grid1d.points // 2 - 1
 
-    def test_band_box_shared_and_read_only(self):
-        grid = Grid(d=2, length=8.0, points=16)
-        box = grid.band_box(3)
-        assert grid.band_box(3) is box
-        assert Grid(d=2, length=8.0, points=16).band_box(3) is box
-        assert not any(ix.flags.writeable for ix in box)
-        mask = np.zeros(grid.shape, dtype=bool)
-        mask[box] = True
-        k = np.abs(np.rint(np.fft.fftfreq(16) * 16))
-        assert np.array_equal(mask, (k[:, None] <= 3) & (k[None, :] <= 3))
-        # k = 0..3, then -3..-1 per axis
-        assert box[0].ravel().tolist() == [0, 1, 2, 3, 13, 14, 15]
-
 
 class TestFieldValidation:
     def test_shape_mismatch(self, grid1d):

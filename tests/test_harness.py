@@ -32,7 +32,7 @@ from hartreelab.harness import (
     _sweep_checks,
 )
 from hartreelab.kernel import half_multiplier
-from hartreelab.norms import l2w_norm, norm_report
+from hartreelab.norms import l2w_norm, norm_report, wiener_norm
 from hartreelab.solver import DivergenceError, SolverParams, evolve
 from hartreelab.wkb import (
     assemble,
@@ -414,8 +414,9 @@ class TestLockstepSweep:
         # sample time, however many eps there are; per record: 6 (state
         # inverse, error Wiener norm, the remainder's real convolution pair,
         # the Wiener norms of r and Z2); per eps at t = 0: 2; per Strang
-        # step: 4
+        # step: 4.  Each convolution's inverse adds d - 1 complex passes
         cfg = three_mode_config()
+        passes = cfg.grid.d - 1
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 3
         counts = {"laplacian": 0, "assemble": 0, "advance_ffts": 0}
 
@@ -448,10 +449,10 @@ class TestLockstepSweep:
             for eps in cfg.epsilons
             for a, b in zip((0.0, *cfg.sample_times), cfg.sample_times)
         )
-        assert counts["advance_ffts"] == 4 * steps
+        assert counts["advance_ffts"] == (4 + passes) * steps
         assert len(fft_calls) - counts["advance_ffts"] == (
             2 * n_eps + 2 * n_modes + n_times * (4 * n_modes + 2 * n_modes)
-            + 6 * n_eps * n_times
+            + (6 + passes) * n_eps * n_times
         )
         assert counts["laplacian"] == 0
         assert counts["assemble"] == n_eps * n_times + n_eps
@@ -594,7 +595,7 @@ class TestRandomFields:
         grid = Grid(d=2, length=8.0, points=32)
         seen = inverse_inputs(monkeypatch)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        got = _random_band_limited(grid, rng, 7)
+        got, _ = _random_band_limited(grid, rng, 7)
         coef = in_band_coefficients(grid, ref_rng, 7)
         assert np.array_equal(seen[0].view(np.float64), coef.view(np.float64))
         vals = np.fft.ifftn(coef)
@@ -636,10 +637,43 @@ class TestRandomFields:
     @pytest.mark.parametrize("grid", FIELD_GRIDS, ids=FIELD_GRID_IDS)
     def test_stack_equals_one_row_draws(self, grid, campaign, lead):
         cutoff = CAMPAIGN_CUTOFFS[campaign](grid)
-        got = _random_band_limited(grid, np.random.default_rng(9), cutoff, *lead)
+        got, w = _random_band_limited(grid, np.random.default_rng(9), cutoff, *lead)
+        assert w.shape == lead
         rng = np.random.default_rng(9)
         rows = [_random_band_limited(grid, rng, cutoff) for _ in range(math.prod(lead))]
-        assert np.array_equal(got.reshape(-1, *grid.shape), np.stack(rows))
+        assert np.array_equal(got.reshape(-1, *grid.shape), np.stack([v for v, _ in rows]))
+        assert np.array_equal(w.reshape(-1), [n for _, n in rows])
+
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGN_CUTOFFS))
+    @pytest.mark.parametrize("grid", FIELD_GRIDS, ids=FIELD_GRID_IDS)
+    def test_norms_are_the_wiener_norms_of_the_fields(self, grid, campaign):
+        # read off the band, against a forward transform of each field
+        vals, w = _random_band_limited(grid, np.random.default_rng(12),
+                                       CAMPAIGN_CUTOFFS[campaign](grid), 3)
+        for row, norm in zip(vals, w):
+            assert norm == pytest.approx(wiener_norm(Field(grid, row)), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("grid", FIELD_GRIDS, ids=FIELD_GRID_IDS)
+    def test_draw_into_reused_buffer_equals_fresh_draw(self, grid):
+        # a full block, then a partial one into a leading slice of the
+        # same buffer, whatever the buffer held before
+        cutoff, rows = grid.points // 4 - 1, 3
+        buf = np.full((rows, 2, *grid.shape), np.nan + 1j * np.nan)
+        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+        for count in (rows, 2):
+            got, w = _random_band_limited(grid, rng, cutoff, count, 2, out=buf[:count])
+            ref, ref_w = _random_band_limited(grid, ref_rng, cutoff, count, 2)
+            assert np.shares_memory(got, buf)
+            assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+            assert np.array_equal(w, ref_w)
+
+    @pytest.mark.parametrize("grid", FIELD_GRIDS, ids=FIELD_GRID_IDS)
+    def test_rejects_cutoff_above_anti_aliasing(self, grid):
+        # above |k| <= N/4 - 1 the product of two drawn fields would alias
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="anti-aliasing"):
+            _random_band_limited(grid, rng, grid.points // 4, 1, 2)
+        _random_band_limited(grid, rng, grid.points // 4 - 1, 1, 2)
 
     def test_campaign_reports_do_not_depend_on_block_rows(self, monkeypatch):
         grid = Grid(d=1, length=32.0, points=256)
@@ -658,7 +692,7 @@ class TestRandomFields:
     def test_smooth_density_unchanged(self):
         grid = Grid(d=1, length=32.0, points=256)
         got = _random_smooth_density(grid, np.random.default_rng(8))
-        base = _random_band_limited(grid, np.random.default_rng(8), grid.points // 16)
+        base, _ = _random_band_limited(grid, np.random.default_rng(8), grid.points // 16)
         (x,) = grid.coords()
         envelope = np.exp(-(x**2) / (2 * (grid.length / 12) ** 2))
         assert np.array_equal(got, np.abs(base) ** 2 * envelope)

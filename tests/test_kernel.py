@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,34 @@ class TestConvolve:
         assert np.max(np.abs(full.imag)) < 1e-12 * np.max(np.abs(full))
         out = convolve(half_multiplier(kernel1d, grid1d), rho)
         assert np.max(np.abs(out - full.real)) < 1e-12 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("d, points, lead", [(2, 64, (2,)), (3, 16, ())])
+    def test_stacked_multi_axis_matches_irfftn(self, d, points, lead):
+        # the complex passes run in place, in irfftn's order, so the result
+        # is irfftn's bit for bit
+        grid = Grid(d=d, length=8.0, points=points)
+        khat_half = half_multiplier(KernelSpec(d=d, gamma=0.5), grid)
+        rho = np.random.default_rng(24).standard_normal((*lead, *grid.shape))
+        axes = tuple(range(-d, 0))
+        ref = np.fft.irfftn(np.fft.rfftn(rho, axes=axes) * khat_half, grid.shape, axes)
+        assert np.array_equal(convolve(khat_half, rho), ref)
+
+    def test_inverse_allocates_no_half_spectrum(self):
+        # warm: the transform plans are cached; what is left is at most
+        # numpy's fixed casting buffer for the multiplier product (128 KiB)
+        grid = Grid(d=2, length=8.0, points=256)
+        khat_half = half_multiplier(KernelSpec(d=2, gamma=0.5), grid)
+        rho = np.random.default_rng(25).standard_normal(grid.shape)
+        out = np.empty(grid.shape)
+        spectrum = np.empty(khat_half.shape, dtype=np.complex128)
+        convolve(khat_half, rho, out=out, spectrum=spectrum)
+        tracemalloc.start()
+        try:
+            convolve(khat_half, rho, out=out, spectrum=spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < spectrum.nbytes // 2
 
     def test_positivity_on_nonnegative_density(self, kernel1d, grid1d):
         x = grid1d.axis_coords()

@@ -17,6 +17,7 @@ from hartreelab import (
     translate,
     wiener_norm,
 )
+from hartreelab.harness import _random_band_limited
 from hartreelab.norms import (
     _algebra_bounds,
     _graded_norm,
@@ -202,8 +203,9 @@ class TestENorm:
 
 class TestAlgebraBound:
     def test_zero_factor(self, grid1d, gaussian_field):
-        pair = np.stack((gaussian_field.values, np.zeros(grid1d.shape)))
-        rep = _algebra_bounds(pair[None], grid1d)[0]
+        pair = np.stack((gaussian_field.values, np.zeros(grid1d.shape, dtype=complex)))
+        w = np.array([[wiener_norm(gaussian_field), 0.0]])
+        rep = _algebra_bounds(pair[None], w, grid1d)[0]
         assert rep.lhs == 0
         assert rep.holds
 
@@ -212,51 +214,37 @@ class TestAlgebraBound:
         # convention the product's norm is exactly (2 pi)^(-d/2) times
         # the product of norms, which is the sharp constant here.
         f = plane_wave(grid1d, lattice_wavenumber(grid1d, 6))
-        rep = _algebra_bounds(np.stack((f.values, f.values))[None], grid1d)[0]
+        w = np.full((1, 2), wiener_norm(f))
+        rep = _algebra_bounds(np.stack((f.values, f.values))[None], w, grid1d)[0]
         assert rep.holds
         assert rep.lhs / rep.rhs == pytest.approx(
             (2 * np.pi) ** (-0.5), rel=1e-10
         )
 
-    def test_rejects_aliasing_content(self, grid1d):
-        f = plane_wave(grid1d, lattice_wavenumber(grid1d, grid1d.points // 3))
-        with pytest.raises(ValueError, match="anti-aliasing"):
-            _algebra_bounds(np.stack((f.values, f.values))[None], grid1d)
-
-    def test_rejects_aliasing_second_factor(self, grid1d):
-        rng = np.random.default_rng(5)
-        f = band_limited(grid1d, rng, grid1d.points // 4 - 1)
-        g = plane_wave(grid1d, lattice_wavenumber(grid1d, grid1d.points // 3))
-        with pytest.raises(ValueError, match="second factor"):
-            _algebra_bounds(np.stack((f.values, g.values))[None], grid1d)
-
     def test_matches_separate_norms(self):
-        # the shared factor spectra give the numbers of three wiener_norm calls
+        # the drawn pair's norms and one product transform give the
+        # numbers of three wiener_norm calls
         rng = np.random.default_rng(7)
         for grid in (Grid(d=1, length=32.0, points=256), Grid(d=2, length=8.0, points=32)):
-            f = band_limited(grid, rng, grid.points // 4 - 1)
-            g = band_limited(grid, rng, grid.points // 4 - 1)
-            rep = _algebra_bounds(np.stack((f.values, g.values))[None], grid)[0]
+            pair, w = _random_band_limited(grid, rng, grid.points // 4 - 1, 1, 2)
+            f, g = (Field(grid, v.copy()) for v in pair[0])
+            rep = _algebra_bounds(pair, w, grid)[0]
             assert rep.lhs == pytest.approx(wiener_norm(f * g), rel=1e-14)
             assert rep.rhs == pytest.approx(wiener_norm(f) * wiener_norm(g), rel=1e-14)
 
     def test_fft_budget(self, grid1d, fft_calls):
-        # one transform per factor serves its tail check and its Wiener
-        # norm, one more for the product: 3, where separate calls took 5
+        # the draw's inverse transform gives the factors and, from their
+        # band, their Wiener norms; one more for the product: 2, where
+        # separate calls took 5
         rng = np.random.default_rng(11)
-        f = band_limited(grid1d, rng, grid1d.points // 4 - 1)
-        g = band_limited(grid1d, rng, grid1d.points // 4 - 1)
-        pair = np.stack((f.values, g.values))[None]
-        fft_calls.clear()
-        _algebra_bounds(pair, grid1d)
-        assert 0 < len(fft_calls) <= 3
+        _algebra_bounds(*_random_band_limited(grid1d, rng, grid1d.points // 4 - 1, 1, 2),
+                        grid1d)
+        assert len(fft_calls) == 2
 
     def test_random_campaign(self, grid1d):
         rng = np.random.default_rng(29)
-        cutoff = grid1d.points // 4 - 1
-        pairs = [[band_limited(grid1d, rng, cutoff).values for _ in range(2)]
-                 for _ in range(200)]
-        assert all(rep.holds for rep in _algebra_bounds(np.array(pairs), grid1d))
+        pairs, w = _random_band_limited(grid1d, rng, grid1d.points // 4 - 1, 200, 2)
+        assert all(rep.holds for rep in _algebra_bounds(pairs, w, grid1d))
 
 
 class TestHartreeBound:
