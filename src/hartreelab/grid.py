@@ -18,7 +18,9 @@ identity multi-index exact.
 Every transform in the package goes through one backend, `numpy.fft`
 (a field transformed in place passes itself as `out=`), and every array
 exp(i theta) on the hot paths through one kernel, `unit_phase`: a
-vectorised half-angle tangent in place of scalar cos and sin.
+vectorised half-angle tangent in place of scalar cos and sin, run over
+consecutive slices of CHUNK points so that its scratch stays in L2.
+The Strang step's pointwise stages slice their arrays the same way.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 MAX_TOTAL_POINTS = 2**26  # memory guard on N**d
 BLOCK_BYTES = 2**20  # byte budget of one stack of complex fields
+CHUNK = 8192  # points per slice of a pointwise pass: its working set stays in L2
 
 TWO_PI = 2.0 * np.pi
 
@@ -146,21 +149,31 @@ def unit_phase(theta, out=None) -> np.ndarray:
     points and 512^2, `bench/BENCH_layers.json`).
     Against exp(i theta) the error is at most 4e-16 for |theta| <= 1e4;
     tan(theta/2) stays finite at finite theta, so no branch is needed.
-    A NaN or infinite theta gives NaN.  `out`, a complex array of
-    theta's shape, is filled and returned.
+    A NaN or infinite theta gives NaN.  The work runs over consecutive
+    slices of CHUNK points with chunk-sized scratch, so no full-size
+    temporary is made.  `out`, a C-contiguous complex array of theta's
+    shape, is filled and returned.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if out is None:
         out = np.empty(theta.shape, dtype=np.complex128)
-    t = np.multiply(theta, 0.5)
-    np.tan(t, out=t)
-    t_sq = np.multiply(t, t)
-    inv = np.add(t_sq, 1.0)
-    np.divide(1.0, inv, out=inv)
-    np.subtract(1.0, t_sq, out=t_sq)
-    np.multiply(t_sq, inv, out=out.real)
-    t += t
-    np.multiply(t, inv, out=out.imag)
+    flat_out = out.reshape(-1, copy=False)
+    flat_theta = theta.reshape(-1)  # a copy only if theta's strides do not merge
+    n = min(theta.size, CHUNK)
+    t, t_sq, inv = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, theta.size, CHUNK):
+        z = flat_out[lo:lo + CHUNK]
+        if z.size < n:  # the last of several slices may be shorter
+            t, t_sq, inv = t[:z.size], t_sq[:z.size], inv[:z.size]
+        np.multiply(flat_theta[lo:lo + CHUNK], 0.5, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=t_sq)
+        np.add(t_sq, 1.0, out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.subtract(1.0, t_sq, out=t_sq)
+        np.multiply(t_sq, inv, out=z.real)
+        t += t
+        np.multiply(t, inv, out=z.imag)
     return out
 
 

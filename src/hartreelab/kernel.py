@@ -154,13 +154,20 @@ def half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndar
 def convolve(khat_half: np.ndarray, rho: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     """K * rho of a real density (or stack) by one real transform pair over the axes
     of khat_half (`half_multiplier`, scaled), via `spectrum` into `out` if given;
-    the inverse's complex passes run in place (numpy's irfftn allocates them)."""
+    `out` may be rho itself."""
     axes = tuple(range(-khat_half.ndim, 0))
     rho_hat = np.fft.rfftn(rho, axes=axes, out=spectrum)
     rho_hat *= khat_half
+    return inverse_rfftn(rho_hat, rho.shape[-1], axes, out)
+
+
+def inverse_rfftn(spectrum: np.ndarray, n: int, axes: tuple, out=None) -> np.ndarray:
+    """numpy's irfftn of a half spectrum over `axes`, n points on the last, into
+    `out` if given.  The leading axes' complex passes run in place over
+    `spectrum`, which they overwrite (numpy's irfftn allocates them)."""
     for ax in axes[:-1]:
-        np.fft.ifft(rho_hat, axis=ax, out=rho_hat)
-    return np.fft.irfftn(rho_hat, rho.shape[-1:], axes[-1:], out=out)
+        np.fft.ifft(spectrum, axis=ax, out=spectrum)
+    return np.fft.irfftn(spectrum, (n,), axes[-1:], out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,13 @@ def _wiener_from_modulus(mag: np.ndarray, grid):
 
 
 def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:
-    """(l2, wiener) of the physical field whose raw FFT (or its modulus)
-    is given; the L2 norm comes from Parseval."""
-    mag = np.abs(raw)
+    """(l2, wiener) of the physical field whose raw FFT is given."""
+    return _norms_from_modulus(np.abs(raw), grid)
+
+
+def _norms_from_modulus(mag: np.ndarray, grid) -> tuple:
+    """(l2, wiener) of the physical field whose raw FFT has modulus `mag`;
+    the L2 norm comes from Parseval."""
     flat = mag.reshape(-1)
     l2 = math.sqrt(grid.dx**grid.d * np.dot(flat, flat) / grid.total_points)
     return l2, float(_wiener_from_modulus(mag, grid))
@@ -132,7 +136,7 @@ def _graded_norm(raw: np.ndarray, grid, spec: YNormSpec) -> float:
     total = 0.0
     for eta in multi_indices(spec.d, spec.n):
         weighted = reduce(np.multiply, (x**e for x, e in zip(xi, eta) if e), mag)
-        total += sum(_norms_from_raw_fft(weighted, grid))
+        total += sum(_norms_from_modulus(weighted, grid))
     return total
 
 

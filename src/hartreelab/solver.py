@@ -11,10 +11,18 @@ kinetic-potential-kinetic gives the production integrator; each factor
 is unitary, so mass is conserved to rounding per step.
 
 The loop keeps the state in Fourier space, so adjacent kinetic
-half-steps merge into one full step; a step costs four FFTs (complex
-inverse, a real pair for K * |u|^2 on the half spectrum, complex
-forward) and one vectorised tangent (`grid.unit_phase` for the
-potential phase), and each sample one more inverse to record the state.
+half-steps merge into one full step; a step costs 4 + d - 1 transform
+calls (complex inverse, a real pair for K * |u|^2 on the half spectrum
+whose inverse makes d - 1 complex passes in place, complex forward) and
+one vectorised tangent (`grid.unit_phase` for the potential phase), and
+each sample one more inverse to record the state.  Between the
+transforms, three pointwise stages run over consecutive slices of
+`grid.CHUNK` points, so each slice's working set stays in L2 and no
+full-size temporary is made: |u|^2 into one real buffer; the phase
+exp(-i dt V) of the potential the convolution wrote over it, applied to
+the state; and the moduli of the new spectrum into the same buffer with
+the kinetic multiply.  The guard's norms then come from whole-array
+sums of those moduli.  A grid of at most CHUNK points is one slice.
 The kinetic multipliers are built by `unit_phase` once per call;
 `free_propagator` and the Picard node multiplier keep `np.exp` as
 independent references.
@@ -57,9 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, unit_phase
+from .grid import CHUNK, Field, unit_phase
 from .kernel import KernelSpec, convolve, half_multiplier
-from .norms import _norms_from_raw_fft
+from .norms import _norms_from_modulus, _norms_from_raw_fft
 
 DT_FACTOR = 0.1  # default dt / eps of the resolution rule
 MAX_DT_FACTOR = 0.25
@@ -156,16 +164,24 @@ def free_propagator(f: Field, eps: float, t: float) -> Field:
     return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * phase))
 
 
+def _slices(a: np.ndarray) -> list:
+    """Views of consecutive CHUNK points of the C-contiguous array a; all
+    of one length on a grid, whose N^d is a power of two."""
+    flat = a.reshape(-1, copy=False)
+    return [flat[lo:lo + CHUNK] for lo in range(0, flat.size, CHUNK)]
+
+
 def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: float,
             norm0: float) -> tuple:
     """Strang steps carrying the raw spectrum `raw` from t_prev to t_next.
 
     The gap is cut into the fewest equal steps no longer than the
     requested dt, so t_next is hit exactly; khat_half is
-    `kernel.half_multiplier(spec, grid, lambda)`.  `raw` is transformed in
-    place; returns the spectrum at t_next and its L2 norm.  The run is aborted
-    once the combined norm exceeds 4 norm0, norm0 being its value at
-    t = 0: the stability ball of the local existence argument.
+    `kernel.half_multiplier(spec, grid, lambda)`.  `raw`, C-contiguous, is
+    transformed in place; returns the spectrum at t_next and its L2 norm.
+    The run is aborted once the combined norm exceeds 4 norm0, norm0
+    being its value at t = 0: the stability ball of the local existence
+    argument.
     """
     dt_request = min(params.dt, params.dt_factor * params.eps)
     gap = t_next - t_prev
@@ -173,25 +189,33 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     dt = gap / n_steps
     kin_half = unit_phase(-0.25 * params.eps * dt * grid.freq_norm_sq())
     kin_full = kin_half**2
-    phase, spectrum = (np.empty(s, dtype=complex) for s in (grid.shape, khat_half.shape))
-    density, imag_sq, potential = np.empty((3, *grid.shape))
+    spectrum = np.empty(khat_half.shape, dtype=complex)
+    real = np.empty(grid.shape)  # |u|^2, then the potential, then the moduli of raw
+    u_parts, real_parts, half_parts, full_parts = map(
+        _slices, (raw, real, kin_half, kin_full))
+    phase, imag_sq = np.empty(u_parts[0].size, dtype=complex), np.empty(u_parts[0].size)
     raw *= kin_half
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a NaN
         for step in range(n_steps):
-            state = np.fft.ifftn(raw, out=raw)
-            np.multiply(state.real, state.real, out=density)
-            np.multiply(state.imag, state.imag, out=imag_sq)
-            density += imag_sq
-            # -dt after the transform: an overflowing potential gives a NaN phase
-            angle = convolve(khat_half, density, out=potential, spectrum=spectrum)
-            angle *= -dt
-            state *= unit_phase(angle, out=phase)
-            raw = np.fft.fftn(state, out=state)
-            # |kin_half| = 1, so these are the norms after the half-step
-            l2, wiener = _norms_from_raw_fft(raw, grid)
+            np.fft.ifftn(raw, out=raw)
+            for u, rho in zip(u_parts, real_parts):
+                np.multiply(u.real, u.real, out=rho)
+                np.multiply(u.imag, u.imag, out=imag_sq)
+                rho += imag_sq
+            convolve(khat_half, real, out=real, spectrum=spectrum)
+            for u, angle in zip(u_parts, real_parts):
+                # -dt after the transform: an overflowing potential gives a NaN phase
+                angle *= -dt
+                u *= unit_phase(angle, out=phase)
+            np.fft.fftn(raw, out=raw)
+            # moduli before the kinetic multiply: |kin| = 1, so the norms are the same
+            kin_parts = full_parts if step < n_steps - 1 else half_parts
+            for u, mag, kin in zip(u_parts, real_parts, kin_parts):
+                np.abs(u, out=mag)
+                u *= kin
+            l2, wiener = _norms_from_modulus(real, grid)
             if not l2 + wiener <= 4.0 * norm0:  # a NaN norm trips the guard too
                 raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
-            raw *= kin_full if step < n_steps - 1 else kin_half
     return raw, l2
 
 

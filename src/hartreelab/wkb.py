@@ -28,7 +28,8 @@ is the independent composite-Simpson oracle over the time variable.
 Exponentials are plane waves built separably by `grid.plane_wave`, and
 the amplitude phase exp(i Theta_j) is one `grid.unit_phase`.  A
 snapshot of M modes at t > 0 costs M r2c + M c2r + 4 M c2c FFTs: shared
-density spectra, one inverse per phase, a pair per translated amplitude,
+density spectra, one inverse per phase (its d - 1 leading-axis complex
+passes run in place), a pair per translated amplitude,
 and a pair per amplitude for its eps-free terms (one forward transform
 serves its graded norm and its half-Laplacian).  It keeps no phase, and
 a record per eps then transforms no amplitude.
@@ -70,7 +71,7 @@ from .grid import (
     translate,
     unit_phase,
 )
-from .kernel import KernelSpec, convolve, half_multiplier
+from .kernel import KernelSpec, convolve, half_multiplier, inverse_rfftn
 from .norms import YNormSpec, _graded_norm, l2w_norm
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
@@ -281,7 +282,7 @@ def action_phase(
 
     acc *= plane_wave(meshes, kappa_j, -t)
     acc *= half_multiplier(spec, g, -spec.coupling)
-    return Field._adopt(g, np.fft.irfftn(acc, g.shape, tuple(range(g.d))))
+    return Field._adopt(g, inverse_rfftn(acc, g.points, tuple(range(g.d))))
 
 
 def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> np.ndarray:

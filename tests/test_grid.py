@@ -16,7 +16,7 @@ from hartreelab import (
     spectral_derivative,
     translate,
 )
-from hartreelab.grid import plane_wave as separable_wave, unit_phase
+from hartreelab.grid import CHUNK, plane_wave as separable_wave, unit_phase
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -304,6 +304,16 @@ class TestUnitPhase:
         out = np.empty(theta.shape, dtype=np.complex128)
         assert unit_phase(theta, out=out) is out
         assert np.array_equal(out, unit_phase(theta))
+
+    def test_slices_are_the_whole_array_formula(self):
+        # three CHUNK slices and a short one, of a strided angle array
+        field = np.random.default_rng(7).uniform(-50.0, 50.0, (3 * CHUNK + 123, 2))
+        theta = field.view(np.complex128)[:, 0].real
+        t = np.tan(theta * 0.5)
+        inv = 1.0 / (t * t + 1.0)
+        got = unit_phase(theta)
+        assert np.array_equal(got.real, (1.0 - t * t) * inv)
+        assert np.array_equal(got.imag, (t + t) * inv)
 
     def test_plane_wave_at_reference_carriers(self):
         # the 1D reference's mode carriers: kappa/eps . x up to 2/0.025 * 32

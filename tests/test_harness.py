@@ -414,7 +414,8 @@ class TestLockstepSweep:
         # sample time, however many eps there are; per record: 6 (state
         # inverse, error Wiener norm, the remainder's real convolution pair,
         # the Wiener norms of r and Z2); per eps at t = 0: 2; per Strang
-        # step: 4.  Each convolution's inverse adds d - 1 complex passes
+        # step: 4.  Each convolution's and each phase's inverse adds d - 1
+        # complex passes
         cfg = three_mode_config()
         passes = cfg.grid.d - 1
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 3
@@ -451,7 +452,7 @@ class TestLockstepSweep:
         )
         assert counts["advance_ffts"] == (4 + passes) * steps
         assert len(fft_calls) - counts["advance_ffts"] == (
-            2 * n_eps + 2 * n_modes + n_times * (4 * n_modes + 2 * n_modes)
+            2 * n_eps + 2 * n_modes + n_times * (4 * n_modes + (2 + passes) * n_modes)
             + (6 + passes) * n_eps * n_times
         )
         assert counts["laplacian"] == 0

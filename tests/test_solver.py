@@ -23,6 +23,7 @@ from hartreelab import (
 )
 from hartreelab.kernel import convolve, half_multiplier, multiplier_grid
 from hartreelab.norms import _norms_from_raw_fft
+from hartreelab.grid import CHUNK
 from hartreelab.solver import advance
 
 from conftest import lattice_wavenumber, plane_wave
@@ -375,6 +376,140 @@ class TestEvolve:
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
         with pytest.raises(ValueError, match="outside"):
             evolve(gaussian_field, kernel1d, params, [0.7])
+
+
+def full_array_unit_phase(theta, out):
+    """The half-angle kernel as one pass per operation over the whole array."""
+    t = np.multiply(theta, 0.5)
+    np.tan(t, out=t)
+    t_sq = np.multiply(t, t)
+    inv = np.add(t_sq, 1.0)
+    np.divide(1.0, inv, out=inv)
+    np.subtract(1.0, t_sq, out=t_sq)
+    np.multiply(t_sq, inv, out=out.real)
+    t += t
+    np.multiply(t, inv, out=out.imag)
+    return out
+
+
+def full_array_advance(raw, grid, khat_half, params, t_prev, t_next, norm0):
+    """The Strang loop of `advance` with every pointwise stage one pass
+    over the whole arrays: the oracle for its slices of CHUNK points."""
+    dt_request = min(params.dt, params.dt_factor * params.eps)
+    gap = t_next - t_prev
+    n_steps = max(1, math.ceil(gap / dt_request - 1e-12))
+    dt = gap / n_steps
+    theta = -0.25 * params.eps * dt * grid.freq_norm_sq()
+    kin_half = full_array_unit_phase(theta, np.empty(grid.shape, dtype=complex))
+    kin_full = kin_half**2
+    phase, spectrum = (np.empty(s, dtype=complex) for s in (grid.shape, khat_half.shape))
+    density, imag_sq, potential = np.empty((3, *grid.shape))
+    raw *= kin_half
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            state = np.fft.ifftn(raw, out=raw)
+            np.multiply(state.real, state.real, out=density)
+            np.multiply(state.imag, state.imag, out=imag_sq)
+            density += imag_sq
+            angle = convolve(khat_half, density, out=potential, spectrum=spectrum)
+            angle *= -dt
+            state *= full_array_unit_phase(angle, phase)
+            raw = np.fft.fftn(state, out=state)
+            l2, wiener = _norms_from_raw_fft(raw, grid)
+            if not l2 + wiener <= 4.0 * norm0:
+                raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
+            raw *= kin_full if step < n_steps - 1 else kin_half
+    return raw, l2
+
+
+def chunked_case(d, points, coupling):
+    """A Gaussian with a carrier on a grid of several CHUNK slices."""
+    grid = Grid(d=d, length=16.0 if d == 2 else 8.0, points=points)
+    spec = KernelSpec(d=d, gamma=1.0, coupling=coupling)
+    coords = grid.coords()
+    r2 = sum(c**2 for c in coords)
+    carrier = sum(k * c for k, c in zip((0.5, -0.3, 0.2), coords))
+    u0 = Field(grid, np.exp(-r2 / 2 + 1j * carrier / 0.1))
+    return grid, spec, u0
+
+
+def gap_outcomes(step, grid, spec, u0, params, samples, nan_at=None):
+    """(spectrum, l2) after each gap, or the DivergenceError's (time, ratio)."""
+    khat_half = half_multiplier(spec, grid, spec.coupling)
+    raw = np.fft.fftn(u0.values)
+    norm0 = sum(_norms_from_raw_fft(raw, grid))
+    if nan_at is not None:
+        raw[nan_at] = np.nan
+    outcomes, t_prev = [], 0.0
+    try:
+        for t_next in samples:
+            raw, l2 = step(raw, grid, khat_half, params, t_prev, t_next, norm0)
+            outcomes.append((raw.copy(), l2))
+            t_prev = t_next
+    except DivergenceError as exc:
+        outcomes.append((exc.time, exc.ratio))
+    return outcomes
+
+
+class TestChunkedStages:
+    """`advance` runs its pointwise stages over slices of CHUNK points; on
+    grids of several slices it must match the whole-array loop bitwise."""
+
+    @pytest.mark.parametrize("d, points, slices", [(2, 128, 2), (3, 32, 4)])
+    def test_bitwise_equal_to_full_array_loop(self, d, points, slices):
+        grid, spec, u0 = chunked_case(d, points, coupling=1.0)
+        assert grid.total_points == slices * CHUNK
+        params = SolverParams(eps=0.1, dt=0.01, final_time=0.1)
+        samples = [0.035, 0.1]  # two gaps with different step lengths
+        got = gap_outcomes(advance, grid, spec, u0, params, samples)
+        want = gap_outcomes(full_array_advance, grid, spec, u0, params, samples)
+        assert len(got) == len(want) == 2
+        for (raw, l2), (raw_ref, l2_ref) in zip(got, want):
+            assert np.array_equal(raw, raw_ref)
+            assert l2 == l2_ref
+
+    def test_divergence_trip_matches_full_array_loop(self):
+        # a weak attraction leaves the 4x ball in the second gap, at t = 0.3
+        grid, spec, _ = chunked_case(2, 128, coupling=-0.5)
+        x, y = grid.coords()
+        u0 = Field(grid, 3.0 * np.exp(-(x**2 + y**2) / 2))
+        params = SolverParams(eps=1.0, dt=0.05, final_time=4.0)
+        samples = [0.1, 4.0]
+        got = gap_outcomes(advance, grid, spec, u0, params, samples)
+        want = gap_outcomes(full_array_advance, grid, spec, u0, params, samples)
+        assert len(got) == len(want) == 2
+        (time, ratio), (time_ref, ratio_ref) = got[1], want[1]
+        assert isinstance(time, float) and isinstance(time_ref, float)
+        assert (time, ratio) == (time_ref, ratio_ref)
+        assert time == pytest.approx(0.3)
+
+    def test_nan_state_trips_the_guard(self):
+        grid, spec, u0 = chunked_case(2, 128, coupling=1.0)
+        params = SolverParams(eps=0.1, dt=0.01, final_time=0.1)
+        # a NaN in the second slice, which the first slice must not hide
+        got = gap_outcomes(advance, grid, spec, u0, params, [0.1], nan_at=(100, 3))
+        want = gap_outcomes(full_array_advance, grid, spec, u0, params, [0.1],
+                            nan_at=(100, 3))
+        (time, ratio), (time_ref, ratio_ref) = got[0], want[0]
+        assert isinstance(time, float) and isinstance(time_ref, float)
+        assert time == time_ref == pytest.approx(0.01)
+        assert math.isnan(ratio) and math.isnan(ratio_ref)
+
+    def test_warm_step_peak_under_four_state_arrays(self):
+        grid, spec, u0 = chunked_case(2, 256, coupling=1.0)
+        params = SolverParams(eps=0.1, dt=0.01, final_time=0.02)
+        khat_half = half_multiplier(spec, grid, spec.coupling)
+        raw = np.fft.fftn(u0.values)
+        norm0 = sum(_norms_from_raw_fft(raw, grid))
+        advance(raw.copy(), grid, khat_half, params, 0.0, 0.02, norm0)  # warm
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            advance(raw, grid, khat_half, params, 0.0, 0.02, norm0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 4 * raw.nbytes
 
 
 class TestPicard:

@@ -484,6 +484,16 @@ class TestSeparableRewrite:
             moved = translate(mode.alpha, t * mode.kappa).values * np.exp(1j * ref)
             assert np.max(np.abs(snap.amplitudes[j].values - moved)) < 1e-12
 
+    def test_action_phase_inverse_is_irfftn_bit_for_bit(self, name, monkeypatch):
+        # the leading-axis complex passes run in place, in irfftn's order
+        family = FAMILIES[name]()
+        spec = family_kernel(family)
+        got = [action_phase(family, j, 0.5, spec).values for j in range(len(family.modes))]
+        monkeypatch.setattr(wkb, "inverse_rfftn", lambda spectrum, n, axes: np.fft.irfftn(
+            spectrum, (n,) * len(axes), axes))
+        for j, values in enumerate(got):
+            assert np.array_equal(values, action_phase(family, j, 0.5, spec).values)
+
     def test_mode_carrier_matches_full_grid(self, name):
         family = FAMILIES[name]()
         g = family.grid
@@ -506,14 +516,16 @@ class TestSeparableRewrite:
                 assert np.max(np.abs(np.broadcast_to(got, g.shape) - ref)) < 1e-12
 
     def test_snapshot_fft_budget(self, name, fft_calls):
-        # one real density transform per mode, one real inverse per phase,
-        # a complex translation pair per amplitude and a complex pair per
-        # amplitude for its graded norm and half-Laplacian
+        # one real density transform per mode, one real inverse per phase
+        # after its d - 1 in-place complex passes, a complex translation
+        # pair per amplitude and a complex pair per amplitude for its
+        # graded norm and half-Laplacian
         family = FAMILIES[name]()
         snapshot(family, 0.5, family_kernel(family))
-        m = len(family.modes)
+        m, passes = len(family.modes), family.grid.d - 1
         counts = Counter(fn.__name__ for fn in fft_calls)
-        assert counts == {"rfftn": m, "irfftn": m, "fftn": 2 * m, "ifftn": 2 * m}
+        assert counts == Counter(rfftn=m, ifft=passes * m, irfftn=m, fftn=2 * m,
+                                 ifftn=2 * m)
 
 
 @pytest.mark.parametrize(
