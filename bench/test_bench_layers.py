@@ -8,13 +8,21 @@
   timing, and stored as `fft_calls_per_step` in the entry's extra info.
 - `test_phase[ROUTE-SIZE]`: exp(i theta) of a carrier-sized angle array
   (kappa/eps . x up to 2560 at 8192 points, 80 at 512^2) by
-  `grid.unit_phase` into one `out=` buffer and by `np.exp(1j * theta)`.
+  `grid.unit_phase` and by `np.exp(1j * theta)`, each into one `out=`
+  buffer made once, so neither route times the allocator.
+- `test_snapshot[FAMILY]`: one warm `wkb.snapshot` at t > 0 (amplitudes,
+  half-Laplacians and graded norm) of the two-mode reference_2d family
+  at t = 0.25 and of the four-mode 256^2 family at t = 0.0625.
+- `test_start`: one warm `harness._start` (initial data, t = 0 error and
+  raw spectrum of one eps) on reference_2d at eps = 0.05.
 - `test_record[FAMILY]`: one warm `harness._record` (errors, remainder
   and Z2 of one eps at one sample time, in its thread's field pair) for
   the 8192-point two-mode reference family at eps = 0.025, t = 0.25 and
   for the four-mode 256^2 family at eps = 0.15, t = 0.0625.  Its FFT
   calls per record are counted outside the timing and stored in the
-  entry's extra info.
+  entry's extra info.  `test_snapshot` and `test_start` store theirs as
+  `fft_calls_per_call`, and beside it `peak_state_arrays`: the call's
+  tracemalloc peak over its entry, in complex128 fields of the grid.
 - `test_sweep_unit`: one warm `harness.run_sweep` over the four-mode
   256^2 family (eps = 0.3, 0.2, 0.15; eight sample times to t = 0.5),
   the unit of perfbench's `sweep_2d_multimode`.  Its minor page faults
@@ -45,6 +53,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,16 +122,21 @@ def _carrier_angle(size: str) -> np.ndarray:
 @pytest.mark.parametrize("size", ["8192", "512x512"])
 def test_phase(benchmark, size, route):
     theta = _carrier_angle(size)
+    out = np.empty(theta.shape, complex)  # so no route times the allocator's state
     if route == "exp":
-        z = benchmark(lambda: np.exp(1j * theta))
-    else:  # into one buffer, so the entry does not time the allocator's state
-        z = benchmark(grid_module.unit_phase, theta, np.empty(theta.shape, complex))
+        z = benchmark(lambda: np.exp(np.multiply(theta, 1j, out=out), out=out))
+    else:
+        z = benchmark(grid_module.unit_phase, theta, out)
     assert z.shape == theta.shape
 
 
-def _reference_1d() -> dict:
+def _reference(name: str) -> dict:
     return json.loads((Path(__file__).resolve().parents[1] / "configs"
-                       / "reference_1d.json").read_text())
+                       / f"{name}.json").read_text())
+
+
+_reference_1d = functools.partial(_reference, "reference_1d")
+_reference_2d = functools.partial(_reference, "reference_2d")
 
 
 def _four_mode_256() -> dict:
@@ -143,8 +157,8 @@ RECORD_CASES = {
 }
 
 
-def _record_config(family: str):
-    document, eps, t = RECORD_CASES[family]
+def _record_config(family: str, cases: dict = RECORD_CASES):
+    document, eps, t = cases[family]
     doc = document()
     doc.update(epsilons=[eps], final_time=t, sample_times=[t])
     return parse_config(doc)
@@ -169,6 +183,54 @@ def test_record(benchmark, monkeypatch, family):
     benchmark.extra_info["fft_calls_per_record"] = len(calls)
     assert len(calls) == 6 + cfg.grid.d - 1
     benchmark(record)
+
+
+def _fft_calls_and_peak(monkeypatch, call, grid) -> tuple:
+    """FFT calls of one `call()` and its traced peak over its entry, in
+    complex128 fields of `grid`."""
+    calls = []
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
+    call()
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return len(calls), round(peak / (16 * grid.total_points), 3)
+
+
+# family -> (run document, eps, sample time)
+SNAPSHOT_CASES = {
+    "two_mode_512x512": (_reference_2d, 0.05, 0.25),
+    "four_mode_256x256": (_four_mode_256, 0.15, 0.0625),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SNAPSHOT_CASES))
+def test_snapshot(benchmark, monkeypatch, family):
+    cfg = _record_config(family, SNAPSHOT_CASES)
+    call = functools.partial(snapshot, cfg.family, cfg.sample_times[0], cfg.kernel)
+    call()  # memoized multiplier, FFT plan caches
+    calls, peak = _fft_calls_and_peak(monkeypatch, call, cfg.grid)
+    benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
+    modes = len(cfg.family.modes)
+    # a density spectrum, the phase inverse (d - 1 complex passes), translate, terms
+    assert calls == modes * (6 + cfg.grid.d - 1)
+    benchmark(call)
+
+
+def test_start(benchmark, monkeypatch):
+    cfg = _record_config("two_mode_512x512", SNAPSHOT_CASES)
+    call = functools.partial(harness._start, cfg, snapshot(cfg.family, 0.0, cfg.kernel),
+                             cfg.epsilons[0])
+    call()
+    calls, peak = _fft_calls_and_peak(monkeypatch, call, cfg.grid)
+    benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
+    assert calls == 2  # the spectrum and the error's Wiener norm
+    benchmark(call)
 
 
 UNIT_FAULTS = """\

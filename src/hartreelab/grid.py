@@ -1,4 +1,4 @@
-"""Periodic grids, complex fields, and the fixed Fourier convention.
+"""Periodic grids, real and complex fields, and the fixed Fourier convention.
 
 Everything downstream uses the continuum normalization
 
@@ -21,6 +21,8 @@ exp(i theta) on the hot paths through one kernel, `unit_phase`: a
 vectorised half-angle tangent in place of scalar cos and sin, run over
 consecutive slices of CHUNK points so that its scratch stays in L2.
 The Strang step's pointwise stages slice their arrays the same way.
+A `Field` keeps real data real (float64, else complex128), and
+`translate` works in one array: forward transform, modulation, inverse.
 """
 
 from __future__ import annotations
@@ -193,23 +195,26 @@ def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarr
 
 
 def _validated_samples(grid: Grid, values, what: str, copy: bool = True) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+    """Frozen samples, float64 if the data is real and complex128 otherwise."""
+    real = np.asarray(values).dtype.kind in "biuf"
+    arr = np.array(values, dtype=np.float64 if real else np.complex128, copy=copy or None)
     if arr.shape != grid.shape:
         raise ValueError(
             f"{what} shape {arr.shape} does not match grid shape {grid.shape}"
         )
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValueError(f"{what} contains non-finite entries")
-    if copy:
-        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex samples on the physical grid.  Immutable after construction:
-    `Field(grid, values)` copies; `Field._adopt` freezes a fresh array in place."""
+    """Samples on the physical grid, float64 when the data is real and
+    complex128 otherwise: a Gaussian amplitude and the phases stay real, at
+    half the memory, and mixed arithmetic casts them to their complex twin
+    bit for bit.  `Field(grid, values)` copies; `Field._adopt` freezes a
+    fresh array in place."""
 
     grid: Grid
     values: np.ndarray
@@ -260,7 +265,8 @@ class SpectralField:
         object.__setattr__(
             self,
             "coefficients",
-            _validated_samples(self.grid, self.coefficients, "spectral field"),
+            _validated_samples(self.grid, np.asarray(self.coefficients, complex),
+                               "spectral field"),
         )
 
 
@@ -317,9 +323,9 @@ def laplacian(f: Field) -> Field:
     return Field._adopt(f.grid, _laplacian_from_raw(np.fft.fftn(f.values), f.grid))
 
 
-def _laplacian_from_raw(raw: np.ndarray, grid: Grid) -> np.ndarray:
-    """Lap f from the raw FFT of f, which it overwrites; one inverse transform."""
-    raw *= -reduce(np.add, (m**2 for m in grid.freq_meshes(zero_nyquist=True)))
+def _laplacian_from_raw(raw: np.ndarray, grid: Grid, scale: float = 1.0) -> np.ndarray:
+    """scale Lap f from the raw FFT of f, which it overwrites; one inverse transform."""
+    raw *= -scale * reduce(np.add, (m**2 for m in grid.freq_meshes(zero_nyquist=True)))
     return np.fft.ifftn(raw, out=raw)
 
 
@@ -331,8 +337,9 @@ def translate(f: Field, shift) -> Field:
         raise ValueError(f"shift must have {g.d} components, got shape {s.shape}")
     if not s.any():
         return f
-    wave = plane_wave(g.freq_meshes(zero_nyquist=True), s, -1.0)
-    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * wave))
+    moved = np.fft.fftn(f.values, out=np.empty(g.shape, dtype=np.complex128))
+    moved *= plane_wave(g.freq_meshes(zero_nyquist=True), s, -1.0)
+    return Field._adopt(g, np.fft.ifftn(moved, out=moved))
 
 
 @dataclass(frozen=True)

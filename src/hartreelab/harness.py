@@ -17,14 +17,14 @@ built, each eps assembles one u_app for its error and remainder, and
 the snapshot is dropped before the next advance.  `--threads N` maps
 each time's per-eps advances and records over N threads.
 
-A record works in two complex field buffers, U and A, instead of fresh
-full-size arrays, passed as the `out=`/`scratch=` of the public `wkb`
-record terms: u_app goes into U; u - u_app, then r, pass through A
-(the state as the spectrum's inverse transform written into A, since
-the spectrum must survive for the next advance); Z2 then takes U.  Each
-field's L2 sum is read before its forward transform overwrites it.  The
-buffers live from a time's snapshot to that time's last record and are
-dropped with the snapshot; every worker thread has its own pair.
+A record works in two complex field buffers, U and A, passed as the
+`out=`/`scratch=` of the public `wkb` record terms: u_app goes into U;
+u - u_app, then r (its cross density in A's two float64 halves), pass
+through A (the state as the spectrum's inverse written into A: the
+spectrum must survive); Z2 then takes U.  Each L2 sum is read before the
+forward transform overwrites its field.  The pair lives from a time's
+snapshot to its last record, one per worker thread.  `_start` holds
+three arrays: u0, the spectrum (first u_app's scratch) and u0 - u_app.
 
 The validation campaigns draw and check their fields in stacks of
 `Grid.block_rows`.  Each field draws only the coefficients inside its
@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SweepConfig
-from .grid import Field, Grid, translate
+from .grid import Grid, translate
 from .kernel import (
     KernelSpec,
     half_multiplier,
@@ -162,11 +162,16 @@ class _EpsRun:
 
 
 def _start(cfg: SweepConfig, snap0, eps: float) -> _EpsRun:
-    """Initial data of one eps, its t = 0 error and its raw spectrum."""
-    u0 = initial_data(cfg.family, eps)
-    init_err = l2w_norm(u0 - Field._adopt(cfg.grid, assemble(cfg.family, snap0, eps)))
+    """Initial data of one eps, its t = 0 error and its raw spectrum (first
+    the scratch of u_app's sum); u0 - u_app overwrites u_app."""
+    u0 = initial_data(cfg.family, eps).values
+    raw = np.empty(u0.shape, dtype=np.complex128)
+    err = assemble(cfg.family, snap0, eps, scratch=raw)
+    np.subtract(u0, err, out=err)
+    np.fft.fftn(u0, out=raw)
+    del u0  # dropped before the error's norms
+    init_err = sum(_norms_in_place(err, cfg.grid))
     params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
-    raw = np.fft.fftn(u0.values)
     l2_0, w_0 = _norms_from_raw_fft(raw, cfg.grid)
     return _EpsRun(eps, params, raw, l2_0 + w_0, l2_0, init_err)
 

@@ -130,12 +130,15 @@ def _norms_from_modulus(mag: np.ndarray, grid) -> tuple:
 
 def _graded_norm(raw: np.ndarray, grid, spec: YNormSpec) -> float:
     """Sum of combined norms of the derivatives up to order n of the field
-    whose raw FFT is given: d^eta f has the raw spectrum raw (i xi)^eta."""
+    whose raw FFT is given: d^eta f has the raw spectrum raw (i xi)^eta,
+    whose moduli form in one buffer."""
     mag = np.abs(raw)
     xi = [np.abs(m) for m in grid.freq_meshes(zero_nyquist=True)]
+    buf = np.empty_like(mag)
     total = 0.0
     for eta in multi_indices(spec.d, spec.n):
-        weighted = reduce(np.multiply, (x**e for x, e in zip(xi, eta) if e), mag)
+        weighted = reduce(lambda w, f: np.multiply(w, f, out=buf),
+                          (x**e for x, e in zip(xi, eta) if e), mag)
         total += sum(_norms_from_modulus(weighted, grid))
     return total
 

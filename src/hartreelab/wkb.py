@@ -73,6 +73,7 @@ from .grid import (
 )
 from .kernel import KernelSpec, convolve, half_multiplier, inverse_rfftn
 from .norms import YNormSpec, _graded_norm, l2w_norm
+from .solver import _slices
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
 RESOLUTION_FACTOR = 1.5
@@ -338,23 +339,23 @@ def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
     """Amplitudes at time t (modulus: pure translation) with eps-free terms.
 
     The M `action_phase` calls share one set of density spectra (M real
-    FFTs); each phase is dropped once its amplitude is built.  One forward
-    transform per amplitude then serves its graded norm and its
-    half-Laplacian (2 M FFTs).
+    FFTs); each real phase goes straight into `unit_phase`, times one
+    `translate` array.  One forward transform per amplitude then serves its
+    graded norm and its half-Laplacian, which overwrites it (2 M FFTs).
     """
     check_containment(family, t)
     spectra = _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None
     amps = []
     for j, mode in enumerate(family.modes):
-        amp = unit_phase(action_phase(family, j, t, spec, spectra).values.real)
+        amp = unit_phase(action_phase(family, j, t, spec, spectra).values)
         amp *= translate(mode.alpha, t * mode.kappa).values
         amps.append(Field._adopt(family.grid, amp))
     del spectra  # freed before the eps-free terms are built
     halves, e_norm = [], 0.0
     for amp in amps:
-        raw = np.fft.fftn(amp.values)
+        raw = np.fft.fftn(amp.values, out=np.empty(amp.values.shape, dtype=complex))
         e_norm += _graded_norm(raw, family.grid, family.nspec)
-        halves.append(0.5 * _laplacian_from_raw(raw, family.grid))
+        halves.append(_laplacian_from_raw(raw, family.grid, 0.5))  # 0.5 is exact
     return WkbSnapshot(t, tuple(amps), tuple(halves), e_norm)
 
 
@@ -403,26 +404,30 @@ def z2_term(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
 
 def resonant_remainder(family: ModeFamily, snap: WkbSnapshot, eps: float,
                        spec: KernelSpec, u_app: np.ndarray, out=None) -> np.ndarray:
-    """Cross-mode term r = -(K * B) u_app of a record, zero for a single
-    mode, into `out` if given; u_app holds the values `assemble` returned.
+    """Cross-mode term r = -(K * B) u_app of a record, zero for a single mode,
+    into `out` (C-contiguous) if given; u_app holds what `assemble` returned.
 
     The cross density is read off the assembled field, whose diagonal
-    terms are the averaged density: B = |u_app|^2 - sum_j |a_j|^2.
+    terms are the averaged density: B = |u_app|^2 - sum_j |a_j|^2.  B and
+    K * B form in the second float64 half of `out`, each |a_j|^2 in the
+    first; r then fills `out` slice by slice, over K * B already read.
     """
+    g = family.grid
     if out is None:
-        out = np.empty(family.grid.shape, dtype=np.complex128)
+        out = np.empty(g.shape, dtype=np.complex128)
     if len(family.modes) == 1:
         out.fill(0)
         return out
     check_resolution(family, eps, for_remainder=True)
-    cross = np.abs(u_app)
-    np.square(cross, out=cross)
+    mod_sq, cross = out.view(np.float64).reshape(2, *g.shape)
+    np.square(np.abs(u_app, out=cross), out=cross)
     for amp in snap.amplitudes:
-        mod_sq = np.abs(amp.values)
-        cross -= np.square(mod_sq, out=mod_sq)
-    del mod_sq  # freed before the convolution's transforms
-    conv = convolve(half_multiplier(spec, family.grid), cross, out=cross)
-    return np.multiply(np.negative(conv, out=conv), u_app, out=out)
+        cross -= np.square(np.abs(amp.values, out=mod_sq), out=mod_sq)
+    half = np.empty((*g.shape[:-1], g.points // 2 + 1), dtype=np.complex128)
+    conv = convolve(half_multiplier(spec, g), cross, out=cross, spectrum=half)
+    for c, u, r in zip(*map(_slices, (np.negative(conv, out=conv), u_app, out))):
+        np.multiply(c, u, out=r)
+    return out
 
 
 def _transport_rates(family: ModeFamily, snap: WkbSnapshot, spec: KernelSpec) -> list:

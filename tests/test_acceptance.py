@@ -7,8 +7,12 @@ points, horizon 0.5 sampled at {0.25, 0.5}, eps in {0.2, 0.1, 0.05,
 with width-0.75 modes at kappa = (+-2, 0), eps in {0.2, 0.1, 0.05}.
 """
 
+import json
+
 import numpy as np
 import pytest
+
+import baseline
 
 from hartreelab import (
     Field,
@@ -262,3 +266,20 @@ def test_criterion_8_wkb_internal_consistency(config_1d):
         f"< 1e-8; modulus transport {worst_mod:.3e} < 1e-10; "
         f"t=0 error {worst_init:.3e} < 1e-12"
     )
+
+
+def test_baseline_numbers_pinned(result_1d, result_2d, suite_1d):
+    # every record to 1e-12 relative (mass drift, at rounding level, to
+    # 1e-13 absolute), beta_fitted to 1e-9, the validate lines verbatim
+    pinned = json.loads(baseline.PATH.read_text())
+    for name, result in (("reference_1d", result_1d), ("reference_2d", result_2d)):
+        want = pinned["sweeps"][name]
+        assert abs(result.beta_fitted - want["beta_fitted"]) <= 1e-9, name
+        rows = baseline.record_rows(result)
+        assert len(rows) == len(want["records"]), name
+        for (*got, drift), (*ref, ref_drift) in zip(rows, want["records"]):
+            assert got == pytest.approx(ref, rel=1e-12, abs=0), (name, got[:2])
+            assert abs(drift - ref_drift) <= 1e-13, (name, got[:2])
+    assert baseline.validate_lines(suite_1d) == pinned["validate_reference_1d_seed_0"]
+    print("\nBASELINE: PASS  records, beta_fitted and validate lines match "
+          "tests/baseline.json")

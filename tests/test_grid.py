@@ -226,6 +226,18 @@ class TestTranslate:
         b = translate(spectral_derivative(f, 1), 0.8)
         assert np.max(np.abs(a.values - b.values)) < 1e-10
 
+    @pytest.mark.parametrize("grid", [Grid(d=1, length=32.0, points=256),
+                                      Grid(d=2, length=16.0, points=64)],
+                             ids=["1d", "2d"])
+    def test_real_field_matches_complex_twin_bitwise(self, grid):
+        r2 = sum(ax**2 for ax in grid.coords())
+        real = Field(grid, np.exp(-r2 / 2))
+        twin = Field(grid, real.values.astype(np.complex128))
+        shift = (0.7, -1.3)[:grid.d]
+        got, want = translate(real, shift).values, translate(twin, shift).values
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
 
 class TestSampleProfile:
     def test_gaussian_peak_value(self, grid1d):
@@ -242,6 +254,12 @@ class TestSampleProfile:
         x = grid1d.axis_coords()
         idx = np.argmin(np.abs(x - 1.0))
         assert f.values[idx] == pytest.approx(2 * np.exp(-0.5), rel=1e-12)
+
+    def test_gaussian_profile_stays_real(self, grid1d):
+        f = sample_profile(
+            grid1d, GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)
+        )
+        assert f.values.dtype == np.float64
 
     def test_table_all_ones(self, grid1d):
         f = sample_profile(grid1d, TableProfile(values=np.ones(grid1d.points)))

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -86,6 +87,10 @@ class TestEikonalPhase:
         idx = np.argmin(np.abs(x - 0.5))
         assert phi.values[idx].real == pytest.approx(0.5 * 2.0 - 0.5 * 4.0)
 
+    def test_phase_is_real(self):
+        grid = Grid(d=2, length=16.0, points=32)
+        assert eikonal_phase([2.0, -1.0], 0.3, grid).values.dtype == np.float64
+
     def test_solves_eikonal_equation(self):
         # dphi/dt + |grad phi|^2 / 2 = 0 with affine phases: closed form
         grid = Grid(d=1, length=32.0, points=256)
@@ -163,6 +168,10 @@ class TestActionPhase:
         with pytest.raises(ContainmentError):
             action_phase(two_mode_family, 0, 5.0, kernel)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_phase_is_real(self, two_mode_family, kernel, t):
+        assert action_phase(two_mode_family, 1, t, kernel).values.dtype == np.float64
+
 
 class TestSnapshot:
     def test_initial_amplitudes_exact(self, two_mode_family, kernel):
@@ -207,6 +216,25 @@ class TestSnapshot:
             snap = snapshot(two_mode_family, t, free)
             now = sum(l2w_norm(a) for a in snap.amplitudes)
             assert abs(now - base) < 1e-8 * base
+
+    def test_warm_two_mode_2d_snapshot_peaks_under_five_and_a_half_arrays(self):
+        # amplitudes and half-Laplacians (4 arrays) plus one translate or
+        # one forward transform at a time, over the shared density spectra
+        grid = Grid(d=2, length=16.0, points=128)
+        prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
+        family = ModeFamily.from_profiles(
+            grid, [([-2.0, 0.0], prof), ([2.0, 0.0], prof)], gamma=0.5)
+        spec = KernelSpec(d=2, gamma=0.5, coupling=1.0)
+        snapshot(family, 0.25, spec)  # memoized multiplier, FFT plan caches
+        tracemalloc.start()
+        try:
+            snap = snapshot(family, 0.25, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = grid.total_points * np.dtype(np.complex128).itemsize
+        assert peak <= 5.5 * state
+        assert all(a.values.dtype == np.complex128 for a in snap.amplitudes)
 
 
 class TestAssemble:
