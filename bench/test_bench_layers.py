@@ -3,9 +3,15 @@
 - `test_advance_step[SIZE]`: one `solver.advance` step at 8192 points
   (1D reference grid), 512^2 (2D reference grid) and 64^3 (L = 10,
   gamma = 1), on two Gaussian wave packets with carriers kappa/eps =
-  -+2/eps at the smallest reference eps.  Each round continues the same
-  trajectory.  The FFT calls of one step are counted once, outside the
-  timing, and stored as `fft_calls_per_step` in the entry's extra info.
+  -+2/eps at the smallest reference eps, its spectrum held as a sweep
+  holds it (`grid.padded_zeros`: rows padded by one element in 2D and 3D).
+  Each round continues the same trajectory.  The FFT calls of one step
+  are counted once, outside the timing, and stored as
+  `fft_calls_per_step` in the entry's extra info.
+- `test_fft_pair[SIZE-LAYOUT]`: one in-place `np.fft.fftn` + `ifftn`
+  pair at 256^2 and 512^2, on a contiguous array and on the [:, :N] view
+  of an (N, N + 1) buffer, the layout of the Strang state.  No hartreelab
+  code runs; the pair shows what the power-of-two row stride costs.
 - `test_phase[ROUTE-SIZE]`: exp(i theta) of a carrier-sized angle array
   (kappa/eps . x up to 2560 at 8192 points, 80 at 512^2) by
   `grid.unit_phase` and by `np.exp(1j * theta)`, each into one `out=`
@@ -95,7 +101,7 @@ def test_advance_step(benchmark, monkeypatch, size):
     spec = KernelSpec(d=grid.d, gamma=gamma)
     params = SolverParams.largest_step(eps, 1.0)
     khat_half = half_multiplier(spec, grid, spec.coupling)
-    raw = np.fft.fftn(_packets(grid, eps).astype(np.complex128))
+    raw = np.fft.fftn(_packets(grid, eps), out=grid_module.padded_zeros(grid))
     norm0 = sum(_norms_from_raw_fft(raw, grid))
     state = {"raw": raw}
 
@@ -111,6 +117,22 @@ def test_advance_step(benchmark, monkeypatch, size):
     benchmark.extra_info["fft_calls_per_step"] = len(calls)
     assert len(calls) == 4 + grid.d - 1  # the convolution's inverse: d - 1 complex passes
     benchmark(step)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "padded"])
+@pytest.mark.parametrize("size", ["256x256", "512x512"])
+def test_fft_pair(benchmark, size, layout):
+    n = int(size.split("x")[0])
+    rows = n + (layout == "padded")
+    z = np.zeros((n, rows), dtype=np.complex128)[:, :n]
+    draw = np.random.default_rng(0).standard_normal((n, n, 2))
+    z[...] = draw.view(np.complex128)[..., 0]
+    assert z.flags.c_contiguous == (layout == "contiguous")
+
+    def pair():
+        np.fft.ifftn(np.fft.fftn(z, out=z), out=z)
+
+    benchmark(pair)
 
 
 def _carrier_angle(size: str) -> np.ndarray:

@@ -4,9 +4,12 @@
   runs `import hartreelab`, `load_config("configs/reference_1d.json")`
   and `validate_suite(cfg, seed=0)`, and is timed whole (interpreter
   start and imports included).  The child reports its peak resident
-  memory (`ru_maxrss`), whether `scipy.integrate` was loaded and how many
-  checks passed; the entry's extra info keeps the median peak in MiB,
-  the flag and the count.
+  memory (the `VmHWM` of its own address space, Linux), whether
+  `scipy.integrate` was loaded and how many checks passed; the entry's
+  extra info keeps the median peak in MiB, the flag and the count.
+  `ru_maxrss` would not do: a process started by `subprocess` keeps its
+  parent's high-water mark from before the `exec`, so a child of a large
+  pytest process reads the parent's peak.
 - `test_kernel_constant_oracle`: one warm `hartree_constant_oracle(1, 0.5)`,
   the `kernel_constant` check's quadrature.
 - `test_picard_evolve[NODES]`: one warm `picard_evolve` at the
@@ -40,12 +43,13 @@ from hartreelab import hartree_constant_oracle, initial_data, load_config, picar
 ROOT = Path(__file__).resolve().parents[1]
 ONE_SHOT_ROUNDS = 5
 CHILD = """\
-import json, resource, sys
+import json, sys
 import hartreelab
 cfg = hartreelab.load_config("configs/reference_1d.json")
 checks = hartreelab.validate_suite(cfg, seed=0)
+status = open("/proc/self/status").read()
 print(json.dumps({
-    "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "maxrss_mib": int(status.split("VmHWM:")[1].split()[0]) / 1024,
     "scipy_integrate_loaded": "scipy.integrate" in sys.modules,
     "checks_passed": sum(c.passed for c in checks.values()),
 }))

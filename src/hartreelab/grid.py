@@ -21,6 +21,11 @@ exp(i theta) on the hot paths through one kernel, `unit_phase`: a
 vectorised half-angle tangent in place of scalar cos and sin, run over
 consecutive slices of CHUNK points so that its scratch stays in L2.
 The Strang step's pointwise stages slice their arrays the same way.
+
+In 2D and 3D the Strang state is row-padded (`padded_zeros`): the
+[..., :N] view of a buffer with N + 1 elements per row, so no transform
+pass reads columns at a power-of-two stride (see `solver`).  numpy
+transforms the padded view bitwise as it does the contiguous array.
 A `Field` keeps real data real (float64, else complex128), and
 `translate` works in one array: forward transform, modulation, inverse.
 """
@@ -177,6 +182,15 @@ def unit_phase(theta, out=None) -> np.ndarray:
         t += t
         np.multiply(t, inv, out=z.imag)
     return out
+
+
+def padded_zeros(grid: Grid, dtype=np.complex128) -> np.ndarray:
+    """A zeroed array of the grid's shape; for d >= 2 the [..., :N] view of
+    a (*shape[:-1], N + 1) buffer, its `base`, whose pads stay zero unless
+    written through the buffer.  In 1D a plain array."""
+    if grid.d == 1:
+        return np.zeros(grid.shape, dtype)
+    return np.zeros((*grid.shape[:-1], grid.points + 1), dtype)[..., :grid.points]
 
 
 def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:

@@ -11,11 +11,14 @@ Both entry points take a `config.SweepConfig`; the run file, its
 defaults and its rules belong to `config`, not here.
 
 The eps run in lockstep: between sample times each eps holds only its
-raw spectrum and t = 0 scalars.  At each t every eps is advanced, one
-WKB snapshot (with its eps-free terms (1/2) Lap a_j and ||a(t)||_E) is
-built, each eps assembles one u_app for its error and remainder, and
-the snapshot is dropped before the next advance.  `--threads N` maps
-each time's per-eps advances and records over N threads.
+raw spectrum (row-padded in 2D and 3D, see `solver`) and t = 0 scalars.
+At each t every eps is advanced, one WKB snapshot (with its eps-free
+terms (1/2) Lap a_j and ||a(t)||_E) is built, each eps assembles one
+u_app for its error and remainder, and the snapshot is dropped before
+the next advance.  The t = 0 snapshot holds the amplitudes alone:
+a_j(0) = alpha_j exactly (a zero shift and a zero phase move nothing),
+and `_start` reads nothing else.  `--threads N` maps each time's per-eps
+advances and records over N threads.
 
 A record works in two complex field buffers, U and A, passed as the
 `out=`/`scratch=` of the public `wkb` record terms: u_app goes into U;
@@ -54,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SweepConfig
-from .grid import Grid, translate
+from .grid import Grid, padded_zeros, translate
 from .kernel import (
     KernelSpec,
     half_multiplier,
@@ -66,6 +69,7 @@ from .norms import _algebra_bounds, _hartree_bounds, _l2, _norms_from_raw_fft, _
 from .solver import DivergenceError, SolverParams, advance, evolve
 from .solver import picard_evolve
 from .wkb import (
+    WkbSnapshot,
     ansatz_residual,
     assemble,
     check_resolution,
@@ -165,7 +169,7 @@ def _start(cfg: SweepConfig, snap0, eps: float) -> _EpsRun:
     """Initial data of one eps, its t = 0 error and its raw spectrum (first
     the scratch of u_app's sum); u0 - u_app overwrites u_app."""
     u0 = initial_data(cfg.family, eps).values
-    raw = np.empty(u0.shape, dtype=np.complex128)
+    raw = padded_zeros(cfg.grid)
     err = assemble(cfg.family, snap0, eps, scratch=raw)
     np.subtract(u0, err, out=err)
     np.fft.fftn(u0, out=raw)
@@ -231,7 +235,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     failures, e_norms = {}, {}
     with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
         each = pool.map if pool else map
-        snap = snapshot(cfg.family, 0.0, cfg.kernel)
+        # a_j(0) = alpha_j exactly, all that `_start` reads: no eps-free terms
+        snap = WkbSnapshot(0.0, tuple(m.alpha for m in cfg.family.modes), None, None)
         runs = list(each(functools.partial(_start, cfg, snap), cfg.epsilons))
         init_errs = {run.eps: run.init_err for run in runs}  # failed eps count too
         t_prev = 0.0

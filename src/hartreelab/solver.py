@@ -23,6 +23,15 @@ exp(-i dt V) of the potential the convolution wrote over it, applied to
 the state; and the moduli of the new spectrum into the same buffer with
 the kinetic multiply.  The guard's norms then come from whole-array
 sums of those moduli.  A grid of at most CHUNK points is one slice.
+In 2D and 3D the spectrum, the real buffer and both kinetic multipliers
+are row-padded (`grid.padded_zeros`): the [..., :N] view of a buffer
+with N + 1 elements per row.  A contiguous complex row of 512 points is
+8 KiB, so the leading-axis passes of every complex transform would read
+columns at a power-of-two stride, which maps a column onto the same
+cache sets; the padded stride does not, and numpy transforms the view
+bitwise as the contiguous array.  `evolve` and the sweep's `_start`
+allocate the spectrum that way once; `advance` transforms it in place,
+and its stages slice the padded buffers whole, over pads that stay zero.
 The kinetic multipliers are built by `unit_phase` once per call;
 `free_propagator` and the Picard node multiplier keep `np.exp` as
 independent references.
@@ -65,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CHUNK, Field, unit_phase
+from .grid import CHUNK, Field, padded_zeros, unit_phase
 from .kernel import KernelSpec, convolve, half_multiplier
 from .norms import _norms_from_modulus, _norms_from_raw_fft
 
@@ -165,8 +174,8 @@ def free_propagator(f: Field, eps: float, t: float) -> Field:
 
 
 def _slices(a: np.ndarray) -> list:
-    """Views of consecutive CHUNK points of the C-contiguous array a; all
-    of one length on a grid, whose N^d is a power of two."""
+    """Views of consecutive CHUNK points of the C-contiguous array a; the
+    last may be shorter."""
     flat = a.reshape(-1, copy=False)
     return [flat[lo:lo + CHUNK] for lo in range(0, flat.size, CHUNK)]
 
@@ -177,43 +186,57 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
 
     The gap is cut into the fewest equal steps no longer than the
     requested dt, so t_next is hit exactly; khat_half is
-    `kernel.half_multiplier(spec, grid, lambda)`.  `raw`, C-contiguous, is
-    transformed in place; returns the spectrum at t_next and its L2 norm.
+    `kernel.half_multiplier(spec, grid, lambda)`.  `raw`, C-contiguous or
+    a `grid.padded_zeros` view with zero pads, is transformed in place;
+    returns the spectrum at t_next and its L2 norm.
     The run is aborted once the combined norm exceeds 4 norm0, norm0
     being its value at t = 0: the stability ball of the local existence
     argument.
+
+    The real buffer and the kinetic multipliers share raw's layout, so
+    the pointwise stages run over slices of the contiguous buffers, pads
+    included: a pad of the state is 0, |0|^2 = 0, the phase of a zero
+    potential is 1 and 0 kin = 0, so the pads stay zero.  The guard sums
+    a contiguous copy of the moduli, in the spectrum's spent bytes, so
+    its sums run as on the unpadded array.
     """
     dt_request = min(params.dt, params.dt_factor * params.eps)
     gap = t_next - t_prev
     n_steps = max(1, math.ceil(gap / dt_request - 1e-12))
     dt = gap / n_steps
-    kin_half = unit_phase(-0.25 * params.eps * dt * grid.freq_norm_sq())
+    full = raw if raw.flags.c_contiguous else raw.base  # with the pads
+    real_full = np.zeros(full.shape)  # the kinetic angle; per step |u|^2, V, moduli
+    real = real_full[..., :grid.points]
+    np.multiply(grid.freq_norm_sq(), -0.25 * params.eps * dt, out=real)
+    kin_half = unit_phase(real_full)
     kin_full = kin_half**2
     spectrum = np.empty(khat_half.shape, dtype=complex)
-    real = np.empty(grid.shape)  # |u|^2, then the potential, then the moduli of raw
-    u_parts, real_parts, half_parts, full_parts = map(
-        _slices, (raw, real, kin_half, kin_full))
-    phase, imag_sq = np.empty(u_parts[0].size, dtype=complex), np.empty(u_parts[0].size)
-    raw *= kin_half
+    moduli = real if real.flags.c_contiguous else (
+        spectrum.view(np.float64).reshape(-1)[:grid.total_points].reshape(grid.shape))
+    parts = list(zip(*map(_slices, (full, real_full, kin_half, kin_full))))
+    n = min(full.size, CHUNK)
+    phase, imag_sq = np.empty(n, dtype=complex), np.empty(n)
+    full *= kin_half
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a NaN
         for step in range(n_steps):
             np.fft.ifftn(raw, out=raw)
-            for u, rho in zip(u_parts, real_parts):
+            for u, rho, _, _ in parts:
                 np.multiply(u.real, u.real, out=rho)
-                np.multiply(u.imag, u.imag, out=imag_sq)
-                rho += imag_sq
+                rho += np.multiply(u.imag, u.imag, out=imag_sq[:u.size])
             convolve(khat_half, real, out=real, spectrum=spectrum)
-            for u, angle in zip(u_parts, real_parts):
+            for u, angle, _, _ in parts:
                 # -dt after the transform: an overflowing potential gives a NaN phase
                 angle *= -dt
-                u *= unit_phase(angle, out=phase)
+                u *= unit_phase(angle, out=phase[:u.size])
             np.fft.fftn(raw, out=raw)
             # moduli before the kinetic multiply: |kin| = 1, so the norms are the same
-            kin_parts = full_parts if step < n_steps - 1 else half_parts
-            for u, mag, kin in zip(u_parts, real_parts, kin_parts):
+            last = step == n_steps - 1
+            for u, mag, half, whole in parts:
                 np.abs(u, out=mag)
-                u *= kin
-            l2, wiener = _norms_from_modulus(real, grid)
+                u *= half if last else whole
+            if moduli is not real:
+                np.copyto(moduli, real)
+            l2, wiener = _norms_from_modulus(moduli, grid)
             if not l2 + wiener <= 4.0 * norm0:  # a NaN norm trips the guard too
                 raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
     return raw, l2
@@ -231,7 +254,7 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
             raise ValueError(f"sample time {t} outside [0, T = {params.final_time}]")
 
     khat_half = half_multiplier(spec, g, spec.coupling)
-    raw = np.fft.fftn(u0.values)
+    raw = np.fft.fftn(u0.values, out=padded_zeros(g))
     l2_0, w_0 = _norms_from_raw_fft(raw, g)
 
     rec_times, rec_states, rec_mass = [0.0], [u0], [l2_0]

@@ -187,7 +187,8 @@ class ModeFamily:
 
 @dataclass(frozen=True, eq=False)
 class WkbSnapshot:
-    """Amplitudes a_j(t) with their eps-free (1/2) Lap a_j and ||a(t)||_E."""
+    """Amplitudes a_j(t) with their eps-free (1/2) Lap a_j and ||a(t)||_E;
+    a sweep's t = 0 snapshot carries the amplitudes alone (terms None)."""
 
     t: float
     amplitudes: tuple

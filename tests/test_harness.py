@@ -405,13 +405,34 @@ class TestLockstepSweep:
         monkeypatch.setattr(wkb, "snapshot", counted)
         cfg = with_epsilons(small_config, (0.2, 0.15, 0.1))
         run_sweep(cfg)
-        assert len(seen) == len(cfg.sample_times) + 1
-        assert seen == [0.0, *cfg.sample_times]
+        assert seen == list(cfg.sample_times)  # t = 0 reads the alphas, no snapshot
+
+    def test_two_mode_sweep_makes_no_t0_term_transforms(self, small_config, fft_calls):
+        # a t = 0 snapshot spends 2 M transforms on its eps-free terms; the
+        # sweep's t = 0 amplitudes are the alphas, so it makes 2 M fewer
+        cfg = with_epsilons(small_config, (0.2, 0.1))
+        n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 2
+        assert len(cfg.family.modes) == n_modes and cfg.grid.d == 1
+        snapshot(cfg.family, 0.0, cfg.kernel)
+        assert len(fft_calls) == 2 * n_modes
+        fft_calls.clear()
+        steps = sum(
+            max(1, math.ceil((b - a) / (cfg.dt_factor * eps) - 1e-12))
+            for eps in cfg.epsilons
+            for a, b in zip((0.0, *cfg.sample_times), cfg.sample_times)
+        )
+        with_t0_terms = (2 * n_modes + 2 * n_eps + 4 * steps + 6 * n_modes * n_times
+                         + 6 * n_eps * n_times)
+        result = run_sweep(cfg)
+        assert len(result.records) == n_eps * n_times
+        assert len(fft_calls) == with_t0_terms - 2 * n_modes
+        assert result.checks["initial_exactness"].detail == "max t=0 error 0.000e+00"
 
     def test_transform_budget(self, fft_calls, monkeypatch):
-        # per snapshot: one forward/inverse pair per amplitude for its
-        # eps-free terms (||a||_E and (1/2) Lap a_j), plus 4 M at each
-        # sample time, however many eps there are; per record: 6 (state
+        # per snapshot at a sample time: one forward/inverse pair per
+        # amplitude for its eps-free terms (||a||_E and (1/2) Lap a_j), plus
+        # 4 M, however many eps there are (none at t = 0, whose amplitudes
+        # are the alphas); per record: 6 (state
         # inverse, error Wiener norm, the remainder's real convolution pair,
         # the Wiener norms of r and Z2); per eps at t = 0: 2; per Strang
         # step: 4.  Each convolution's and each phase's inverse adds d - 1
@@ -452,7 +473,7 @@ class TestLockstepSweep:
         )
         assert counts["advance_ffts"] == (4 + passes) * steps
         assert len(fft_calls) - counts["advance_ffts"] == (
-            2 * n_eps + 2 * n_modes + n_times * (4 * n_modes + (2 + passes) * n_modes)
+            2 * n_eps + n_times * (4 * n_modes + (2 + passes) * n_modes)
             + (6 + passes) * n_eps * n_times
         )
         assert counts["laplacian"] == 0

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -21,10 +23,12 @@ from hartreelab import (
     wiener_norm,
     zero_mode_value,
 )
+from hartreelab import harness
 from hartreelab.kernel import convolve, half_multiplier, multiplier_grid
 from hartreelab.norms import _norms_from_raw_fft
-from hartreelab.grid import CHUNK
+from hartreelab.grid import CHUNK, padded_zeros
 from hartreelab.solver import advance
+from hartreelab.wkb import snapshot
 
 from conftest import lattice_wavenumber, plane_wave
 
@@ -436,7 +440,7 @@ def chunked_case(d, points, coupling):
 def gap_outcomes(step, grid, spec, u0, params, samples, nan_at=None):
     """(spectrum, l2) after each gap, or the DivergenceError's (time, ratio)."""
     khat_half = half_multiplier(spec, grid, spec.coupling)
-    raw = np.fft.fftn(u0.values)
+    raw = np.fft.fftn(u0.values, out=padded_zeros(grid))  # as a sweep holds it
     norm0 = sum(_norms_from_raw_fft(raw, grid))
     if nan_at is not None:
         raw[nan_at] = np.nan
@@ -510,6 +514,43 @@ class TestChunkedStages:
         finally:
             tracemalloc.stop()
         assert peak - entry < 4 * raw.nbytes
+
+
+class TestPaddedLayout:
+    """The stepping state of d >= 2 lives in the [..., :N] view of a buffer
+    whose rows carry one pad element (`grid.padded_zeros`)."""
+
+    @pytest.mark.parametrize("shape", [(512, 512), (32, 32, 32)])
+    def test_transforms_of_padded_view_match_contiguous_bitwise(self, shape):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+        grid = Grid(d=len(shape), length=8.0, points=shape[0])
+        view = padded_zeros(grid)
+        assert not view.flags.c_contiguous and view.base.shape[-1] == shape[-1] + 1
+        view[...] = a
+        np.fft.fftn(view, out=view)
+        assert np.array_equal(view, np.fft.fftn(a))
+        np.fft.ifftn(view, out=view)
+        assert np.array_equal(view, np.fft.ifftn(np.fft.fftn(a)))
+        assert not view.base[..., -1].any()
+
+    def test_one_dimension_keeps_the_plain_array(self, grid1d):
+        raw = padded_zeros(grid1d)
+        assert raw.flags.c_contiguous and raw.shape == grid1d.shape and not raw.any()
+
+    def test_pads_stay_zero_through_advance_and_record(self):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "reference_2d.json")
+        cfg = dataclasses.replace(cfg, epsilons=(cfg.epsilons[0],))
+        run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
+        pads = run.raw.base[..., cfg.grid.points:]
+        assert pads.shape == (cfg.grid.points, 1) and not pads.any()
+        t = cfg.sample_times[0]
+        khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
+        assert harness._advance(cfg, khat_half, 0.0, t, run) is None
+        assert run.raw.base is pads.base and not pads.any()
+        harness._record(cfg, snapshot(cfg.family, t, cfg.kernel), threading.local(), run)
+        assert len(run.records) == 1 and not pads.any()
 
 
 class TestPicard:
