@@ -184,13 +184,14 @@ def unit_phase(theta, out=None) -> np.ndarray:
     return out
 
 
-def padded_zeros(grid: Grid, dtype=np.complex128) -> np.ndarray:
-    """A zeroed array of the grid's shape; for d >= 2 the [..., :N] view of
-    a (*shape[:-1], N + 1) buffer, its `base`, whose pads stay zero unless
-    written through the buffer.  In 1D a plain array."""
+def padded_zeros(grid: Grid) -> np.ndarray:
+    """A zeroed complex array of the grid's shape; for d >= 2 the [..., :N]
+    view of a (*shape[:-1], N + 1) buffer, its `base`, whose pads stay zero
+    unless written through the buffer.  In 1D a plain array."""
     if grid.d == 1:
-        return np.zeros(grid.shape, dtype)
-    return np.zeros((*grid.shape[:-1], grid.points + 1), dtype)[..., :grid.points]
+        return np.zeros(grid.shape, dtype=np.complex128)
+    padded = np.zeros((*grid.shape[:-1], grid.points + 1), dtype=np.complex128)
+    return padded[..., :grid.points]
 
 
 def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarray:

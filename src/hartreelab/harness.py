@@ -15,10 +15,11 @@ raw spectrum (row-padded in 2D and 3D, see `solver`) and t = 0 scalars.
 At each t every eps is advanced, one WKB snapshot (with its eps-free
 terms (1/2) Lap a_j and ||a(t)||_E) is built, each eps assembles one
 u_app for its error and remainder, and the snapshot is dropped before
-the next advance.  The t = 0 snapshot holds the amplitudes alone:
-a_j(0) = alpha_j exactly (a zero shift and a zero phase move nothing),
-and `_start` reads nothing else.  `--threads N` maps each time's per-eps
-advances and records over N threads.
+the next advance.  The t = 0 snapshot holds the amplitudes alone
+(`wkb._amplitudes`, no transform at t = 0), all that `_start` reads: their
+u_app must reproduce the initial data exactly (`initial_exactness`).
+`--threads N` maps each time's per-eps advances and records over N
+threads.
 
 A record works in two complex field buffers, U and A, passed as the
 `out=`/`scratch=` of the public `wkb` record terms: u_app goes into U;
@@ -70,6 +71,7 @@ from .solver import DivergenceError, SolverParams, advance, evolve
 from .solver import picard_evolve
 from .wkb import (
     WkbSnapshot,
+    _amplitudes,
     ansatz_residual,
     assemble,
     check_resolution,
@@ -235,8 +237,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     failures, e_norms = {}, {}
     with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
         each = pool.map if pool else map
-        # a_j(0) = alpha_j exactly, all that `_start` reads: no eps-free terms
-        snap = WkbSnapshot(0.0, tuple(m.alpha for m in cfg.family.modes), None, None)
+        # `_start` reads the amplitudes alone, so the eps-free terms are not built
+        snap = WkbSnapshot(0.0, _amplitudes(cfg.family, 0.0, cfg.kernel), None, None)
         runs = list(each(functools.partial(_start, cfg, snap), cfg.epsilons))
         init_errs = {run.eps: run.init_err for run in runs}  # failed eps count too
         t_prev = 0.0

@@ -180,6 +180,24 @@ def _slices(a: np.ndarray) -> list:
     return [flat[lo:lo + CHUNK] for lo in range(0, flat.size, CHUNK)]
 
 
+def _backing(raw: np.ndarray, grid) -> np.ndarray:
+    """The C-contiguous buffer the stages of `advance` slice: raw itself, or
+    the row-padded buffer of which raw is the [..., :N] view
+    (`grid.padded_zeros`).  Any other layout is refused, since the stages
+    write the whole buffer."""
+    if raw.flags.c_contiguous:
+        return raw
+    base, n = raw.base, grid.points
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and base.dtype == raw.dtype and raw.shape == grid.shape
+            and base.shape == (*grid.shape[:-1], n + 1)
+            and raw.strides == base.strides
+            and raw.ctypes.data == base.ctypes.data):
+        raise ValueError("raw must be C-contiguous or the [..., :N] view of a "
+                         "row-padded buffer (grid.padded_zeros)")
+    return base
+
+
 def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: float,
             norm0: float) -> tuple:
     """Strang steps carrying the raw spectrum `raw` from t_prev to t_next.
@@ -187,8 +205,9 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     The gap is cut into the fewest equal steps no longer than the
     requested dt, so t_next is hit exactly; khat_half is
     `kernel.half_multiplier(spec, grid, lambda)`.  `raw`, C-contiguous or
-    a `grid.padded_zeros` view with zero pads, is transformed in place;
-    returns the spectrum at t_next and its L2 norm.
+    a `grid.padded_zeros` view with zero pads (any other layout raises
+    ValueError), is transformed in place; returns the spectrum at t_next
+    and its L2 norm.
     The run is aborted once the combined norm exceeds 4 norm0, norm0
     being its value at t = 0: the stability ball of the local existence
     argument.
@@ -204,7 +223,7 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     gap = t_next - t_prev
     n_steps = max(1, math.ceil(gap / dt_request - 1e-12))
     dt = gap / n_steps
-    full = raw if raw.flags.c_contiguous else raw.base  # with the pads
+    full = _backing(raw, grid)  # with the pads
     real_full = np.zeros(full.shape)  # the kinetic angle; per step |u|^2, V, moduli
     real = real_full[..., :grid.points]
     np.multiply(grid.freq_norm_sq(), -0.25 * params.eps * dt, out=real)

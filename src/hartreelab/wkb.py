@@ -336,13 +336,13 @@ def action_phase_quadrature(
     return Field._adopt(g, -spec.coupling * total)
 
 
-def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
-    """Amplitudes at time t (modulus: pure translation) with eps-free terms.
+def _amplitudes(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
+    """a_j(t) = exp(i Theta_j(t)) alpha_j(. - t kappa_j), one Field per mode.
 
     The M `action_phase` calls share one set of density spectra (M real
     FFTs); each real phase goes straight into `unit_phase`, times one
-    `translate` array.  One forward transform per amplitude then serves its
-    graded norm and its half-Laplacian, which overwrites it (2 M FFTs).
+    `translate` array.  At t = 0 no transform runs: the shift and the
+    phase are zero, so a_j(0) = alpha_j exactly.
     """
     check_containment(family, t)
     spectra = _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None
@@ -351,7 +351,17 @@ def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
         amp = unit_phase(action_phase(family, j, t, spec, spectra).values)
         amp *= translate(mode.alpha, t * mode.kappa).values
         amps.append(Field._adopt(family.grid, amp))
-    del spectra  # freed before the eps-free terms are built
+    return tuple(amps)
+
+
+def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
+    """Amplitudes at time t (modulus: pure translation) with eps-free terms.
+
+    The density spectra of `_amplitudes` are freed before the eps-free
+    terms are built.  One forward transform per amplitude then serves its
+    graded norm and its half-Laplacian, which overwrites it (2 M FFTs).
+    """
+    amps = _amplitudes(family, t, spec)
     halves, e_norm = [], 0.0
     for amp in amps:
         raw = np.fft.fftn(amp.values, out=np.empty(amp.values.shape, dtype=complex))

@@ -409,7 +409,7 @@ class TestLockstepSweep:
 
     def test_two_mode_sweep_makes_no_t0_term_transforms(self, small_config, fft_calls):
         # a t = 0 snapshot spends 2 M transforms on its eps-free terms; the
-        # sweep's t = 0 amplitudes are the alphas, so it makes 2 M fewer
+        # sweep builds the t = 0 amplitudes alone, so it makes 2 M fewer
         cfg = with_epsilons(small_config, (0.2, 0.1))
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 2
         assert len(cfg.family.modes) == n_modes and cfg.grid.d == 1
@@ -427,6 +427,22 @@ class TestLockstepSweep:
         assert len(result.records) == n_eps * n_times
         assert len(fft_calls) == with_t0_terms - 2 * n_modes
         assert result.checks["initial_exactness"].detail == "max t=0 error 0.000e+00"
+
+    def test_initial_exactness_reads_the_t0_amplitude_path(self, small_config,
+                                                           monkeypatch):
+        # the t = 0 amplitudes run the phase and the translation of every
+        # snapshot, so a phase that is not exactly 0 at t = 0 shows in the check
+        real = wkb.action_phase
+
+        def drifted(family, j, t, spec, spectra=None):
+            phase = real(family, j, t, spec, spectra)
+            return grid_module.Field(phase.grid, phase.values + 1e-9)
+
+        cfg = with_epsilons(small_config, (0.2, 0.1))
+        assert run_sweep(cfg).checks["initial_exactness"].passed
+        monkeypatch.setattr(wkb, "action_phase", drifted)
+        check = run_sweep(cfg).checks["initial_exactness"]
+        assert not check.passed and check.detail != "max t=0 error 0.000e+00"
 
     def test_transform_budget(self, fft_calls, monkeypatch):
         # per snapshot at a sample time: one forward/inverse pair per

@@ -503,9 +503,10 @@ class TestChunkedStages:
         grid, spec, u0 = chunked_case(2, 256, coupling=1.0)
         params = SolverParams(eps=0.1, dt=0.01, final_time=0.02)
         khat_half = half_multiplier(spec, grid, spec.coupling)
-        raw = np.fft.fftn(u0.values)
+        raw = np.fft.fftn(u0.values, out=padded_zeros(grid))  # as a sweep holds it
         norm0 = sum(_norms_from_raw_fft(raw, grid))
-        advance(raw.copy(), grid, khat_half, params, 0.0, 0.02, norm0)  # warm
+        warm = np.fft.fftn(u0.values, out=padded_zeros(grid))
+        advance(warm, grid, khat_half, params, 0.0, 0.02, norm0)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -537,6 +538,33 @@ class TestPaddedLayout:
     def test_one_dimension_keeps_the_plain_array(self, grid1d):
         raw = padded_zeros(grid1d)
         assert raw.flags.c_contiguous and raw.shape == grid1d.shape and not raw.any()
+
+    @pytest.mark.parametrize("d, points", [(2, 128), (3, 32)])
+    def test_contiguous_and_padded_states_step_bitwise_alike(self, d, points):
+        grid, spec, u0 = chunked_case(d, points, coupling=1.0)
+        params = SolverParams(eps=0.1, dt=0.01, final_time=0.1)
+        khat_half = half_multiplier(spec, grid, spec.coupling)
+        plain = np.fft.fftn(u0.values)
+        padded = np.fft.fftn(u0.values, out=padded_zeros(grid))
+        norm0 = sum(_norms_from_raw_fft(plain, grid))
+        got = advance(padded, grid, khat_half, params, 0.0, 0.035, norm0)
+        want = advance(plain, grid, khat_half, params, 0.0, 0.035, norm0)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert not padded.base[..., points:].any()
+
+    @pytest.mark.parametrize("layout", ["column_slice", "transposed", "short_pad"])
+    def test_advance_refuses_other_strided_layouts(self, layout):
+        grid, spec, u0 = chunked_case(2, 128, coupling=1.0)
+        n = grid.points
+        wide = np.ones((n, n + (2 if layout == "short_pad" else 8)), dtype=complex)
+        raw = {"column_slice": wide[:, 4:4 + n], "short_pad": wide[:, :n],
+               "transposed": np.fft.fftn(u0.values).T}[layout]
+        before = wide.copy()
+        params = SolverParams(eps=0.1, dt=0.01, final_time=0.1)
+        khat_half = half_multiplier(spec, grid, spec.coupling)
+        with pytest.raises(ValueError, match="row-padded"):
+            advance(raw, grid, khat_half, params, 0.0, 0.01, 1.0)
+        assert np.array_equal(wide, before)
 
     def test_pads_stay_zero_through_advance_and_record(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
