@@ -4,10 +4,7 @@ from .grid import (
     Field,
     GaussianProfile,
     Grid,
-    SpectralField,
     TableProfile,
-    forward_transform,
-    inverse_transform,
     laplacian,
     sample_profile,
     spectral_derivative,
@@ -15,7 +12,6 @@ from .grid import (
 )
 from .kernel import (
     KernelSpec,
-    convolve_direct,
     hartree_constant,
     hartree_constant_oracle,
     split_norms,
@@ -23,13 +19,10 @@ from .kernel import (
 )
 from .norms import (
     BoundReport,
-    NormReport,
     YNormSpec,
     l1_norm,
     l2_norm,
     l2w_norm,
-    norm_report,
-    spectral_l2_norm,
     wiener_norm,
 )
 from .solver import (
@@ -53,7 +46,6 @@ from .wkb import (
     action_phase_quadrature,
     ansatz_residual,
     assemble,
-    eikonal_phase,
     initial_data,
     resonant_remainder,
     snapshot,

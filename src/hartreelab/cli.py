@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .harness import _fmt, persist, run_sweep, validate_suite
-from .norms import norm_report
+from .norms import l2_norm, wiener_norm
 from .solver import DivergenceError, PicardConvergenceError, SolverParams, evolve
 from .wkb import ContainmentError, ResolutionError, initial_data
 
@@ -72,8 +72,8 @@ def cmd_simulate(cfg) -> int:
     lines = ["t,l2,wiener,l2w,mass_drift"]
     mass0 = traj.mass_log[0]
     for t, state, mass in zip(traj.times, traj.states, traj.mass_log):
-        rep = norm_report(state)
-        row = (t, rep.l2, rep.wiener, rep.l2w, abs(mass - mass0) / mass0)
+        l2, w = l2_norm(state), wiener_norm(state)
+        row = (t, l2, w, l2 + w, abs(mass - mass0) / mass0)
         lines.append(",".join(_fmt(v) for v in row))
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
     print(f"trajectory written to {out / 'trajectory.csv'}")

@@ -27,10 +27,12 @@ outside the schema are ignored.  `SweepConfig.to_json_dict` echoes a
 configuration in this schema, table values included, so `parse_config`
 reloads an echo to the same configuration.
 
-Every cross-field rule (resolution, containment, mode separation) is
-checked at load time so a bad configuration fails before any compute,
-with the violated rule named in the message.  Each rule is checked once,
-by the object that owns it; `parse_config` checks only the JSON types.
+Every cross-field rule (resolution, containment, mode separation, the
+range of each amplitude's peak modulus) is checked at load time so a
+bad configuration fails before any compute, with the violated rule named
+in the message.  Each rule is checked once, by the object that owns it
+(`dt_factor` by `solver.SolverParams`, for every eps); `parse_config`
+checks only the JSON types.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ from pathlib import Path
 
 from .grid import GaussianProfile, Grid, TableProfile
 from .kernel import KernelSpec
-from .solver import DT_FACTOR, MAX_DT_FACTOR
+from .solver import DT_FACTOR, SolverParams
 from .wkb import ModeFamily, check_containment, check_resolution
+
+AMPLITUDE_RANGE = (1e-100, 1e100)  # the cube of a peak stays a normal float64
 
 
 class ConfigError(ValueError):
@@ -79,8 +83,6 @@ class SweepConfig:
             raise ValueError("sample times must be nonempty and lie in (0, final_time]")
         if any(b <= a for a, b in zip(samples, samples[1:])):
             raise ValueError("sample times must be strictly increasing")
-        if not 0 < self.dt_factor <= MAX_DT_FACTOR:
-            raise ValueError(f"dt_factor must lie in (0, {MAX_DT_FACTOR}]")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.seed < 0:
@@ -89,7 +91,16 @@ class SweepConfig:
             raise ValueError("mode family grid differs from the sweep grid")
         if self.kernel.d != self.grid.d:
             raise ValueError("kernel dimension differs from the grid dimension")
+        lo, hi = AMPLITUDE_RANGE
+        for m in self.family.modes:
+            # the remainder and its constant's denominator scale like the
+            # cube of the peak, and a zero peak leaves no rate to fit
+            peak = float(abs(m.alpha.values).max())
+            if not lo <= peak <= hi:
+                raise ValueError(f"an initial amplitude peaks at {peak:.3g}, outside "
+                                 f"[{lo:g}, {hi:g}] (amplitude range rule)")
         for e in eps:
+            SolverParams.largest_step(e, self.final_time, self.dt_factor)
             check_resolution(self.family, e)
             if len(self.family.modes) > 1:
                 check_resolution(self.family, e, for_remainder=True)
@@ -178,11 +189,8 @@ def _vector(obj: dict, key: str, d: int) -> list:
 def _parse_profile(profile: dict, d: int):
     kind = profile.get("type")
     if kind == "gaussian":
-        amplitude = _number(profile, "amplitude")
-        if amplitude == 0:
-            # a zero mode leaves no resonant remainder to fit a rate to
-            raise ConfigError("gaussian amplitude must be nonzero")
-        return GaussianProfile(amplitude=amplitude, center=_vector(profile, "center", d),
+        return GaussianProfile(amplitude=_number(profile, "amplitude"),
+                               center=_vector(profile, "center", d),
                                width=_number(profile, "width"))
     if kind == "table":
         return TableProfile(values=_number_list(profile, "values"))

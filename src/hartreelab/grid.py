@@ -5,10 +5,16 @@ Everything downstream uses the continuum normalization
     fhat(xi) = (2*pi)**(-d/2) * integral f(x) exp(-i x.xi) dx,
 
 realized as a Riemann sum on the box [-L/2, L/2)**d with N samples per
-axis and the dual lattice xi_k = 2*pi*k/L, k in [-N/2, N/2).  Discrete
-transforms of fields that decay inside the box are then direct
-approximations of their continuum counterparts, so norms and multiplier
-operators need no rescaling anywhere else.
+axis and the dual lattice xi_k = 2*pi*k/L, k in [-N/2, N/2):
+
+    fhat(xi_k) ~ (2*pi)**(-d/2) * dx**d * (-1)**(k1+...+kd) * fftn(f)[k],
+
+the sign carrying the box offset -L/2.  For fields that decay inside the
+box this approximates the continuum transform.  The package transforms
+with raw `numpy.fft` and applies the convention where a number depends
+on it: `norms._wiener_from_modulus` scales raw moduli (the signs have
+modulus one and drop out), and `kernel.half_multiplier` carries the
+(2*pi)**(d/2) of the convolution theorem.
 
 The Nyquist row (k = -N/2) is kept in the lattice but its frequency is
 zeroed inside derivative and modulation multipliers; this removes the
@@ -119,13 +125,9 @@ class Grid:
         """Broadcastable coordinate arrays, one per axis."""
         return self._on_axes(self.axis_coords())
 
-    def _axis_indices(self) -> np.ndarray:
-        """Lattice indices k in FFT order, k in [-N/2, N/2)."""
-        return np.rint(np.fft.fftfreq(self.points) * self.points).astype(int)
-
     def axis_freqs(self, zero_nyquist: bool = False) -> np.ndarray:
         """Dual lattice 2*pi*k/L in FFT order, k in [-N/2, N/2)."""
-        k = self._axis_indices()
+        k = np.rint(np.fft.fftfreq(self.points) * self.points).astype(int)
         xi = TWO_PI * k / self.length
         if zero_nyquist:
             xi[k == -self.points // 2] = 0.0
@@ -139,11 +141,6 @@ class Grid:
         """|xi|**2 on the full lattice (Nyquist kept; even multiplier)."""
         meshes = self.freq_meshes(zero_nyquist=False)
         return reduce(np.add, (m**2 for m in meshes))
-
-    def alternating_signs(self) -> np.ndarray:
-        """(-1)**(k1+...+kd): the phase factor carrying the box offset -L/2."""
-        s = np.where(self._axis_indices() % 2 == 0, 1.0, -1.0)
-        return reduce(np.multiply, self._on_axes(s))
 
 
 def unit_phase(theta, out=None) -> np.ndarray:
@@ -269,38 +266,6 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Complex coefficients on the dual lattice, FFT ordering."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coefficients",
-            _validated_samples(self.grid, np.asarray(self.coefficients, complex),
-                               "spectral field"),
-        )
-
-
-def forward_transform(f: Field) -> SpectralField:
-    """Discrete realization of fhat(xi_k) under the unitary convention."""
-    g = f.grid
-    scale = (TWO_PI) ** (-g.d / 2) * g.dx**g.d
-    coef = scale * g.alternating_signs() * np.fft.fftn(f.values)
-    return SpectralField(g, coef)
-
-
-def inverse_transform(F: SpectralField) -> Field:
-    """Inverse of forward_transform; the pair round-trips to rounding."""
-    g = F.grid
-    scale = (TWO_PI) ** (g.d / 2) / g.dx**g.d
-    vals = scale * np.fft.ifftn(F.coefficients * g.alternating_signs())
-    return Field._adopt(g, vals)
-
-
 def _multiindex(grid: Grid, eta) -> tuple:
     if np.isscalar(eta):
         if grid.d != 1:
@@ -422,8 +387,8 @@ def profile_support_radius(grid: Grid, f: Field, threshold: float = 1e-12) -> fl
 
 def profile_bandwidth(grid: Grid, f: Field, threshold: float = 1e-12) -> float:
     """Empirical spectral radius max|xi| where |fhat| > threshold*max."""
-    coef = np.abs(forward_transform(f).coefficients)
-    return _extent(grid, coef, threshold, f.grid.freq_meshes())
+    mag = np.abs(np.fft.fftn(f.values))  # |fhat| up to a constant factor
+    return _extent(grid, mag, threshold, f.grid.freq_meshes())
 
 
 def _extent(grid: Grid, mag: np.ndarray, threshold: float, axes) -> float:

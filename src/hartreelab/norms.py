@@ -2,7 +2,9 @@
 
 All norms are Riemann sums under the transform convention fixed in
 `grid`, so they converge to their continuum counterparts as the box and
-resolution grow.  The combined norm is the sum
+resolution grow.  They read raw `numpy.fft` spectra: `_wiener_from_modulus`
+applies the convention's scale to their moduli, and an L2 norm taken
+from a spectrum follows Parseval.  The combined norm is the sum
 
     ||f||_{L2 cap W} = ||f||_{L2} + ||f||_W,
 
@@ -25,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .grid import TWO_PI, Field, SpectralField
+from .grid import TWO_PI, Field
 from .kernel import KernelSpec, multiplier_grid, split_norms
 
 
@@ -49,17 +51,6 @@ class YNormSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", derivative_order(self.d, self.gamma))
-
-
-@dataclass(frozen=True)
-class NormReport:
-    l2: float
-    wiener: float
-    l2w: float
-
-    def __post_init__(self):
-        if any(v < 0 for v in (self.l2, self.wiener, self.l2w)):
-            raise ValueError("norms must be nonnegative")
 
 
 def _l2(values: np.ndarray, grid) -> float:
@@ -89,17 +80,6 @@ def wiener_norm(f: Field) -> float:
 
 def l2w_norm(f: Field) -> float:
     return l2_norm(f) + wiener_norm(f)
-
-
-def spectral_l2_norm(F: SpectralField) -> float:
-    g = F.grid
-    return float(np.sqrt(g.dxi**g.d * np.sum(np.abs(F.coefficients) ** 2)))
-
-
-def norm_report(f: Field) -> NormReport:
-    l2 = l2_norm(f)
-    w = wiener_norm(f)
-    return NormReport(l2=l2, wiener=w, l2w=l2 + w)
 
 
 def multi_indices(d: int, max_order: int) -> list:

@@ -118,14 +118,14 @@ class SolverParams:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.dt_factor <= MAX_DT_FACTOR:
+            raise ValueError(
+                f"dt_factor must lie in (0, {MAX_DT_FACTOR}], got {self.dt_factor}"
+            )
         if not 0 < self.dt <= self.final_time:
             raise ValueError(
                 f"dt must satisfy 0 < dt <= final_time, got dt={self.dt}, "
                 f"T={self.final_time}"
-            )
-        if not 0 < self.dt_factor <= MAX_DT_FACTOR:
-            raise ValueError(
-                f"dt_factor must lie in (0, {MAX_DT_FACTOR}], got {self.dt_factor}"
             )
         if self.dt > self.dt_factor * self.eps * (1 + 1e-12):
             raise ValueError(

@@ -3,9 +3,11 @@
 `baseline.json` holds, for `configs/reference_1d.json` and
 `configs/reference_2d.json`, every sweep record as (eps, t, err_l2,
 err_w, r_norm, z2_norm, mass_drift) at 17 significant digits and the
-fitted rate, and the seven detail lines `hartreelab validate` prints
-for the 1D configuration at seed 0.  `tests/test_acceptance.py` compares
-its module fixtures against them.  A change that moves a number on
+fitted rate, the seven detail lines `hartreelab validate` prints for
+the 1D configuration at seed 0, and the `trajectory.csv` lines
+`hartreelab simulate` writes for the 1D configuration cut to eps = 0.2.
+`tests/test_acceptance.py` compares its module fixtures and a simulate
+run against them.  A change that moves a number on
 purpose rewrites the file in the same commit, from the repository root:
 
     PYTHONPATH=src python tests/baseline.py
@@ -13,6 +15,7 @@ purpose rewrites the file in the same commit, from the repository root:
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,11 +33,29 @@ def validate_lines(checks) -> list:
             for name, c in sorted(checks.items())]
 
 
+def simulate_lines(workdir) -> list:
+    """The trajectory.csv lines of `hartreelab simulate` on
+    configs/reference_1d.json with epsilons [0.2], run under `workdir`."""
+    from hartreelab.cli import main
+
+    doc = json.loads((ROOT / "configs" / "reference_1d.json").read_text())
+    doc.update(epsilons=[0.2], output=str(Path(workdir) / "out"))
+    path = Path(workdir) / "simulate.json"
+    path.write_text(json.dumps(doc))
+    if main(["simulate", "--config", str(path)]) != 0:
+        raise RuntimeError("simulate failed on the reference configuration")
+    return (Path(workdir) / "out" / "trajectory.csv").read_text().splitlines()
+
+
 def _number(x: float) -> str:
     return format(x, ".17g")
 
 
-def render(sweeps: dict, lines: list) -> str:
+def _string_list(key: str, lines: list) -> list:
+    return [f' "{key}": [', ",\n".join("  " + json.dumps(line) for line in lines)]
+
+
+def render(sweeps: dict, lines: list, trajectory: list) -> str:
     """The baseline file (JSON): `sweeps` maps a name to its SweepResult."""
     out = ['{"record_fields": ' + json.dumps(RECORD_FIELDS) + ',', ' "sweeps": {']
     for i, (name, result) in enumerate(sweeps.items()):
@@ -42,8 +63,8 @@ def render(sweeps: dict, lines: list) -> str:
                           for row in record_rows(result))
         out += [f'  "{name}": {{"beta_fitted": {_number(result.beta_fitted)}, "records": [',
                 rows, "  ]}" + ("," if i < len(sweeps) - 1 else "")]
-    out += [' },', ' "validate_reference_1d_seed_0": [',
-            ",\n".join("  " + json.dumps(line) for line in lines), " ]", "}"]
+    out += [" },", *_string_list("validate_reference_1d_seed_0", lines), " ],",
+            *_string_list("simulate_reference_1d_eps_0.2", trajectory), " ]", "}"]
     return "\n".join(out) + "\n"
 
 
@@ -53,7 +74,9 @@ def main() -> int:
     sweeps = {name: run_sweep(load_config(ROOT / "configs" / f"{name}.json"))
               for name in ("reference_1d", "reference_2d")}
     checks = validate_suite(load_config(ROOT / "configs" / "reference_1d.json"), seed=0)
-    PATH.write_text(render(sweeps, validate_lines(checks)))
+    with tempfile.TemporaryDirectory() as workdir:
+        trajectory = simulate_lines(workdir)
+    PATH.write_text(render(sweeps, validate_lines(checks), trajectory))
     print(f"wrote {PATH}")
     return 0
 

@@ -54,6 +54,14 @@ def band_mask(grid, cutoff):
     return mask
 
 
+def from_unitary(grid, coef):
+    """The Field whose unitary coefficients (the convention of `hartreelab.grid`)
+    are coef: (2 pi)^{d/2} dx^-d ifftn(coef (-1)^{k1+...+kd})."""
+    signs = np.where(np.indices(grid.shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
+    scale = (2 * np.pi) ** (grid.d / 2) / grid.dx**grid.d
+    return Field(grid, scale * np.fft.ifftn(coef * signs))
+
+
 def plane_wave(grid, k0):
     phase = np.zeros(grid.shape)
     k0 = np.atleast_1d(np.asarray(k0, dtype=float))

@@ -268,9 +268,10 @@ def test_criterion_8_wkb_internal_consistency(config_1d):
     )
 
 
-def test_baseline_numbers_pinned(result_1d, result_2d, suite_1d):
+def test_baseline_numbers_pinned(result_1d, result_2d, suite_1d, tmp_path):
     # every record to 1e-12 relative (mass drift, at rounding level, to
-    # 1e-13 absolute), beta_fitted to 1e-9, the validate lines verbatim
+    # 1e-13 absolute), beta_fitted to 1e-9, the validate lines and the
+    # simulate trajectory lines verbatim
     pinned = json.loads(baseline.PATH.read_text())
     for name, result in (("reference_1d", result_1d), ("reference_2d", result_2d)):
         want = pinned["sweeps"][name]
@@ -281,5 +282,6 @@ def test_baseline_numbers_pinned(result_1d, result_2d, suite_1d):
             assert got == pytest.approx(ref, rel=1e-12, abs=0), (name, got[:2])
             assert abs(drift - ref_drift) <= 1e-13, (name, got[:2])
     assert baseline.validate_lines(suite_1d) == pinned["validate_reference_1d_seed_0"]
-    print("\nBASELINE: PASS  records, beta_fitted and validate lines match "
-          "tests/baseline.json")
+    assert baseline.simulate_lines(tmp_path) == pinned["simulate_reference_1d_eps_0.2"]
+    print("\nBASELINE: PASS  records, beta_fitted, validate and simulate lines "
+          "match tests/baseline.json")

@@ -234,7 +234,7 @@ class TestSweep:
         code = main(["sweep", "--config", write_config(tmp_path, doc)])
         assert code == 2
 
-    @pytest.mark.parametrize("dt_factor", [0.5, "abc"])
+    @pytest.mark.parametrize("dt_factor", [0.5, "abc", -0.1])
     def test_bad_dt_factor_exits_2(self, tmp_path, capsys, dt_factor):
         doc = base_config(tmp_path, dt_factor=dt_factor)
         code = main(["sweep", "--config", write_config(tmp_path, doc)])
@@ -426,6 +426,56 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and message in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def reference_1d(tmp_path, amplitude, **overrides):
+    """configs/reference_1d.json with every gaussian amplitude replaced."""
+    doc = json.loads((ROOT / "configs" / "reference_1d.json").read_text())
+    doc.update(output=str(tmp_path / "out"), **overrides)
+    for mode in doc["modes"]:
+        mode["profile"]["amplitude"] = amplitude
+    return doc
+
+
+def fine_single_mode(tmp_path, profile):
+    """A single mode on a 2048-point, L = 32 variant of reference_1d."""
+    doc = reference_1d(tmp_path, 1.0, points=2048, box_length=32.0)
+    doc["modes"] = [{"kappa": [2.0], "profile": profile}]
+    return doc
+
+
+AMPLITUDE_INPUTS = {
+    # the remainder constant's denominator ||a||_E^3 underflows to 0
+    "tiny_1e-110": lambda tmp: reference_1d(tmp, 1e-110),
+    # the mass underflows to 0
+    "tiny_1e-200_one_eps": lambda tmp: reference_1d(tmp, 1e-200, epsilons=[0.2]),
+    "zero_table": lambda tmp: fine_single_mode(
+        tmp, {"type": "table", "values": [0.0] * 2048}),
+    # the t = 0 L2 sum overflows
+    "huge_1e154": lambda tmp: fine_single_mode(
+        tmp, {"type": "gaussian", "amplitude": 1e154, "center": [0.0], "width": 1.0}),
+}
+
+
+class TestAmplitudeRange:
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "validate"])
+    @pytest.mark.parametrize("name", list(AMPLITUDE_INPUTS))
+    def test_out_of_range_amplitude_exits_2(self, tmp_path, capsys, command, name):
+        doc = AMPLITUDE_INPUTS[name](tmp_path)
+        if command == "simulate":
+            doc["epsilons"] = doc["epsilons"][:1]
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "amplitude range rule" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "validate"])
+    def test_small_amplitude_runs(self, tmp_path, capsys, command):
+        doc = reference_1d(tmp_path, 1e-60)
+        if command == "simulate":
+            doc["epsilons"] = doc["epsilons"][:1]
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestRuntimeErrors:

@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
-from scipy import integrate
 
 from hartreelab import (
     Field,
     GaussianProfile,
     Grid,
-    SpectralField,
     TableProfile,
-    forward_transform,
-    inverse_transform,
     l2_norm,
     sample_profile,
-    spectral_l2_norm,
     spectral_derivative,
     translate,
 )
 from hartreelab.grid import CHUNK, plane_wave as separable_wave, unit_phase
+from hartreelab.norms import _norms_from_raw_fft
 
-from conftest import lattice_wavenumber, plane_wave
+from conftest import from_unitary, lattice_wavenumber, plane_wave
 
 
 class TestGridConstruction:
@@ -87,75 +83,14 @@ class TestFieldValidation:
             big * 10.0
 
 
-class TestForwardTransform:
-    def test_zero_maps_to_zero(self, grid1d):
-        F = forward_transform(Field(grid1d, np.zeros(grid1d.shape)))
-        assert np.all(F.coefficients == 0)
-
-    def test_gaussian_self_transform(self, grid1d):
-        # Box is wide enough that boundary values are < 1e-14, so the
-        # discrete coefficients sample exp(-xi^2/2) itself.
-        x = grid1d.axis_coords()
-        assert np.exp(-((grid1d.length / 2) ** 2) / 2) < 1e-14
-        F = forward_transform(Field(grid1d, np.exp(-x**2 / 2)))
-        xi = grid1d.axis_freqs()
-        assert np.max(np.abs(F.coefficients - np.exp(-xi**2 / 2))) < 1e-10
-
-    def test_gaussian_against_quadrature_oracle(self, grid1d):
-        x = grid1d.axis_coords()
-        F = forward_transform(Field(grid1d, np.exp(-x**2 / 2)))
-        xi = grid1d.axis_freqs()
-        for idx in (1, 5, 17):
-            oracle_re, _ = integrate.quad(
-                lambda s: np.exp(-s * s / 2) * np.cos(s * xi[idx]) / np.sqrt(2 * np.pi),
-                -np.inf,
-                np.inf,
-            )
-            assert abs(F.coefficients[idx].real - oracle_re) < 1e-10
-            assert abs(F.coefficients[idx].imag) < 1e-12
-
-    def test_plane_wave_single_coefficient(self, grid1d):
-        k0 = lattice_wavenumber(grid1d, 12)
-        F = forward_transform(plane_wave(grid1d, k0))
-        coef = F.coefficients.copy()
-        xi = grid1d.axis_freqs()
-        peak = np.argmax(np.abs(coef))
-        assert xi[peak] == pytest.approx(k0)
-        expected = grid1d.length / np.sqrt(2 * np.pi)
-        assert coef[peak] == pytest.approx(expected, rel=1e-12)
-        coef[peak] = 0.0
-        assert np.max(np.abs(coef)) < 1e-12 * expected
-
-
-class TestInverseTransform:
-    def test_zero(self, grid1d):
-        f = inverse_transform(SpectralField(grid1d, np.zeros(grid1d.shape)))
-        assert np.all(f.values == 0)
-
-    def test_round_trip_random_band_limited(self, grid1d):
-        rng = np.random.default_rng(7)
-        k = np.rint(np.fft.fftfreq(grid1d.points) * grid1d.points).astype(int)
-        coef = (rng.standard_normal(grid1d.shape)
-                + 1j * rng.standard_normal(grid1d.shape)) * (np.abs(k) <= 40)
-        f = inverse_transform(SpectralField(grid1d, coef))
-        back = forward_transform(f)
-        scale = np.max(np.abs(coef))
-        assert np.max(np.abs(back.coefficients - coef)) < 1e-12 * scale
-
-    def test_single_coefficient_gives_plane_wave(self, grid1d):
-        coef = np.zeros(grid1d.shape, dtype=complex)
-        idx = 9
-        coef[idx] = grid1d.length / np.sqrt(2 * np.pi)
-        f = inverse_transform(SpectralField(grid1d, coef))
-        expected = plane_wave(grid1d, grid1d.axis_freqs()[idx])
-        assert np.max(np.abs(f.values - expected.values)) < 1e-12
-
+class TestParseval:
     def test_parseval(self, grid1d):
+        # the production Parseval route: the L2 norm from raw FFT moduli
         rng = np.random.default_rng(3)
         f = Field(grid1d, rng.standard_normal(grid1d.shape)
                   + 1j * rng.standard_normal(grid1d.shape))
         phys = l2_norm(f) ** 2
-        freq = spectral_l2_norm(forward_transform(f)) ** 2
+        freq = _norms_from_raw_fft(np.fft.fftn(f.values), grid1d)[0] ** 2
         assert abs(phys - freq) < 1e-10 * phys
 
 
@@ -212,7 +147,7 @@ class TestTranslate:
         k = np.rint(np.fft.fftfreq(grid1d.points) * grid1d.points).astype(int)
         coef = (rng.standard_normal(grid1d.shape)
                 + 1j * rng.standard_normal(grid1d.shape)) * (np.abs(k) <= 30)
-        f = inverse_transform(SpectralField(grid1d, coef))
+        f = from_unitary(grid1d, coef)
         once = translate(f, 0.7 + 1.1)
         twice = translate(translate(f, 0.7), 1.1)
         assert np.max(np.abs(once.values - twice.values)) < 1e-12 * np.max(
@@ -272,28 +207,6 @@ class TestSampleProfile:
     def test_rejects_table_length_mismatch(self, grid1d):
         with pytest.raises(ValueError, match="table length"):
             sample_profile(grid1d, TableProfile(values=np.ones(100)))
-
-
-class TestRoundTrip2D:
-    def test_round_trip(self):
-        grid = Grid(d=2, length=8.0, points=32)
-        rng = np.random.default_rng(11)
-        f = Field(grid, rng.standard_normal(grid.shape)
-                  + 1j * rng.standard_normal(grid.shape))
-        back = inverse_transform(forward_transform(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(
-            np.abs(f.values)
-        )
-
-    def test_round_trip_3d(self):
-        grid = Grid(d=3, length=4.0, points=16)
-        rng = np.random.default_rng(13)
-        f = Field(grid, rng.standard_normal(grid.shape)
-                  + 1j * rng.standard_normal(grid.shape))
-        back = inverse_transform(forward_transform(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(
-            np.abs(f.values)
-        )
 
 
 class TestUnitPhase:

@@ -32,7 +32,7 @@ from hartreelab.harness import (
     _sweep_checks,
 )
 from hartreelab.kernel import half_multiplier
-from hartreelab.norms import l2w_norm, norm_report, wiener_norm
+from hartreelab.norms import l2_norm, l2w_norm, wiener_norm
 from hartreelab.solver import DivergenceError, SolverParams, evolve
 from hartreelab.wkb import (
     assemble,
@@ -94,14 +94,15 @@ def per_eps_reference(cfg):
         for idx, t in enumerate(cfg.sample_times):
             snap = snapshot(cfg.family, t, cfg.kernel)
             u_app = assemble(cfg.family, snap, eps)
-            rep = norm_report(traj.state_at(t) - Field(cfg.grid, u_app))
+            err = traj.state_at(t) - Field(cfg.grid, u_app)
+            err_l2, err_w = l2_norm(err), wiener_norm(err)
             recs.append(
                 SweepRecord(
                     eps=eps,
                     t=t,
-                    err_l2=rep.l2,
-                    err_w=rep.wiener,
-                    err_l2w=rep.l2w,
+                    err_l2=err_l2,
+                    err_w=err_w,
+                    err_l2w=err_l2 + err_w,
                     r_norm=l2w_norm(Field(cfg.grid, resonant_remainder(
                         cfg.family, snap, eps, cfg.kernel, u_app))),
                     z2_norm=l2w_norm(Field(cfg.grid, z2_term(cfg.family, snap, eps))),
@@ -162,23 +163,20 @@ class TestExpectedRate:
 
 
 class TestErrorReport:
-    # a record's error report is norm_report(u - u_app)
+    # a record's error is the L2 and Wiener norms of u - u_app
     def test_identical_fields(self, gaussian_field):
-        rep = norm_report(gaussian_field - gaussian_field)
-        assert rep.l2 == rep.wiener == rep.l2w == 0
+        err = gaussian_field - gaussian_field
+        assert l2_norm(err) == wiener_norm(err) == l2w_norm(err) == 0
 
     def test_zero_approximation(self, gaussian_field, grid1d):
-        zero = Field(grid1d, np.zeros(grid1d.shape))
-        rep = norm_report(gaussian_field - zero)
-        from hartreelab import l2_norm, wiener_norm
-
-        assert rep.l2 == pytest.approx(l2_norm(gaussian_field))
-        assert rep.wiener == pytest.approx(wiener_norm(gaussian_field))
+        err = gaussian_field - Field(grid1d, np.zeros(grid1d.shape))
+        assert l2_norm(err) == pytest.approx(l2_norm(gaussian_field))
+        assert wiener_norm(err) == pytest.approx(wiener_norm(gaussian_field))
 
     def test_grid_mismatch_rejected(self, gaussian_field):
         other = Grid(d=1, length=32.0, points=512)
         with pytest.raises(ValueError, match="grids"):
-            norm_report(gaussian_field - Field(other, np.zeros(other.shape)))
+            gaussian_field - Field(other, np.zeros(other.shape))
 
 
 class TestFitRate:
@@ -596,6 +594,21 @@ class TestValidateSuite:
         checks = validate_suite(small_config, algebra_pairs=50, hartree_pairs=25)
         for name, outcome in checks.items():
             assert outcome.passed, f"{name}: {outcome.detail}"
+
+    def test_builds_one_snapshot(self, small_config, monkeypatch):
+        # the transport and modulus checks read the amplitudes alone; only
+        # the ansatz identity needs a snapshot's eps-free terms
+        seen = []
+        real = wkb.snapshot
+
+        def counted(family, t, spec):
+            seen.append(t)
+            return real(family, t, spec)
+
+        monkeypatch.setattr(harness, "snapshot", counted)
+        monkeypatch.setattr(wkb, "snapshot", counted)
+        validate_suite(small_config, algebra_pairs=5, hartree_pairs=5)
+        assert seen == [small_config.sample_times[-1]]
 
     def test_kernel_fault_detected(self, small_config, monkeypatch):
         real = harness.hartree_constant

@@ -14,21 +14,15 @@ from hartreelab import (
     Field,
     Grid,
     KernelSpec,
-    convolve_direct,
     hartree_constant,
     hartree_constant_oracle,
     split_norms,
     zero_mode_value,
 )
-from hartreelab.kernel import (
-    _CELL_NODES,
-    _singular_cell_mass,
-    convolve,
-    half_multiplier,
-    multiplier_grid,
-)
+from hartreelab.kernel import convolve, half_multiplier, multiplier_grid
 
 from conftest import lattice_wavenumber, plane_wave
+from oracles import _CELL_NODES, _singular_cell_mass, convolve_direct
 
 
 class TestHartreeConstant:
@@ -303,6 +297,27 @@ def test_import_and_load_leave_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_loads_no_test_only_code():
+    # the oracles live under tests/, and the names only tests called are gone
+    src = str(Path(hartreelab.__file__).resolve().parents[1])
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import sys, hartreelab\n"
+        "from hartreelab import cli, config, grid, harness, kernel, norms, solver, wkb\n"
+        "mods = (hartreelab, cli, config, grid, harness, kernel, norms, solver, wkb)\n"
+        "gone = ('SpectralField', 'forward_transform', 'inverse_transform', "
+        "'spectral_l2_norm', 'NormReport', 'norm_report', 'eikonal_phase', "
+        "'convolve_direct')\n"
+        "print([n for m in mods for n in gone if hasattr(m, n)])\n"
+        f"print([n for n, m in sys.modules.items() if str(getattr(m, '__file__', None))"
+        f".startswith({str(tests)!r})])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tests)]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, cwd=tests.parent)
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
 def test_import_sweep_and_validate_load_no_scipy():
     # every transform runs on numpy.fft, so a run loads no scipy module;
     # a plain `scipy.fft` import alone costs more than a 1-D sweep
@@ -347,7 +362,8 @@ def test_validate_and_direct_oracle_leave_scipy_integrate_unloaded():
         "import sys\n"
         "import numpy as np\n"
         "import hartreelab\n"
-        "from hartreelab import Field, Grid, KernelSpec, convolve_direct\n"
+        "from hartreelab import Field, Grid, KernelSpec\n"
+        "from oracles import convolve_direct\n"
         f"cfg = hartreelab.load_config({str(root / 'configs' / 'reference_1d.json')!r})\n"
         "hartreelab.validate_suite(cfg, seed=0)\n"
         "grid = Grid(d=2, length=8.0, points=16)\n"
@@ -355,7 +371,9 @@ def test_validate_and_direct_oracle_leave_scipy_integrate_unloaded():
         "convolve_direct(KernelSpec(d=2, gamma=1.0), Field(grid, np.exp(-(xs**2 + ys**2))))\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    tests = str(Path(__file__).resolve().parent)  # where `oracles` lives
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, cwd=root)
     assert out.stdout.strip() == "False"

@@ -16,7 +16,6 @@ from hartreelab import (
     action_phase_quadrature,
     ansatz_residual,
     assemble,
-    eikonal_phase,
     initial_data,
     l2_norm,
     l2w_norm,
@@ -72,37 +71,6 @@ class TestModeFamily:
 
         with pytest.raises(ValueError, match="at least one"):
             ModeFamily(grid=grid, modes=(), nspec=YNormSpec(d=1, gamma=0.5))
-
-
-class TestEikonalPhase:
-    def test_zero_wavevector(self):
-        grid = Grid(d=1, length=32.0, points=256)
-        phi = eikonal_phase([0.0], 1.3, grid)
-        assert np.all(phi.values == 0)
-
-    def test_formula_point(self):
-        grid = Grid(d=1, length=32.0, points=256)
-        phi = eikonal_phase([2.0], 1.0, grid)
-        x = grid.axis_coords()
-        idx = np.argmin(np.abs(x - 0.5))
-        assert phi.values[idx].real == pytest.approx(0.5 * 2.0 - 0.5 * 4.0)
-
-    def test_phase_is_real(self):
-        grid = Grid(d=2, length=16.0, points=32)
-        assert eikonal_phase([2.0, -1.0], 0.3, grid).values.dtype == np.float64
-
-    def test_solves_eikonal_equation(self):
-        # dphi/dt + |grad phi|^2 / 2 = 0 with affine phases: closed form
-        grid = Grid(d=1, length=32.0, points=256)
-        kappa = 1.7
-        dphi_dt = -0.5 * kappa**2
-        residual = dphi_dt + 0.5 * kappa**2
-        assert abs(residual) < 1e-12
-        # and the sampled fields are consistent with that time slope
-        h = 1e-3
-        a = eikonal_phase([kappa], 1.0 + h, grid).values
-        b = eikonal_phase([kappa], 1.0 - h, grid).values
-        assert np.max(np.abs((a - b) / (2 * h) - dphi_dt)) < 1e-9
 
 
 class TestOscillationAverage:
