@@ -6,9 +6,12 @@
   |k| <= N/4 - 1) and a density block (`Grid.block_rows` fields, band
   |k| <= max(2, N/16)).
 - `test_algebra_block[SIZE]`: one algebra block whole, the draw and
-  `norms._algebra_bounds`.  The FFT calls of one block are counted once,
-  outside the timing, and stored as `fft_calls_per_call` in the entry's
-  extra info.
+  `norms._algebra_bounds`.
+- `test_hartree_block[SIZE]`: one Hartree block whole, the density draw
+  `harness._random_smooth_density` and `norms._hartree_bounds`.
+
+The FFT calls of one whole block are counted once, outside the timing,
+and stored as `fft_calls_per_call` in the entry's extra info.
 
 SIZE is 8192 points or 256^2.  Run from the repository root:
 
@@ -22,9 +25,9 @@ SIZE is 8192 points or 256^2.  Run from the repository root:
 import numpy as np
 import pytest
 
-from hartreelab import Grid
-from hartreelab.harness import _random_band_limited
-from hartreelab.norms import _algebra_bounds
+from hartreelab import Grid, KernelSpec
+from hartreelab.harness import _random_band_limited, _random_smooth_density
+from hartreelab.norms import _algebra_bounds, _hartree_bounds
 
 GRIDS = {"8192": Grid(d=1, length=32.0, points=8192),
          "256x256": Grid(d=2, length=16.0, points=256)}
@@ -54,6 +57,16 @@ def test_draw_block(benchmark, size, campaign):
     assert block.shape == (*lead, *grid.shape) and w.shape == lead
 
 
+def _fft_calls(monkeypatch, block) -> int:
+    """FFT calls of one `block()`."""
+    calls = []
+    for name in ("fftn", "ifftn", "ifft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
+    block()
+    monkeypatch.undo()
+    return len(calls)
+
+
 @pytest.mark.parametrize("size", sorted(GRIDS))
 def test_algebra_block(benchmark, monkeypatch, size):
     grid = GRIDS[size]
@@ -64,12 +77,24 @@ def test_algebra_block(benchmark, monkeypatch, size):
         return _algebra_bounds(*_random_band_limited(grid, rng, cutoff, *lead, out=buf), grid)
 
     block()
-    calls = []
-    for name in ("fftn", "ifftn", "ifft", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
+    calls = benchmark.extra_info["fft_calls_per_call"] = _fft_calls(monkeypatch, block)
+    assert calls == 2
+    reports = benchmark(block)
+    assert len(reports) == grid.block_rows and all(r.holds for r in reports)
+
+
+@pytest.mark.parametrize("size", sorted(GRIDS))
+def test_hartree_block(benchmark, monkeypatch, size):
+    grid = GRIDS[size]
+    spec = KernelSpec(d=grid.d, gamma=0.5)
+    rng, buf = np.random.default_rng(0), _buffer(grid, (grid.block_rows,))
+
+    def block():
+        density = _random_smooth_density(grid, rng, grid.block_rows, out=buf)
+        return _hartree_bounds(spec, density, grid)
+
     block()
-    monkeypatch.undo()
-    benchmark.extra_info["fft_calls_per_call"] = len(calls)
-    assert len(calls) == 2
+    calls = benchmark.extra_info["fft_calls_per_call"] = _fft_calls(monkeypatch, block)
+    assert calls == 2
     reports = benchmark(block)
     assert len(reports) == grid.block_rows and all(r.holds for r in reports)

@@ -34,7 +34,8 @@ The validation campaigns draw and check their fields in stacks of
 `Grid.block_rows`.  Each field draws only the coefficients inside its
 band, so a stack reads the random stream a field-by-field loop reads.
 A campaign draws every block into one buffer, the last, partial one
-into a leading slice; the algebra products form in place in it.
+into a leading slice; the algebra products form in place in it.  No
+field is rescaled, since each bound has one degree on both sides.
 
 Artifacts: a CSV of per-(eps, t) records, a JSON summary embedding the
 full configuration, and a standalone SVG log-log plot with one data
@@ -50,7 +51,6 @@ import itertools
 import json
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -235,6 +235,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     check bounds."""
     khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     failures, e_norms = {}, {}
+    if cfg.threads > 1:  # `concurrent.futures` loads for a threaded sweep only
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
         each = pool.map if pool else map
         # `_start` reads the amplitudes alone, so the eps-free terms are not built
@@ -358,8 +360,7 @@ def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
 
 def _random_band_limited(grid: Grid, rng, cutoff: int, *lead, out=None) -> tuple:
     """Stack (*lead, *grid.shape) of random fields with spectra inside
-    |k| <= cutoff and peak modulus one, and the (*lead) Wiener norms of
-    the fields.
+    |k| <= cutoff, and the (*lead) Wiener norms of the fields.
 
     Only the band is drawn: iid N(0, 1) real and imaginary parts,
     interleaved (re, im) per coefficient, the coefficients in C order
@@ -369,9 +370,12 @@ def _random_band_limited(grid: Grid, rng, cutoff: int, *lead, out=None) -> tuple
     The band lands in the lattice as 2^d slabs, the k >= 0 and k < 0
     halves of every axis.  A cutoff above N/4 - 1 is rejected: below it
     the pointwise product of two drawn fields carries no aliased content.
-    Each Wiener norm is read off the drawn band, times the field's 1/peak
-    scale.  `out`, a complex buffer of the stack's shape, is zeroed and
-    drawn into in place.
+    Each Wiener norm is read off the drawn band.  The fields are not
+    rescaled: both campaign bounds are homogeneous (degree (1, 1) in the
+    algebra pair, degree 1 in a density's base field squared), so a
+    field's scale moves neither a verdict nor a relative excess.  `out`,
+    a complex buffer of the stack's shape, is zeroed and drawn into in
+    place.
     """
     n = grid.points
     if cutoff > n // 4 - 1:
@@ -387,14 +391,7 @@ def _random_band_limited(grid: Grid, rng, cutoff: int, *lead, out=None) -> tuple
     for slabs in itertools.product(halves, repeat=grid.d):
         coef[(..., *(dst for _, dst in slabs))] = band[(..., *(src for src, _ in slabs))]
     del band
-    axes = tuple(range(-grid.d, 0))
-    vals = np.fft.ifftn(coef, axes=axes, out=coef)
-    peak = np.max(np.abs(vals), axis=axes, keepdims=True)
-    peak[peak == 0] = 1.0  # an all-zero field stays zero
-    scale = 1.0 / peak
-    parts = vals.view(np.float64)  # numpy divides complex by real as a * (1 / c)
-    parts *= scale
-    return vals, w * scale.reshape(lead)
+    return np.fft.ifftn(coef, axes=tuple(range(-grid.d, 0)), out=coef), w
 
 
 @functools.lru_cache(maxsize=4)
@@ -409,9 +406,10 @@ def _density_envelope(grid: Grid) -> np.ndarray:
 
 
 def _random_smooth_density(grid: Grid, rng, *lead, out=None) -> np.ndarray:
-    """Stack (*lead, *grid.shape) of nonnegative, smooth, decaying
+    """Stack (*lead, *grid.shape) of real, nonnegative, smooth, decaying
     densities: |band-limited field (drawn into `out`)|^2 under a Gaussian
-    envelope."""
+    envelope, at the unscaled draw's size (the Hartree bound is degree 1
+    in the density)."""
     base, _ = _random_band_limited(grid, rng, max(2, grid.points // 16), *lead, out=out)
     return np.abs(base) ** 2 * _density_envelope(grid)
 

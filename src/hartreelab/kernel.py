@@ -40,7 +40,11 @@ from .grid import Grid, TWO_PI
 
 SPHERE_SURFACE = {1: 2.0, 2: TWO_PI, 3: 2 * TWO_PI}
 
-_legendre_rule = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(nodes: int) -> tuple:
+    """Gauss-Legendre rule on [-1, 1]; `numpy.polynomial` loads on first use."""
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def _check_exponent(d: int, gamma: float):

@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .grid import TWO_PI, Field
-from .kernel import KernelSpec, multiplier_grid, split_norms
+from .kernel import KernelSpec, half_multiplier, split_norms
 
 
 def derivative_order(d: int, gamma: float) -> int:
@@ -104,7 +104,9 @@ def _norms_from_modulus(mag: np.ndarray, grid) -> tuple:
     """(l2, wiener) of the physical field whose raw FFT has modulus `mag`;
     the L2 norm comes from Parseval."""
     flat = mag.reshape(-1)
-    l2 = math.sqrt(grid.dx**grid.d * np.dot(flat, flat) / grid.total_points)
+    # einsum sums in numpy's own loop: a BLAS dot splits a long sum over a
+    # thread count the environment sets, and its rounding with it
+    l2 = math.sqrt(grid.dx**grid.d * np.einsum("i,i->", flat, flat) / grid.total_points)
     return l2, float(_wiener_from_modulus(mag, grid))
 
 
@@ -154,13 +156,20 @@ def _algebra_bounds(pairs: np.ndarray, w: np.ndarray, grid, slack: float = 1e-10
 
 def _hartree_bounds(spec: KernelSpec, h: np.ndarray, grid, slack: float = 1e-6) -> list:
     """||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W per row of a
-    stack of densities, from one stacked transform: K * h has the raw
-    spectrum (2pi)^{d/2} Khat hhat."""
+    stack of real densities, from one stacked real transform: K * h has
+    the raw spectrum (2pi)^{d/2} Khat hhat.
+
+    A real density's spectrum is conjugate-symmetric, so the half spectrum
+    of `rfftn` holds every modulus once, apart from the last axis's
+    columns 1 .. N/2 - 1, whose mirror images it omits: the Wiener sums
+    count those twice.  Khat > 0 is even, so it scales the half spectrum
+    as it does the full one, with no modulus taken.
+    """
     k1_l1, k2_sup = split_norms(spec)
     axes = tuple(range(-grid.d, 0))
-    mag = np.abs(np.fft.fftn(h, axes=axes))
-    conv_mag = TWO_PI ** (grid.d / 2) * np.abs(multiplier_grid(spec, grid)) * mag
-    lhs = _wiener_from_modulus(conv_mag, grid)
+    mag = np.abs(np.fft.rfftn(h, axes=axes))
+    mag[..., 1:grid.points // 2] *= 2
     l1 = grid.dx**grid.d * np.sum(np.abs(h), axis=axes)
     rhs = k1_l1 * l1 + k2_sup * _wiener_from_modulus(mag, grid)
-    return _reports(lhs, rhs, slack)
+    mag *= half_multiplier(spec, grid)
+    return _reports(_wiener_from_modulus(mag, grid), rhs, slack)

@@ -3,6 +3,7 @@ in blocks of `Grid.block_rows` fields and give the numbers of the
 field-by-field loops they replace; the Picard march evaluates the sources
 of each Simpson panel's two nodes as one stack."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +19,15 @@ from hartreelab import (
     picard_evolve,
     validate_suite,
 )
-from hartreelab.harness import _algebra_campaign, _density_envelope, _hartree_campaign
+from hartreelab.harness import (
+    _algebra_campaign,
+    _density_envelope,
+    _hartree_campaign,
+    _random_band_limited,
+    _random_smooth_density,
+)
 from hartreelab.kernel import multiplier_grid, split_norms
+from hartreelab.norms import _algebra_bounds, _hartree_bounds
 
 from conftest import in_band_coefficients
 
@@ -30,10 +38,7 @@ def one_field(grid, rng, cutoff):
     """One band-limited field and its Wiener norm, drawn the way a
     field-by-field loop draws it: the norm is read off the drawn band."""
     coef = in_band_coefficients(grid, rng, cutoff)
-    vals = np.fft.ifftn(coef)
-    peak = np.max(np.abs(vals))
-    scale = 1.0 / peak if peak > 0 else 1.0
-    return vals * scale, wiener(np.abs(coef[band_index(grid, cutoff)]), grid) * scale
+    return np.fft.ifftn(coef), wiener(np.abs(coef[band_index(grid, cutoff)]), grid)
 
 
 def band_index(grid, cutoff):
@@ -125,6 +130,41 @@ class TestStackedCampaigns:
         validate_suite(cfg, algebra_pairs=3 * rows + 1, hartree_pairs=2 * rows)
         # 4 algebra blocks instead of 1, 2 Hartree blocks instead of 1
         assert len(fft_calls) - base == 2 * 3 + 2 * 1
+
+
+SCALES = (1e-3, 7.5, 1e3)
+
+
+def excesses(reports):
+    return np.array([(r.lhs - r.rhs) / r.rhs for r in reports])
+
+
+class TestHomogeneity:
+    """Each bound has one degree on both sides, (1, 1) in the algebra pair
+    and 1 in the density, so the campaigns' unscaled draws give the
+    verdicts and relative excesses of any positive rescale of them."""
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d_256", "2d_32x32"])
+    def test_algebra_rows_keep_verdict_and_excess_under_factor_scales(self, grid):
+        rows, cutoff = grid.block_rows, grid.points // 4 - 1
+        pairs, w = _random_band_limited(grid, np.random.default_rng(21), cutoff, rows, 2)
+        base = _algebra_bounds(pairs.copy(), w, grid)
+        for a, b in itertools.product(SCALES, repeat=2):
+            scale = np.array([a, b])
+            scaled = _algebra_bounds(pairs * scale.reshape(2, *(1,) * grid.d), w * scale,
+                                     grid)
+            assert [r.holds for r in scaled] == [r.holds for r in base]
+            assert np.max(np.abs(excesses(scaled) - excesses(base))) <= 1e-14
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d_256", "2d_32x32"])
+    def test_hartree_rows_keep_verdict_and_excess_under_density_scales(self, grid):
+        spec = KernelSpec(d=grid.d, gamma=0.5)
+        density = _random_smooth_density(grid, np.random.default_rng(22), grid.block_rows)
+        base = _hartree_bounds(spec, density, grid)
+        for c in SCALES:
+            scaled = _hartree_bounds(spec, c * density, grid)
+            assert [r.holds for r in scaled] == [r.holds for r in base]
+            assert np.max(np.abs(excesses(scaled) - excesses(base))) <= 1e-14
 
 
 class TestBlockRows:

@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -649,8 +653,7 @@ class TestRandomFields:
         got, _ = _random_band_limited(grid, rng, 7)
         coef = in_band_coefficients(grid, ref_rng, 7)
         assert np.array_equal(seen[0].view(np.float64), coef.view(np.float64))
-        vals = np.fft.ifftn(coef)
-        assert np.max(np.abs(got - vals / np.max(np.abs(vals)))) < 1e-15
+        assert np.array_equal(got, np.fft.ifftn(coef))
         # both consumed the same stretch of the stream
         assert rng.standard_normal() == ref_rng.standard_normal()
 
@@ -747,6 +750,33 @@ class TestRandomFields:
         (x,) = grid.coords()
         envelope = np.exp(-(x**2) / (2 * (grid.length / 12) ** 2))
         assert np.array_equal(got, np.abs(base) ** 2 * envelope)
+
+
+BLAS_SWEEP = """\
+import sys
+import hartreelab as hl
+grid = hl.Grid(d=2, length=20.0, points=128)
+prof = hl.GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=1.0)
+cfg = hl.SweepConfig(
+    grid=grid, kernel=hl.KernelSpec(d=2, gamma=0.5),
+    family=hl.ModeFamily.from_profiles(grid, [([1.0, 0.0], prof)], gamma=0.5),
+    epsilons=(0.4, 0.3, 0.2), final_time=0.2, sample_times=(0.1, 0.2))
+hl.persist(hl.run_sweep(cfg), sys.argv[1])
+"""
+
+
+def test_records_do_not_depend_on_blas_threads(tmp_path):
+    # the guard's L2 sums run over 128^2 moduli, long enough for a BLAS dot
+    # to split them over its threads and round by the thread count
+    src = str(Path(harness.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", BLAS_SWEEP, str(tmp_path / threads)],
+                       env=env, check=True, capture_output=True)
+    records = [(tmp_path / t / "records.csv").read_bytes() for t in ("1", "2")]
+    assert len(records[0].splitlines()) == 1 + 6
+    assert records[0] == records[1]
 
 
 class TestPersist:

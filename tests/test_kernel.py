@@ -352,6 +352,30 @@ def test_import_sweep_and_validate_load_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_single_thread_sweep_loads_no_pool_or_polynomial_modules():
+    # a sweep at one thread makes no pool, and only the quadrature of
+    # `validate` and the oracles reads Gauss-Legendre nodes
+    src = str(Path(hartreelab.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "import hartreelab as hl\n"
+        "grid = hl.Grid(d=1, length=32.0, points=256)\n"
+        "prof = hl.GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)\n"
+        "family = hl.ModeFamily.from_profiles(grid, [([-1.0], prof), ([1.0], prof)],\n"
+        "                                     gamma=0.5)\n"
+        "cfg = hl.SweepConfig(grid=grid, kernel=hl.KernelSpec(d=1, gamma=0.5),\n"
+        "                     family=family, epsilons=(0.4, 0.2), final_time=0.2,\n"
+        "                     sample_times=(0.1, 0.2), threads=1)\n"
+        "assert len(hl.run_sweep(cfg).records) == 4\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('concurrent', 'numpy.polynomial'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, cwd=Path(src).parent)
+    assert out.stdout.strip() == "[]"
+
+
 def test_validate_and_direct_oracle_leave_scipy_integrate_unloaded():
     # the kernel-constant oracle and the 2-D singular cell run on numpy
     # quadrature, so neither a validate run nor the direct convolution
