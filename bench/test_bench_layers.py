@@ -21,8 +21,10 @@
   at t = 0.25 and of the four-mode 256^2 family at t = 0.0625.
 - `test_start`: one warm `harness._start` (initial data, t = 0 error and
   raw spectrum of one eps) on reference_2d at eps = 0.05.
-- `test_record[FAMILY]`: one warm `harness._record` (errors, remainder
-  and Z2 of one eps at one sample time, in its thread's field pair) for
+- `test_record[FAMILY]`: one warm `harness._z2_norms` and
+  `harness._record` (Z2, then errors and remainder, of one eps at one
+  sample time, in its thread's field buffers; the record gets the
+  snapshot without its half-Laplacians, as a sweep's does) for
   the 8192-point two-mode reference family at eps = 0.025, t = 0.25 and
   for the four-mode 256^2 family at eps = 0.15, t = 0.0625.  Its FFT
   calls per record are counted outside the timing and stored in the
@@ -54,6 +56,7 @@ after a change) into `bench/BENCH_layers.json`, each ratio also divided
 by the ratio of its own `control_s`.
 """
 
+import dataclasses
 import functools
 import json
 import subprocess
@@ -194,8 +197,13 @@ def test_record(benchmark, monkeypatch, family):
     khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     assert harness._advance(cfg, khat_half, 0.0, t, run) is None
     snap = snapshot(cfg.family, t, cfg.kernel)
-    record = functools.partial(harness._record, cfg, snap, threading.local(), run)
-    record()  # makes this thread's field pair
+    bare, buffers = dataclasses.replace(snap, half_laplacians=None), threading.local()
+
+    def record():
+        harness._z2_norms(cfg, snap, buffers, run)
+        harness._record(cfg, bare, buffers, run)
+
+    record()  # makes this thread's field buffers
 
     calls = []
     for name in FFT_NAMES:

@@ -4,12 +4,14 @@ For `configs/reference_2d.json` and the four-mode 256^2 family of
 perfbench's `sweep_2d_multimode`, `measure` runs one warm
 `harness.run_sweep` unit (after a warm-up unit, so memoized multipliers
 and numpy's plan caches are built) under `tracemalloc`, with each call
-of the four stages of a unit wrapped:
+of the five stages of a unit wrapped:
 
-- `snapshot`: `wkb.snapshot`, one per sample time and one at t = 0;
+- `snapshot`: `wkb.snapshot`, one per sample time;
 - `_start`: `harness._start`, the initial data of one eps;
 - `_advance`: `harness._advance`, the Strang steps of one eps to a time;
-- `_record`: `harness._record`, the errors, remainder and Z2 of one eps.
+- `_z2_norms`: `harness._z2_norms`, the Z2 norms of one eps, taken
+  while the snapshot still holds its half-Laplacians;
+- `_record`: `harness._record`, the errors and remainder of one eps.
 
 Every figure is in state arrays, one complex128 field of the grid
 (4 MiB at 512^2, 1 MiB at 256^2).  Per stage, `over_entry` is the
@@ -21,7 +23,11 @@ is the peak resident memory of a fresh interpreter that loads the run
 file and runs one unit: the `VmHWM` of its own address space (Linux).
 Its `ru_maxrss` would not do: a process started by `subprocess` keeps
 its parent's high-water mark from before the `exec`, so a child of a
-large pytest process reads the parent's peak.
+large pytest process reads the parent's peak.  The same child reads
+`VmHWM` around every stage call: `hwm_entry_mib` is the mark when the
+unit starts, and `hwm_growth_mib` the mark's rise over each stage's
+calls, summed.  Traced peaks alone do not predict the resident peak,
+since the allocator reuses freed blocks in its own order.
 
 `test_stage_peaks[CASE]` times one traced unit (with its warm-up),
 keeps the figures in its extra info and asserts the stage bounds the
@@ -50,15 +56,38 @@ from hartreelab import harness
 from hartreelab.config import parse_config
 from test_bench_layers import _four_mode_256, _reference_2d
 
-STAGES = ("snapshot", "_start", "_advance", "_record")
+STAGES = ("snapshot", "_start", "_advance", "_z2_norms", "_record")
 PEAK_RSS_CHILD = """\
 import json, sys
 from hartreelab import harness
 from hartreelab.config import parse_config
-harness.run_sweep(parse_config(json.loads(sys.argv[1])))
-status = open("/proc/self/status").read()
-print(int(status.split("VmHWM:")[1].split()[0]) / 1024)
+
+def hwm():
+    status = open("/proc/self/status").read()
+    return int(status.split("VmHWM:")[1].split()[0]) / 1024
+
+def wrap(name, fn):
+    def staged(*args):
+        before = hwm()
+        try:
+            return fn(*args)
+        finally:
+            growth[name] += hwm() - before
+    return staged
+
+stages = json.loads(sys.argv[2])
+growth = dict.fromkeys(stages, 0.0)
+for name in stages:
+    setattr(harness, name, wrap(name, getattr(harness, name)))
+cfg = parse_config(json.loads(sys.argv[1]))
+entry = hwm()
+harness.run_sweep(cfg)
+print(json.dumps({"peak_rss_mib": hwm(), "hwm_entry_mib": entry,
+                  "hwm_growth_mib": growth}))
 """
+# traced peak bounds in state arrays: the unit's, per case (its five
+# stages' own bounds are in `test_stage_peaks`)
+UNIT_PEAK_BOUND = {"reference_2d": 8.8, "four_mode_256x256": 13.0}
 
 
 def _multimode() -> dict:
@@ -72,15 +101,20 @@ def _multimode() -> dict:
 CASES = {"reference_2d": _reference_2d, "four_mode_256x256": _multimode}
 
 
+def _stages() -> list:
+    """The STAGES the measured tree has: an older tree may lack one."""
+    return [name for name in STAGES if hasattr(harness, name)]
+
+
 class _Tracer:
     """Per-stage peaks of traced memory; the unit's peak survives the
     per-call `tracemalloc.reset_peak`."""
 
-    def __init__(self):
+    def __init__(self, stages):
         self.unit_entry = tracemalloc.get_traced_memory()[0]
         self.unit_peak = 0
-        self.over_entry = dict.fromkeys(STAGES, 0)
-        self.over_unit = dict.fromkeys(STAGES, 0)
+        self.over_entry = dict.fromkeys(stages, 0)
+        self.over_unit = dict.fromkeys(stages, 0)
 
     def fold(self):
         self.unit_peak = max(self.unit_peak, tracemalloc.get_traced_memory()[1])
@@ -104,11 +138,11 @@ def traced_unit(doc: dict) -> dict:
     """Stage peaks of one warm sweep unit of the run document `doc`."""
     cfg = parse_config(doc)
     harness.run_sweep(cfg)  # warm-up: memoized multipliers, FFT plan caches
-    saved = {name: getattr(harness, name) for name in STAGES}
+    saved = {name: getattr(harness, name) for name in _stages()}
     tracemalloc.start()
     try:
-        tracer = _Tracer()
-        for name in STAGES:
+        tracer = _Tracer(saved)
+        for name in saved:
             setattr(harness, name, tracer.wrap(name, saved[name]))
         harness.run_sweep(cfg)
         tracer.fold()
@@ -123,32 +157,40 @@ def traced_unit(doc: dict) -> dict:
             "over_unit": {k: round(v / state, 3) for k, v in tracer.over_unit.items()}}
 
 
-def fresh_peak_rss_mib(doc: dict) -> float:
-    """Peak RSS of a fresh interpreter running one unit of `doc`, MiB."""
+def fresh_rss(doc: dict) -> dict:
+    """Peak RSS of a fresh interpreter running one unit of `doc`, its
+    `VmHWM` at the unit's entry and the rise per stage, MiB."""
     env = {"PYTHONPATH": str(Path(harness.__file__).resolve().parents[1]),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, json.dumps(doc)], env=env,
-                         capture_output=True, text=True, check=True)
-    return round(float(out.stdout), 1)
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, json.dumps(doc),
+                          json.dumps(_stages())],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout)
+    return {"peak_rss_mib": round(got["peak_rss_mib"], 1),
+            "hwm_entry_mib": round(got["hwm_entry_mib"], 1),
+            "hwm_growth_mib": {k: round(v, 1) for k, v in got["hwm_growth_mib"].items()}}
 
 
 def measure() -> dict:
-    return {name: {**traced_unit(case()), "peak_rss_mib": fresh_peak_rss_mib(case())}
+    return {name: {**traced_unit(case()), **fresh_rss(case())}
             for name, case in CASES.items()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stage_peaks(benchmark, case):
     # in state arrays over the call's entry: a snapshot of M modes holds
-    # 2 M arrays and one transform at a time; a record its field pair and
-    # one half spectrum; a start u0, the spectrum and u0 - u_app
+    # 2 M arrays and one transform at a time; a Z2 pass its field buffer
+    # and the norms' half-array moduli; a record its second field buffer
+    # and one half spectrum; a start u0, the spectrum and u0 - u_app
     doc = CASES[case]()
     peaks = benchmark.pedantic(traced_unit, args=(doc,), rounds=1)
     benchmark.extra_info.update(peaks)
     got = peaks["over_entry"]
     assert got["snapshot"] <= 2 * len(doc["modes"]) + 1.5, got
-    assert got["_record"] <= 3.0, got
+    assert got["_z2_norms"] <= 1.6, got
+    assert got["_record"] <= 2.0, got
     assert got["_start"] <= 3.5, got
+    assert peaks["unit_peak"] <= UNIT_PEAK_BOUND[case], peaks
 
 
 def main(argv=None) -> int:

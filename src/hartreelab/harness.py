@@ -12,23 +12,26 @@ defaults and its rules belong to `config`, not here.
 
 The eps run in lockstep: between sample times each eps holds only its
 raw spectrum (row-padded in 2D and 3D, see `solver`) and t = 0 scalars.
-At each t every eps is advanced, one WKB snapshot (with its eps-free
-terms (1/2) Lap a_j and ||a(t)||_E) is built, each eps assembles one
-u_app for its error and remainder, and the snapshot is dropped before
-the next advance.  The t = 0 snapshot holds the amplitudes alone
+At each t every eps is advanced and one WKB snapshot (with its eps-free
+terms (1/2) Lap a_j and ||a(t)||_E) is built.  Every eps's Z2 norms come
+first; the half-Laplacians are then dropped, and each eps assembles one
+u_app for its error and remainder records.  The snapshot is dropped
+before the next advance.  The t = 0 snapshot holds the amplitudes alone
 (`wkb._amplitudes`, no transform at t = 0), all that `_start` reads: their
 u_app must reproduce the initial data exactly (`initial_exactness`).
-`--threads N` maps each time's per-eps advances and records over N
-threads.
+`--threads N` maps each time's per-eps advances, Z2 passes and records
+over N threads.
 
-A record works in two complex field buffers, U and A, passed as the
-`out=`/`scratch=` of the public `wkb` record terms: u_app goes into U;
-u - u_app, then r (its cross density in A's two float64 halves), pass
-through A (the state as the spectrum's inverse written into A: the
-spectrum must survive); Z2 then takes U.  Each L2 sum is read before the
-forward transform overwrites its field.  The pair lives from a time's
-snapshot to its last record, one per worker thread.  `_start` holds
-three arrays: u0, the spectrum (first u_app's scratch) and u0 - u_app.
+A time's measurements work in complex field buffers, U and A, one set
+per worker thread, living from the time's snapshot to its last record.
+The Z2 pass (`_z2_norms`) takes U alone: Z2 superposes into it with no
+scratch, one block of rows at a time (`wkb._superpose`).  A record then
+passes U and A as the `out=`/`scratch=` of the public `wkb` record
+terms: u_app goes into U; u - u_app, then r (its cross density in A's
+two float64 halves), pass through A (the state as the spectrum's inverse
+written into A: the spectrum must survive).  Each L2 sum is read before
+the forward transform overwrites its field.  `_start` holds three
+arrays: u0, the spectrum (first u_app's scratch) and u0 - u_app.
 
 The validation campaigns draw and check their fields in stacks of
 `Grid.block_rows`.  Each field draws only the coefficients inside its
@@ -52,7 +55,7 @@ import json
 import math
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +167,7 @@ class _EpsRun:
     mass0: float
     init_err: float
     mass: float = None
+    z2_norms: tuple = None  # (L2, Wiener) of Z2 at the current time
     records: list = field(default_factory=list)
 
 
@@ -191,13 +195,13 @@ def _advance(cfg: SweepConfig, khat_half, t_prev: float, t: float, run: _EpsRun)
         return exc
 
 
-def _field_pair(buffers: threading.local, grid: Grid) -> tuple:
-    """This thread's two complex field buffers in `buffers`, made on first use."""
-    pair = getattr(buffers, "pair", None)
-    if pair is None:
-        pair = buffers.pair = tuple(np.empty(grid.shape, dtype=np.complex128)
-                                    for _ in range(2))
-    return pair
+def _fields(buffers: threading.local, grid: Grid, count: int) -> list:
+    """The first `count` of this thread's complex field buffers in `buffers`,
+    those missing made now."""
+    made = getattr(buffers, "fields", [])
+    made += [np.empty(grid.shape, dtype=np.complex128) for _ in range(count - len(made))]
+    buffers.fields = made
+    return made[:count]
 
 
 def _norms_in_place(values: np.ndarray, grid: Grid) -> tuple:
@@ -207,20 +211,29 @@ def _norms_in_place(values: np.ndarray, grid: Grid) -> tuple:
     return l2, _wiener(np.fft.fftn(values, out=values), grid)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_record`'s finite check reports it
+def _z2_norms(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
+    """(L2, Wiener) of Z2 for one eps at the snapshot's time into
+    `run.z2_norms`, for its record; Z2 forms in the calling thread's first
+    field buffer of `buffers`, with block-sized scratch only."""
+    (u,) = _fields(buffers, cfg.grid, 1)
+    run.z2_norms = _norms_in_place(z2_term(cfg.family, snap, run.eps, out=u), cfg.grid)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the finite check below reports it
 def _record(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
-    """Errors, remainder and Z2 of one eps at the snapshot's time, in the
-    calling thread's field pair (U, A) of `buffers`: u_app in U serves the
-    error and the remainder, each measured field passes through A, and Z2
-    takes U once u_app is spent."""
+    """Errors and remainder of one eps at the snapshot's time, with the Z2
+    norms `_z2_norms` left in `run`, in the calling thread's field pair
+    (U, A) of `buffers`: u_app in U serves the error and the remainder,
+    and each measured field passes through A."""
     eps, g = run.eps, cfg.grid
-    u, a = _field_pair(buffers, g)
+    u, a = _fields(buffers, g, 2)
     u_app = assemble(cfg.family, snap, eps, out=u, scratch=a)
     err = np.fft.ifftn(run.raw, out=a)  # the spectrum stays for the next advance
     err_l2, err_w = _norms_in_place(np.subtract(err, u_app, out=err), g)
     r_l2, r_w = _norms_in_place(
         resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app, out=a), g)
-    z2_l2, z2_w = _norms_in_place(z2_term(cfg.family, snap, eps, out=u, scratch=a), g)
+    z2_l2, z2_w = run.z2_norms
     norms = (err_l2, err_w, r_l2, r_w, z2_l2, z2_w)
     if not all(map(math.isfinite, norms)):
         raise FloatingPointError(f"a record field at eps = {eps}, t = {snap.t} "
@@ -254,7 +267,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 break
             snap = snapshot(cfg.family, t, cfg.kernel)
             e_norms[t] = snap.e_norm
-            buffers = threading.local()  # a field pair per worker, this time only
+            buffers = threading.local()  # field buffers per worker, this time only
+            list(each(functools.partial(_z2_norms, cfg, snap, buffers), runs))
+            # the half-Laplacians go before the records take their second buffer
+            snap = replace(snap, half_laplacians=None)
             list(each(functools.partial(_record, cfg, snap, buffers), runs))
             del buffers
             t_prev = t

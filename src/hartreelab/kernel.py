@@ -129,28 +129,42 @@ def split_norms(spec: KernelSpec) -> tuple:
 def multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
     """Khat sampled on the dual lattice with the regularized zero mode.
 
-    Memoized per (spec, grid): every caller shares one read-only array.
+    Made per call: the package reads only the memoized half spectrum of
+    `half_multiplier`, the same values on the columns it keeps.
     """
-    if grid.d != spec.d:
-        raise ValueError(f"kernel is {spec.d}D but grid is {grid.d}D")
-    return _multiplier_grid(spec, grid)
+    _check_grid(spec, grid)
+    return _khat(spec, grid, grid.freq_meshes())
 
 
 @functools.lru_cache(maxsize=4)
-def _multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    mag = np.sqrt(grid.freq_norm_sq())
-    out = np.empty(grid.shape)
-    nz = mag > 0
-    out[nz] = spec.c_const * mag[nz] ** (spec.gamma - spec.d)
-    out[~nz] = zero_mode_value(spec, grid)
+def _half_khat(spec: KernelSpec, grid: Grid) -> np.ndarray:
+    """Khat on the half spectrum [..., :N/2 + 1] of a real transform,
+    memoized per (spec, grid): every caller shares one read-only array."""
+    *lead, last = grid.freq_meshes()
+    out = _khat(spec, grid, (*lead, last[..., : grid.points // 2 + 1]))
     out.setflags(write=False)
     return out
 
 
+def _khat(spec: KernelSpec, grid: Grid, meshes) -> np.ndarray:
+    """Khat at the broadcast frequency `meshes`, with the regularized zero mode."""
+    mag = np.sqrt(functools.reduce(np.add, (m**2 for m in meshes)))
+    out = np.empty(mag.shape)
+    nz = mag > 0
+    out[nz] = spec.c_const * mag[nz] ** (spec.gamma - spec.d)
+    out[~nz] = zero_mode_value(spec, grid)
+    return out
+
+
+def _check_grid(spec: KernelSpec, grid: Grid):
+    if grid.d != spec.d:
+        raise ValueError(f"kernel is {spec.d}D but grid is {grid.d}D")
+
+
 def half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndarray:
     """scale (2pi)^{d/2} Khat on the half spectrum of a real transform."""
-    khat = multiplier_grid(spec, grid)[..., : grid.points // 2 + 1]
-    return (scale * TWO_PI ** (grid.d / 2)) * khat
+    _check_grid(spec, grid)
+    return (scale * TWO_PI ** (grid.d / 2)) * _half_khat(spec, grid)
 
 
 def convolve(khat_half: np.ndarray, rho: np.ndarray, out=None, spectrum=None) -> np.ndarray:

@@ -59,6 +59,7 @@ from itertools import combinations
 import numpy as np
 
 from .grid import (
+    CHUNK,
     Field,
     GaussianProfile,
     Grid,
@@ -187,8 +188,12 @@ class ModeFamily:
 
 @dataclass(frozen=True, eq=False)
 class WkbSnapshot:
-    """Amplitudes a_j(t) with their eps-free (1/2) Lap a_j and ||a(t)||_E;
-    a sweep's t = 0 snapshot carries the amplitudes alone (terms None)."""
+    """Amplitudes a_j(t) with their eps-free (1/2) Lap a_j and ||a(t)||_E.
+
+    A sweep's snapshot keeps the half-Laplacians only through its Z2 pass:
+    its records get the snapshot without them (None), as `_start` gets the
+    t = 0 amplitudes alone; `ansatz_residual` builds no ||a(t)||_E (None).
+    """
 
     t: float
     amplitudes: tuple
@@ -370,14 +375,29 @@ def _mode_carrier(grid: Grid, kappa: np.ndarray, t: float, eps: float) -> np.nda
 def _superpose(family: ModeFamily, values, t: float, eps: float, out=None,
                scratch=None) -> np.ndarray:
     """sum_j values_j exp(i phi_j(t) / eps), one value array per mode, into
-    `out` if given (zeroed first); `scratch`, of the grid's shape, then
-    holds each product instead of a fresh array."""
+    `out` if given (zeroed first).
+
+    `scratch`, of the grid's shape, holds each product.  Without it each
+    carrier applies over blocks of leading-axis rows of at most CHUNK
+    points (one row if a row is longer), so a product is a block-sized
+    temporary, bitwise the full-size product's block.
+    """
+    g = family.grid
     if out is None:
-        out = np.zeros(family.grid.shape, dtype=np.complex128)
+        out = np.zeros(g.shape, dtype=np.complex128)
     else:
         out.fill(0)
+    if scratch is None:
+        rows = min(g.points, max(1, CHUNK * g.points // g.total_points))
+        scratch = np.empty((rows, *g.shape[1:]), dtype=np.complex128)
+    rows = len(scratch)
     for mode, v in zip(family.modes, values):
-        out += np.multiply(v, _mode_carrier(family.grid, mode.kappa, t, eps), out=scratch)
+        carrier = _mode_carrier(g, mode.kappa, t, eps)
+        for lo in range(0, g.points, rows):
+            block = slice(lo, lo + rows)
+            dst = out[block]
+            factor = carrier[block] if len(carrier) > 1 else carrier
+            dst += np.multiply(v[block], factor, out=scratch[:len(dst)])
     return out
 
 
@@ -491,8 +511,10 @@ def ansatz_residual(
     identity genuinely tests the eikonal and transport cancellations.
     """
     check_resolution(family, eps, for_remainder=True)
-    snap = snapshot(family, t, spec)
     g = family.grid
+    amps = _amplitudes(family, t, spec)  # and their half-Laplacians, not ||a(t)||_E
+    halves = (_laplacian_from_raw(np.fft.fftn(a.values), g, 0.5) for a in amps)
+    snap = WkbSnapshot(t, amps, tuple(halves), None)
     u_app = assemble(family, snap, eps)
 
     rates = _transport_rates(family, snap.amplitudes, spec)

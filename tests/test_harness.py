@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -342,32 +343,62 @@ class TestRunSweep:
     def test_threaded_matches_sequential_2d(self, tmp_path, kappas):
         # the eps workers share the memoized kernel multiplier; start cold
         # so both threads race to fill it
-        from hartreelab.kernel import _multiplier_grid
+        from hartreelab.kernel import _half_khat
 
-        grid = Grid(d=2, length=16.0, points=128)
-        prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
-        family = ModeFamily.from_profiles(
-            grid, [(kappa, prof) for kappa in kappas], gamma=0.5
-        )
         runs = {}
         for threads in (1, 2):
-            _multiplier_grid.cache_clear()
-            runs[threads] = run_sweep(
-                SweepConfig(
-                    grid=grid,
-                    kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
-                    family=family,
-                    epsilons=(0.6, 0.5),
-                    final_time=0.2,
-                    sample_times=(0.1, 0.2),
-                    output=str(tmp_path / "out"),
-                    threads=threads,
-                )
-            )
+            _half_khat.cache_clear()
+            runs[threads] = run_sweep(small_2d_config(kappas, threads))
+            persist(runs[threads], tmp_path / str(threads))
         assert len(runs[1].records) == 4
         assert runs[2].records == runs[1].records
         assert runs[2].beta_fitted == runs[1].beta_fitted
         assert runs[2].checks == runs[1].checks
+        one, two = ((tmp_path / str(n) / "records.csv").read_bytes() for n in (1, 2))
+        assert one == two
+
+
+def small_2d_config(kappas, threads=1):
+    """Gaussian modes at `kappas` on 128^2, two eps, two sample times."""
+    grid = Grid(d=2, length=16.0, points=128)
+    prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
+    return SweepConfig(
+        grid=grid,
+        kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
+        family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas], gamma=0.5),
+        epsilons=(0.6, 0.5),
+        final_time=0.2,
+        sample_times=(0.1, 0.2),
+        threads=threads,
+    )
+
+
+class TestZ2First:
+    """Each time's Z2 norms come before its records, which get the snapshot
+    without its half-Laplacians."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_records_run_after_the_half_laplacians_are_freed(self, monkeypatch, threads):
+        cfg = small_2d_config(([-2.0, 0.0], [2.0, 0.0]), threads)
+        halves, record_snaps = [], []
+        real_z2, real_record = harness._z2_norms, harness._record
+
+        def z2_spy(cfg, snap, buffers, run):
+            halves.extend(weakref.ref(h) for h in snap.half_laplacians)
+            return real_z2(cfg, snap, buffers, run)
+
+        def record_spy(cfg, snap, buffers, run):
+            assert all(ref() is None for ref in halves)  # freed, not only hidden
+            record_snaps.append(snap)
+            return real_record(cfg, snap, buffers, run)
+
+        monkeypatch.setattr(harness, "_z2_norms", z2_spy)
+        monkeypatch.setattr(harness, "_record", record_spy)
+        result = run_sweep(cfg)
+        assert len(halves) == 2 * 2 * 2  # modes x eps x times
+        assert len(record_snaps) == len(result.records) == 4
+        assert all(snap.half_laplacians is None for snap in record_snaps)
+        assert all(len(snap.amplitudes) == 2 for snap in record_snaps)
 
 
 class TestLockstepSweep:
@@ -569,6 +600,7 @@ class TestRecord:
         cfg = four_mode_config()
         snap, run = first_record_inputs(cfg)
         buffers = threading.local()
+        harness._z2_norms(cfg, snap, buffers, run)
         harness._record(cfg, snap, buffers, run)  # makes this thread's pair
         raw = run.raw.copy()
         tracemalloc.start()
@@ -588,9 +620,40 @@ class TestRecord:
         halves = [np.array(h) for h in snap.half_laplacians]
         halves[1][5, 7] = np.inf
         bad = dataclasses.replace(snap, half_laplacians=tuple(halves))
+        buffers = threading.local()
+        harness._z2_norms(cfg, bad, buffers, run)  # the Z2 pass only measures
         with pytest.raises(FloatingPointError, match="non-finite"):
-            harness._record(cfg, bad, threading.local(), run)
+            harness._record(cfg, bad, buffers, run)
         assert run.records == []
+
+
+class TestZ2Pass:
+    def test_holds_one_field_and_block_scratch(self):
+        # Z2 superposes into the thread's one buffer with block-sized
+        # scratch (plus numpy's iterator buffer for a broadcast carrier);
+        # the norms then take the moduli (half a field) of `_l2`
+        cfg = four_mode_config()
+        snap, run = first_record_inputs(cfg)
+        harness._z2_norms(cfg, snap, threading.local(), run)  # FFT plan caches
+        item = np.dtype(np.complex128).itemsize
+        field_bytes = cfg.grid.total_points * item
+        block_bytes = (grid_module.CHUNK + np.getbufsize()) * item
+        (u,) = harness._fields(threading.local(), cfg.grid, 1)
+
+        def peak_over_entry(fn, *args):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - entry
+
+        tracemalloc.start()
+        try:
+            superpose = peak_over_entry(z2_term, cfg.family, snap, cfg.epsilons[0], u)
+            cold = peak_over_entry(harness._z2_norms, cfg, snap, threading.local(), run)
+        finally:
+            tracemalloc.stop()
+        assert superpose < block_bytes + 64 * 1024
+        assert cold < 1.5 * field_bytes + block_bytes + 64 * 1024
 
 
 class TestValidateSuite:
@@ -599,20 +662,22 @@ class TestValidateSuite:
         for name, outcome in checks.items():
             assert outcome.passed, f"{name}: {outcome.detail}"
 
-    def test_builds_one_snapshot(self, small_config, monkeypatch):
-        # the transport and modulus checks read the amplitudes alone; only
-        # the ansatz identity needs a snapshot's eps-free terms
-        seen = []
-        real = wkb.snapshot
+    def test_builds_no_snapshot_or_graded_norm(self, small_config, monkeypatch):
+        # the transport and modulus checks read the amplitudes alone and the
+        # ansatz identity the amplitudes and their half-Laplacians; no check
+        # reads ||a(t)||_E, so no snapshot and no graded norm is built
+        calls = []
+        for module, name in ((harness, "snapshot"), (wkb, "snapshot"),
+                             (wkb, "_graded_norm")):
+            real = getattr(module, name)
 
-        def counted(family, t, spec):
-            seen.append(t)
-            return real(family, t, spec)
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(harness, "snapshot", counted)
-        monkeypatch.setattr(wkb, "snapshot", counted)
+            monkeypatch.setattr(module, name, counted)
         validate_suite(small_config, algebra_pairs=5, hartree_pairs=5)
-        assert seen == [small_config.sample_times[-1]]
+        assert calls == []
 
     def test_kernel_fault_detected(self, small_config, monkeypatch):
         real = harness.hartree_constant

@@ -19,7 +19,7 @@ from hartreelab import (
     split_norms,
     zero_mode_value,
 )
-from hartreelab.kernel import convolve, half_multiplier, multiplier_grid
+from hartreelab.kernel import _half_khat, convolve, half_multiplier, multiplier_grid
 
 from conftest import lattice_wavenumber, plane_wave
 from oracles import _CELL_NODES, _singular_cell_mass, convolve_direct
@@ -256,10 +256,14 @@ class TestConvolveDirect:
 
 class TestMultiplierGrid:
     def test_memoized_and_read_only(self, kernel1d, grid1d):
-        khat = multiplier_grid(kernel1d, grid1d)
-        assert multiplier_grid(kernel1d, grid1d) is khat
+        # the half spectrum is memoized; the full lattice is made per call
+        # and agrees with it on the columns the half keeps
+        khat = _half_khat(kernel1d, grid1d)
+        assert _half_khat(kernel1d, grid1d) is khat
         with pytest.raises(ValueError, match="read-only"):
             khat[0] = 1.0
+        full = multiplier_grid(kernel1d, grid1d)
+        assert np.array_equal(full[: grid1d.points // 2 + 1], khat)
 
     def test_rejects_dimension_mismatch(self, grid1d):
         with pytest.raises(ValueError, match="2D"):

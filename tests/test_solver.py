@@ -577,7 +577,9 @@ class TestPaddedLayout:
         khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
         assert harness._advance(cfg, khat_half, 0.0, t, run) is None
         assert run.raw.base is pads.base and not pads.any()
-        harness._record(cfg, snapshot(cfg.family, t, cfg.kernel), threading.local(), run)
+        snap, buffers = snapshot(cfg.family, t, cfg.kernel), threading.local()
+        harness._z2_norms(cfg, snap, buffers, run)
+        harness._record(cfg, snap, buffers, run)
         assert len(run.records) == 1 and not pads.any()
 
 

@@ -278,6 +278,40 @@ class TestZ2Term:
         assert np.array_equal(z2_term(fam, snap, eps), ref)
 
 
+def carrier_family(d, points):
+    """A mode along each axis, one along the diagonal and one at rest."""
+    grid = Grid(d=d, length=16.0, points=points)
+    prof = GaussianProfile(amplitude=1.0, center=(0.0,) * d, width=0.75)
+    kappas = [1.5 * (a + 1) * np.eye(d)[a] for a in range(d)] + [-np.ones(d), np.zeros(d)]
+    return ModeFamily.from_profiles(grid, [(k, prof) for k in kappas], gamma=0.5)
+
+
+class TestSuperposeBlocks:
+    """Without scratch, `_superpose` applies each carrier over blocks of
+    leading-axis rows; the sum is bitwise the one a full-size scratch gives."""
+
+    @pytest.mark.parametrize("d, points", [(1, 512), (2, 64), (3, 16)],
+                             ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("rows", [3, 1, None],
+                             ids=["three_rows", "row_over_chunk", "default_chunk"])
+    def test_blocks_match_full_scratch(self, monkeypatch, d, points, rows):
+        fam = carrier_family(d, points)
+        g = fam.grid
+        row = g.total_points // g.points
+        if rows == 3:  # 3 rows do not divide the power-of-two rows: a short last block
+            monkeypatch.setattr(wkb, "CHUNK", 3 * row)
+        elif rows == 1:  # a row longer than CHUNK is still one block
+            monkeypatch.setattr(wkb, "CHUNK", max(1, row // 2))
+        rng = np.random.default_rng(d)
+        values = [rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                  for _ in fam.modes]
+        values[0] = values[0].real.copy()  # a real amplitude, as initial data's
+        for t, eps in ((0.0, 0.3), (0.4, 0.15)):
+            full = _superpose(fam, values, t, eps,
+                              scratch=np.empty(g.shape, dtype=np.complex128))
+            assert _superpose(fam, values, t, eps).tobytes() == full.tobytes()
+
+
 class TestSharedTerms:
     @pytest.mark.parametrize("d, t", SNAPSHOT_TIMES, ids=SNAPSHOT_IDS)
     def test_e_norm_sums_derivative_norms(self, d, t, two_mode_family):
