@@ -16,15 +16,16 @@
   (kappa/eps . x up to 2560 at 8192 points, 80 at 512^2) by
   `grid.unit_phase` and by `np.exp(1j * theta)`, each into one `out=`
   buffer made once, so neither route times the allocator.
-- `test_snapshot[FAMILY]`: one warm `wkb.snapshot` at t > 0 (amplitudes,
-  half-Laplacians and graded norm) of the two-mode reference_2d family
-  at t = 0.25 and of the four-mode 256^2 family at t = 0.0625.
+- `test_snapshot[FAMILY]`: one warm `wkb.snapshot` at t > 0 (the
+  amplitudes alone) of the two-mode reference_2d family at t = 0.25 and
+  of the four-mode 256^2 family at t = 0.0625.
 - `test_start`: one warm `harness._start` (initial data, t = 0 error and
   raw spectrum of one eps) on reference_2d at eps = 0.05.
-- `test_record[FAMILY]`: one warm `harness._z2_norms` and
-  `harness._record` (Z2, then errors and remainder, of one eps at one
-  sample time, in its thread's field buffers; the record gets the
-  snapshot without its half-Laplacians, as a sweep's does) for
+- `test_record[FAMILY]`: one warm `harness._record` and
+  `harness._z2_norms` (errors and remainder from the amplitudes, then Z2
+  from their half-Laplacians, of one eps at one sample time, in its
+  thread's field buffers; the half-Laplacians are a converted copy of the
+  snapshot, made once outside the timing) for
   the 8192-point two-mode reference family at eps = 0.025, t = 0.25 and
   for the four-mode 256^2 family at eps = 0.15, t = 0.0625.  Its FFT
   calls per record are counted outside the timing and stored in the
@@ -56,12 +57,10 @@ after a change) into `bench/BENCH_layers.json`, each ratio also divided
 by the ratio of its own `control_s`.
 """
 
-import dataclasses
 import functools
 import json
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -197,11 +196,13 @@ def test_record(benchmark, monkeypatch, family):
     khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     assert harness._advance(cfg, khat_half, 0.0, t, run) is None
     snap = snapshot(cfg.family, t, cfg.kernel)
-    bare, buffers = dataclasses.replace(snap, half_laplacians=None), threading.local()
+    halves = tuple(a.copy() for a in snap.amplitudes)
+    harness._half_laplacians(cfg.family, halves)
+    buffers = {}
 
     def record():
-        harness._z2_norms(cfg, snap, buffers, run)
-        harness._record(cfg, bare, buffers, run)
+        harness._record(cfg, snap, buffers, run)
+        harness._z2_norms(cfg, halves, t, buffers, run)
 
     record()  # makes this thread's field buffers
 
@@ -247,8 +248,8 @@ def test_snapshot(benchmark, monkeypatch, family):
     calls, peak = _fft_calls_and_peak(monkeypatch, call, cfg.grid)
     benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
     modes = len(cfg.family.modes)
-    # a density spectrum, the phase inverse (d - 1 complex passes), translate, terms
-    assert calls == modes * (6 + cfg.grid.d - 1)
+    # a density spectrum, the phase inverse (d - 1 complex passes), translate
+    assert calls == modes * (4 + cfg.grid.d - 1)
     benchmark(call)
 
 

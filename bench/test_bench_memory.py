@@ -4,14 +4,17 @@ For `configs/reference_2d.json` and the four-mode 256^2 family of
 perfbench's `sweep_2d_multimode`, `measure` runs one warm
 `harness.run_sweep` unit (after a warm-up unit, so memoized multipliers
 and numpy's plan caches are built) under `tracemalloc`, with each call
-of the five stages of a unit wrapped:
+of the six stages of a unit wrapped:
 
-- `snapshot`: `wkb.snapshot`, one per sample time;
+- `snapshot`: `wkb.snapshot`, the amplitudes, one per sample time;
 - `_start`: `harness._start`, the initial data of one eps;
 - `_advance`: `harness._advance`, the Strang steps of one eps to a time;
-- `_z2_norms`: `harness._z2_norms`, the Z2 norms of one eps, taken
-  while the snapshot still holds its half-Laplacians;
-- `_record`: `harness._record`, the errors and remainder of one eps.
+- `_record`: `harness._record`, the errors and remainder of one eps;
+- `_half_laplacians`: `wkb._half_laplacians`, the in-place conversion
+  of a time's amplitudes into their half-Laplacians, once every record
+  of the time is taken;
+- `_z2_norms`: `harness._z2_norms`, the Z2 norms of one eps from the
+  half-Laplacians, which finish its record.
 
 Every figure is in state arrays, one complex128 field of the grid
 (4 MiB at 512^2, 1 MiB at 256^2).  Per stage, `over_entry` is the
@@ -56,7 +59,7 @@ from hartreelab import harness
 from hartreelab.config import parse_config
 from test_bench_layers import _four_mode_256, _reference_2d
 
-STAGES = ("snapshot", "_start", "_advance", "_z2_norms", "_record")
+STAGES = ("snapshot", "_start", "_advance", "_record", "_half_laplacians", "_z2_norms")
 PEAK_RSS_CHILD = """\
 import json, sys
 from hartreelab import harness
@@ -85,9 +88,9 @@ harness.run_sweep(cfg)
 print(json.dumps({"peak_rss_mib": hwm(), "hwm_entry_mib": entry,
                   "hwm_growth_mib": growth}))
 """
-# traced peak bounds in state arrays: the unit's, per case (its five
+# traced peak bounds in state arrays: the unit's, per case (its six
 # stages' own bounds are in `test_stage_peaks`)
-UNIT_PEAK_BOUND = {"reference_2d": 8.8, "four_mode_256x256": 13.0}
+UNIT_PEAK_BOUND = {"reference_2d": 8.1, "four_mode_256x256": 10.3}
 
 
 def _multimode() -> dict:
@@ -179,16 +182,19 @@ def measure() -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stage_peaks(benchmark, case):
     # in state arrays over the call's entry: a snapshot of M modes holds
-    # 2 M arrays and one transform at a time; a Z2 pass its field buffer
-    # and the norms' half-array moduli; a record its second field buffer
-    # and one half spectrum; a start u0, the spectrum and u0 - u_app
+    # its M amplitudes and, at most, two arrays more while it forms them;
+    # a record its field pair (the first of a time makes both) and one
+    # half spectrum; a conversion the graded norm's two half-array moduli;
+    # a Z2 pass its field buffer and the norms' half-array moduli; a start
+    # u0, the spectrum and u0 - u_app
     doc = CASES[case]()
     peaks = benchmark.pedantic(traced_unit, args=(doc,), rounds=1)
     benchmark.extra_info.update(peaks)
     got = peaks["over_entry"]
-    assert got["snapshot"] <= 2 * len(doc["modes"]) + 1.5, got
+    assert got["snapshot"] <= len(doc["modes"]) + 2.1, got
+    assert got["_record"] <= 2.9, got
+    assert got["_half_laplacians"] <= 1.1, got
     assert got["_z2_norms"] <= 1.6, got
-    assert got["_record"] <= 2.0, got
     assert got["_start"] <= 3.5, got
     assert peaks["unit_peak"] <= UNIT_PEAK_BOUND[case], peaks
 

@@ -6,7 +6,7 @@ Schema (all keys required unless marked optional, every number finite):
       "dimension": int,                  1, 2 or 3
       "gamma": float,                    0 < gamma < dimension
       "lambda": float,                   coupling
-      "box_length": float,               > 0
+      "box_length": float,               in LENGTH_RANGE
       "points": int,                     power of two per axis
       "modes": [
         {"kappa": [float, ...],
@@ -22,17 +22,20 @@ Schema (all keys required unless marked optional, every number finite):
       "output": str
     }
 
-A table profile's values are a flat list, one per grid point.  Keys
-outside the schema are ignored.  `SweepConfig.to_json_dict` echoes a
-configuration in this schema, table values included, so `parse_config`
-reloads an echo to the same configuration.
+A Gaussian width lies in LENGTH_RANGE and each center component within
+its top in size.  A table profile's values are a flat list, one per
+grid point.  Keys outside the schema are ignored.
+`SweepConfig.to_json_dict` echoes a configuration in this schema, table
+values included, so `parse_config` reloads an echo to the same
+configuration.
 
 Every cross-field rule (resolution, containment, mode separation, the
-range of each amplitude's peak modulus) is checked at load time so a
-bad configuration fails before any compute, with the violated rule named
-in the message.  Each rule is checked once, by the object that owns it
-(`dt_factor` by `solver.SolverParams`, for every eps); `parse_config`
-checks only the JSON types.
+range of each amplitude's peak modulus, the step budget) is checked at
+load time so a bad configuration fails before any compute, with the
+violated rule named in the message.  Each rule is checked once, by the
+object that owns it (`dt_factor` by `solver.SolverParams`, for every
+eps); `parse_config` checks the JSON types and the length range of the
+box length and of each Gaussian width and center, before any sampling.
 """
 
 from __future__ import annotations
@@ -42,12 +45,18 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .grid import GaussianProfile, Grid, TableProfile
 from .kernel import KernelSpec
 from .solver import DT_FACTOR, SolverParams
 from .wkb import ModeFamily, check_containment, check_resolution
 
 AMPLITUDE_RANGE = (1e-100, 1e100)  # the cube of a peak stays a normal float64
+# box length and Gaussian width (|center| up to its top): every squared
+# distance, and its ratio to a squared width, stays a finite float64
+LENGTH_RANGE = (1e-50, 1e50)
+STEP_BUDGET = 10**6  # Strang steps of the sweep schedule, over all eps
 
 
 class ConfigError(ValueError):
@@ -99,11 +108,18 @@ class SweepConfig:
             if not lo <= peak <= hi:
                 raise ValueError(f"an initial amplitude peaks at {peak:.3g}, outside "
                                  f"[{lo:g}, {hi:g}] (amplitude range rule)")
+        steps = 0.0  # in floats: a tiny dt_factor's count may pass the float range
         for e in eps:
-            SolverParams.largest_step(e, self.final_time, self.dt_factor)
+            dt = SolverParams.largest_step(e, self.final_time, self.dt_factor).dt
+            # as `solver.advance` cuts each gap between sample times
+            steps += sum(max(1.0, np.ceil((b - a) / dt - 1e-12))
+                         for a, b in zip((0.0, *samples), samples))
             check_resolution(self.family, e)
             if len(self.family.modes) > 1:
                 check_resolution(self.family, e, for_remainder=True)
+        if steps > STEP_BUDGET:
+            raise ValueError(f"the schedule asks for {steps:.4g} Strang steps over all "
+                             f"eps, above the budget of {STEP_BUDGET:.0e} (step budget rule)")
         check_containment(self.family, self.final_time)
 
     def to_json_dict(self) -> dict:
@@ -157,6 +173,15 @@ def _number(doc: dict, key: str) -> float:
     return float(v)
 
 
+def _length(value: float, key: str, signed: bool = False) -> float:
+    """`value` if its size lies in LENGTH_RANGE (a signed one may also be 0)."""
+    lo, hi = LENGTH_RANGE
+    if not (abs(value) <= hi if signed else lo <= value <= hi):
+        bounds = f"|{key}| <= {hi:g}" if signed else f"[{lo:g}, {hi:g}]"
+        raise ConfigError(f"'{key}' is {value:g}, outside {bounds} (length range rule)")
+    return value
+
+
 def _number_list(doc: dict, key: str) -> list:
     v = _need(doc, key)
     if not isinstance(v, list) or not all(_is_number(x) for x in v):
@@ -189,9 +214,9 @@ def _vector(obj: dict, key: str, d: int) -> list:
 def _parse_profile(profile: dict, d: int):
     kind = profile.get("type")
     if kind == "gaussian":
-        return GaussianProfile(amplitude=_number(profile, "amplitude"),
-                               center=_vector(profile, "center", d),
-                               width=_number(profile, "width"))
+        center = [_length(c, "center", signed=True) for c in _vector(profile, "center", d)]
+        return GaussianProfile(amplitude=_number(profile, "amplitude"), center=center,
+                               width=_length(_number(profile, "width"), "width"))
     if kind == "table":
         return TableProfile(values=_number_list(profile, "values"))
     raise ConfigError(f"unknown profile type {kind!r}")
@@ -203,7 +228,7 @@ def parse_config(doc: dict, threads: int = 1, seed: int = 0) -> SweepConfig:
         d = _integer(doc, "dimension")
         gamma = _number(doc, "gamma")
         coupling = _number(doc, "lambda")
-        length = _number(doc, "box_length")
+        length = _length(_number(doc, "box_length"), "box_length")
         grid = Grid(d=d, length=length, points=_integer(doc, "points"))
         kernel = KernelSpec(d=d, gamma=gamma, coupling=coupling)
         modes = _need(doc, "modes")

@@ -12,26 +12,26 @@ defaults and its rules belong to `config`, not here.
 
 The eps run in lockstep: between sample times each eps holds only its
 raw spectrum (row-padded in 2D and 3D, see `solver`) and t = 0 scalars.
-At each t every eps is advanced and one WKB snapshot (with its eps-free
-terms (1/2) Lap a_j and ||a(t)||_E) is built.  Every eps's Z2 norms come
-first; the half-Laplacians are then dropped, and each eps assembles one
-u_app for its error and remainder records.  The snapshot is dropped
-before the next advance.  The t = 0 snapshot holds the amplitudes alone
-(`wkb._amplitudes`, no transform at t = 0), all that `_start` reads: their
-u_app must reproduce the initial data exactly (`initial_exactness`).
-`--threads N` maps each time's per-eps advances, Z2 passes and records
-over N threads.
+At each t every eps is advanced, and one WKB snapshot builds the M
+amplitudes a_j(t), the time's one set of mode arrays.  Every eps first
+takes its error and remainder norms, which read the amplitudes alone.
+Each amplitude then turns in place into (1/2) Lap a_j, its spectrum
+giving its share of ||a(t)||_E (`wkb._half_laplacians`), and every eps
+takes its Z2 norms, which finish its record.  At t = 0 `_start` reads
+the family's alpha arrays (a_j(0) = alpha_j): their u_app must
+reproduce the initial data exactly (`initial_exactness`).  `--threads N`
+maps each time's per-eps advances, records and Z2 passes over N threads.
 
-A time's measurements work in complex field buffers, U and A, one set
-per worker thread, living from the time's snapshot to its last record.
-The Z2 pass (`_z2_norms`) takes U alone: Z2 superposes into it with no
-scratch, one block of rows at a time (`wkb._superpose`).  A record then
-passes U and A as the `out=`/`scratch=` of the public `wkb` record
-terms: u_app goes into U; u - u_app, then r (its cross density in A's
-two float64 halves), pass through A (the state as the spectrum's inverse
+A record works in a pair of complex field buffers per worker thread, U
+and A, passed as the `out=`/`scratch=` of the public `wkb` record terms:
+u_app goes into U; u - u_app, then r (its cross density in A's two
+float64 halves), pass through A (the state as the spectrum's inverse
 written into A: the spectrum must survive).  Each L2 sum is read before
-the forward transform overwrites its field.  `_start` holds three
-arrays: u0, the spectrum (first u_app's scratch) and u0 - u_app.
+the forward transform overwrites its field.  Every pair is dropped
+before the conversion; the Z2 pass (`_z2_norms`) then takes one buffer
+per worker, into which Z2 superposes with no scratch, one block of rows
+at a time (`wkb._superpose`).  `_start` holds three arrays: u0, the
+spectrum (first u_app's scratch) and u0 - u_app.
 
 The validation campaigns draw and check their fields in stacks of
 `Grid.block_rows`.  Each field draws only the coefficients inside its
@@ -55,7 +55,7 @@ import json
 import math
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,7 @@ from .solver import picard_evolve
 from .wkb import (
     WkbSnapshot,
     _amplitudes,
+    _half_laplacians,
     ansatz_residual,
     assemble,
     check_resolution,
@@ -167,7 +168,7 @@ class _EpsRun:
     mass0: float
     init_err: float
     mass: float = None
-    z2_norms: tuple = None  # (L2, Wiener) of Z2 at the current time
+    norms: tuple = None  # (L2, Wiener) of the error and of r at the current time
     records: list = field(default_factory=list)
 
 
@@ -195,12 +196,11 @@ def _advance(cfg: SweepConfig, khat_half, t_prev: float, t: float, run: _EpsRun)
         return exc
 
 
-def _fields(buffers: threading.local, grid: Grid, count: int) -> list:
-    """The first `count` of this thread's complex field buffers in `buffers`,
-    those missing made now."""
-    made = getattr(buffers, "fields", [])
+def _fields(buffers: dict, grid: Grid, count: int) -> list:
+    """The first `count` of the calling thread's complex field buffers in
+    `buffers`, which maps each thread to its own; those missing made now."""
+    made = buffers.setdefault(threading.get_ident(), [])
     made += [np.empty(grid.shape, dtype=np.complex128) for _ in range(count - len(made))]
-    buffers.fields = made
     return made[:count]
 
 
@@ -211,35 +211,35 @@ def _norms_in_place(values: np.ndarray, grid: Grid) -> tuple:
     return l2, _wiener(np.fft.fftn(values, out=values), grid)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # `_record`'s finite check reports it
-def _z2_norms(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
-    """(L2, Wiener) of Z2 for one eps at the snapshot's time into
-    `run.z2_norms`, for its record; Z2 forms in the calling thread's first
-    field buffer of `buffers`, with block-sized scratch only."""
-    (u,) = _fields(buffers, cfg.grid, 1)
-    run.z2_norms = _norms_in_place(z2_term(cfg.family, snap, run.eps, out=u), cfg.grid)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the finite check below reports it
-def _record(cfg: SweepConfig, snap, buffers: threading.local, run: _EpsRun):
-    """Errors and remainder of one eps at the snapshot's time, with the Z2
-    norms `_z2_norms` left in `run`, in the calling thread's field pair
-    (U, A) of `buffers`: u_app in U serves the error and the remainder,
-    and each measured field passes through A."""
+@np.errstate(over="ignore", invalid="ignore")  # `_z2_norms`' finite check reports it
+def _record(cfg: SweepConfig, snap, buffers: dict, run: _EpsRun):
+    """Error and remainder norms of one eps at the snapshot's time into
+    `run.norms`, in the calling thread's field pair (U, A) of `buffers`:
+    u_app in U serves both, and each measured field passes through A."""
     eps, g = run.eps, cfg.grid
     u, a = _fields(buffers, g, 2)
     u_app = assemble(cfg.family, snap, eps, out=u, scratch=a)
     err = np.fft.ifftn(run.raw, out=a)  # the spectrum stays for the next advance
-    err_l2, err_w = _norms_in_place(np.subtract(err, u_app, out=err), g)
-    r_l2, r_w = _norms_in_place(
+    run.norms = _norms_in_place(np.subtract(err, u_app, out=err), g) + _norms_in_place(
         resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app, out=a), g)
-    z2_l2, z2_w = run.z2_norms
-    norms = (err_l2, err_w, r_l2, r_w, z2_l2, z2_w)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the finite check below reports it
+def _z2_norms(cfg: SweepConfig, halves: tuple, t: float, buffers: dict, run: _EpsRun):
+    """Z2 norms of one eps at time t from the half-Laplacians `halves`, and
+    its record with the norms `_record` left in `run`; Z2 forms in the
+    calling thread's first field buffer of `buffers`, with block-sized
+    scratch only."""
+    eps = run.eps
+    (u,) = _fields(buffers, cfg.grid, 1)
+    norms = run.norms + _norms_in_place(z2_term(cfg.family, halves, t, eps, out=u),
+                                        cfg.grid)
     if not all(map(math.isfinite, norms)):
-        raise FloatingPointError(f"a record field at eps = {eps}, t = {snap.t} "
+        raise FloatingPointError(f"a record field at eps = {eps}, t = {t} "
                                  "contains non-finite entries")
+    err_l2, err_w, r_l2, r_w, z2_l2, z2_w = norms
     drift = abs(run.mass - run.mass0) / run.mass0
-    run.records.append(SweepRecord(eps, snap.t, err_l2, err_w, err_l2 + err_w,
+    run.records.append(SweepRecord(eps, t, err_l2, err_w, err_l2 + err_w,
                                    r_l2 + r_w, z2_l2 + z2_w, drift))
 
 
@@ -252,27 +252,25 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
         each = pool.map if pool else map
-        # `_start` reads the amplitudes alone, so the eps-free terms are not built
-        snap = WkbSnapshot(0.0, _amplitudes(cfg.family, 0.0, cfg.kernel), None, None)
+        # a_j(0) = alpha_j: the family's own arrays, no copy and no transform
+        snap = WkbSnapshot(0.0, tuple(m.alpha.values for m in cfg.family.modes))
         runs = list(each(functools.partial(_start, cfg, snap), cfg.epsilons))
         init_errs = {run.eps: run.init_err for run in runs}  # failed eps count too
         t_prev = 0.0
         for t in cfg.sample_times:
-            del snap  # one snapshot with its terms at a time, none while stepping
+            del snap  # one set of mode arrays at a time, none while stepping
             step = functools.partial(_advance, cfg, khat_half, t_prev, t)
             outcomes = list(each(step, runs))
             failures.update((r.eps, str(x)) for r, x in zip(runs, outcomes) if x)
             runs = [r for r, x in zip(runs, outcomes) if not x]
             if not runs:
                 break
-            snap = snapshot(cfg.family, t, cfg.kernel)
-            e_norms[t] = snap.e_norm
-            buffers = threading.local()  # field buffers per worker, this time only
-            list(each(functools.partial(_z2_norms, cfg, snap, buffers), runs))
-            # the half-Laplacians go before the records take their second buffer
-            snap = replace(snap, half_laplacians=None)
+            snap, buffers = snapshot(cfg.family, t, cfg.kernel), {}
             list(each(functools.partial(_record, cfg, snap, buffers), runs))
-            del buffers
+            buffers.clear()  # every worker's pair goes before the conversion
+            e_norms[t] = _half_laplacians(cfg.family, snap.amplitudes)  # in place
+            list(each(functools.partial(_z2_norms, cfg, snap.amplitudes, t, buffers), runs))
+            buffers.clear()
             t_prev = t
 
     # deterministic order: config order, then t ascending
@@ -526,7 +524,7 @@ def validate_suite(
         moved = translate(mode.alpha, t_ref * mode.kappa)
         worst_mod = max(
             worst_mod,
-            float(np.max(np.abs(np.abs(amp.values) - np.abs(moved.values)))),
+            float(np.max(np.abs(np.abs(amp) - np.abs(moved.values)))),
         )
     checks["modulus_transport"] = _below(
         worst_mod, 1e-10, f"max modulus deviation {worst_mod:.3e}"

@@ -27,12 +27,13 @@ densities, so Theta_j is real by construction; `action_phase_quadrature`
 is the independent composite-Simpson oracle over the time variable.
 Exponentials are plane waves built separably by `grid.plane_wave`, and
 the amplitude phase exp(i Theta_j) is one `grid.unit_phase`.  A
-snapshot of M modes at t > 0 costs M r2c + M c2r + 4 M c2c FFTs: shared
-density spectra, one inverse per phase (its d - 1 leading-axis complex
-passes run in place), a pair per translated amplitude,
-and a pair per amplitude for its eps-free terms (one forward transform
-serves its graded norm and its half-Laplacian).  It keeps no phase, and
-a record per eps then transforms no amplitude.
+snapshot of M modes at t > 0 holds its M amplitudes alone, as writable
+complex arrays, and costs M r2c + M c2r + 2 M c2c FFTs: shared density
+spectra, one inverse per phase (its d - 1 leading-axis complex passes
+run in place) and a pair per translated amplitude.  It keeps no phase.
+`_half_laplacians` then turns each amplitude, in place, into its
+eps-free term (1/2) Lap a_j: one forward transform per amplitude serves
+its graded norm toward ||a(t)||_E and its half-Laplacian (2 M FFTs).
 
 Expansion bookkeeping: after the eikonal and transport cancellations,
 plugging the ansatz into the equation leaves exactly
@@ -44,7 +45,7 @@ plugging the ansatz into the equation leaves exactly
 
 which `z2_term` and `resonant_remainder` return as sample arrays, like
 `assemble` for u_app (each fills an `out=` buffer when given, as a sweep
-record does), and `ansatz_residual` checks.  The cross density B is what
+does), and `ansatz_residual` checks.  The cross density B is what
 the averaged density rho = sum_j |a_j|^2 leaves of |u_app|^2, so
 B = |u_app|^2 - sum_j |a_j|^2.
 """
@@ -188,17 +189,12 @@ class ModeFamily:
 
 @dataclass(frozen=True, eq=False)
 class WkbSnapshot:
-    """Amplitudes a_j(t) with their eps-free (1/2) Lap a_j and ||a(t)||_E.
-
-    A sweep's snapshot keeps the half-Laplacians only through its Z2 pass:
-    its records get the snapshot without them (None), as `_start` gets the
-    t = 0 amplitudes alone; `ansatz_residual` builds no ||a(t)||_E (None).
-    """
+    """Amplitudes a_j(t), one sample array per mode: writable complex arrays
+    from `snapshot`, which a sweep turns into its half-Laplacians in place
+    once its records are taken (`_half_laplacians`)."""
 
     t: float
     amplitudes: tuple
-    half_laplacians: tuple
-    e_norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,37 +329,43 @@ def action_phase_quadrature(
 
 
 def _amplitudes(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
-    """a_j(t) = exp(i Theta_j(t)) alpha_j(. - t kappa_j), one Field per mode.
+    """a_j(t) = exp(i Theta_j(t)) alpha_j(. - t kappa_j), one writable complex
+    array per mode.
 
     The M `action_phase` calls share one set of density spectra (M real
-    FFTs); each real phase goes straight into `unit_phase`, times one
-    `translate` array.  At t = 0 no transform runs: the shift and the
-    phase are zero, so a_j(0) = alpha_j exactly.
+    FFTs), freed once the M real phases are built; each phase then goes
+    straight into `unit_phase`, times one `translate` array, and is
+    dropped.  At t = 0 no transform runs: the shift and the phase are
+    zero, so a_j(0) = alpha_j exactly.
     """
     check_containment(family, t)
     spectra = _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None
+    phases = [action_phase(family, j, t, spec, spectra).values
+              for j in range(len(family.modes))]
+    del spectra
     amps = []
-    for j, mode in enumerate(family.modes):
-        amp = unit_phase(action_phase(family, j, t, spec, spectra).values)
+    for mode in family.modes:
+        amp = unit_phase(phases.pop(0))
         amp *= translate(mode.alpha, t * mode.kappa).values
-        amps.append(Field._adopt(family.grid, amp))
+        amps.append(amp)
     return tuple(amps)
 
 
 def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
-    """Amplitudes at time t (modulus: pure translation) with eps-free terms.
+    """Amplitudes at time t (modulus: pure translation), as `_amplitudes`."""
+    return WkbSnapshot(t, _amplitudes(family, t, spec))
 
-    The density spectra of `_amplitudes` are freed before the eps-free
-    terms are built.  One forward transform per amplitude then serves its
-    graded norm and its half-Laplacian, which overwrites it (2 M FFTs).
-    """
-    amps = _amplitudes(family, t, spec)
-    halves, e_norm = [], 0.0
+
+def _half_laplacians(family: ModeFamily, amps) -> float:
+    """Turn each amplitude array of `amps` into (1/2) Lap a_j in place and
+    return ||a||_E: one forward transform per amplitude, in the amplitude's
+    buffer, serves its graded norm and its half-Laplacian (2 M FFTs)."""
+    e_norm = 0.0
     for amp in amps:
-        raw = np.fft.fftn(amp.values, out=np.empty(amp.values.shape, dtype=complex))
+        raw = np.fft.fftn(amp, out=amp)
         e_norm += _graded_norm(raw, family.grid, family.nspec)
-        halves.append(_laplacian_from_raw(raw, family.grid, 0.5))  # 0.5 is exact
-    return WkbSnapshot(t, tuple(amps), tuple(halves), e_norm)
+        _laplacian_from_raw(raw, family.grid, 0.5)  # 0.5 is exact
+    return e_norm
 
 
 def _mode_carrier(grid: Grid, kappa: np.ndarray, t: float, eps: float) -> np.ndarray:
@@ -412,16 +414,15 @@ def assemble(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
              scratch=None) -> np.ndarray:
     """u_app = sum_j a_j exp(i phi_j / eps) at snap.t (`_superpose` buffers)."""
     check_resolution(family, eps)
-    amps = (amp.values for amp in snap.amplitudes)
-    return _superpose(family, amps, snap.t, eps, out, scratch)
+    return _superpose(family, snap.amplitudes, snap.t, eps, out, scratch)
 
 
-def z2_term(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
+def z2_term(family: ModeFamily, halves, t: float, eps: float, out=None,
             scratch=None) -> np.ndarray:
-    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) from the snapshot's
-    half-Laplacians, into `out` if given (`_superpose` buffers)."""
+    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) at time t from the
+    half-Laplacians `halves`, into `out` if given (`_superpose` buffers)."""
     check_resolution(family, eps)
-    return _superpose(family, snap.half_laplacians, snap.t, eps, out, scratch)
+    return _superpose(family, halves, t, eps, out, scratch)
 
 
 def resonant_remainder(family: ModeFamily, snap: WkbSnapshot, eps: float,
@@ -444,7 +445,7 @@ def resonant_remainder(family: ModeFamily, snap: WkbSnapshot, eps: float,
     mod_sq, cross = out.view(np.float64).reshape(2, *g.shape)
     np.square(np.abs(u_app, out=cross), out=cross)
     for amp in snap.amplitudes:
-        cross -= np.square(np.abs(amp.values, out=mod_sq), out=mod_sq)
+        cross -= np.square(np.abs(amp, out=mod_sq), out=mod_sq)
     half = np.empty((*g.shape[:-1], g.points // 2 + 1), dtype=np.complex128)
     conv = convolve(half_multiplier(spec, g), cross, out=cross, spectrum=half)
     for c, u, r in zip(*map(_slices, (np.negative(conv, out=conv), u_app, out))):
@@ -456,14 +457,14 @@ def _transport_rates(family: ModeFamily, amps: tuple, spec: KernelSpec) -> list:
     """dt a_j by the transport law: -kappa_j . grad a_j - i lambda (K * rho) a_j,
     rho = sum_l |a_l|^2, with the drift applied as one i kappa_j . xi multiplier."""
     g = family.grid
-    rho = sum(np.abs(amp.values) ** 2 for amp in amps)
+    rho = sum(np.abs(amp) ** 2 for amp in amps)
     potential = convolve(half_multiplier(spec, g, spec.coupling), rho)
     meshes = g.freq_meshes(zero_nyquist=True)
     rates = []
     for mode, amp in zip(family.modes, amps):
         drift = sum(1j * k * m for k, m in zip(mode.kappa, meshes))
-        advect = np.fft.ifftn(np.fft.fftn(amp.values) * drift)
-        rates.append(-advect - 1j * potential * amp.values)
+        advect = np.fft.ifftn(np.fft.fftn(amp) * drift)
+        rates.append(-advect - 1j * potential * amp)
     return rates
 
 
@@ -485,14 +486,14 @@ def transport_residual(
     def slope(step: float) -> list:
         lo, hi = max(t - step, 0.0), t + step
         ends = zip(_amplitudes(family, hi, spec), _amplitudes(family, lo, spec))
-        return [(p.values - m.values) / (hi - lo) for p, m in ends]
+        return [(p - m) / (hi - lo) for p, m in ends]
 
     mids = _amplitudes(family, t, spec)
     rates = _transport_rates(family, mids, spec)
     out = []
     for mid, coarse, fine, rate in zip(mids, slope(h), slope(h / 2), rates):
         resid = (4 * fine - coarse) / 3 - rate
-        scale = np.max(np.abs(mid.values))
+        scale = np.max(np.abs(mid))
         out.append(float(np.max(np.abs(resid)) / scale) if scale > 0 else 0.0)
     return out
 
@@ -512,15 +513,13 @@ def ansatz_residual(
     """
     check_resolution(family, eps, for_remainder=True)
     g = family.grid
-    amps = _amplitudes(family, t, spec)  # and their half-Laplacians, not ||a(t)||_E
-    halves = (_laplacian_from_raw(np.fft.fftn(a.values), g, 0.5) for a in amps)
-    snap = WkbSnapshot(t, amps, tuple(halves), None)
+    snap = WkbSnapshot(t, _amplitudes(family, t, spec))
     u_app = assemble(family, snap, eps)
 
     rates = _transport_rates(family, snap.amplitudes, spec)
     # d/dt (a_j exp(i phi_j / eps)) = (dt a_j - i |kappa_j|^2 / (2 eps) a_j) exp(...)
     wave_rates = (
-        dadt - 0.5j * float(mode.kappa @ mode.kappa) / eps * amp.values
+        dadt - 0.5j * float(mode.kappa @ mode.kappa) / eps * amp
         for mode, amp, dadt in zip(family.modes, snap.amplitudes, rates)
     )
     dudt = _superpose(family, wave_rates, t, eps)
@@ -530,7 +529,9 @@ def ansatz_residual(
     lap = laplacian(Field._adopt(g, u_app)).values
     lhs = 1j * eps * dudt + 0.5 * eps**2 * lap - eps * nonlinear
 
-    z2 = z2_term(family, snap, eps)
+    # the half-Laplacians without ||a(t)||_E, each from a fresh spectrum
+    halves = (_laplacian_from_raw(np.fft.fftn(a), g, 0.5) for a in snap.amplitudes)
+    z2 = z2_term(family, halves, t, eps)
     rem = resonant_remainder(family, snap, eps, spec, u_app)
     rhs = eps**2 * z2 + eps * spec.coupling * rem
 

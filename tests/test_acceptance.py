@@ -250,7 +250,7 @@ def test_criterion_8_wkb_internal_consistency(config_1d):
         for mode, amp in zip(fam.modes, snap.amplitudes):
             moved = translate(mode.alpha, t * mode.kappa)
             worst_mod = max(worst_mod, float(np.max(np.abs(
-                np.abs(amp.values) - np.abs(moved.values)
+                np.abs(amp) - np.abs(moved.values)
             ))))
     assert worst_mod < 1e-10
 

@@ -18,7 +18,7 @@ from hartreelab import (
     parse_config,
     run_sweep,
 )
-from hartreelab import cli, harness
+from hartreelab import cli, config, harness
 from hartreelab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -476,6 +476,63 @@ class TestAmplitudeRange:
             doc["epsilons"] = doc["epsilons"][:1]
         assert main([command, "--config", write_config(tmp_path, doc)]) == 0
         assert capsys.readouterr().err == ""
+
+
+def set_gaussians(doc, key, value):
+    for mode in doc["modes"]:
+        mode["profile"][key] = value
+    return doc
+
+
+# inputs a run file may hold that no run could use: each exits 2 at load
+RANGE_INPUTS = {
+    # width**2 overflows while the profile is sampled
+    "width_1e308": (lambda tmp: set_gaussians(base_config(tmp), "width", 1e308),
+                    "'width' is 1e+308", "length range rule"),
+    "width_1e-300": (lambda tmp: set_gaussians(base_config(tmp), "width", 1e-300),
+                     "'width' is 1e-300", "length range rule"),
+    "center_-1e200": (lambda tmp: set_gaussians(base_config(tmp), "center", [-1e200]),
+                      "'center' is -1e+200", "length range rule"),
+    "box_length_1e308": (lambda tmp: base_config(tmp, box_length=1e308),
+                         "'box_length' is 1e+308", "length range rule"),
+    # 3e300 steps (1e300 for one eps): the run would never finish
+    "dt_factor_1e-300": (lambda tmp: base_config(tmp, dt_factor=1e-300),
+                         "e+300 Strang steps", "step budget rule"),
+    # a subnormal dt: the count passes the float range
+    "dt_factor_1e-320": (lambda tmp: base_config(tmp, dt_factor=1e-320),
+                         "inf Strang steps", "step budget rule"),
+}
+
+
+class TestLoadRanges:
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "validate"])
+    @pytest.mark.parametrize("name", list(RANGE_INPUTS))
+    def test_out_of_range_input_exits_2(self, tmp_path, capsys, command, name):
+        make, value, rule = RANGE_INPUTS[name]
+        doc = make(tmp_path)
+        if command == "simulate":
+            doc["epsilons"] = doc["epsilons"][:1]
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and value in err and rule in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("share, loads", [(0.9, True), (1.1, False)])
+    def test_step_budget_counts_every_gap_of_every_eps(self, tmp_path, share, loads):
+        # per eps, 0.1 / (dt_factor eps) steps to each of the two sample
+        # times: 3 / dt_factor in all for eps 0.2 and 0.1
+        doc = base_config(tmp_path, dt_factor=3 / (share * config.STEP_BUDGET))
+        if loads:
+            parse_config(doc)
+        else:
+            with pytest.raises(ConfigError, match=r"1\.1e\+06 Strang steps over all eps"):
+                parse_config(doc)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_reference_configs_stay_inside_every_range(self, path):
+        load_config(path)
 
 
 class TestRuntimeErrors:

@@ -1,12 +1,9 @@
-import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +33,12 @@ from hartreelab.harness import (
     _random_smooth_density,
     _sweep_checks,
 )
+from hartreelab.grid import laplacian
 from hartreelab.kernel import half_multiplier
 from hartreelab.norms import l2_norm, l2w_norm, wiener_norm
 from hartreelab.solver import DivergenceError, SolverParams, evolve
 from hartreelab.wkb import (
+    _half_laplacians,
     assemble,
     initial_data,
     resonant_remainder,
@@ -99,6 +98,7 @@ def per_eps_reference(cfg):
         for idx, t in enumerate(cfg.sample_times):
             snap = snapshot(cfg.family, t, cfg.kernel)
             u_app = assemble(cfg.family, snap, eps)
+            halves = [0.5 * laplacian(Field(cfg.grid, a)).values for a in snap.amplitudes]
             err = traj.state_at(t) - Field(cfg.grid, u_app)
             err_l2, err_w = l2_norm(err), wiener_norm(err)
             recs.append(
@@ -110,14 +110,14 @@ def per_eps_reference(cfg):
                     err_l2w=err_l2 + err_w,
                     r_norm=l2w_norm(Field(cfg.grid, resonant_remainder(
                         cfg.family, snap, eps, cfg.kernel, u_app))),
-                    z2_norm=l2w_norm(Field(cfg.grid, z2_term(cfg.family, snap, eps))),
+                    z2_norm=l2w_norm(Field(cfg.grid, z2_term(cfg.family, halves, t, eps))),
                     mass_drift=abs(traj.mass_log[1 + idx] - mass0) / mass0,
                 )
             )
         records.extend(recs)
         worst.append((eps, max(r.err_l2w for r in recs)))
     e_norms = {
-        t: snapshot(cfg.family, t, cfg.kernel).e_norm
+        t: _half_laplacians(cfg.family, snapshot(cfg.family, t, cfg.kernel).amplitudes)
         for t in cfg.sample_times
     }
     beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
@@ -373,32 +373,50 @@ def small_2d_config(kappas, threads=1):
     )
 
 
-class TestZ2First:
-    """Each time's Z2 norms come before its records, which get the snapshot
-    without its half-Laplacians."""
+class TestRecordsFirst:
+    """Each time's records read the amplitudes; each amplitude then turns
+    into its half-Laplacian in place, and the Z2 pass reads those."""
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_records_run_after_the_half_laplacians_are_freed(self, monkeypatch, threads):
+    def test_half_laplacians_overwrite_the_amplitudes_after_the_records(
+            self, monkeypatch, threads):
         cfg = small_2d_config(([-2.0, 0.0], [2.0, 0.0]), threads)
-        halves, record_snaps = [], []
-        real_z2, real_record = harness._z2_norms, harness._record
+        events, amps, halves, pairs = [], [], [], []
+        real = {name: getattr(harness, name)
+                for name in ("snapshot", "_record", "_half_laplacians", "_z2_norms")}
 
-        def z2_spy(cfg, snap, buffers, run):
-            halves.extend(weakref.ref(h) for h in snap.half_laplacians)
-            return real_z2(cfg, snap, buffers, run)
+        def snapshot_spy(family, t, spec):
+            snap = real["snapshot"](family, t, spec)
+            events.append("snapshot")
+            amps.append(snap.amplitudes)
+            return snap
 
         def record_spy(cfg, snap, buffers, run):
-            assert all(ref() is None for ref in halves)  # freed, not only hidden
-            record_snaps.append(snap)
-            return real_record(cfg, snap, buffers, run)
+            events.append("record")
+            pairs.append(buffers)
+            return real["_record"](cfg, snap, buffers, run)
 
-        monkeypatch.setattr(harness, "_z2_norms", z2_spy)
-        monkeypatch.setattr(harness, "_record", record_spy)
+        def convert_spy(family, arrays):
+            events.append("convert")
+            assert not any(pairs)  # every worker's field pair is dropped
+            return real["_half_laplacians"](family, arrays)
+
+        def z2_spy(cfg, arrays, t, buffers, run):
+            events.append("z2")
+            halves.append(arrays)
+            return real["_z2_norms"](cfg, arrays, t, buffers, run)
+
+        for name, spy in (("snapshot", snapshot_spy), ("_record", record_spy),
+                          ("_half_laplacians", convert_spy), ("_z2_norms", z2_spy)):
+            monkeypatch.setattr(harness, name, spy)
         result = run_sweep(cfg)
-        assert len(halves) == 2 * 2 * 2  # modes x eps x times
-        assert len(record_snaps) == len(result.records) == 4
-        assert all(snap.half_laplacians is None for snap in record_snaps)
-        assert all(len(snap.amplitudes) == 2 for snap in record_snaps)
+        # no record runs after a conversion: two eps, two sample times
+        assert events == ["snapshot", "record", "record", "convert", "z2", "z2"] * 2
+        assert len(result.records) == 4
+        assert len(halves) == 4
+        for time_amps, z2_halves in zip(amps, halves[::2]):
+            assert len(z2_halves) == 2
+            assert all(np.shares_memory(h, a) for h, a in zip(z2_halves, time_amps))
 
 
 class TestLockstepSweep:
@@ -441,47 +459,56 @@ class TestLockstepSweep:
         assert seen == list(cfg.sample_times)  # t = 0 reads the alphas, no snapshot
 
     def test_two_mode_sweep_makes_no_t0_term_transforms(self, small_config, fft_calls):
-        # a t = 0 snapshot spends 2 M transforms on its eps-free terms; the
-        # sweep builds the t = 0 amplitudes alone, so it makes 2 M fewer
+        # a t = 0 snapshot transforms nothing (zero phases and shifts), and
+        # the sweep reads the alphas at t = 0 without one: its only t = 0
+        # transforms are each eps's spectrum and error norm
         cfg = with_epsilons(small_config, (0.2, 0.1))
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 2
         assert len(cfg.family.modes) == n_modes and cfg.grid.d == 1
         snapshot(cfg.family, 0.0, cfg.kernel)
-        assert len(fft_calls) == 2 * n_modes
-        fft_calls.clear()
+        assert fft_calls == []
         steps = sum(
             max(1, math.ceil((b - a) / (cfg.dt_factor * eps) - 1e-12))
             for eps in cfg.epsilons
             for a, b in zip((0.0, *cfg.sample_times), cfg.sample_times)
         )
-        with_t0_terms = (2 * n_modes + 2 * n_eps + 4 * steps + 6 * n_modes * n_times
-                         + 6 * n_eps * n_times)
         result = run_sweep(cfg)
         assert len(result.records) == n_eps * n_times
-        assert len(fft_calls) == with_t0_terms - 2 * n_modes
+        assert len(fft_calls) == (2 * n_eps + 4 * steps + 6 * n_modes * n_times
+                                  + 6 * n_eps * n_times)
         assert result.checks["initial_exactness"].detail == "max t=0 error 0.000e+00"
 
     def test_initial_exactness_reads_the_t0_amplitude_path(self, small_config,
                                                            monkeypatch):
-        # the t = 0 amplitudes run the phase and the translation of every
-        # snapshot, so a phase that is not exactly 0 at t = 0 shows in the check
-        real = wkb.action_phase
+        # a_j(0) = alpha_j: `_start` gets the family's own alpha arrays, and
+        # an amplitude that is not exactly alpha_j shows in the check
+        real = harness._start
+        seen = []
 
-        def drifted(family, j, t, spec, spectra=None):
-            phase = real(family, j, t, spec, spectra)
-            return grid_module.Field(phase.grid, phase.values + 1e-9)
+        def start_spy(cfg, snap0, eps):
+            seen.append(snap0)
+            return real(cfg, snap0, eps)
+
+        def drifted(cfg, snap0, eps):
+            amps = tuple(a + 1e-9 for a in snap0.amplitudes)
+            return real(cfg, wkb.WkbSnapshot(snap0.t, amps), eps)
 
         cfg = with_epsilons(small_config, (0.2, 0.1))
+        monkeypatch.setattr(harness, "_start", start_spy)
         assert run_sweep(cfg).checks["initial_exactness"].passed
-        monkeypatch.setattr(wkb, "action_phase", drifted)
+        assert len(seen) == 2 and all(snap.t == 0.0 for snap in seen)
+        for snap in seen:
+            assert all(a is m.alpha.values
+                       for a, m in zip(snap.amplitudes, cfg.family.modes))
+        monkeypatch.setattr(harness, "_start", drifted)
         check = run_sweep(cfg).checks["initial_exactness"]
         assert not check.passed and check.detail != "max t=0 error 0.000e+00"
 
     def test_transform_budget(self, fft_calls, monkeypatch):
-        # per snapshot at a sample time: one forward/inverse pair per
-        # amplitude for its eps-free terms (||a||_E and (1/2) Lap a_j), plus
-        # 4 M, however many eps there are (none at t = 0, whose amplitudes
-        # are the alphas); per record: 6 (state
+        # per sample time: 4 M for the snapshot, then one forward/inverse
+        # pair per amplitude for its eps-free terms (||a||_E and its
+        # half-Laplacian), however many eps there are (none at t = 0, whose
+        # amplitudes are the alphas); per record: 6 (state
         # inverse, error Wiener norm, the remainder's real convolution pair,
         # the Wiener norms of r and Z2); per eps at t = 0: 2; per Strang
         # step: 4.  Each convolution's and each phase's inverse adds d - 1
@@ -599,10 +626,9 @@ class TestRecord:
     def test_warm_record_allocates_under_two_fields(self):
         cfg = four_mode_config()
         snap, run = first_record_inputs(cfg)
-        buffers = threading.local()
-        harness._z2_norms(cfg, snap, buffers, run)
+        buffers = {}
         harness._record(cfg, snap, buffers, run)  # makes this thread's pair
-        raw = run.raw.copy()
+        raw, norms = run.raw.copy(), run.norms
         tracemalloc.start()
         try:
             harness._record(cfg, snap, buffers, run)
@@ -611,19 +637,19 @@ class TestRecord:
             tracemalloc.stop()
         field_bytes = cfg.grid.total_points * np.dtype(np.complex128).itemsize
         assert peak < 1.5 * field_bytes
-        assert run.records[0] == run.records[1]
+        assert run.norms == norms
         assert np.array_equal(run.raw, raw)  # the spectrum survives the record
 
     def test_non_finite_field_rejected(self):
         cfg = three_mode_config()
         snap, run = first_record_inputs(cfg)
-        halves = [np.array(h) for h in snap.half_laplacians]
+        harness._record(cfg, snap, {}, run)  # the record only measures
+        halves = snap.amplitudes
+        _half_laplacians(cfg.family, halves)
         halves[1][5, 7] = np.inf
-        bad = dataclasses.replace(snap, half_laplacians=tuple(halves))
-        buffers = threading.local()
-        harness._z2_norms(cfg, bad, buffers, run)  # the Z2 pass only measures
+        t = cfg.sample_times[0]
         with pytest.raises(FloatingPointError, match="non-finite"):
-            harness._record(cfg, bad, buffers, run)
+            harness._z2_norms(cfg, halves, t, {}, run)
         assert run.records == []
 
 
@@ -634,11 +660,14 @@ class TestZ2Pass:
         # the norms then take the moduli (half a field) of `_l2`
         cfg = four_mode_config()
         snap, run = first_record_inputs(cfg)
-        harness._z2_norms(cfg, snap, threading.local(), run)  # FFT plan caches
+        harness._record(cfg, snap, {}, run)
+        halves, t, eps = snap.amplitudes, cfg.sample_times[0], cfg.epsilons[0]
+        _half_laplacians(cfg.family, halves)
+        harness._z2_norms(cfg, halves, t, {}, run)  # FFT plan caches
         item = np.dtype(np.complex128).itemsize
         field_bytes = cfg.grid.total_points * item
         block_bytes = (grid_module.CHUNK + np.getbufsize()) * item
-        (u,) = harness._fields(threading.local(), cfg.grid, 1)
+        (u,) = harness._fields({}, cfg.grid, 1)
 
         def peak_over_entry(fn, *args):
             entry = tracemalloc.get_traced_memory()[0]
@@ -648,8 +677,9 @@ class TestZ2Pass:
 
         tracemalloc.start()
         try:
-            superpose = peak_over_entry(z2_term, cfg.family, snap, cfg.epsilons[0], u)
-            cold = peak_over_entry(harness._z2_norms, cfg, snap, threading.local(), run)
+            superpose = peak_over_entry(z2_term, cfg.family, halves, t, eps, u)
+            cold = peak_over_entry(harness._z2_norms, cfg, halves, t, {},
+                                   run)
         finally:
             tracemalloc.stop()
         assert superpose < block_bytes + 64 * 1024
@@ -665,7 +695,8 @@ class TestValidateSuite:
     def test_builds_no_snapshot_or_graded_norm(self, small_config, monkeypatch):
         # the transport and modulus checks read the amplitudes alone and the
         # ansatz identity the amplitudes and their half-Laplacians; no check
-        # reads ||a(t)||_E, so no snapshot and no graded norm is built
+        # reads ||a(t)||_E, so no snapshot (the sweep's per-time call) and no
+        # graded norm is built
         calls = []
         for module, name in ((harness, "snapshot"), (wkb, "snapshot"),
                              (wkb, "_graded_norm")):

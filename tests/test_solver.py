@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -577,9 +576,11 @@ class TestPaddedLayout:
         khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
         assert harness._advance(cfg, khat_half, 0.0, t, run) is None
         assert run.raw.base is pads.base and not pads.any()
-        snap, buffers = snapshot(cfg.family, t, cfg.kernel), threading.local()
-        harness._z2_norms(cfg, snap, buffers, run)
-        harness._record(cfg, snap, buffers, run)
+        snap = snapshot(cfg.family, t, cfg.kernel)
+        harness._record(cfg, snap, {}, run)
+        assert not pads.any()
+        harness._half_laplacians(cfg.family, snap.amplitudes)
+        harness._z2_norms(cfg, snap.amplitudes, t, {}, run)
         assert len(run.records) == 1 and not pads.any()
 
 
