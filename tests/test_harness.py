@@ -33,7 +33,6 @@ from hartreelab.harness import (
     _random_smooth_density,
     _sweep_checks,
 )
-from hartreelab.grid import laplacian
 from hartreelab.kernel import half_multiplier
 from hartreelab.norms import l2_norm, l2w_norm, wiener_norm
 from hartreelab.solver import DivergenceError, SolverParams, evolve
@@ -98,7 +97,8 @@ def per_eps_reference(cfg):
         for idx, t in enumerate(cfg.sample_times):
             snap = snapshot(cfg.family, t, cfg.kernel)
             u_app = assemble(cfg.family, snap, eps)
-            halves = [0.5 * laplacian(Field(cfg.grid, a)).values for a in snap.amplitudes]
+            halves = [0.5 * grid_module.laplacian(Field(cfg.grid, a)).values
+                      for a in snap.amplitudes]
             err = traj.state_at(t) - Field(cfg.grid, u_app)
             err_l2, err_w = l2_norm(err), wiener_norm(err)
             recs.append(
