@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,34 @@ class TestRecordsFirst:
         for time_amps, z2_halves in zip(amps, halves[::2]):
             assert len(z2_halves) == 2
             assert all(np.shares_memory(h, a) for h, a in zip(z2_halves, time_amps))
+
+
+class TestZ2First:
+    """A time's Z2 pass comes before the next time's records, and its
+    half-Laplacians are freed by then: a sweep holds one set of mode arrays."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_records_run_after_the_half_laplacians_are_freed(self, monkeypatch, threads):
+        cfg = small_2d_config(([-2.0, 0.0], [2.0, 0.0]), threads)
+        halves, record_snaps = [], []
+        real_z2, real_record = harness._z2_norms, harness._record
+
+        def z2_spy(cfg, arrays, t, buffers, run):
+            halves.extend(weakref.ref(h) for h in arrays)
+            return real_z2(cfg, arrays, t, buffers, run)
+
+        def record_spy(cfg, snap, buffers, run):
+            assert all(ref() is None for ref in halves)  # freed, not only hidden
+            record_snaps.append((snap.t, len(snap.amplitudes)))
+            return real_record(cfg, snap, buffers, run)
+
+        monkeypatch.setattr(harness, "_z2_norms", z2_spy)
+        monkeypatch.setattr(harness, "_record", record_spy)
+        result = run_sweep(cfg)
+        assert len(halves) == 2 * 2 * 2  # modes x eps x times
+        assert all(ref() is None for ref in halves)
+        assert len(record_snaps) == len(result.records) == 4
+        assert sorted(record_snaps) == [(0.1, 2), (0.1, 2), (0.2, 2), (0.2, 2)]
 
 
 class TestLockstepSweep:
