@@ -7,7 +7,6 @@ from .grid import (
     TableProfile,
     laplacian,
     sample_profile,
-    spectral_derivative,
     translate,
 )
 from .kernel import (
@@ -20,7 +19,6 @@ from .kernel import (
 from .norms import (
     BoundReport,
     YNormSpec,
-    l1_norm,
     l2_norm,
     l2w_norm,
     wiener_norm,
@@ -32,7 +30,6 @@ from .solver import (
     Trajectory,
     advance,
     evolve,
-    free_propagator,
     picard_evolve,
 )
 from .wkb import (
@@ -41,16 +38,13 @@ from .wkb import (
     Mode,
     ModeFamily,
     ResolutionError,
-    WkbSnapshot,
     action_phase,
-    action_phase_quadrature,
     ansatz_residual,
     assemble,
     initial_data,
     resonant_remainder,
     snapshot,
     transport_residual,
-    z2_term,
 )
 from .harness import (
     CheckOutcome,
@@ -60,7 +54,6 @@ from .harness import (
     expected_rate,
     fit_rate,
     persist,
-    read_records_csv,
     run_sweep,
     validate_suite,
 )

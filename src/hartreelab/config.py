@@ -15,7 +15,7 @@ Schema (all keys required unless marked optional, every number finite):
                  or {"type": "table", "values": [float, ...]}},
         ...
       ],
-      "epsilons": [float, ...],          strictly decreasing, positive
+      "epsilons": [float, ...],          strictly decreasing, in LENGTH_RANGE
       "final_time": float,
       "sample_times": [float, ...],      in (0, final_time], increasing
       "dt_factor": float,                optional, default 0.1, in (0, 0.25]
@@ -23,8 +23,10 @@ Schema (all keys required unless marked optional, every number finite):
     }
 
 A Gaussian width lies in LENGTH_RANGE and each center component within
-its top in size.  A table profile's values are a flat list, one per
-grid point.  Keys outside the schema are ignored.
+its top in size; so does each eps, which sets the wavelength
+2 pi eps / |kappa| (the kinetic angle eps dt |xi|^2 stays finite).  A
+table profile's values are a flat list, one per grid point.  Keys
+outside the schema are ignored.
 `SweepConfig.to_json_dict` echoes a configuration in this schema, table
 values included, so `parse_config` reloads an echo to the same
 configuration.
@@ -35,7 +37,8 @@ load time so a bad configuration fails before any compute, with the
 violated rule named in the message.  Each rule is checked once, by the
 object that owns it (`dt_factor` by `solver.SolverParams`, for every
 eps); `parse_config` checks the JSON types and the length range of the
-box length and of each Gaussian width and center, before any sampling.
+box length, of each eps and of each Gaussian width and center, before
+any sampling.
 """
 
 from __future__ import annotations
@@ -240,7 +243,7 @@ def parse_config(doc: dict, threads: int = 1, seed: int = 0) -> SweepConfig:
             kappa = _vector(entry, "kappa", d)
             profile = _object(_need(entry, "profile"), "each mode's 'profile'")
             entries.append((kappa, _parse_profile(profile, d)))
-        epsilons = _number_list(doc, "epsilons")
+        epsilons = [_length(e, "epsilons") for e in _number_list(doc, "epsilons")]
         sample_times = _number_list(doc, "sample_times")
         final_time = _number(doc, "final_time")
         dt_factor = _number(doc, "dt_factor") if "dt_factor" in doc else DT_FACTOR
@@ -263,6 +266,8 @@ def parse_config(doc: dict, threads: int = 1, seed: int = 0) -> SweepConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError as exc:  # a derived constant, e.g. Gamma(gamma / 2)
+        raise ConfigError(f"a value derived from the configuration overflows: {exc}") from exc
 
 
 def load_config(path, threads: int = 1, seed: int = 0) -> SweepConfig:

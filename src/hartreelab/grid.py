@@ -266,38 +266,6 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
-def _multiindex(grid: Grid, eta) -> tuple:
-    if np.isscalar(eta):
-        if grid.d != 1:
-            raise ValueError("scalar derivative order is only allowed in 1D")
-        eta = (int(eta),)
-    eta = tuple(int(e) for e in eta)
-    if len(eta) != grid.d:
-        raise ValueError(f"multi-index length {len(eta)} does not match d={grid.d}")
-    if any(e < 0 for e in eta):
-        raise ValueError(f"multi-index entries must be nonnegative, got {eta}")
-    return eta
-
-
-def spectral_derivative(f: Field, eta) -> Field:
-    """Mixed partial derivative d^eta f via the (i*xi)**eta multiplier.
-
-    eta is a multi-index of total order at most 3 (the largest derivative
-    order any norm in this package uses).  Exact for band-limited fields.
-    """
-    g = f.grid
-    eta = _multiindex(g, eta)
-    order = sum(eta)
-    if order > 3:
-        raise ValueError(f"derivative order |eta| = {order} exceeds 3")
-    if order == 0:
-        return f
-    meshes = g.freq_meshes(zero_nyquist=True)
-    ones = np.ones(g.shape, dtype=np.complex128)
-    mult = reduce(np.multiply, ((1j * m) ** e for m, e in zip(meshes, eta) if e), ones)
-    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * mult))
-
-
 def laplacian(f: Field) -> Field:
     """Sum of pure second derivatives, one transform pair."""
     return Field._adopt(f.grid, _laplacian_from_raw(np.fft.fftn(f.values), f.grid))

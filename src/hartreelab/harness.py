@@ -23,15 +23,15 @@ reproduce the initial data exactly (`initial_exactness`).  `--threads N`
 maps each time's per-eps advances, records and Z2 passes over N threads.
 
 A record works in a pair of complex field buffers per worker thread, U
-and A, passed as the `out=`/`scratch=` of the public `wkb` record terms:
-u_app goes into U; u - u_app, then r (its cross density in A's two
-float64 halves), pass through A (the state as the spectrum's inverse
-written into A: the spectrum must survive).  Each L2 sum is read before
-the forward transform overwrites its field.  Every pair is dropped
-before the conversion; the Z2 pass (`_z2_norms`) then takes one buffer
-per worker, into which Z2 superposes with no scratch, one block of rows
-at a time (`wkb._superpose`).  `_start` holds three arrays: u0, the
-spectrum (first u_app's scratch) and u0 - u_app.
+and A, passed as the `out=` of the public `wkb` record terms: u_app goes
+into U; u - u_app, then r (its cross density in A's two float64 halves),
+pass through A (the state as the spectrum's inverse written into A: the
+spectrum must survive).  Each L2 sum is read before the forward
+transform overwrites its field.  Every pair is dropped before the
+conversion; the Z2 pass (`_z2_norms`) then takes one buffer per worker.
+Every sum of mode carriers is `wkb.assemble`, one block of rows at a
+time with block-sized scratch.  `_start` holds three arrays: u0, the
+spectrum and u0 - u_app.
 
 The validation campaigns draw and check their fields in stacks of
 `Grid.block_rows`.  Each field draws only the coefficients inside its
@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SweepConfig
+from .config import STEP_BUDGET, ConfigError, SweepConfig
 from .grid import Grid, padded_zeros, translate
 from .kernel import (
     KernelSpec,
@@ -73,8 +73,6 @@ from .norms import _algebra_bounds, _hartree_bounds, _l2, _norms_from_raw_fft, _
 from .solver import DivergenceError, SolverParams, advance, evolve
 from .solver import picard_evolve
 from .wkb import (
-    WkbSnapshot,
-    _amplitudes,
     _half_laplacians,
     ansatz_residual,
     assemble,
@@ -83,7 +81,6 @@ from .wkb import (
     resonant_remainder,
     snapshot,
     transport_residual,
-    z2_term,
 )
 
 CSV_COLUMNS = ("eps", "t", "err_l2", "err_w", "err_l2w", "r_norm", "z2_norm", "mass_drift")
@@ -172,12 +169,13 @@ class _EpsRun:
     records: list = field(default_factory=list)
 
 
-def _start(cfg: SweepConfig, snap0, eps: float) -> _EpsRun:
-    """Initial data of one eps, its t = 0 error and its raw spectrum (first
-    the scratch of u_app's sum); u0 - u_app overwrites u_app."""
+def _start(cfg: SweepConfig, amps0: tuple, eps: float) -> _EpsRun:
+    """Initial data of one eps, its t = 0 error against the u_app of the
+    amplitudes `amps0` at t = 0, and its raw spectrum; u0 - u_app
+    overwrites u_app."""
     u0 = initial_data(cfg.family, eps).values
     raw = padded_zeros(cfg.grid)
-    err = assemble(cfg.family, snap0, eps, scratch=raw)
+    err = assemble(cfg.family, amps0, 0.0, eps)
     np.subtract(u0, err, out=err)
     np.fft.fftn(u0, out=raw)
     del u0  # dropped before the error's norms
@@ -212,27 +210,27 @@ def _norms_in_place(values: np.ndarray, grid: Grid) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # `_z2_norms`' finite check reports it
-def _record(cfg: SweepConfig, snap, buffers: dict, run: _EpsRun):
-    """Error and remainder norms of one eps at the snapshot's time into
-    `run.norms`, in the calling thread's field pair (U, A) of `buffers`:
-    u_app in U serves both, and each measured field passes through A."""
+def _record(cfg: SweepConfig, amps: tuple, t: float, buffers: dict, run: _EpsRun):
+    """Error and remainder norms of one eps at time t, from the amplitudes
+    `amps`, into `run.norms`, in the calling thread's field pair (U, A) of
+    `buffers`: u_app in U serves both, and each measured field passes
+    through A."""
     eps, g = run.eps, cfg.grid
     u, a = _fields(buffers, g, 2)
-    u_app = assemble(cfg.family, snap, eps, out=u, scratch=a)
+    u_app = assemble(cfg.family, amps, t, eps, out=u)
     err = np.fft.ifftn(run.raw, out=a)  # the spectrum stays for the next advance
     run.norms = _norms_in_place(np.subtract(err, u_app, out=err), g) + _norms_in_place(
-        resonant_remainder(cfg.family, snap, eps, cfg.kernel, u_app, out=a), g)
+        resonant_remainder(cfg.family, amps, eps, cfg.kernel, u_app, out=a), g)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite check below reports it
 def _z2_norms(cfg: SweepConfig, halves: tuple, t: float, buffers: dict, run: _EpsRun):
     """Z2 norms of one eps at time t from the half-Laplacians `halves`, and
     its record with the norms `_record` left in `run`; Z2 forms in the
-    calling thread's first field buffer of `buffers`, with block-sized
-    scratch only."""
+    calling thread's first field buffer of `buffers`."""
     eps = run.eps
     (u,) = _fields(buffers, cfg.grid, 1)
-    norms = run.norms + _norms_in_place(z2_term(cfg.family, halves, t, eps, out=u),
+    norms = run.norms + _norms_in_place(assemble(cfg.family, halves, t, eps, out=u),
                                         cfg.grid)
     if not all(map(math.isfinite, norms)):
         raise FloatingPointError(f"a record field at eps = {eps}, t = {t} "
@@ -253,23 +251,23 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
         each = pool.map if pool else map
         # a_j(0) = alpha_j: the family's own arrays, no copy and no transform
-        snap = WkbSnapshot(0.0, tuple(m.alpha.values for m in cfg.family.modes))
-        runs = list(each(functools.partial(_start, cfg, snap), cfg.epsilons))
+        amps = tuple(m.alpha.values for m in cfg.family.modes)
+        runs = list(each(functools.partial(_start, cfg, amps), cfg.epsilons))
         init_errs = {run.eps: run.init_err for run in runs}  # failed eps count too
         t_prev = 0.0
         for t in cfg.sample_times:
-            del snap  # one set of mode arrays at a time, none while stepping
+            del amps  # one set of mode arrays at a time, none while stepping
             step = functools.partial(_advance, cfg, khat_half, t_prev, t)
             outcomes = list(each(step, runs))
             failures.update((r.eps, str(x)) for r, x in zip(runs, outcomes) if x)
             runs = [r for r, x in zip(runs, outcomes) if not x]
             if not runs:
                 break
-            snap, buffers = snapshot(cfg.family, t, cfg.kernel), {}
-            list(each(functools.partial(_record, cfg, snap, buffers), runs))
+            amps, buffers = snapshot(cfg.family, t, cfg.kernel), {}
+            list(each(functools.partial(_record, cfg, amps, t, buffers), runs))
             buffers.clear()  # every worker's pair goes before the conversion
-            e_norms[t] = _half_laplacians(cfg.family, snap.amplitudes)  # in place
-            list(each(functools.partial(_z2_norms, cfg, snap.amplitudes, t, buffers), runs))
+            e_norms[t] = _half_laplacians(cfg.family, amps)  # in place
+            list(each(functools.partial(_z2_norms, cfg, amps, t, buffers), runs))
             buffers.clear()
             t_prev = t
 
@@ -473,8 +471,16 @@ def validate_suite(
 
     Returns name -> CheckOutcome; failures are reported, never raised.
     """
-    # ansatz_identity needs the remainder rule: fail before the campaigns
+    # ansatz_identity needs the remainder rule, and integrator_agreement
+    # its steps inside the budget: fail before the campaigns
     check_resolution(cfg.family, cfg.epsilons[-1], for_remainder=True)
+    eps = cfg.epsilons[0]
+    horizon = 0.1 * eps
+    dt = min(cfg.dt_factor * eps, horizon / 64)
+    steps = np.ceil(horizon / dt)  # a subnormal dt's count may pass the float range
+    if steps > STEP_BUDGET:
+        raise ConfigError(f"the integrator check asks for {steps:.4g} Strang steps, "
+                          f"above the budget of {STEP_BUDGET:.0e} (step budget rule)")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     checks = {}
 
@@ -495,13 +501,8 @@ def validate_suite(
         1e-6, f"{hartree_pairs} densities",
     )
 
-    eps = cfg.epsilons[0]
-    horizon = 0.1 * eps
     u0 = initial_data(cfg.family, eps)
-    params = SolverParams(
-        eps=eps, dt=min(cfg.dt_factor * eps, horizon / 64), final_time=horizon,
-        dt_factor=cfg.dt_factor,
-    )
+    params = SolverParams(eps=eps, dt=dt, final_time=horizon, dt_factor=cfg.dt_factor)
     traj = evolve(u0, cfg.kernel, params, [horizon])
     fixed = picard_evolve(
         u0, cfg.kernel, eps, horizon, tol=1e-12, nodes=32
@@ -520,7 +521,7 @@ def validate_suite(
     )
 
     worst_mod = 0.0
-    for mode, amp in zip(cfg.family.modes, _amplitudes(cfg.family, t_ref, cfg.kernel)):
+    for mode, amp in zip(cfg.family.modes, snapshot(cfg.family, t_ref, cfg.kernel)):
         moved = translate(mode.alpha, t_ref * mode.kappa)
         worst_mod = max(
             worst_mod,
@@ -588,17 +589,6 @@ def persist(result: SweepResult, output) -> dict:
         return paths
     except OSError as exc:
         raise OSError(f"cannot write sweep artifacts under {out}: {exc}") from exc
-
-
-def read_records_csv(path) -> list:
-    """Re-read a records CSV into SweepRecord values (round-trip exact)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError(f"unexpected CSV header in {path}")
-    return [
-        SweepRecord(**dict(zip(CSV_COLUMNS, map(float, line.split(",")))))
-        for line in lines[1:]
-    ]
 
 
 def _render_svg(result: SweepResult) -> str:

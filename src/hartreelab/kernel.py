@@ -126,16 +126,6 @@ def split_norms(spec: KernelSpec) -> tuple:
     return k1_l1, k2_sup
 
 
-def multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """Khat sampled on the dual lattice with the regularized zero mode.
-
-    Made per call: the package reads only the memoized half spectrum of
-    `half_multiplier`, the same values on the columns it keeps.
-    """
-    _check_grid(spec, grid)
-    return _khat(spec, grid, grid.freq_meshes())
-
-
 @functools.lru_cache(maxsize=4)
 def _half_khat(spec: KernelSpec, grid: Grid) -> np.ndarray:
     """Khat on the half spectrum [..., :N/2 + 1] of a real transform,

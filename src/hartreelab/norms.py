@@ -69,11 +69,6 @@ def l2_norm(f: Field) -> float:
     return _l2(f.values, f.grid)
 
 
-def l1_norm(f: Field) -> float:
-    g = f.grid
-    return float(g.dx**g.d * np.sum(np.abs(f.values)))
-
-
 def wiener_norm(f: Field) -> float:
     return _wiener(np.fft.fftn(f.values), f.grid)
 

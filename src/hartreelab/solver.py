@@ -32,9 +32,8 @@ cache sets; the padded stride does not, and numpy transforms the view
 bitwise as the contiguous array.  `evolve` and the sweep's `_start`
 allocate the spectrum that way once; `advance` transforms it in place,
 and its stages slice the padded buffers whole, over pads that stay zero.
-The kinetic multipliers are built by `unit_phase` once per call;
-`free_propagator` and the Picard node multiplier keep `np.exp` as
-independent references.
+The kinetic multipliers are built by `unit_phase` once per call; the
+Picard node multiplier keeps `np.exp` as an independent reference.
 `advance` runs that loop over one inter-sample gap; `evolve` and the
 lockstep sweep in `harness` both call it, so they share one loop.
 
@@ -162,15 +161,6 @@ class Trajectory:
     def mass_drift(self) -> float:
         m0 = self.mass_log[0]
         return max(abs(m - m0) for m in self.mass_log) / m0
-
-
-def free_propagator(f: Field, eps: float, t: float) -> Field:
-    """exp(i eps t Lap / 2): frequency phase exp(-i eps t |xi|^2 / 2)."""
-    if t == 0.0:
-        return f
-    g = f.grid
-    phase = np.exp(-0.5j * eps * t * g.freq_norm_sq())
-    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * phase))
 
 
 def _slices(a: np.ndarray) -> list:

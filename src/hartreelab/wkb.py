@@ -23,14 +23,14 @@ so that
                           * sum_l rho_l_hat(xi) E(t, (kappa_l - kappa_j) . xi).
 
 `action_phase` sums that closed form on the half spectrum of the real
-densities, so Theta_j is real by construction; `action_phase_quadrature`
-is the independent composite-Simpson oracle over the time variable.
-Exponentials are plane waves built separably by `grid.plane_wave`, and
-the amplitude phase exp(i Theta_j) is one `grid.unit_phase`.  A
-snapshot of M modes at t > 0 holds its M amplitudes alone, as writable
-complex arrays, and costs M r2c + M c2r + 2 M c2c FFTs: shared density
-spectra, one inverse per phase (its d - 1 leading-axis complex passes
-run in place) and a pair per translated amplitude.  It keeps no phase.
+densities, so Theta_j is real by construction (the tests hold a
+composite-Simpson oracle over the time variable).  Exponentials are
+plane waves built separably by `grid.plane_wave`, and the amplitude
+phase exp(i Theta_j) is one `grid.unit_phase`.  A snapshot of M modes
+at t > 0 holds its M amplitudes alone, as writable complex arrays, and
+costs M r2c + M c2r + 2 M c2c FFTs: shared density spectra, one inverse
+per phase (its d - 1 leading-axis complex passes run in place) and a
+pair per translated amplitude.  It keeps no phase.
 `_half_laplacians` then turns each amplitude, in place, into its
 eps-free term (1/2) Lap a_j: one forward transform per amplitude serves
 its graded norm toward ||a(t)||_E and its half-Laplacian (2 M FFTs).
@@ -43,9 +43,10 @@ plugging the ansatz into the equation leaves exactly
     r  = -(K * B) u_app,   B = sum_{k != l} a_k conj(a_l)
                                 exp(i (phi_k - phi_l) / eps),
 
-which `z2_term` and `resonant_remainder` return as sample arrays, like
-`assemble` for u_app (each fills an `out=` buffer when given, as a sweep
-does), and `ansatz_residual` checks.  The cross density B is what
+which `resonant_remainder` returns as a sample array and `ansatz_residual`
+checks.  One sum, `assemble`, applies the mode carriers to every
+superposition: u0, u_app, Z2 and dt u_app (it and the remainder fill an
+`out=` buffer when given, as a sweep does).  The cross density B is what
 the averaged density rho = sum_j |a_j|^2 leaves of |u_app|^2, so
 B = |u_app|^2 - sum_j |a_j|^2.
 """
@@ -188,16 +189,6 @@ class ModeFamily:
 
 
 @dataclass(frozen=True, eq=False)
-class WkbSnapshot:
-    """Amplitudes a_j(t), one sample array per mode: writable complex arrays
-    from `snapshot`, which a sweep turns into its half-Laplacians in place
-    once its records are taken (`_half_laplacians`)."""
-
-    t: float
-    amplitudes: tuple
-
-
-@dataclass(frozen=True, eq=False)
 class AnsatzReport:
     residual: Field
     identity_error: float
@@ -279,58 +270,9 @@ def action_phase(
     return Field._adopt(g, inverse_rfftn(acc, g.points, tuple(range(g.d))))
 
 
-def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> np.ndarray:
-    """sum_l rho_l displaced by (t - tau) kappa_j + tau kappa_l.
-
-    Gaussian profiles are resampled analytically, which keeps this
-    oracle independent of the spectral translation machinery; table
-    profiles fall back to spectral translation.
-    """
-    g = family.grid
-    kappa_j = family.modes[j].kappa
-    total = np.zeros(g.shape)
-    for mode in family.modes:
-        shift = (t - tau) * kappa_j + tau * mode.kappa
-        if isinstance(mode.profile, GaussianProfile):
-            p = mode.profile
-            r2 = sum((ax - c - s) ** 2 for ax, c, s in zip(g.coords(), p.center, shift))
-            total = total + abs(p.amplitude) ** 2 * np.exp(-r2 / p.width**2)
-        else:
-            moved = translate(Field._adopt(g, np.abs(mode.alpha.values) ** 2), shift)
-            total = total + moved.values.real
-    return total
-
-
-def action_phase_quadrature(
-    family: ModeFamily, j: int, t: float, spec: KernelSpec, nodes: int = 64
-) -> Field:
-    """Composite-Simpson oracle for the accumulated phase."""
-    g = family.grid
-    if nodes < 8 or nodes % 2:
-        raise ValueError(f"nodes must be even and at least 8, got {nodes}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    check_containment(family, t)
-    if t == 0.0 or spec.coupling == 0.0:
-        return Field._adopt(g, np.zeros(g.shape))
-
-    khat_half = half_multiplier(spec, g)
-    taus = np.linspace(0.0, t, nodes + 1)
-    weights = np.ones(nodes + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= (t / nodes) / 3.0
-
-    total = np.zeros(g.shape)
-    for tau, w in zip(taus, weights):
-        dens = _translated_density(family, j, float(tau), t)
-        total = total + w * convolve(khat_half, dens)
-    return Field._adopt(g, -spec.coupling * total)
-
-
-def _amplitudes(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
-    """a_j(t) = exp(i Theta_j(t)) alpha_j(. - t kappa_j), one writable complex
-    array per mode.
+def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
+    """Amplitudes a_j(t) = exp(i Theta_j(t)) alpha_j(. - t kappa_j), one
+    writable complex array per mode (modulus: pure translation).
 
     The M `action_phase` calls share one set of density spectra (M real
     FFTs), freed once the M real phases are built; each phase then goes
@@ -351,11 +293,6 @@ def _amplitudes(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
     return tuple(amps)
 
 
-def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> WkbSnapshot:
-    """Amplitudes at time t (modulus: pure translation), as `_amplitudes`."""
-    return WkbSnapshot(t, _amplitudes(family, t, spec))
-
-
 def _half_laplacians(family: ModeFamily, amps) -> float:
     """Turn each amplitude array of `amps` into (1/2) Lap a_j in place and
     return ||a||_E: one forward transform per amplitude, in the amplitude's
@@ -374,25 +311,23 @@ def _mode_carrier(grid: Grid, kappa: np.ndarray, t: float, eps: float) -> np.nda
     return plane_wave(grid.coords(), kappa, 1.0 / eps, offset)
 
 
-def _superpose(family: ModeFamily, values, t: float, eps: float, out=None,
-               scratch=None) -> np.ndarray:
+def assemble(family: ModeFamily, values, t: float, eps: float, out=None) -> np.ndarray:
     """sum_j values_j exp(i phi_j(t) / eps), one value array per mode, into
-    `out` if given (zeroed first).
+    `out` if given (zeroed first): u0 from alpha_j at t = 0, u_app from
+    a_j, Z2 from (1/2) Lap a_j and dt u_app from the waves' rates.
 
-    `scratch`, of the grid's shape, holds each product.  Without it each
-    carrier applies over blocks of leading-axis rows of at most CHUNK
+    Each carrier applies over blocks of leading-axis rows of at most CHUNK
     points (one row if a row is longer), so a product is a block-sized
     temporary, bitwise the full-size product's block.
     """
+    check_resolution(family, eps)
     g = family.grid
     if out is None:
         out = np.zeros(g.shape, dtype=np.complex128)
     else:
         out.fill(0)
-    if scratch is None:
-        rows = min(g.points, max(1, CHUNK * g.points // g.total_points))
-        scratch = np.empty((rows, *g.shape[1:]), dtype=np.complex128)
-    rows = len(scratch)
+    rows = min(g.points, max(1, CHUNK * g.points // g.total_points))
+    scratch = np.empty((rows, *g.shape[1:]), dtype=np.complex128)
     for mode, v in zip(family.modes, values):
         carrier = _mode_carrier(g, mode.kappa, t, eps)
         for lo in range(0, g.points, rows):
@@ -405,30 +340,15 @@ def _superpose(family: ModeFamily, values, t: float, eps: float, out=None,
 
 def initial_data(family: ModeFamily, eps: float) -> Field:
     """Superposition of eps-oscillatory plane waves: the shared initial state."""
-    check_resolution(family, eps)
     alphas = (mode.alpha.values for mode in family.modes)
-    return Field._adopt(family.grid, _superpose(family, alphas, 0.0, eps))
+    return Field._adopt(family.grid, assemble(family, alphas, 0.0, eps))
 
 
-def assemble(family: ModeFamily, snap: WkbSnapshot, eps: float, out=None,
-             scratch=None) -> np.ndarray:
-    """u_app = sum_j a_j exp(i phi_j / eps) at snap.t (`_superpose` buffers)."""
-    check_resolution(family, eps)
-    return _superpose(family, snap.amplitudes, snap.t, eps, out, scratch)
-
-
-def z2_term(family: ModeFamily, halves, t: float, eps: float, out=None,
-            scratch=None) -> np.ndarray:
-    """Z2 = (1/2) sum_j (Lap a_j) exp(i phi_j / eps) at time t from the
-    half-Laplacians `halves`, into `out` if given (`_superpose` buffers)."""
-    check_resolution(family, eps)
-    return _superpose(family, halves, t, eps, out, scratch)
-
-
-def resonant_remainder(family: ModeFamily, snap: WkbSnapshot, eps: float,
-                       spec: KernelSpec, u_app: np.ndarray, out=None) -> np.ndarray:
+def resonant_remainder(family: ModeFamily, amps, eps: float, spec: KernelSpec,
+                       u_app: np.ndarray, out=None) -> np.ndarray:
     """Cross-mode term r = -(K * B) u_app of a record, zero for a single mode,
-    into `out` (C-contiguous) if given; u_app holds what `assemble` returned.
+    into `out` (C-contiguous) if given; u_app holds what `assemble` returned
+    for the amplitudes `amps`.
 
     The cross density is read off the assembled field, whose diagonal
     terms are the averaged density: B = |u_app|^2 - sum_j |a_j|^2.  B and
@@ -444,7 +364,7 @@ def resonant_remainder(family: ModeFamily, snap: WkbSnapshot, eps: float,
     check_resolution(family, eps, for_remainder=True)
     mod_sq, cross = out.view(np.float64).reshape(2, *g.shape)
     np.square(np.abs(u_app, out=cross), out=cross)
-    for amp in snap.amplitudes:
+    for amp in amps:
         cross -= np.square(np.abs(amp, out=mod_sq), out=mod_sq)
     half = np.empty((*g.shape[:-1], g.points // 2 + 1), dtype=np.complex128)
     conv = convolve(half_multiplier(spec, g), cross, out=cross, spectrum=half)
@@ -480,15 +400,14 @@ def transport_residual(
     with the time derivative taken numerically, i.e. independently of
     the algebra that produced the closed form: (4 D(h/2) - D(h)) / 3, D
     the centered difference (lower points clamped at t = 0).  Returned
-    values are max residual / max |a_j|.  Only the amplitudes are built,
-    not a snapshot's eps-free terms.
+    values are max residual / max |a_j|.
     """
     def slope(step: float) -> list:
         lo, hi = max(t - step, 0.0), t + step
-        ends = zip(_amplitudes(family, hi, spec), _amplitudes(family, lo, spec))
+        ends = zip(snapshot(family, hi, spec), snapshot(family, lo, spec))
         return [(p - m) / (hi - lo) for p, m in ends]
 
-    mids = _amplitudes(family, t, spec)
+    mids = snapshot(family, t, spec)
     rates = _transport_rates(family, mids, spec)
     out = []
     for mid, coarse, fine, rate in zip(mids, slope(h), slope(h / 2), rates):
@@ -513,16 +432,16 @@ def ansatz_residual(
     """
     check_resolution(family, eps, for_remainder=True)
     g = family.grid
-    snap = WkbSnapshot(t, _amplitudes(family, t, spec))
-    u_app = assemble(family, snap, eps)
+    amps = snapshot(family, t, spec)
+    u_app = assemble(family, amps, t, eps)
 
-    rates = _transport_rates(family, snap.amplitudes, spec)
+    rates = _transport_rates(family, amps, spec)
     # d/dt (a_j exp(i phi_j / eps)) = (dt a_j - i |kappa_j|^2 / (2 eps) a_j) exp(...)
     wave_rates = (
         dadt - 0.5j * float(mode.kappa @ mode.kappa) / eps * amp
-        for mode, amp, dadt in zip(family.modes, snap.amplitudes, rates)
+        for mode, amp, dadt in zip(family.modes, amps, rates)
     )
-    dudt = _superpose(family, wave_rates, t, eps)
+    dudt = assemble(family, wave_rates, t, eps)
 
     khat_half = half_multiplier(spec, g, spec.coupling)
     nonlinear = convolve(khat_half, np.abs(u_app) ** 2) * u_app
@@ -530,9 +449,9 @@ def ansatz_residual(
     lhs = 1j * eps * dudt + 0.5 * eps**2 * lap - eps * nonlinear
 
     # the half-Laplacians without ||a(t)||_E, each from a fresh spectrum
-    halves = (_laplacian_from_raw(np.fft.fftn(a), g, 0.5) for a in snap.amplitudes)
-    z2 = z2_term(family, halves, t, eps)
-    rem = resonant_remainder(family, snap, eps, spec, u_app)
+    halves = (_laplacian_from_raw(np.fft.fftn(a), g, 0.5) for a in amps)
+    z2 = assemble(family, halves, t, eps)
+    rem = resonant_remainder(family, amps, eps, spec, u_app)
     rhs = eps**2 * z2 + eps * spec.coupling * rem
 
     residual = Field._adopt(g, lhs - rhs)

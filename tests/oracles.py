@@ -2,18 +2,36 @@
 
 `convolve_direct` is the direct-quadrature oracle for the spectral
 convolution `hartreelab.kernel.convolve`: direct summation of the
-periodized kernel, never an FFT.
+periodized kernel, never an FFT.  `action_phase_quadrature` is the
+composite-Simpson oracle over the time variable for the closed-form
+phase `hartreelab.wkb.action_phase`.  The rest are plain references the
+commands never run: the full-lattice multiplier `multiplier_grid`, the
+mixed derivative `spectral_derivative`, the free flow `free_propagator`
+(with `np.exp`), `l1_norm` and the records reader `read_records_csv`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
-from hartreelab.grid import TWO_PI, Field, Grid
-from hartreelab.kernel import KernelSpec, _gauss_legendre, _legendre_rule, zero_mode_value
+from hartreelab.grid import TWO_PI, Field, GaussianProfile, Grid, translate
+from hartreelab.harness import CSV_COLUMNS, SweepRecord
+from hartreelab.kernel import (
+    KernelSpec,
+    _check_grid,
+    _gauss_legendre,
+    _khat,
+    _legendre_rule,
+    convolve,
+    half_multiplier,
+    zero_mode_value,
+)
+from hartreelab.wkb import ModeFamily, check_containment
 
 DIRECT_COST_GUARD = 2**16  # quadratic-cost cap on total points for the oracle
 _NEAR_CELL_RADIUS = 4  # cells around the singularity given exact/refined masses
@@ -164,3 +182,119 @@ def convolve_direct(spec: KernelSpec, rho: Field, images: int = None) -> Field:
     dc_target = TWO_PI ** (g.d / 2) * zero_mode_value(spec, g)
     out = out + (dc_target - w.sum()) * vals.mean()
     return Field._adopt(g, out)
+
+
+def multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
+    """Khat sampled on the dual lattice with the regularized zero mode.
+
+    Made per call: the package reads only the memoized half spectrum of
+    `half_multiplier`, the same values on the columns it keeps.
+    """
+    _check_grid(spec, grid)
+    return _khat(spec, grid, grid.freq_meshes())
+
+
+def _multiindex(grid: Grid, eta) -> tuple:
+    if np.isscalar(eta):
+        if grid.d != 1:
+            raise ValueError("scalar derivative order is only allowed in 1D")
+        eta = (int(eta),)
+    eta = tuple(int(e) for e in eta)
+    if len(eta) != grid.d:
+        raise ValueError(f"multi-index length {len(eta)} does not match d={grid.d}")
+    if any(e < 0 for e in eta):
+        raise ValueError(f"multi-index entries must be nonnegative, got {eta}")
+    return eta
+
+
+def spectral_derivative(f: Field, eta) -> Field:
+    """Mixed partial derivative d^eta f via the (i*xi)**eta multiplier.
+
+    eta is a multi-index of total order at most 3 (the largest derivative
+    order any norm in this package uses).  Exact for band-limited fields.
+    """
+    g = f.grid
+    eta = _multiindex(g, eta)
+    order = sum(eta)
+    if order > 3:
+        raise ValueError(f"derivative order |eta| = {order} exceeds 3")
+    if order == 0:
+        return f
+    meshes = g.freq_meshes(zero_nyquist=True)
+    ones = np.ones(g.shape, dtype=np.complex128)
+    mult = reduce(np.multiply, ((1j * m) ** e for m, e in zip(meshes, eta) if e), ones)
+    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * mult))
+
+
+def free_propagator(f: Field, eps: float, t: float) -> Field:
+    """exp(i eps t Lap / 2): frequency phase exp(-i eps t |xi|^2 / 2)."""
+    if t == 0.0:
+        return f
+    g = f.grid
+    phase = np.exp(-0.5j * eps * t * g.freq_norm_sq())
+    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * phase))
+
+
+def l1_norm(f: Field) -> float:
+    g = f.grid
+    return float(g.dx**g.d * np.sum(np.abs(f.values)))
+
+
+def read_records_csv(path) -> list:
+    """Re-read a records CSV into SweepRecord values (round-trip exact)."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != ",".join(CSV_COLUMNS):
+        raise ValueError(f"unexpected CSV header in {path}")
+    return [
+        SweepRecord(**dict(zip(CSV_COLUMNS, map(float, line.split(",")))))
+        for line in lines[1:]
+    ]
+
+
+def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> np.ndarray:
+    """sum_l rho_l displaced by (t - tau) kappa_j + tau kappa_l.
+
+    Gaussian profiles are resampled analytically, which keeps this
+    oracle independent of the spectral translation machinery; table
+    profiles fall back to spectral translation.
+    """
+    g = family.grid
+    kappa_j = family.modes[j].kappa
+    total = np.zeros(g.shape)
+    for mode in family.modes:
+        shift = (t - tau) * kappa_j + tau * mode.kappa
+        if isinstance(mode.profile, GaussianProfile):
+            p = mode.profile
+            r2 = sum((ax - c - s) ** 2 for ax, c, s in zip(g.coords(), p.center, shift))
+            total = total + abs(p.amplitude) ** 2 * np.exp(-r2 / p.width**2)
+        else:
+            moved = translate(Field._adopt(g, np.abs(mode.alpha.values) ** 2), shift)
+            total = total + moved.values.real
+    return total
+
+
+def action_phase_quadrature(
+    family: ModeFamily, j: int, t: float, spec: KernelSpec, nodes: int = 64
+) -> Field:
+    """Composite-Simpson oracle for the accumulated phase."""
+    g = family.grid
+    if nodes < 8 or nodes % 2:
+        raise ValueError(f"nodes must be even and at least 8, got {nodes}")
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    check_containment(family, t)
+    if t == 0.0 or spec.coupling == 0.0:
+        return Field._adopt(g, np.zeros(g.shape))
+
+    khat_half = half_multiplier(spec, g)
+    taus = np.linspace(0.0, t, nodes + 1)
+    weights = np.ones(nodes + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= (t / nodes) / 3.0
+
+    total = np.zeros(g.shape)
+    for tau, w in zip(taus, weights):
+        dens = _translated_density(family, j, float(tau), t)
+        total = total + w * convolve(khat_half, dens)
+    return Field._adopt(g, -spec.coupling * total)

@@ -26,10 +26,11 @@ from hartreelab.harness import (
     _random_band_limited,
     _random_smooth_density,
 )
-from hartreelab.kernel import multiplier_grid, split_norms
+from hartreelab.kernel import split_norms
 from hartreelab.norms import _algebra_bounds, _hartree_bounds
 
 from conftest import in_band_coefficients
+from oracles import multiplier_grid
 
 TWO_PI = 2.0 * np.pi
 

@@ -501,6 +501,12 @@ RANGE_INPUTS = {
     # a subnormal dt: the count passes the float range
     "dt_factor_1e-320": (lambda tmp: base_config(tmp, dt_factor=1e-320),
                          "inf Strang steps", "step budget rule"),
+    # the kinetic angle eps dt |xi|^2 overflows while the sweep steps
+    "epsilon_1e308": (lambda tmp: base_config(tmp, epsilons=[1e308, 0.1]),
+                      "'epsilons' is 1e+308", "length range rule"),
+    # Gamma(gamma / 2) of the kernel constant overflows
+    "gamma_1e-310": (lambda tmp: base_config(tmp, gamma=1e-310),
+                     "math range error", "derived from the configuration overflows"),
 }
 
 
@@ -528,6 +534,24 @@ class TestLoadRanges:
         else:
             with pytest.raises(ConfigError, match=r"1\.1e\+06 Strang steps over all eps"):
                 parse_config(doc)
+
+    def test_validate_integrator_check_counts_against_the_budget(
+            self, tmp_path, capsys, monkeypatch):
+        # the sweep plans 15,000 steps; validate's integrator check steps
+        # 0.1 eps[0] at dt_factor eps[0], 1e8 steps: it exits 2 before the
+        # campaigns, and a regression fails here instead of running on
+        def unreachable(*args, **kwargs):
+            raise AssertionError("validate went past its step budget check")
+
+        monkeypatch.setattr(harness, "evolve", unreachable)
+        monkeypatch.setattr(harness, "_algebra_campaign", unreachable)
+        doc = base_config(tmp_path, final_time=1e-6, sample_times=[5e-7, 1e-6],
+                          dt_factor=1e-9)
+        parse_config(doc)
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "1e+08 Strang steps" in err
+        assert "step budget rule" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
                              ids=lambda p: p.stem)
@@ -574,7 +598,8 @@ class TestRuntimeErrors:
 
 
 MISSING = object()
-BAD_VALUES = ({}, True, 0, -1, "abc", [], float("nan"), float("inf"), MISSING)
+BAD_VALUES = ({}, True, 0, -1, "abc", [], float("nan"), float("inf"), 1e308, -1e308,
+              1e-310, MISSING)
 FUZZ_KEYS = (
     ("dimension",), ("gamma",), ("lambda",), ("box_length",), ("points",),
     ("modes",), ("epsilons",), ("final_time",), ("sample_times",),

@@ -8,13 +8,13 @@ from hartreelab import (
     TableProfile,
     l2_norm,
     sample_profile,
-    spectral_derivative,
     translate,
 )
 from hartreelab.grid import CHUNK, plane_wave as separable_wave, unit_phase
 from hartreelab.norms import _norms_from_raw_fft
 
 from conftest import from_unitary, lattice_wavenumber, plane_wave
+from oracles import spectral_derivative
 
 
 class TestGridConstruction:

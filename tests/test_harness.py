@@ -20,7 +20,6 @@ from hartreelab import (
     expected_rate,
     fit_rate,
     persist,
-    read_records_csv,
     run_sweep,
     validate_suite,
 )
@@ -43,10 +42,10 @@ from hartreelab.wkb import (
     initial_data,
     resonant_remainder,
     snapshot,
-    z2_term,
 )
 
 from conftest import band_mask, in_band_coefficients
+from oracles import read_records_csv
 
 
 @pytest.fixture
@@ -79,8 +78,8 @@ def per_eps_reference(cfg):
     records, init_errs, failures, worst = [], {}, {}, []
     for eps in cfg.epsilons:
         u0 = initial_data(cfg.family, eps)
-        snap0 = snapshot(cfg.family, 0.0, cfg.kernel)
-        u_app0 = Field(cfg.grid, assemble(cfg.family, snap0, eps))
+        amps0 = snapshot(cfg.family, 0.0, cfg.kernel)
+        u_app0 = Field(cfg.grid, assemble(cfg.family, amps0, 0.0, eps))
         init_errs[eps] = l2w_norm(u0 - u_app0)  # kept if the eps fails later
         params = SolverParams(
             eps=eps,
@@ -96,10 +95,10 @@ def per_eps_reference(cfg):
         mass0 = traj.mass_log[0]
         recs = []
         for idx, t in enumerate(cfg.sample_times):
-            snap = snapshot(cfg.family, t, cfg.kernel)
-            u_app = assemble(cfg.family, snap, eps)
+            amps = snapshot(cfg.family, t, cfg.kernel)
+            u_app = assemble(cfg.family, amps, t, eps)
             halves = [0.5 * grid_module.laplacian(Field(cfg.grid, a)).values
-                      for a in snap.amplitudes]
+                      for a in amps]
             err = traj.state_at(t) - Field(cfg.grid, u_app)
             err_l2, err_w = l2_norm(err), wiener_norm(err)
             recs.append(
@@ -110,15 +109,15 @@ def per_eps_reference(cfg):
                     err_w=err_w,
                     err_l2w=err_l2 + err_w,
                     r_norm=l2w_norm(Field(cfg.grid, resonant_remainder(
-                        cfg.family, snap, eps, cfg.kernel, u_app))),
-                    z2_norm=l2w_norm(Field(cfg.grid, z2_term(cfg.family, halves, t, eps))),
+                        cfg.family, amps, eps, cfg.kernel, u_app))),
+                    z2_norm=l2w_norm(Field(cfg.grid, assemble(cfg.family, halves, t, eps))),
                     mass_drift=abs(traj.mass_log[1 + idx] - mass0) / mass0,
                 )
             )
         records.extend(recs)
         worst.append((eps, max(r.err_l2w for r in recs)))
     e_norms = {
-        t: _half_laplacians(cfg.family, snapshot(cfg.family, t, cfg.kernel).amplitudes)
+        t: _half_laplacians(cfg.family, snapshot(cfg.family, t, cfg.kernel))
         for t in cfg.sample_times
     }
     beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
@@ -387,15 +386,15 @@ class TestRecordsFirst:
                 for name in ("snapshot", "_record", "_half_laplacians", "_z2_norms")}
 
         def snapshot_spy(family, t, spec):
-            snap = real["snapshot"](family, t, spec)
+            time_amps = real["snapshot"](family, t, spec)
             events.append("snapshot")
-            amps.append(snap.amplitudes)
-            return snap
+            amps.append(time_amps)
+            return time_amps
 
-        def record_spy(cfg, snap, buffers, run):
+        def record_spy(cfg, time_amps, t, buffers, run):
             events.append("record")
             pairs.append(buffers)
-            return real["_record"](cfg, snap, buffers, run)
+            return real["_record"](cfg, time_amps, t, buffers, run)
 
         def convert_spy(family, arrays):
             events.append("convert")
@@ -427,25 +426,25 @@ class TestZ2First:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_records_run_after_the_half_laplacians_are_freed(self, monkeypatch, threads):
         cfg = small_2d_config(([-2.0, 0.0], [2.0, 0.0]), threads)
-        halves, record_snaps = [], []
+        halves, record_times = [], []
         real_z2, real_record = harness._z2_norms, harness._record
 
         def z2_spy(cfg, arrays, t, buffers, run):
             halves.extend(weakref.ref(h) for h in arrays)
             return real_z2(cfg, arrays, t, buffers, run)
 
-        def record_spy(cfg, snap, buffers, run):
+        def record_spy(cfg, amps, t, buffers, run):
             assert all(ref() is None for ref in halves)  # freed, not only hidden
-            record_snaps.append((snap.t, len(snap.amplitudes)))
-            return real_record(cfg, snap, buffers, run)
+            record_times.append((t, len(amps)))
+            return real_record(cfg, amps, t, buffers, run)
 
         monkeypatch.setattr(harness, "_z2_norms", z2_spy)
         monkeypatch.setattr(harness, "_record", record_spy)
         result = run_sweep(cfg)
         assert len(halves) == 2 * 2 * 2  # modes x eps x times
         assert all(ref() is None for ref in halves)
-        assert len(record_snaps) == len(result.records) == 4
-        assert sorted(record_snaps) == [(0.1, 2), (0.1, 2), (0.2, 2), (0.2, 2)]
+        assert len(record_times) == len(result.records) == 4
+        assert sorted(record_times) == [(0.1, 2), (0.1, 2), (0.2, 2), (0.2, 2)]
 
 
 class TestLockstepSweep:
@@ -514,21 +513,19 @@ class TestLockstepSweep:
         real = harness._start
         seen = []
 
-        def start_spy(cfg, snap0, eps):
-            seen.append(snap0)
-            return real(cfg, snap0, eps)
+        def start_spy(cfg, amps0, eps):
+            seen.append(amps0)
+            return real(cfg, amps0, eps)
 
-        def drifted(cfg, snap0, eps):
-            amps = tuple(a + 1e-9 for a in snap0.amplitudes)
-            return real(cfg, wkb.WkbSnapshot(snap0.t, amps), eps)
+        def drifted(cfg, amps0, eps):
+            return real(cfg, tuple(a + 1e-9 for a in amps0), eps)
 
         cfg = with_epsilons(small_config, (0.2, 0.1))
         monkeypatch.setattr(harness, "_start", start_spy)
         assert run_sweep(cfg).checks["initial_exactness"].passed
-        assert len(seen) == 2 and all(snap.t == 0.0 for snap in seen)
-        for snap in seen:
-            assert all(a is m.alpha.values
-                       for a, m in zip(snap.amplitudes, cfg.family.modes))
+        assert len(seen) == 2
+        for amps0 in seen:
+            assert all(a is m.alpha.values for a, m in zip(amps0, cfg.family.modes))
         monkeypatch.setattr(harness, "_start", drifted)
         check = run_sweep(cfg).checks["initial_exactness"]
         assert not check.passed and check.detail != "max t=0 error 0.000e+00"
@@ -564,7 +561,8 @@ class TestLockstepSweep:
         laplacian_counted = counting("laplacian", grid_module.laplacian)
         monkeypatch.setattr(grid_module, "laplacian", laplacian_counted)
         monkeypatch.setattr(wkb, "laplacian", laplacian_counted)
-        # u_app is assembled once per eps at t = 0 and once per record
+        # every carrier sum is `assemble`: u0 and u_app once per eps at
+        # t = 0, u_app and Z2 once per record
         assemble_counted = counting("assemble", wkb.assemble)
         monkeypatch.setattr(wkb, "assemble", assemble_counted)
         monkeypatch.setattr(harness, "assemble", assemble_counted)
@@ -582,7 +580,7 @@ class TestLockstepSweep:
             + (6 + passes) * n_eps * n_times
         )
         assert counts["laplacian"] == 0
-        assert counts["assemble"] == n_eps * n_times + n_eps
+        assert counts["assemble"] == 2 * (n_eps * n_times + n_eps)
 
     @pytest.fixture
     def doomed_middle_eps(self, monkeypatch):
@@ -640,7 +638,7 @@ def four_mode_config():
 
 
 def first_record_inputs(cfg):
-    """(snapshot, run) of the first eps at the first sample time, as
+    """(amplitudes, run) of the first eps at the first sample time, as
     `run_sweep` hands them to `_record`."""
     run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
     khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
@@ -654,13 +652,13 @@ class TestRecord:
 
     def test_warm_record_allocates_under_two_fields(self):
         cfg = four_mode_config()
-        snap, run = first_record_inputs(cfg)
-        buffers = {}
-        harness._record(cfg, snap, buffers, run)  # makes this thread's pair
+        amps, run = first_record_inputs(cfg)
+        t, buffers = cfg.sample_times[0], {}
+        harness._record(cfg, amps, t, buffers, run)  # makes this thread's pair
         raw, norms = run.raw.copy(), run.norms
         tracemalloc.start()
         try:
-            harness._record(cfg, snap, buffers, run)
+            harness._record(cfg, amps, t, buffers, run)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -671,12 +669,11 @@ class TestRecord:
 
     def test_non_finite_field_rejected(self):
         cfg = three_mode_config()
-        snap, run = first_record_inputs(cfg)
-        harness._record(cfg, snap, {}, run)  # the record only measures
-        halves = snap.amplitudes
+        halves, run = first_record_inputs(cfg)
+        t = cfg.sample_times[0]
+        harness._record(cfg, halves, t, {}, run)  # the record only measures
         _half_laplacians(cfg.family, halves)
         halves[1][5, 7] = np.inf
-        t = cfg.sample_times[0]
         with pytest.raises(FloatingPointError, match="non-finite"):
             harness._z2_norms(cfg, halves, t, {}, run)
         assert run.records == []
@@ -688,9 +685,9 @@ class TestZ2Pass:
         # scratch (plus numpy's iterator buffer for a broadcast carrier);
         # the norms then take the moduli (half a field) of `_l2`
         cfg = four_mode_config()
-        snap, run = first_record_inputs(cfg)
-        harness._record(cfg, snap, {}, run)
-        halves, t, eps = snap.amplitudes, cfg.sample_times[0], cfg.epsilons[0]
+        halves, run = first_record_inputs(cfg)
+        t, eps = cfg.sample_times[0], cfg.epsilons[0]
+        harness._record(cfg, halves, t, {}, run)
         _half_laplacians(cfg.family, halves)
         harness._z2_norms(cfg, halves, t, {}, run)  # FFT plan caches
         item = np.dtype(np.complex128).itemsize
@@ -706,7 +703,7 @@ class TestZ2Pass:
 
         tracemalloc.start()
         try:
-            superpose = peak_over_entry(z2_term, cfg.family, halves, t, eps, u)
+            superpose = peak_over_entry(assemble, cfg.family, halves, t, eps, u)
             cold = peak_over_entry(harness._z2_norms, cfg, halves, t, {},
                                    run)
         finally:
@@ -721,11 +718,12 @@ class TestValidateSuite:
         for name, outcome in checks.items():
             assert outcome.passed, f"{name}: {outcome.detail}"
 
-    def test_builds_no_snapshot_or_graded_norm(self, small_config, monkeypatch):
+    def test_builds_amplitudes_only_and_no_graded_norm(self, small_config, monkeypatch):
         # the transport and modulus checks read the amplitudes alone and the
         # ansatz identity the amplitudes and their half-Laplacians; no check
-        # reads ||a(t)||_E, so no snapshot (the sweep's per-time call) and no
-        # graded norm is built
+        # reads ||a(t)||_E, so seven amplitude sets are built (one for the
+        # identity, five for the transport stencil, one for the moduli) and
+        # no graded norm
         calls = []
         for module, name in ((harness, "snapshot"), (wkb, "snapshot"),
                              (wkb, "_graded_norm")):
@@ -737,7 +735,7 @@ class TestValidateSuite:
 
             monkeypatch.setattr(module, name, counted)
         validate_suite(small_config, algebra_pairs=5, hartree_pairs=5)
-        assert calls == []
+        assert calls == ["snapshot"] * 7
 
     def test_kernel_fault_detected(self, small_config, monkeypatch):
         real = harness.hartree_constant

@@ -13,7 +13,6 @@ from hartreelab import (
     ModeFamily,
     ResolutionError,
     action_phase,
-    action_phase_quadrature,
     ansatz_residual,
     assemble,
     initial_data,
@@ -22,16 +21,14 @@ from hartreelab import (
     laplacian,
     resonant_remainder,
     snapshot,
-    spectral_derivative,
     translate,
     transport_residual,
-    z2_term,
 )
 from hartreelab import wkb
 from hartreelab.grid import plane_wave
-from hartreelab.kernel import multiplier_grid
 from hartreelab.norms import multi_indices
-from hartreelab.wkb import _averaging_factor, _mode_carrier, _superpose
+from hartreelab.wkb import _averaging_factor, _mode_carrier
+from oracles import action_phase_quadrature, multiplier_grid, spectral_derivative
 
 
 @pytest.fixture
@@ -143,22 +140,22 @@ class TestActionPhase:
 
 class TestSnapshot:
     def test_initial_amplitudes_exact(self, two_mode_family, kernel):
-        snap = snapshot(two_mode_family, 0.0, kernel)
-        for mode, amp in zip(two_mode_family.modes, snap.amplitudes):
+        amps = snapshot(two_mode_family, 0.0, kernel)
+        for mode, amp in zip(two_mode_family.modes, amps):
             assert np.array_equal(amp, mode.alpha.values)
 
     def test_zero_coupling_is_pure_transport(self, two_mode_family):
         free = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         t = 0.5
-        snap = snapshot(two_mode_family, t, free)
-        for mode, amp in zip(two_mode_family.modes, snap.amplitudes):
+        amps = snapshot(two_mode_family, t, free)
+        for mode, amp in zip(two_mode_family.modes, amps):
             moved = translate(mode.alpha, t * mode.kappa)
             assert np.max(np.abs(amp - moved.values)) < 1e-12
 
     def test_modulus_transport_invariant(self, two_mode_family, kernel):
         t = 0.5
-        snap = snapshot(two_mode_family, t, kernel)
-        for mode, amp in zip(two_mode_family.modes, snap.amplitudes):
+        amps = snapshot(two_mode_family, t, kernel)
+        for mode, amp in zip(two_mode_family.modes, amps):
             moved = translate(mode.alpha, t * mode.kappa)
             assert np.max(np.abs(np.abs(amp) - np.abs(moved.values))) < 1e-10
 
@@ -181,8 +178,8 @@ class TestSnapshot:
             l2w_norm(m.alpha) for m in two_mode_family.modes
         )
         for t in (0.3, 0.8):
-            snap = snapshot(two_mode_family, t, free)
-            now = sum(l2w_norm(Field(two_mode_family.grid, a)) for a in snap.amplitudes)
+            amps = snapshot(two_mode_family, t, free)
+            now = sum(l2w_norm(Field(two_mode_family.grid, a)) for a in amps)
             assert abs(now - base) < 1e-8 * base
 
     def test_warm_two_mode_2d_snapshot_peaks_under_four_and_a_quarter_arrays(self):
@@ -197,27 +194,27 @@ class TestSnapshot:
         snapshot(family, 0.25, spec)  # memoized multiplier, FFT plan caches
         tracemalloc.start()
         try:
-            snap = snapshot(family, 0.25, spec)
+            amps = snapshot(family, 0.25, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         state = grid.total_points * np.dtype(np.complex128).itemsize
         assert peak <= 4.25 * state
-        assert all(a.dtype == np.complex128 and a.flags.writeable
-                   for a in snap.amplitudes)
+        assert all(a.dtype == np.complex128 and a.flags.writeable for a in amps)
 
 
 class TestAssemble:
     def test_initial_data_reproduced(self, two_mode_family, kernel):
         eps = 0.1
         direct = initial_data(two_mode_family, eps)
-        assembled = assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), eps)
+        assembled = assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), 0.0,
+                             eps)
         assert l2w_norm(direct - Field(two_mode_family.grid, assembled)) < 1e-12
 
     def test_single_frozen_mode(self, single_mode_family):
         free = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         eps = 0.2
-        out = assemble(single_mode_family, snapshot(single_mode_family, 0.7, free), eps)
+        out = assemble(single_mode_family, snapshot(single_mode_family, 0.7, free), 0.7, eps)
         alpha = single_mode_family.modes[0].alpha
         assert np.max(np.abs(out - alpha.values)) < 1e-12
 
@@ -226,16 +223,16 @@ class TestAssemble:
         # the Pythagorean sense and the triangle bound holds as stated
         eps = 0.1
         t = 0.4
-        snap = snapshot(two_mode_family, t, kernel)
-        u = Field(two_mode_family.grid, assemble(two_mode_family, snap, eps))
-        norms = [l2_norm(Field(two_mode_family.grid, a)) for a in snap.amplitudes]
+        amps = snapshot(two_mode_family, t, kernel)
+        u = Field(two_mode_family.grid, assemble(two_mode_family, amps, t, eps))
+        norms = [l2_norm(Field(two_mode_family.grid, a)) for a in amps]
         assert l2_norm(u) <= sum(norms) * (1 + 1e-12)
         pythagoras = np.sqrt(sum(n**2 for n in norms))
         assert abs(l2_norm(u) - pythagoras) < 1e-8 * pythagoras
 
     def test_resolution_violation_rejected(self, two_mode_family, kernel):
         with pytest.raises(ResolutionError):
-            assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), 0.01)
+            assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), 0.0, 0.01)
 
 
 # (d, t): a sample time and t = 0, the sweep's first snapshot
@@ -252,7 +249,7 @@ class TestZ2Term:
             gamma=0.5,
         )
         halves, _ = half_laplacians(fam, snapshot(fam, 0.0, kernel))
-        out = z2_term(fam, halves, 0.0, 0.1)
+        out = assemble(fam, halves, 0.0, 0.1)
         assert np.all(out == 0)
 
     def test_gaussian_center_value(self, single_mode_family, kernel):
@@ -260,7 +257,7 @@ class TestZ2Term:
         # the center is alpha''(0)/2 = -A / (2 sigma^2)
         fam = single_mode_family
         halves, _ = half_laplacians(fam, snapshot(fam, 0.0, kernel))
-        out = z2_term(fam, halves, 0.0, 0.1)
+        out = assemble(fam, halves, 0.0, 0.1)
         grid = fam.grid
         idx = np.argmin(np.abs(grid.axis_coords()))
         assert out[idx].real == pytest.approx(-0.5, abs=1e-8)
@@ -269,7 +266,7 @@ class TestZ2Term:
         t, eps = 0.5, 0.1
         halves, e_norm = half_laplacians(two_mode_family,
                                          snapshot(two_mode_family, t, kernel))
-        z2 = l2w_norm(Field(two_mode_family.grid, z2_term(two_mode_family, halves, t, eps)))
+        z2 = l2w_norm(Field(two_mode_family.grid, assemble(two_mode_family, halves, t, eps)))
         assert z2 <= e_norm * (1 + 1e-6)
 
     @pytest.mark.parametrize("d, t", SNAPSHOT_TIMES, ids=SNAPSHOT_IDS)
@@ -277,11 +274,11 @@ class TestZ2Term:
         fam = two_mode_family if d == 1 else four_mode_family(128)
         spec = family_kernel(fam)
         eps = {1: 0.1, 2: 0.5}[d]
-        amps = snapshot(fam, t, spec).amplitudes
+        amps = snapshot(fam, t, spec)
         halves = [0.5 * laplacian(Field(fam.grid, a)).values for a in amps]
-        ref = _superpose(fam, halves, t, eps)
+        ref = assemble(fam, halves, t, eps)
         wkb._half_laplacians(fam, amps)  # in place
-        assert np.array_equal(z2_term(fam, amps, t, eps), ref)
+        assert np.array_equal(assemble(fam, amps, t, eps), ref)
 
 
 def carrier_family(d, points):
@@ -293,8 +290,8 @@ def carrier_family(d, points):
 
 
 class TestSuperposeBlocks:
-    """Without scratch, `_superpose` applies each carrier over blocks of
-    leading-axis rows; the sum is bitwise the one a full-size scratch gives."""
+    """`assemble` applies each carrier over blocks of leading-axis rows; the
+    sum is bitwise the one full-size products give."""
 
     @pytest.mark.parametrize("d, points", [(1, 512), (2, 64), (3, 16)],
                              ids=["1d", "2d", "3d"])
@@ -303,6 +300,9 @@ class TestSuperposeBlocks:
     def test_blocks_match_full_scratch(self, monkeypatch, d, points, rows):
         fam = carrier_family(d, points)
         g = fam.grid
+        # random values on coarse lattices: the sum's blocks are under test,
+        # not whether the lattice resolves the family
+        monkeypatch.setattr(wkb, "check_resolution", lambda family, eps: None)
         row = g.total_points // g.points
         if rows == 3:  # 3 rows do not divide the power-of-two rows: a short last block
             monkeypatch.setattr(wkb, "CHUNK", 3 * row)
@@ -313,30 +313,32 @@ class TestSuperposeBlocks:
                   for _ in fam.modes]
         values[0] = values[0].real.copy()  # a real amplitude, as initial data's
         for t, eps in ((0.0, 0.3), (0.4, 0.15)):
-            full = _superpose(fam, values, t, eps,
-                              scratch=np.empty(g.shape, dtype=np.complex128))
-            assert _superpose(fam, values, t, eps).tobytes() == full.tobytes()
+            full = np.zeros(g.shape, dtype=np.complex128)
+            for mode, v in zip(fam.modes, values):
+                full += np.multiply(v, _mode_carrier(g, mode.kappa, t, eps),
+                                    out=np.empty(g.shape, dtype=np.complex128))
+            assert assemble(fam, values, t, eps).tobytes() == full.tobytes()
 
 
 class TestSharedTerms:
     @pytest.mark.parametrize("d, t", SNAPSHOT_TIMES, ids=SNAPSHOT_IDS)
     def test_e_norm_sums_derivative_norms(self, d, t, two_mode_family):
         fam = two_mode_family if d == 1 else four_mode_family(128)
-        snap = snapshot(fam, t, family_kernel(fam))
+        amps = snapshot(fam, t, family_kernel(fam))
         expected = sum(
             l2w_norm(spectral_derivative(Field(fam.grid, a), eta))
-            for a in snap.amplitudes
+            for a in amps
             for eta in multi_indices(d, fam.nspec.n)
         )
-        _, e_norm = half_laplacians(fam, snap)
+        _, e_norm = half_laplacians(fam, amps)
         assert abs(e_norm - expected) < 1e-12 * expected
 
 
 class TestResonantRemainder:
     def test_single_mode_vanishes(self, single_mode_family, kernel):
-        snap = snapshot(single_mode_family, 0.3, kernel)
-        u_app = assemble(single_mode_family, snap, 0.1)
-        out = resonant_remainder(single_mode_family, snap, 0.1, kernel, u_app)
+        amps = snapshot(single_mode_family, 0.3, kernel)
+        u_app = assemble(single_mode_family, amps, 0.3, 0.1)
+        out = resonant_remainder(single_mode_family, amps, 0.1, kernel, u_app)
         assert np.all(out == 0)
 
     def test_label_swap_symmetry(self, kernel):
@@ -349,51 +351,51 @@ class TestResonantRemainder:
             grid, [([2.0], prof), ([-2.0], prof)], gamma=0.5
         )
         t, eps = 0.4, 0.1
-        snap_a, snap_b = snapshot(fam_a, t, kernel), snapshot(fam_b, t, kernel)
-        a = resonant_remainder(fam_a, snap_a, eps, kernel, assemble(fam_a, snap_a, eps))
-        b = resonant_remainder(fam_b, snap_b, eps, kernel, assemble(fam_b, snap_b, eps))
+        amps_a, amps_b = snapshot(fam_a, t, kernel), snapshot(fam_b, t, kernel)
+        a = resonant_remainder(fam_a, amps_a, eps, kernel, assemble(fam_a, amps_a, t, eps))
+        b = resonant_remainder(fam_b, amps_b, eps, kernel, assemble(fam_b, amps_b, t, eps))
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_epsilon_scaling(self, two_mode_family, kernel):
         # d - gamma = 0.5: the remainder norm should halve per 4x in eps
         t = 0.25
         norms = {}
-        snap = snapshot(two_mode_family, t, kernel)
+        amps = snapshot(two_mode_family, t, kernel)
         for eps in (0.2, 0.05):
-            u_app = assemble(two_mode_family, snap, eps)
-            rem = resonant_remainder(two_mode_family, snap, eps, kernel, u_app)
+            u_app = assemble(two_mode_family, amps, t, eps)
+            rem = resonant_remainder(two_mode_family, amps, eps, kernel, u_app)
             norms[eps] = l2w_norm(Field(two_mode_family.grid, rem))
         slope = np.log(norms[0.2] / norms[0.05]) / np.log(0.2 / 0.05)
         assert abs(slope - 0.5) < 0.15
 
 
 class TestOutBuffers:
-    """A record term given `out=` (and `scratch=`) overwrites whatever the
-    buffers held and returns `out`, bit for bit the term without them."""
+    """A record term given `out=` overwrites whatever the buffer held and
+    returns `out`, bit for bit the term without it."""
 
     @pytest.mark.parametrize("name", ["single_mode_family", "two_mode_family", "4x128"])
     def test_buffers_filled_bitwise(self, name, request):
         fam = four_mode_family(128) if name == "4x128" else request.getfixturevalue(name)
         spec = family_kernel(fam)
         t, eps = 0.5, {1: 0.1, 2: 0.5}[fam.grid.d]
-        snap = snapshot(fam, t, spec)
+        amps = snapshot(fam, t, spec)
 
         def nan_field():
             return np.full(fam.grid.shape, np.nan, dtype=np.complex128)
 
-        u_app = assemble(fam, snap, eps)
+        u_app = assemble(fam, amps, t, eps)
         out = nan_field()
-        got = assemble(fam, snap, eps, out=out, scratch=nan_field())
+        got = assemble(fam, amps, t, eps, out=out)
         assert got is out and got.tobytes() == u_app.tobytes()
 
-        halves, _ = half_laplacians(fam, snap)
+        halves, _ = half_laplacians(fam, amps)
         out = nan_field()
-        got = z2_term(fam, halves, t, eps, out=out, scratch=nan_field())
-        assert got is out and got.tobytes() == z2_term(fam, halves, t, eps).tobytes()
+        got = assemble(fam, halves, t, eps, out=out)
+        assert got is out and got.tobytes() == assemble(fam, halves, t, eps).tobytes()
 
         out = nan_field()
-        got = resonant_remainder(fam, snap, eps, spec, u_app, out=out)
-        ref = resonant_remainder(fam, snap, eps, spec, u_app)
+        got = resonant_remainder(fam, amps, eps, spec, u_app, out=out)
+        ref = resonant_remainder(fam, amps, eps, spec, u_app)
         assert got is out and got.tobytes() == ref.tobytes()
 
 
@@ -465,26 +467,26 @@ def full_grid_mode_carrier(grid, kappa, t, eps):
     return np.exp(1j * phase)
 
 
-def full_grid_remainder(family, t, eps, spec, snap):
+def full_grid_remainder(family, t, eps, spec, amps):
     """Ordered double sum over k != l, one full-grid exponential per term."""
     g = family.grid
     cross = np.zeros(g.shape, dtype=np.complex128)
-    for k, (mode_k, a_k) in enumerate(zip(family.modes, snap.amplitudes)):
-        for l, (mode_l, a_l) in enumerate(zip(family.modes, snap.amplitudes)):
+    for k, (mode_k, a_k) in enumerate(zip(family.modes, amps)):
+        for l, (mode_l, a_l) in enumerate(zip(family.modes, amps)):
             if k != l:
                 wave = full_grid_cross_phase(g, mode_k.kappa, mode_l.kappa, t, eps)
                 cross = cross + a_k * np.conj(a_l) * wave
     u_app = sum(
         a * full_grid_mode_carrier(g, m.kappa, t, eps)
-        for m, a in zip(family.modes, snap.amplitudes)
+        for m, a in zip(family.modes, amps)
     )
     conv = np.fft.ifftn(np.fft.fftn(cross) * multiplier_grid(spec, g))
     return -(2 * np.pi) ** (g.d / 2) * conv * u_app
 
 
-def half_laplacians(family, snap):
-    """(1/2) Lap a_j of the snapshot's amplitudes, turned in copies, and ||a||_E."""
-    halves = [a.copy() for a in snap.amplitudes]
+def half_laplacians(family, amps):
+    """(1/2) Lap a_j of the amplitudes `amps`, turned in copies, and ||a||_E."""
+    halves = [a.copy() for a in amps]
     return halves, wkb._half_laplacians(family, halves)
 
 
@@ -519,14 +521,14 @@ class TestSeparableRewrite:
         family = FAMILIES[name]()
         spec = family_kernel(family)
         t = 0.5
-        snap = snapshot(family, t, spec)
+        amps = snapshot(family, t, spec)
         for j in range(len(family.modes)):
             ref = full_grid_action_phase(family, j, t, spec)
             alone = action_phase(family, j, t, spec).values
             assert np.max(np.abs(alone - ref)) < 1e-12
             mode = family.modes[j]
             moved = translate(mode.alpha, t * mode.kappa).values * np.exp(1j * ref)
-            assert np.max(np.abs(snap.amplitudes[j] - moved)) < 1e-12
+            assert np.max(np.abs(amps[j] - moved)) < 1e-12
 
     def test_action_phase_inverse_is_irfftn_bit_for_bit(self, name, monkeypatch):
         # the leading-axis complex passes run in place, in irfftn's order
@@ -565,12 +567,12 @@ class TestSeparableRewrite:
         # pair per amplitude; then a complex pair per amplitude for its
         # graded norm and half-Laplacian
         family = FAMILIES[name]()
-        snap = snapshot(family, 0.5, family_kernel(family))
+        amps = snapshot(family, 0.5, family_kernel(family))
         m, passes = len(family.modes), family.grid.d - 1
         counts = Counter(fn.__name__ for fn in fft_calls)
         assert counts == Counter(rfftn=m, ifft=passes * m, irfftn=m, fftn=m, ifftn=m)
         fft_calls.clear()
-        wkb._half_laplacians(family, snap.amplitudes)
+        wkb._half_laplacians(family, amps)
         assert Counter(fn.__name__ for fn in fft_calls) == Counter(fftn=m, ifftn=m)
 
 
@@ -586,9 +588,9 @@ class TestSeparableRewrite:
 def test_remainder_matches_full_grid_double_sum(make, t, eps):
     family = make()
     spec = family_kernel(family)
-    snap = snapshot(family, t, spec)
-    got = resonant_remainder(family, snap, eps, spec, assemble(family, snap, eps))
-    ref = full_grid_remainder(family, t, eps, spec, snap)
+    amps = snapshot(family, t, spec)
+    got = resonant_remainder(family, amps, eps, spec, assemble(family, amps, t, eps))
+    ref = full_grid_remainder(family, t, eps, spec, amps)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -597,8 +599,8 @@ def test_remainder_reads_cross_density_off_u_app(monkeypatch):
     family = four_mode_family(128)
     spec = family_kernel(family)
     t, eps = 0.5, 0.5
-    snap = snapshot(family, t, spec)
-    u_app = assemble(family, snap, eps)
+    amps = snapshot(family, t, spec)
+    u_app = assemble(family, amps, t, eps)
     calls = []
 
     def counted(*args, **kwargs):
@@ -606,5 +608,5 @@ def test_remainder_reads_cross_density_off_u_app(monkeypatch):
         return plane_wave(*args, **kwargs)
 
     monkeypatch.setattr(wkb, "plane_wave", counted)
-    resonant_remainder(family, snap, eps, spec, u_app)
+    resonant_remainder(family, amps, eps, spec, u_app)
     assert calls == []
