@@ -29,9 +29,19 @@
   the 8192-point two-mode reference family at eps = 0.025, t = 0.25 and
   for the four-mode 256^2 family at eps = 0.15, t = 0.0625.  Its FFT
   calls per record are counted outside the timing and stored in the
-  entry's extra info.  `test_snapshot` and `test_start` store theirs as
+  entry's extra info, each row-blocked pass (a run of `rfft` or `irfft`
+  calls over blocks of rows) counted as one; the entry asserts the
+  record's transform work as 6 d axis passes, whichever calls run them.  `test_snapshot` and `test_start` store theirs as
   `fft_calls_per_call`, and beside it `peak_state_arrays`: the call's
   tracemalloc peak over its entry, in complex128 fields of the grid.
+- `test_norms[SIZE-LAYER]`: one warm call of each norm layer a sweep or
+  a validate run takes, at 8192 points and 512^2, on the complex
+  samples of `test_advance_step`'s packets: `harness._norms_in_place`
+  (L2 and Wiener norms of a field whose samples it transforms in place,
+  refilled outside the timing), `norms._graded_norm` (the graded norm
+  of a raw spectrum, the share of ||a||_E per amplitude) and
+  `norms.l2w_norm` (the combined norm of a `Field`).  Each stores
+  `fft_calls_per_call` and `peak_state_arrays` as `test_snapshot` does.
 - `test_sweep_unit`: one warm `harness.run_sweep` over the four-mode
   256^2 family (eps = 0.3, 0.2, 0.15; eight sample times to t = 0.5),
   the unit of perfbench's `sweep_2d_multimode`.  Its minor page faults
@@ -67,12 +77,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartreelab import Grid, KernelSpec, SolverParams
+from hartreelab import Field, Grid, KernelSpec, SolverParams, YNormSpec, l2w_norm
 from hartreelab import grid as grid_module
 from hartreelab import harness
 from hartreelab.config import parse_config
 from hartreelab.kernel import half_multiplier
-from hartreelab.norms import _norms_from_raw_fft
+from hartreelab.norms import _graded_norm, _norms_from_raw_fft
 from hartreelab.solver import advance
 from hartreelab.wkb import snapshot
 
@@ -80,7 +90,7 @@ from hartreelab.wkb import snapshot
 CASES = {"8192": (Grid(d=1, length=64.0, points=8192), 0.5, 0.025),
          "512x512": (Grid(d=2, length=16.0, points=512), 0.5, 0.05),
          "64x64x64": (Grid(d=3, length=10.0, points=64), 1.0, 0.5)}
-FFT_NAMES = ("fftn", "ifftn", "ifft", "rfftn", "irfftn")
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
 
 
 def _packets(grid: Grid, eps: float) -> np.ndarray:
@@ -91,10 +101,23 @@ def _packets(grid: Grid, eps: float) -> np.ndarray:
 
 
 def _counted(transform, calls: list):
-    def counted(*args, **kwargs):
-        calls.append(transform.__name__)
-        return transform(*args, **kwargs)
+    """`transform`, logging its name and the number of axes it transforms."""
+    name = transform.__name__
+
+    def counted(a, *args, **kwargs):
+        axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+        if not name.endswith("n"):
+            axes = (-1,)  # a 1-D transform: one axis
+        calls.append((name, np.ndim(a) if axes is None else len(axes)))
+        return transform(a, *args, **kwargs)
     return counted
+
+
+def _passes(calls: list) -> list:
+    """Logged calls, each run of `rfft` or `irfft` calls (one pass over
+    blocks of rows) merged into one."""
+    return [call for i, call in enumerate(calls)
+            if not (i and call[0] in ("rfft", "irfft") and calls[i - 1][0] == call[0])]
 
 
 @pytest.mark.parametrize("size", sorted(CASES))
@@ -211,8 +234,11 @@ def test_record(benchmark, monkeypatch, family):
         monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
     record()
     monkeypatch.undo()
-    benchmark.extra_info["fft_calls_per_record"] = len(calls)
-    assert len(calls) == 6 + cfg.grid.d - 1
+    passes = _passes(calls)
+    benchmark.extra_info["fft_calls_per_record"] = len(passes)
+    # state inverse, the error's and r's and Z2's Wiener norms, the
+    # remainder's real convolution pair: six transforms over d axes each
+    assert sum(axes for _, axes in passes) == 6 * cfg.grid.d
     benchmark(record)
 
 
@@ -262,6 +288,37 @@ def test_start(benchmark, monkeypatch):
     benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
     assert calls == 2  # the spectrum and the error's Wiener norm
     benchmark(call)
+
+
+NORM_LAYERS = {"_norms_in_place": 1, "_graded_norm": 0, "l2w_norm": 1}  # FFT calls
+
+
+@pytest.mark.parametrize("layer", sorted(NORM_LAYERS))
+@pytest.mark.parametrize("size", ["8192", "512x512"])
+def test_norms(benchmark, monkeypatch, size, layer):
+    grid, gamma, eps = CASES[size]
+    samples = _packets(grid, eps).astype(np.complex128)
+    buf = np.empty_like(samples)
+    call = {
+        "_norms_in_place": functools.partial(harness._norms_in_place, buf, grid),
+        "_graded_norm": functools.partial(_graded_norm, np.fft.fftn(samples), grid,
+                                          YNormSpec(d=grid.d, gamma=gamma)),
+        "l2w_norm": functools.partial(l2w_norm, Field(grid, samples)),
+    }[layer]
+
+    def refill():  # `_norms_in_place` transforms its field in place
+        np.copyto(buf, samples)
+        return (), {}
+
+    def refilled():
+        refill()
+        return call()
+
+    refilled()  # FFT plan caches
+    calls, peak = _fft_calls_and_peak(monkeypatch, refilled, grid)
+    benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
+    assert calls == NORM_LAYERS[layer]
+    benchmark.pedantic(call, setup=refill, rounds=20)
 
 
 UNIT_FAULTS = """\

@@ -33,7 +33,8 @@ In 2D and 3D the Strang state is row-padded (`padded_zeros`): the
 pass reads columns at a power-of-two stride (see `solver`).  numpy
 transforms the padded view bitwise as it does the contiguous array.
 A `Field` keeps real data real (float64, else complex128), and
-`translate` works in one array: forward transform, modulation, inverse.
+`translate` works in one array: the samples copied into a complex
+buffer, then forward transform, modulation and inverse in place there.
 """
 
 from __future__ import annotations
@@ -278,14 +279,17 @@ def _laplacian_from_raw(raw: np.ndarray, grid: Grid, scale: float = 1.0) -> np.n
 
 
 def translate(f: Field, shift) -> Field:
-    """f(. - shift) via frequency modulation, periodic wrap at the edges."""
+    """f(. - shift) via frequency modulation, periodic wrap at the edges, in
+    one complex copy of the samples: the bits of `fftn` of real samples,
+    without the complex copy numpy would cast them into."""
     g = f.grid
     s = np.atleast_1d(np.asarray(shift, dtype=float))
     if s.shape != (g.d,):
         raise ValueError(f"shift must have {g.d} components, got shape {s.shape}")
     if not s.any():
         return f
-    moved = np.fft.fftn(f.values, out=np.empty(g.shape, dtype=np.complex128))
+    moved = np.array(f.values, dtype=np.complex128)
+    np.fft.fftn(moved, out=moved)
     moved *= plane_wave(g.freq_meshes(zero_nyquist=True), s, -1.0)
     return Field._adopt(g, np.fft.ifftn(moved, out=moved))
 

@@ -24,11 +24,15 @@ maps each time's per-eps advances, records and Z2 passes over N threads.
 
 A record works in a pair of complex field buffers per worker thread, U
 and A, passed as the `out=` of the public `wkb` record terms: u_app goes
-into U; u - u_app, then r (its cross density in A's two float64 halves),
-pass through A (the state as the spectrum's inverse written into A: the
-spectrum must survive).  Each L2 sum is read before the forward
-transform overwrites its field.  Every pair is dropped before the
-conversion; the Z2 pass (`_z2_norms`) then takes one buffer per worker.
+into U; u - u_app, then r, pass through A (the state as the spectrum's
+inverse written into A: the spectrum must survive).  r's cross density
+and its convolution form in A's second float64 half, with the
+convolution's half spectrum at A's start (`kernel.convolve_in_pair`),
+and the norms take their moduli in chunk scratch (`norms._l2`,
+`_wiener`), so a record holds nothing of field size beyond U and A.
+Each L2 sum is read before the forward transform overwrites its field.
+Every pair is dropped before the conversion; the Z2 pass (`_z2_norms`)
+then takes one buffer per worker.
 Every sum of mode carriers is `wkb.assemble`, one block of rows at a
 time with block-sized scratch.  `_start` holds three arrays: u0, the
 spectrum and u0 - u_app.

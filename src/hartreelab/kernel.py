@@ -23,9 +23,10 @@ is integrable and consistent as dxi -> 0:
 
 Every spectral K * rho takes one route: `convolve` applies the
 half-spectrum multiplier of `half_multiplier` to a real density or a
-stack of them.  Its independent quadrature oracle (direct summation,
-never an FFT), `convolve_direct`, lives with the tests, in
-`tests/oracles.py`.
+stack of them; `convolve_in_pair` runs its passes inside the complex
+buffer that holds the density (the sweep's remainder).  The independent
+quadrature oracle (direct summation, never an FFT), `convolve_direct`,
+lives with the tests, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, TWO_PI
+from .grid import CHUNK, Grid, TWO_PI
 
 SPHERE_SURFACE = {1: 2.0, 2: TWO_PI, 3: 2 * TWO_PI}
 
@@ -126,14 +127,10 @@ def split_norms(spec: KernelSpec) -> tuple:
     return k1_l1, k2_sup
 
 
-@functools.lru_cache(maxsize=4)
 def _half_khat(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """Khat on the half spectrum [..., :N/2 + 1] of a real transform,
-    memoized per (spec, grid): every caller shares one read-only array."""
+    """Khat on the half spectrum [..., :N/2 + 1] of a real transform."""
     *lead, last = grid.freq_meshes()
-    out = _khat(spec, grid, (*lead, last[..., : grid.points // 2 + 1]))
-    out.setflags(write=False)
-    return out
+    return _khat(spec, grid, (*lead, last[..., : grid.points // 2 + 1]))
 
 
 def _khat(spec: KernelSpec, grid: Grid, meshes) -> np.ndarray:
@@ -152,9 +149,18 @@ def _check_grid(spec: KernelSpec, grid: Grid):
 
 
 def half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndarray:
-    """scale (2pi)^{d/2} Khat on the half spectrum of a real transform."""
+    """scale (2pi)^{d/2} Khat on the half spectrum of a real transform, one
+    read-only array per (spec, grid, scale): with lambda = 1 the sweep's
+    remainder reads the stepper's."""
     _check_grid(spec, grid)
-    return (scale * TWO_PI ** (grid.d / 2)) * _half_khat(spec, grid)
+    return _scaled_half_khat(spec, grid, float(scale))
+
+
+@functools.lru_cache(maxsize=4)
+def _scaled_half_khat(spec: KernelSpec, grid: Grid, scale: float) -> np.ndarray:
+    out = (scale * TWO_PI ** (grid.d / 2)) * _half_khat(spec, grid)
+    out.setflags(write=False)
+    return out
 
 
 def convolve(khat_half: np.ndarray, rho: np.ndarray, out=None, spectrum=None) -> np.ndarray:
@@ -165,6 +171,37 @@ def convolve(khat_half: np.ndarray, rho: np.ndarray, out=None, spectrum=None) ->
     rho_hat = np.fft.rfftn(rho, axes=axes, out=spectrum)
     rho_hat *= khat_half
     return inverse_rfftn(rho_hat, rho.shape[-1], axes, out)
+
+
+def convolve_in_pair(khat_half: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """`convolve` of the density rho in the second float64 half of the
+    C-contiguous complex field `buf`, bit for bit, written back over rho
+    (the float64 view returned); the half spectrum lies in `buf` too, over
+    its first float64 half and rho's first 2 N^(d-1) floats.  The last-axis
+    real transforms run in blocks of rows, ascending, each block's spectrum
+    landing on rows already read; the leading-axis complex passes run in
+    place (last axis first, as `rfftn` runs them); the inverses run in
+    blocks descending, each writing over spectrum rows already read.  A
+    block of at most half the rows keeps its own input and output apart;
+    a 1-D field is one row, which numpy transforms from a copy.
+    """
+    shape, n = buf.shape, buf.shape[-1]
+    rows = buf.size // n
+    rho = buf.view(np.float64).reshape(-1)[buf.size:].reshape(rows, n)
+    half = buf.reshape(-1)[: rows * (n // 2 + 1)].reshape(rows, n // 2 + 1)
+    block = max(1, min(CHUNK // n, rows // 2))
+    starts = range(0, rows, block)
+    for lo in starts:
+        np.fft.rfft(rho[lo:lo + block], axis=-1, out=half[lo:lo + block])
+    spectrum = half.reshape(*shape[:-1], n // 2 + 1)
+    for ax in reversed(range(len(shape) - 1)):
+        np.fft.fft(spectrum, axis=ax, out=spectrum)
+    spectrum *= khat_half
+    for ax in range(len(shape) - 1):
+        np.fft.ifft(spectrum, axis=ax, out=spectrum)
+    for lo in reversed(starts):
+        np.fft.irfft(half[lo:lo + block], n, axis=-1, out=rho[lo:lo + block])
+    return rho.reshape(shape)
 
 
 def inverse_rfftn(spectrum: np.ndarray, n: int, axes: tuple, out=None) -> np.ndarray:

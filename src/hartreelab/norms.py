@@ -9,6 +9,8 @@ from a spectrum follows Parseval.  The combined norm is the sum
     ||f||_{L2 cap W} = ||f||_{L2} + ||f||_W,
 
 which is the quantity the two-space estimates actually manipulate.
+The L2 and Wiener norms of one field take its moduli in chunk scratch,
+bitwise the whole-array sums (`_modulus_sum`).
 
 Two inequality checkers make the function-space estimates testable:
 the pointwise-product bound on Wiener norms and the convolution bound
@@ -27,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .grid import TWO_PI, Field
+from .grid import CHUNK, TWO_PI, Field
 from .kernel import KernelSpec, half_multiplier, split_norms
 
 
@@ -53,16 +55,34 @@ class YNormSpec:
         object.__setattr__(self, "n", derivative_order(self.d, self.gamma))
 
 
+def _modulus_sum(values: np.ndarray, power: int) -> float:
+    """sum |values|**power (power 1 or 2), the moduli formed per CHUNK
+    slice in chunk scratch.  numpy sums 2^k > 128 contiguous float64 terms
+    in memory order as the sum of their two halves; a field's point count
+    is a power of two, so each slice is a subtree of that recursion, and
+    adding neighbouring slice sums level by level rebuilds the levels
+    above: bitwise `np.sum` of the full moduli array."""
+    flat = values.ravel(order="K")  # memory order: a view of a contiguous field
+    parts = [flat[lo:lo + CHUNK] for lo in range(0, flat.size, CHUNK)]
+    mag = np.empty(parts[0].size)
+    sums = np.empty(len(parts))
+    for i, part in enumerate(parts):
+        m = np.abs(part, out=mag[:part.size])
+        sums[i] = np.sum(np.square(m, out=m) if power == 2 else m)
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0]
+
+
 def _l2(values: np.ndarray, grid) -> float:
     """L2 norm of the field with samples `values`."""
-    mod_sq = np.abs(values)
-    return float(np.sqrt(grid.dx**grid.d * np.sum(np.square(mod_sq, out=mod_sq))))
+    return float(np.sqrt(grid.dx**grid.d * _modulus_sum(values, 2)))
 
 
 def _wiener(raw: np.ndarray, grid) -> float:
     """Wiener norm of the field whose raw FFT is `raw`: dxi^d sum |fhat|;
     the phase factors have modulus one, so the raw FFT moduli suffice."""
-    return float(_wiener_from_modulus(np.abs(raw), grid))
+    return float(_wiener_scale(grid) * _modulus_sum(raw, 1))
 
 
 def l2_norm(f: Field) -> float:
@@ -83,11 +103,15 @@ def multi_indices(d: int, max_order: int) -> list:
     return [eta for eta in etas if sum(eta) <= max_order]
 
 
+def _wiener_scale(grid) -> float:
+    """The convention's factor from a sum of raw FFT moduli to a Wiener norm."""
+    d = grid.d
+    return grid.dxi**d * TWO_PI ** (-d / 2) * grid.dx**d
+
+
 def _wiener_from_modulus(mag: np.ndarray, grid):
     """Wiener norm of each field (row of a stack) whose raw FFT has modulus `mag`."""
-    d = grid.d
-    total = np.sum(mag, axis=tuple(range(-d, 0)))
-    return grid.dxi**d * TWO_PI ** (-d / 2) * grid.dx**d * total
+    return _wiener_scale(grid) * np.sum(mag, axis=tuple(range(-grid.d, 0)))
 
 
 def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:

@@ -48,7 +48,9 @@ checks.  One sum, `assemble`, applies the mode carriers to every
 superposition: u0, u_app, Z2 and dt u_app (it and the remainder fill an
 `out=` buffer when given, as a sweep does).  The cross density B is what
 the averaged density rho = sum_j |a_j|^2 leaves of |u_app|^2, so
-B = |u_app|^2 - sum_j |a_j|^2.
+B = |u_app|^2 - sum_j |a_j|^2.  The remainder forms B, K * B and the
+convolution's half spectrum inside its `out` buffer, with chunk scratch
+beside it and no array of field size.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .grid import (
     translate,
     unit_phase,
 )
-from .kernel import KernelSpec, convolve, half_multiplier, inverse_rfftn
+from .kernel import KernelSpec, convolve, convolve_in_pair, half_multiplier, inverse_rfftn
 from .norms import YNormSpec, _graded_norm, l2w_norm
 from .solver import _slices
 
@@ -266,7 +268,9 @@ def action_phase(
         acc += rho_hat * _averaging_factor(t, omega, plane_wave(meshes, dk, -t))
 
     acc *= plane_wave(meshes, kappa_j, -t)
-    acc *= half_multiplier(spec, g, -spec.coupling)
+    # the bits of half_multiplier(spec, g, -lambda), negated from the memoized
+    # lambda multiplier the stepper uses, so no entry is held for -lambda
+    acc *= np.negative(half_multiplier(spec, g, spec.coupling))
     return Field._adopt(g, inverse_rfftn(acc, g.points, tuple(range(g.d))))
 
 
@@ -351,9 +355,11 @@ def resonant_remainder(family: ModeFamily, amps, eps: float, spec: KernelSpec,
     for the amplitudes `amps`.
 
     The cross density is read off the assembled field, whose diagonal
-    terms are the averaged density: B = |u_app|^2 - sum_j |a_j|^2.  B and
-    K * B form in the second float64 half of `out`, each |a_j|^2 in the
-    first; r then fills `out` slice by slice, over K * B already read.
+    terms are the averaged density: B = |u_app|^2 - sum_j |a_j|^2.  B forms
+    slice by slice in the second float64 half of `out`, each |a_j|^2 in
+    chunk scratch; `kernel.convolve_in_pair` turns it into K * B there, its
+    half spectrum inside `out` too; r then fills `out` slice by slice, over
+    K * B already read.  Beyond `out` the call holds chunk scratch only.
     """
     g = family.grid
     if out is None:
@@ -362,12 +368,13 @@ def resonant_remainder(family: ModeFamily, amps, eps: float, spec: KernelSpec,
         out.fill(0)
         return out
     check_resolution(family, eps, for_remainder=True)
-    mod_sq, cross = out.view(np.float64).reshape(2, *g.shape)
-    np.square(np.abs(u_app, out=cross), out=cross)
-    for amp in amps:
-        cross -= np.square(np.abs(amp, out=mod_sq), out=mod_sq)
-    half = np.empty((*g.shape[:-1], g.points // 2 + 1), dtype=np.complex128)
-    conv = convolve(half_multiplier(spec, g), cross, out=cross, spectrum=half)
+    cross = out.view(np.float64).reshape(2, *g.shape)[1]
+    mod_sq = np.empty(min(g.total_points, CHUNK))
+    for b, u, *parts in zip(*map(_slices, (cross, u_app, *amps))):
+        np.square(np.abs(u, out=b), out=b)
+        for part in parts:
+            b -= np.square(np.abs(part, out=mod_sq[:b.size]), out=mod_sq[:b.size])
+    conv = convolve_in_pair(half_multiplier(spec, g), out)
     for c, u, r in zip(*map(_slices, (np.negative(conv, out=conv), u_app, out))):
         np.multiply(c, u, out=r)
     return out

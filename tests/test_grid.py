@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,38 @@ class TestTranslate:
         got, want = translate(real, shift).values, translate(twin, shift).values
         assert got.dtype == np.complex128
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+    @pytest.mark.parametrize("grid", [Grid(d=1, length=32.0, points=8192),
+                                      Grid(d=2, length=16.0, points=256),
+                                      Grid(d=3, length=16.0, points=32)],
+                             ids=["1d", "2d", "3d"])
+    def test_cast_free_route_matches_fftn_of_real_samples(self, grid):
+        # the samples copied into the complex buffer, then transformed in
+        # place: the bits of fftn(real samples, out=), modulation, inverse
+        r2 = sum(ax**2 for ax in grid.coords())
+        real = Field(grid, np.exp(-r2 / 2))
+        shift = (0.7, -1.3, 0.4)[:grid.d]
+        want = np.fft.fftn(real.values, out=np.empty(grid.shape, dtype=np.complex128))
+        want *= separable_wave(grid.freq_meshes(zero_nyquist=True), shift, -1.0)
+        np.fft.ifftn(want, out=want)
+        got = translate(real, shift).values
+        assert got.tobytes() == want.tobytes()
+
+    def test_real_field_takes_no_cast_copy(self):
+        # one complex buffer and numpy's 128 KiB iterator buffer for the
+        # broadcast modulation; fftn of the real samples cast a second field
+        grid = Grid(d=2, length=16.0, points=256)
+        r2 = sum(ax**2 for ax in grid.coords())
+        real = Field(grid, np.exp(-r2 / 2))
+        translate(real, (0.7, 0.0))
+        tracemalloc.start()
+        try:
+            translate(real, (0.7, 0.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * grid.total_points * 16
 
 
 class TestSampleProfile:

@@ -343,11 +343,11 @@ class TestRunSweep:
     def test_threaded_matches_sequential_2d(self, tmp_path, kappas):
         # the eps workers share the memoized kernel multiplier; start cold
         # so both threads race to fill it
-        from hartreelab.kernel import _half_khat
+        from hartreelab.kernel import _scaled_half_khat
 
         runs = {}
         for threads in (1, 2):
-            _half_khat.cache_clear()
+            _scaled_half_khat.cache_clear()
             runs[threads] = run_sweep(small_2d_config(kappas, threads))
             persist(runs[threads], tmp_path / str(threads))
         assert len(runs[1].records) == 4
@@ -538,11 +538,16 @@ class TestLockstepSweep:
         # inverse, error Wiener norm, the remainder's real convolution pair,
         # the Wiener norms of r and Z2); per eps at t = 0: 2; per Strang
         # step: 4.  Each convolution's and each phase's inverse adds d - 1
-        # complex passes
+        # complex passes.  The remainder's pair runs in the record's field
+        # pair: its last-axis passes in row blocks, each blocked pass
+        # counted as one, and its forward leading-axis passes as calls of
+        # their own (`rfftn` ran them inside its one call)
         cfg = three_mode_config()
         passes = cfg.grid.d - 1
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 3
-        counts = {"laplacian": 0, "assemble": 0, "advance_ffts": 0}
+        rows = cfg.grid.total_points // cfg.grid.points
+        blocks = math.ceil(rows / min(grid_module.CHUNK // cfg.grid.points, rows // 2))
+        counts = {"laplacian": 0, "assemble": 0, "advance_ffts": 0, "pair_ffts": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -556,8 +561,15 @@ class TestLockstepSweep:
             counts["advance_ffts"] += len(fft_calls) - before
             return out
 
-        real_advance = harness.advance
+        def pair_counted(*args, **kwargs):
+            before = len(fft_calls)
+            out = real_pair(*args, **kwargs)
+            counts["pair_ffts"] += len(fft_calls) - before
+            return out
+
+        real_advance, real_pair = harness.advance, wkb.convolve_in_pair
         monkeypatch.setattr(harness, "advance", advance_counted)
+        monkeypatch.setattr(wkb, "convolve_in_pair", pair_counted)
         laplacian_counted = counting("laplacian", grid_module.laplacian)
         monkeypatch.setattr(grid_module, "laplacian", laplacian_counted)
         monkeypatch.setattr(wkb, "laplacian", laplacian_counted)
@@ -575,9 +587,11 @@ class TestLockstepSweep:
             for a, b in zip((0.0, *cfg.sample_times), cfg.sample_times)
         )
         assert counts["advance_ffts"] == (4 + passes) * steps
-        assert len(fft_calls) - counts["advance_ffts"] == (
+        assert counts["pair_ffts"] == 2 * (blocks + passes) * n_eps * n_times
+        pair_passes = 2 * (1 + passes) * n_eps * n_times
+        assert len(fft_calls) - counts["advance_ffts"] - counts["pair_ffts"] + pair_passes == (
             2 * n_eps + n_times * (4 * n_modes + (2 + passes) * n_modes)
-            + (6 + passes) * n_eps * n_times
+            + (6 + 2 * passes) * n_eps * n_times
         )
         assert counts["laplacian"] == 0
         assert counts["assemble"] == 2 * (n_eps * n_times + n_eps)
@@ -662,8 +676,10 @@ class TestRecord:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        field_bytes = cfg.grid.total_points * np.dtype(np.complex128).itemsize
-        assert peak < 1.5 * field_bytes
+        # the pair aside, the record holds `assemble`'s block scratch (plus
+        # numpy's iterator buffer for a broadcast carrier) and chunk scratch
+        item = np.dtype(np.complex128).itemsize
+        assert peak < (grid_module.CHUNK + np.getbufsize()) * item + 64 * 1024
         assert run.norms == norms
         assert np.array_equal(run.raw, raw)  # the spectrum survives the record
 
@@ -683,7 +699,7 @@ class TestZ2Pass:
     def test_holds_one_field_and_block_scratch(self):
         # Z2 superposes into the thread's one buffer with block-sized
         # scratch (plus numpy's iterator buffer for a broadcast carrier);
-        # the norms then take the moduli (half a field) of `_l2`
+        # the norms then form their moduli in chunk scratch
         cfg = four_mode_config()
         halves, run = first_record_inputs(cfg)
         t, eps = cfg.sample_times[0], cfg.epsilons[0]
@@ -709,7 +725,36 @@ class TestZ2Pass:
         finally:
             tracemalloc.stop()
         assert superpose < block_bytes + 64 * 1024
-        assert cold < 1.5 * field_bytes + block_bytes + 64 * 1024
+        assert cold < field_bytes + block_bytes + 64 * 1024
+
+
+class TestUnitPeak:
+    def test_warm_two_mode_unit_peaks_under_six_and_a_half_arrays(self):
+        # the unit peaks in the first record of a time: the M = 2
+        # amplitudes, the two eps's row-padded spectra and the record's
+        # field pair, plus block scratch (a quarter array at 256^2); the
+        # record's remainder and norms add nothing of field size
+        grid = Grid(d=2, length=16.0, points=256)
+        prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
+        kappas = ([-2.0, 0.0], [2.0, 0.0])
+        cfg = SweepConfig(
+            grid=grid,
+            kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
+            family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas], gamma=0.5),
+            epsilons=(0.6, 0.5),
+            final_time=0.2,
+            sample_times=(0.1, 0.2),
+        )
+        run_sweep(cfg)  # memoized multiplier, FFT plan caches
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = grid.total_points * np.dtype(np.complex128).itemsize
+        assert peak - entry <= 6.5 * state
 
 
 class TestValidateSuite:

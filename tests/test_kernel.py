@@ -19,7 +19,8 @@ from hartreelab import (
     split_norms,
     zero_mode_value,
 )
-from hartreelab.kernel import _half_khat, convolve, half_multiplier
+from hartreelab.grid import TWO_PI
+from hartreelab.kernel import _half_khat, convolve, convolve_in_pair, half_multiplier
 
 from conftest import lattice_wavenumber, plane_wave
 from oracles import _CELL_NODES, _singular_cell_mass, convolve_direct, multiplier_grid
@@ -193,6 +194,37 @@ class TestConvolve:
             tracemalloc.stop()
         assert peak < spectrum.nbytes // 2
 
+    @pytest.mark.parametrize("d, points", [(1, 8192), (1, 256), (2, 512), (2, 256),
+                                           (2, 32), (3, 64), (3, 16)])
+    def test_in_pair_matches_convolve_bitwise(self, d, points):
+        # the density in the second float64 half of a complex field, the
+        # half spectrum in the field itself: the bits of `convolve`
+        grid = Grid(d=d, length=8.0, points=points)
+        khat_half = half_multiplier(KernelSpec(d=d, gamma=0.5), grid)
+        rho = np.random.default_rng(26).standard_normal(grid.shape)
+        buf = np.empty(grid.shape, dtype=np.complex128)
+        buf.view(np.float64).reshape(2, *grid.shape)[1] = rho
+        got = convolve_in_pair(khat_half, buf)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, convolve(khat_half, rho))
+
+    @pytest.mark.parametrize("d, points", [(2, 256), (3, 64)])
+    def test_in_pair_allocates_no_half_spectrum(self, d, points):
+        # warm: what is left is numpy's fixed 128 KiB buffer, an eighth of a
+        # 256^2 field or less; a half spectrum would be half a field
+        grid = Grid(d=d, length=8.0, points=points)
+        khat_half = half_multiplier(KernelSpec(d=d, gamma=0.5), grid)
+        buf = np.empty(grid.shape, dtype=np.complex128)
+        buf.view(np.float64)[...] = 1.0
+        convolve_in_pair(khat_half, buf)
+        tracemalloc.start()
+        try:
+            convolve_in_pair(khat_half, buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < buf.nbytes // 4
+
     def test_positivity_on_nonnegative_density(self, kernel1d, grid1d):
         x = grid1d.axis_coords()
         out = convolve(half_multiplier(kernel1d, grid1d), np.exp(-x**2))
@@ -256,14 +288,26 @@ class TestConvolveDirect:
 
 class TestMultiplierGrid:
     def test_memoized_and_read_only(self, kernel1d, grid1d):
-        # the half spectrum is memoized; the full lattice is made per call
-        # and agrees with it on the columns the half keeps
-        khat = _half_khat(kernel1d, grid1d)
-        assert _half_khat(kernel1d, grid1d) is khat
+        # the scaled half-spectrum multiplier is memoized per scale; the full
+        # lattice is made per call and agrees with the half on its columns
+        scaled = half_multiplier(kernel1d, grid1d)
+        assert half_multiplier(kernel1d, grid1d, 1) is scaled
+        assert half_multiplier(kernel1d, grid1d, 2.0) is not scaled
         with pytest.raises(ValueError, match="read-only"):
-            khat[0] = 1.0
+            scaled[0] = 1.0
+        khat = _half_khat(kernel1d, grid1d)
+        assert np.array_equal(scaled, TWO_PI ** 0.5 * khat)
         full = multiplier_grid(kernel1d, grid1d)
         assert np.array_equal(full[: grid1d.points // 2 + 1], khat)
+
+    def test_negated_multiplier_is_the_negative_scale(self, grid1d):
+        # the snapshot's phases negate the lambda multiplier in place of a
+        # memoized -lambda one; IEEE products are sign-symmetric
+        for lam in (1.0, 0.3, 2.5):
+            spec = KernelSpec(d=1, gamma=0.5, coupling=lam)
+            want = (-lam * TWO_PI ** 0.5) * _half_khat(spec, grid1d)
+            got = np.negative(half_multiplier(spec, grid1d, lam))
+            assert want.tobytes() == got.tobytes()
 
     def test_rejects_dimension_mismatch(self, grid1d):
         with pytest.raises(ValueError, match="2D"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -14,11 +16,15 @@ from hartreelab import (
     translate,
     wiener_norm,
 )
+from hartreelab.grid import CHUNK
 from hartreelab.harness import _random_band_limited
 from hartreelab.norms import (
     _algebra_bounds,
     _graded_norm,
     _hartree_bounds,
+    _l2,
+    _wiener,
+    _wiener_from_modulus,
     derivative_order,
     multi_indices,
 )
@@ -102,6 +108,42 @@ class TestBasicNorms:
             f = band_limited(grid1d, rng, 50)
             bound = (2 * np.pi) ** (-grid1d.d / 2) * wiener_norm(f) * (1 + 1e-10)
             assert np.max(np.abs(f.values)) <= bound
+
+
+class TestChunkedModuli:
+    """The L2 and Wiener sums form their moduli per CHUNK slice; their
+    bits are those of the whole-array formulas they replace."""
+
+    @pytest.mark.parametrize("d, points", [(1, 8192), (1, 2**16), (2, 256), (2, 512),
+                                           (2, 32), (3, 64)])
+    def test_match_whole_array_formulas_bitwise(self, d, points):
+        grid = Grid(d=d, length=16.0, points=points)
+        rng = np.random.default_rng(points + d)
+        values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        values *= np.exp(rng.uniform(-30.0, 30.0, grid.shape))  # wide magnitudes
+        raw = np.fft.fftn(values)
+        l2 = float(np.sqrt(grid.dx**grid.d * np.sum(np.square(np.abs(values)))))
+        wiener = float(_wiener_from_modulus(np.abs(raw), grid))
+        assert _l2(values, grid) == l2
+        assert _wiener(raw, grid) == wiener
+        assert _l2(values.real.copy(), grid) == float(
+            np.sqrt(grid.dx**grid.d * np.sum(np.square(np.abs(values.real)))))
+        turned = values.T  # Fortran order: summed in memory order, as np.sum does
+        assert _l2(turned, grid) == float(
+            np.sqrt(grid.dx**grid.d * np.sum(np.square(np.abs(turned)))))
+
+    def test_moduli_take_chunk_scratch(self):
+        grid = Grid(d=2, length=16.0, points=256)
+        values = np.ones(grid.shape, dtype=np.complex128)
+        _l2(values, grid)
+        tracemalloc.start()
+        try:
+            _l2(values, grid)
+            _wiener(values, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * CHUNK * 8
 
 
 class TestYNorm:
