@@ -82,7 +82,7 @@ from hartreelab import grid as grid_module
 from hartreelab import harness
 from hartreelab.config import parse_config
 from hartreelab.kernel import half_multiplier
-from hartreelab.norms import _graded_norm, _norms_from_raw_fft
+from hartreelab.norms import _graded_norm, _norms
 from hartreelab.solver import advance
 from hartreelab.wkb import snapshot
 
@@ -127,7 +127,7 @@ def test_advance_step(benchmark, monkeypatch, size):
     params = SolverParams.largest_step(eps, 1.0)
     khat_half = half_multiplier(spec, grid, spec.coupling)
     raw = np.fft.fftn(_packets(grid, eps), out=grid_module.padded_zeros(grid))
-    norm0 = sum(_norms_from_raw_fft(raw, grid))
+    norm0 = sum(_norms(raw, grid))
     state = {"raw": raw}
 
     def step():

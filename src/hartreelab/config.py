@@ -48,11 +48,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .grid import GaussianProfile, Grid, TableProfile
 from .kernel import KernelSpec
-from .solver import DT_FACTOR, SolverParams
+from .solver import DT_FACTOR, SolverParams, step_count
 from .wkb import ModeFamily, check_containment, check_resolution
 
 AMPLITUDE_RANGE = (1e-100, 1e100)  # the cube of a peak stays a normal float64
@@ -113,10 +111,8 @@ class SweepConfig:
                                  f"[{lo:g}, {hi:g}] (amplitude range rule)")
         steps = 0.0  # in floats: a tiny dt_factor's count may pass the float range
         for e in eps:
-            dt = SolverParams.largest_step(e, self.final_time, self.dt_factor).dt
-            # as `solver.advance` cuts each gap between sample times
-            steps += sum(max(1.0, np.ceil((b - a) / dt - 1e-12))
-                         for a, b in zip((0.0, *samples), samples))
+            params = SolverParams.largest_step(e, self.final_time, self.dt_factor)
+            steps += sum(step_count(b - a, params) for a, b in zip((0.0, *samples), samples))
             check_resolution(self.family, e)
             if len(self.family.modes) > 1:
                 check_resolution(self.family, e, for_remainder=True)

@@ -12,7 +12,7 @@ axis and the dual lattice xi_k = 2*pi*k/L, k in [-N/2, N/2):
 the sign carrying the box offset -L/2.  For fields that decay inside the
 box this approximates the continuum transform.  The package transforms
 with raw `numpy.fft` and applies the convention where a number depends
-on it: `norms._wiener_from_modulus` scales raw moduli (the signs have
+on it: `norms._wiener_scale` scales sums of raw moduli (the signs have
 modulus one and drop out), and `kernel.half_multiplier` carries the
 (2*pi)**(d/2) of the convolution theorem.
 
@@ -25,8 +25,8 @@ Every transform in the package goes through one backend, `numpy.fft`
 (a field transformed in place passes itself as `out=`), and every array
 exp(i theta) on the hot paths through one kernel, `unit_phase`: a
 vectorised half-angle tangent in place of scalar cos and sin, run over
-consecutive slices of CHUNK points so that its scratch stays in L2.
-The Strang step's pointwise stages slice their arrays the same way.
+consecutive slices of CHUNK points (`_slices`) so that its scratch stays
+in L2, as the Strang step's pointwise stages slice their arrays.
 
 In 2D and 3D the Strang state is row-padded (`padded_zeros`): the
 [..., :N] view of a buffer with N + 1 elements per row, so no transform
@@ -49,6 +49,12 @@ BLOCK_BYTES = 2**20  # byte budget of one stack of complex fields
 CHUNK = 8192  # points per slice of a pointwise pass: its working set stays in L2
 
 TWO_PI = 2.0 * np.pi
+
+
+def _slices(a: np.ndarray) -> list:
+    """Views of consecutive CHUNK points of a C-contiguous or 1-D array `a`;
+    the last may be shorter."""
+    return [a.reshape(-1, copy=False)[lo:lo + CHUNK] for lo in range(0, a.size, CHUNK)]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -162,15 +168,13 @@ def unit_phase(theta, out=None) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if out is None:
         out = np.empty(theta.shape, dtype=np.complex128)
-    flat_out = out.reshape(-1, copy=False)
-    flat_theta = theta.reshape(-1)  # a copy only if theta's strides do not merge
     n = min(theta.size, CHUNK)
     t, t_sq, inv = np.empty(n), np.empty(n), np.empty(n)
-    for lo in range(0, theta.size, CHUNK):
-        z = flat_out[lo:lo + CHUNK]
+    # theta.reshape(-1) copies only if theta's strides do not merge
+    for angle, z in zip(_slices(theta.reshape(-1)), _slices(out)):
         if z.size < n:  # the last of several slices may be shorter
             t, t_sq, inv = t[:z.size], t_sq[:z.size], inv[:z.size]
-        np.multiply(flat_theta[lo:lo + CHUNK], 0.5, out=t)
+        np.multiply(angle, 0.5, out=t)
         np.tan(t, out=t)
         np.multiply(t, t, out=t_sq)
         np.add(t_sq, 1.0, out=inv)

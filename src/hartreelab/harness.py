@@ -27,10 +27,10 @@ and A, passed as the `out=` of the public `wkb` record terms: u_app goes
 into U; u - u_app, then r, pass through A (the state as the spectrum's
 inverse written into A: the spectrum must survive).  r's cross density
 and its convolution form in A's second float64 half, with the
-convolution's half spectrum at A's start (`kernel.convolve_in_pair`),
-and the norms take their moduli in chunk scratch (`norms._l2`,
-`_wiener`), so a record holds nothing of field size beyond U and A.
-Each L2 sum is read before the forward transform overwrites its field.
+convolution's half spectrum at A's start (`kernel.convolve_in_pair`).
+Each field's norms take L2 from its samples, then Wiener from the
+spectrum written over them (`norms._norms_in_place`), moduli in chunk
+scratch, so a record holds nothing of field size beyond U and A.
 Every pair is dropped before the conversion; the Z2 pass (`_z2_norms`)
 then takes one buffer per worker.
 Every sum of mode carriers is `wkb.assemble`, one block of rows at a
@@ -73,8 +73,8 @@ from .kernel import (
     hartree_constant_oracle,
 )
 from .norms import l2w_norm, _wiener_from_modulus
-from .norms import _algebra_bounds, _hartree_bounds, _l2, _norms_from_raw_fft, _wiener
-from .solver import DivergenceError, SolverParams, advance, evolve
+from .norms import _algebra_bounds, _hartree_bounds, _norms, _norms_in_place
+from .solver import DivergenceError, SolverParams, advance, evolve, step_count
 from .solver import picard_evolve
 from .wkb import (
     _half_laplacians,
@@ -185,7 +185,7 @@ def _start(cfg: SweepConfig, amps0: tuple, eps: float) -> _EpsRun:
     del u0  # dropped before the error's norms
     init_err = sum(_norms_in_place(err, cfg.grid))
     params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
-    l2_0, w_0 = _norms_from_raw_fft(raw, cfg.grid)
+    l2_0, w_0 = _norms(raw, cfg.grid)
     return _EpsRun(eps, params, raw, l2_0 + w_0, l2_0, init_err)
 
 
@@ -204,13 +204,6 @@ def _fields(buffers: dict, grid: Grid, count: int) -> list:
     made = buffers.setdefault(threading.get_ident(), [])
     made += [np.empty(grid.shape, dtype=np.complex128) for _ in range(count - len(made))]
     return made[:count]
-
-
-def _norms_in_place(values: np.ndarray, grid: Grid) -> tuple:
-    """(L2, Wiener) of a field whose samples may be overwritten: the forward
-    transform for the Wiener norm lands in `values`."""
-    l2 = _l2(values, grid)
-    return l2, _wiener(np.fft.fftn(values, out=values), grid)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # `_z2_norms`' finite check reports it
@@ -481,7 +474,8 @@ def validate_suite(
     eps = cfg.epsilons[0]
     horizon = 0.1 * eps
     dt = min(cfg.dt_factor * eps, horizon / 64)
-    steps = np.ceil(horizon / dt)  # a subnormal dt's count may pass the float range
+    params = SolverParams(eps=eps, dt=dt, final_time=horizon, dt_factor=cfg.dt_factor)
+    steps = step_count(horizon, params)
     if steps > STEP_BUDGET:
         raise ConfigError(f"the integrator check asks for {steps:.4g} Strang steps, "
                           f"above the budget of {STEP_BUDGET:.0e} (step budget rule)")
@@ -506,7 +500,6 @@ def validate_suite(
     )
 
     u0 = initial_data(cfg.family, eps)
-    params = SolverParams(eps=eps, dt=dt, final_time=horizon, dt_factor=cfg.dt_factor)
     traj = evolve(u0, cfg.kernel, params, [horizon])
     fixed = picard_evolve(
         u0, cfg.kernel, eps, horizon, tol=1e-12, nodes=32

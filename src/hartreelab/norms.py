@@ -2,15 +2,19 @@
 
 All norms are Riemann sums under the transform convention fixed in
 `grid`, so they converge to their continuum counterparts as the box and
-resolution grow.  They read raw `numpy.fft` spectra: `_wiener_from_modulus`
-applies the convention's scale to their moduli, and an L2 norm taken
-from a spectrum follows Parseval.  The combined norm is the sum
+resolution grow.  They read raw `numpy.fft` spectra: `_wiener_scale`
+applies the convention's scale to the sum of their moduli.  The combined
+norm is the sum
 
     ||f||_{L2 cap W} = ||f||_{L2} + ||f||_W,
 
 which is the quantity the two-space estimates actually manipulate.
-The L2 and Wiener norms of one field take its moduli in chunk scratch,
-bitwise the whole-array sums (`_modulus_sum`).
+
+Every L2 and Wiener norm sums in one order, numpy's pairwise `np.sum`
+of the moduli and of their squares (`_modulus_sums`, in chunk scratch):
+a raw spectrum gives both, L2 by Parseval (`_norms`); samples give L2,
+then Wiener from their spectrum (`_norms_in_place`).  The stepping guard
+and the graded norm sum the moduli they hold (`_norms_from_modulus`).
 
 Two inequality checkers make the function-space estimates testable:
 the pointwise-product bound on Wiener norms and the convolution bound
@@ -55,46 +59,55 @@ class YNormSpec:
         object.__setattr__(self, "n", derivative_order(self.d, self.gamma))
 
 
-def _modulus_sum(values: np.ndarray, power: int) -> float:
-    """sum |values|**power (power 1 or 2), the moduli formed per CHUNK
-    slice in chunk scratch.  numpy sums 2^k > 128 contiguous float64 terms
-    in memory order as the sum of their two halves; a field's point count
-    is a power of two, so each slice is a subtree of that recursion, and
-    adding neighbouring slice sums level by level rebuilds the levels
-    above: bitwise `np.sum` of the full moduli array."""
-    flat = values.ravel(order="K")  # memory order: a view of a contiguous field
-    parts = [flat[lo:lo + CHUNK] for lo in range(0, flat.size, CHUNK)]
-    mag = np.empty(parts[0].size)
-    sums = np.empty(len(parts))
+def _modulus_sums(values: np.ndarray) -> tuple:
+    """(sum |v|^2, sum |v|) of a contiguous or row-padded field, its moduli
+    formed in chunk scratch, CHUNK points of whole rows at a time: bitwise
+    `np.sum` of np.abs(values)**2 and np.abs(values).  numpy sums 2^k > 128
+    contiguous float64 terms as the sum of their two halves, so each block
+    of a power-of-two field is a subtree, and adding neighbouring block
+    sums level by level rebuilds the levels above."""
+    if values.flags.f_contiguous:
+        values = values.T  # the same memory order, read as C order
+    rows = values.reshape(-1, min(values.shape[-1], CHUNK), copy=False)
+    per = CHUNK // rows.shape[1]
+    parts = [rows[lo:lo + per] for lo in range(0, len(rows), per)]
+    mag = np.empty(parts[0].shape)
+    sums = np.empty((2, len(parts)))
     for i, part in enumerate(parts):
-        m = np.abs(part, out=mag[:part.size])
-        sums[i] = np.sum(np.square(m, out=m) if power == 2 else m)
-    while sums.size > 1:
-        sums = sums[0::2] + sums[1::2]
-    return sums[0]
+        m = np.abs(part, out=mag[:len(part)])
+        sums[1, i] = np.sum(m)
+        sums[0, i] = np.sum(np.square(m, out=m))
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    return sums[0, 0], sums[1, 0]
 
 
-def _l2(values: np.ndarray, grid) -> float:
-    """L2 norm of the field with samples `values`."""
-    return float(np.sqrt(grid.dx**grid.d * _modulus_sum(values, 2)))
+def _norms(raw: np.ndarray, grid) -> tuple:
+    """(l2, wiener) of the field whose raw FFT is `raw`, L2 by Parseval."""
+    squares, moduli = _modulus_sums(raw)
+    l2 = math.sqrt(grid.dx**grid.d * squares / grid.total_points)
+    return l2, float(_wiener_scale(grid) * moduli)
 
 
-def _wiener(raw: np.ndarray, grid) -> float:
-    """Wiener norm of the field whose raw FFT is `raw`: dxi^d sum |fhat|;
-    the phase factors have modulus one, so the raw FFT moduli suffice."""
-    return float(_wiener_scale(grid) * _modulus_sum(raw, 1))
+def _norms_in_place(values: np.ndarray, grid) -> tuple:
+    """(l2, wiener) of the field with samples `values`: L2 from them, then
+    Wiener from the spectrum the forward transform writes over them."""
+    l2 = math.sqrt(grid.dx**grid.d * _modulus_sums(values)[0])
+    np.fft.fftn(values, out=values)
+    return l2, float(_wiener_scale(grid) * _modulus_sums(values)[1])
 
 
 def l2_norm(f: Field) -> float:
-    return _l2(f.values, f.grid)
+    return math.sqrt(f.grid.dx**f.grid.d * _modulus_sums(f.values)[0])
 
 
 def wiener_norm(f: Field) -> float:
-    return _wiener(np.fft.fftn(f.values), f.grid)
+    return _norms_in_place(np.array(f.values, dtype=np.complex128), f.grid)[1]
 
 
 def l2w_norm(f: Field) -> float:
-    return l2_norm(f) + wiener_norm(f)
+    """||f||_L2 + ||f||_W, transforming one complex copy of the samples."""
+    return sum(_norms_in_place(np.array(f.values, dtype=np.complex128), f.grid))
 
 
 def multi_indices(d: int, max_order: int) -> list:
@@ -114,34 +127,28 @@ def _wiener_from_modulus(mag: np.ndarray, grid):
     return _wiener_scale(grid) * np.sum(mag, axis=tuple(range(-grid.d, 0)))
 
 
-def _norms_from_raw_fft(raw: np.ndarray, grid) -> tuple:
-    """(l2, wiener) of the physical field whose raw FFT is given."""
-    return _norms_from_modulus(np.abs(raw), grid)
-
-
 def _norms_from_modulus(mag: np.ndarray, grid) -> tuple:
-    """(l2, wiener) of the physical field whose raw FFT has modulus `mag`;
-    the L2 norm comes from Parseval."""
-    flat = mag.reshape(-1)
-    # einsum sums in numpy's own loop: a BLAS dot splits a long sum over a
-    # thread count the environment sets, and its rounding with it
-    l2 = math.sqrt(grid.dx**grid.d * np.einsum("i,i->", flat, flat) / grid.total_points)
-    return l2, float(_wiener_from_modulus(mag, grid))
+    """`_norms` of the field whose raw FFT has the C-contiguous moduli
+    `mag`, bitwise; `mag` is squared in place."""
+    wiener = float(_wiener_scale(grid) * np.sum(mag))
+    squares = np.sum(np.square(mag, out=mag))
+    return math.sqrt(grid.dx**grid.d * squares / grid.total_points), wiener
 
 
 def _graded_norm(raw: np.ndarray, grid, spec: YNormSpec) -> float:
     """Sum of combined norms of the derivatives up to order n of the field
     whose raw FFT is given: d^eta f has the raw spectrum raw (i xi)^eta,
-    whose moduli form in one buffer."""
+    whose moduli form in one buffer.  The sums square their moduli in
+    place, so eta = 0, whose moduli are |raw| itself, goes last."""
     mag = np.abs(raw)
     xi = [np.abs(m) for m in grid.freq_meshes(zero_nyquist=True)]
     buf = np.empty_like(mag)
-    total = 0.0
-    for eta in multi_indices(spec.d, spec.n):
+    terms = []
+    for eta in reversed(multi_indices(spec.d, spec.n)):
         weighted = reduce(lambda w, f: np.multiply(w, f, out=buf),
                           (x**e for x, e in zip(xi, eta) if e), mag)
-        total += sum(_norms_from_modulus(weighted, grid))
-    return total
+        terms.append(sum(_norms_from_modulus(weighted, grid)))
+    return sum(reversed(terms))
 
 
 @dataclass(frozen=True)

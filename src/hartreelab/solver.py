@@ -21,8 +21,8 @@ transforms, three pointwise stages run over consecutive slices of
 full-size temporary is made: |u|^2 into one real buffer; the phase
 exp(-i dt V) of the potential the convolution wrote over it, applied to
 the state; and the moduli of the new spectrum into the same buffer with
-the kinetic multiply.  The guard's norms then come from whole-array
-sums of those moduli.  A grid of at most CHUNK points is one slice.
+the kinetic multiply.  The guard sums those moduli and their squares
+in the one order of `norms`.  A grid of at most CHUNK points is one slice.
 In 2D and 3D the spectrum, the real buffer and both kinetic multipliers
 are row-padded (`grid.padded_zeros`): the [..., :N] view of a buffer
 with N + 1 elements per row.  A contiguous complex row of 512 points is
@@ -73,9 +73,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CHUNK, Field, padded_zeros, unit_phase
+from .grid import CHUNK, Field, _slices, padded_zeros, unit_phase
 from .kernel import KernelSpec, convolve, half_multiplier
-from .norms import _norms_from_modulus, _norms_from_raw_fft
+from .norms import _norms, _norms_from_modulus
 
 DT_FACTOR = 0.1  # default dt / eps of the resolution rule
 MAX_DT_FACTOR = 0.25
@@ -163,11 +163,10 @@ class Trajectory:
         return max(abs(m - m0) for m in self.mass_log) / m0
 
 
-def _slices(a: np.ndarray) -> list:
-    """Views of consecutive CHUNK points of the C-contiguous array a; the
-    last may be shorter."""
-    flat = a.reshape(-1, copy=False)
-    return [flat[lo:lo + CHUNK] for lo in range(0, flat.size, CHUNK)]
+def step_count(gap: float, params: SolverParams) -> float:
+    """Strang steps `advance` takes over a gap: the fewest equal steps no
+    longer than the requested dt, as a float (a subnormal dt's may be inf)."""
+    return max(1.0, np.ceil(gap / min(params.dt, params.dt_factor * params.eps) - 1e-12))
 
 
 def _backing(raw: np.ndarray, grid) -> np.ndarray:
@@ -206,12 +205,11 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
     the pointwise stages run over slices of the contiguous buffers, pads
     included: a pad of the state is 0, |0|^2 = 0, the phase of a zero
     potential is 1 and 0 kin = 0, so the pads stay zero.  The guard sums
-    a contiguous copy of the moduli, in the spectrum's spent bytes, so
-    its sums run as on the unpadded array.
+    a contiguous copy of the moduli, in the spectrum's spent bytes, in the
+    order `norms._modulus_sums` takes on the unpadded array.
     """
-    dt_request = min(params.dt, params.dt_factor * params.eps)
     gap = t_next - t_prev
-    n_steps = max(1, math.ceil(gap / dt_request - 1e-12))
+    n_steps = int(step_count(gap, params))
     dt = gap / n_steps
     full = _backing(raw, grid)  # with the pads
     real_full = np.zeros(full.shape)  # the kinetic angle; per step |u|^2, V, moduli
@@ -264,7 +262,7 @@ def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajec
 
     khat_half = half_multiplier(spec, g, spec.coupling)
     raw = np.fft.fftn(u0.values, out=padded_zeros(g))
-    l2_0, w_0 = _norms_from_raw_fft(raw, g)
+    l2_0, w_0 = _norms(raw, g)
 
     rec_times, rec_states, rec_mass = [0.0], [u0], [l2_0]
     t_prev = 0.0
@@ -339,7 +337,8 @@ def picard_evolve(
             q_mid, q_end = sources(panel)
             new[0] = known[0] - (1j * h / 12) * (8 * q_mid - u_back * q_end)
             new[1] = known[1] - (1j * h / 3) * (4 * u_half * q_mid + q_end)
-            steps = [sum(_norms_from_raw_fft(row, g)) for row in new - panel]
+            # each increment overwrites its row of the old iterate, spent by now
+            steps = [sum(_norms(np.subtract(n, p, out=p), g)) for n, p in zip(new, panel)]
             panel, new = new, panel
             if not all(map(math.isfinite, steps)):  # max() would drop a NaN
                 raise PicardConvergenceError(

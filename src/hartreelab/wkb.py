@@ -68,6 +68,7 @@ from .grid import (
     GaussianProfile,
     Grid,
     _laplacian_from_raw,
+    _slices,
     laplacian,
     plane_wave,
     profile_bandwidth,
@@ -78,7 +79,6 @@ from .grid import (
 )
 from .kernel import KernelSpec, convolve, convolve_in_pair, half_multiplier, inverse_rfftn
 from .norms import YNormSpec, _graded_norm, l2w_norm
-from .solver import _slices
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
 RESOLUTION_FACTOR = 1.5

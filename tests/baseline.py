@@ -11,9 +11,16 @@ run against them.  A change that moves a number on
 purpose rewrites the file in the same commit, from the repository root:
 
     PYTHONPATH=src python tests/baseline.py
+
+`--diff` writes nothing: it prints, for each pinned quantity (a sweep's
+fitted rate and record fields, a validate line's numbers, a trajectory
+column), the largest relative move of a fresh run against the file.
 """
 
+import itertools
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -68,15 +75,69 @@ def render(sweeps: dict, lines: list, trajectory: list) -> str:
     return "\n".join(out) + "\n"
 
 
-def main() -> int:
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _moves(new: float, old: float) -> tuple:
+    """(relative, absolute) move from old to new; relative to |old|, and
+    infinite off an exact zero."""
+    if new == old:
+        return 0.0, 0.0
+    return (abs(new - old) / abs(old) if old else math.inf), abs(new - old)
+
+
+def diff_lines(fresh: dict, pinned: dict) -> list:
+    """One line per pinned quantity: its largest relative move from
+    `pinned` to `fresh`, both parsed baseline files, and its largest
+    absolute move."""
+    moves = {}
+
+    def note(key, new_values, old_values):
+        if len(new_values) != len(old_values):
+            moves[key] = f"{len(new_values)} values against {len(old_values)} pinned"
+        elif not isinstance(moves.get(key), str):
+            pairs = [moves.get(key, (0.0, 0.0))]
+            pairs += [_moves(float(a), float(b)) for a, b in zip(new_values, old_values)]
+            moves[key] = tuple(map(max, zip(*pairs)))
+
+    for name, want in pinned["sweeps"].items():
+        got = fresh["sweeps"][name]
+        note(f"{name} beta_fitted", [got["beta_fitted"]], [want["beta_fitted"]])
+        note(f"{name} record count", [len(got["records"])], [len(want["records"])])
+        for row, ref in zip(got["records"], want["records"]):
+            for field, new, old in zip(RECORD_FIELDS, row, ref):
+                note(f"{name} {field}", [new], [old])
+    key = "validate_reference_1d_seed_0"
+    for line, ref in itertools.zip_longest(fresh[key], pinned[key], fillvalue=""):
+        note(f"validate {ref.split(':')[0]}", NUMBER.findall(line), NUMBER.findall(ref))
+    key = "simulate_reference_1d_eps_0.2"
+    header, *rows = pinned[key]
+    for line, ref in itertools.zip_longest(fresh[key][1:], rows, fillvalue=""):
+        for column, new, old in itertools.zip_longest(header.split(","), line.split(","),
+                                                      ref.split(","), fillvalue="nan"):
+            note(f"simulate {column}", [new], [old])
+    return [f"{key}: " + (move if isinstance(move, str)
+                          else "relative {:.3g}, absolute {:.3g}".format(*move))
+            for key, move in moves.items()]
+
+
+def main(argv=None) -> int:
     from hartreelab import load_config, run_sweep, validate_suite
 
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in ([], ["--diff"]):
+        print("usage: python tests/baseline.py [--diff]", file=sys.stderr)
+        return 2
     sweeps = {name: run_sweep(load_config(ROOT / "configs" / f"{name}.json"))
               for name in ("reference_1d", "reference_2d")}
     checks = validate_suite(load_config(ROOT / "configs" / "reference_1d.json"), seed=0)
     with tempfile.TemporaryDirectory() as workdir:
         trajectory = simulate_lines(workdir)
-    PATH.write_text(render(sweeps, validate_lines(checks), trajectory))
+    text = render(sweeps, validate_lines(checks), trajectory)
+    if argv:
+        print("\n".join(diff_lines(json.loads(text), json.loads(PATH.read_text()))))
+        return 0
+    PATH.write_text(text)
     print(f"wrote {PATH}")
     return 0
 

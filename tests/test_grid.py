@@ -13,7 +13,7 @@ from hartreelab import (
     translate,
 )
 from hartreelab.grid import CHUNK, plane_wave as separable_wave, unit_phase
-from hartreelab.norms import _norms_from_raw_fft
+from hartreelab.norms import _norms
 
 from conftest import from_unitary, lattice_wavenumber, plane_wave
 from oracles import spectral_derivative
@@ -92,7 +92,7 @@ class TestParseval:
         f = Field(grid1d, rng.standard_normal(grid1d.shape)
                   + 1j * rng.standard_normal(grid1d.shape))
         phys = l2_norm(f) ** 2
-        freq = _norms_from_raw_fft(np.fft.fftn(f.values), grid1d)[0] ** 2
+        freq = _norms(np.fft.fftn(f.values), grid1d)[0] ** 2
         assert abs(phys - freq) < 1e-10 * phys
 
 

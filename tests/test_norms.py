@@ -16,14 +16,15 @@ from hartreelab import (
     translate,
     wiener_norm,
 )
-from hartreelab.grid import CHUNK
+from hartreelab.grid import CHUNK, padded_zeros
 from hartreelab.harness import _random_band_limited
 from hartreelab.norms import (
     _algebra_bounds,
     _graded_norm,
     _hartree_bounds,
-    _l2,
-    _wiener,
+    _modulus_sums,
+    _norms,
+    _norms_in_place,
     _wiener_from_modulus,
     derivative_order,
     multi_indices,
@@ -111,39 +112,71 @@ class TestBasicNorms:
 
 
 class TestChunkedModuli:
-    """The L2 and Wiener sums form their moduli per CHUNK slice; their
-    bits are those of the whole-array formulas they replace."""
+    """Every L2 and Wiener norm sums its moduli per CHUNK block in chunk
+    scratch (`_modulus_sums`); the bits are those of `np.sum` over the
+    whole moduli array and over its squares."""
 
     @pytest.mark.parametrize("d, points", [(1, 8192), (1, 2**16), (2, 256), (2, 512),
-                                           (2, 32), (3, 64)])
+                                           (2, 32), (3, 32), (3, 64)])
     def test_match_whole_array_formulas_bitwise(self, d, points):
         grid = Grid(d=d, length=16.0, points=points)
         rng = np.random.default_rng(points + d)
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         values *= np.exp(rng.uniform(-30.0, 30.0, grid.shape))  # wide magnitudes
-        raw = np.fft.fftn(values)
-        l2 = float(np.sqrt(grid.dx**grid.d * np.sum(np.square(np.abs(values)))))
-        wiener = float(_wiener_from_modulus(np.abs(raw), grid))
-        assert _l2(values, grid) == l2
-        assert _wiener(raw, grid) == wiener
-        assert _l2(values.real.copy(), grid) == float(
-            np.sqrt(grid.dx**grid.d * np.sum(np.square(np.abs(values.real)))))
+        padded = padded_zeros(grid)  # row-padded from 2D up, as the Strang state
+        padded[...] = values
         turned = values.T  # Fortran order: summed in memory order, as np.sum does
-        assert _l2(turned, grid) == float(
-            np.sqrt(grid.dx**grid.d * np.sum(np.square(np.abs(turned)))))
+        for layout in (values, padded, values.real.copy(), turned):
+            mag = np.abs(layout)
+            assert _modulus_sums(layout) == (np.sum(mag**2), np.sum(mag))
+        raw = np.fft.fftn(values)
+        mag = np.abs(raw)
+        l2 = float(np.sqrt(grid.dx**grid.d * np.sum(mag**2) / grid.total_points))
+        assert _norms(raw, grid) == (l2, float(_wiener_from_modulus(mag, grid)))
+        samples = float(np.sqrt(grid.dx**grid.d * np.sum(np.abs(values) ** 2)))
+        wiener = float(_wiener_from_modulus(mag, grid))
+        assert l2_norm(Field(grid, values)) == samples
+        assert wiener_norm(Field(grid, values)) == wiener
+        assert _norms_in_place(values.copy(), grid) == (samples, wiener)
 
     def test_moduli_take_chunk_scratch(self):
         grid = Grid(d=2, length=16.0, points=256)
         values = np.ones(grid.shape, dtype=np.complex128)
-        _l2(values, grid)
+        _modulus_sums(values)
         tracemalloc.start()
         try:
-            _l2(values, grid)
-            _wiener(values, grid)
+            _modulus_sums(values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * CHUNK * 8
+
+
+class TestNormMemory:
+    """Peaks over entry, in complex128 fields of a 512^2 grid."""
+
+    grid = Grid(d=2, length=16.0, points=512)
+
+    def peak_fields(self, call) -> float:
+        call()  # FFT plan caches
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - entry) / (16 * self.grid.total_points)
+
+    def test_l2w_norm_transforms_one_copy(self):
+        x, y = self.grid.coords()
+        f = Field(self.grid, np.exp(-(x**2 + y**2) / 2 + 1j * x))
+        assert self.peak_fields(lambda: l2w_norm(f)) <= 1.1
+
+    def test_spectrum_norms_take_chunk_scratch(self):
+        raw = padded_zeros(self.grid)
+        raw[...] = 1.0 + 2.0j
+        assert self.peak_fields(lambda: _norms(raw, self.grid)) <= 0.05
 
 
 class TestYNorm:

@@ -21,9 +21,10 @@ from hartreelab import (
     wiener_norm,
     zero_mode_value,
 )
-from hartreelab import harness
+from hartreelab import config, harness, solver
+from hartreelab.config import ConfigError
 from hartreelab.kernel import convolve, half_multiplier
-from hartreelab.norms import _norms_from_raw_fft
+from hartreelab.norms import _norms, _wiener_from_modulus
 from hartreelab.grid import CHUNK, padded_zeros
 from hartreelab.solver import advance
 from hartreelab.wkb import snapshot
@@ -330,7 +331,7 @@ class TestEvolve:
         # NaN > 4 norm0 is False, so the guard must test for staying inside
         g = gaussian_field.grid
         raw = np.fft.fftn(gaussian_field.values)
-        norm0 = sum(_norms_from_raw_fft(raw, g))
+        norm0 = sum(_norms(raw, g))
         raw[3] = np.nan
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
         khat_half = half_multiplier(kernel1d, g, kernel1d.coupling)
@@ -381,6 +382,57 @@ class TestEvolve:
             evolve(gaussian_field, kernel1d, params, [0.7])
 
 
+def count_steps(monkeypatch) -> list:
+    """A list that grows by one per Strang step: `advance` convolves once
+    per step (and Picard once per iteration)."""
+    steps, real = [], solver.convolve
+    monkeypatch.setattr(solver, "convolve",
+                        lambda *args, **kwargs: steps.append(1) or real(*args, **kwargs))
+    return steps
+
+
+class TestStepCount:
+    """`solver.step_count` is the one step-count rule: the sweep's and the
+    validate suite's budgets count the steps `advance` takes."""
+
+    def test_sweep_budget_counts_the_steps_advance_takes(self, monkeypatch):
+        cfg = load_config(REFERENCE_1D)
+        cfg = dataclasses.replace(cfg, epsilons=cfg.epsilons[:2])
+        steps = count_steps(monkeypatch)
+        harness.run_sweep(cfg)
+        assert len(steps) > 2 * len(cfg.sample_times)
+        monkeypatch.setattr(config, "STEP_BUDGET", len(steps))
+        dataclasses.replace(cfg)
+        monkeypatch.setattr(config, "STEP_BUDGET", len(steps) - 1)
+        with pytest.raises(ValueError, match="step budget rule"):
+            dataclasses.replace(cfg)
+
+    def test_validate_budget_counts_the_steps_advance_takes(self, monkeypatch):
+        # horizon / dt = 65.00000000000001: advance takes 65 steps, not 66
+        cfg = dataclasses.replace(load_config(REFERENCE_1D), dt_factor=0.1 / 65)
+        monkeypatch.setattr(harness, "_algebra_campaign", lambda *args: iter(()))
+        monkeypatch.setattr(harness, "_hartree_campaign", lambda *args: iter(()))
+        steps = count_steps(monkeypatch)
+
+        class Evolved(Exception):
+            """Raised once the integrator check has stepped past its budget."""
+
+        def evolve_then_stop(*args):
+            evolve(*args)
+            raise Evolved
+
+        monkeypatch.setattr(harness, "evolve", evolve_then_stop)
+        with pytest.raises(Evolved):
+            harness.validate_suite(cfg)
+        assert len(steps) == 65
+        monkeypatch.setattr(harness, "STEP_BUDGET", 65)
+        with pytest.raises(Evolved):
+            harness.validate_suite(cfg)
+        monkeypatch.setattr(harness, "STEP_BUDGET", 64)
+        with pytest.raises(ConfigError, match="asks for 65 Strang steps"):
+            harness.validate_suite(cfg)
+
+
 def full_array_unit_phase(theta, out):
     """The half-angle kernel as one pass per operation over the whole array."""
     t = np.multiply(theta, 0.5)
@@ -393,6 +445,14 @@ def full_array_unit_phase(theta, out):
     t += t
     np.multiply(t, inv, out=out.imag)
     return out
+
+
+def whole_array_norms(raw, grid):
+    """(l2, wiener) from `np.sum` over the whole moduli array and over its
+    squares: the order the guard of `advance` takes."""
+    mag = np.abs(raw)
+    l2 = math.sqrt(grid.dx**grid.d * np.sum(mag**2) / grid.total_points)
+    return l2, float(_wiener_from_modulus(mag, grid))
 
 
 def full_array_advance(raw, grid, khat_half, params, t_prev, t_next, norm0):
@@ -418,7 +478,7 @@ def full_array_advance(raw, grid, khat_half, params, t_prev, t_next, norm0):
             angle *= -dt
             state *= full_array_unit_phase(angle, phase)
             raw = np.fft.fftn(state, out=state)
-            l2, wiener = _norms_from_raw_fft(raw, grid)
+            l2, wiener = whole_array_norms(raw, grid)
             if not l2 + wiener <= 4.0 * norm0:
                 raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
             raw *= kin_full if step < n_steps - 1 else kin_half
@@ -440,7 +500,7 @@ def gap_outcomes(step, grid, spec, u0, params, samples, nan_at=None):
     """(spectrum, l2) after each gap, or the DivergenceError's (time, ratio)."""
     khat_half = half_multiplier(spec, grid, spec.coupling)
     raw = np.fft.fftn(u0.values, out=padded_zeros(grid))  # as a sweep holds it
-    norm0 = sum(_norms_from_raw_fft(raw, grid))
+    norm0 = sum(_norms(raw, grid))
     if nan_at is not None:
         raw[nan_at] = np.nan
     outcomes, t_prev = [], 0.0
@@ -503,7 +563,7 @@ class TestChunkedStages:
         params = SolverParams(eps=0.1, dt=0.01, final_time=0.02)
         khat_half = half_multiplier(spec, grid, spec.coupling)
         raw = np.fft.fftn(u0.values, out=padded_zeros(grid))  # as a sweep holds it
-        norm0 = sum(_norms_from_raw_fft(raw, grid))
+        norm0 = sum(_norms(raw, grid))
         warm = np.fft.fftn(u0.values, out=padded_zeros(grid))
         advance(warm, grid, khat_half, params, 0.0, 0.02, norm0)
         tracemalloc.start()
@@ -545,7 +605,7 @@ class TestPaddedLayout:
         khat_half = half_multiplier(spec, grid, spec.coupling)
         plain = np.fft.fftn(u0.values)
         padded = np.fft.fftn(u0.values, out=padded_zeros(grid))
-        norm0 = sum(_norms_from_raw_fft(plain, grid))
+        norm0 = sum(_norms(plain, grid))
         got = advance(padded, grid, khat_half, params, 0.0, 0.035, norm0)
         want = advance(plain, grid, khat_half, params, 0.0, 0.035, norm0)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
