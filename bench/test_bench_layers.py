@@ -36,9 +36,9 @@
   tracemalloc peak over its entry, in complex128 fields of the grid.
 - `test_norms[SIZE-LAYER]`: one warm call of each norm layer a sweep or
   a validate run takes, at 8192 points and 512^2, on the complex
-  samples of `test_advance_step`'s packets: `harness._norms_in_place`
+  samples of `test_advance_step`'s packets: `norms._norms_in_place`
   (L2 and Wiener norms of a field whose samples it transforms in place,
-  refilled outside the timing), `norms._graded_norm` (the graded norm
+  refilled outside the timing; the records' route), `norms._graded_norm` (the graded norm
   of a raw spectrum, the share of ||a||_E per amplitude) and
   `norms.l2w_norm` (the combined norm of a `Field`).  Each stores
   `fft_calls_per_call` and `peak_state_arrays` as `test_snapshot` does.
@@ -82,7 +82,7 @@ from hartreelab import grid as grid_module
 from hartreelab import harness
 from hartreelab.config import parse_config
 from hartreelab.kernel import half_multiplier
-from hartreelab.norms import _graded_norm, _norms
+from hartreelab.norms import _graded_norm, _norms, _norms_in_place
 from hartreelab.solver import advance
 from hartreelab.wkb import snapshot
 
@@ -300,7 +300,7 @@ def test_norms(benchmark, monkeypatch, size, layer):
     samples = _packets(grid, eps).astype(np.complex128)
     buf = np.empty_like(samples)
     call = {
-        "_norms_in_place": functools.partial(harness._norms_in_place, buf, grid),
+        "_norms_in_place": functools.partial(_norms_in_place, buf, grid),
         "_graded_norm": functools.partial(_graded_norm, np.fft.fftn(samples), grid,
                                           YNormSpec(d=grid.d, gamma=gamma)),
         "l2w_norm": functools.partial(l2w_norm, Field(grid, samples)),

@@ -249,6 +249,24 @@ class TestYNorm:
         got = _graded_norm(np.fft.fftn(f.values), grid, spec)
         assert abs(got - expected) < 1e-12 * expected
 
+    @pytest.mark.parametrize("d, points", [(1, 8192), (2, 64), (3, 16)])
+    def test_sums_each_derivative_in_the_one_order(self, d, points):
+        # whole-array sums per multi-index, in their order: the graded norm
+        # squares moduli in place, which must leave |raw| intact until eta = 0
+        grid = Grid(d=d, length=16.0, points=points)
+        raw = np.fft.fftn(band_limited(grid, np.random.default_rng(d), points // 4).values)
+        spec = YNormSpec(d=d, gamma=0.5)
+        xi = [np.abs(m) for m in grid.freq_meshes(zero_nyquist=True)]
+        expected = 0.0
+        for eta in multi_indices(d, spec.n):
+            mag = np.abs(raw)
+            for x, e in zip(xi, eta):
+                if e:
+                    mag = mag * x**e
+            l2 = np.sqrt(grid.dx**d * np.sum(mag**2) / grid.total_points)
+            expected += float(l2) + float(_wiener_from_modulus(mag, grid))
+        assert _graded_norm(raw, grid, spec) == expected
+
     def test_multi_index_counts(self):
         assert len(multi_indices(1, 2)) == 3
         assert len(multi_indices(2, 2)) == 6
