@@ -1,5 +1,6 @@
-"""The plain-numpy control kernel shared by the benchmark modules, and the
-environment of the fresh interpreters some entries start.
+"""The plain-numpy control kernel shared by the benchmark modules, the
+environment of the fresh interpreters some entries start, and the
+`fft_calls` transform log of `tests/conftest.py`.
 
 The control runs no hartreelab code: a fixed transform pair, product and
 modulus sum on a 256^2 array.  `control_beside` times it just before and
@@ -8,6 +9,7 @@ the entry's `control_s`, so `compare.py` can divide each entry by the
 host's speed at the moment the entry ran.
 """
 
+import importlib.util
 import os
 import statistics
 import time
@@ -19,6 +21,20 @@ import pytest
 import hartreelab
 
 CONTROL_RUNS = 10  # control runs on each side of an entry
+
+
+def _tests_conftest():
+    """tests/conftest.py, loaded under a name of its own."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("hartreelab_tests_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# an entry counts its transforms outside the timing: it clears the log,
+# runs once, then calls `monkeypatch.undo()` before the timed rounds
+fft_calls = _tests_conftest().fft_calls
 
 
 @pytest.fixture(scope="session")

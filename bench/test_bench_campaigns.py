@@ -11,7 +11,8 @@
   `harness._random_smooth_density` and `norms._hartree_bounds`.
 
 The FFT calls of one whole block are counted once, outside the timing,
-and stored as `fft_calls_per_call` in the entry's extra info.
+with the `fft_calls` log of `tests/conftest.py`, and stored as
+`fft_calls_per_call` in the entry's extra info.
 
 SIZE is 8192 points or 256^2.  Run from the repository root:
 
@@ -33,13 +34,6 @@ GRIDS = {"8192": Grid(d=1, length=32.0, points=8192),
          "256x256": Grid(d=2, length=16.0, points=256)}
 
 
-def _counted(transform, calls: list):
-    def counted(*args, **kwargs):
-        calls.append(transform.__name__)
-        return transform(*args, **kwargs)
-    return counted
-
-
 def _buffer(grid: Grid, lead: tuple) -> np.ndarray:
     return np.empty((*lead, *grid.shape), dtype=np.complex128)
 
@@ -57,18 +51,16 @@ def test_draw_block(benchmark, size, campaign):
     assert block.shape == (*lead, *grid.shape) and w.shape == lead
 
 
-def _fft_calls(monkeypatch, block) -> int:
+def _fft_calls(fft_calls, monkeypatch, block) -> int:
     """FFT calls of one `block()`."""
-    calls = []
-    for name in ("fftn", "ifftn", "ifft", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
+    fft_calls.clear()
     block()
     monkeypatch.undo()
-    return len(calls)
+    return len(fft_calls.passes())
 
 
 @pytest.mark.parametrize("size", sorted(GRIDS))
-def test_algebra_block(benchmark, monkeypatch, size):
+def test_algebra_block(benchmark, fft_calls, monkeypatch, size):
     grid = GRIDS[size]
     cutoff, lead = grid.points // 4 - 1, (grid.block_rows, 2)
     rng, buf = np.random.default_rng(0), _buffer(grid, lead)
@@ -77,14 +69,14 @@ def test_algebra_block(benchmark, monkeypatch, size):
         return _algebra_bounds(*_random_band_limited(grid, rng, cutoff, *lead, out=buf), grid)
 
     block()
-    calls = benchmark.extra_info["fft_calls_per_call"] = _fft_calls(monkeypatch, block)
+    calls = benchmark.extra_info["fft_calls_per_call"] = _fft_calls(fft_calls, monkeypatch, block)
     assert calls == 2
     reports = benchmark(block)
     assert len(reports) == grid.block_rows and all(r.holds for r in reports)
 
 
 @pytest.mark.parametrize("size", sorted(GRIDS))
-def test_hartree_block(benchmark, monkeypatch, size):
+def test_hartree_block(benchmark, fft_calls, monkeypatch, size):
     grid = GRIDS[size]
     spec = KernelSpec(d=grid.d, gamma=0.5)
     rng, buf = np.random.default_rng(0), _buffer(grid, (grid.block_rows,))
@@ -94,7 +86,7 @@ def test_hartree_block(benchmark, monkeypatch, size):
         return _hartree_bounds(spec, density, grid)
 
     block()
-    calls = benchmark.extra_info["fft_calls_per_call"] = _fft_calls(monkeypatch, block)
+    calls = benchmark.extra_info["fft_calls_per_call"] = _fft_calls(fft_calls, monkeypatch, block)
     assert calls == 2
     reports = benchmark(block)
     assert len(reports) == grid.block_rows and all(r.holds for r in reports)

@@ -7,7 +7,8 @@
   holds it (`grid.padded_zeros`: rows padded by one element in 2D and 3D).
   Each round continues the same trajectory.  The FFT calls of one step
   are counted once, outside the timing, and stored as
-  `fft_calls_per_step` in the entry's extra info.
+  `fft_calls_per_step` in the entry's extra info; the entry asserts the
+  step's transform work as 4 d axis passes.
 - `test_fft_pair[SIZE-LAYOUT]`: one in-place `np.fft.fftn` + `ifftn`
   pair at 256^2 and 512^2, on a contiguous array and on the [:, :N] view
   of an (N, N + 1) buffer, the layout of the Strang state.  No hartreelab
@@ -29,11 +30,11 @@
   the 8192-point two-mode reference family at eps = 0.025, t = 0.25 and
   for the four-mode 256^2 family at eps = 0.15, t = 0.0625.  Its FFT
   calls per record are counted outside the timing and stored in the
-  entry's extra info, each row-blocked pass (a run of `rfft` or `irfft`
-  calls over blocks of rows) counted as one; the entry asserts the
-  record's transform work as 6 d axis passes, whichever calls run them.  `test_snapshot` and `test_start` store theirs as
-  `fft_calls_per_call`, and beside it `peak_state_arrays`: the call's
-  tracemalloc peak over its entry, in complex128 fields of the grid.
+  entry's extra info; the entry asserts the record's transform work as
+  6 d axis passes, whichever calls run them.  `test_snapshot` and
+  `test_start` store theirs as `fft_calls_per_call`, and beside it
+  `peak_state_arrays`: the call's tracemalloc peak over its entry, in
+  complex128 fields of the grid.
 - `test_norms[SIZE-LAYER]`: one warm call of each norm layer a sweep or
   a validate run takes, at 8192 points and 512^2, on the complex
   samples of `test_advance_step`'s packets: `norms._norms_in_place`
@@ -42,6 +43,10 @@
   of a raw spectrum, the share of ||a||_E per amplitude) and
   `norms.l2w_norm` (the combined norm of a `Field`).  Each stores
   `fft_calls_per_call` and `peak_state_arrays` as `test_snapshot` does.
+- `test_persist`: one `harness.persist` of the reference_2d sweep result
+  (its records.csv, summary.json and convergence.svg) into a fresh
+  directory; it stores `fft_calls_per_call` (0) and `bytes_written`, the
+  size of the three files.
 - `test_sweep_unit`: one warm `harness.run_sweep` over the four-mode
   256^2 family (eps = 0.3, 0.2, 0.15; eight sample times to t = 0.5),
   the unit of perfbench's `sweep_2d_multimode`.  Its minor page faults
@@ -55,6 +60,10 @@
   hartreelab code); its after/before ratio is the host's drift between
   the two runs.  The same control also runs beside every entry, and its
   median there is the entry's `control_s`.
+
+Every FFT count is taken with the `fft_calls` log of `tests/conftest.py`,
+outside the timing, a pass of `rfft` or `irfft` calls over blocks of rows
+counted as one call.
 
 Run from the repository root:
 
@@ -90,7 +99,6 @@ from hartreelab.wkb import snapshot
 CASES = {"8192": (Grid(d=1, length=64.0, points=8192), 0.5, 0.025),
          "512x512": (Grid(d=2, length=16.0, points=512), 0.5, 0.05),
          "64x64x64": (Grid(d=3, length=10.0, points=64), 1.0, 0.5)}
-FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
 
 
 def _packets(grid: Grid, eps: float) -> np.ndarray:
@@ -100,28 +108,8 @@ def _packets(grid: Grid, eps: float) -> np.ndarray:
     return 2.0 * np.exp(-r2 / (2 * 0.75**2)) * np.cos(2.0 * coords[0] / eps)
 
 
-def _counted(transform, calls: list):
-    """`transform`, logging its name and the number of axes it transforms."""
-    name = transform.__name__
-
-    def counted(a, *args, **kwargs):
-        axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
-        if not name.endswith("n"):
-            axes = (-1,)  # a 1-D transform: one axis
-        calls.append((name, np.ndim(a) if axes is None else len(axes)))
-        return transform(a, *args, **kwargs)
-    return counted
-
-
-def _passes(calls: list) -> list:
-    """Logged calls, each run of `rfft` or `irfft` calls (one pass over
-    blocks of rows) merged into one."""
-    return [call for i, call in enumerate(calls)
-            if not (i and call[0] in ("rfft", "irfft") and calls[i - 1][0] == call[0])]
-
-
 @pytest.mark.parametrize("size", sorted(CASES))
-def test_advance_step(benchmark, monkeypatch, size):
+def test_advance_step(benchmark, fft_calls, monkeypatch, size):
     grid, gamma, eps = CASES[size]
     spec = KernelSpec(d=grid.d, gamma=gamma)
     params = SolverParams.largest_step(eps, 1.0)
@@ -134,13 +122,11 @@ def test_advance_step(benchmark, monkeypatch, size):
         state["raw"], _ = advance(state["raw"], grid, khat_half, params, 0.0,
                                   params.dt, norm0)
 
-    calls = []
-    for name in FFT_NAMES:
-        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
+    fft_calls.clear()
     step()
     monkeypatch.undo()
-    benchmark.extra_info["fft_calls_per_step"] = len(calls)
-    assert len(calls) == 4 + grid.d - 1  # the convolution's inverse: d - 1 complex passes
+    benchmark.extra_info["fft_calls_per_step"] = len(fft_calls.passes())
+    assert fft_calls.axis_passes() == 4 * grid.d
     benchmark(step)
 
 
@@ -212,7 +198,7 @@ def _record_config(family: str, cases: dict = RECORD_CASES):
 
 
 @pytest.mark.parametrize("family", sorted(RECORD_CASES))
-def test_record(benchmark, monkeypatch, family):
+def test_record(benchmark, fft_calls, monkeypatch, family):
     cfg = _record_config(family)
     run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
     t = cfg.sample_times[0]
@@ -229,25 +215,20 @@ def test_record(benchmark, monkeypatch, family):
 
     record()  # makes this thread's field buffers
 
-    calls = []
-    for name in FFT_NAMES:
-        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
+    fft_calls.clear()
     record()
     monkeypatch.undo()
-    passes = _passes(calls)
-    benchmark.extra_info["fft_calls_per_record"] = len(passes)
+    benchmark.extra_info["fft_calls_per_record"] = len(fft_calls.passes())
     # state inverse, the error's and r's and Z2's Wiener norms, the
     # remainder's real convolution pair: six transforms over d axes each
-    assert sum(axes for _, axes in passes) == 6 * cfg.grid.d
+    assert fft_calls.axis_passes() == 6 * cfg.grid.d
     benchmark(record)
 
 
-def _fft_calls_and_peak(monkeypatch, call, grid) -> tuple:
-    """FFT calls of one `call()` and its traced peak over its entry, in
-    complex128 fields of `grid`."""
-    calls = []
-    for name in FFT_NAMES:
-        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
+def _fft_calls_and_peak(fft_calls, monkeypatch, call, grid) -> tuple:
+    """FFT calls of one `call()`, left in `fft_calls`, and its traced peak
+    over its entry, in complex128 fields of `grid`."""
+    fft_calls.clear()
     call()
     monkeypatch.undo()
     tracemalloc.start()
@@ -256,7 +237,7 @@ def _fft_calls_and_peak(monkeypatch, call, grid) -> tuple:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return len(calls), round(peak / (16 * grid.total_points), 3)
+    return len(fft_calls.passes()), round(peak / (16 * grid.total_points), 3)
 
 
 # family -> (run document, eps, sample time)
@@ -267,24 +248,23 @@ SNAPSHOT_CASES = {
 
 
 @pytest.mark.parametrize("family", sorted(SNAPSHOT_CASES))
-def test_snapshot(benchmark, monkeypatch, family):
+def test_snapshot(benchmark, fft_calls, monkeypatch, family):
     cfg = _record_config(family, SNAPSHOT_CASES)
     call = functools.partial(snapshot, cfg.family, cfg.sample_times[0], cfg.kernel)
     call()  # memoized multiplier, FFT plan caches
-    calls, peak = _fft_calls_and_peak(monkeypatch, call, cfg.grid)
+    calls, peak = _fft_calls_and_peak(fft_calls, monkeypatch, call, cfg.grid)
     benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
-    modes = len(cfg.family.modes)
-    # a density spectrum, the phase inverse (d - 1 complex passes), translate
-    assert calls == modes * (4 + cfg.grid.d - 1)
+    # per mode a density spectrum, the phase inverse and translate's pair
+    assert fft_calls.axis_passes() == 4 * cfg.grid.d * len(cfg.family.modes)
     benchmark(call)
 
 
-def test_start(benchmark, monkeypatch):
+def test_start(benchmark, fft_calls, monkeypatch):
     cfg = _record_config("two_mode_512x512", SNAPSHOT_CASES)
     call = functools.partial(harness._start, cfg, snapshot(cfg.family, 0.0, cfg.kernel),
                              cfg.epsilons[0])
     call()
-    calls, peak = _fft_calls_and_peak(monkeypatch, call, cfg.grid)
+    calls, peak = _fft_calls_and_peak(fft_calls, monkeypatch, call, cfg.grid)
     benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
     assert calls == 2  # the spectrum and the error's Wiener norm
     benchmark(call)
@@ -295,7 +275,7 @@ NORM_LAYERS = {"_norms_in_place": 1, "_graded_norm": 0, "l2w_norm": 1}  # FFT ca
 
 @pytest.mark.parametrize("layer", sorted(NORM_LAYERS))
 @pytest.mark.parametrize("size", ["8192", "512x512"])
-def test_norms(benchmark, monkeypatch, size, layer):
+def test_norms(benchmark, fft_calls, monkeypatch, size, layer):
     grid, gamma, eps = CASES[size]
     samples = _packets(grid, eps).astype(np.complex128)
     buf = np.empty_like(samples)
@@ -315,10 +295,26 @@ def test_norms(benchmark, monkeypatch, size, layer):
         return call()
 
     refilled()  # FFT plan caches
-    calls, peak = _fft_calls_and_peak(monkeypatch, refilled, grid)
+    calls, peak = _fft_calls_and_peak(fft_calls, monkeypatch, refilled, grid)
     benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
     assert calls == NORM_LAYERS[layer]
     benchmark.pedantic(call, setup=refill, rounds=20)
+
+
+@pytest.fixture(scope="module")
+def reference_2d_result():
+    return harness.run_sweep(parse_config(_reference_2d()))
+
+
+def test_persist(benchmark, fft_calls, monkeypatch, tmp_path, reference_2d_result):
+    call = functools.partial(harness.persist, reference_2d_result, tmp_path)
+    fft_calls.clear()
+    paths = call()
+    monkeypatch.undo()
+    benchmark.extra_info.update(fft_calls_per_call=len(fft_calls.passes()),
+                                bytes_written=sum(p.stat().st_size for p in paths.values()))
+    assert len(fft_calls) == 0 and len(paths) == 3
+    benchmark(call)
 
 
 UNIT_FAULTS = """\

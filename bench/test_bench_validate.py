@@ -16,8 +16,10 @@
   `integrator_agreement` check's parameters (reference_1d's largest eps,
   horizon 0.1 eps, tol 1e-12) with 32 nodes, the check's count, and with
   128, which shows how the call's cost grows with the node count.  The
-  FFT calls of one call are counted once, outside the timing, and stored
-  as `fft_calls_per_call` in the entry's extra info.
+  FFT calls of one call are counted once, outside the timing, with the
+  `fft_calls` log of `tests/conftest.py` (a pass of `rfft` or `irfft`
+  calls over blocks of rows counted as one), and stored as
+  `fft_calls_per_call` in the entry's extra info.
 - `test_control`: the plain-numpy control of `bench/conftest.py`.
 
 Run from the repository root:
@@ -35,7 +37,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hartreelab import hartree_constant_oracle, initial_data, load_config, picard_evolve
@@ -78,15 +79,8 @@ def test_kernel_constant_oracle(benchmark):
     benchmark(hartree_constant_oracle, 1, 0.5)
 
 
-def _counted(transform, calls: list):
-    def counted(*args, **kwargs):
-        calls.append(transform.__name__)
-        return transform(*args, **kwargs)
-    return counted
-
-
 @pytest.mark.parametrize("nodes", [32, 128])
-def test_picard_evolve(benchmark, monkeypatch, nodes):
+def test_picard_evolve(benchmark, fft_calls, monkeypatch, nodes):
     cfg = load_config(ROOT / "configs" / "reference_1d.json")
     eps = cfg.epsilons[0]
     u0 = initial_data(cfg.family, eps)
@@ -95,12 +89,10 @@ def test_picard_evolve(benchmark, monkeypatch, nodes):
         return picard_evolve(u0, cfg.kernel, eps, 0.1 * eps, tol=1e-12, nodes=nodes)
 
     run()
-    calls = []
-    for name in ("fftn", "ifftn", "ifft", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, _counted(getattr(np.fft, name), calls))
+    fft_calls.clear()
     run()
     monkeypatch.undo()
-    benchmark.extra_info["fft_calls_per_call"] = len(calls)
+    benchmark.extra_info["fft_calls_per_call"] = len(fft_calls.passes())
     benchmark(run)
 
 

@@ -27,7 +27,7 @@ and A, passed as the `out=` of the public `wkb` record terms: u_app goes
 into U; u - u_app, then r, pass through A (the state as the spectrum's
 inverse written into A: the spectrum must survive).  r's cross density
 and its convolution form in A's second float64 half, with the
-convolution's half spectrum at A's start (`kernel.convolve_in_pair`).
+convolution's half spectrum at A's start (`kernel.convolve`).
 Each field's norms take L2 from its samples, then Wiener from the
 spectrum written over them (`norms._norms_in_place`), moduli in chunk
 scratch, so a record holds nothing of field size beyond U and A.

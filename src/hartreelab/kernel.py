@@ -23,8 +23,9 @@ is integrable and consistent as dxi -> 0:
 
 Every spectral K * rho takes one route: `convolve` applies the
 half-spectrum multiplier of `half_multiplier` to a real density or a
-stack of them; `convolve_in_pair` runs its passes inside the complex
-buffer that holds the density (the sweep's remainder).  The independent
+stack of them, in place, through a half spectrum the caller may place
+anywhere, the density's own buffer included (the sweep's remainder).
+`action_phase` takes the inverse half of the same passes.  The independent
 quadrature oracle (direct summation, never an FFT), `convolve_direct`,
 lives with the tests, in `tests/oracles.py`.
 """
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CHUNK, Grid, TWO_PI
+from .grid import Grid, TWO_PI
 
 SPHERE_SURFACE = {1: 2.0, 2: TWO_PI, 3: 2 * TWO_PI}
 
@@ -163,52 +164,42 @@ def _scaled_half_khat(spec: KernelSpec, grid: Grid, scale: float) -> np.ndarray:
     return out
 
 
-def convolve(khat_half: np.ndarray, rho: np.ndarray, out=None, spectrum=None) -> np.ndarray:
-    """K * rho of a real density (or stack) by one real transform pair over the axes
-    of khat_half (`half_multiplier`, scaled), via `spectrum` into `out` if given;
-    `out` may be rho itself."""
-    axes = tuple(range(-khat_half.ndim, 0))
-    rho_hat = np.fft.rfftn(rho, axes=axes, out=spectrum)
-    rho_hat *= khat_half
-    return inverse_rfftn(rho_hat, rho.shape[-1], axes, out)
-
-
-def convolve_in_pair(khat_half: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """`convolve` of the density rho in the second float64 half of the
-    C-contiguous complex field `buf`, bit for bit, written back over rho
-    (the float64 view returned); the half spectrum lies in `buf` too, over
-    its first float64 half and rho's first 2 N^(d-1) floats.  The last-axis
-    real transforms run in blocks of rows, ascending, each block's spectrum
-    landing on rows already read; the leading-axis complex passes run in
-    place (last axis first, as `rfftn` runs them); the inverses run in
-    blocks descending, each writing over spectrum rows already read.  A
-    block of at most half the rows keeps its own input and output apart;
-    a 1-D field is one row, which numpy transforms from a copy.
+def convolve(khat_half: np.ndarray, rho: np.ndarray, spectrum=None) -> np.ndarray:
+    """K * rho of a real density (or stack) over the axes of khat_half
+    (`half_multiplier`, scaled), written over rho (returned): numpy's
+    rfftn / irfftn bit for bit, via `spectrum` if given.  The last-axis
+    real passes run over blocks of half the rows, ascending, then
+    descending, which keeps each block's input and output apart when
+    `spectrum` lies in rho's own buffer.  A rho that is no view of rows
+    raises ValueError.
     """
-    shape, n = buf.shape, buf.shape[-1]
-    rows = buf.size // n
-    rho = buf.view(np.float64).reshape(-1)[buf.size:].reshape(rows, n)
-    half = buf.reshape(-1)[: rows * (n // 2 + 1)].reshape(rows, n // 2 + 1)
-    block = max(1, min(CHUNK // n, rows // 2))
-    starts = range(0, rows, block)
-    for lo in starts:
-        np.fft.rfft(rho[lo:lo + block], axis=-1, out=half[lo:lo + block])
-    spectrum = half.reshape(*shape[:-1], n // 2 + 1)
-    for ax in reversed(range(len(shape) - 1)):
+    n = rho.shape[-1]
+    rows = rho.reshape(-1, n, copy=False)
+    if spectrum is None:
+        spectrum = np.empty((*rho.shape[:-1], n // 2 + 1), dtype=np.complex128)
+    half = spectrum.reshape(len(rows), -1, copy=False)
+    for block in _row_blocks(len(rows)):
+        np.fft.rfft(rows[block], axis=-1, out=half[block])
+    leading = range(rho.ndim - khat_half.ndim, rho.ndim - 1)
+    for ax in reversed(leading):
         np.fft.fft(spectrum, axis=ax, out=spectrum)
     spectrum *= khat_half
-    for ax in range(len(shape) - 1):
+    return _inverse_into(spectrum, rho, leading)
+
+
+def _row_blocks(rows: int) -> list:
+    block = max(1, rows // 2)  # a single row numpy transforms from a copy
+    return [slice(lo, lo + block) for lo in range(0, rows, block)]
+
+
+def _inverse_into(spectrum: np.ndarray, out: np.ndarray, leading) -> np.ndarray:
+    """numpy's irfftn of the half `spectrum` into `out` (returned), bit for
+    bit: the complex passes over the `leading` axes in place over spectrum,
+    then the last axis over blocks of rows, descending."""
+    for ax in leading:
         np.fft.ifft(spectrum, axis=ax, out=spectrum)
-    for lo in reversed(starts):
-        np.fft.irfft(half[lo:lo + block], n, axis=-1, out=rho[lo:lo + block])
-    return rho.reshape(shape)
-
-
-def inverse_rfftn(spectrum: np.ndarray, n: int, axes: tuple, out=None) -> np.ndarray:
-    """numpy's irfftn of a half spectrum over `axes`, n points on the last, into
-    `out` if given.  The leading axes' complex passes run in place over
-    `spectrum`, which they overwrite (numpy's irfftn allocates them)."""
-    for ax in axes[:-1]:
-        np.fft.ifft(spectrum, axis=ax, out=spectrum)
-    return np.fft.irfftn(spectrum, (n,), axes[-1:], out=out)
-
+    rows = out.reshape(-1, out.shape[-1], copy=False)
+    half = spectrum.reshape(len(rows), -1, copy=False)
+    for block in reversed(_row_blocks(len(rows))):
+        np.fft.irfft(half[block], rows.shape[-1], axis=-1, out=rows[block])
+    return out

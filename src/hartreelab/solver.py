@@ -11,9 +11,9 @@ kinetic-potential-kinetic gives the production integrator; each factor
 is unitary, so mass is conserved to rounding per step.
 
 The loop keeps the state in Fourier space, so adjacent kinetic
-half-steps merge into one full step; a step costs 4 + d - 1 transform
-calls (complex inverse, a real pair for K * |u|^2 on the half spectrum
-whose inverse makes d - 1 complex passes in place, complex forward) and
+half-steps merge into one full step; a step costs 4 d axis passes of
+the transform (complex inverse, the real pair of `kernel.convolve` for
+K * |u|^2 on the half spectrum, complex forward) and
 one vectorised tangent (`grid.unit_phase` for the potential phase), and
 each sample one more inverse to record the state.  Between the
 transforms, three pointwise stages run over consecutive slices of
@@ -230,7 +230,7 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
             for u, rho, _, _ in parts:
                 np.multiply(u.real, u.real, out=rho)
                 rho += np.multiply(u.imag, u.imag, out=imag_sq[:u.size])
-            convolve(khat_half, real, out=real, spectrum=spectrum)
+            convolve(khat_half, real, spectrum)
             for u, angle, _, _ in parts:
                 # -dt after the transform: an overflowing potential gives a NaN phase
                 angle *= -dt

@@ -49,8 +49,9 @@ superposition: u0, u_app, Z2 and dt u_app (it and the remainder fill an
 `out=` buffer when given, as a sweep does).  The cross density B is what
 the averaged density rho = sum_j |a_j|^2 leaves of |u_app|^2, so
 B = |u_app|^2 - sum_j |a_j|^2.  The remainder forms B, K * B and the
-convolution's half spectrum inside its `out` buffer, with chunk scratch
-beside it and no array of field size.
+convolution's half spectrum inside its `out` buffer, as two views that
+it hands to `kernel.convolve`, with chunk scratch beside it and no array
+of field size.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .grid import (
     translate,
     unit_phase,
 )
-from .kernel import KernelSpec, convolve, convolve_in_pair, half_multiplier, inverse_rfftn
+from .kernel import KernelSpec, _inverse_into, convolve, half_multiplier
 from .norms import YNormSpec, _graded_norm, l2w_norm
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
@@ -271,7 +272,7 @@ def action_phase(
     # the bits of half_multiplier(spec, g, -lambda), negated from the memoized
     # lambda multiplier the stepper uses, so no entry is held for -lambda
     acc *= np.negative(half_multiplier(spec, g, spec.coupling))
-    return Field._adopt(g, inverse_rfftn(acc, g.points, tuple(range(g.d))))
+    return Field._adopt(g, _inverse_into(acc, np.empty(g.shape), range(g.d - 1)))
 
 
 def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
@@ -357,9 +358,10 @@ def resonant_remainder(family: ModeFamily, amps, eps: float, spec: KernelSpec,
     The cross density is read off the assembled field, whose diagonal
     terms are the averaged density: B = |u_app|^2 - sum_j |a_j|^2.  B forms
     slice by slice in the second float64 half of `out`, each |a_j|^2 in
-    chunk scratch; `kernel.convolve_in_pair` turns it into K * B there, its
-    half spectrum inside `out` too; r then fills `out` slice by slice, over
-    K * B already read.  Beyond `out` the call holds chunk scratch only.
+    chunk scratch; `kernel.convolve` turns it into K * B there through a
+    half spectrum over the first float64 half of `out` and B's first
+    2 N^(d-1) floats; r then fills `out` slice by slice, over K * B already
+    read.  Beyond `out` the call holds chunk scratch only.
     """
     g = family.grid
     if out is None:
@@ -369,12 +371,14 @@ def resonant_remainder(family: ModeFamily, amps, eps: float, spec: KernelSpec,
         return out
     check_resolution(family, eps, for_remainder=True)
     cross = out.view(np.float64).reshape(2, *g.shape)[1]
+    half_shape = (*g.shape[:-1], g.points // 2 + 1)
+    spectrum = out.reshape(-1)[: math.prod(half_shape)].reshape(half_shape)
     mod_sq = np.empty(min(g.total_points, CHUNK))
     for b, u, *parts in zip(*map(_slices, (cross, u_app, *amps))):
         np.square(np.abs(u, out=b), out=b)
         for part in parts:
             b -= np.square(np.abs(part, out=mod_sq[:b.size]), out=mod_sq[:b.size])
-    conv = convolve_in_pair(half_multiplier(spec, g), out)
+    conv = convolve(half_multiplier(spec, g), cross, spectrum)
     for c, u, r in zip(*map(_slices, (np.negative(conv, out=conv), u_app, out))):
         np.multiply(c, u, out=r)
     return out

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -86,15 +88,47 @@ def two_mode_family():
 FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
 
 
+class TransformLog(list):
+    """(name, number of axes transformed) of each numpy.fft call."""
+
+    def __init__(self):
+        super().__init__()
+        self._blocks = []  # per call: an `rfft` or `irfft` continuing the last one's pass
+        self._last = lambda: None  # a weak reference to the last input's owner
+
+    def record(self, name: str, a, axes):
+        while isinstance(getattr(a, "base", None), np.ndarray):
+            a = a.base
+        self._blocks.append(name in ("rfft", "irfft") and bool(self)
+                            and self[-1][0] == name and self._last() is a)
+        self.append((name, np.ndim(a) if axes is None else len(axes)))
+        self._last = weakref.ref(a) if isinstance(a, np.ndarray) else lambda: None
+
+    def clear(self):
+        super().clear()
+        self._blocks.clear()
+
+    def passes(self) -> list:
+        """The calls, each run of `rfft` or `irfft` calls over blocks of
+        rows of one array (one pass) merged into one."""
+        return [call for call, block in zip(self, self._blocks) if not block]
+
+    def axis_passes(self) -> int:
+        """Axes transformed, a pass over blocks of rows counted once: a
+        transform budget that holds whatever the block rule."""
+        return sum(axes for _, axes in self.passes())
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """List that records every numpy.fft transform call made while the
-    test runs."""
-    calls = []
-    for fname in FFT_NAMES:
-        def counted(*args, _fn=getattr(np.fft, fname), **kwargs):
-            calls.append(_fn)
-            return _fn(*args, **kwargs)
+    """`TransformLog` of every numpy.fft transform call made while the test
+    runs (or until `monkeypatch.undo()`)."""
+    calls = TransformLog()
+    for name in FFT_NAMES:
+        def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+            calls.record(_name, a, axes if _name.endswith("n") else (-1,))
+            return _fn(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, fname, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     return calls

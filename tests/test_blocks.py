@@ -183,19 +183,21 @@ class TestPicardPanels:
         eps, horizon, nodes = 0.1, 0.01, 32
         u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps))
         shapes = []
-        for name in ("ifftn", "rfftn", "irfftn", "fftn"):
+        for name in ("ifftn", "fftn"):
             def recorded(a, *args, _fn=getattr(np.fft, name), **kwargs):
                 shapes.append(np.shape(a))
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recorded)
         picard_evolve(u0, kernel1d, eps=eps, horizon=horizon, tol=1e-12, nodes=nodes)
-        panel, half = (2, grid.points), (2, grid.points // 2 + 1)
-        iterations = shapes.count(panel) // 3  # ifftn, rfftn and fftn read a panel
+        panel = (2, grid.points)
+        iterations = shapes.count(panel) // 2  # ifftn and fftn read a panel
         assert iterations >= nodes // 2  # at least one per panel
-        # data forward, node-0 source, one quartet per panel iteration, final inverse
-        assert len(fft_calls) == 1 + 4 + 4 * iterations + 1
-        quartet = ["ifftn", "rfftn", "irfftn", "fftn"]
-        assert [fn.__name__ for fn in fft_calls] == (
+        # data forward, node-0 source, one quartet of axis passes per panel
+        # iteration (the convolution's real passes over blocks of the
+        # panel's rows), final inverse
+        assert fft_calls.axis_passes() == 1 + 4 + 4 * iterations + 1
+        quartet = ["ifftn", "rfft", "irfft", "fftn"]
+        assert [name for name, _ in fft_calls.passes()] == (
             ["fftn"] + quartet + quartet * iterations + ["ifftn"])
-        assert shapes[5:-1] == [panel, panel, half, panel] * iterations
+        assert shapes[3:-1] == [panel, panel] * iterations

@@ -531,23 +531,18 @@ class TestLockstepSweep:
         assert not check.passed and check.detail != "max t=0 error 0.000e+00"
 
     def test_transform_budget(self, fft_calls, monkeypatch):
-        # per sample time: 4 M for the snapshot, then one forward/inverse
-        # pair per amplitude for its eps-free terms (||a||_E and its
-        # half-Laplacian), however many eps there are (none at t = 0, whose
-        # amplitudes are the alphas); per record: 6 (state
-        # inverse, error Wiener norm, the remainder's real convolution pair,
-        # the Wiener norms of r and Z2); per eps at t = 0: 2; per Strang
-        # step: 4.  Each convolution's and each phase's inverse adds d - 1
-        # complex passes.  The remainder's pair runs in the record's field
-        # pair: its last-axis passes in row blocks, each blocked pass
-        # counted as one, and its forward leading-axis passes as calls of
-        # their own (`rfftn` ran them inside its one call)
+        # in axis passes (a pass over blocks of rows counted once), on a d-D
+        # grid: per sample time 4 d M for the snapshot, then a forward and
+        # an inverse per amplitude for its eps-free terms (||a||_E and its
+        # half-Laplacian), 2 d M, however many eps there are (none at t = 0,
+        # whose amplitudes are the alphas); per record 6 d (state inverse,
+        # error Wiener norm, the remainder's real convolution pair, the
+        # Wiener norms of r and Z2); per eps at t = 0: 2 d; per Strang
+        # step: 4 d
         cfg = three_mode_config()
-        passes = cfg.grid.d - 1
+        d = cfg.grid.d
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 3
-        rows = cfg.grid.total_points // cfg.grid.points
-        blocks = math.ceil(rows / min(grid_module.CHUNK // cfg.grid.points, rows // 2))
-        counts = {"laplacian": 0, "assemble": 0, "advance_ffts": 0, "pair_ffts": 0}
+        counts = {"laplacian": 0, "assemble": 0, "advance_passes": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -556,20 +551,13 @@ class TestLockstepSweep:
             return wrapped
 
         def advance_counted(*args, **kwargs):
-            before = len(fft_calls)
+            before = fft_calls.axis_passes()
             out = real_advance(*args, **kwargs)
-            counts["advance_ffts"] += len(fft_calls) - before
+            counts["advance_passes"] += fft_calls.axis_passes() - before
             return out
 
-        def pair_counted(*args, **kwargs):
-            before = len(fft_calls)
-            out = real_pair(*args, **kwargs)
-            counts["pair_ffts"] += len(fft_calls) - before
-            return out
-
-        real_advance, real_pair = harness.advance, wkb.convolve_in_pair
+        real_advance = harness.advance
         monkeypatch.setattr(harness, "advance", advance_counted)
-        monkeypatch.setattr(wkb, "convolve_in_pair", pair_counted)
         laplacian_counted = counting("laplacian", grid_module.laplacian)
         monkeypatch.setattr(grid_module, "laplacian", laplacian_counted)
         monkeypatch.setattr(wkb, "laplacian", laplacian_counted)
@@ -586,13 +574,9 @@ class TestLockstepSweep:
             for eps in cfg.epsilons
             for a, b in zip((0.0, *cfg.sample_times), cfg.sample_times)
         )
-        assert counts["advance_ffts"] == (4 + passes) * steps
-        assert counts["pair_ffts"] == 2 * (blocks + passes) * n_eps * n_times
-        pair_passes = 2 * (1 + passes) * n_eps * n_times
-        assert len(fft_calls) - counts["advance_ffts"] - counts["pair_ffts"] + pair_passes == (
-            2 * n_eps + n_times * (4 * n_modes + (2 + passes) * n_modes)
-            + (6 + 2 * passes) * n_eps * n_times
-        )
+        assert counts["advance_passes"] == 4 * d * steps
+        assert fft_calls.axis_passes() - counts["advance_passes"] == d * (
+            2 * n_eps + 6 * n_modes * n_times + 6 * n_eps * n_times)
         assert counts["laplacian"] == 0
         assert counts["assemble"] == 2 * (n_eps * n_times + n_eps)
 

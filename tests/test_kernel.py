@@ -20,7 +20,7 @@ from hartreelab import (
     zero_mode_value,
 )
 from hartreelab.grid import TWO_PI
-from hartreelab.kernel import _half_khat, convolve, convolve_in_pair, half_multiplier
+from hartreelab.kernel import _half_khat, convolve, half_multiplier
 
 from conftest import lattice_wavenumber, plane_wave
 from oracles import _CELL_NODES, _singular_cell_mass, convolve_direct, multiplier_grid
@@ -150,7 +150,7 @@ class TestConvolve:
     def test_plane_wave_eigenfunction(self, kernel1d, grid1d):
         # the multiplier is even, so cos(k0 x) shares the eigenvalue of exp(i k0 x)
         f = plane_wave(grid1d, lattice_wavenumber(grid1d, 14)).values.real
-        out = convolve(half_multiplier(kernel1d, grid1d), f)
+        out = convolve(half_multiplier(kernel1d, grid1d), f.copy())
         expected = (2 * np.pi) ** 0.5 * multiplier_grid(kernel1d, grid1d)[14] * f
         assert np.max(np.abs(out - expected)) < 1e-12 * np.max(np.abs(expected))
 
@@ -177,53 +177,64 @@ class TestConvolve:
         ref = np.fft.irfftn(np.fft.rfftn(rho, axes=axes) * khat_half, grid.shape, axes)
         assert np.array_equal(convolve(khat_half, rho), ref)
 
-    def test_inverse_allocates_no_half_spectrum(self):
-        # warm: the transform plans are cached; what is left is at most
-        # numpy's fixed casting buffer for the multiplier product (128 KiB)
-        grid = Grid(d=2, length=8.0, points=256)
-        khat_half = half_multiplier(KernelSpec(d=2, gamma=0.5), grid)
-        rho = np.random.default_rng(25).standard_normal(grid.shape)
-        out = np.empty(grid.shape)
-        spectrum = np.empty(khat_half.shape, dtype=np.complex128)
-        convolve(khat_half, rho, out=out, spectrum=spectrum)
-        tracemalloc.start()
-        try:
-            convolve(khat_half, rho, out=out, spectrum=spectrum)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < spectrum.nbytes // 2
-
+    @pytest.mark.parametrize("layout", ["own_spectrum", "spectrum_in_buffer", "row_padded",
+                                        "stack"])
     @pytest.mark.parametrize("d, points", [(1, 8192), (1, 256), (2, 512), (2, 256),
                                            (2, 32), (3, 64), (3, 16)])
-    def test_in_pair_matches_convolve_bitwise(self, d, points):
-        # the density in the second float64 half of a complex field, the
-        # half spectrum in the field itself: the bits of `convolve`
+    def test_matches_irfftn_bitwise(self, d, points, layout):
+        # K * rho written over rho, on each layout a caller hands in: a fresh
+        # density (its spectrum made by the call), the density in the
+        # second float64 half of a complex field with the half spectrum in
+        # the field itself (the record's remainder), the [..., :N] view of
+        # a row-padded buffer (the stepper) and a (2, *shape) stack (Picard).
+        # The complex passes run in place in rfftn's and irfftn's order and
+        # the real ones over blocks of rows, so the result is numpy's bit
+        # for bit
         grid = Grid(d=d, length=8.0, points=points)
         khat_half = half_multiplier(KernelSpec(d=d, gamma=0.5), grid)
-        rho = np.random.default_rng(26).standard_normal(grid.shape)
-        buf = np.empty(grid.shape, dtype=np.complex128)
-        buf.view(np.float64).reshape(2, *grid.shape)[1] = rho
-        got = convolve_in_pair(khat_half, buf)
-        assert np.shares_memory(got, buf)
-        assert np.array_equal(got, convolve(khat_half, rho))
-
-    @pytest.mark.parametrize("d, points", [(2, 256), (3, 64)])
-    def test_in_pair_allocates_no_half_spectrum(self, d, points):
-        # warm: what is left is numpy's fixed 128 KiB buffer, an eighth of a
-        # 256^2 field or less; a half spectrum would be half a field
-        grid = Grid(d=d, length=8.0, points=points)
-        khat_half = half_multiplier(KernelSpec(d=d, gamma=0.5), grid)
-        buf = np.empty(grid.shape, dtype=np.complex128)
-        buf.view(np.float64)[...] = 1.0
-        convolve_in_pair(khat_half, buf)
+        shape = (2, *grid.shape) if layout == "stack" else grid.shape
+        half_shape = (*shape[:-1], points // 2 + 1)
+        spectrum = None
+        if layout == "spectrum_in_buffer":
+            buf = np.empty(grid.shape, dtype=np.complex128)
+            rho = buf.view(np.float64).reshape(2, *grid.shape)[1]
+            spectrum = buf.reshape(-1)[: math.prod(half_shape)].reshape(half_shape)
+        elif layout == "row_padded":
+            rho = np.zeros((*shape[:-1], points + 1))[..., :points]
+            spectrum = np.empty(half_shape, dtype=np.complex128)
+        else:
+            rho = np.empty(shape)
+        rho[...] = np.random.default_rng(26).standard_normal(shape)
+        axes = tuple(range(-d, 0))
+        want = np.fft.irfftn(np.fft.rfftn(rho, axes=axes) * khat_half, grid.shape, axes)
+        assert convolve(khat_half, rho, spectrum) is rho
+        assert np.array_equal(rho, want)
+        if spectrum is None or grid.total_points < 256**2:
+            return
+        # warm: the transform plans are cached; what is left is at most
+        # numpy's fixed casting buffer for the multiplier product (128 KiB),
+        # where a half spectrum would be half a field
         tracemalloc.start()
         try:
-            convolve_in_pair(khat_half, buf)
+            convolve(khat_half, rho, spectrum)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < buf.nbytes // 4
+        if layout == "spectrum_in_buffer":
+            assert peak < buf.nbytes // 4
+        else:
+            assert peak < spectrum.nbytes // 2
+
+    def test_density_without_a_row_view_raises(self):
+        # a transposed 3-D density cannot be viewed as rows: convolving a
+        # copy would leave rho as it was
+        grid = Grid(d=3, length=8.0, points=16)
+        khat_half = half_multiplier(KernelSpec(d=3, gamma=0.5), grid)
+        rho = np.random.default_rng(27).standard_normal(grid.shape).T
+        before = rho.copy()
+        with pytest.raises(ValueError, match="copy"):
+            convolve(khat_half, rho)
+        assert np.array_equal(rho, before)
 
     def test_positivity_on_nonnegative_density(self, kernel1d, grid1d):
         x = grid1d.axis_coords()
@@ -236,7 +247,7 @@ class TestConvolve:
         spec = KernelSpec(d=1, gamma=0.5)
         x = grid.axis_coords()
         rho = Field(grid, np.exp(-x**2 / 2))
-        fast = convolve(half_multiplier(spec, grid), rho.values.real)
+        fast = convolve(half_multiplier(spec, grid), rho.values.real.copy())
         direct = convolve_direct(spec, rho).values.real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 1e-3
@@ -264,7 +275,7 @@ class TestConvolveDirect:
             grid = Grid(d=1, length=64.0, points=n)
             x = grid.axis_coords()
             rho = Field(grid, np.exp(-x**2 / 2))
-            fast = convolve(half_multiplier(spec, grid), rho.values.real)
+            fast = convolve(half_multiplier(spec, grid), rho.values.real.copy())
             direct = convolve_direct(spec, rho).values.real
             errs.append(np.max(np.abs(fast - direct)) / np.max(np.abs(fast)))
         assert errs[0] / errs[1] >= 2.0
@@ -280,7 +291,7 @@ class TestConvolveDirect:
         spec = KernelSpec(d=2, gamma=0.5)
         xs, ys = grid.coords()
         rho = Field(grid, np.exp(-(xs**2 + ys**2) / 2))
-        fast = convolve(half_multiplier(spec, grid), rho.values.real)
+        fast = convolve(half_multiplier(spec, grid), rho.values.real.copy())
         direct = convolve_direct(spec, rho).values.real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 5e-3

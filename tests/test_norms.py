@@ -372,7 +372,7 @@ class TestHartreeBound:
             h = Field(grid, np.abs(band_limited(grid, rng, grid.points // 8).values) ** 2)
             rep = _hartree_bounds(spec, h.values.real[None], grid)[0]
             k1_l1, k2_sup = split_norms(spec)
-            conv = convolve(half_multiplier(spec, grid), h.values.real)
+            conv = convolve(half_multiplier(spec, grid), h.values.real.copy())
             lhs = wiener_norm(Field(grid, conv))
             rhs = k1_l1 * l1_norm(h) + k2_sup * wiener_norm(h)
             assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
