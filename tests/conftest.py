@@ -97,11 +97,11 @@ class TransformLog(list):
         self._last = lambda: None  # a weak reference to the last input's owner
 
     def record(self, name: str, a, axes):
+        block = name in ("rfft", "irfft") and bool(self) and self[-1][0] == name
+        self.append((name, np.ndim(a) if axes is None else len(axes)))
         while isinstance(getattr(a, "base", None), np.ndarray):
             a = a.base
-        self._blocks.append(name in ("rfft", "irfft") and bool(self)
-                            and self[-1][0] == name and self._last() is a)
-        self.append((name, np.ndim(a) if axes is None else len(axes)))
+        self._blocks.append(block and self._last() is a)
         self._last = weakref.ref(a) if isinstance(a, np.ndarray) else lambda: None
 
     def clear(self):
