@@ -143,6 +143,8 @@ class TestSplitNorms:
 
 
 class TestConvolve:
+    GRIDS = [(1, 8192), (1, 256), (2, 512), (2, 256), (2, 32), (3, 64), (3, 16)]
+
     def test_zero_density(self, kernel1d, grid1d):
         out = convolve(half_multiplier(kernel1d, grid1d), np.zeros(grid1d.shape))
         assert np.all(out == 0)
@@ -177,16 +179,12 @@ class TestConvolve:
         ref = np.fft.irfftn(np.fft.rfftn(rho, axes=axes) * khat_half, grid.shape, axes)
         assert np.array_equal(convolve(khat_half, rho), ref)
 
-    @pytest.mark.parametrize("layout", ["own_spectrum", "spectrum_in_buffer", "row_padded",
-                                        "stack"])
-    @pytest.mark.parametrize("d, points", [(1, 8192), (1, 256), (2, 512), (2, 256),
-                                           (2, 32), (3, 64), (3, 16)])
+    @pytest.mark.parametrize("layout", ["own_spectrum", "row_padded", "stack"])
+    @pytest.mark.parametrize("d, points", GRIDS)
     def test_matches_irfftn_bitwise(self, d, points, layout):
         # K * rho written over rho, on each layout a caller hands in: a fresh
-        # density (its spectrum made by the call), the density in the
-        # second float64 half of a complex field with the half spectrum in
-        # the field itself (the record's remainder), the [..., :N] view of
-        # a row-padded buffer (the stepper) and a (2, *shape) stack (Picard).
+        # density (its spectrum made by the call), the [..., :N] view of a
+        # row-padded buffer (the stepper) and a (2, *shape) stack (Picard).
         # The complex passes run in place in rfftn's and irfftn's order and
         # the real ones over blocks of rows, so the result is numpy's bit
         # for bit
@@ -195,11 +193,7 @@ class TestConvolve:
         shape = (2, *grid.shape) if layout == "stack" else grid.shape
         half_shape = (*shape[:-1], points // 2 + 1)
         spectrum = None
-        if layout == "spectrum_in_buffer":
-            buf = np.empty(grid.shape, dtype=np.complex128)
-            rho = buf.view(np.float64).reshape(2, *grid.shape)[1]
-            spectrum = buf.reshape(-1)[: math.prod(half_shape)].reshape(half_shape)
-        elif layout == "row_padded":
+        if layout == "row_padded":
             rho = np.zeros((*shape[:-1], points + 1))[..., :points]
             spectrum = np.empty(half_shape, dtype=np.complex128)
         else:
@@ -220,10 +214,46 @@ class TestConvolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        if layout == "spectrum_in_buffer":
-            assert peak < buf.nbytes // 4
-        else:
-            assert peak < spectrum.nbytes // 2
+        assert peak < spectrum.nbytes // 2
+
+    @staticmethod
+    def _in_pair(d, points):
+        # the density in the second float64 half of a complex field, the
+        # half spectrum in the field itself (the record's remainder)
+        grid = Grid(d=d, length=8.0, points=points)
+        khat_half = half_multiplier(KernelSpec(d=d, gamma=0.5), grid)
+        buf = np.empty(grid.shape, dtype=np.complex128)
+        rho = buf.view(np.float64).reshape(2, *grid.shape)[1]
+        half_shape = (*grid.shape[:-1], points // 2 + 1)
+        spectrum = buf.reshape(-1)[: math.prod(half_shape)].reshape(half_shape)
+        return khat_half, buf, rho, spectrum
+
+    @pytest.mark.parametrize("d, points", GRIDS)
+    def test_in_pair_matches_convolve_bitwise(self, d, points):
+        # the spectrum overwrites the field while rho is still read from it:
+        # the result is still numpy's bit for bit
+        khat_half, buf, rho, spectrum = self._in_pair(d, points)
+        rho[...] = np.random.default_rng(26).standard_normal(rho.shape)
+        axes = tuple(range(-d, 0))
+        want = np.fft.irfftn(np.fft.rfftn(rho, axes=axes) * khat_half, rho.shape, axes)
+        assert convolve(khat_half, rho, spectrum) is rho
+        assert np.shares_memory(rho, buf)
+        assert np.array_equal(rho, want)
+
+    @pytest.mark.parametrize("d, points", [(2, 256), (3, 64)])
+    def test_in_pair_allocates_no_half_spectrum(self, d, points):
+        # warm: what is left is numpy's fixed 128 KiB buffer, an eighth of a
+        # 256^2 field or less; a half spectrum would be half a field
+        khat_half, buf, rho, spectrum = self._in_pair(d, points)
+        rho[...] = 1.0
+        convolve(khat_half, rho, spectrum)
+        tracemalloc.start()
+        try:
+            convolve(khat_half, rho, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < buf.nbytes // 4
 
     def test_density_without_a_row_view_raises(self):
         # a transposed 3-D density cannot be viewed as rows: convolving a
