@@ -27,9 +27,7 @@ from .solver import (
     DivergenceError,
     PicardConvergenceError,
     SolverParams,
-    Trajectory,
     advance,
-    evolve,
     picard_evolve,
 )
 from .wkb import (

@@ -135,7 +135,7 @@ class SweepConfig:
                 }
             else:
                 # the sampled amplitude is the table itself
-                values = m.alpha.values.real.ravel().tolist()
+                values = m.alpha.values.ravel().tolist()
                 profile = {"type": "table", "values": values}
             modes.append({"kappa": [float(k) for k in m.kappa], "profile": profile})
         return {

@@ -228,10 +228,10 @@ def _validated_samples(grid: Grid, values, what: str, copy: bool = True) -> np.n
 @dataclass(frozen=True, eq=False)
 class Field:
     """Samples on the physical grid, float64 when the data is real and
-    complex128 otherwise: a Gaussian amplitude and the phases stay real, at
-    half the memory, and mixed arithmetic casts them to their complex twin
-    bit for bit.  `Field(grid, values)` copies; `Field._adopt` freezes a
-    fresh array in place."""
+    complex128 otherwise: a Gaussian or table amplitude and the phases stay
+    real, at half the memory, and numpy's mixed arithmetic casts them to
+    their complex twin bit for bit.  `Field(grid, values)` copies;
+    `Field._adopt` freezes a fresh array in place."""
 
     grid: Grid
     values: np.ndarray
@@ -249,26 +249,6 @@ class Field:
             field, "values", _validated_samples(grid, values, "field", copy=False)
         )
         return field
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field._adopt(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field._adopt(self.grid, self.values - other.values)
-
-    def __mul__(self, other) -> "Field":
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field._adopt(self.grid, self.values * other.values)
-        return Field._adopt(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "Field"):
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
 
 
 def laplacian(f: Field) -> Field:
@@ -341,7 +321,7 @@ class TableProfile:
     values: np.ndarray
 
     def sample(self, grid: Grid) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=np.complex128)
+        arr = np.asarray(self.values, dtype=np.float64)
         if arr.size != grid.total_points:
             raise ValueError(
                 f"table length {arr.size} does not match grid total {grid.total_points}"

@@ -59,27 +59,30 @@ class YNormSpec:
         object.__setattr__(self, "n", derivative_order(self.d, self.gamma))
 
 
-def _modulus_sums(values: np.ndarray) -> tuple:
-    """(sum |v|^2, sum |v|) of a contiguous or row-padded field, its moduli
-    formed in chunk scratch, CHUNK points of whole rows at a time: bitwise
-    `np.sum` of np.abs(values)**2 and np.abs(values).  numpy sums 2^k > 128
-    contiguous float64 terms as the sum of their two halves, so each block
-    of a power-of-two field is a subtree, and adding neighbouring block
-    sums level by level rebuilds the levels above."""
+def _modulus_sums(values: np.ndarray, squares: bool = True, moduli: bool = True) -> tuple:
+    """The sums of (sum |v|^2, sum |v|) that `squares` and `moduli` ask for,
+    of a contiguous or row-padded field, its moduli formed in chunk scratch,
+    CHUNK points of whole rows at a time: bitwise `np.sum` of
+    np.abs(values)**2 and np.abs(values).  numpy sums 2^k > 128 contiguous
+    float64 terms as the sum of their two halves, so each block of a
+    power-of-two field is a subtree, and adding neighbouring block sums
+    level by level rebuilds the levels above."""
     if values.flags.f_contiguous:
         values = values.T  # the same memory order, read as C order
     rows = values.reshape(-1, min(values.shape[-1], CHUNK), copy=False)
     per = CHUNK // rows.shape[1]
     parts = [rows[lo:lo + per] for lo in range(0, len(rows), per)]
     mag = np.empty(parts[0].shape)
-    sums = np.empty((2, len(parts)))
+    sums = np.empty((squares + moduli, len(parts)))
     for i, part in enumerate(parts):
         m = np.abs(part, out=mag[:len(part)])
-        sums[1, i] = np.sum(m)
-        sums[0, i] = np.sum(np.square(m, out=m))
+        if moduli:
+            sums[-1, i] = np.sum(m)
+        if squares:
+            sums[0, i] = np.sum(np.square(m, out=m))
     while sums.shape[1] > 1:
         sums = sums[:, 0::2] + sums[:, 1::2]
-    return sums[0, 0], sums[1, 0]
+    return tuple(sums[:, 0])
 
 
 def _norms(raw: np.ndarray, grid) -> tuple:
@@ -92,13 +95,13 @@ def _norms(raw: np.ndarray, grid) -> tuple:
 def _norms_in_place(values: np.ndarray, grid) -> tuple:
     """(l2, wiener) of the field with samples `values`: L2 from them, then
     Wiener from the spectrum the forward transform writes over them."""
-    l2 = math.sqrt(grid.dx**grid.d * _modulus_sums(values)[0])
+    l2 = math.sqrt(grid.dx**grid.d * _modulus_sums(values, moduli=False)[0])
     np.fft.fftn(values, out=values)
-    return l2, float(_wiener_scale(grid) * _modulus_sums(values)[1])
+    return l2, float(_wiener_scale(grid) * _modulus_sums(values, squares=False)[0])
 
 
 def l2_norm(f: Field) -> float:
-    return math.sqrt(f.grid.dx**f.grid.d * _modulus_sums(f.values)[0])
+    return math.sqrt(f.grid.dx**f.grid.d * _modulus_sums(f.values, moduli=False)[0])
 
 
 def wiener_norm(f: Field) -> float:

@@ -29,13 +29,13 @@ with N + 1 elements per row.  A contiguous complex row of 512 points is
 8 KiB, so the leading-axis passes of every complex transform would read
 columns at a power-of-two stride, which maps a column onto the same
 cache sets; the padded stride does not, and numpy transforms the view
-bitwise as the contiguous array.  `evolve` and the sweep's `_start`
-allocate the spectrum that way once; `advance` transforms it in place,
-and its stages slice the padded buffers whole, over pads that stay zero.
+bitwise as the contiguous array.  `start` allocates the spectrum that
+way once; `advance` transforms it in place, and its stages slice the
+padded buffers whole, over pads that stay zero.
 The kinetic multipliers are built by `unit_phase` once per call; the
 Picard node multiplier keeps `np.exp` as an independent reference.
-`advance` runs that loop over one inter-sample gap; `evolve` and the
-lockstep sweep in `harness` both call it, so they share one loop.
+`advance` runs that loop over one inter-sample gap, from `start`, for
+every command (simulate, validate's integrator check, the sweep).
 
 A Picard iteration of the Duhamel integral form
 
@@ -138,35 +138,17 @@ class SolverParams:
         return cls(eps, min(dt_factor * eps, final_time), final_time, dt_factor)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Sampled states of one evolution run, starting at t = 0."""
-
-    times: tuple
-    states: tuple
-    mass_log: tuple
-
-    def __post_init__(self):
-        if self.times[0] != 0.0 or any(
-            b <= a for a, b in zip(self.times, self.times[1:])
-        ):
-            raise ValueError("sample times must be strictly increasing from 0")
-
-    def state_at(self, t: float) -> Field:
-        for tt, ss in zip(self.times, self.states):
-            if math.isclose(tt, t, rel_tol=1e-12, abs_tol=1e-15):
-                return ss
-        raise KeyError(f"no recorded state at t = {t}")
-
-    def mass_drift(self) -> float:
-        m0 = self.mass_log[0]
-        return max(abs(m - m0) for m in self.mass_log) / m0
-
-
 def step_count(gap: float, params: SolverParams) -> float:
     """Strang steps `advance` takes over a gap: the fewest equal steps no
     longer than the requested dt, as a float (a subnormal dt's may be inf)."""
     return max(1.0, np.ceil(gap / min(params.dt, params.dt_factor * params.eps) - 1e-12))
+
+
+def start(values: np.ndarray, grid) -> tuple:
+    """(raw, l2, wiener): the raw spectrum of the samples `values`, in the
+    layout `advance` steps (`grid.padded_zeros`), and its norms."""
+    raw = np.fft.fftn(values, out=padded_zeros(grid))
+    return (raw, *_norms(raw, grid))
 
 
 def _backing(raw: np.ndarray, grid) -> np.ndarray:
@@ -247,35 +229,6 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
             if not l2 + wiener <= 4.0 * norm0:  # a NaN norm trips the guard too
                 raise DivergenceError(t_prev + (step + 1) * dt, (l2 + wiener) / norm0)
     return raw, l2
-
-
-def evolve(u0: Field, spec: KernelSpec, params: SolverParams, samples) -> Trajectory:
-    """Integrate up to final_time, recording the state at each sample.
-
-    One `advance` per inter-sample gap, the loop a sweep runs as well.
-    """
-    g = u0.grid
-    times = sorted({float(s) for s in samples})
-    for t in times:
-        if t < 0 or t > params.final_time * (1 + 1e-12):
-            raise ValueError(f"sample time {t} outside [0, T = {params.final_time}]")
-
-    khat_half = half_multiplier(spec, g, spec.coupling)
-    raw = np.fft.fftn(u0.values, out=padded_zeros(g))
-    l2_0, w_0 = _norms(raw, g)
-
-    rec_times, rec_states, rec_mass = [0.0], [u0], [l2_0]
-    t_prev = 0.0
-    for t_next in times:
-        if t_next == 0.0:
-            continue
-        raw, l2 = advance(raw, g, khat_half, params, t_prev, t_next, l2_0 + w_0)
-        rec_times.append(t_next)
-        rec_states.append(Field._adopt(g, np.fft.ifftn(raw)))
-        rec_mass.append(l2)
-        t_prev = t_next
-
-    return Trajectory(tuple(rec_times), tuple(rec_states), tuple(rec_mass))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite increment raises

@@ -27,51 +27,6 @@ def gaussian_field(grid1d):
     return Field(grid1d, np.exp(-x**2 / 2))
 
 
-def lattice_wavenumber(grid, index):
-    """A frequency guaranteed to be on the dual lattice."""
-    return 2 * np.pi * index / grid.length
-
-
-def in_band_coefficients(grid, rng, cutoff):
-    """Spectrum of one random field drawn inside its band |k| <= cutoff only:
-    interleaved (re, im) N(0, 1) pairs in C order over the FFT-order
-    positions of k = 0..c, then -c..-1 on each axis; exact zeros elsewhere."""
-    n = grid.points
-    assert 2 * cutoff + 1 <= n
-    inside = np.r_[0:cutoff + 1, n - cutoff:n]
-    draws = rng.standard_normal((inside.size,) * grid.d + (2,))
-    band = np.empty(draws.shape[:-1], dtype=np.complex128)
-    band.real, band.imag = draws[..., 0], draws[..., 1]
-    coef = np.zeros(grid.shape, dtype=np.complex128)
-    coef[np.ix_(*(inside,) * grid.d)] = band
-    return coef
-
-
-def band_mask(grid, cutoff):
-    """True where |k| <= cutoff on every axis, FFT order."""
-    inside = np.abs(np.rint(np.fft.fftfreq(grid.points) * grid.points)) <= cutoff
-    mask = inside
-    for _ in range(grid.d - 1):
-        mask = np.logical_and.outer(mask, inside)
-    return mask
-
-
-def from_unitary(grid, coef):
-    """The Field whose unitary coefficients (the convention of `hartreelab.grid`)
-    are coef: (2 pi)^{d/2} dx^-d ifftn(coef (-1)^{k1+...+kd})."""
-    signs = np.where(np.indices(grid.shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
-    scale = (2 * np.pi) ** (grid.d / 2) / grid.dx**grid.d
-    return Field(grid, scale * np.fft.ifftn(coef * signs))
-
-
-def plane_wave(grid, k0):
-    phase = np.zeros(grid.shape)
-    k0 = np.atleast_1d(np.asarray(k0, dtype=float))
-    for ax, kc in zip(grid.coords(), k0):
-        phase = phase + kc * ax
-    return Field(grid, np.exp(1j * phase))
-
-
 @pytest.fixture
 def two_mode_family():
     grid = Grid(d=1, length=32.0, points=1024)

@@ -8,6 +8,12 @@ phase `hartreelab.wkb.action_phase`.  The rest are plain references the
 commands never run: the full-lattice multiplier `multiplier_grid`, the
 mixed derivative `spectral_derivative`, the free flow `free_propagator`
 (with `np.exp`), `l1_norm` and the records reader `read_records_csv`.
+`strang_run` steps a state through the sample gaps with `solver.advance`
+as the CLI does, for the tests that need states at several times.  The
+test data builders (`lattice_wavenumber`, `in_band_coefficients`,
+`band_mask`, `from_unitary`, `plane_wave`) live here too, not in
+`conftest.py`: a benchmark run that collects `bench/` beside `tests/`
+has a `conftest` module of its own.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from hartreelab.kernel import (
     half_multiplier,
     zero_mode_value,
 )
+from hartreelab import solver
 from hartreelab.wkb import ModeFamily, check_containment
 
 DIRECT_COST_GUARD = 2**16  # quadratic-cost cap on total points for the oracle
@@ -233,6 +240,66 @@ def free_propagator(f: Field, eps: float, t: float) -> Field:
     g = f.grid
     phase = np.exp(-0.5j * eps * t * g.freq_norm_sq())
     return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * phase))
+
+
+def strang_run(u0: Field, spec: KernelSpec, params, samples) -> tuple:
+    """(states, L2 norms) at t = 0 and at each of the increasing `samples`:
+    one `solver.advance` per gap from `solver.start`, the loop of
+    `hartreelab simulate`."""
+    raw, l2, w = solver.start(u0.values, u0.grid)
+    khat_half = half_multiplier(spec, u0.grid, spec.coupling)
+    states, masses, t_prev = [u0.values], [l2], 0.0
+    for t in samples:
+        raw, mass = solver.advance(raw, u0.grid, khat_half, params, t_prev, t, l2 + w)
+        states.append(np.fft.ifftn(raw))
+        masses.append(mass)
+        t_prev = t
+    return states, masses
+
+
+def lattice_wavenumber(grid, index):
+    """A frequency guaranteed to be on the dual lattice."""
+    return 2 * np.pi * index / grid.length
+
+
+def in_band_coefficients(grid, rng, cutoff):
+    """Spectrum of one random field drawn inside its band |k| <= cutoff only:
+    interleaved (re, im) N(0, 1) pairs in C order over the FFT-order
+    positions of k = 0..c, then -c..-1 on each axis; exact zeros elsewhere."""
+    n = grid.points
+    assert 2 * cutoff + 1 <= n
+    inside = np.r_[0:cutoff + 1, n - cutoff:n]
+    draws = rng.standard_normal((inside.size,) * grid.d + (2,))
+    band = np.empty(draws.shape[:-1], dtype=np.complex128)
+    band.real, band.imag = draws[..., 0], draws[..., 1]
+    coef = np.zeros(grid.shape, dtype=np.complex128)
+    coef[np.ix_(*(inside,) * grid.d)] = band
+    return coef
+
+
+def band_mask(grid, cutoff):
+    """True where |k| <= cutoff on every axis, FFT order."""
+    inside = np.abs(np.rint(np.fft.fftfreq(grid.points) * grid.points)) <= cutoff
+    mask = inside
+    for _ in range(grid.d - 1):
+        mask = np.logical_and.outer(mask, inside)
+    return mask
+
+
+def from_unitary(grid, coef):
+    """The Field whose unitary coefficients (the convention of `hartreelab.grid`)
+    are coef: (2 pi)^{d/2} dx^-d ifftn(coef (-1)^{k1+...+kd})."""
+    signs = np.where(np.indices(grid.shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
+    scale = (2 * np.pi) ** (grid.d / 2) / grid.dx**grid.d
+    return Field(grid, scale * np.fft.ifftn(coef * signs))
+
+
+def plane_wave(grid, k0):
+    phase = np.zeros(grid.shape)
+    k0 = np.atleast_1d(np.asarray(k0, dtype=float))
+    for ax, kc in zip(grid.coords(), k0):
+        phase = phase + kc * ax
+    return Field(grid, np.exp(1j * phase))
 
 
 def l1_norm(f: Field) -> float:

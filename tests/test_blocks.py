@@ -29,8 +29,7 @@ from hartreelab.harness import (
 from hartreelab.kernel import split_norms
 from hartreelab.norms import _algebra_bounds, _hartree_bounds
 
-from conftest import in_band_coefficients
-from oracles import multiplier_grid
+from oracles import in_band_coefficients, multiplier_grid
 
 TWO_PI = 2.0 * np.pi
 

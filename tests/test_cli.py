@@ -543,7 +543,7 @@ class TestLoadRanges:
         def unreachable(*args, **kwargs):
             raise AssertionError("validate went past its step budget check")
 
-        monkeypatch.setattr(harness, "evolve", unreachable)
+        monkeypatch.setattr(harness, "advance", unreachable)
         monkeypatch.setattr(harness, "_algebra_campaign", unreachable)
         doc = base_config(tmp_path, final_time=1e-6, sample_times=[5e-7, 1e-6],
                           dt_factor=1e-9)

@@ -22,8 +22,8 @@ from hartreelab import (
 from hartreelab.grid import TWO_PI
 from hartreelab.kernel import _half_khat, convolve, half_multiplier
 
-from conftest import lattice_wavenumber, plane_wave
 from oracles import _CELL_NODES, _singular_cell_mass, convolve_direct, multiplier_grid
+from oracles import lattice_wavenumber, plane_wave
 
 
 class TestHartreeConstant:

@@ -31,7 +31,7 @@ from hartreelab.norms import (
 )
 from hartreelab.wkb import _half_laplacians
 
-from conftest import from_unitary, lattice_wavenumber, plane_wave
+from oracles import from_unitary, lattice_wavenumber, plane_wave
 
 
 def band_limited(grid, rng, cutoff):
@@ -67,7 +67,8 @@ class TestBasicNorms:
         assert abs(l2_norm(f) - np.pi**0.25) < 1e-10
 
     def test_l2_homogeneity(self, gaussian_field):
-        assert l2_norm(2.0 * gaussian_field) == pytest.approx(
+        doubled = Field(gaussian_field.grid, 2.0 * gaussian_field.values)
+        assert l2_norm(doubled) == pytest.approx(
             2 * l2_norm(gaussian_field), rel=1e-14
         )
 
@@ -91,8 +92,9 @@ class TestBasicNorms:
                       + 1j * rng.standard_normal(grid1d.shape))
             g = Field(grid1d, rng.standard_normal(grid1d.shape)
                       + 1j * rng.standard_normal(grid1d.shape))
-            assert l2_norm(f + g) <= (l2_norm(f) + l2_norm(g)) * (1 + 1e-12)
-            assert wiener_norm(f + g) <= (wiener_norm(f) + wiener_norm(g)) * (
+            total = Field(grid1d, f.values + g.values)
+            assert l2_norm(total) <= (l2_norm(f) + l2_norm(g)) * (1 + 1e-12)
+            assert wiener_norm(total) <= (wiener_norm(f) + wiener_norm(g)) * (
                 1 + 1e-12
             )
 
@@ -138,6 +140,18 @@ class TestChunkedModuli:
         assert l2_norm(Field(grid, values)) == samples
         assert wiener_norm(Field(grid, values)) == wiener
         assert _norms_in_place(values.copy(), grid) == (samples, wiener)
+
+    @pytest.mark.parametrize("d, points", [(1, 256), (2, 256)])
+    def test_in_place_forms_each_sum_once(self, monkeypatch, d, points):
+        # L2 sums the squares of the samples, Wiener the moduli of the
+        # spectrum: one sum per block each, none formed and dropped
+        grid = Grid(d=d, length=16.0, points=points)
+        values = np.ones(grid.shape, dtype=np.complex128)
+        sums, real_sum = [], np.sum
+        monkeypatch.setattr(np, "sum", lambda *a, **k: sums.append(1) or real_sum(*a, **k))
+        _norms_in_place(values, grid)
+        monkeypatch.undo()
+        assert len(sums) == 2 * -(-grid.total_points // CHUNK)
 
     def test_moduli_take_chunk_scratch(self):
         grid = Grid(d=2, length=16.0, points=256)
@@ -320,7 +334,8 @@ class TestAlgebraBound:
             pair, w = _random_band_limited(grid, rng, grid.points // 4 - 1, 1, 2)
             f, g = (Field(grid, v.copy()) for v in pair[0])
             rep = _algebra_bounds(pair, w, grid)[0]
-            assert rep.lhs == pytest.approx(wiener_norm(f * g), rel=1e-14)
+            product = Field(grid, f.values * g.values)
+            assert rep.lhs == pytest.approx(wiener_norm(product), rel=1e-14)
             assert rep.rhs == pytest.approx(wiener_norm(f) * wiener_norm(g), rel=1e-14)
 
     def test_fft_budget(self, grid1d, fft_calls):

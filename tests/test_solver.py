@@ -12,7 +12,6 @@ from hartreelab import (
     Grid,
     KernelSpec,
     SolverParams,
-    evolve,
     initial_data,
     l2_norm,
     l2w_norm,
@@ -28,9 +27,8 @@ from hartreelab.norms import _norms, _wiener_from_modulus
 from hartreelab.grid import CHUNK, padded_zeros
 from hartreelab.solver import advance
 from hartreelab.wkb import snapshot
-from oracles import free_propagator, multiplier_grid
-
-from conftest import lattice_wavenumber, plane_wave
+from oracles import free_propagator, lattice_wavenumber, multiplier_grid, plane_wave
+from oracles import strang_run
 
 
 class TestSolverParams:
@@ -100,8 +98,8 @@ class TestHartreePotential:
 
 
 def one_step(u, spec, params):
-    """A single Strang step of length params.dt through evolve."""
-    return evolve(u, spec, params, [params.dt]).state_at(params.dt)
+    """A single Strang step of length params.dt through `advance`."""
+    return Field(u.grid, strang_run(u, spec, params, [params.dt])[0][-1])
 
 
 class TestStrangStep:
@@ -140,11 +138,11 @@ class TestStrangStep:
 
         def run(dt):
             params = SolverParams(eps=eps, dt=dt, final_time=horizon)
-            return evolve(u0, kernel1d, params, [horizon]).state_at(horizon)
+            return strang_run(u0, kernel1d, params, [horizon])[0][-1]
 
         ref = run(horizon / 128)
         errs = [
-            l2_norm(run(horizon / n) - ref) for n in (4, 8, 16)
+            l2_norm(Field(grid, run(horizon / n) - ref)) for n in (4, 8, 16)
         ]
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
@@ -167,7 +165,7 @@ def six_fft_strang(u0, spec, eps, dt_request, samples):
     take their own forward/inverse FFT pair, six transforms per step.
 
     Returns the states and the l2 norms at the samples, t = 0 first, and
-    raises DivergenceError at the same step and time as evolve.
+    raises DivergenceError at the same step and time as `advance`.
     """
     g = u0.grid
     khat = multiplier_grid(spec, g)
@@ -288,10 +286,10 @@ class TestEvolve:
         u0 = Field(grid, np.exp(-x**2 / 2))
         eps, t_end = 0.3, 1.0
         params = SolverParams(eps=eps, dt=0.25 * eps, final_time=t_end, dt_factor=0.25)
-        traj = evolve(u0, spec, params, [t_end])
+        stepped = strang_run(u0, spec, params, [t_end])[0][-1]
         sigma_sq = 1.0 + 1j * eps * t_end
         exact = np.exp(-(x**2) / (2 * sigma_sq)) / np.sqrt(sigma_sq)
-        err = l2_norm(traj.state_at(t_end) - Field(grid, exact))
+        err = l2_norm(Field(grid, stepped - exact))
         assert err < 1e-6
 
     def test_free_plane_wave_matches_propagator(self, grid1d):
@@ -299,32 +297,38 @@ class TestEvolve:
         k0 = lattice_wavenumber(grid1d, 6)
         u0 = plane_wave(grid1d, k0)
         params = SolverParams(eps=0.4, dt=0.02, final_time=0.2)
-        traj = evolve(u0, spec, params, [0.1, 0.2])
-        for t in (0.1, 0.2):
+        states, _ = strang_run(u0, spec, params, [0.1, 0.2])
+        for t, state in zip((0.1, 0.2), states[1:]):
             expected = free_propagator(u0, 0.4, t)
-            assert np.max(np.abs(traj.state_at(t).values - expected.values)) < 1e-12
+            assert np.max(np.abs(state - expected.values)) < 1e-12
 
     def test_mass_log_constant(self, kernel1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
-        traj = evolve(gaussian_field, kernel1d, params, [0.25, 0.5])
-        assert traj.mass_drift() < 1e-10
+        _, masses = strang_run(gaussian_field, kernel1d, params, [0.25, 0.5])
+        assert max(abs(m - masses[0]) for m in masses) / masses[0] < 1e-10
 
     def test_gauge_covariance(self, kernel1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.2)
         phase = np.exp(1j * 0.7)
-        a = evolve(gaussian_field, kernel1d, params, [0.2]).state_at(0.2)
-        b = evolve(phase * gaussian_field, kernel1d, params, [0.2]).state_at(0.2)
-        assert np.max(np.abs(b.values - phase * a.values)) < 1e-12
+        turned = Field(gaussian_field.grid, phase * gaussian_field.values)
+        a = strang_run(gaussian_field, kernel1d, params, [0.2])[0][-1]
+        b = strang_run(turned, kernel1d, params, [0.2])[0][-1]
+        assert np.max(np.abs(b - phase * a)) < 1e-12
 
     def test_sample_times_hit_exactly(self, kernel1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.03, final_time=0.5)
-        traj = evolve(gaussian_field, kernel1d, params, [0.17, 0.5])
-        assert traj.times == (0.0, 0.17, 0.5)
+        # each gap is cut into equal steps ending on its sample time: the
+        # states match the six-FFT loop, which cuts the gaps that way
+        samples = [0.17, 0.5]
+        states, _ = strang_run(gaussian_field, kernel1d, params, samples)
+        reference, _ = six_fft_strang(gaussian_field, kernel1d, 0.5, 0.03, samples)
+        for state, want in zip(states, reference):
+            assert np.max(np.abs(state - want)) < 1e-12
 
     def test_divergence_guard_reports_time(self):
         u0, spec, params = divergence_case()
         with pytest.raises(DivergenceError) as err:
-            evolve(u0, spec, params, [4.0])
+            strang_run(u0, spec, params, [4.0])
         assert err.value.time > 0
 
     def test_divergence_guard_trips_on_nan(self, kernel1d, gaussian_field):
@@ -347,17 +351,17 @@ class TestEvolve:
         eps, samples = 0.1, [0.555, 1.0]
         u0 = Field(grid, np.exp(-(x**2 + y**2) / 2 + 1j * (0.5 * x - 0.3 * y) / eps))
         params = SolverParams(eps=eps, dt=0.1 * eps, final_time=1.0)
-        traj = evolve(u0, spec, params, samples)
+        got_states, got_masses = strang_run(u0, spec, params, samples)
         states, masses = six_fft_strang(u0, spec, eps, params.dt, samples)
-        for t, state in zip(traj.times, states):
-            assert np.max(np.abs(traj.state_at(t).values - state)) < 1e-12
-        for got, want in zip(traj.mass_log, masses):
+        for got, state in zip(got_states, states):
+            assert np.max(np.abs(got - state)) < 1e-12
+        for got, want in zip(got_masses, masses):
             assert abs(got - want) < 1e-12 * want
 
     def test_divergence_time_matches_six_fft_reference(self):
         u0, spec, params = divergence_case()
         with pytest.raises(DivergenceError) as fused:
-            evolve(u0, spec, params, [4.0])
+            strang_run(u0, spec, params, [4.0])
         with pytest.raises(DivergenceError) as reference:
             six_fft_strang(u0, spec, params.eps, params.dt, [4.0])
         assert fused.value.time == reference.value.time
@@ -370,16 +374,17 @@ class TestEvolve:
         params = SolverParams(eps=1.0, dt=0.05, final_time=4.0)
         samples = [0.1, 4.0]
         with pytest.raises(DivergenceError) as fused:
-            evolve(u0, spec, params, samples)
+            strang_run(u0, spec, params, samples)
         with pytest.raises(DivergenceError) as reference:
             six_fft_strang(u0, spec, params.eps, params.dt, samples)
         assert fused.value.time > samples[0]
         assert fused.value.time == reference.value.time
 
-    def test_rejects_sample_outside_horizon(self, kernel1d, gaussian_field):
-        params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
-        with pytest.raises(ValueError, match="outside"):
-            evolve(gaussian_field, kernel1d, params, [0.7])
+    def test_rejects_sample_outside_horizon(self):
+        # the run file is where simulate's and the sweep's sample times come from
+        cfg = load_config(REFERENCE_1D)
+        with pytest.raises(ValueError, match=r"lie in \(0, final_time\]"):
+            dataclasses.replace(cfg, sample_times=(cfg.final_time * 1.4,))
 
 
 def count_steps(monkeypatch) -> list:
@@ -417,11 +422,11 @@ class TestStepCount:
         class Evolved(Exception):
             """Raised once the integrator check has stepped past its budget."""
 
-        def evolve_then_stop(*args):
-            evolve(*args)
+        def advance_then_stop(*args):
+            solver.advance(*args)
             raise Evolved
 
-        monkeypatch.setattr(harness, "evolve", evolve_then_stop)
+        monkeypatch.setattr(harness, "advance", advance_then_stop)
         with pytest.raises(Evolved):
             harness.validate_suite(cfg)
         assert len(steps) == 65
@@ -688,10 +693,10 @@ class TestPicard:
         eps, horizon = 0.1, 0.01
         u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps))
         params = SolverParams(eps=eps, dt=horizon / 32, final_time=horizon)
-        stepped = evolve(u0, kernel1d, params, [horizon]).state_at(horizon)
+        stepped = strang_run(u0, kernel1d, params, [horizon])[0][-1]
         fixed = picard_evolve(u0, kernel1d, eps=eps, horizon=horizon,
                               tol=1e-12, nodes=32)
-        assert l2w_norm(stepped - fixed) < 1e-6
+        assert l2w_norm(Field(grid, stepped - fixed.values)) < 1e-6
 
     def test_matches_physical_space_reference(self, kernel1d):
         # the setup of test_cross_integrator_agreement
@@ -707,7 +712,8 @@ class TestPicard:
 
     def test_simpson_order_at_validate_parameters(self, validate_picard):
         ref = validate_picard(256)
-        errs = [l2w_norm(validate_picard(n) - ref) for n in (16, 32, 64)]
+        errs = [l2w_norm(Field(ref.grid, validate_picard(n).values - ref.values))
+                for n in (16, 32, 64)]
         for coarse, fine in zip(errs, errs[1:]):
             assert abs(coarse / fine - 16.0) <= 2.0
         assert errs[1] < 5e-9  # the validate suite's 32 nodes
