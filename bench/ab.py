@@ -19,7 +19,12 @@ For each workload and each end-to-end metric of BENCHMARK.json the
 summary prints the parent's median and quartiles, the change's median,
 the change/parent ratio of the medians, the pairs the change won (lower
 or higher is better as BENCHMARK.json says) and the change/parent ratio
-of every pair.
+of every pair.  Below them come the same rows for the raw medians each
+run prints beside its corrected metrics (`RAW`): the uncorrected wall
+and setup times and the control kernel's time.  perfbench divides each
+unit by its control kernel, whose speed moves with the heap layout the
+unit leaves behind, so a corrected `wall_s` that rises while the
+uncorrected wall stays flat is the control's doing, not the unit's.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -60,15 +66,31 @@ def trees(rev: str):
             _git("worktree", "remove", "--force", str(parent))
 
 
+# the raw medians, in s, that `perfbench/run.py` prints beside its corrected metrics
+RAW = {
+    "uncorrected_wall_s": re.compile(r"^\s*uncorrected\s+median (\S+) s", re.M),
+    "uncorrected_setup_s": re.compile(r"uncorrected setup median (\S+) s"),
+    "control_s": re.compile(r"^\s*control\s+median (\S+) s", re.M),
+}
+RAW_METRICS = [{"name": name, "better": "lower"} for name in RAW]
+
+
+def raw_medians(stdout: str) -> dict:
+    """The `RAW` medians found in one run's stdout."""
+    return {name: float(m.group(1)) for name, rx in RAW.items() if (m := rx.search(stdout))}
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """End-to-end metric values of one `perfbench/run.py` process in `tree`."""
+    """End-to-end metric values and raw medians of one `perfbench/run.py`
+    process in `tree`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{workload} in {tree} exited with code {proc.returncode}")
-    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+    metrics = json.loads(lines[-1])["metrics"]
+    return {**{name: m["value"] for name, m in metrics.items()}, **raw_medians(proc.stdout)}
 
 
 def _quartiles(values: list) -> tuple:
@@ -80,10 +102,13 @@ def _quartiles(values: list) -> tuple:
 
 def summarize(pairs: list, metrics: list) -> list:
     """One row per metric of `metrics` (BENCHMARK.json's end_to_end
-    entries) from `pairs`, a list of (parent, change) metric dicts."""
+    entries, then `RAW_METRICS`) from `pairs`, a list of (parent, change)
+    metric dicts; a metric some run lacks gets no row."""
     rows = []
     for metric in metrics:
         name = metric["name"]
+        if not all(name in side for pair in pairs for side in pair):
+            continue
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         lower = metric["better"] == "lower"
@@ -134,10 +159,11 @@ def main(argv=None) -> int:
                 got = {tree: run_once(tree, workload, seed) for tree in sides}
                 pairs.append((got[parent], got[change]))
                 print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}): "
-                      + ", ".join(f"{m['name']} {got[parent][m['name']]:.4g} -> "
-                                  f"{got[change][m['name']]:.4g}" for m in metrics),
+                      + ", ".join(f"{name} {got[parent][name]:.4g} -> "
+                                  f"{got[change][name]:.4g}"
+                                  for name in got[parent] if name in got[change]),
                       file=sys.stderr, flush=True)
-            tables.append(format_rows(workload, summarize(pairs, metrics)))
+            tables.append(format_rows(workload, summarize(pairs, metrics + RAW_METRICS)))
     print(HEADER)
     print("\n".join(tables))
     return 0

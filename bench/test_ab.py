@@ -1,8 +1,12 @@
 """The summary of `bench/ab.py` on synthetic pairs."""
 
+import json
+import subprocess
+
 import pytest
 
-from ab import format_rows, summarize
+import ab
+from ab import RAW_METRICS, format_rows, raw_medians, run_once, summarize
 
 
 @pytest.fixture(autouse=True)
@@ -35,3 +39,40 @@ def test_summary_of_synthetic_pairs():
 def test_one_pair_has_degenerate_quartiles():
     (row,) = summarize([({"wall_s": 2.0}, {"wall_s": 1.0})], METRICS[:1])
     assert row["parent_quartiles"] == (2.0, 2.0) and row["wins"] == 1
+
+
+# the lines `perfbench/run.py` prints for one untraced workload
+STDOUT = """== sweep_1d: 31 units, seed 0, threads 1, closed loop, one caller
+  wall_s       0.184466 s
+  setup_s      0.412075 s
+  peak_rss_mb  40.4805 MiB
+  uncorrected  median 0.17951 s, p68 0.181034 s over 31 units
+  control      median 0.00445137 s; uncorrected setup median 0.395216 s
+  error_rate   0 (0 failed / 31 attempted)
+  context {"threads": 1}
+""" + json.dumps({"correct": True, "attempted": 31, "failed": 0, "metrics": {
+    "wall_s": {"value": 0.184466, "unit": "s"},
+    "setup_s": {"value": 0.412075, "unit": "s"},
+    "peak_rss_mb": {"value": 40.4805, "unit": "MiB"}}}) + "\n"
+
+
+def test_run_once_reads_the_raw_medians_beside_the_corrected(monkeypatch, tmp_path):
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=STDOUT)
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert run_once(tmp_path, "sweep_1d", 0) == {
+        "wall_s": 0.184466, "setup_s": 0.412075, "peak_rss_mb": 40.4805,
+        "uncorrected_wall_s": 0.17951, "uncorrected_setup_s": 0.395216,
+        "control_s": 0.00445137}
+
+
+def test_raw_rows_follow_the_corrected_and_skip_a_missing_median():
+    # "corrected up, unit flat": the control slowed, the unit did not
+    parent = {"wall_s": 1.0, **raw_medians(STDOUT)}
+    change = {"wall_s": 1.1, **raw_medians(STDOUT.replace("0.00445137", "0.0040467"))}
+    del change["uncorrected_setup_s"]
+    rows = summarize([(parent, change)], METRICS[:1] + RAW_METRICS)
+    assert [r["metric"] for r in rows] == ["wall_s", "uncorrected_wall_s", "control_s"]
+    assert [r["median_ratio"] for r in rows] == pytest.approx([1.1, 1.0, 0.0040467 / 0.00445137])
+    assert raw_medians("no medians here") == {}

@@ -20,8 +20,8 @@
 - `test_snapshot[FAMILY]`: one warm `wkb.snapshot` at t > 0 (the
   amplitudes alone) of the two-mode reference_2d family at t = 0.25 and
   of the four-mode 256^2 family at t = 0.0625.
-- `test_start`: one warm `harness._start` (initial data, t = 0 error and
-  raw spectrum of one eps) on reference_2d at eps = 0.05.
+- `test_start`: one warm `harness._start` (initial data and raw spectrum
+  of one eps) on reference_2d at eps = 0.05.
 - `test_record[FAMILY]`: one warm `harness._record` and
   `harness._z2_norms` (errors and remainder from the amplitudes, then Z2
   from their half-Laplacians, of one eps at one sample time, in its
@@ -200,7 +200,7 @@ def _record_config(family: str, cases: dict = RECORD_CASES):
 @pytest.mark.parametrize("family", sorted(RECORD_CASES))
 def test_record(benchmark, fft_calls, monkeypatch, family):
     cfg = _record_config(family)
-    run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
+    run = harness._start(cfg, cfg.epsilons[0])
     t = cfg.sample_times[0]
     khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     assert harness._advance(cfg, khat_half, 0.0, t, run) is None
@@ -261,12 +261,11 @@ def test_snapshot(benchmark, fft_calls, monkeypatch, family):
 
 def test_start(benchmark, fft_calls, monkeypatch):
     cfg = _record_config("two_mode_512x512", SNAPSHOT_CASES)
-    call = functools.partial(harness._start, cfg, snapshot(cfg.family, 0.0, cfg.kernel),
-                             cfg.epsilons[0])
+    call = functools.partial(harness._start, cfg, cfg.epsilons[0])
     call()
     calls, peak = _fft_calls_and_peak(fft_calls, monkeypatch, call, cfg.grid)
     benchmark.extra_info.update(fft_calls_per_call=calls, peak_state_arrays=peak)
-    assert calls == 2  # the spectrum and the error's Wiener norm
+    assert calls == 1  # the spectrum
     benchmark(call)
 
 

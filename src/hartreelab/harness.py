@@ -17,10 +17,10 @@ amplitudes a_j(t), the time's one set of mode arrays.  Every eps first
 takes its error and remainder norms, which read the amplitudes alone.
 Each amplitude then turns in place into (1/2) Lap a_j, its spectrum
 giving its share of ||a(t)||_E (`wkb._half_laplacians`), and every eps
-takes its Z2 norms, which finish its record.  At t = 0 `_start` reads
-the family's alpha arrays (a_j(0) = alpha_j): their u_app must
-reproduce the initial data exactly (`initial_exactness`).  `--threads N`
-maps each time's per-eps advances, records and Z2 passes over N threads.
+takes its Z2 norms, which finish its record.  Once per sweep, before any
+eps starts, the t = 0 snapshot must give a_j(0) = alpha_j exactly, so
+u_app(0) = u0 (`initial_exactness`).  `--threads N` maps each time's
+per-eps advances, records and Z2 passes over N threads.
 
 A record works in a pair of complex field buffers per worker thread, U
 and A, passed as the `out=` of the public `wkb` record terms: u_app goes
@@ -34,8 +34,7 @@ scratch, so a record holds nothing of field size beyond U and A.
 Every pair is dropped before the conversion; the Z2 pass (`_z2_norms`)
 then takes one buffer per worker.
 Every sum of mode carriers is `wkb.assemble`, one block of rows at a
-time with block-sized scratch.  `_start` holds three arrays: u0, the
-spectrum and u0 - u_app.
+time with block-sized scratch.  `_start` holds two arrays: u0 and its spectrum.
 
 The validation campaigns draw and check their fields in stacks of
 `Grid.block_rows`.  Each field draws only the coefficients inside its
@@ -167,24 +166,16 @@ class _EpsRun:
     raw: np.ndarray
     norm0: float
     mass0: float
-    init_err: float
     mass: float = None
     norms: tuple = None  # (L2, Wiener) of the error and of r at the current time
     records: list = field(default_factory=list)
 
 
-def _start(cfg: SweepConfig, amps0: tuple, eps: float) -> _EpsRun:
-    """Initial data of one eps, its t = 0 error against the u_app of the
-    amplitudes `amps0` at t = 0, and its raw spectrum; u0 - u_app
-    overwrites u_app."""
-    u0 = initial_data(cfg.family, eps).values
-    err = assemble(cfg.family, amps0, 0.0, eps)
-    np.subtract(u0, err, out=err)
-    raw, l2_0, w_0 = start(u0, cfg.grid)
-    del u0  # dropped before the error's norms
-    init_err = sum(_norms_in_place(err, cfg.grid))
+def _start(cfg: SweepConfig, eps: float) -> _EpsRun:
+    """Initial data of one eps and its raw spectrum."""
+    raw, l2_0, w_0 = start(initial_data(cfg.family, eps).values, cfg.grid)
     params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
-    return _EpsRun(eps, params, raw, l2_0 + w_0, l2_0, init_err)
+    return _EpsRun(eps, params, raw, l2_0 + w_0, l2_0)
 
 
 def _advance(cfg: SweepConfig, khat_half, t_prev: float, t: float, run: _EpsRun):
@@ -245,13 +236,13 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
         each = pool.map if pool else map
-        # a_j(0) = alpha_j: the family's own arrays, no copy and no transform
-        amps = tuple(m.alpha.values for m in cfg.family.modes)
-        runs = list(each(functools.partial(_start, cfg, amps), cfg.epsilons))
-        init_errs = {run.eps: run.init_err for run in runs}  # failed eps count too
+        amps = snapshot(cfg.family, 0.0, cfg.kernel)  # a_j(0) - alpha_j in place
+        init_err = max(sum(_norms_in_place(np.subtract(a, m.alpha.values, out=a), cfg.grid))
+                       for a, m in zip(amps, cfg.family.modes))
+        del amps  # dropped before any eps starts
+        runs = list(each(functools.partial(_start, cfg), cfg.epsilons))
         t_prev = 0.0
         for t in cfg.sample_times:
-            del amps  # one set of mode arrays at a time, none while stepping
             step = functools.partial(_advance, cfg, khat_half, t_prev, t)
             outcomes = list(each(step, runs))
             failures.update((r.eps, str(x)) for r, x in zip(runs, outcomes) if x)
@@ -264,6 +255,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             e_norms[t] = _half_laplacians(cfg.family, amps)  # in place
             list(each(functools.partial(_z2_norms, cfg, amps, t, buffers), runs))
             buffers.clear()
+            del amps  # one set of mode arrays at a time, none while stepping
             t_prev = t
 
     # deterministic order: config order, then t ascending
@@ -279,8 +271,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     else:
         beta_fitted = c_fitted = fit_residual = None
 
-    checks = _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
-                           e_norms)
+    checks = _sweep_checks(cfg, records, init_err, beta_expected, beta_fitted, worst, e_norms)
     return SweepResult(
         records=tuple(records),
         beta_expected=beta_expected,
@@ -293,17 +284,16 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     )
 
 
-def _sweep_checks(cfg, records, init_errs, beta_expected, beta_fitted, worst,
+def _sweep_checks(cfg, records, init_err, beta_expected, beta_fitted, worst,
                   e_norms) -> dict:
     """Bound checks on the measured records; margins are normalized
     headroom (tolerance - measured) / tolerance, passing iff >= 0.
-    init_errs maps every eps, failed or not, to its t = 0 error; e_norms
+    init_err is the largest combined norm of a_j(0) - alpha_j; e_norms
     maps each sample time with records to ||a(t)||_E."""
     checks = {}
 
-    init_worst = max(init_errs.values())
     checks["initial_exactness"] = _below(
-        init_worst, 1e-12, f"max t=0 error {init_worst:.3e}"
+        init_err, 1e-12, f"max t=0 error {init_err:.3e}"
     )
 
     if beta_fitted is not None:

@@ -396,8 +396,8 @@ class TestValidate:
         assert "RuntimeWarning" not in err
 
     def test_all_failed_summary_is_strict_json(self, tmp_path):
-        # every eps diverges: the t = 0 errors of the failed eps still
-        # bound initial_exactness, so no margin is -Infinity
+        # every eps diverges: initial_exactness is read from the t = 0
+        # snapshot before any eps starts, so no margin is -Infinity
         doc = base_config(tmp_path, **{"lambda": 1e306})
         assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
 

@@ -74,14 +74,13 @@ def small_config(tmp_path):
 def per_eps_reference(cfg):
     """The sweep as one independent run per eps: `advance` over every
     sample gap, then a snapshot per (eps, t) for the records and one
-    per t for the checks.  Returns (records, beta_fitted, checks, failures)."""
-    records, init_errs, failures, worst = [], {}, {}, []
+    per t for the checks, and the t = 0 error of the snapshot at t = 0.
+    Returns (records, beta_fitted, checks, failures)."""
+    records, failures, worst = [], {}, []
+    init_err = max(l2w_norm(Field(cfg.grid, a - m.alpha.values))
+                   for a, m in zip(snapshot(cfg.family, 0.0, cfg.kernel), cfg.family.modes))
     for eps in cfg.epsilons:
         u0 = initial_data(cfg.family, eps)
-        amps0 = snapshot(cfg.family, 0.0, cfg.kernel)
-        u_app0 = assemble(cfg.family, amps0, 0.0, eps)
-        # kept if the eps fails later
-        init_errs[eps] = l2w_norm(Field(cfg.grid, u0.values - u_app0))
         params = SolverParams(
             eps=eps,
             dt=min(cfg.dt_factor * eps, cfg.final_time),
@@ -123,7 +122,7 @@ def per_eps_reference(cfg):
     beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
     beta_fitted = fit_rate(worst).slope if len(worst) >= 2 else None
     checks = _sweep_checks(
-        cfg, records, init_errs, beta_expected, beta_fitted, worst, e_norms
+        cfg, records, init_err, beta_expected, beta_fitted, worst, e_norms
     )
     return records, beta_fitted, checks, failures
 
@@ -415,11 +414,13 @@ class TestRecordsFirst:
                           ("_half_laplacians", convert_spy), ("_z2_norms", z2_spy)):
             monkeypatch.setattr(harness, name, spy)
         result = run_sweep(cfg)
-        # no record runs after a conversion: two eps, two sample times
-        assert events == ["snapshot", "record", "record", "convert", "z2", "z2"] * 2
+        # the t = 0 snapshot first, then no record runs after a conversion:
+        # two eps, two sample times
+        each_time = ["snapshot", "record", "record", "convert", "z2", "z2"]
+        assert events == ["snapshot", *each_time * 2]
         assert len(result.records) == 4
         assert len(halves) == 4
-        for time_amps, z2_halves in zip(amps, halves[::2]):
+        for time_amps, z2_halves in zip(amps[1:], halves[::2]):
             assert len(z2_halves) == 2
             assert all(np.shares_memory(h, a) for h, a in zip(z2_halves, time_amps))
 
@@ -489,12 +490,12 @@ class TestLockstepSweep:
         monkeypatch.setattr(wkb, "snapshot", counted)
         cfg = with_epsilons(small_config, (0.2, 0.15, 0.1))
         run_sweep(cfg)
-        assert seen == list(cfg.sample_times)  # t = 0 reads the alphas, no snapshot
+        assert seen == [0.0, *cfg.sample_times]  # t = 0 once, for initial_exactness
 
     def test_two_mode_sweep_makes_no_t0_term_transforms(self, small_config, fft_calls):
-        # a t = 0 snapshot transforms nothing (zero phases and shifts), and
-        # the sweep reads the alphas at t = 0 without one: its only t = 0
-        # transforms are each eps's spectrum and error norm
+        # a t = 0 snapshot transforms nothing (zero phases and shifts): the
+        # sweep's only t = 0 transforms are each eps's spectrum and, once
+        # per sweep, the Wiener norm of each a_j(0) - alpha_j
         cfg = with_epsilons(small_config, (0.2, 0.1))
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 2
         assert len(cfg.family.modes) == n_modes and cfg.grid.d == 1
@@ -507,43 +508,46 @@ class TestLockstepSweep:
         )
         result = run_sweep(cfg)
         assert len(result.records) == n_eps * n_times
-        assert len(fft_calls) == (2 * n_eps + 4 * steps + 6 * n_modes * n_times
+        assert len(fft_calls) == (n_eps + n_modes + 4 * steps + 6 * n_modes * n_times
                                   + 6 * n_eps * n_times)
         assert result.checks["initial_exactness"].detail == "max t=0 error 0.000e+00"
 
-    def test_initial_exactness_reads_the_t0_amplitude_path(self, small_config,
-                                                           monkeypatch):
-        # a_j(0) = alpha_j: `_start` gets the family's own alpha arrays, and
-        # an amplitude that is not exactly alpha_j shows in the check
-        real = harness._start
-        seen = []
+    def test_initial_exactness_sees_a_phase_offset_at_t0(self, small_config,
+                                                         monkeypatch):
+        # Theta_j(0) = 0 is part of the t = 0 amplitude path: a phase off
+        # by 1e-9 at t = 0 alone must fail the check
+        real = wkb.action_phase
 
-        def start_spy(cfg, amps0, eps):
-            seen.append(amps0)
-            return real(cfg, amps0, eps)
+        def offset_at_t0(family, j, t, spec, spectra=None):
+            theta = real(family, j, t, spec, spectra)
+            return Field(theta.grid, theta.values + 1e-9) if t == 0.0 else theta
 
-        def drifted(cfg, amps0, eps):
-            return real(cfg, tuple(a + 1e-9 for a in amps0), eps)
+        monkeypatch.setattr(wkb, "action_phase", offset_at_t0)
+        check = run_sweep(with_epsilons(small_config, (0.2, 0.1))).checks["initial_exactness"]
+        assert not check.passed and check.detail != "max t=0 error 0.000e+00"
 
-        cfg = with_epsilons(small_config, (0.2, 0.1))
-        monkeypatch.setattr(harness, "_start", start_spy)
-        assert run_sweep(cfg).checks["initial_exactness"].passed
-        assert len(seen) == 2
-        for amps0 in seen:
-            assert all(a is m.alpha.values for a, m in zip(amps0, cfg.family.modes))
-        monkeypatch.setattr(harness, "_start", drifted)
-        check = run_sweep(cfg).checks["initial_exactness"]
+    def test_initial_exactness_sees_a_moved_zero_shift(self, small_config, monkeypatch):
+        # the zero-shift translate is part of the t = 0 amplitude path: one
+        # that moves its field by one dx must fail the check
+        real = wkb.translate
+
+        def moved(f, shift):
+            s = np.atleast_1d(np.asarray(shift, dtype=float))
+            return real(f, s if s.any() else s + f.grid.dx)
+
+        monkeypatch.setattr(wkb, "translate", moved)
+        check = run_sweep(with_epsilons(small_config, (0.2, 0.1))).checks["initial_exactness"]
         assert not check.passed and check.detail != "max t=0 error 0.000e+00"
 
     def test_transform_budget(self, fft_calls, monkeypatch):
         # in axis passes (a pass over blocks of rows counted once), on a d-D
         # grid: per sample time 4 d M for the snapshot, then a forward and
         # an inverse per amplitude for its eps-free terms (||a||_E and its
-        # half-Laplacian), 2 d M, however many eps there are (none at t = 0,
-        # whose amplitudes are the alphas); per record 6 d (state inverse,
-        # error Wiener norm, the remainder's real convolution pair, the
-        # Wiener norms of r and Z2); per eps at t = 0: 2 d; per Strang
-        # step: 4 d
+        # half-Laplacian), 2 d M, however many eps there are; once per
+        # sweep d M, the Wiener norms of a_j(0) - alpha_j (a t = 0 snapshot
+        # transforms nothing); per record 6 d (state inverse, error Wiener
+        # norm, the remainder's real convolution pair, the Wiener norms of
+        # r and Z2); per eps at t = 0: d; per Strang step: 4 d
         cfg = three_mode_config()
         d = cfg.grid.d
         n_eps, n_times, n_modes = len(cfg.epsilons), len(cfg.sample_times), 3
@@ -566,8 +570,8 @@ class TestLockstepSweep:
         laplacian_counted = counting("laplacian", grid_module.laplacian)
         monkeypatch.setattr(grid_module, "laplacian", laplacian_counted)
         monkeypatch.setattr(wkb, "laplacian", laplacian_counted)
-        # every carrier sum is `assemble`: u0 and u_app once per eps at
-        # t = 0, u_app and Z2 once per record
+        # every carrier sum is `assemble`: u0 once per eps at t = 0, u_app
+        # and Z2 once per record
         assemble_counted = counting("assemble", wkb.assemble)
         monkeypatch.setattr(wkb, "assemble", assemble_counted)
         monkeypatch.setattr(harness, "assemble", assemble_counted)
@@ -581,9 +585,9 @@ class TestLockstepSweep:
         )
         assert counts["advance_passes"] == 4 * d * steps
         assert fft_calls.axis_passes() - counts["advance_passes"] == d * (
-            2 * n_eps + 6 * n_modes * n_times + 6 * n_eps * n_times)
+            n_eps + n_modes + 6 * n_modes * n_times + 6 * n_eps * n_times)
         assert counts["laplacian"] == 0
-        assert counts["assemble"] == 2 * (n_eps * n_times + n_eps)
+        assert counts["assemble"] == n_eps + 2 * n_eps * n_times
 
     @pytest.fixture
     def doomed_middle_eps(self, monkeypatch):
@@ -643,7 +647,7 @@ def four_mode_config():
 def first_record_inputs(cfg):
     """(amplitudes, run) of the first eps at the first sample time, as
     `run_sweep` hands them to `_record`."""
-    run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
+    run = harness._start(cfg, cfg.epsilons[0])
     khat_half = half_multiplier(cfg.kernel, cfg.grid, cfg.kernel.coupling)
     t = cfg.sample_times[0]
     assert harness._advance(cfg, khat_half, 0.0, t, run) is None

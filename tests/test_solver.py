@@ -639,7 +639,7 @@ class TestPaddedLayout:
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
                           / "reference_2d.json")
         cfg = dataclasses.replace(cfg, epsilons=(cfg.epsilons[0],))
-        run = harness._start(cfg, snapshot(cfg.family, 0.0, cfg.kernel), cfg.epsilons[0])
+        run = harness._start(cfg, cfg.epsilons[0])
         pads = run.raw.base[..., cfg.grid.points:]
         assert pads.shape == (cfg.grid.points, 1) and not pads.any()
         t = cfg.sample_times[0]
