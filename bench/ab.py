@@ -5,10 +5,10 @@ against the working tree.
                        [--parent REV] [--pairs N] [--seed S]
 
 Run from anywhere inside the checkout.  The parent revision (default
-HEAD, the last commit) is checked out with `git worktree add --detach`,
-and the working tree's files (tracked, or untracked and not ignored) are
-copied beside it, into `parent` and `change` of one temporary directory
-that is removed afterwards.  Both paths then have the same length: the
+HEAD, the last commit) is unpacked with `git archive`, and the working
+tree's files (tracked, or untracked and not ignored) are copied beside
+it, into `parent` and `change` of one temporary directory that is
+removed afterwards.  Both paths then have the same length: the
 heap layout of a run moves with the length of its checkout's path, and
 with it the page faults of perfbench's control kernel and so `wall_s`.
 Pair i runs `perfbench/run.py --workload W --seed S+i` once in each tree,
@@ -17,26 +17,35 @@ odd ones, so drift of the host that lasts a pair lands on both sides.
 
 For each workload and each end-to-end metric of BENCHMARK.json the
 summary prints the parent's median and quartiles, the change's median,
-the change/parent ratio of the medians, the pairs the change won (lower
-or higher is better as BENCHMARK.json says) and the change/parent ratio
-of every pair.  Below them come the same rows for the raw medians each
-run prints beside its corrected metrics (`RAW`): the uncorrected wall
-and setup times and the control kernel's time.  perfbench divides each
+the change/parent ratio of the medians, the metric's BENCHMARK.json
+bound, flagged `OVER` when the change's median is worse than the
+parent's by more than it, the pairs the change won (lower or higher is
+better as BENCHMARK.json says) and the change/parent ratio of every
+pair.  Below them come the same rows for the raw medians each run
+prints beside its corrected metrics (`RAW`): the uncorrected wall and
+setup times and the control kernel's time.  perfbench divides each
 unit by its control kernel, whose speed moves with the heap layout the
 unit leaves behind, so a corrected `wall_s` that rises while the
 uncorrected wall stays flat is the control's doing, not the unit's.
+
+A run that exits non-zero is recorded with its exit code, and its pair
+is left out of the rows.  Below the table, one line per side sums the
+`attempted` and `failed` operations of its runs' last JSON lines and
+lists the exit codes that were not 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import re
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -50,20 +59,20 @@ def _git(*args) -> str:
 
 @contextlib.contextmanager
 def trees(rev: str):
-    """(parent, change): a detached worktree of `rev` and a copy of the
-    working tree, side by side in a temporary directory."""
+    """(parent, change): the files of `rev` and a copy of the working tree,
+    side by side in a temporary directory."""
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         parent, change = Path(tmp) / "parent", Path(tmp) / "change"
-        _git("worktree", "add", "--detach", str(parent), rev)
-        try:
-            for rel in _git("ls-files", "-z", "--cached", "--others",
-                            "--exclude-standard").split("\0"):
-                if rel and (ROOT / rel).is_file():  # a deleted file is still listed
-                    (change / rel).parent.mkdir(parents=True, exist_ok=True)
-                    shutil.copy2(ROOT / rel, change / rel)
-            yield parent, change
-        finally:
-            _git("worktree", "remove", "--force", str(parent))
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent, filter="data")
+        for rel in _git("ls-files", "-z", "--cached", "--others",
+                        "--exclude-standard").split("\0"):
+            if rel and (ROOT / rel).is_file():  # a deleted file is still listed
+                (change / rel).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / rel, change / rel)
+        yield parent, change
 
 
 # the raw medians, in s, that `perfbench/run.py` prints beside its corrected metrics
@@ -81,16 +90,32 @@ def raw_medians(stdout: str) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """End-to-end metric values and raw medians of one `perfbench/run.py`
-    process in `tree`."""
+    """The exit code of one `perfbench/run.py` process in `tree`, the
+    `attempted` and `failed` counts of its last line and, if it exited 0,
+    its end-to-end metric values and raw medians."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{workload} in {tree} exited with code {proc.returncode}")
-    metrics = json.loads(lines[-1])["metrics"]
-    return {**{name: m["value"] for name, m in metrics.items()}, **raw_medians(proc.stdout)}
+    try:
+        last = json.loads(lines[-1]) if lines else {}
+    except json.JSONDecodeError:  # a run that stopped before its JSON line
+        last = {}
+    run = {"exit_code": proc.returncode,
+           **{key: last[key] for key in ("attempted", "failed") if key in last}}
+    if proc.returncode != 0 or "metrics" not in last:
+        return run
+    return {**run, **{name: m["value"] for name, m in last["metrics"].items()},
+            **raw_medians(proc.stdout)}
+
+
+def side_totals(runs: list) -> str:
+    """Summed `attempted` and `failed` of one side's runs, and the exit
+    codes that were not 0."""
+    codes = [r["exit_code"] for r in runs if r["exit_code"] != 0]
+    return (f"{sum(r.get('attempted', 0) for r in runs)} attempted, "
+            f"{sum(r.get('failed', 0) for r in runs)} failed, "
+            f"non-zero exits {codes or 'none'}")
 
 
 def _quartiles(values: list) -> tuple:
@@ -103,21 +128,29 @@ def _quartiles(values: list) -> tuple:
 def summarize(pairs: list, metrics: list) -> list:
     """One row per metric of `metrics` (BENCHMARK.json's end_to_end
     entries, then `RAW_METRICS`) from `pairs`, a list of (parent, change)
-    metric dicts; a metric some run lacks gets no row."""
+    run dicts; a pair with a run that exited non-zero is left out, and a
+    metric some other run lacks gets no row.  A metric with a `bound` is
+    `over` when the change's median is worse than the parent's by more
+    than that fraction."""
+    pairs = [pair for pair in pairs if not any(side.get("exit_code") for side in pair)]
     rows = []
     for metric in metrics:
         name = metric["name"]
-        if not all(name in side for pair in pairs for side in pair):
+        if not pairs or not all(name in side for pair in pairs for side in pair):
             continue
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         lower = metric["better"] == "lower"
+        ratio = statistics.median(change) / statistics.median(parent)
+        bound = metric.get("bound")
         rows.append({
             "metric": name,
             "parent_median": statistics.median(parent),
             "parent_quartiles": _quartiles(parent),
             "change_median": statistics.median(change),
-            "median_ratio": statistics.median(change) / statistics.median(parent),
+            "median_ratio": ratio,
+            "bound": bound,
+            "over": bound is not None and (ratio - 1 if lower else 1 - ratio) > bound,
             "wins": sum(c < p if lower else c > p for p, c in zip(parent, change)),
             "pairs": len(pairs),
             "ratios": [c / p for p, c in zip(parent, change)],
@@ -129,15 +162,17 @@ def format_rows(workload: str, rows: list) -> str:
     lines = []
     for r in rows:
         q1, q3 = r["parent_quartiles"]
+        bound = "-" if r["bound"] is None else f"{r['bound']:g}" + (" OVER" if r["over"] else "")
         lines.append(
             f"| {workload} | {r['metric']} | {r['parent_median']:.4g} [{q1:.4g}, {q3:.4g}] "
             f"| {r['change_median']:.4g} | {r['wins']}/{r['pairs']} "
-            f"| {r['median_ratio']:.3f} | {' '.join(f'{x:.3f}' for x in r['ratios'])} |")
+            f"| {r['median_ratio']:.3f} | {bound} "
+            f"| {' '.join(f'{x:.3f}' for x in r['ratios'])} |")
     return "\n".join(lines)
 
 
 HEADER = ("| workload | metric | parent median [q1, q3] | change median | change wins "
-          "| change/parent | per pair |\n|---|---|---|---|---|---|---|")
+          "| change/parent | bound | per pair |\n|---|---|---|---|---|---|---|---|")
 
 
 def main(argv=None) -> int:
@@ -149,7 +184,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    tables = []
+    tables, totals = [], []
     with trees(args.parent) as (parent, change):
         for workload in args.workload:
             pairs = []
@@ -158,14 +193,19 @@ def main(argv=None) -> int:
                 sides = (parent, change) if i % 2 == 0 else (change, parent)
                 got = {tree: run_once(tree, workload, seed) for tree in sides}
                 pairs.append((got[parent], got[change]))
-                print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}): "
-                      + ", ".join(f"{name} {got[parent][name]:.4g} -> "
-                                  f"{got[change][name]:.4g}"
-                                  for name in got[parent] if name in got[change]),
+                print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}): exit "
+                      f"{got[parent]['exit_code']} -> {got[change]['exit_code']}, "
+                      + ", ".join(f"{m['name']} {got[parent][m['name']]:.4g} -> "
+                                  f"{got[change][m['name']]:.4g}"
+                                  for m in metrics + RAW_METRICS
+                                  if m["name"] in got[parent] and m["name"] in got[change]),
                       file=sys.stderr, flush=True)
             tables.append(format_rows(workload, summarize(pairs, metrics + RAW_METRICS)))
+            totals += [f"{workload} {side}: {side_totals([pair[k] for pair in pairs])}"
+                       for k, side in enumerate(("parent", "change"))]
     print(HEADER)
     print("\n".join(tables))
+    print("\n".join(totals))
     return 0
 
 

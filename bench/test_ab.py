@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 import ab
-from ab import RAW_METRICS, format_rows, raw_medians, run_once, summarize
+from ab import RAW_METRICS, format_rows, raw_medians, run_once, side_totals, summarize
 
 
 @pytest.fixture(autouse=True)
@@ -33,7 +33,7 @@ def test_summary_of_synthetic_pairs():
     # lower is better for wall_s, higher for score: the same pairs split 3/1 and 1/3
     assert wall["wins"] == 3 and score["wins"] == 1
     table = format_rows("sweep_2d", [wall])
-    assert table.startswith("| sweep_2d | wall_s | 1.15 [1.075, 1.25] | 1.025 | 3/4 | 0.891 |")
+    assert table.startswith("| sweep_2d | wall_s | 1.15 [1.075, 1.25] | 1.025 | 3/4 | 0.891 | - |")
 
 
 def test_one_pair_has_degenerate_quartiles():
@@ -62,6 +62,7 @@ def test_run_once_reads_the_raw_medians_beside_the_corrected(monkeypatch, tmp_pa
 
     monkeypatch.setattr(ab.subprocess, "run", fake_run)
     assert run_once(tmp_path, "sweep_1d", 0) == {
+        "exit_code": 0, "attempted": 31, "failed": 0,
         "wall_s": 0.184466, "setup_s": 0.412075, "peak_rss_mb": 40.4805,
         "uncorrected_wall_s": 0.17951, "uncorrected_setup_s": 0.395216,
         "control_s": 0.00445137}
@@ -76,3 +77,49 @@ def test_raw_rows_follow_the_corrected_and_skip_a_missing_median():
     assert [r["metric"] for r in rows] == ["wall_s", "uncorrected_wall_s", "control_s"]
     assert [r["median_ratio"] for r in rows] == pytest.approx([1.1, 1.0, 0.0040467 / 0.00445137])
     assert raw_medians("no medians here") == {}
+
+
+BOUNDED = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "score", "better": "higher", "bound": 0.1}]
+
+
+def test_a_median_worse_than_its_bound_is_flagged():
+    # wall_s 1.0 -> 1.3 is 30% worse against a 0.25 bound; score 1.0 -> 1.3
+    # is better, so its bound is not in question
+    pairs = [({"wall_s": 1.0, "score": 1.0}, {"wall_s": 1.3, "score": 1.3})]
+    wall, score = summarize(pairs, BOUNDED)
+    assert wall["bound"] == 0.25 and wall["over"]
+    assert score["bound"] == 0.1 and not score["over"]
+    assert "| 1.300 | 0.25 OVER |" in format_rows("sweep_1d", [wall])
+    assert "| 1.300 | 0.1 |" in format_rows("sweep_1d", [score])
+    # 20% worse stays inside the 0.25 bound; 0.85 is 15% worse for a higher-is-better metric
+    wall, score = summarize([({"wall_s": 1.0, "score": 1.0},
+                              {"wall_s": 1.2, "score": 0.85})], BOUNDED)
+    assert not wall["over"] and score["over"]
+
+
+def test_side_totals_sum_the_counts_of_the_last_lines():
+    runs = [{"exit_code": 0, "attempted": 31, "failed": 0},
+            {"exit_code": 1, "attempted": 30, "failed": 2},
+            {"exit_code": 3}]  # stopped before its JSON line
+    assert side_totals(runs) == "61 attempted, 2 failed, non-zero exits [1, 3]"
+    assert side_totals(runs[:1]) == "31 attempted, 0 failed, non-zero exits none"
+
+
+@pytest.mark.parametrize("code, stdout", [
+    (1, STDOUT.replace('"correct": true', '"correct": false')
+              .replace('"failed": 0', '"failed": 2')),
+    (3, "== sweep_1d: 31 units\n"),
+])
+def test_a_failed_run_is_recorded_and_left_out_of_the_medians(monkeypatch, tmp_path, code,
+                                                              stdout):
+    monkeypatch.setattr(ab.subprocess, "run",
+                        lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, code, stdout=stdout))
+    failed = run_once(tmp_path, "sweep_1d", 0)
+    assert failed == ({"exit_code": 1, "attempted": 31, "failed": 2} if code == 1
+                      else {"exit_code": 3})
+    good = {"exit_code": 0, "wall_s": 1.0}
+    pairs = [(good, {**good, "wall_s": 0.5}), (good, failed), (failed, good)]
+    (row,) = summarize(pairs, METRICS[:1])
+    assert row["pairs"] == 1 and row["change_median"] == 0.5
+    assert summarize(pairs[1:], METRICS[:1]) == []

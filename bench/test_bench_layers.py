@@ -86,7 +86,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartreelab import Field, Grid, KernelSpec, SolverParams, YNormSpec, l2w_norm
+from hartreelab import Field, Grid, KernelSpec, SolverParams, l2w_norm
 from hartreelab import grid as grid_module
 from hartreelab import harness
 from hartreelab.config import parse_config
@@ -206,7 +206,7 @@ def test_record(benchmark, fft_calls, monkeypatch, family):
     assert harness._advance(cfg, khat_half, 0.0, t, run) is None
     amps = snapshot(cfg.family, t, cfg.kernel)
     halves = tuple(a.copy() for a in amps)
-    harness._half_laplacians(cfg.family, halves)
+    harness._half_laplacians(cfg.family, halves, cfg.kernel)
     buffers = {}
 
     def record():
@@ -281,7 +281,7 @@ def test_norms(benchmark, fft_calls, monkeypatch, size, layer):
     call = {
         "_norms_in_place": functools.partial(_norms_in_place, buf, grid),
         "_graded_norm": functools.partial(_graded_norm, np.fft.fftn(samples), grid,
-                                          YNormSpec(d=grid.d, gamma=gamma)),
+                                          KernelSpec(d=grid.d, gamma=gamma)),
         "l2w_norm": functools.partial(l2w_norm, Field(grid, samples)),
     }[layer]
 

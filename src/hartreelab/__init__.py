@@ -17,8 +17,6 @@ from .kernel import (
     zero_mode_value,
 )
 from .norms import (
-    BoundReport,
-    YNormSpec,
     l2_norm,
     l2w_norm,
     wiener_norm,
@@ -31,7 +29,6 @@ from .solver import (
     picard_evolve,
 )
 from .wkb import (
-    AnsatzReport,
     ContainmentError,
     Mode,
     ModeFamily,

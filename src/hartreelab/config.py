@@ -249,7 +249,7 @@ def parse_config(doc: dict, threads: int = 1, seed: int = 0) -> SweepConfig:
         return SweepConfig(
             grid=grid,
             kernel=kernel,
-            family=ModeFamily.from_profiles(grid, entries, gamma),
+            family=ModeFamily.from_profiles(grid, entries),
             epsilons=epsilons,
             final_time=final_time,
             sample_times=sample_times,

@@ -336,15 +336,15 @@ def sample_profile(grid: Grid, spec) -> Field:
     return Field(grid, spec.sample(grid))
 
 
-def profile_support_radius(grid: Grid, f: Field, threshold: float = 1e-12) -> float:
+def profile_support_radius(f: Field, threshold: float) -> float:
     """Empirical per-axis support extent max|x_ax| where |f| > threshold*max."""
-    return _extent(grid, np.abs(f.values), threshold, grid.coords())
+    return _extent(f.grid, np.abs(f.values), threshold, f.grid.coords())
 
 
-def profile_bandwidth(grid: Grid, f: Field, threshold: float = 1e-12) -> float:
+def profile_bandwidth(f: Field, threshold: float) -> float:
     """Empirical spectral radius max|xi| where |fhat| > threshold*max."""
     mag = np.abs(np.fft.fftn(f.values))  # |fhat| up to a constant factor
-    return _extent(grid, mag, threshold, f.grid.freq_meshes())
+    return _extent(f.grid, mag, threshold, f.grid.freq_meshes())
 
 
 def _extent(grid: Grid, mag: np.ndarray, threshold: float, axes) -> float:

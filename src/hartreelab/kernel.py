@@ -128,12 +128,6 @@ def split_norms(spec: KernelSpec) -> tuple:
     return k1_l1, k2_sup
 
 
-def _half_khat(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """Khat on the half spectrum [..., :N/2 + 1] of a real transform."""
-    *lead, last = grid.freq_meshes()
-    return _khat(spec, grid, (*lead, last[..., : grid.points // 2 + 1]))
-
-
 def _khat(spec: KernelSpec, grid: Grid, meshes) -> np.ndarray:
     """Khat at the broadcast frequency `meshes`, with the regularized zero mode."""
     mag = np.sqrt(functools.reduce(np.add, (m**2 for m in meshes)))
@@ -144,22 +138,22 @@ def _khat(spec: KernelSpec, grid: Grid, meshes) -> np.ndarray:
     return out
 
 
-def _check_grid(spec: KernelSpec, grid: Grid):
-    if grid.d != spec.d:
-        raise ValueError(f"kernel is {spec.d}D but grid is {grid.d}D")
-
-
 def half_multiplier(spec: KernelSpec, grid: Grid, scale: float = 1.0) -> np.ndarray:
     """scale (2pi)^{d/2} Khat on the half spectrum of a real transform, one
     read-only array per (spec, grid, scale): with lambda = 1 the sweep's
     remainder reads the stepper's."""
-    _check_grid(spec, grid)
+    if grid.d != spec.d:
+        raise ValueError(f"kernel is {spec.d}D but grid is {grid.d}D")
     return _scaled_half_khat(spec, grid, float(scale))
 
 
 @functools.lru_cache(maxsize=4)
 def _scaled_half_khat(spec: KernelSpec, grid: Grid, scale: float) -> np.ndarray:
-    out = (scale * TWO_PI ** (grid.d / 2)) * _half_khat(spec, grid)
+    """Khat on the half spectrum [..., :N/2 + 1], scaled as `half_multiplier` says."""
+    *lead, last = grid.freq_meshes()
+    # Khat stays a temporary, so numpy writes the product into its buffer
+    out = (scale * TWO_PI ** (grid.d / 2)) * _khat(
+        spec, grid, (*lead, last[..., : grid.points // 2 + 1]))
     out.setflags(write=False)
     return out
 

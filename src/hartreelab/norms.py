@@ -18,17 +18,18 @@ and the graded norm sum the moduli they hold (`_norms_from_modulus`).
 
 Two inequality checkers make the function-space estimates testable:
 the pointwise-product bound on Wiener norms and the convolution bound
-assembled from the kernel split.  Both check stacks with a leading
-batch axis row by row.  The product bound takes its factors' norms from
-their random draw, which reads them off the band and checks there the
-anti-aliasing precondition that keeps the discrete product exact.
+assembled from the kernel split.  Both return the two sides, lhs and
+rhs, per row of a stack with a leading batch axis; the validation
+campaigns compare them under their slack.  The product bound takes its
+factors' norms from their random draw, which reads them off the band
+and checks there the anti-aliasing precondition that keeps the discrete
+product exact.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -45,18 +46,6 @@ def derivative_order(d: int, gamma: float) -> int:
     if d == 3:
         return 3 if gamma < 1.0 else 2
     raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
-
-
-@dataclass(frozen=True)
-class YNormSpec:
-    """Graded-norm parameters; the derivative order n is derived."""
-
-    d: int
-    gamma: float
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", derivative_order(self.d, self.gamma))
 
 
 def _modulus_sums(values: np.ndarray, squares: bool = True, moduli: bool = True) -> tuple:
@@ -138,37 +127,26 @@ def _norms_from_modulus(mag: np.ndarray, grid) -> tuple:
     return math.sqrt(grid.dx**grid.d * squares / grid.total_points), wiener
 
 
-def _graded_norm(raw: np.ndarray, grid, spec: YNormSpec) -> float:
-    """Sum of combined norms of the derivatives up to order n of the field
-    whose raw FFT is given: d^eta f has the raw spectrum raw (i xi)^eta,
-    whose moduli form in one buffer.  The sums square their moduli in
-    place, so eta = 0, whose moduli are |raw| itself, goes last."""
+def _graded_norm(raw: np.ndarray, grid, spec: KernelSpec) -> float:
+    """Sum of combined norms of the derivatives up to the kernel's order
+    n = derivative_order(d, gamma) of the field whose raw FFT is given:
+    d^eta f has the raw spectrum raw (i xi)^eta, whose moduli form in one
+    buffer.  The sums square their moduli in place, so eta = 0, whose
+    moduli are |raw| itself, goes last."""
     mag = np.abs(raw)
     xi = [np.abs(m) for m in grid.freq_meshes(zero_nyquist=True)]
     buf = np.empty_like(mag)
     terms = []
-    for eta in reversed(multi_indices(spec.d, spec.n)):
+    for eta in reversed(multi_indices(spec.d, derivative_order(spec.d, spec.gamma))):
         weighted = reduce(lambda w, f: np.multiply(w, f, out=buf),
                           (x**e for x, e in zip(xi, eta) if e), mag)
         terms.append(sum(_norms_from_modulus(weighted, grid)))
     return sum(reversed(terms))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def _reports(lhs, rhs, slack: float) -> list:
-    return [BoundReport(lhs=float(a), rhs=float(b), holds=bool(a <= b * (1 + slack)))
-            for a, b in zip(lhs, rhs)]
-
-
-def _algebra_bounds(pairs: np.ndarray, w: np.ndarray, grid, slack: float = 1e-10) -> list:
-    """||f g||_W <= ||f||_W ||g||_W per row of a stack of factor pairs
-    (rows, 2, *shape) with their Wiener norms w (rows, 2).
+def _algebra_bounds(pairs: np.ndarray, w: np.ndarray, grid) -> tuple:
+    """(lhs, rhs) of ||f g||_W <= ||f||_W ||g||_W per row of a stack of
+    factor pairs (rows, 2, *shape) with their Wiener norms w (rows, 2).
 
     Both factors must be band-limited to |k| <= N/4 - 1 so the sampled
     pointwise product carries no aliased content.  The campaign's draw,
@@ -179,14 +157,13 @@ def _algebra_bounds(pairs: np.ndarray, w: np.ndarray, grid, slack: float = 1e-10
     """
     product = np.multiply(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
     np.fft.fftn(product, axes=tuple(range(-grid.d, 0)), out=product)
-    lhs = _wiener_from_modulus(np.abs(product), grid)
-    return _reports(lhs, w[:, 0] * w[:, 1], slack)
+    return _wiener_from_modulus(np.abs(product), grid), w[:, 0] * w[:, 1]
 
 
-def _hartree_bounds(spec: KernelSpec, h: np.ndarray, grid, slack: float = 1e-6) -> list:
-    """||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W per row of a
-    stack of real densities, from one stacked real transform: K * h has
-    the raw spectrum (2pi)^{d/2} Khat hhat.
+def _hartree_bounds(spec: KernelSpec, h: np.ndarray, grid) -> tuple:
+    """(lhs, rhs) of ||K * h||_W <= ||K1||_L1 ||h||_L1 + ||K2||_Linf ||h||_W
+    per row of a stack of real densities, from one stacked real transform:
+    K * h has the raw spectrum (2pi)^{d/2} Khat hhat.
 
     A real density's spectrum is conjugate-symmetric, so the half spectrum
     of `rfftn` holds every modulus once, apart from the last axis's
@@ -201,4 +178,4 @@ def _hartree_bounds(spec: KernelSpec, h: np.ndarray, grid, slack: float = 1e-6) 
     l1 = grid.dx**grid.d * np.sum(np.abs(h), axis=axes)
     rhs = k1_l1 * l1 + k2_sup * _wiener_from_modulus(mag, grid)
     mag *= half_multiplier(spec, grid)
-    return _reports(_wiener_from_modulus(mag, grid), rhs, slack)
+    return _wiener_from_modulus(mag, grid), rhs

@@ -33,7 +33,8 @@ per phase (its d - 1 leading-axis complex passes run in place) and a
 pair per translated amplitude.  It keeps no phase.
 `_half_laplacians` then turns each amplitude, in place, into its
 eps-free term (1/2) Lap a_j: one forward transform per amplitude serves
-its graded norm toward ||a(t)||_E and its half-Laplacian (2 M FFTs).
+its graded norm toward ||a(t)||_E, to the derivative order the kernel's
+(d, gamma) fixes, and its half-Laplacian (2 M FFTs).
 
 Expansion bookkeeping: after the eikonal and transport cancellations,
 plugging the ansatz into the equation leaves exactly
@@ -44,14 +45,14 @@ plugging the ansatz into the equation leaves exactly
                                 exp(i (phi_k - phi_l) / eps),
 
 which `resonant_remainder` returns as a sample array and `ansatz_residual`
-checks.  One sum, `assemble`, applies the mode carriers to every
-superposition: u0, u_app, Z2 and dt u_app (it and the remainder fill an
-`out=` buffer when given, as a sweep does).  The cross density B is what
-the averaged density rho = sum_j |a_j|^2 leaves of |u_app|^2, so
-B = |u_app|^2 - sum_j |a_j|^2.  The remainder forms B, K * B and the
-convolution's half spectrum inside its `out` buffer, as two views that
-it hands to `kernel.convolve`, with chunk scratch beside it and no array
-of field size.
+checks as a relative error.  One sum, `assemble`, applies the mode
+carriers to every superposition: u0, u_app, Z2 and dt u_app (it and the
+remainder fill an `out=` buffer when given, as a sweep does).  The
+cross density B is what the averaged density rho = sum_j |a_j|^2 leaves
+of |u_app|^2, so B = |u_app|^2 - sum_j |a_j|^2.  The remainder forms B,
+K * B and the convolution's half spectrum inside its `out` buffer, as
+two views that it hands to `kernel.convolve`, with chunk scratch beside
+it and no array of field size.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .grid import (
     unit_phase,
 )
 from .kernel import KernelSpec, _inverse_into, convolve, half_multiplier
-from .norms import YNormSpec, _graded_norm, l2w_norm
+from .norms import _graded_norm, l2w_norm
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
 RESOLUTION_FACTOR = 1.5
@@ -118,15 +119,15 @@ class Mode:
             radius = center + self.profile.support_radius()
             bw = self.profile.bandwidth()
         else:
-            radius = profile_support_radius(grid, self.alpha, DECAY_THRESHOLD)
-            bw = profile_bandwidth(grid, self.alpha, DECAY_THRESHOLD)
+            radius = profile_support_radius(self.alpha, DECAY_THRESHOLD)
+            bw = profile_bandwidth(self.alpha, DECAY_THRESHOLD)
         object.__setattr__(self, "support_radius", float(radius))
         object.__setattr__(self, "bandwidth", float(bw))
 
 
 @dataclass(frozen=True, eq=False)
 class ModeFamily:
-    """Finite family of separated modes with its norm grading.
+    """Finite family of separated modes.
 
     delta is the minimal pairwise wavevector distance; the construction
     requires it strictly positive, and the remainder constant scales
@@ -135,7 +136,6 @@ class ModeFamily:
 
     grid: Grid
     modes: tuple
-    nspec: YNormSpec
     delta: float = field(init=False)
 
     def __post_init__(self):
@@ -178,7 +178,7 @@ class ModeFamily:
         return max(m.bandwidth for m in self.modes)
 
     @classmethod
-    def from_profiles(cls, grid: Grid, entries, gamma: float) -> "ModeFamily":
+    def from_profiles(cls, grid: Grid, entries) -> "ModeFamily":
         """Build from (kappa, profile) pairs, sampling each amplitude."""
         modes = []
         for kappa, profile in entries:
@@ -186,15 +186,7 @@ class ModeFamily:
             modes.append(
                 Mode(kappa=np.asarray(kappa, dtype=float), alpha=alpha, profile=profile)
             )
-        return cls(
-            grid=grid, modes=tuple(modes), nspec=YNormSpec(d=grid.d, gamma=gamma)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class AnsatzReport:
-    residual: Field
-    identity_error: float
+        return cls(grid=grid, modes=tuple(modes))
 
 
 def check_containment(family: ModeFamily, t: float):
@@ -298,14 +290,15 @@ def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
     return tuple(amps)
 
 
-def _half_laplacians(family: ModeFamily, amps) -> float:
+def _half_laplacians(family: ModeFamily, amps, spec: KernelSpec) -> float:
     """Turn each amplitude array of `amps` into (1/2) Lap a_j in place and
-    return ||a||_E: one forward transform per amplitude, in the amplitude's
-    buffer, serves its graded norm and its half-Laplacian (2 M FFTs)."""
+    return ||a||_E, graded to the order `spec` fixes: one forward transform
+    per amplitude, in the amplitude's buffer, serves its graded norm and its
+    half-Laplacian (2 M FFTs)."""
     e_norm = 0.0
     for amp in amps:
         raw = np.fft.fftn(amp, out=amp)
-        e_norm += _graded_norm(raw, family.grid, family.nspec)
+        e_norm += _graded_norm(raw, family.grid, spec)
         _laplacian_from_raw(raw, family.grid, 0.5)  # 0.5 is exact
     return e_norm
 
@@ -428,10 +421,9 @@ def transport_residual(
     return out
 
 
-def ansatz_residual(
-    family: ModeFamily, t: float, eps: float, spec: KernelSpec
-) -> AnsatzReport:
-    """Check the expansion identity
+def ansatz_residual(family: ModeFamily, t: float, eps: float, spec: KernelSpec) -> float:
+    """Relative error ||lhs - rhs|| / ||rhs|| (L2 + Wiener) of the expansion
+    identity
 
         i eps dt u_app + (eps^2/2) Lap u_app - eps lambda (K*|u_app|^2) u_app
             = eps^2 Z2 + eps lambda r.
@@ -467,7 +459,5 @@ def ansatz_residual(
 
     residual = Field._adopt(g, lhs - rhs)
     rhs_norm = l2w_norm(Field._adopt(g, rhs))
-    err = l2w_norm(residual) / rhs_norm if rhs_norm > 0 else (
-        0.0 if l2w_norm(residual) == 0 else math.inf
-    )
-    return AnsatzReport(residual=residual, identity_error=err)
+    err = l2w_norm(residual)
+    return err / rhs_norm if rhs_norm > 0 else (0.0 if err == 0 else math.inf)

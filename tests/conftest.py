@@ -36,7 +36,6 @@ def two_mode_family():
             ([-2.0], GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)),
             ([2.0], GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)),
         ],
-        gamma=0.5,
     )
 
 

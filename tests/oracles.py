@@ -29,7 +29,6 @@ from hartreelab.grid import TWO_PI, Field, GaussianProfile, Grid, translate
 from hartreelab.harness import CSV_COLUMNS, SweepRecord
 from hartreelab.kernel import (
     KernelSpec,
-    _check_grid,
     _gauss_legendre,
     _khat,
     _legendre_rule,
@@ -197,8 +196,16 @@ def multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
     Made per call: the package reads only the memoized half spectrum of
     `half_multiplier`, the same values on the columns it keeps.
     """
-    _check_grid(spec, grid)
+    if grid.d != spec.d:
+        raise ValueError(f"kernel is {spec.d}D but grid is {grid.d}D")
     return _khat(spec, grid, grid.freq_meshes())
+
+
+def bound_rows(blocks, slack: float) -> list:
+    """(lhs, rhs, holds) per row of a campaign's (lhs, rhs) blocks, holds
+    being lhs <= rhs (1 + slack)."""
+    return [(float(a), float(b), bool(a <= b * (1 + slack)))
+            for lhs, rhs in blocks for a, b in zip(lhs, rhs)]
 
 
 def _multiindex(grid: Grid, eta) -> tuple:

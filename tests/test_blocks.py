@@ -29,7 +29,7 @@ from hartreelab.harness import (
 from hartreelab.kernel import split_norms
 from hartreelab.norms import _algebra_bounds, _hartree_bounds
 
-from oracles import in_band_coefficients, multiplier_grid
+from oracles import bound_rows, in_band_coefficients, multiplier_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,26 +79,26 @@ class TestStackedCampaigns:
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d_256", "2d_32x32"])
     def test_algebra_reports_match_per_field_loop(self, grid):
         pairs = grid.block_rows + 5  # one full block and one partial
-        got = list(_algebra_campaign(grid, np.random.default_rng(11), pairs))
+        got = bound_rows(_algebra_campaign(grid, np.random.default_rng(11), pairs), 1e-10)
         rng, cutoff = np.random.default_rng(11), grid.points // 4 - 1
         ref = [algebra_report(one_field(grid, rng, cutoff), one_field(grid, rng, cutoff), grid)
                for _ in range(pairs)]
-        assert [(r.lhs, r.rhs, r.holds) for r in got] == ref
+        assert got == ref
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d_256", "2d_32x32"])
     def test_hartree_reports_match_per_field_loop(self, grid):
         spec = KernelSpec(d=grid.d, gamma=0.5)
         count = grid.block_rows + 5
-        got = list(_hartree_campaign(spec, grid, np.random.default_rng(12), count))
+        got = bound_rows(_hartree_campaign(spec, grid, np.random.default_rng(12), count), 1e-6)
         assert len(got) == count
         rng = np.random.default_rng(12)
-        for rep in got:
+        for got_lhs, got_rhs, got_holds in got:
             base, _ = one_field(grid, rng, max(2, grid.points // 16))
             density = (np.abs(base) ** 2 * _density_envelope(grid)).astype(np.complex128)
             lhs, rhs, holds = hartree_report(spec, density, grid)
-            assert rep.holds == holds
-            assert rep.lhs == pytest.approx(lhs, rel=1e-14, abs=0)
-            assert rep.rhs == pytest.approx(rhs, rel=1e-14, abs=0)
+            assert got_holds == holds
+            assert got_lhs == pytest.approx(lhs, rel=1e-14, abs=0)
+            assert got_rhs == pytest.approx(rhs, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("count", [1, 8, 9, 20])
     def test_campaign_transforms_scale_as_blocks(self, fft_calls, count):
@@ -119,7 +119,7 @@ class TestStackedCampaigns:
         prof = GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)
         cfg = SweepConfig(
             grid=grid, kernel=KernelSpec(d=1, gamma=0.5),
-            family=ModeFamily.from_profiles(grid, [([-2.0], prof), ([2.0], prof)], gamma=0.5),
+            family=ModeFamily.from_profiles(grid, [([-2.0], prof), ([2.0], prof)]),
             epsilons=(0.2, 0.1), final_time=0.2, sample_times=(0.1, 0.2),
             output=str(tmp_path / "out"),
         )
@@ -135,8 +135,14 @@ class TestStackedCampaigns:
 SCALES = (1e-3, 7.5, 1e3)
 
 
-def excesses(reports):
-    return np.array([(r.lhs - r.rhs) / r.rhs for r in reports])
+def excesses(bounds):
+    lhs, rhs = bounds
+    return (lhs - rhs) / rhs
+
+
+def verdicts(bounds, slack):
+    lhs, rhs = bounds
+    return list(lhs <= rhs * (1 + slack))
 
 
 class TestHomogeneity:
@@ -153,7 +159,7 @@ class TestHomogeneity:
             scale = np.array([a, b])
             scaled = _algebra_bounds(pairs * scale.reshape(2, *(1,) * grid.d), w * scale,
                                      grid)
-            assert [r.holds for r in scaled] == [r.holds for r in base]
+            assert verdicts(scaled, 1e-10) == verdicts(base, 1e-10)
             assert np.max(np.abs(excesses(scaled) - excesses(base))) <= 1e-14
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d_256", "2d_32x32"])
@@ -163,7 +169,7 @@ class TestHomogeneity:
         base = _hartree_bounds(spec, density, grid)
         for c in SCALES:
             scaled = _hartree_bounds(spec, c * density, grid)
-            assert [r.holds for r in scaled] == [r.holds for r in base]
+            assert verdicts(scaled, 1e-6) == verdicts(base, 1e-6)
             assert np.max(np.abs(excesses(scaled) - excesses(base))) <= 1e-14
 
 

@@ -20,6 +20,7 @@ from hartreelab import (
 )
 from hartreelab import cli, config, harness
 from hartreelab.cli import main
+from hartreelab.norms import derivative_order
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -334,7 +335,7 @@ class TestValidate:
             ],
         )
         cfg = load_config(write_config(tmp_path, doc))
-        assert cfg.family.nspec.n == 3
+        assert derivative_order(cfg.kernel.d, cfg.kernel.gamma) == 3
 
     def test_single_mode_below_remainder_rule(self, tmp_path, capsys):
         # a single mode has no remainder, so the sweep runs; the ansatz

@@ -45,7 +45,13 @@ from hartreelab.wkb import (
     snapshot,
 )
 
-from oracles import band_mask, in_band_coefficients, read_records_csv, strang_run
+from oracles import (
+    band_mask,
+    bound_rows,
+    in_band_coefficients,
+    read_records_csv,
+    strang_run,
+)
 
 
 @pytest.fixture
@@ -58,7 +64,6 @@ def small_config(tmp_path):
             ([-2.0], GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)),
             ([2.0], GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)),
         ],
-        gamma=0.5,
     )
     return SweepConfig(
         grid=grid,
@@ -116,7 +121,7 @@ def per_eps_reference(cfg):
         records.extend(recs)
         worst.append((eps, max(r.err_l2w for r in recs)))
     e_norms = {
-        t: _half_laplacians(cfg.family, snapshot(cfg.family, t, cfg.kernel))
+        t: _half_laplacians(cfg.family, snapshot(cfg.family, t, cfg.kernel), cfg.kernel)
         for t in cfg.sample_times
     }
     beta_expected = expected_rate(cfg.kernel.d, cfg.kernel.gamma)
@@ -131,7 +136,7 @@ def three_mode_config(**changes):
     grid = Grid(d=2, length=16.0, points=128)
     prof = GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)
     family = ModeFamily.from_profiles(
-        grid, [([-2.0, 0.0], prof), ([2.0, 0.0], prof), ([0.0, 2.0], prof)], gamma=0.5
+        grid, [([-2.0, 0.0], prof), ([2.0, 0.0], prof), ([0.0, 2.0], prof)]
     )
     args = dict(
         grid=grid,
@@ -250,7 +255,7 @@ class TestRunSweep:
         # so the sweep runs the same real arithmetic on it, bit for bit
         entries = [(m.kappa, TableProfile(values=m.alpha.values.ravel().tolist()))
                    for m in small_config.family.modes]
-        family = ModeFamily.from_profiles(small_config.grid, entries, gamma=0.5)
+        family = ModeFamily.from_profiles(small_config.grid, entries)
         assert all(m.alpha.values.dtype == np.float64 for m in family.modes)
         table = with_epsilons(small_config, small_config.epsilons, family=family)
         assert run_sweep(table).records == run_sweep(small_config).records
@@ -263,7 +268,6 @@ class TestRunSweep:
         family = ModeFamily.from_profiles(
             grid,
             [([0.0], GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0))],
-            gamma=0.5,
         )
         horizon = 1e-8
         cfg = SweepConfig(
@@ -306,7 +310,6 @@ class TestRunSweep:
         family = ModeFamily.from_profiles(
             grid,
             [([0.0], GaussianProfile(amplitude=5.0, center=(0.0,), width=1.0))],
-            gamma=0.5,
         )
         cfg = SweepConfig(
             grid=grid,
@@ -369,7 +372,7 @@ def small_2d_config(kappas, threads=1):
     return SweepConfig(
         grid=grid,
         kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
-        family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas], gamma=0.5),
+        family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas]),
         epsilons=(0.6, 0.5),
         final_time=0.2,
         sample_times=(0.1, 0.2),
@@ -400,10 +403,10 @@ class TestRecordsFirst:
             pairs.append(buffers)
             return real["_record"](cfg, time_amps, t, buffers, run)
 
-        def convert_spy(family, arrays):
+        def convert_spy(family, arrays, spec):
             events.append("convert")
             assert not any(pairs)  # every worker's field pair is dropped
-            return real["_half_laplacians"](family, arrays)
+            return real["_half_laplacians"](family, arrays, spec)
 
         def z2_spy(cfg, arrays, t, buffers, run):
             events.append("z2")
@@ -637,7 +640,7 @@ def four_mode_config():
     return SweepConfig(
         grid=grid,
         kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
-        family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas], gamma=0.5),
+        family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas]),
         epsilons=(0.15,),
         final_time=0.0625,
         sample_times=(0.0625,),
@@ -681,7 +684,7 @@ class TestRecord:
         halves, run = first_record_inputs(cfg)
         t = cfg.sample_times[0]
         harness._record(cfg, halves, t, {}, run)  # the record only measures
-        _half_laplacians(cfg.family, halves)
+        _half_laplacians(cfg.family, halves, cfg.kernel)
         halves[1][5, 7] = np.inf
         with pytest.raises(FloatingPointError, match="non-finite"):
             harness._z2_norms(cfg, halves, t, {}, run)
@@ -697,7 +700,7 @@ class TestZ2Pass:
         halves, run = first_record_inputs(cfg)
         t, eps = cfg.sample_times[0], cfg.epsilons[0]
         harness._record(cfg, halves, t, {}, run)
-        _half_laplacians(cfg.family, halves)
+        _half_laplacians(cfg.family, halves, cfg.kernel)
         harness._z2_norms(cfg, halves, t, {}, run)  # FFT plan caches
         item = np.dtype(np.complex128).itemsize
         field_bytes = cfg.grid.total_points * item
@@ -733,7 +736,7 @@ class TestUnitPeak:
         cfg = SweepConfig(
             grid=grid,
             kernel=KernelSpec(d=2, gamma=0.5, coupling=1.0),
-            family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas], gamma=0.5),
+            family=ModeFamily.from_profiles(grid, [(k, prof) for k in kappas]),
             epsilons=(0.6, 0.5),
             final_time=0.2,
             sample_times=(0.1, 0.2),
@@ -780,6 +783,51 @@ class TestValidateSuite:
         monkeypatch.setattr(harness, "hartree_constant", lambda d, g: 1.1 * real(d, g))
         checks = validate_suite(small_config, algebra_pairs=5, hartree_pairs=5)
         assert not checks["kernel_constant"].passed
+
+    def test_wrong_transport_speed_fails_the_transport_equation(self, small_config,
+                                                                monkeypatch):
+        # amplitudes carried at 1.5 kappa_j: transport_equation must see the
+        # drift that the transport law does not account for
+        real = wkb.translate
+
+        def fast(f, shift):
+            return real(f, 1.5 * np.atleast_1d(np.asarray(shift, dtype=float)))
+
+        monkeypatch.setattr(wkb, "translate", fast)
+        monkeypatch.setattr(harness, "translate", fast)
+        checks = validate_suite(small_config, algebra_pairs=5, hartree_pairs=5)
+        assert not checks["transport_equation"].passed
+
+
+class TestCampaign:
+    """`_campaign` on synthetic (lhs, rhs) blocks: a row holds when
+    lhs <= rhs (1 + slack), and the margin is the worst relative excess in
+    units of the slack."""
+
+    def test_the_edge_row_passes_and_the_next_float_up_fails(self):
+        slack, rhs = 1e-6, np.array([3.0])
+        edge = rhs * (1 + slack)
+        passed = harness._campaign([(edge, rhs)], slack, "one row")
+        assert passed.passed and passed.detail.startswith("0 violations in one row")
+        failed = harness._campaign([(np.nextafter(edge, np.inf), rhs)], slack, "one row")
+        assert not failed.passed and failed.detail.startswith("1 violations")
+
+    def test_zero_rhs_gives_zero_excess(self):
+        blocks = [(np.array([0.0, 0.5]), np.array([0.0, 1.0]))]
+        outcome = harness._campaign(blocks, 1e-10, "two rows")
+        # row 0 has no excess by definition, row 1 is 50% under its bound
+        assert outcome.passed and outcome.margin == 1.0
+        assert outcome.detail == "0 violations in two rows, worst excess 0.000e+00"
+
+    def test_margin_is_the_worst_excess_in_units_of_the_slack(self):
+        slack = 1e-2
+        blocks = [(np.array([1.0, 1.005]), np.array([1.0, 1.0])),
+                  (np.array([1.02, 0.5]), np.array([1.0, 1.0]))]
+        outcome = harness._campaign(blocks, slack, "four rows")
+        excess = (1.02 - 1.0) / 1.0
+        assert not outcome.passed
+        assert outcome.margin == -excess / slack
+        assert outcome.detail == f"1 violations in four rows, worst excess {excess:.3e}"
 
 
 FIELD_GRIDS = [Grid(d=1, length=32.0, points=256), Grid(d=2, length=8.0, points=32),
@@ -896,8 +944,8 @@ class TestRandomFields:
 
         def reports():
             rng = np.random.default_rng(10)
-            return ([(r.lhs, r.rhs, r.holds) for r in _algebra_campaign(grid, rng, 7)],
-                    [(r.lhs, r.rhs, r.holds) for r in _hartree_campaign(spec, grid, rng, 7)])
+            return (bound_rows(_algebra_campaign(grid, rng, 7), 1e-10),
+                    bound_rows(_hartree_campaign(spec, grid, rng, 7), 1e-6))
 
         stacked = reports()
         monkeypatch.setattr(grid_module, "BLOCK_BYTES", 16 * grid.total_points * 3)
@@ -920,7 +968,7 @@ grid = hl.Grid(d=2, length=20.0, points=128)
 prof = hl.GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=1.0)
 cfg = hl.SweepConfig(
     grid=grid, kernel=hl.KernelSpec(d=2, gamma=0.5),
-    family=hl.ModeFamily.from_profiles(grid, [([1.0, 0.0], prof)], gamma=0.5),
+    family=hl.ModeFamily.from_profiles(grid, [([1.0, 0.0], prof)]),
     epsilons=(0.4, 0.3, 0.2), final_time=0.2, sample_times=(0.1, 0.2))
 hl.persist(hl.run_sweep(cfg), sys.argv[1])
 """

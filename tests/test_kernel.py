@@ -20,7 +20,7 @@ from hartreelab import (
     zero_mode_value,
 )
 from hartreelab.grid import TWO_PI
-from hartreelab.kernel import _half_khat, convolve, half_multiplier
+from hartreelab.kernel import _khat, convolve, half_multiplier
 
 from oracles import _CELL_NODES, _singular_cell_mass, convolve_direct, multiplier_grid
 from oracles import lattice_wavenumber, plane_wave
@@ -327,6 +327,12 @@ class TestConvolveDirect:
         assert rel < 5e-3
 
 
+def half_khat(spec, grid):
+    """Khat on the half spectrum [..., :N/2 + 1] of a real transform."""
+    *lead, last = grid.freq_meshes()
+    return _khat(spec, grid, (*lead, last[..., : grid.points // 2 + 1]))
+
+
 class TestMultiplierGrid:
     def test_memoized_and_read_only(self, kernel1d, grid1d):
         # the scaled half-spectrum multiplier is memoized per scale; the full
@@ -336,7 +342,7 @@ class TestMultiplierGrid:
         assert half_multiplier(kernel1d, grid1d, 2.0) is not scaled
         with pytest.raises(ValueError, match="read-only"):
             scaled[0] = 1.0
-        khat = _half_khat(kernel1d, grid1d)
+        khat = half_khat(kernel1d, grid1d)
         assert np.array_equal(scaled, TWO_PI ** 0.5 * khat)
         full = multiplier_grid(kernel1d, grid1d)
         assert np.array_equal(full[: grid1d.points // 2 + 1], khat)
@@ -346,7 +352,7 @@ class TestMultiplierGrid:
         # memoized -lambda one; IEEE products are sign-symmetric
         for lam in (1.0, 0.3, 2.5):
             spec = KernelSpec(d=1, gamma=0.5, coupling=lam)
-            want = (-lam * TWO_PI ** 0.5) * _half_khat(spec, grid1d)
+            want = (-lam * TWO_PI ** 0.5) * half_khat(spec, grid1d)
             got = np.negative(half_multiplier(spec, grid1d, lam))
             assert want.tobytes() == got.tobytes()
 
@@ -422,7 +428,7 @@ def test_import_sweep_and_validate_load_no_scipy():
         "def config(points):\n"
         "    grid = hl.Grid(d=1, length=32.0, points=points)\n"
         "    family = hl.ModeFamily.from_profiles(\n"
-        "        grid, [([-1.0], prof), ([1.0], prof)], gamma=0.5)\n"
+        "        grid, [([-1.0], prof), ([1.0], prof)])\n"
         "    return hl.SweepConfig(grid=grid, kernel=kernel, family=family,\n"
         "                          epsilons=(0.4, 0.2), final_time=0.2,\n"
         "                          sample_times=(0.1, 0.2))\n"
@@ -430,7 +436,7 @@ def test_import_sweep_and_validate_load_no_scipy():
         "grid = hl.Grid(d=2, length=16.0, points=64)\n"
         "prof2 = hl.GaussianProfile(amplitude=1.0, center=(0.0, 0.0), width=0.75)\n"
         "family = hl.ModeFamily.from_profiles(\n"
-        "    grid, [([-2.0, 0.0], prof2), ([0.0, 2.0], prof2)], gamma=0.5)\n"
+        "    grid, [([-2.0, 0.0], prof2), ([0.0, 2.0], prof2)])\n"
         "assert len(hl.snapshot(family, 0.5, hl.KernelSpec(d=2, gamma=0.5))) == 2\n"
         "checks = hl.validate_suite(config(1024), algebra_pairs=3, hartree_pairs=3)\n"
         "assert all(c.passed for c in checks.values())\n"
@@ -451,8 +457,7 @@ def test_single_thread_sweep_loads_no_pool_or_polynomial_modules():
         "import hartreelab as hl\n"
         "grid = hl.Grid(d=1, length=32.0, points=256)\n"
         "prof = hl.GaussianProfile(amplitude=1.0, center=(0.0,), width=1.0)\n"
-        "family = hl.ModeFamily.from_profiles(grid, [([-1.0], prof), ([1.0], prof)],\n"
-        "                                     gamma=0.5)\n"
+        "family = hl.ModeFamily.from_profiles(grid, [([-1.0], prof), ([1.0], prof)])\n"
         "cfg = hl.SweepConfig(grid=grid, kernel=hl.KernelSpec(d=1, gamma=0.5),\n"
         "                     family=family, epsilons=(0.4, 0.2), final_time=0.2,\n"
         "                     sample_times=(0.1, 0.2), threads=1)\n"

@@ -8,8 +8,8 @@ from hartreelab import (
     Field,
     Grid,
     Mode,
+    KernelSpec,
     ModeFamily,
-    YNormSpec,
     l2_norm,
     l2w_norm,
     snapshot,
@@ -32,6 +32,9 @@ from hartreelab.norms import (
 from hartreelab.wkb import _half_laplacians
 
 from oracles import from_unitary, lattice_wavenumber, plane_wave
+
+# the slacks `validate_suite` gives the two campaigns
+ALGEBRA_SLACK, HARTREE_SLACK = 1e-10, 1e-6
 
 
 def band_limited(grid, rng, cutoff):
@@ -194,21 +197,18 @@ class TestNormMemory:
 
 
 class TestYNorm:
-    def test_zero(self, grid1d):
-        spec = YNormSpec(d=1, gamma=0.5)
-        assert _graded_norm(np.zeros(grid1d.shape), grid1d, spec) == 0
+    def test_zero(self, grid1d, kernel1d):
+        assert _graded_norm(np.zeros(grid1d.shape), grid1d, kernel1d) == 0
 
-    def test_dominates_base_norms(self, gaussian_field):
-        spec = YNormSpec(d=1, gamma=0.5)
+    def test_dominates_base_norms(self, gaussian_field, kernel1d):
         raw = np.fft.fftn(gaussian_field.values)
-        assert _graded_norm(raw, gaussian_field.grid, spec) >= l2w_norm(gaussian_field)
+        assert _graded_norm(raw, gaussian_field.grid, kernel1d) >= l2w_norm(gaussian_field)
 
-    def test_gaussian_against_symbolic_oracle(self, grid1d):
+    def test_gaussian_against_symbolic_oracle(self, grid1d, kernel1d):
         # oracle route: sample the symbolic derivatives of exp(-x^2/2)
         # directly and take their norms, bypassing the FFT multiplier.
         from hartreelab import l2_norm as l2n, wiener_norm as wn
 
-        spec = YNormSpec(d=1, gamma=0.5)
         x = grid1d.axis_coords()
         f = Field(grid1d, np.exp(-x**2 / 2))
         symbolic = [
@@ -217,7 +217,7 @@ class TestYNorm:
             (x**2 - 1) * np.exp(-x**2 / 2),
         ]
         expected = sum(l2n(Field(grid1d, s)) + wn(Field(grid1d, s)) for s in symbolic)
-        got = _graded_norm(np.fft.fftn(f.values), grid1d, spec)
+        got = _graded_norm(np.fft.fftn(f.values), grid1d, kernel1d)
         assert abs(got - expected) / expected < 1e-6
 
     def test_gaussian_continuum_convergence(self):
@@ -225,7 +225,7 @@ class TestYNorm:
         # O(dxi^2) kink error at xi = 0, so continuum agreement at 1e-6
         # needs a wide box; each continuum piece is a 1D quadrature.
         grid = Grid(d=1, length=1024.0, points=8192)
-        spec = YNormSpec(d=1, gamma=0.5)
+        spec = KernelSpec(d=1, gamma=0.5)
         x = grid.axis_coords()
         f = Field(grid, np.exp(-x**2 / 2))
         derivs = [
@@ -256,10 +256,9 @@ class TestYNorm:
 
         grid = Grid(d=d, length=16.0, points=points)
         f = band_limited(grid, np.random.default_rng(5 + d), points // 4)
-        spec = YNormSpec(d=d, gamma=gamma)
-        expected = sum(
-            l2w_norm(spectral_derivative(f, eta)) for eta in multi_indices(d, spec.n)
-        )
+        spec = KernelSpec(d=d, gamma=gamma)
+        expected = sum(l2w_norm(spectral_derivative(f, eta))
+                       for eta in multi_indices(d, derivative_order(d, gamma)))
         got = _graded_norm(np.fft.fftn(f.values), grid, spec)
         assert abs(got - expected) < 1e-12 * expected
 
@@ -269,10 +268,10 @@ class TestYNorm:
         # squares moduli in place, which must leave |raw| intact until eta = 0
         grid = Grid(d=d, length=16.0, points=points)
         raw = np.fft.fftn(band_limited(grid, np.random.default_rng(d), points // 4).values)
-        spec = YNormSpec(d=d, gamma=0.5)
+        spec = KernelSpec(d=d, gamma=0.5)
         xi = [np.abs(m) for m in grid.freq_meshes(zero_nyquist=True)]
         expected = 0.0
-        for eta in multi_indices(d, spec.n):
+        for eta in multi_indices(d, derivative_order(d, 0.5)):
             mag = np.abs(raw)
             for x, e in zip(xi, eta):
                 if e:
@@ -290,19 +289,17 @@ class TestYNorm:
 class TestENorm:
     # ||a(0)||_E of a family whose amplitudes are all the gaussian field
     def test_single_mode(self, gaussian_field, kernel1d):
-        spec = YNormSpec(d=1, gamma=0.5)
-        fam = ModeFamily(gaussian_field.grid, (Mode([0.0], gaussian_field),), spec)
-        e_norm = _half_laplacians(fam, snapshot(fam, 0.0, kernel1d))
+        fam = ModeFamily(gaussian_field.grid, (Mode([0.0], gaussian_field),))
+        e_norm = _half_laplacians(fam, snapshot(fam, 0.0, kernel1d), kernel1d)
         raw = np.fft.fftn(gaussian_field.values)
-        assert e_norm == pytest.approx(_graded_norm(raw, fam.grid, spec))
+        assert e_norm == pytest.approx(_graded_norm(raw, fam.grid, kernel1d))
 
     def test_duplication_additivity(self, gaussian_field, kernel1d):
-        spec = YNormSpec(d=1, gamma=0.5)
-        one = ModeFamily(gaussian_field.grid, (Mode([0.0], gaussian_field),), spec)
+        one = ModeFamily(gaussian_field.grid, (Mode([0.0], gaussian_field),))
         two = ModeFamily(gaussian_field.grid, (Mode([-2.0], gaussian_field),
-                                               Mode([2.0], gaussian_field)), spec)
-        single = _half_laplacians(one, snapshot(one, 0.0, kernel1d))
-        double = _half_laplacians(two, snapshot(two, 0.0, kernel1d))
+                                               Mode([2.0], gaussian_field)))
+        single = _half_laplacians(one, snapshot(one, 0.0, kernel1d), kernel1d)
+        double = _half_laplacians(two, snapshot(two, 0.0, kernel1d), kernel1d)
         assert double == pytest.approx(2 * single, rel=1e-14)
 
 
@@ -310,9 +307,9 @@ class TestAlgebraBound:
     def test_zero_factor(self, grid1d, gaussian_field):
         pair = np.stack((gaussian_field.values, np.zeros(grid1d.shape, dtype=complex)))
         w = np.array([[wiener_norm(gaussian_field), 0.0]])
-        rep = _algebra_bounds(pair[None], w, grid1d)[0]
-        assert rep.lhs == 0
-        assert rep.holds
+        (lhs,), (rhs,) = _algebra_bounds(pair[None], w, grid1d)
+        assert lhs == 0
+        assert lhs <= rhs * (1 + ALGEBRA_SLACK)
 
     def test_plane_wave_pair_convention_ratio(self, grid1d):
         # single plane waves have modulus-one spectra; under the unitary
@@ -320,9 +317,9 @@ class TestAlgebraBound:
         # the product of norms, which is the sharp constant here.
         f = plane_wave(grid1d, lattice_wavenumber(grid1d, 6))
         w = np.full((1, 2), wiener_norm(f))
-        rep = _algebra_bounds(np.stack((f.values, f.values))[None], w, grid1d)[0]
-        assert rep.holds
-        assert rep.lhs / rep.rhs == pytest.approx(
+        (lhs,), (rhs,) = _algebra_bounds(np.stack((f.values, f.values))[None], w, grid1d)
+        assert lhs <= rhs * (1 + ALGEBRA_SLACK)
+        assert lhs / rhs == pytest.approx(
             (2 * np.pi) ** (-0.5), rel=1e-10
         )
 
@@ -333,10 +330,10 @@ class TestAlgebraBound:
         for grid in (Grid(d=1, length=32.0, points=256), Grid(d=2, length=8.0, points=32)):
             pair, w = _random_band_limited(grid, rng, grid.points // 4 - 1, 1, 2)
             f, g = (Field(grid, v.copy()) for v in pair[0])
-            rep = _algebra_bounds(pair, w, grid)[0]
+            (lhs,), (rhs,) = _algebra_bounds(pair, w, grid)
             product = Field(grid, f.values * g.values)
-            assert rep.lhs == pytest.approx(wiener_norm(product), rel=1e-14)
-            assert rep.rhs == pytest.approx(wiener_norm(f) * wiener_norm(g), rel=1e-14)
+            assert lhs == pytest.approx(wiener_norm(product), rel=1e-14)
+            assert rhs == pytest.approx(wiener_norm(f) * wiener_norm(g), rel=1e-14)
 
     def test_fft_budget(self, grid1d, fft_calls):
         # the draw's inverse transform gives the factors and, from their
@@ -350,19 +347,20 @@ class TestAlgebraBound:
     def test_random_campaign(self, grid1d):
         rng = np.random.default_rng(29)
         pairs, w = _random_band_limited(grid1d, rng, grid1d.points // 4 - 1, 200, 2)
-        assert all(rep.holds for rep in _algebra_bounds(pairs, w, grid1d))
+        lhs, rhs = _algebra_bounds(pairs, w, grid1d)
+        assert len(lhs) == 200 and np.all(lhs <= rhs * (1 + ALGEBRA_SLACK))
 
 
 class TestHartreeBound:
     def test_zero_density(self, kernel1d, grid1d):
-        rep = _hartree_bounds(kernel1d, np.zeros((1, *grid1d.shape)), grid1d)[0]
-        assert rep.lhs == 0
-        assert rep.holds
+        (lhs,), (rhs,) = _hartree_bounds(kernel1d, np.zeros((1, *grid1d.shape)), grid1d)
+        assert lhs == 0
+        assert lhs <= rhs * (1 + HARTREE_SLACK)
 
     def test_gaussian_squared(self, kernel1d, grid1d):
         x = grid1d.axis_coords()
-        rep = _hartree_bounds(kernel1d, np.exp(-(x**2))[None], grid1d)[0]
-        assert rep.holds
+        (lhs,), (rhs,) = _hartree_bounds(kernel1d, np.exp(-(x**2))[None], grid1d)
+        assert lhs <= rhs * (1 + HARTREE_SLACK)
 
     def test_random_campaign(self, kernel1d, grid1d):
         rng = np.random.default_rng(31)
@@ -370,7 +368,8 @@ class TestHartreeBound:
         envelope = np.exp(-(x**2) / (2 * (grid1d.length / 12) ** 2))
         h = [np.abs(band_limited(grid1d, rng, grid1d.points // 16).values) ** 2 * envelope
              for _ in range(100)]
-        assert all(rep.holds for rep in _hartree_bounds(kernel1d, np.array(h), grid1d))
+        lhs, rhs = _hartree_bounds(kernel1d, np.array(h), grid1d)
+        assert len(lhs) == 100 and np.all(lhs <= rhs * (1 + HARTREE_SLACK))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_convolution_formula(self, d):
@@ -385,13 +384,13 @@ class TestHartreeBound:
         rng = np.random.default_rng(13 + d)
         for _ in range(3):
             h = Field(grid, np.abs(band_limited(grid, rng, grid.points // 8).values) ** 2)
-            rep = _hartree_bounds(spec, h.values.real[None], grid)[0]
+            (got_lhs,), (got_rhs,) = _hartree_bounds(spec, h.values.real[None], grid)
             k1_l1, k2_sup = split_norms(spec)
             conv = convolve(half_multiplier(spec, grid), h.values.real.copy())
             lhs = wiener_norm(Field(grid, conv))
             rhs = k1_l1 * l1_norm(h) + k2_sup * wiener_norm(h)
-            assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
-            assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+            assert got_lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert got_rhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_fft_budget(self, kernel1d, grid1d, fft_calls):
         # one transform of h serves both Wiener norms, where the

@@ -649,7 +649,7 @@ class TestPaddedLayout:
         amps = snapshot(cfg.family, t, cfg.kernel)
         harness._record(cfg, amps, t, {}, run)
         assert not pads.any()
-        harness._half_laplacians(cfg.family, amps)
+        harness._half_laplacians(cfg.family, amps, cfg.kernel)
         harness._z2_norms(cfg, amps, t, {}, run)
         assert len(run.records) == 1 and not pads.any()
 
