@@ -5,10 +5,10 @@ against the working tree.
                        [--parent REV] [--pairs N] [--seed S]
 
 Run from anywhere inside the checkout.  The parent revision (default
-HEAD, the last commit) is unpacked with `git archive`, and the working
-tree's files (tracked, or untracked and not ignored) are copied beside
-it, into `parent` and `change` of one temporary directory that is
-removed afterwards.  Both paths then have the same length: the
+HEAD, the last commit) is checked out with `git worktree add --detach`,
+and the working tree's files (tracked, or untracked and not ignored) are
+copied beside it, into `parent` and `change` of one temporary directory
+that is removed afterwards.  Both paths then have the same length: the
 heap layout of a run moves with the length of its checkout's path, and
 with it the page faults of perfbench's control kernel and so `wall_s`.
 Pair i runs `perfbench/run.py --workload W --seed S+i` once in each tree,
@@ -38,14 +38,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import re
 import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -59,20 +57,20 @@ def _git(*args) -> str:
 
 @contextlib.contextmanager
 def trees(rev: str):
-    """(parent, change): the files of `rev` and a copy of the working tree,
-    side by side in a temporary directory."""
+    """(parent, change): a detached worktree of `rev` and a copy of the
+    working tree, side by side in a temporary directory."""
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         parent, change = Path(tmp) / "parent", Path(tmp) / "change"
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent, filter="data")
-        for rel in _git("ls-files", "-z", "--cached", "--others",
-                        "--exclude-standard").split("\0"):
-            if rel and (ROOT / rel).is_file():  # a deleted file is still listed
-                (change / rel).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(ROOT / rel, change / rel)
-        yield parent, change
+        _git("worktree", "add", "--detach", str(parent), rev)
+        try:
+            for rel in _git("ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard").split("\0"):
+                if rel and (ROOT / rel).is_file():  # a deleted file is still listed
+                    (change / rel).parent.mkdir(parents=True, exist_ok=True)
+                    shutil.copy2(ROOT / rel, change / rel)
+            yield parent, change
+        finally:
+            _git("worktree", "remove", "--force", str(parent))
 
 
 # the raw medians, in s, that `perfbench/run.py` prints beside its corrected metrics

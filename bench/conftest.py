@@ -1,6 +1,7 @@
 """The plain-numpy control kernel shared by the benchmark modules, the
-environment of the fresh interpreters some entries start, and the
-`fft_calls` transform log of `tests/conftest.py`.
+environment of the fresh interpreters some entries start, the
+`fft_calls` transform log of `tests/conftest.py` and the `oracles`
+module of `tests/`.
 
 The control runs no hartreelab code: a fixed transform pair, product and
 modulus sum on a 256^2 array.  `control_beside` times it just before and
@@ -23,10 +24,10 @@ import hartreelab
 CONTROL_RUNS = 10  # control runs on each side of an entry
 
 
-def _tests_conftest():
-    """tests/conftest.py, loaded under a name of its own."""
-    path = Path(__file__).resolve().parents[1] / "tests" / "conftest.py"
-    spec = importlib.util.spec_from_file_location("hartreelab_tests_conftest", path)
+def _tests_module(name):
+    """tests/<name>.py, loaded under a name of its own."""
+    path = Path(__file__).resolve().parents[1] / "tests" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"hartreelab_tests_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,7 +35,12 @@ def _tests_conftest():
 
 # an entry counts its transforms outside the timing: it clears the log,
 # runs once, then calls `monkeypatch.undo()` before the timed rounds
-fft_calls = _tests_conftest().fft_calls
+fft_calls = _tests_module("conftest").fft_calls
+
+
+@pytest.fixture(scope="session")
+def oracles():
+    return _tests_module("oracles")
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,14 @@ from hartreelab.harness import (
 from hartreelab.kernel import split_norms
 from hartreelab.norms import _algebra_bounds, _hartree_bounds
 
-from oracles import bound_rows, in_band_coefficients, multiplier_grid
+from oracles import (
+    ALGEBRA_SLACK,
+    HARTREE_SLACK,
+    bound_rows,
+    holds,
+    in_band_coefficients,
+    multiplier_grid,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,23 +60,23 @@ def wiener(mag, grid):
     return grid.dxi**d * TWO_PI ** (-d / 2) * grid.dx**d * float(np.sum(mag))
 
 
-def algebra_report(f, g, grid, slack=1e-10):
+def algebra_report(f, g, grid):
     """(lhs, rhs, holds) of the algebra bound for one pair, one field at a
     time; each factor (values, norm) brings the norm of its drawn band."""
     (f, wf), (g, wg) = f, g
     lhs = wiener(np.abs(np.fft.fftn(f * g)), grid)
     rhs = wf * wg
-    return lhs, rhs, lhs <= rhs * (1 + slack)
+    return lhs, rhs, holds(lhs, rhs, ALGEBRA_SLACK)
 
 
-def hartree_report(spec, h, grid, slack=1e-6):
+def hartree_report(spec, h, grid):
     """(lhs, rhs, holds) of the Hartree bound for one density."""
     k1_l1, k2_sup = split_norms(spec)
     mag = np.abs(np.fft.fftn(h))
     lhs = wiener(TWO_PI ** (grid.d / 2) * np.abs(multiplier_grid(spec, grid)) * mag, grid)
     l1 = float(grid.dx**grid.d * np.sum(np.abs(h)))
     rhs = k1_l1 * l1 + k2_sup * wiener(mag, grid)
-    return lhs, rhs, lhs <= rhs * (1 + slack)
+    return lhs, rhs, holds(lhs, rhs, HARTREE_SLACK)
 
 
 GRIDS = [Grid(d=1, length=32.0, points=256), Grid(d=2, length=8.0, points=32)]
@@ -79,7 +86,8 @@ class TestStackedCampaigns:
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d_256", "2d_32x32"])
     def test_algebra_reports_match_per_field_loop(self, grid):
         pairs = grid.block_rows + 5  # one full block and one partial
-        got = bound_rows(_algebra_campaign(grid, np.random.default_rng(11), pairs), 1e-10)
+        got = bound_rows(_algebra_campaign(grid, np.random.default_rng(11), pairs),
+                         ALGEBRA_SLACK)
         rng, cutoff = np.random.default_rng(11), grid.points // 4 - 1
         ref = [algebra_report(one_field(grid, rng, cutoff), one_field(grid, rng, cutoff), grid)
                for _ in range(pairs)]
@@ -89,7 +97,8 @@ class TestStackedCampaigns:
     def test_hartree_reports_match_per_field_loop(self, grid):
         spec = KernelSpec(d=grid.d, gamma=0.5)
         count = grid.block_rows + 5
-        got = bound_rows(_hartree_campaign(spec, grid, np.random.default_rng(12), count), 1e-6)
+        got = bound_rows(_hartree_campaign(spec, grid, np.random.default_rng(12), count),
+                         HARTREE_SLACK)
         assert len(got) == count
         rng = np.random.default_rng(12)
         for got_lhs, got_rhs, got_holds in got:
@@ -140,11 +149,6 @@ def excesses(bounds):
     return (lhs - rhs) / rhs
 
 
-def verdicts(bounds, slack):
-    lhs, rhs = bounds
-    return list(lhs <= rhs * (1 + slack))
-
-
 class TestHomogeneity:
     """Each bound has one degree on both sides, (1, 1) in the algebra pair
     and 1 in the density, so the campaigns' unscaled draws give the
@@ -159,7 +163,7 @@ class TestHomogeneity:
             scale = np.array([a, b])
             scaled = _algebra_bounds(pairs * scale.reshape(2, *(1,) * grid.d), w * scale,
                                      grid)
-            assert verdicts(scaled, 1e-10) == verdicts(base, 1e-10)
+            assert np.array_equal(holds(*scaled, ALGEBRA_SLACK), holds(*base, ALGEBRA_SLACK))
             assert np.max(np.abs(excesses(scaled) - excesses(base))) <= 1e-14
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d_256", "2d_32x32"])
@@ -169,7 +173,7 @@ class TestHomogeneity:
         base = _hartree_bounds(spec, density, grid)
         for c in SCALES:
             scaled = _hartree_bounds(spec, c * density, grid)
-            assert verdicts(scaled, 1e-6) == verdicts(base, 1e-6)
+            assert np.array_equal(holds(*scaled, HARTREE_SLACK), holds(*base, HARTREE_SLACK))
             assert np.max(np.abs(excesses(scaled) - excesses(base))) <= 1e-14
 
 

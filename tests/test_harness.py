@@ -46,6 +46,8 @@ from hartreelab.wkb import (
 )
 
 from oracles import (
+    ALGEBRA_SLACK,
+    HARTREE_SLACK,
     band_mask,
     bound_rows,
     in_band_coefficients,
@@ -819,6 +821,19 @@ class TestCampaign:
         assert outcome.passed and outcome.margin == 1.0
         assert outcome.detail == "0 violations in two rows, worst excess 0.000e+00"
 
+    def test_validate_suite_passes_the_oracle_slacks(self, small_config, monkeypatch):
+        # the tests judge campaign rows with the slacks validate_suite uses
+        seen = []
+
+        def spy(blocks, slack, what):
+            seen.append(slack)
+            return campaign(blocks, slack, what)
+
+        campaign = harness._campaign
+        monkeypatch.setattr(harness, "_campaign", spy)
+        validate_suite(small_config, algebra_pairs=2, hartree_pairs=2)
+        assert seen == [ALGEBRA_SLACK, HARTREE_SLACK]
+
     def test_margin_is_the_worst_excess_in_units_of_the_slack(self):
         slack = 1e-2
         blocks = [(np.array([1.0, 1.005]), np.array([1.0, 1.0])),
@@ -944,8 +959,8 @@ class TestRandomFields:
 
         def reports():
             rng = np.random.default_rng(10)
-            return (bound_rows(_algebra_campaign(grid, rng, 7), 1e-10),
-                    bound_rows(_hartree_campaign(spec, grid, rng, 7), 1e-6))
+            return (bound_rows(_algebra_campaign(grid, rng, 7), ALGEBRA_SLACK),
+                    bound_rows(_hartree_campaign(spec, grid, rng, 7), HARTREE_SLACK))
 
         stacked = reports()
         monkeypatch.setattr(grid_module, "BLOCK_BYTES", 16 * grid.total_points * 3)

@@ -358,7 +358,7 @@ class TestMultiplierGrid:
 
     def test_rejects_dimension_mismatch(self, grid1d):
         with pytest.raises(ValueError, match="2D"):
-            multiplier_grid(KernelSpec(d=2, gamma=0.5), grid1d)
+            half_multiplier(KernelSpec(d=2, gamma=0.5), grid1d)
 
 
 class TestZeroMode:
