@@ -39,9 +39,9 @@
   a validate run takes, at 8192 points and 512^2, on the complex
   samples of `test_advance_step`'s packets: `norms._norms_in_place`
   (L2 and Wiener norms of a field whose samples it transforms in place,
-  refilled outside the timing; the records' route), `norms._graded_norm` (the graded norm
-  of a raw spectrum, the share of ||a||_E per amplitude) and
-  `norms.l2w_norm` (the combined norm of a `Field`).  Each stores
+  refilled outside the timing; the records' route) and
+  `norms._graded_norm` (the graded norm of a raw spectrum, the share of
+  ||a||_E per amplitude).  Each stores
   `fft_calls_per_call` and `peak_state_arrays` as `test_snapshot` does.
 - `test_persist`: one `harness.persist` of the reference_2d sweep result
   (its records.csv, summary.json and convergence.svg) into a fresh
@@ -86,7 +86,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartreelab import Field, Grid, KernelSpec, SolverParams, l2w_norm
+from hartreelab import Grid, KernelSpec, SolverParams
 from hartreelab import grid as grid_module
 from hartreelab import harness
 from hartreelab.config import parse_config
@@ -269,7 +269,7 @@ def test_start(benchmark, fft_calls, monkeypatch):
     benchmark(call)
 
 
-NORM_LAYERS = {"_norms_in_place": 1, "_graded_norm": 0, "l2w_norm": 1}  # FFT calls
+NORM_LAYERS = {"_norms_in_place": 1, "_graded_norm": 0}  # FFT calls
 
 
 @pytest.mark.parametrize("layer", sorted(NORM_LAYERS))
@@ -282,7 +282,6 @@ def test_norms(benchmark, fft_calls, monkeypatch, size, layer):
         "_norms_in_place": functools.partial(_norms_in_place, buf, grid),
         "_graded_norm": functools.partial(_graded_norm, np.fft.fftn(samples), grid,
                                           KernelSpec(d=grid.d, gamma=gamma)),
-        "l2w_norm": functools.partial(l2w_norm, Field(grid, samples)),
     }[layer]
 
     def refill():  # `_norms_in_place` transforms its field in place

@@ -86,7 +86,8 @@ def test_picard_evolve(benchmark, fft_calls, monkeypatch, nodes):
     u0 = initial_data(cfg.family, eps)
 
     def run():
-        return picard_evolve(u0, cfg.kernel, eps, 0.1 * eps, tol=1e-12, nodes=nodes)
+        return picard_evolve(u0, cfg.grid, cfg.kernel, eps, 0.1 * eps, tol=1e-12,
+                             nodes=nodes)
 
     run()
     fft_calls.clear()

@@ -1,7 +1,6 @@
 """Pseudospectral laboratory for the semiclassical singular Hartree equation."""
 
 from .grid import (
-    Field,
     GaussianProfile,
     Grid,
     TableProfile,
@@ -15,11 +14,6 @@ from .kernel import (
     hartree_constant_oracle,
     split_norms,
     zero_mode_value,
-)
-from .norms import (
-    l2_norm,
-    l2w_norm,
-    wiener_norm,
 )
 from .solver import (
     DivergenceError,

@@ -22,10 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config
-from .grid import Field
 from .harness import _fmt, persist, run_sweep, validate_suite
 from .kernel import half_multiplier
-from .norms import l2_norm, wiener_norm
+from .norms import _norms_in_place
 from .solver import DivergenceError, PicardConvergenceError, SolverParams, advance, start
 from .wkb import ContainmentError, ResolutionError, initial_data
 
@@ -70,14 +69,14 @@ def cmd_simulate(cfg) -> int:
     params = SolverParams.largest_step(eps, cfg.final_time, cfg.dt_factor)
     khat_half = half_multiplier(cfg.kernel, g, cfg.kernel.coupling)
     u0 = initial_data(cfg.family, eps)
-    raw, mass0, w0 = start(u0.values, g)
+    raw, mass0, w0 = start(u0, g)
     lines = ["t,l2,wiener,l2w,mass_drift"]
     t_prev, state, mass = 0.0, u0, mass0
     for t in (0.0, *cfg.sample_times):
         if t > 0.0:  # one `advance` per sample gap, then the state sampled
             raw, mass = advance(raw, g, khat_half, params, t_prev, t, mass0 + w0)
-            state, t_prev = Field._adopt(g, np.fft.ifftn(raw)), t
-        l2, w = l2_norm(state), wiener_norm(state)
+            state, t_prev = np.fft.ifftn(raw), t
+        l2, w = _norms_in_place(state, g)  # transforms the state in place
         row = (t, l2, w, l2 + w, abs(mass - mass0) / mass0)
         lines.append(",".join(_fmt(v) for v in row))
 

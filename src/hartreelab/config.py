@@ -105,7 +105,7 @@ class SweepConfig:
         for m in self.family.modes:
             # the remainder and its constant's denominator scale like the
             # cube of the peak, and a zero peak leaves no rate to fit
-            peak = float(abs(m.alpha.values).max())
+            peak = float(abs(m.alpha).max())
             if not lo <= peak <= hi:
                 raise ValueError(f"an initial amplitude peaks at {peak:.3g}, outside "
                                  f"[{lo:g}, {hi:g}] (amplitude range rule)")
@@ -135,7 +135,7 @@ class SweepConfig:
                 }
             else:
                 # the sampled amplitude is the table itself
-                values = m.alpha.values.ravel().tolist()
+                values = m.alpha.ravel().tolist()
                 profile = {"type": "table", "values": values}
             modes.append({"kappa": [float(k) for k in m.kappa], "profile": profile})
         return {

@@ -32,9 +32,10 @@ In 2D and 3D the Strang state is row-padded (`padded_zeros`): the
 [..., :N] view of a buffer with N + 1 elements per row, so no transform
 pass reads columns at a power-of-two stride (see `solver`).  numpy
 transforms the padded view bitwise as it does the contiguous array.
-A `Field` keeps real data real (float64, else complex128), and
-`translate` works in one array: the samples copied into a complex
-buffer, then forward transform, modulation and inverse in place there.
+Fields are plain sample arrays with their grid passed beside them; a
+sampled profile stays real (read-only float64), and `translate` works
+in one array: the samples copied into a complex buffer, then forward
+transform, modulation and inverse in place there.
 """
 
 from __future__ import annotations
@@ -211,49 +212,9 @@ def plane_wave(axes, kappa, scale: float = 1.0, offset: float = 0.0) -> np.ndarr
     return wave
 
 
-def _validated_samples(grid: Grid, values, what: str, copy: bool = True) -> np.ndarray:
-    """Frozen samples, float64 if the data is real and complex128 otherwise."""
-    real = np.asarray(values).dtype.kind in "biuf"
-    arr = np.array(values, dtype=np.float64 if real else np.complex128, copy=copy or None)
-    if arr.shape != grid.shape:
-        raise ValueError(
-            f"{what} shape {arr.shape} does not match grid shape {grid.shape}"
-        )
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError(f"{what} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Samples on the physical grid, float64 when the data is real and
-    complex128 otherwise: a Gaussian or table amplitude and the phases stay
-    real, at half the memory, and numpy's mixed arithmetic casts them to
-    their complex twin bit for bit.  `Field(grid, values)` copies;
-    `Field._adopt` freezes a fresh array in place."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _validated_samples(self.grid, self.values, "field")
-        )
-
-    @classmethod
-    def _adopt(cls, grid: Grid, values) -> "Field":
-        field = object.__new__(cls)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(
-            field, "values", _validated_samples(grid, values, "field", copy=False)
-        )
-        return field
-
-
-def laplacian(f: Field) -> Field:
-    """Sum of pure second derivatives, one transform pair."""
-    return Field._adopt(f.grid, _laplacian_from_raw(np.fft.fftn(f.values), f.grid))
+def laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Sum of pure second derivatives of the samples, one transform pair."""
+    return _laplacian_from_raw(np.fft.fftn(values), grid)
 
 
 def _laplacian_from_raw(raw: np.ndarray, grid: Grid, scale: float = 1.0) -> np.ndarray:
@@ -262,20 +223,20 @@ def _laplacian_from_raw(raw: np.ndarray, grid: Grid, scale: float = 1.0) -> np.n
     return np.fft.ifftn(raw, out=raw)
 
 
-def translate(f: Field, shift) -> Field:
-    """f(. - shift) via frequency modulation, periodic wrap at the edges, in
-    one complex copy of the samples: the bits of `fftn` of real samples,
-    without the complex copy numpy would cast them into."""
-    g = f.grid
+def translate(values: np.ndarray, grid: Grid, shift) -> np.ndarray:
+    """f(. - shift) of the samples f = `values` via frequency modulation,
+    periodic wrap at the edges, in one complex copy of the samples: the bits
+    of `fftn` of real samples, without the complex copy numpy would cast
+    them into.  A zero shift returns `values` itself."""
     s = np.atleast_1d(np.asarray(shift, dtype=float))
-    if s.shape != (g.d,):
-        raise ValueError(f"shift must have {g.d} components, got shape {s.shape}")
+    if s.shape != (grid.d,):
+        raise ValueError(f"shift must have {grid.d} components, got shape {s.shape}")
     if not s.any():
-        return f
-    moved = np.array(f.values, dtype=np.complex128)
+        return values
+    moved = np.array(values, dtype=np.complex128)
     np.fft.fftn(moved, out=moved)
-    moved *= plane_wave(g.freq_meshes(zero_nyquist=True), s, -1.0)
-    return Field._adopt(g, np.fft.ifftn(moved, out=moved))
+    moved *= plane_wave(grid.freq_meshes(zero_nyquist=True), s, -1.0)
+    return np.fft.ifftn(moved, out=moved)
 
 
 @dataclass(frozen=True)
@@ -329,22 +290,28 @@ class TableProfile:
         return arr.reshape(grid.shape)
 
 
-def sample_profile(grid: Grid, spec) -> Field:
-    """Realize a profile specification as a Field on the grid."""
+def sample_profile(grid: Grid, spec) -> np.ndarray:
+    """Realize a profile specification as read-only float64 samples on the
+    grid, in a new array, so a caller's table array stays writable; a table
+    of the wrong length or a non-finite sample is refused."""
     if not isinstance(spec, (GaussianProfile, TableProfile)):
         raise ValueError(f"unsupported profile specification: {type(spec).__name__}")
-    return Field(grid, spec.sample(grid))
+    samples = np.array(spec.sample(grid), dtype=np.float64)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("profile contains non-finite entries")
+    samples.setflags(write=False)
+    return samples
 
 
-def profile_support_radius(f: Field, threshold: float) -> float:
+def profile_support_radius(values: np.ndarray, grid: Grid, threshold: float) -> float:
     """Empirical per-axis support extent max|x_ax| where |f| > threshold*max."""
-    return _extent(f.grid, np.abs(f.values), threshold, f.grid.coords())
+    return _extent(grid, np.abs(values), threshold, grid.coords())
 
 
-def profile_bandwidth(f: Field, threshold: float) -> float:
+def profile_bandwidth(values: np.ndarray, grid: Grid, threshold: float) -> float:
     """Empirical spectral radius max|xi| where |fhat| > threshold*max."""
-    mag = np.abs(np.fft.fftn(f.values))  # |fhat| up to a constant factor
-    return _extent(f.grid, mag, threshold, f.grid.freq_meshes())
+    mag = np.abs(np.fft.fftn(values))  # |fhat| up to a constant factor
+    return _extent(grid, mag, threshold, grid.freq_meshes())
 
 
 def _extent(grid: Grid, mag: np.ndarray, threshold: float, axes) -> float:

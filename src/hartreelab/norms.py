@@ -34,7 +34,7 @@ from functools import reduce
 
 import numpy as np
 
-from .grid import CHUNK, TWO_PI, Field
+from .grid import CHUNK, TWO_PI
 from .kernel import KernelSpec, half_multiplier, split_norms
 
 
@@ -87,19 +87,6 @@ def _norms_in_place(values: np.ndarray, grid) -> tuple:
     l2 = math.sqrt(grid.dx**grid.d * _modulus_sums(values, moduli=False)[0])
     np.fft.fftn(values, out=values)
     return l2, float(_wiener_scale(grid) * _modulus_sums(values, squares=False)[0])
-
-
-def l2_norm(f: Field) -> float:
-    return math.sqrt(f.grid.dx**f.grid.d * _modulus_sums(f.values, moduli=False)[0])
-
-
-def wiener_norm(f: Field) -> float:
-    return _norms_in_place(np.array(f.values, dtype=np.complex128), f.grid)[1]
-
-
-def l2w_norm(f: Field) -> float:
-    """||f||_L2 + ||f||_W, transforming one complex copy of the samples."""
-    return sum(_norms_in_place(np.array(f.values, dtype=np.complex128), f.grid))
 
 
 def multi_indices(d: int, max_order: int) -> list:

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CHUNK, Field, _slices, padded_zeros, unit_phase
+from .grid import CHUNK, _slices, padded_zeros, unit_phase
 from .kernel import KernelSpec, convolve, half_multiplier
 from .norms import _norms, _norms_from_modulus
 
@@ -233,14 +233,15 @@ def advance(raw, grid, khat_half, params: SolverParams, t_prev: float, t_next: f
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite increment raises
 def picard_evolve(
-    u0: Field,
+    u0: np.ndarray,
+    grid,
     spec: KernelSpec,
     eps: float,
     horizon: float = None,
     tol: float = 1e-10,
     max_iter: int = 60,
     nodes: int = None,
-) -> Field:
+) -> np.ndarray:
     """Duhamel fixed point at time `horizon` (small; defaults to 0.1*eps).
 
     The time integral is composite Simpson on an even node count obeying
@@ -251,7 +252,6 @@ def picard_evolve(
     increment, are reported as leaving the contraction ball, naming the
     end time of the panel.
     """
-    g = u0.grid
     if horizon is None:
         horizon = 0.1 * eps
     if not horizon > 0:
@@ -263,10 +263,10 @@ def picard_evolve(
         raise ValueError(f"nodes must be even and at least 2, got {nodes}")
     h = horizon / nodes
 
-    khat_half = half_multiplier(spec, g, spec.coupling)
-    u_half = np.exp(-0.5j * eps * h * g.freq_norm_sq())
+    khat_half = half_multiplier(spec, grid, spec.coupling)
+    u_half = np.exp(-0.5j * eps * h * grid.freq_norm_sq())
     u_full, u_back = u_half**2, np.conj(u_half)
-    axes = tuple(range(1, g.d + 1))
+    axes = tuple(range(1, grid.d + 1))
 
     def sources(raw):
         """Raw spectra of (K * |u|^2) u, u the states of a stack of raw spectra."""
@@ -274,9 +274,9 @@ def picard_evolve(
         state *= convolve(khat_half, state.real**2 + state.imag**2)
         return np.fft.fftn(state, axes=axes, out=state)
 
-    start = np.fft.fftn(u0.values)  # s_{2k}, node 0 first
+    start = np.fft.fftn(u0)  # s_{2k}, node 0 first
     q_start = sources(start[None])[0]  # q_{2k}
-    panel, known, new = np.empty((3, 2, *g.shape), dtype=np.complex128)
+    panel, known, new = np.empty((3, 2, *grid.shape), dtype=np.complex128)
 
     for k in range(nodes // 2):
         where = f"on the panel ending at t = {(2 * k + 2) * h:.6g}"
@@ -291,7 +291,7 @@ def picard_evolve(
             new[0] = known[0] - (1j * h / 12) * (8 * q_mid - u_back * q_end)
             new[1] = known[1] - (1j * h / 3) * (4 * u_half * q_mid + q_end)
             # each increment overwrites its row of the old iterate, spent by now
-            steps = [sum(_norms(np.subtract(n, p, out=p), g)) for n, p in zip(new, panel)]
+            steps = [sum(_norms(np.subtract(n, p, out=p), grid)) for n, p in zip(new, panel)]
             panel, new = new, panel
             if not all(map(math.isfinite, steps)):  # max() would drop a NaN
                 raise PicardConvergenceError(
@@ -313,4 +313,4 @@ def picard_evolve(
             )
         start[...], q_start = panel[1], q_end
 
-    return Field._adopt(g, np.fft.ifftn(start))
+    return np.fft.ifftn(start)

@@ -66,7 +66,6 @@ import numpy as np
 
 from .grid import (
     CHUNK,
-    Field,
     GaussianProfile,
     Grid,
     _laplacian_from_raw,
@@ -80,7 +79,7 @@ from .grid import (
     unit_phase,
 )
 from .kernel import KernelSpec, _inverse_into, convolve, half_multiplier
-from .norms import _graded_norm, l2w_norm
+from .norms import _graded_norm, _norms_in_place
 
 CONTAINMENT_MARGIN = 0.1  # fraction of L kept clear at the box edge
 RESOLUTION_FACTOR = 1.5
@@ -97,32 +96,16 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Mode:
-    """One plane-wave channel: wavevector plus initial amplitude."""
+    """One plane-wave channel: wavevector plus initial amplitude samples."""
 
     kappa: np.ndarray
-    alpha: Field
+    alpha: np.ndarray
     profile: object = None
-    support_radius: float = field(init=False)
-    bandwidth: float = field(init=False)
 
     def __post_init__(self):
         kappa = np.asarray(self.kappa, dtype=float).reshape(-1).copy()
         kappa.setflags(write=False)
         object.__setattr__(self, "kappa", kappa)
-        grid = self.alpha.grid
-        if kappa.shape != (grid.d,):
-            raise ValueError(
-                f"kappa has {kappa.shape[0]} components but the grid is {grid.d}D"
-            )
-        if isinstance(self.profile, GaussianProfile):
-            center = max(abs(c) for c in self.profile.center)
-            radius = center + self.profile.support_radius()
-            bw = self.profile.bandwidth()
-        else:
-            radius = profile_support_radius(self.alpha, DECAY_THRESHOLD)
-            bw = profile_bandwidth(self.alpha, DECAY_THRESHOLD)
-        object.__setattr__(self, "support_radius", float(radius))
-        object.__setattr__(self, "bandwidth", float(bw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,21 +114,29 @@ class ModeFamily:
 
     delta is the minimal pairwise wavevector distance; the construction
     requires it strictly positive, and the remainder constant scales
-    like delta**(gamma - d).
+    like delta**(gamma - d).  Each mode's support radius and bandwidth
+    are its Gaussian profile's, else measured off its samples.
     """
 
     grid: Grid
     modes: tuple
     delta: float = field(init=False)
+    support_radii: tuple = field(init=False)
+    bandwidth_max: float = field(init=False)
 
     def __post_init__(self):
         if not self.modes:
             raise ValueError("mode family must contain at least one mode")
         modes = tuple(self.modes)
         object.__setattr__(self, "modes", modes)
+        g = self.grid
         for m in modes:
-            if m.alpha.grid != self.grid:
-                raise ValueError("all amplitudes must live on the family grid")
+            if m.kappa.shape != (g.d,):
+                raise ValueError(
+                    f"kappa has {m.kappa.shape[0]} components but the grid is {g.d}D"
+                )
+            if m.alpha.shape != g.shape or not np.all(np.isfinite(m.alpha)):
+                raise ValueError("all amplitudes must be finite samples on the family grid")
         delta = min(
             (float(np.linalg.norm(a.kappa - b.kappa)) for a, b in combinations(modes, 2)),
             default=math.inf,
@@ -154,6 +145,17 @@ class ModeFamily:
             raise ValueError("mode wavevectors must be pairwise distinct (delta > 0)")
         object.__setattr__(self, "delta", delta)
         self._check_decay()
+        radii, bandwidths = zip(*map(self._reach, modes))
+        object.__setattr__(self, "support_radii", radii)
+        object.__setattr__(self, "bandwidth_max", max(bandwidths))
+
+    def _reach(self, m: Mode) -> tuple:
+        """(support radius, bandwidth) of one mode's amplitude."""
+        if isinstance(m.profile, GaussianProfile):
+            center = max(abs(c) for c in m.profile.center)
+            return center + m.profile.support_radius(), m.profile.bandwidth()
+        return (profile_support_radius(m.alpha, self.grid, DECAY_THRESHOLD),
+                profile_bandwidth(m.alpha, self.grid, DECAY_THRESHOLD))
 
     def _check_decay(self):
         g = self.grid
@@ -162,7 +164,7 @@ class ModeFamily:
             reduce(np.logical_or, (np.abs(ax) >= edge for ax in g.coords())), g.shape
         )
         for m in self.modes:
-            mag = np.abs(m.alpha.values)
+            mag = np.abs(m.alpha)
             if mag[band].max() > DECAY_THRESHOLD * max(mag.max(), 1.0):
                 raise ValueError(
                     "an initial amplitude does not decay below 1e-12 inside "
@@ -172,10 +174,6 @@ class ModeFamily:
     @property
     def kappa_max(self) -> float:
         return max(float(np.linalg.norm(m.kappa)) for m in self.modes)
-
-    @property
-    def bandwidth_max(self) -> float:
-        return max(m.bandwidth for m in self.modes)
 
     @classmethod
     def from_profiles(cls, grid: Grid, entries) -> "ModeFamily":
@@ -194,10 +192,10 @@ def check_containment(family: ModeFamily, t: float):
     g = family.grid
     limit = g.length / 2 - CONTAINMENT_MARGIN * g.length
     reach = family.kappa_max * abs(t)
-    for m in family.modes:
-        if m.support_radius + reach > limit:
+    for radius in family.support_radii:
+        if radius + reach > limit:
             raise ContainmentError(
-                f"translated support radius {m.support_radius + reach:.3g} "
+                f"translated support radius {radius + reach:.3g} "
                 f"exceeds the safe half-box {limit:.3g} at t = {t:.3g}; "
                 "periodization would corrupt the translated amplitudes"
             )
@@ -233,12 +231,12 @@ def _averaging_factor(t: float, omega: np.ndarray, wave: np.ndarray) -> np.ndarr
 
 def _density_spectra(family: ModeFamily) -> list:
     """rfftn(|alpha_l|^2) per mode: the half spectra every phase sums over."""
-    return [np.fft.rfftn(np.abs(m.alpha.values) ** 2) for m in family.modes]
+    return [np.fft.rfftn(np.abs(m.alpha) ** 2) for m in family.modes]
 
 
 def action_phase(
     family: ModeFamily, j: int, t: float, spec: KernelSpec, spectra: list = None
-) -> Field:
+) -> np.ndarray:
     """Accumulated Hartree phase Theta_j = lambda S_j via the closed form;
     `snapshot` passes the density spectra its M phases share."""
     g = family.grid
@@ -248,7 +246,7 @@ def action_phase(
         raise ValueError(f"time must be nonnegative, got {t}")
     check_containment(family, t)
     if t == 0.0 or spec.coupling == 0.0:
-        return Field._adopt(g, np.zeros(g.shape))
+        return np.zeros(g.shape)
 
     if spectra is None:
         spectra = _density_spectra(family)
@@ -264,7 +262,7 @@ def action_phase(
     # the bits of half_multiplier(spec, g, -lambda), negated from the memoized
     # lambda multiplier the stepper uses, so no entry is held for -lambda
     acc *= np.negative(half_multiplier(spec, g, spec.coupling))
-    return Field._adopt(g, _inverse_into(acc, np.empty(g.shape), range(g.d - 1)))
+    return _inverse_into(acc, np.empty(g.shape), range(g.d - 1))
 
 
 def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
@@ -279,13 +277,12 @@ def snapshot(family: ModeFamily, t: float, spec: KernelSpec) -> tuple:
     """
     check_containment(family, t)
     spectra = _density_spectra(family) if t > 0 and spec.coupling != 0.0 else None
-    phases = [action_phase(family, j, t, spec, spectra).values
-              for j in range(len(family.modes))]
+    phases = [action_phase(family, j, t, spec, spectra) for j in range(len(family.modes))]
     del spectra
     amps = []
     for mode in family.modes:
         amp = unit_phase(phases.pop(0))
-        amp *= translate(mode.alpha, t * mode.kappa).values
+        amp *= translate(mode.alpha, family.grid, t * mode.kappa)
         amps.append(amp)
     return tuple(amps)
 
@@ -336,10 +333,9 @@ def assemble(family: ModeFamily, values, t: float, eps: float, out=None) -> np.n
     return out
 
 
-def initial_data(family: ModeFamily, eps: float) -> Field:
+def initial_data(family: ModeFamily, eps: float) -> np.ndarray:
     """Superposition of eps-oscillatory plane waves: the shared initial state."""
-    alphas = (mode.alpha.values for mode in family.modes)
-    return Field._adopt(family.grid, assemble(family, alphas, 0.0, eps))
+    return assemble(family, (mode.alpha for mode in family.modes), 0.0, eps)
 
 
 def resonant_remainder(family: ModeFamily, amps, eps: float, spec: KernelSpec,
@@ -448,7 +444,7 @@ def ansatz_residual(family: ModeFamily, t: float, eps: float, spec: KernelSpec) 
 
     khat_half = half_multiplier(spec, g, spec.coupling)
     nonlinear = convolve(khat_half, np.abs(u_app) ** 2) * u_app
-    lap = laplacian(Field._adopt(g, u_app)).values
+    lap = laplacian(u_app, g)
     lhs = 1j * eps * dudt + 0.5 * eps**2 * lap - eps * nonlinear
 
     # the half-Laplacians without ||a(t)||_E, each from a fresh spectrum
@@ -457,7 +453,6 @@ def ansatz_residual(family: ModeFamily, t: float, eps: float, spec: KernelSpec) 
     rem = resonant_remainder(family, amps, eps, spec, u_app)
     rhs = eps**2 * z2 + eps * spec.coupling * rem
 
-    residual = Field._adopt(g, lhs - rhs)
-    rhs_norm = l2w_norm(Field._adopt(g, rhs))
-    err = l2w_norm(residual)
+    err = sum(_norms_in_place(np.subtract(lhs, rhs, out=lhs), g))
+    rhs_norm = sum(_norms_in_place(rhs, g))
     return err / rhs_norm if rhs_norm > 0 else (0.0 if err == 0 else math.inf)

@@ -14,7 +14,8 @@ purpose rewrites the file in the same commit, from the repository root:
 
 `--diff` writes nothing: it prints, for each pinned quantity (a sweep's
 fitted rate and record fields, a validate line's numbers, a trajectory
-column), the largest relative move of a fresh run against the file.
+column), the largest relative move of a fresh run against the file, and
+exits 1 if any quantity moved or any count differs, 0 if none did.
 """
 
 import itertools
@@ -86,10 +87,11 @@ def _moves(new: float, old: float) -> tuple:
     return (abs(new - old) / abs(old) if old else math.inf), abs(new - old)
 
 
-def diff_lines(fresh: dict, pinned: dict) -> list:
-    """One line per pinned quantity: its largest relative move from
-    `pinned` to `fresh`, both parsed baseline files, and its largest
-    absolute move."""
+def diff(fresh: dict, pinned: dict) -> tuple:
+    """(lines, status): one line per pinned quantity, its largest relative
+    move from `pinned` to `fresh`, both parsed baseline files, and its
+    largest absolute move; and the exit status of `--diff`, 1 if a
+    quantity moved or a count differs and 0 otherwise."""
     moves = {}
 
     def note(key, new_values, old_values):
@@ -116,9 +118,10 @@ def diff_lines(fresh: dict, pinned: dict) -> list:
         for column, new, old in itertools.zip_longest(header.split(","), line.split(","),
                                                       ref.split(","), fillvalue="nan"):
             note(f"simulate {column}", [new], [old])
-    return [f"{key}: " + (move if isinstance(move, str)
-                          else "relative {:.3g}, absolute {:.3g}".format(*move))
-            for key, move in moves.items()]
+    lines = [f"{key}: " + (move if isinstance(move, str)
+                           else "relative {:.3g}, absolute {:.3g}".format(*move))
+             for key, move in moves.items()]
+    return lines, int(any(isinstance(move, str) or any(move) for move in moves.values()))
 
 
 def main(argv=None) -> int:
@@ -135,8 +138,9 @@ def main(argv=None) -> int:
         trajectory = simulate_lines(workdir)
     text = render(sweeps, validate_lines(checks), trajectory)
     if argv:
-        print("\n".join(diff_lines(json.loads(text), json.loads(PATH.read_text()))))
-        return 0
+        lines, status = diff(json.loads(text), json.loads(PATH.read_text()))
+        print("\n".join(lines))
+        return status
     PATH.write_text(text)
     print(f"wrote {PATH}")
     return 0

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hartreelab import Field, GaussianProfile, Grid, KernelSpec, ModeFamily
+from hartreelab import GaussianProfile, Grid, KernelSpec, ModeFamily
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def kernel1d():
 @pytest.fixture
 def gaussian_field(grid1d):
     x = grid1d.axis_coords()
-    return Field(grid1d, np.exp(-x**2 / 2))
+    return np.exp(-x**2 / 2)
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ composite-Simpson oracle over the time variable for the closed-form
 phase `hartreelab.wkb.action_phase`.  The rest are plain references the
 commands never run: the full-lattice multiplier `multiplier_grid`, the
 mixed derivative `spectral_derivative`, the free flow `free_propagator`
-(with `np.exp`), `l1_norm` and the records reader `read_records_csv`.
+(with `np.exp`), `l1_norm`, the (L2, Wiener) pair `l2_wiener` of samples
+left intact, and the records reader `read_records_csv`.  A field is a
+sample array with its grid passed beside it.
 `strang_run` steps a state through the sample gaps with `solver.advance`
 as the CLI does, for the tests that need states at several times.  The
 test data builders (`lattice_wavenumber`, `in_band_coefficients`,
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hartreelab.grid import TWO_PI, Field, GaussianProfile, Grid, translate
+from hartreelab.grid import TWO_PI, GaussianProfile, Grid, translate
 from hartreelab.harness import CSV_COLUMNS, SweepRecord
 from hartreelab.kernel import (
     KernelSpec,
@@ -37,6 +39,7 @@ from hartreelab.kernel import (
     zero_mode_value,
 )
 from hartreelab import solver
+from hartreelab.norms import _norms_in_place
 from hartreelab.wkb import ModeFamily, check_containment
 
 DIRECT_COST_GUARD = 2**16  # quadratic-cost cap on total points for the oracle
@@ -149,7 +152,8 @@ def _image_tail_curvature(
     return np.zeros_like(z_sq)
 
 
-def convolve_direct(spec: KernelSpec, rho: Field, images: int = None) -> Field:
+def convolve_direct(spec: KernelSpec, rho: np.ndarray, g: Grid,
+                    images: int = None) -> np.ndarray:
     """Direct-summation quadrature of the periodic convolution K * rho.
 
     This is the oracle route: no FFT anywhere.  The kernel is periodized
@@ -159,7 +163,6 @@ def convolve_direct(spec: KernelSpec, rho: Field, images: int = None) -> Field:
     routes target one well-defined operator and the comparison exercises
     the multiplier constant and normalization at every nonzero mode.
     """
-    g = rho.grid
     if g.d != spec.d:
         raise ValueError(f"kernel is {spec.d}D but grid is {g.d}D")
     if g.total_points > DIRECT_COST_GUARD:
@@ -171,7 +174,7 @@ def convolve_direct(spec: KernelSpec, rho: Field, images: int = None) -> Field:
         images = {1: 64, 2: 8, 3: 4}[g.d]
 
     w = _direct_weights(spec, g, images)
-    vals = rho.values
+    vals = rho
 
     if g.d == 1:
         n = g.points
@@ -186,8 +189,7 @@ def convolve_direct(spec: KernelSpec, rho: Field, images: int = None) -> Field:
             out = out + wt * np.roll(vals, shift=idx, axis=tuple(range(g.d)))
 
     dc_target = TWO_PI ** (g.d / 2) * zero_mode_value(spec, g)
-    out = out + (dc_target - w.sum()) * vals.mean()
-    return Field._adopt(g, out)
+    return out + (dc_target - w.sum()) * vals.mean()
 
 
 def multiplier_grid(spec: KernelSpec, grid: Grid) -> np.ndarray:
@@ -228,13 +230,12 @@ def _multiindex(grid: Grid, eta) -> tuple:
     return eta
 
 
-def spectral_derivative(f: Field, eta) -> Field:
+def spectral_derivative(f: np.ndarray, g: Grid, eta) -> np.ndarray:
     """Mixed partial derivative d^eta f via the (i*xi)**eta multiplier.
 
     eta is a multi-index of total order at most 3 (the largest derivative
     order any norm in this package uses).  Exact for band-limited fields.
     """
-    g = f.grid
     eta = _multiindex(g, eta)
     order = sum(eta)
     if order > 3:
@@ -244,27 +245,26 @@ def spectral_derivative(f: Field, eta) -> Field:
     meshes = g.freq_meshes(zero_nyquist=True)
     ones = np.ones(g.shape, dtype=np.complex128)
     mult = reduce(np.multiply, ((1j * m) ** e for m, e in zip(meshes, eta) if e), ones)
-    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * mult))
+    return np.fft.ifftn(np.fft.fftn(f) * mult)
 
 
-def free_propagator(f: Field, eps: float, t: float) -> Field:
+def free_propagator(f: np.ndarray, g: Grid, eps: float, t: float) -> np.ndarray:
     """exp(i eps t Lap / 2): frequency phase exp(-i eps t |xi|^2 / 2)."""
     if t == 0.0:
         return f
-    g = f.grid
     phase = np.exp(-0.5j * eps * t * g.freq_norm_sq())
-    return Field._adopt(g, np.fft.ifftn(np.fft.fftn(f.values) * phase))
+    return np.fft.ifftn(np.fft.fftn(f) * phase)
 
 
-def strang_run(u0: Field, spec: KernelSpec, params, samples) -> tuple:
+def strang_run(u0: np.ndarray, g: Grid, spec: KernelSpec, params, samples) -> tuple:
     """(states, L2 norms) at t = 0 and at each of the increasing `samples`:
     one `solver.advance` per gap from `solver.start`, the loop of
     `hartreelab simulate`."""
-    raw, l2, w = solver.start(u0.values, u0.grid)
-    khat_half = half_multiplier(spec, u0.grid, spec.coupling)
-    states, masses, t_prev = [u0.values], [l2], 0.0
+    raw, l2, w = solver.start(u0, g)
+    khat_half = half_multiplier(spec, g, spec.coupling)
+    states, masses, t_prev = [u0], [l2], 0.0
     for t in samples:
-        raw, mass = solver.advance(raw, u0.grid, khat_half, params, t_prev, t, l2 + w)
+        raw, mass = solver.advance(raw, g, khat_half, params, t_prev, t, l2 + w)
         states.append(np.fft.ifftn(raw))
         masses.append(mass)
         t_prev = t
@@ -301,11 +301,11 @@ def band_mask(grid, cutoff):
 
 
 def from_unitary(grid, coef):
-    """The Field whose unitary coefficients (the convention of `hartreelab.grid`)
+    """The samples whose unitary coefficients (the convention of `hartreelab.grid`)
     are coef: (2 pi)^{d/2} dx^-d ifftn(coef (-1)^{k1+...+kd})."""
     signs = np.where(np.indices(grid.shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
     scale = (2 * np.pi) ** (grid.d / 2) / grid.dx**grid.d
-    return Field(grid, scale * np.fft.ifftn(coef * signs))
+    return scale * np.fft.ifftn(coef * signs)
 
 
 def plane_wave(grid, k0):
@@ -313,12 +313,17 @@ def plane_wave(grid, k0):
     k0 = np.atleast_1d(np.asarray(k0, dtype=float))
     for ax, kc in zip(grid.coords(), k0):
         phase = phase + kc * ax
-    return Field(grid, np.exp(1j * phase))
+    return np.exp(1j * phase)
 
 
-def l1_norm(f: Field) -> float:
-    g = f.grid
-    return float(g.dx**g.d * np.sum(np.abs(f.values)))
+def l2_wiener(f: np.ndarray, g: Grid) -> tuple:
+    """(L2, Wiener) norms of the samples f by `norms._norms_in_place`, on a
+    complex copy so that f stays as it is."""
+    return _norms_in_place(np.array(f, dtype=np.complex128), g)
+
+
+def l1_norm(f: np.ndarray, g: Grid) -> float:
+    return float(g.dx**g.d * np.sum(np.abs(f)))
 
 
 def read_records_csv(path) -> list:
@@ -349,14 +354,14 @@ def _translated_density(family: ModeFamily, j: int, tau: float, t: float) -> np.
             r2 = sum((ax - c - s) ** 2 for ax, c, s in zip(g.coords(), p.center, shift))
             total = total + abs(p.amplitude) ** 2 * np.exp(-r2 / p.width**2)
         else:
-            moved = translate(Field._adopt(g, np.abs(mode.alpha.values) ** 2), shift)
-            total = total + moved.values.real
+            moved = translate(np.abs(mode.alpha) ** 2, g, shift)
+            total = total + moved.real
     return total
 
 
 def action_phase_quadrature(
     family: ModeFamily, j: int, t: float, spec: KernelSpec, nodes: int = 64
-) -> Field:
+) -> np.ndarray:
     """Composite-Simpson oracle for the accumulated phase."""
     g = family.grid
     if nodes < 8 or nodes % 2:
@@ -365,7 +370,7 @@ def action_phase_quadrature(
         raise ValueError(f"time must be nonnegative, got {t}")
     check_containment(family, t)
     if t == 0.0 or spec.coupling == 0.0:
-        return Field._adopt(g, np.zeros(g.shape))
+        return np.zeros(g.shape)
 
     khat_half = half_multiplier(spec, g)
     taus = np.linspace(0.0, t, nodes + 1)
@@ -378,4 +383,4 @@ def action_phase_quadrature(
     for tau, w in zip(taus, weights):
         dens = _translated_density(family, j, float(tau), t)
         total = total + w * convolve(khat_half, dens)
-    return Field._adopt(g, -spec.coupling * total)
+    return -spec.coupling * total

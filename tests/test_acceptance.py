@@ -7,6 +7,7 @@ points, horizon 0.5 sampled at {0.25, 0.5}, eps in {0.2, 0.1, 0.05,
 with width-0.75 modes at kappa = (+-2, 0), eps in {0.2, 0.1, 0.05}.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 import baseline
 
 from hartreelab import (
-    Field,
     GaussianProfile,
     Grid,
     KernelSpec,
@@ -29,16 +29,13 @@ from hartreelab import (
     hartree_constant,
     hartree_constant_oracle,
     initial_data,
-    l2_norm,
-    l2w_norm,
     picard_evolve,
     run_sweep,
     snapshot,
     translate,
     validate_suite,
-    wiener_norm,
 )
-from oracles import action_phase_quadrature, free_propagator, strang_run
+from oracles import action_phase_quadrature, free_propagator, l2_wiener, strang_run
 
 
 def _gaussian_modes(kappas, width, d):
@@ -180,15 +177,15 @@ def test_criterion_7_solver_integrity(config_1d, result_1d, suite_1d):
     assert drift < 1e-10
 
     # Strang self-convergence on the reference family
-    eps, horizon = 0.1, 0.04
+    eps, horizon, grid = 0.1, 0.04, config_1d.grid
     u0 = initial_data(config_1d.family, eps)
 
     def run(dt):
         params = SolverParams(eps=eps, dt=dt, final_time=horizon)
-        return strang_run(u0, config_1d.kernel, params, [horizon])[0][-1]
+        return strang_run(u0, grid, config_1d.kernel, params, [horizon])[0][-1]
 
     ref = run(horizon / 128)
-    errs = [l2_norm(Field(u0.grid, run(horizon / n) - ref)) for n in (4, 8, 16)]
+    errs = [l2_wiener(run(horizon / n) - ref, grid)[0] for n in (4, 8, 16)]
     orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
     for order in orders:
         assert abs(order - 2.0) <= 0.2
@@ -197,18 +194,19 @@ def test_criterion_7_solver_integrity(config_1d, result_1d, suite_1d):
     eps_x, horizon_x = 0.1, 0.01
     u0x = initial_data(config_1d.family, eps_x)
     params = SolverParams(eps=eps_x, dt=horizon_x / 32, final_time=horizon_x)
-    stepped = strang_run(u0x, config_1d.kernel, params, [horizon_x])[0][-1]
+    stepped = strang_run(u0x, grid, config_1d.kernel, params, [horizon_x])[0][-1]
     fixed = picard_evolve(
-        u0x, config_1d.kernel, eps_x, horizon_x, tol=1e-12, nodes=64
+        u0x, grid, config_1d.kernel, eps_x, horizon_x, tol=1e-12, nodes=64
     )
-    gap = l2w_norm(Field(u0x.grid, stepped - fixed.values))
+    gap = sum(l2_wiener(stepped - fixed, grid))
     assert gap < 1e-5
 
     # the free flow is an exact isometry for both norms
     probe = initial_data(config_1d.family, 0.1)
-    moved = free_propagator(probe, 0.1, 0.37)
-    assert abs(l2_norm(moved) - l2_norm(probe)) < 1e-12 * l2_norm(probe)
-    assert abs(wiener_norm(moved) - wiener_norm(probe)) < 1e-12 * wiener_norm(probe)
+    (l2, w), (l2_0, w_0) = (l2_wiener(v, grid)
+                            for v in (free_propagator(probe, grid, 0.1, 0.37), probe))
+    assert abs(l2 - l2_0) < 1e-12 * l2_0
+    assert abs(w - w_0) < 1e-12 * w_0
 
     # Wiener norm stays inside twice its initial value over the horizon
     for eps in (config_1d.epsilons[0], config_1d.epsilons[-1]):
@@ -216,9 +214,9 @@ def test_criterion_7_solver_integrity(config_1d, result_1d, suite_1d):
         params = SolverParams(
             eps=eps, dt=0.1 * eps, final_time=config_1d.final_time
         )
-        states, _ = strang_run(u0, config_1d.kernel, params, config_1d.sample_times)
-        w0 = wiener_norm(u0)
-        assert all(wiener_norm(Field(u0.grid, s)) <= 2 * w0 for s in states)
+        states, _ = strang_run(u0, grid, config_1d.kernel, params, config_1d.sample_times)
+        w0 = l2_wiener(u0, grid)[1]
+        assert all(l2_wiener(s, grid)[1] <= 2 * w0 for s in states)
 
     agree = suite_1d["integrator_agreement"]
     assert agree.passed, agree.detail
@@ -236,24 +234,20 @@ def test_criterion_8_wkb_internal_consistency(config_1d):
     for j in range(len(fam.modes)):
         closed = action_phase(fam, j, 0.5, kern)
         quad = action_phase_quadrature(fam, j, 0.5, kern, nodes=128)
-        worst_action = max(worst_action, float(np.max(np.abs(
-            closed.values - quad.values
-        ))))
+        worst_action = max(worst_action, float(np.max(np.abs(closed - quad))))
     assert worst_action < 1e-8
 
     worst_mod = 0.0
     for t in config_1d.sample_times:
         for mode, amp in zip(fam.modes, snapshot(fam, t, kern)):
-            moved = translate(mode.alpha, t * mode.kappa)
-            worst_mod = max(worst_mod, float(np.max(np.abs(
-                np.abs(amp) - np.abs(moved.values)
-            ))))
+            moved = translate(mode.alpha, fam.grid, t * mode.kappa)
+            worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(amp) - np.abs(moved)))))
     assert worst_mod < 1e-10
 
     worst_init, amps0 = 0.0, snapshot(fam, 0.0, kern)
     for eps in config_1d.epsilons:
         u_app = assemble(fam, amps0, 0.0, eps)
-        gap = l2w_norm(Field(fam.grid, initial_data(fam, eps).values - u_app))
+        gap = sum(l2_wiener(initial_data(fam, eps) - u_app, fam.grid))
         worst_init = max(worst_init, gap)
     assert worst_init < 1e-12
 
@@ -281,3 +275,23 @@ def test_baseline_numbers_pinned(result_1d, result_2d, suite_1d, tmp_path):
     assert baseline.simulate_lines(tmp_path) == pinned["simulate_reference_1d_eps_0.2"]
     print("\nBASELINE: PASS  records, beta_fitted, validate and simulate lines "
           "match tests/baseline.json")
+
+
+def test_baseline_diff_exits_1_on_any_move():
+    # synthetic fresh and pinned files: an identical pair exits 0, and a
+    # moved record field, a missing record, a moved validate number or a
+    # moved trajectory column each exits 1
+    pinned = {"sweeps": {"s": {"beta_fitted": 0.5,
+                               "records": [[0.1, 0.25, 1.0, 2.0, 3.0, 4.0, 0.0]]}},
+              "validate_reference_1d_seed_0": ["a: pass (margin +0.500) gap 1.0e-03"],
+              "simulate_reference_1d_eps_0.2": ["t,l2", "0,1.5"]}
+    lines, status = baseline.diff(copy.deepcopy(pinned), pinned)
+    assert status == 0 and all(line.endswith("relative 0, absolute 0") for line in lines)
+    moved, fewer, line, column = (copy.deepcopy(pinned) for _ in range(4))
+    moved["sweeps"]["s"]["records"][0][2] = 1.0000000000000002
+    fewer["sweeps"]["s"]["records"] = []
+    line["validate_reference_1d_seed_0"] = ["a: pass (margin +0.500) gap 1.1e-03"]
+    column["simulate_reference_1d_eps_0.2"] = ["t,l2", "0,1.25"]
+    for fresh in (moved, fewer, line, column):
+        lines, status = baseline.diff(fresh, pinned)
+        assert status == 1, lines

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from hartreelab import (
-    Field,
     GaussianProfile,
     Grid,
     KernelSpec,
@@ -190,7 +189,7 @@ class TestPicardPanels:
         grid = Grid(d=1, length=32.0, points=1024)
         x = grid.axis_coords()
         eps, horizon, nodes = 0.1, 0.01, 32
-        u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps))
+        u0 = np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps)
         shapes = []
         for name in ("ifftn", "fftn"):
             def recorded(a, *args, _fn=getattr(np.fft, name), **kwargs):
@@ -198,7 +197,7 @@ class TestPicardPanels:
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recorded)
-        picard_evolve(u0, kernel1d, eps=eps, horizon=horizon, tol=1e-12, nodes=nodes)
+        picard_evolve(u0, grid, kernel1d, eps=eps, horizon=horizon, tol=1e-12, nodes=nodes)
         panel = (2, grid.points)
         iterations = shapes.count(panel) // 2  # ifftn and fftn read a panel
         assert iterations >= nodes // 2  # at least one per panel

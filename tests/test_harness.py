@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hartreelab import (
-    Field,
     GaussianProfile,
     Grid,
     KernelSpec,
@@ -35,7 +34,6 @@ from hartreelab.harness import (
     _sweep_checks,
 )
 from hartreelab.kernel import half_multiplier
-from hartreelab.norms import l2_norm, l2w_norm, wiener_norm
 from hartreelab.solver import DivergenceError, SolverParams
 from hartreelab.wkb import (
     _half_laplacians,
@@ -51,6 +49,7 @@ from oracles import (
     band_mask,
     bound_rows,
     in_band_coefficients,
+    l2_wiener,
     read_records_csv,
     strang_run,
 )
@@ -84,7 +83,7 @@ def per_eps_reference(cfg):
     per t for the checks, and the t = 0 error of the snapshot at t = 0.
     Returns (records, beta_fitted, checks, failures)."""
     records, failures, worst = [], {}, []
-    init_err = max(l2w_norm(Field(cfg.grid, a - m.alpha.values))
+    init_err = max(sum(l2_wiener(a - m.alpha, cfg.grid))
                    for a, m in zip(snapshot(cfg.family, 0.0, cfg.kernel), cfg.family.modes))
     for eps in cfg.epsilons:
         u0 = initial_data(cfg.family, eps)
@@ -95,7 +94,7 @@ def per_eps_reference(cfg):
             dt_factor=cfg.dt_factor,
         )
         try:
-            states, masses = strang_run(u0, cfg.kernel, params, cfg.sample_times)
+            states, masses = strang_run(u0, cfg.grid, cfg.kernel, params, cfg.sample_times)
         except DivergenceError as exc:
             failures[eps] = str(exc)
             continue
@@ -103,10 +102,8 @@ def per_eps_reference(cfg):
         for idx, t in enumerate(cfg.sample_times):
             amps = snapshot(cfg.family, t, cfg.kernel)
             u_app = assemble(cfg.family, amps, t, eps)
-            halves = [0.5 * grid_module.laplacian(Field(cfg.grid, a)).values
-                      for a in amps]
-            err = Field(cfg.grid, states[1 + idx] - u_app)
-            err_l2, err_w = l2_norm(err), wiener_norm(err)
+            halves = [0.5 * grid_module.laplacian(a, cfg.grid) for a in amps]
+            err_l2, err_w = l2_wiener(states[1 + idx] - u_app, cfg.grid)
             recs.append(
                 SweepRecord(
                     eps=eps,
@@ -114,9 +111,9 @@ def per_eps_reference(cfg):
                     err_l2=err_l2,
                     err_w=err_w,
                     err_l2w=err_l2 + err_w,
-                    r_norm=l2w_norm(Field(cfg.grid, resonant_remainder(
-                        cfg.family, amps, eps, cfg.kernel, u_app))),
-                    z2_norm=l2w_norm(Field(cfg.grid, assemble(cfg.family, halves, t, eps))),
+                    r_norm=sum(l2_wiener(resonant_remainder(
+                        cfg.family, amps, eps, cfg.kernel, u_app), cfg.grid)),
+                    z2_norm=sum(l2_wiener(assemble(cfg.family, halves, t, eps), cfg.grid)),
                     mass_drift=abs(masses[1 + idx] - masses[0]) / masses[0],
                 )
             )
@@ -175,14 +172,12 @@ class TestExpectedRate:
 
 class TestErrorReport:
     # a record's error is the L2 and Wiener norms of u - u_app
-    def test_identical_fields(self, gaussian_field):
-        err = Field(gaussian_field.grid, gaussian_field.values - gaussian_field.values)
-        assert l2_norm(err) == wiener_norm(err) == l2w_norm(err) == 0
+    def test_identical_fields(self, gaussian_field, grid1d):
+        assert l2_wiener(gaussian_field - gaussian_field, grid1d) == (0, 0)
 
     def test_zero_approximation(self, gaussian_field, grid1d):
-        err = Field(grid1d, gaussian_field.values - np.zeros(grid1d.shape))
-        assert l2_norm(err) == pytest.approx(l2_norm(gaussian_field))
-        assert wiener_norm(err) == pytest.approx(wiener_norm(gaussian_field))
+        err = l2_wiener(gaussian_field - np.zeros(grid1d.shape), grid1d)
+        assert err == pytest.approx(l2_wiener(gaussian_field, grid1d))
 
 
 class TestFitRate:
@@ -255,10 +250,10 @@ class TestRunSweep:
     def test_gaussian_table_runs_as_the_gaussian(self, small_config):
         # a table of real numbers samples as float64, as the Gaussian does,
         # so the sweep runs the same real arithmetic on it, bit for bit
-        entries = [(m.kappa, TableProfile(values=m.alpha.values.ravel().tolist()))
+        entries = [(m.kappa, TableProfile(values=m.alpha.ravel().tolist()))
                    for m in small_config.family.modes]
         family = ModeFamily.from_profiles(small_config.grid, entries)
-        assert all(m.alpha.values.dtype == np.float64 for m in family.modes)
+        assert all(m.alpha.dtype == np.float64 for m in family.modes)
         table = with_epsilons(small_config, small_config.epsilons, family=family)
         assert run_sweep(table).records == run_sweep(small_config).records
 
@@ -525,7 +520,7 @@ class TestLockstepSweep:
 
         def offset_at_t0(family, j, t, spec, spectra=None):
             theta = real(family, j, t, spec, spectra)
-            return Field(theta.grid, theta.values + 1e-9) if t == 0.0 else theta
+            return theta + 1e-9 if t == 0.0 else theta
 
         monkeypatch.setattr(wkb, "action_phase", offset_at_t0)
         check = run_sweep(with_epsilons(small_config, (0.2, 0.1))).checks["initial_exactness"]
@@ -536,9 +531,9 @@ class TestLockstepSweep:
         # that moves its field by one dx must fail the check
         real = wkb.translate
 
-        def moved(f, shift):
+        def moved(f, grid, shift):
             s = np.atleast_1d(np.asarray(shift, dtype=float))
-            return real(f, s if s.any() else s + f.grid.dx)
+            return real(f, grid, s if s.any() else s + grid.dx)
 
         monkeypatch.setattr(wkb, "translate", moved)
         check = run_sweep(with_epsilons(small_config, (0.2, 0.1))).checks["initial_exactness"]
@@ -628,7 +623,7 @@ class TestLockstepSweep:
         )
         u0 = initial_data(cfg.family, doomed_middle_eps)
         with pytest.raises(DivergenceError) as alone:
-            strang_run(u0, cfg.kernel, params, cfg.sample_times)
+            strang_run(u0, cfg.grid, cfg.kernel, params, cfg.sample_times)
         assert alone.value.time > cfg.sample_times[0]
         assert result.failures[doomed_middle_eps] == str(alone.value)
         self.assert_matches_reference(result, cfg)
@@ -792,8 +787,8 @@ class TestValidateSuite:
         # drift that the transport law does not account for
         real = wkb.translate
 
-        def fast(f, shift):
-            return real(f, 1.5 * np.atleast_1d(np.asarray(shift, dtype=float)))
+        def fast(f, grid, shift):
+            return real(f, grid, 1.5 * np.atleast_1d(np.asarray(shift, dtype=float)))
 
         monkeypatch.setattr(wkb, "translate", fast)
         monkeypatch.setattr(harness, "translate", fast)
@@ -929,7 +924,7 @@ class TestRandomFields:
         vals, w = _random_band_limited(grid, np.random.default_rng(12),
                                        CAMPAIGN_CUTOFFS[campaign](grid), 3)
         for row, norm in zip(vals, w):
-            assert norm == pytest.approx(wiener_norm(Field(grid, row)), rel=1e-14, abs=0)
+            assert norm == pytest.approx(l2_wiener(row, grid)[1], rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("grid", FIELD_GRIDS, ids=FIELD_GRID_IDS)
     def test_draw_into_reused_buffer_equals_fresh_draw(self, grid):

@@ -11,7 +11,6 @@ from scipy import integrate
 
 import hartreelab
 from hartreelab import (
-    Field,
     Grid,
     KernelSpec,
     hartree_constant,
@@ -151,7 +150,7 @@ class TestConvolve:
 
     def test_plane_wave_eigenfunction(self, kernel1d, grid1d):
         # the multiplier is even, so cos(k0 x) shares the eigenvalue of exp(i k0 x)
-        f = plane_wave(grid1d, lattice_wavenumber(grid1d, 14)).values.real
+        f = plane_wave(grid1d, lattice_wavenumber(grid1d, 14)).real
         out = convolve(half_multiplier(kernel1d, grid1d), f.copy())
         expected = (2 * np.pi) ** 0.5 * multiplier_grid(kernel1d, grid1d)[14] * f
         assert np.max(np.abs(out - expected)) < 1e-12 * np.max(np.abs(expected))
@@ -276,9 +275,9 @@ class TestConvolve:
         grid = Grid(d=1, length=64.0, points=256)
         spec = KernelSpec(d=1, gamma=0.5)
         x = grid.axis_coords()
-        rho = Field(grid, np.exp(-x**2 / 2))
-        fast = convolve(half_multiplier(spec, grid), rho.values.real.copy())
-        direct = convolve_direct(spec, rho).values.real
+        rho = np.exp(-x**2 / 2)
+        fast = convolve(half_multiplier(spec, grid), rho.copy())
+        direct = convolve_direct(spec, rho, grid).real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 1e-3
 
@@ -286,14 +285,13 @@ class TestConvolve:
 class TestConvolveDirect:
     def test_zero_density(self, kernel1d):
         grid = Grid(d=1, length=64.0, points=256)
-        out = convolve_direct(kernel1d, Field(grid, np.zeros(grid.shape)))
-        assert np.max(np.abs(out.values)) < 1e-14
+        out = convolve_direct(kernel1d, np.zeros(grid.shape), grid)
+        assert np.max(np.abs(out)) < 1e-14
 
     def test_symmetric_density_symmetric_output(self, kernel1d):
         grid = Grid(d=1, length=64.0, points=256)
         x = grid.axis_coords()
-        rho = Field(grid, np.exp(-x**2))
-        out = convolve_direct(kernel1d, rho).values.real
+        out = convolve_direct(kernel1d, np.exp(-x**2), grid).real
         # x = 0 sits at index N/2; mirror indices pair as i <-> N-i
         mirrored = np.roll(out[::-1], 1)
         assert np.max(np.abs(out - mirrored)) < 1e-10 * np.max(np.abs(out))
@@ -304,25 +302,24 @@ class TestConvolveDirect:
         for n in (256, 512):
             grid = Grid(d=1, length=64.0, points=n)
             x = grid.axis_coords()
-            rho = Field(grid, np.exp(-x**2 / 2))
-            fast = convolve(half_multiplier(spec, grid), rho.values.real.copy())
-            direct = convolve_direct(spec, rho).values.real
+            rho = np.exp(-x**2 / 2)
+            fast = convolve(half_multiplier(spec, grid), rho.copy())
+            direct = convolve_direct(spec, rho, grid).real
             errs.append(np.max(np.abs(fast - direct)) / np.max(np.abs(fast)))
         assert errs[0] / errs[1] >= 2.0
 
     def test_cost_guard(self, kernel1d):
         grid = Grid(d=1, length=64.0, points=2**17)
-        rho = Field(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="guard"):
-            convolve_direct(kernel1d, rho)
+            convolve_direct(kernel1d, np.zeros(grid.shape), grid)
 
     def test_2d_agreement(self):
         grid = Grid(d=2, length=24.0, points=64)
         spec = KernelSpec(d=2, gamma=0.5)
         xs, ys = grid.coords()
-        rho = Field(grid, np.exp(-(xs**2 + ys**2) / 2))
-        fast = convolve(half_multiplier(spec, grid), rho.values.real.copy())
-        direct = convolve_direct(spec, rho).values.real
+        rho = np.exp(-(xs**2 + ys**2) / 2)
+        fast = convolve(half_multiplier(spec, grid), rho.copy())
+        direct = convolve_direct(spec, rho, grid).real
         rel = np.max(np.abs(fast - direct)) / np.max(np.abs(fast))
         assert rel < 5e-3
 
@@ -393,7 +390,8 @@ def test_import_and_load_leave_scipy_integrate_unloaded():
 
 
 def test_import_loads_no_test_only_code():
-    # the oracles live under tests/, and the names only tests called are gone
+    # the oracles live under tests/, and the names only tests called are
+    # gone, as are the Field type and its norm wrappers
     src = str(Path(hartreelab.__file__).resolve().parents[1])
     tests = Path(__file__).resolve().parent
     script = (
@@ -403,7 +401,8 @@ def test_import_loads_no_test_only_code():
         "gone = ('SpectralField', 'forward_transform', 'inverse_transform', "
         "'spectral_l2_norm', 'NormReport', 'norm_report', 'eikonal_phase', "
         "'convolve_direct', 'multiplier_grid', 'spectral_derivative', "
-        "'free_propagator', 'l1_norm', 'read_records_csv', 'action_phase_quadrature')\n"
+        "'free_propagator', 'l1_norm', 'read_records_csv', 'action_phase_quadrature', "
+        "'Field', 'l2_norm', 'wiener_norm', 'l2w_norm')\n"
         "print([n for m in mods for n in gone if hasattr(m, n)])\n"
         f"print([n for n, m in sys.modules.items() if str(getattr(m, '__file__', None))"
         f".startswith({str(tests)!r})])\n"
@@ -481,13 +480,13 @@ def test_validate_and_direct_oracle_leave_scipy_integrate_unloaded():
         "import sys\n"
         "import numpy as np\n"
         "import hartreelab\n"
-        "from hartreelab import Field, Grid, KernelSpec\n"
+        "from hartreelab import Grid, KernelSpec\n"
         "from oracles import convolve_direct\n"
         f"cfg = hartreelab.load_config({str(root / 'configs' / 'reference_1d.json')!r})\n"
         "hartreelab.validate_suite(cfg, seed=0)\n"
         "grid = Grid(d=2, length=8.0, points=16)\n"
         "xs, ys = grid.coords()\n"
-        "convolve_direct(KernelSpec(d=2, gamma=1.0), Field(grid, np.exp(-(xs**2 + ys**2))))\n"
+        "convolve_direct(KernelSpec(d=2, gamma=1.0), np.exp(-(xs**2 + ys**2)), grid)\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
     tests = str(Path(__file__).resolve().parent)  # where `oracles` lives

@@ -5,16 +5,12 @@ import pytest
 from scipy import integrate
 
 from hartreelab import (
-    Field,
     Grid,
     Mode,
     KernelSpec,
     ModeFamily,
-    l2_norm,
-    l2w_norm,
     snapshot,
     translate,
-    wiener_norm,
 )
 from hartreelab.grid import CHUNK, padded_zeros
 from hartreelab.harness import _random_band_limited
@@ -36,6 +32,7 @@ from oracles import (
     HARTREE_SLACK,
     from_unitary,
     holds,
+    l2_wiener,
     lattice_wavenumber,
     plane_wave,
 )
@@ -64,60 +61,54 @@ class TestDerivativeOrder:
 
 class TestBasicNorms:
     def test_zero_field(self, grid1d):
-        z = Field(grid1d, np.zeros(grid1d.shape))
-        assert l2_norm(z) == 0
-        assert wiener_norm(z) == 0
+        assert l2_wiener(np.zeros(grid1d.shape), grid1d) == (0, 0)
 
-    def test_l2_gaussian_closed_form(self, grid1d):
-        x = grid1d.axis_coords()
-        f = Field(grid1d, np.exp(-x**2 / 2))
-        assert abs(l2_norm(f) - np.pi**0.25) < 1e-10
+    def test_l2_gaussian_closed_form(self, grid1d, gaussian_field):
+        assert abs(l2_wiener(gaussian_field, grid1d)[0] - np.pi**0.25) < 1e-10
 
-    def test_l2_homogeneity(self, gaussian_field):
-        doubled = Field(gaussian_field.grid, 2.0 * gaussian_field.values)
-        assert l2_norm(doubled) == pytest.approx(
-            2 * l2_norm(gaussian_field), rel=1e-14
+    def test_l2_homogeneity(self, grid1d, gaussian_field):
+        assert l2_wiener(2.0 * gaussian_field, grid1d)[0] == pytest.approx(
+            2 * l2_wiener(gaussian_field, grid1d)[0], rel=1e-14
         )
 
-    def test_wiener_gaussian_closed_form(self, grid1d):
-        x = grid1d.axis_coords()
-        f = Field(grid1d, np.exp(-x**2 / 2))
-        assert abs(wiener_norm(f) - np.sqrt(2 * np.pi)) < 1e-8
+    def test_wiener_gaussian_closed_form(self, grid1d, gaussian_field):
+        assert abs(l2_wiener(gaussian_field, grid1d)[1] - np.sqrt(2 * np.pi)) < 1e-8
 
     def test_wiener_plane_wave(self, grid1d):
         f = plane_wave(grid1d, lattice_wavenumber(grid1d, 9))
-        assert abs(wiener_norm(f) - np.sqrt(2 * np.pi)) < 1e-10
+        assert abs(l2_wiener(f, grid1d)[1] - np.sqrt(2 * np.pi)) < 1e-10
 
-    def test_report_sum_identity(self, gaussian_field):
-        f = gaussian_field
-        assert l2w_norm(f) == l2_norm(f) + wiener_norm(f)
+    def test_report_sum_identity(self, grid1d, gaussian_field):
+        # samples and their raw spectrum give one pair: Wiener bit for bit,
+        # L2 by Parseval to rounding
+        l2, w = l2_wiener(gaussian_field, grid1d)
+        l2_raw, w_raw = _norms(np.fft.fftn(gaussian_field.astype(complex)), grid1d)
+        assert w == w_raw and l2 == pytest.approx(l2_raw, rel=1e-14)
 
     def test_triangle_inequality(self, grid1d):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            f = Field(grid1d, rng.standard_normal(grid1d.shape)
-                      + 1j * rng.standard_normal(grid1d.shape))
-            g = Field(grid1d, rng.standard_normal(grid1d.shape)
-                      + 1j * rng.standard_normal(grid1d.shape))
-            total = Field(grid1d, f.values + g.values)
-            assert l2_norm(total) <= (l2_norm(f) + l2_norm(g)) * (1 + 1e-12)
-            assert wiener_norm(total) <= (wiener_norm(f) + wiener_norm(g)) * (
-                1 + 1e-12
-            )
+            f = rng.standard_normal(grid1d.shape) + 1j * rng.standard_normal(grid1d.shape)
+            g = rng.standard_normal(grid1d.shape) + 1j * rng.standard_normal(grid1d.shape)
+            (l2_f, w_f), (l2_g, w_g) = l2_wiener(f, grid1d), l2_wiener(g, grid1d)
+            l2_total, w_total = l2_wiener(f + g, grid1d)
+            assert l2_total <= (l2_f + l2_g) * (1 + 1e-12)
+            assert w_total <= (w_f + w_g) * (1 + 1e-12)
 
     def test_translation_invariance(self, grid1d):
         rng = np.random.default_rng(19)
         f = band_limited(grid1d, rng, 40)
-        moved = translate(f, 2.3)
-        assert abs(l2_norm(moved) - l2_norm(f)) < 1e-12 * l2_norm(f)
-        assert abs(wiener_norm(moved) - wiener_norm(f)) < 1e-12 * wiener_norm(f)
+        (l2, w), (l2_moved, w_moved) = (l2_wiener(v, grid1d)
+                                        for v in (f, translate(f, grid1d, 2.3)))
+        assert abs(l2_moved - l2) < 1e-12 * l2
+        assert abs(w_moved - w) < 1e-12 * w
 
     def test_sup_bound_from_wiener(self, grid1d):
         rng = np.random.default_rng(21)
         for _ in range(20):
             f = band_limited(grid1d, rng, 50)
-            bound = (2 * np.pi) ** (-grid1d.d / 2) * wiener_norm(f) * (1 + 1e-10)
-            assert np.max(np.abs(f.values)) <= bound
+            bound = (2 * np.pi) ** (-grid1d.d / 2) * l2_wiener(f, grid1d)[1] * (1 + 1e-10)
+            assert np.max(np.abs(f)) <= bound
 
 
 class TestChunkedModuli:
@@ -144,8 +135,6 @@ class TestChunkedModuli:
         assert _norms(raw, grid) == (l2, float(_wiener_from_modulus(mag, grid)))
         samples = float(np.sqrt(grid.dx**grid.d * np.sum(np.abs(values) ** 2)))
         wiener = float(_wiener_from_modulus(mag, grid))
-        assert l2_norm(Field(grid, values)) == samples
-        assert wiener_norm(Field(grid, values)) == wiener
         assert _norms_in_place(values.copy(), grid) == (samples, wiener)
 
     @pytest.mark.parametrize("d, points", [(1, 256), (2, 256)])
@@ -189,10 +178,10 @@ class TestNormMemory:
             tracemalloc.stop()
         return (peak - entry) / (16 * self.grid.total_points)
 
-    def test_l2w_norm_transforms_one_copy(self):
+    def test_norms_in_place_take_chunk_scratch(self):
         x, y = self.grid.coords()
-        f = Field(self.grid, np.exp(-(x**2 + y**2) / 2 + 1j * x))
-        assert self.peak_fields(lambda: l2w_norm(f)) <= 1.1
+        f = np.exp(-(x**2 + y**2) / 2 + 1j * x)
+        assert self.peak_fields(lambda: _norms_in_place(f, self.grid)) <= 0.05
 
     def test_spectrum_norms_take_chunk_scratch(self):
         raw = padded_zeros(self.grid)
@@ -204,24 +193,21 @@ class TestYNorm:
     def test_zero(self, grid1d, kernel1d):
         assert _graded_norm(np.zeros(grid1d.shape), grid1d, kernel1d) == 0
 
-    def test_dominates_base_norms(self, gaussian_field, kernel1d):
-        raw = np.fft.fftn(gaussian_field.values)
-        assert _graded_norm(raw, gaussian_field.grid, kernel1d) >= l2w_norm(gaussian_field)
+    def test_dominates_base_norms(self, grid1d, gaussian_field, kernel1d):
+        raw = np.fft.fftn(gaussian_field)
+        assert _graded_norm(raw, grid1d, kernel1d) >= sum(l2_wiener(gaussian_field, grid1d))
 
     def test_gaussian_against_symbolic_oracle(self, grid1d, kernel1d):
         # oracle route: sample the symbolic derivatives of exp(-x^2/2)
         # directly and take their norms, bypassing the FFT multiplier.
-        from hartreelab import l2_norm as l2n, wiener_norm as wn
-
         x = grid1d.axis_coords()
-        f = Field(grid1d, np.exp(-x**2 / 2))
         symbolic = [
             np.exp(-x**2 / 2),
             -x * np.exp(-x**2 / 2),
             (x**2 - 1) * np.exp(-x**2 / 2),
         ]
-        expected = sum(l2n(Field(grid1d, s)) + wn(Field(grid1d, s)) for s in symbolic)
-        got = _graded_norm(np.fft.fftn(f.values), grid1d, kernel1d)
+        expected = sum(sum(l2_wiener(s, grid1d)) for s in symbolic)
+        got = _graded_norm(np.fft.fftn(symbolic[0]), grid1d, kernel1d)
         assert abs(got - expected) / expected < 1e-6
 
     def test_gaussian_continuum_convergence(self):
@@ -231,7 +217,6 @@ class TestYNorm:
         grid = Grid(d=1, length=1024.0, points=8192)
         spec = KernelSpec(d=1, gamma=0.5)
         x = grid.axis_coords()
-        f = Field(grid, np.exp(-x**2 / 2))
         derivs = [
             lambda s: np.exp(-s * s / 2),
             lambda s: -s * np.exp(-s * s / 2),
@@ -247,7 +232,7 @@ class TestYNorm:
             l2_sq, _ = integrate.quad(lambda s: np.abs(d_fun(s)) ** 2, -np.inf, np.inf)
             w, _ = integrate.quad(h_fun, -np.inf, np.inf)
             expected += np.sqrt(l2_sq) + w
-        got = _graded_norm(np.fft.fftn(f.values), grid, spec)
+        got = _graded_norm(np.fft.fftn(np.exp(-x**2 / 2)), grid, spec)
         assert abs(got - expected) / expected < 1e-6
 
     @pytest.mark.parametrize(
@@ -261,9 +246,9 @@ class TestYNorm:
         grid = Grid(d=d, length=16.0, points=points)
         f = band_limited(grid, np.random.default_rng(5 + d), points // 4)
         spec = KernelSpec(d=d, gamma=gamma)
-        expected = sum(l2w_norm(spectral_derivative(f, eta))
+        expected = sum(sum(l2_wiener(spectral_derivative(f, grid, eta), grid))
                        for eta in multi_indices(d, derivative_order(d, gamma)))
-        got = _graded_norm(np.fft.fftn(f.values), grid, spec)
+        got = _graded_norm(np.fft.fftn(f), grid, spec)
         assert abs(got - expected) < 1e-12 * expected
 
     @pytest.mark.parametrize("d, points", [(1, 8192), (2, 64), (3, 16)])
@@ -271,7 +256,7 @@ class TestYNorm:
         # whole-array sums per multi-index, in their order: the graded norm
         # squares moduli in place, which must leave |raw| intact until eta = 0
         grid = Grid(d=d, length=16.0, points=points)
-        raw = np.fft.fftn(band_limited(grid, np.random.default_rng(d), points // 4).values)
+        raw = np.fft.fftn(band_limited(grid, np.random.default_rng(d), points // 4))
         spec = KernelSpec(d=d, gamma=0.5)
         xi = [np.abs(m) for m in grid.freq_meshes(zero_nyquist=True)]
         expected = 0.0
@@ -292,16 +277,15 @@ class TestYNorm:
 
 class TestENorm:
     # ||a(0)||_E of a family whose amplitudes are all the gaussian field
-    def test_single_mode(self, gaussian_field, kernel1d):
-        fam = ModeFamily(gaussian_field.grid, (Mode([0.0], gaussian_field),))
+    def test_single_mode(self, grid1d, gaussian_field, kernel1d):
+        fam = ModeFamily(grid1d, (Mode([0.0], gaussian_field),))
         e_norm = _half_laplacians(fam, snapshot(fam, 0.0, kernel1d), kernel1d)
-        raw = np.fft.fftn(gaussian_field.values)
+        raw = np.fft.fftn(gaussian_field)
         assert e_norm == pytest.approx(_graded_norm(raw, fam.grid, kernel1d))
 
-    def test_duplication_additivity(self, gaussian_field, kernel1d):
-        one = ModeFamily(gaussian_field.grid, (Mode([0.0], gaussian_field),))
-        two = ModeFamily(gaussian_field.grid, (Mode([-2.0], gaussian_field),
-                                               Mode([2.0], gaussian_field)))
+    def test_duplication_additivity(self, grid1d, gaussian_field, kernel1d):
+        one = ModeFamily(grid1d, (Mode([0.0], gaussian_field),))
+        two = ModeFamily(grid1d, (Mode([-2.0], gaussian_field), Mode([2.0], gaussian_field)))
         single = _half_laplacians(one, snapshot(one, 0.0, kernel1d), kernel1d)
         double = _half_laplacians(two, snapshot(two, 0.0, kernel1d), kernel1d)
         assert double == pytest.approx(2 * single, rel=1e-14)
@@ -309,8 +293,8 @@ class TestENorm:
 
 class TestAlgebraBound:
     def test_zero_factor(self, grid1d, gaussian_field):
-        pair = np.stack((gaussian_field.values, np.zeros(grid1d.shape, dtype=complex)))
-        w = np.array([[wiener_norm(gaussian_field), 0.0]])
+        pair = np.stack((gaussian_field, np.zeros(grid1d.shape, dtype=complex)))
+        w = np.array([[l2_wiener(gaussian_field, grid1d)[1], 0.0]])
         (lhs,), (rhs,) = _algebra_bounds(pair[None], w, grid1d)
         assert lhs == 0
         assert holds(lhs, rhs, ALGEBRA_SLACK)
@@ -320,8 +304,8 @@ class TestAlgebraBound:
         # convention the product's norm is exactly (2 pi)^(-d/2) times
         # the product of norms, which is the sharp constant here.
         f = plane_wave(grid1d, lattice_wavenumber(grid1d, 6))
-        w = np.full((1, 2), wiener_norm(f))
-        (lhs,), (rhs,) = _algebra_bounds(np.stack((f.values, f.values))[None], w, grid1d)
+        w = np.full((1, 2), l2_wiener(f, grid1d)[1])
+        (lhs,), (rhs,) = _algebra_bounds(np.stack((f, f))[None], w, grid1d)
         assert holds(lhs, rhs, ALGEBRA_SLACK)
         assert lhs / rhs == pytest.approx(
             (2 * np.pi) ** (-0.5), rel=1e-10
@@ -329,15 +313,15 @@ class TestAlgebraBound:
 
     def test_matches_separate_norms(self):
         # the drawn pair's norms and one product transform give the
-        # numbers of three wiener_norm calls
+        # numbers of three separate Wiener norms
         rng = np.random.default_rng(7)
         for grid in (Grid(d=1, length=32.0, points=256), Grid(d=2, length=8.0, points=32)):
             pair, w = _random_band_limited(grid, rng, grid.points // 4 - 1, 1, 2)
-            f, g = (Field(grid, v.copy()) for v in pair[0])
+            f, g = (v.copy() for v in pair[0])
             (lhs,), (rhs,) = _algebra_bounds(pair, w, grid)
-            product = Field(grid, f.values * g.values)
-            assert lhs == pytest.approx(wiener_norm(product), rel=1e-14)
-            assert rhs == pytest.approx(wiener_norm(f) * wiener_norm(g), rel=1e-14)
+            (_, w_fg), (_, w_f), (_, w_g) = (l2_wiener(v, grid) for v in (f * g, f, g))
+            assert lhs == pytest.approx(w_fg, rel=1e-14)
+            assert rhs == pytest.approx(w_f * w_g, rel=1e-14)
 
     def test_fft_budget(self, grid1d, fft_calls):
         # the draw's inverse transform gives the factors and, from their
@@ -370,7 +354,7 @@ class TestHartreeBound:
         rng = np.random.default_rng(31)
         x = grid1d.axis_coords()
         envelope = np.exp(-(x**2) / (2 * (grid1d.length / 12) ** 2))
-        h = [np.abs(band_limited(grid1d, rng, grid1d.points // 16).values) ** 2 * envelope
+        h = [np.abs(band_limited(grid1d, rng, grid1d.points // 16)) ** 2 * envelope
              for _ in range(100)]
         lhs, rhs = _hartree_bounds(kernel1d, np.array(h), grid1d)
         assert len(lhs) == 100 and np.all(holds(lhs, rhs, HARTREE_SLACK))
@@ -378,7 +362,7 @@ class TestHartreeBound:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_convolution_formula(self, d):
         # one shared |hhat| gives the numbers of the convolve-then-transform
-        # route: wiener_norm(K * h) and wiener_norm(h)
+        # route: the Wiener norms of K * h and of h
         from hartreelab import KernelSpec, split_norms
         from oracles import l1_norm
         from hartreelab.kernel import convolve, half_multiplier
@@ -387,12 +371,12 @@ class TestHartreeBound:
         spec = KernelSpec(d=d, gamma=0.5, coupling=1.0)
         rng = np.random.default_rng(13 + d)
         for _ in range(3):
-            h = Field(grid, np.abs(band_limited(grid, rng, grid.points // 8).values) ** 2)
-            (got_lhs,), (got_rhs,) = _hartree_bounds(spec, h.values.real[None], grid)
+            h = np.abs(band_limited(grid, rng, grid.points // 8)) ** 2
+            (got_lhs,), (got_rhs,) = _hartree_bounds(spec, h[None], grid)
             k1_l1, k2_sup = split_norms(spec)
-            conv = convolve(half_multiplier(spec, grid), h.values.real.copy())
-            lhs = wiener_norm(Field(grid, conv))
-            rhs = k1_l1 * l1_norm(h) + k2_sup * wiener_norm(h)
+            conv = convolve(half_multiplier(spec, grid), h.copy())
+            lhs = l2_wiener(conv, grid)[1]
+            rhs = k1_l1 * l1_norm(h, grid) + k2_sup * l2_wiener(h, grid)[1]
             assert got_lhs == pytest.approx(lhs, rel=1e-12, abs=0)
             assert got_rhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
@@ -400,7 +384,7 @@ class TestHartreeBound:
         # one transform of h serves both Wiener norms, where the
         # convolve-then-transform route took four
         rng = np.random.default_rng(17)
-        h = Field(grid1d, np.abs(band_limited(grid1d, rng, grid1d.points // 16).values) ** 2)
+        h = np.abs(band_limited(grid1d, rng, grid1d.points // 16)) ** 2
         fft_calls.clear()
-        _hartree_bounds(kernel1d, h.values.real[None], grid1d)
+        _hartree_bounds(kernel1d, h[None], grid1d)
         assert len(fft_calls) == 1

@@ -8,16 +8,12 @@ import pytest
 
 from hartreelab import (
     DivergenceError,
-    Field,
     Grid,
     KernelSpec,
     SolverParams,
     initial_data,
-    l2_norm,
-    l2w_norm,
     load_config,
     picard_evolve,
-    wiener_norm,
     zero_mode_value,
 )
 from hartreelab import config, harness, solver
@@ -27,8 +23,8 @@ from hartreelab.norms import _norms, _wiener_from_modulus
 from hartreelab.grid import CHUNK, padded_zeros
 from hartreelab.solver import advance
 from hartreelab.wkb import snapshot
-from oracles import free_propagator, lattice_wavenumber, multiplier_grid, plane_wave
-from oracles import strang_run
+from oracles import free_propagator, l2_wiener, lattice_wavenumber, multiplier_grid
+from oracles import plane_wave, strang_run
 
 
 class TestSolverParams:
@@ -46,25 +42,22 @@ class TestSolverParams:
 
 
 class TestFreePropagator:
-    def test_zero_time_identity(self, gaussian_field):
-        out = free_propagator(gaussian_field, 0.1, 0.0)
-        assert np.array_equal(out.values, gaussian_field.values)
+    def test_zero_time_identity(self, grid1d, gaussian_field):
+        out = free_propagator(gaussian_field, grid1d, 0.1, 0.0)
+        assert np.array_equal(out, gaussian_field)
 
     def test_plane_wave_phase(self, grid1d):
         k0 = lattice_wavenumber(grid1d, 8)
         f = plane_wave(grid1d, k0)
-        out = free_propagator(f, 0.5, 0.3)
-        expected = f.values * np.exp(-1j * 0.5 * 0.3 * k0**2 / 2)
-        assert np.max(np.abs(out.values - expected)) < 1e-12
+        out = free_propagator(f, grid1d, 0.5, 0.3)
+        expected = f * np.exp(-1j * 0.5 * 0.3 * k0**2 / 2)
+        assert np.max(np.abs(out - expected)) < 1e-12
 
-    def test_norm_preservation(self, gaussian_field):
-        out = free_propagator(gaussian_field, 0.2, 1.7)
-        assert abs(l2_norm(out) - l2_norm(gaussian_field)) < 1e-12 * l2_norm(
-            gaussian_field
-        )
-        assert abs(wiener_norm(out) - wiener_norm(gaussian_field)) < 1e-12 * (
-            wiener_norm(gaussian_field)
-        )
+    def test_norm_preservation(self, grid1d, gaussian_field):
+        out = free_propagator(gaussian_field, grid1d, 0.2, 1.7)
+        (l2, w), (l2_0, w_0) = l2_wiener(out, grid1d), l2_wiener(gaussian_field, grid1d)
+        assert abs(l2 - l2_0) < 1e-12 * l2_0
+        assert abs(w - w_0) < 1e-12 * w_0
 
 
 class TestHartreePotential:
@@ -77,13 +70,13 @@ class TestHartreePotential:
     def test_zero_coupling(self, grid1d, gaussian_field):
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         khat_half = half_multiplier(spec, grid1d, spec.coupling)
-        out = convolve(khat_half, np.abs(gaussian_field.values) ** 2)
+        out = convolve(khat_half, np.abs(gaussian_field) ** 2)
         assert np.all(out == 0)
 
     def test_constant_density_gives_constant(self, kernel1d, grid1d):
         u = plane_wave(grid1d, lattice_wavenumber(grid1d, 5))
         khat_half = half_multiplier(kernel1d, grid1d, kernel1d.coupling)
-        out = convolve(khat_half, np.abs(u.values) ** 2)
+        out = convolve(khat_half, np.abs(u) ** 2)
         expected = (
             kernel1d.coupling
             * (2 * np.pi) ** 0.5
@@ -91,59 +84,55 @@ class TestHartreePotential:
         )
         assert np.max(np.abs(out - expected)) < 1e-10 * abs(expected)
 
-    def test_output_is_real(self, kernel1d, gaussian_field):
-        khat_half = half_multiplier(kernel1d, gaussian_field.grid, kernel1d.coupling)
-        out = convolve(khat_half, np.abs(gaussian_field.values) ** 2)
+    def test_output_is_real(self, kernel1d, grid1d, gaussian_field):
+        khat_half = half_multiplier(kernel1d, grid1d, kernel1d.coupling)
+        out = convolve(khat_half, np.abs(gaussian_field) ** 2)
         assert np.all(np.imag(out) == 0)
 
 
-def one_step(u, spec, params):
+def one_step(u, grid, spec, params):
     """A single Strang step of length params.dt through `advance`."""
-    return Field(u.grid, strang_run(u, spec, params, [params.dt])[0][-1])
+    return strang_run(u, grid, spec, params, [params.dt])[0][-1]
 
 
 class TestStrangStep:
     def test_zero_coupling_equals_free_flow(self, grid1d, gaussian_field):
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         params = SolverParams(eps=0.5, dt=0.01, final_time=0.01)
-        stepped = one_step(gaussian_field, spec, params)
-        free = free_propagator(gaussian_field, 0.5, 0.01)
-        assert np.max(np.abs(stepped.values - free.values)) < 1e-13
+        stepped = one_step(gaussian_field, grid1d, spec, params)
+        free = free_propagator(gaussian_field, grid1d, 0.5, 0.01)
+        assert np.max(np.abs(stepped - free)) < 1e-13
 
-    def test_mass_preserved_per_step(self, kernel1d, gaussian_field):
+    def test_mass_preserved_per_step(self, kernel1d, grid1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.01, final_time=0.01)
-        out = one_step(gaussian_field, kernel1d, params)
-        assert abs(l2_norm(out) - l2_norm(gaussian_field)) < 1e-12 * l2_norm(
-            gaussian_field
-        )
+        out = one_step(gaussian_field, grid1d, kernel1d, params)
+        l2_0 = l2_wiener(gaussian_field, grid1d)[0]
+        assert abs(l2_wiener(out, grid1d)[0] - l2_0) < 1e-12 * l2_0
 
-    def test_exact_reverse_with_frozen_potential(self, kernel1d, gaussian_field):
+    def test_exact_reverse_with_frozen_potential(self, kernel1d, grid1d, gaussian_field):
         eps, dt = 0.5, 0.01
         params = SolverParams(eps=eps, dt=dt, final_time=dt)
-        half = free_propagator(gaussian_field, eps, dt / 2)
-        khat_half = half_multiplier(kernel1d, half.grid, kernel1d.coupling)
-        frozen = convolve(khat_half, np.abs(half.values) ** 2)
-        forward = one_step(gaussian_field, kernel1d, params)
+        half = free_propagator(gaussian_field, grid1d, eps, dt / 2)
+        khat_half = half_multiplier(kernel1d, grid1d, kernel1d.coupling)
+        frozen = convolve(khat_half, np.abs(half) ** 2)
+        forward = one_step(gaussian_field, grid1d, kernel1d, params)
         # undo with the same frozen potential: the three factors invert
-        back = free_propagator(forward, eps, -dt / 2)
-        back = Field(back.grid, back.values * np.exp(1j * dt * frozen))
-        back = free_propagator(back, eps, -dt / 2)
-        assert np.max(np.abs(back.values - gaussian_field.values)) < 1e-12
+        back = free_propagator(forward, grid1d, eps, -dt / 2)
+        back = free_propagator(back * np.exp(1j * dt * frozen), grid1d, eps, -dt / 2)
+        assert np.max(np.abs(back - gaussian_field)) < 1e-12
 
     def test_second_order_self_convergence(self, kernel1d):
         grid = Grid(d=1, length=32.0, points=512)
         x = grid.axis_coords()
-        u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / 0.5))
+        u0 = np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / 0.5)
         eps, horizon = 0.5, 0.04
 
         def run(dt):
             params = SolverParams(eps=eps, dt=dt, final_time=horizon)
-            return strang_run(u0, kernel1d, params, [horizon])[0][-1]
+            return strang_run(u0, grid, kernel1d, params, [horizon])[0][-1]
 
         ref = run(horizon / 128)
-        errs = [
-            l2_norm(Field(grid, run(horizon / n) - ref)) for n in (4, 8, 16)
-        ]
+        errs = [l2_wiener(run(horizon / n) - ref, grid)[0] for n in (4, 8, 16)]
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
             assert abs(order - 2.0) <= 0.2
@@ -156,18 +145,17 @@ def divergence_case():
     grid = Grid(d=1, length=32.0, points=2048)
     spec = KernelSpec(d=1, gamma=0.5, coupling=-5e4)
     x = grid.axis_coords()
-    u0 = Field(grid, 5.0 * np.exp(-x**2 / 2))
-    return u0, spec, SolverParams(eps=1.0, dt=0.1, final_time=4.0)
+    u0 = 5.0 * np.exp(-x**2 / 2)
+    return u0, grid, spec, SolverParams(eps=1.0, dt=0.1, final_time=4.0)
 
 
-def six_fft_strang(u0, spec, eps, dt_request, samples):
+def six_fft_strang(u0, g, spec, eps, dt_request, samples):
     """Reference Strang loop: kinetic half-steps and the potential each
     take their own forward/inverse FFT pair, six transforms per step.
 
     Returns the states and the l2 norms at the samples, t = 0 first, and
     raises DivergenceError at the same step and time as `advance`.
     """
-    g = u0.grid
     khat = multiplier_grid(spec, g)
     freq_sq = g.freq_norm_sq()
 
@@ -181,7 +169,7 @@ def six_fft_strang(u0, spec, eps, dt_request, samples):
         conv = (2 * np.pi) ** (g.d / 2) * np.fft.ifftn(khat * rho_hat)
         return spec.coupling * conv.real
 
-    state = np.array(u0.values, dtype=np.complex128)
+    state = np.array(u0, dtype=np.complex128)
     l2_0, w_0 = norms(np.fft.fftn(state))
     states, masses = [state], [l2_0]
     t_prev = 0.0
@@ -214,11 +202,11 @@ def validate_picard():
     cfg = load_config(REFERENCE_1D)
     eps = cfg.epsilons[0]
     u0 = initial_data(cfg.family, eps)
-    return lambda nodes: picard_evolve(u0, cfg.kernel, eps, 0.1 * eps, tol=1e-12,
-                                       nodes=nodes)
+    return lambda nodes: picard_evolve(u0, cfg.grid, cfg.kernel, eps, 0.1 * eps,
+                                       tol=1e-12, nodes=nodes)
 
 
-def physical_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
+def physical_picard(u0, g, spec, eps, horizon, tol, max_iter, nodes):
     """Reference Duhamel fixed point with the node states in physical
     space: composite Simpson on panels of two node steps, the midpoint
     from the quadratic through the panel's three sources.  Every free
@@ -230,7 +218,6 @@ def physical_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
     """
     from hartreelab import PicardConvergenceError
 
-    g = u0.grid
     h = horizon / nodes
     khat = multiplier_grid(spec, g)
 
@@ -249,7 +236,7 @@ def physical_picard(u0, spec, eps, horizon, tol, max_iter, nodes):
         )
         return l2 + wiener
 
-    free = [np.array(u0.values, dtype=np.complex128)]
+    free = [np.array(u0, dtype=np.complex128)]
     for _ in range(nodes):
         free.append(step(free[-1]))
     current = list(free)
@@ -283,13 +270,13 @@ class TestEvolve:
         grid = Grid(d=1, length=32.0, points=512)
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         x = grid.axis_coords()
-        u0 = Field(grid, np.exp(-x**2 / 2))
+        u0 = np.exp(-x**2 / 2)
         eps, t_end = 0.3, 1.0
         params = SolverParams(eps=eps, dt=0.25 * eps, final_time=t_end, dt_factor=0.25)
-        stepped = strang_run(u0, spec, params, [t_end])[0][-1]
+        stepped = strang_run(u0, grid, spec, params, [t_end])[0][-1]
         sigma_sq = 1.0 + 1j * eps * t_end
         exact = np.exp(-(x**2) / (2 * sigma_sq)) / np.sqrt(sigma_sq)
-        err = l2_norm(Field(grid, stepped - exact))
+        err = l2_wiener(stepped - exact, grid)[0]
         assert err < 1e-6
 
     def test_free_plane_wave_matches_propagator(self, grid1d):
@@ -297,44 +284,43 @@ class TestEvolve:
         k0 = lattice_wavenumber(grid1d, 6)
         u0 = plane_wave(grid1d, k0)
         params = SolverParams(eps=0.4, dt=0.02, final_time=0.2)
-        states, _ = strang_run(u0, spec, params, [0.1, 0.2])
+        states, _ = strang_run(u0, grid1d, spec, params, [0.1, 0.2])
         for t, state in zip((0.1, 0.2), states[1:]):
-            expected = free_propagator(u0, 0.4, t)
-            assert np.max(np.abs(state - expected.values)) < 1e-12
+            expected = free_propagator(u0, grid1d, 0.4, t)
+            assert np.max(np.abs(state - expected)) < 1e-12
 
-    def test_mass_log_constant(self, kernel1d, gaussian_field):
+    def test_mass_log_constant(self, kernel1d, grid1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
-        _, masses = strang_run(gaussian_field, kernel1d, params, [0.25, 0.5])
+        _, masses = strang_run(gaussian_field, grid1d, kernel1d, params, [0.25, 0.5])
         assert max(abs(m - masses[0]) for m in masses) / masses[0] < 1e-10
 
-    def test_gauge_covariance(self, kernel1d, gaussian_field):
+    def test_gauge_covariance(self, kernel1d, grid1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.2)
         phase = np.exp(1j * 0.7)
-        turned = Field(gaussian_field.grid, phase * gaussian_field.values)
-        a = strang_run(gaussian_field, kernel1d, params, [0.2])[0][-1]
-        b = strang_run(turned, kernel1d, params, [0.2])[0][-1]
+        a = strang_run(gaussian_field, grid1d, kernel1d, params, [0.2])[0][-1]
+        b = strang_run(phase * gaussian_field, grid1d, kernel1d, params, [0.2])[0][-1]
         assert np.max(np.abs(b - phase * a)) < 1e-12
 
-    def test_sample_times_hit_exactly(self, kernel1d, gaussian_field):
+    def test_sample_times_hit_exactly(self, kernel1d, grid1d, gaussian_field):
         params = SolverParams(eps=0.5, dt=0.03, final_time=0.5)
         # each gap is cut into equal steps ending on its sample time: the
         # states match the six-FFT loop, which cuts the gaps that way
         samples = [0.17, 0.5]
-        states, _ = strang_run(gaussian_field, kernel1d, params, samples)
-        reference, _ = six_fft_strang(gaussian_field, kernel1d, 0.5, 0.03, samples)
+        states, _ = strang_run(gaussian_field, grid1d, kernel1d, params, samples)
+        reference, _ = six_fft_strang(gaussian_field, grid1d, kernel1d, 0.5, 0.03, samples)
         for state, want in zip(states, reference):
             assert np.max(np.abs(state - want)) < 1e-12
 
     def test_divergence_guard_reports_time(self):
-        u0, spec, params = divergence_case()
+        u0, grid, spec, params = divergence_case()
         with pytest.raises(DivergenceError) as err:
-            strang_run(u0, spec, params, [4.0])
+            strang_run(u0, grid, spec, params, [4.0])
         assert err.value.time > 0
 
-    def test_divergence_guard_trips_on_nan(self, kernel1d, gaussian_field):
+    def test_divergence_guard_trips_on_nan(self, kernel1d, grid1d, gaussian_field):
         # NaN > 4 norm0 is False, so the guard must test for staying inside
-        g = gaussian_field.grid
-        raw = np.fft.fftn(gaussian_field.values)
+        g = grid1d
+        raw = np.fft.fftn(gaussian_field)
         norm0 = sum(_norms(raw, g))
         raw[3] = np.nan
         params = SolverParams(eps=0.5, dt=0.05, final_time=0.5)
@@ -349,34 +335,34 @@ class TestEvolve:
         spec = KernelSpec(d=2, gamma=1.0, coupling=1.0)
         x, y = grid.coords()
         eps, samples = 0.1, [0.555, 1.0]
-        u0 = Field(grid, np.exp(-(x**2 + y**2) / 2 + 1j * (0.5 * x - 0.3 * y) / eps))
+        u0 = np.exp(-(x**2 + y**2) / 2 + 1j * (0.5 * x - 0.3 * y) / eps)
         params = SolverParams(eps=eps, dt=0.1 * eps, final_time=1.0)
-        got_states, got_masses = strang_run(u0, spec, params, samples)
-        states, masses = six_fft_strang(u0, spec, eps, params.dt, samples)
+        got_states, got_masses = strang_run(u0, grid, spec, params, samples)
+        states, masses = six_fft_strang(u0, grid, spec, eps, params.dt, samples)
         for got, state in zip(got_states, states):
             assert np.max(np.abs(got - state)) < 1e-12
         for got, want in zip(got_masses, masses):
             assert abs(got - want) < 1e-12 * want
 
     def test_divergence_time_matches_six_fft_reference(self):
-        u0, spec, params = divergence_case()
+        u0, grid, spec, params = divergence_case()
         with pytest.raises(DivergenceError) as fused:
-            strang_run(u0, spec, params, [4.0])
+            strang_run(u0, grid, spec, params, [4.0])
         with pytest.raises(DivergenceError) as reference:
-            six_fft_strang(u0, spec, params.eps, params.dt, [4.0])
+            six_fft_strang(u0, grid, spec, params.eps, params.dt, [4.0])
         assert fused.value.time == reference.value.time
 
     def test_guard_keeps_its_t0_reference_in_later_gaps(self):
         # a gentler attraction leaves the ball in the second sample gap;
         # the guard there still compares against 4x the t = 0 norm
-        u0, _, _ = divergence_case()
+        u0, grid, _, _ = divergence_case()
         spec = KernelSpec(d=1, gamma=0.5, coupling=-2.0)
         params = SolverParams(eps=1.0, dt=0.05, final_time=4.0)
         samples = [0.1, 4.0]
         with pytest.raises(DivergenceError) as fused:
-            strang_run(u0, spec, params, samples)
+            strang_run(u0, grid, spec, params, samples)
         with pytest.raises(DivergenceError) as reference:
-            six_fft_strang(u0, spec, params.eps, params.dt, samples)
+            six_fft_strang(u0, grid, spec, params.eps, params.dt, samples)
         assert fused.value.time > samples[0]
         assert fused.value.time == reference.value.time
 
@@ -501,14 +487,14 @@ def chunked_case(d, points, coupling):
     coords = grid.coords()
     r2 = sum(c**2 for c in coords)
     carrier = sum(k * c for k, c in zip((0.5, -0.3, 0.2), coords))
-    u0 = Field(grid, np.exp(-r2 / 2 + 1j * carrier / 0.1))
+    u0 = np.exp(-r2 / 2 + 1j * carrier / 0.1)
     return grid, spec, u0
 
 
 def gap_outcomes(step, grid, spec, u0, params, samples, nan_at=None):
     """(spectrum, l2) after each gap, or the DivergenceError's (time, ratio)."""
     khat_half = half_multiplier(spec, grid, spec.coupling)
-    raw = np.fft.fftn(u0.values, out=padded_zeros(grid))  # as a sweep holds it
+    raw = np.fft.fftn(u0, out=padded_zeros(grid))  # as a sweep holds it
     norm0 = sum(_norms(raw, grid))
     if nan_at is not None:
         raw[nan_at] = np.nan
@@ -545,7 +531,7 @@ class TestChunkedStages:
         # a weak attraction leaves the 4x ball in the second gap, at t = 0.3
         grid, spec, _ = chunked_case(2, 128, coupling=-0.5)
         x, y = grid.coords()
-        u0 = Field(grid, 3.0 * np.exp(-(x**2 + y**2) / 2))
+        u0 = 3.0 * np.exp(-(x**2 + y**2) / 2)
         params = SolverParams(eps=1.0, dt=0.05, final_time=4.0)
         samples = [0.1, 4.0]
         got = gap_outcomes(advance, grid, spec, u0, params, samples)
@@ -572,9 +558,9 @@ class TestChunkedStages:
         grid, spec, u0 = chunked_case(2, 256, coupling=1.0)
         params = SolverParams(eps=0.1, dt=0.01, final_time=0.02)
         khat_half = half_multiplier(spec, grid, spec.coupling)
-        raw = np.fft.fftn(u0.values, out=padded_zeros(grid))  # as a sweep holds it
+        raw = np.fft.fftn(u0, out=padded_zeros(grid))  # as a sweep holds it
         norm0 = sum(_norms(raw, grid))
-        warm = np.fft.fftn(u0.values, out=padded_zeros(grid))
+        warm = np.fft.fftn(u0, out=padded_zeros(grid))
         advance(warm, grid, khat_half, params, 0.0, 0.02, norm0)
         tracemalloc.start()
         try:
@@ -613,8 +599,8 @@ class TestPaddedLayout:
         grid, spec, u0 = chunked_case(d, points, coupling=1.0)
         params = SolverParams(eps=0.1, dt=0.01, final_time=0.1)
         khat_half = half_multiplier(spec, grid, spec.coupling)
-        plain = np.fft.fftn(u0.values)
-        padded = np.fft.fftn(u0.values, out=padded_zeros(grid))
+        plain = np.fft.fftn(u0)
+        padded = np.fft.fftn(u0, out=padded_zeros(grid))
         norm0 = sum(_norms(plain, grid))
         got = advance(padded, grid, khat_half, params, 0.0, 0.035, norm0)
         want = advance(plain, grid, khat_half, params, 0.0, 0.035, norm0)
@@ -627,7 +613,7 @@ class TestPaddedLayout:
         n = grid.points
         wide = np.ones((n, n + (2 if layout == "short_pad" else 8)), dtype=complex)
         raw = {"column_slice": wide[:, 4:4 + n], "short_pad": wide[:, :n],
-               "transposed": np.fft.fftn(u0.values).T}[layout]
+               "transposed": np.fft.fftn(u0).T}[layout]
         before = wide.copy()
         params = SolverParams(eps=0.1, dt=0.01, final_time=0.1)
         khat_half = half_multiplier(spec, grid, spec.coupling)
@@ -657,14 +643,13 @@ class TestPaddedLayout:
 class TestPicard:
     def test_zero_coupling_is_free_flight(self, grid1d, gaussian_field):
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.0)
-        out = picard_evolve(gaussian_field, spec, eps=0.5, horizon=0.05)
-        expected = free_propagator(gaussian_field, 0.5, 0.05)
-        assert np.max(np.abs(out.values - expected.values)) < 1e-13
+        out = picard_evolve(gaussian_field, grid1d, spec, eps=0.5, horizon=0.05)
+        expected = free_propagator(gaussian_field, grid1d, 0.5, 0.05)
+        assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_zero_state_stays_zero(self, kernel1d, grid1d):
-        zero = Field(grid1d, np.zeros(grid1d.shape))
-        out = picard_evolve(zero, kernel1d, eps=0.5, horizon=0.05)
-        assert np.all(out.values == 0)
+        out = picard_evolve(np.zeros(grid1d.shape), grid1d, kernel1d, eps=0.5, horizon=0.05)
+        assert np.all(out == 0)
 
     def test_non_contraction_reported(self):
         # far outside the contraction horizon the iterates run away and
@@ -673,47 +658,47 @@ class TestPicard:
 
         grid = Grid(d=1, length=32.0, points=512)
         x = grid.axis_coords()
-        u0 = Field(grid, 4.0 * np.exp(-x**2 / 2))
+        u0 = 4.0 * np.exp(-x**2 / 2)
         spec = KernelSpec(d=1, gamma=0.5, coupling=8.0)
         with pytest.raises(PicardConvergenceError, match="contracting"):
-            picard_evolve(u0, spec, eps=0.5, horizon=1.0, tol=1e-10,
+            picard_evolve(u0, grid, spec, eps=0.5, horizon=1.0, tol=1e-10,
                           max_iter=25, nodes=16)
         with pytest.raises(PicardConvergenceError, match="contracting"):
-            physical_picard(u0, spec, 0.5, 1.0, tol=1e-10, max_iter=25, nodes=16)
+            physical_picard(u0, grid, spec, 0.5, 1.0, tol=1e-10, max_iter=25, nodes=16)
 
     def test_default_horizon_is_tenth_of_eps(self, grid1d, gaussian_field):
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.0)
-        out = picard_evolve(gaussian_field, spec, eps=0.5)
-        expected = free_propagator(gaussian_field, 0.5, 0.05)
-        assert np.max(np.abs(out.values - expected.values)) < 1e-13
+        out = picard_evolve(gaussian_field, grid1d, spec, eps=0.5)
+        expected = free_propagator(gaussian_field, grid1d, 0.5, 0.05)
+        assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_cross_integrator_agreement(self, kernel1d):
         grid = Grid(d=1, length=32.0, points=1024)
         x = grid.axis_coords()
         eps, horizon = 0.1, 0.01
-        u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps))
+        u0 = np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps)
         params = SolverParams(eps=eps, dt=horizon / 32, final_time=horizon)
-        stepped = strang_run(u0, kernel1d, params, [horizon])[0][-1]
-        fixed = picard_evolve(u0, kernel1d, eps=eps, horizon=horizon,
+        stepped = strang_run(u0, grid, kernel1d, params, [horizon])[0][-1]
+        fixed = picard_evolve(u0, grid, kernel1d, eps=eps, horizon=horizon,
                               tol=1e-12, nodes=32)
-        assert l2w_norm(Field(grid, stepped - fixed.values)) < 1e-6
+        assert sum(l2_wiener(stepped - fixed, grid)) < 1e-6
 
     def test_matches_physical_space_reference(self, kernel1d):
         # the setup of test_cross_integrator_agreement
         grid = Grid(d=1, length=32.0, points=1024)
         x = grid.axis_coords()
         eps, horizon = 0.1, 0.01
-        u0 = Field(grid, np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps))
-        fixed = picard_evolve(u0, kernel1d, eps=eps, horizon=horizon,
+        u0 = np.exp(-x**2 / 2) * np.exp(1j * 2.0 * x / eps)
+        fixed = picard_evolve(u0, grid, kernel1d, eps=eps, horizon=horizon,
                               tol=1e-12, nodes=32)
-        ref = physical_picard(u0, kernel1d, eps, horizon, tol=1e-12,
+        ref = physical_picard(u0, grid, kernel1d, eps, horizon, tol=1e-12,
                               max_iter=60, nodes=32)
-        assert np.max(np.abs(fixed.values - ref)) < 1e-12
+        assert np.max(np.abs(fixed - ref)) < 1e-12
 
     def test_simpson_order_at_validate_parameters(self, validate_picard):
         ref = validate_picard(256)
-        errs = [l2w_norm(Field(ref.grid, validate_picard(n).values - ref.values))
-                for n in (16, 32, 64)]
+        grid = load_config(REFERENCE_1D).grid
+        errs = [sum(l2_wiener(validate_picard(n) - ref, grid)) for n in (16, 32, 64)]
         for coarse, fine in zip(errs, errs[1:]):
             assert abs(coarse / fine - 16.0) <= 2.0
         assert errs[1] < 5e-9  # the validate suite's 32 nodes
@@ -732,23 +717,24 @@ class TestPicard:
         assert peaks[32] < 4 * 2**20
         assert abs(peaks[128] - peaks[32]) <= 0.05 * peaks[32]
 
-    def test_failure_names_its_panel(self, gaussian_field, kernel1d):
+    def test_failure_names_its_panel(self, grid1d, gaussian_field, kernel1d):
         from hartreelab import PicardConvergenceError
 
         with pytest.raises(PicardConvergenceError,
                            match="after 1 iterations on the panel ending at t = 0.01 "):
-            picard_evolve(gaussian_field, kernel1d, eps=0.5, horizon=0.05, tol=1e-30,
-                          max_iter=1, nodes=10)
+            picard_evolve(gaussian_field, grid1d, kernel1d, eps=0.5, horizon=0.05,
+                          tol=1e-30, max_iter=1, nodes=10)
 
     @pytest.mark.parametrize("nodes", [0, 1, 7, 33, -2])
-    def test_odd_or_too_few_nodes_rejected(self, gaussian_field, kernel1d, nodes):
+    def test_odd_or_too_few_nodes_rejected(self, grid1d, gaussian_field, kernel1d, nodes):
         with pytest.raises(ValueError, match="even and at least 2"):
-            picard_evolve(gaussian_field, kernel1d, eps=0.5, horizon=0.05, nodes=nodes)
+            picard_evolve(gaussian_field, grid1d, kernel1d, eps=0.5, horizon=0.05,
+                          nodes=nodes)
 
-    def test_default_node_count_is_even(self, gaussian_field):
+    def test_default_node_count_is_even(self, grid1d, gaussian_field):
         # horizon / (0.1 eps) = 8.8: nine nodes by the resolution rule, ten by Simpson
         spec = KernelSpec(d=1, gamma=0.5, coupling=0.1)
-        out = picard_evolve(gaussian_field, spec, eps=0.5, horizon=0.44, tol=1e-12)
-        ten = picard_evolve(gaussian_field, spec, eps=0.5, horizon=0.44, tol=1e-12,
+        out = picard_evolve(gaussian_field, grid1d, spec, eps=0.5, horizon=0.44, tol=1e-12)
+        ten = picard_evolve(gaussian_field, grid1d, spec, eps=0.5, horizon=0.44, tol=1e-12,
                             nodes=10)
-        assert np.array_equal(out.values, ten.values)
+        assert np.array_equal(out, ten)

@@ -5,18 +5,16 @@ import pytest
 
 from hartreelab import (
     ContainmentError,
-    Field,
     GaussianProfile,
     Grid,
     KernelSpec,
+    Mode,
     ModeFamily,
     ResolutionError,
     action_phase,
     ansatz_residual,
     assemble,
     initial_data,
-    l2_norm,
-    l2w_norm,
     laplacian,
     resonant_remainder,
     snapshot,
@@ -28,7 +26,7 @@ from hartreelab.grid import plane_wave
 from hartreelab.kernel import convolve, half_multiplier
 from hartreelab.norms import derivative_order, multi_indices
 from hartreelab.wkb import _averaging_factor, _mode_carrier
-from oracles import action_phase_quadrature, multiplier_grid, spectral_derivative
+from oracles import action_phase_quadrature, l2_wiener, multiplier_grid, spectral_derivative
 
 
 @pytest.fixture
@@ -66,6 +64,19 @@ class TestModeFamily:
         with pytest.raises(ValueError, match="at least one"):
             ModeFamily(grid=grid, modes=())
 
+    def test_rejects_kappa_of_another_dimension(self, grid1d, gaussian_field):
+        with pytest.raises(ValueError, match="kappa has 2 components but the grid is 1D"):
+            ModeFamily(grid1d, (Mode([1.0, 0.0], gaussian_field),))
+
+    def test_rejects_amplitude_off_the_family_grid(self, grid1d, gaussian_field):
+        # an array handed to Mode directly passes no `sample_profile`
+        finer = Grid(d=1, length=32.0, points=2 * grid1d.points)
+        nan = gaussian_field.copy()
+        nan[3] = np.nan
+        for grid, alpha in ((finer, gaussian_field), (grid1d, nan)):
+            with pytest.raises(ValueError, match="finite samples on the family grid"):
+                ModeFamily(grid, (Mode([1.0], alpha),))
+
 
 class TestOscillationAverage:
     def test_zero_frequency_gives_t(self):
@@ -93,25 +104,25 @@ class TestOscillationAverage:
 class TestActionPhase:
     def test_zero_time(self, two_mode_family, kernel):
         out = action_phase(two_mode_family, 0, 0.0, kernel)
-        assert np.all(out.values == 0)
+        assert np.all(out == 0)
 
     def test_single_zero_mode_collapses(self, single_mode_family, kernel):
         # kappa = 0: the formula reduces to -lambda * t * (K * |alpha|^2)
         t = 0.4
         out = action_phase(single_mode_family, 0, t, kernel)
         grid = single_mode_family.grid
-        rho = np.abs(single_mode_family.modes[0].alpha.values) ** 2
+        rho = np.abs(single_mode_family.modes[0].alpha) ** 2
         # full-lattice K * rho, independent of the half-spectrum route
         conv = np.fft.ifftn(np.fft.fftn(rho) * multiplier_grid(kernel, grid)).real
         expected = -kernel.coupling * t * np.sqrt(2 * np.pi) * conv
-        assert np.max(np.abs(out.values - expected)) < 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(out - expected)) < 1e-12 * np.max(np.abs(expected))
 
     def test_closed_form_vs_simpson_oracle(self, two_mode_family, kernel):
         t = 0.5
         for j in (0, 1):
             closed = action_phase(two_mode_family, j, t, kernel)
             quad = action_phase_quadrature(two_mode_family, j, t, kernel, nodes=64)
-            assert np.max(np.abs(closed.values - quad.values)) < 1e-8
+            assert np.max(np.abs(closed - quad)) < 1e-8
 
     def test_quadrature_fourth_order(self, two_mode_family, kernel):
         t = 0.5
@@ -119,7 +130,7 @@ class TestActionPhase:
         errs = []
         for nodes in (8, 16):
             quad = action_phase_quadrature(two_mode_family, 0, t, kernel, nodes=nodes)
-            errs.append(np.max(np.abs(closed.values - quad.values)))
+            errs.append(np.max(np.abs(closed - quad)))
         assert errs[0] / errs[1] >= 8.0
 
     def test_quadrature_rejects_odd_nodes(self, two_mode_family, kernel):
@@ -132,29 +143,29 @@ class TestActionPhase:
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_phase_is_real(self, two_mode_family, kernel, t):
-        assert action_phase(two_mode_family, 1, t, kernel).values.dtype == np.float64
+        assert action_phase(two_mode_family, 1, t, kernel).dtype == np.float64
 
 
 class TestSnapshot:
     def test_initial_amplitudes_exact(self, two_mode_family, kernel):
         amps = snapshot(two_mode_family, 0.0, kernel)
         for mode, amp in zip(two_mode_family.modes, amps):
-            assert np.array_equal(amp, mode.alpha.values)
+            assert np.array_equal(amp, mode.alpha)
 
     def test_zero_coupling_is_pure_transport(self, two_mode_family):
         free = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         t = 0.5
         amps = snapshot(two_mode_family, t, free)
         for mode, amp in zip(two_mode_family.modes, amps):
-            moved = translate(mode.alpha, t * mode.kappa)
-            assert np.max(np.abs(amp - moved.values)) < 1e-12
+            moved = translate(mode.alpha, two_mode_family.grid, t * mode.kappa)
+            assert np.max(np.abs(amp - moved)) < 1e-12
 
     def test_modulus_transport_invariant(self, two_mode_family, kernel):
         t = 0.5
         amps = snapshot(two_mode_family, t, kernel)
         for mode, amp in zip(two_mode_family.modes, amps):
-            moved = translate(mode.alpha, t * mode.kappa)
-            assert np.max(np.abs(np.abs(amp) - np.abs(moved.values))) < 1e-10
+            moved = translate(mode.alpha, two_mode_family.grid, t * mode.kappa)
+            assert np.max(np.abs(np.abs(amp) - np.abs(moved))) < 1e-10
 
     def test_transport_equation_residual(self, two_mode_family, kernel):
         # centered finite differences in t certify the transport law
@@ -171,12 +182,11 @@ class TestSnapshot:
 
     def test_norm_stability_at_zero_coupling(self, two_mode_family):
         free = KernelSpec(d=1, gamma=0.5, coupling=0.0)
-        base = sum(
-            l2w_norm(m.alpha) for m in two_mode_family.modes
-        )
+        grid = two_mode_family.grid
+        base = sum(sum(l2_wiener(m.alpha, grid)) for m in two_mode_family.modes)
         for t in (0.3, 0.8):
             amps = snapshot(two_mode_family, t, free)
-            now = sum(l2w_norm(Field(two_mode_family.grid, a)) for a in amps)
+            now = sum(sum(l2_wiener(a, grid)) for a in amps)
             assert abs(now - base) < 1e-8 * base
 
     def test_warm_two_mode_2d_snapshot_peaks_under_four_and_a_quarter_arrays(self):
@@ -207,14 +217,14 @@ class TestAssemble:
         direct = initial_data(two_mode_family, eps)
         assembled = assemble(two_mode_family, snapshot(two_mode_family, 0.0, kernel), 0.0,
                              eps)
-        assert l2w_norm(Field(two_mode_family.grid, direct.values - assembled)) < 1e-12
+        assert sum(l2_wiener(direct - assembled, two_mode_family.grid)) < 1e-12
 
     def test_single_frozen_mode(self, single_mode_family):
         free = KernelSpec(d=1, gamma=0.5, coupling=0.0)
         eps = 0.2
         out = assemble(single_mode_family, snapshot(single_mode_family, 0.7, free), 0.7, eps)
         alpha = single_mode_family.modes[0].alpha
-        assert np.max(np.abs(out - alpha.values)) < 1e-12
+        assert np.max(np.abs(out - alpha)) < 1e-12
 
     def test_near_orthogonal_energy(self, two_mode_family, kernel):
         # cross terms oscillate at delta/eps; the mode energies add in
@@ -222,11 +232,12 @@ class TestAssemble:
         eps = 0.1
         t = 0.4
         amps = snapshot(two_mode_family, t, kernel)
-        u = Field(two_mode_family.grid, assemble(two_mode_family, amps, t, eps))
-        norms = [l2_norm(Field(two_mode_family.grid, a)) for a in amps]
-        assert l2_norm(u) <= sum(norms) * (1 + 1e-12)
+        grid = two_mode_family.grid
+        u = l2_wiener(assemble(two_mode_family, amps, t, eps), grid)[0]
+        norms = [l2_wiener(a, grid)[0] for a in amps]
+        assert u <= sum(norms) * (1 + 1e-12)
         pythagoras = np.sqrt(sum(n**2 for n in norms))
-        assert abs(l2_norm(u) - pythagoras) < 1e-8 * pythagoras
+        assert abs(u - pythagoras) < 1e-8 * pythagoras
 
     def test_resolution_violation_rejected(self, two_mode_family, kernel):
         with pytest.raises(ResolutionError):
@@ -263,7 +274,7 @@ class TestZ2Term:
         t, eps = 0.5, 0.1
         halves, e_norm = half_laplacians(two_mode_family,
                                          snapshot(two_mode_family, t, kernel))
-        z2 = l2w_norm(Field(two_mode_family.grid, assemble(two_mode_family, halves, t, eps)))
+        z2 = sum(l2_wiener(assemble(two_mode_family, halves, t, eps), two_mode_family.grid))
         assert z2 <= e_norm * (1 + 1e-6)
 
     @pytest.mark.parametrize("d, t", SNAPSHOT_TIMES, ids=SNAPSHOT_IDS)
@@ -272,7 +283,7 @@ class TestZ2Term:
         spec = family_kernel(fam)
         eps = {1: 0.1, 2: 0.5}[d]
         amps = snapshot(fam, t, spec)
-        halves = [0.5 * laplacian(Field(fam.grid, a)).values for a in amps]
+        halves = [0.5 * laplacian(a, fam.grid) for a in amps]
         ref = assemble(fam, halves, t, eps)
         wkb._half_laplacians(fam, amps, spec)  # in place
         assert np.array_equal(assemble(fam, amps, t, eps), ref)
@@ -323,7 +334,7 @@ class TestSharedTerms:
         fam = two_mode_family if d == 1 else four_mode_family(128)
         amps = snapshot(fam, t, family_kernel(fam))
         expected = sum(
-            l2w_norm(spectral_derivative(Field(fam.grid, a), eta))
+            sum(l2_wiener(spectral_derivative(a, fam.grid, eta), fam.grid))
             for a in amps
             for eta in multi_indices(d, derivative_order(d, family_kernel(fam).gamma))
         )
@@ -361,7 +372,7 @@ class TestResonantRemainder:
         for eps in (0.2, 0.05):
             u_app = assemble(two_mode_family, amps, t, eps)
             rem = resonant_remainder(two_mode_family, amps, eps, kernel, u_app)
-            norms[eps] = l2w_norm(Field(two_mode_family.grid, rem))
+            norms[eps] = sum(l2_wiener(rem, two_mode_family.grid))
         slope = np.log(norms[0.2] / norms[0.05]) / np.log(0.2 / 0.05)
         assert abs(slope - 0.5) < 0.15
 
@@ -433,7 +444,7 @@ def full_grid_action_phase(family, j, t, spec):
     kappa_j = family.modes[j].kappa
     acc = np.zeros(g.shape, dtype=np.complex128)
     for mode in family.modes:
-        rho_raw = np.fft.fftn(np.abs(mode.alpha.values) ** 2)
+        rho_raw = np.fft.fftn(np.abs(mode.alpha) ** 2)
         omega = np.zeros(g.shape)
         for ax in range(g.d):
             omega = omega + (mode.kappa[ax] - kappa_j[ax]) * meshes[ax]
@@ -518,23 +529,23 @@ class TestSeparableRewrite:
         amps = snapshot(family, t, spec)
         for j in range(len(family.modes)):
             ref = full_grid_action_phase(family, j, t, spec)
-            alone = action_phase(family, j, t, spec).values
+            alone = action_phase(family, j, t, spec)
             assert np.max(np.abs(alone - ref)) < 1e-12
             mode = family.modes[j]
-            moved = translate(mode.alpha, t * mode.kappa).values * np.exp(1j * ref)
+            moved = translate(mode.alpha, family.grid, t * mode.kappa) * np.exp(1j * ref)
             assert np.max(np.abs(amps[j] - moved)) < 1e-12
 
     def test_action_phase_inverse_is_irfftn_bit_for_bit(self, name, monkeypatch):
         # the leading-axis complex passes run in place, in irfftn's order
         family = FAMILIES[name]()
         spec = family_kernel(family)
-        got = [action_phase(family, j, 0.5, spec).values for j in range(len(family.modes))]
+        got = [action_phase(family, j, 0.5, spec) for j in range(len(family.modes))]
         def whole_irfftn(spectrum, out, leading):
             return np.fft.irfftn(spectrum, out.shape, tuple(range(out.ndim)), out=out)
 
         monkeypatch.setattr(wkb, "_inverse_into", whole_irfftn)
         for j, values in enumerate(got):
-            assert np.array_equal(values, action_phase(family, j, 0.5, spec).values)
+            assert np.array_equal(values, action_phase(family, j, 0.5, spec))
 
     def test_mode_carrier_matches_full_grid(self, name):
         family = FAMILIES[name]()
